@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -30,9 +29,6 @@ from .graded_modules import (
 from .reports import FAIL, PASS, CheckResult, Detail, Recorder
 from .sl_maps import FamilyKind, SpecialFiberPolicy, build_family, symplectic_extend
 from .theorem_registry import CATALOGUE, run_all, run_check
-
-ENV_WORKERS = "SLMOD_MAX_WORKERS"
-
 
 class UsageError(Exception):
     pass
@@ -356,8 +352,7 @@ def run_config(cfg: RunConfig) -> ReportDocument:
             params["samples"] = cfg.samples
         results = [run_check(cfg.check_id, **params)]
     elif cfg.command == "check-all":
-        workers = max(1, int(os.environ.get(ENV_WORKERS, "1")))
-        results = run_all(max_workers=workers)
+        results = run_all()
     elif cfg.command == "dims":
         results = [_dims_result(cfg)]
     elif cfg.command == "closure":

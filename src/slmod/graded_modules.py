@@ -13,7 +13,7 @@ Degree derivations act by the scalar k_i + alpha_i and never move fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -24,6 +24,7 @@ from .exact_linalg import (
     IntSpan,
     Subspace,
     _int_row,
+    _reduce_row,
     dot,
     frac,
     mat_scale,
@@ -181,24 +182,6 @@ def fiber_space(n: int, fiber: FiberType) -> FiberSpace:
 # the action specification
 
 
-@lru_cache(maxsize=None)
-def _beta_denominator(beta: tuple) -> int:
-    return lcm(*(frac(b).denominator for b in beta)) if beta else 1
-
-
-@lru_cache(maxsize=None)
-def _beta_numerators(beta: tuple) -> tuple:
-    q = _beta_denominator(beta)
-    return tuple(int(q * b) for b in beta)
-
-
-@lru_cache(maxsize=None)
-def _scaled_shift(beta: tuple, k: tuple) -> tuple:
-    q = _beta_denominator(beta)
-    qb = _beta_numerators(beta)
-    return tuple(q * ki + bi for ki, bi in zip(k, qb))
-
-
 @dataclass(frozen=True)
 class ActionSpec:
     """Which algebra acts, on which fiber type, with which beta and alpha."""
@@ -208,6 +191,14 @@ class ActionSpec:
     fiber: FiberType
     beta: tuple
     alpha: tuple
+    # q, the beta denominator, and q * beta as plain ints
+    q: int = field(init=False, repr=False, compare=False)
+    qbeta: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        q = lcm(*(frac(b).denominator for b in self.beta)) if self.beta else 1
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "qbeta", tuple(int(q * b) for b in self.beta))
 
     @staticmethod
     def make(kind, n: int, fiber: FiberType, beta=None, alpha=None) -> "ActionSpec":
@@ -229,13 +220,9 @@ class ActionSpec:
     def with_fiber(self, fiber: FiberType) -> "ActionSpec":
         return ActionSpec.make(self.kind, self.n, fiber, self.beta, self.alpha)
 
-    @property
-    def beta_denominator(self) -> int:
-        return _beta_denominator(self.beta)
-
     def scaled_shift(self, k: Degree) -> tuple:
         """q * (k + beta) as an integer vector, q the beta denominator."""
-        return _scaled_shift(self.beta, tuple(k))
+        return tuple(self.q * ki + bi for ki, bi in zip(k, self.qbeta))
 
     def space(self) -> FiberSpace:
         return fiber_space(self.n, self.fiber)
@@ -324,13 +311,6 @@ def edge_scalar(spec: ActionSpec, gen: Generator, k: Degree) -> Fraction:
     return frac(dot(gen.u, shift))
 
 
-def edge_scalar_scaled(spec: ActionSpec, gen: Generator, k: Degree) -> int:
-    kq = spec.scaled_shift(k)
-    if spec.kind is AlgebraKind.H:
-        return dot(bar(gen.r), kq)
-    return dot(gen.u, kq)
-
-
 def fiber_action(spec: ActionSpec, gen: Generator, k: Degree):
     """Exact matrix of the fiber map fiber(k) -> fiber(k + r)."""
     _check_generator(spec, gen)
@@ -341,21 +321,6 @@ def fiber_action(spec: ActionSpec, gen: Generator, k: Degree):
         tuple((c if i == j else 0) + Fraction(rows[i][j], scale) for j in range(dim))
         for i in range(dim)
     )
-
-
-def _apply_edge(spec: ActionSpec, gen: Generator, k: Degree, rows_in) -> list:
-    """Images of integer row vectors under a positive multiple of the map."""
-    cq = edge_scalar_scaled(spec, gen, k)
-    drows, scale = _derivation_int(spec.n, spec.fiber, gen)
-    q = spec.beta_denominator
-    a = cq * scale  # coefficient of the identity part, times q * scale overall
-    dim = spec.space().dim
-    rng = range(dim)
-    out = []
-    for row in rows_in:
-        img = [a * row[i] + q * sum(drows[i][j] * row[j] for j in rng) for i in rng]
-        out.append(img)
-    return out
 
 
 def d_eigenvalue(spec: ActionSpec, i: int, k: Degree) -> Fraction:
@@ -445,6 +410,71 @@ def dims(family: GradedFamily) -> dict:
 # closure and invariance
 
 
+class EdgeTable:
+    """Every in-window fiber map of one spec, window and generator tuple, in
+    integers.
+
+    The map of generator ``gens[gi]`` at degree k is c * Id + D; the table
+    keeps ``q * scale * (c * Id + D)``, a positive multiple with the same
+    images.  ``out_edges[i]`` lists ``(gi, j, cq)`` for the maps leaving
+    degree ``degs[i]`` for ``degs[j]`` inside the window, cq = q * c, in
+    generator order; ``skipped[i]`` counts the maps that leave the window.
+    The derivation rows ``scale * D`` are kept sparse and times q.
+    """
+
+    def __init__(self, spec: ActionSpec, window: Window, gens: tuple):
+        for g in gens:
+            _check_generator(spec, g)
+        self.gens = gens
+        self.q = q = spec.q
+        self.degs = window.degrees()
+        self.index, self.out_edges = _out_edges(spec.kind, q, spec.qbeta, window, gens)
+        self.skipped = [len(gens) - len(edges) for edges in self.out_edges]
+        self.dim = spec.space().dim
+        self.scale = []
+        self.qdrows = []
+        for g in gens:
+            drows, scale = _derivation_int(spec.n, spec.fiber, g)
+            self.scale.append(scale)
+            self.qdrows.append(
+                tuple(tuple((j, q * v) for j, v in enumerate(row) if v) for row in drows)
+            )
+
+    def apply(self, gi: int, cq: int, rows) -> list:
+        """Nonzero images of integer rows under q * scale * (c * Id + D)."""
+        a = cq * self.scale[gi]
+        qdrows = self.qdrows[gi]
+        out = []
+        for row in rows:
+            img = [a * x + sum([v * row[j] for j, v in dr]) for x, dr in zip(row, qdrows)]
+            if any(img):
+                out.append(img)
+        return out
+
+
+@lru_cache(maxsize=16)
+def _out_edges(kind: AlgebraKind, q: int, qbeta: tuple, window: Window, gens: tuple) -> tuple:
+    """Degree index and in-window edges; shared by the tables of every fiber."""
+    degs = window.degrees()
+    index = {k: i for i, k in enumerate(degs)}
+    pairing = [bar(g.r) if kind is AlgebraKind.H else g.u for g in gens]
+    out_edges = []
+    for k in degs:
+        kq = [q * ki + bi for ki, bi in zip(k, qbeta)]
+        edges = []
+        for gi, (g, pv) in enumerate(zip(gens, pairing)):
+            j = index.get(tuple(a + b for a, b in zip(k, g.r)))
+            if j is not None:
+                edges.append((gi, j, sum(a * b for a, b in zip(pv, kq))))
+        out_edges.append(edges)
+    return index, out_edges
+
+
+@lru_cache(maxsize=16)
+def edge_table(spec: ActionSpec, window: Window, gens: tuple) -> EdgeTable:
+    return EdgeTable(spec, window, gens)
+
+
 def closure(
     spec: ActionSpec,
     seeds: dict,
@@ -458,44 +488,39 @@ def closure(
     targets outside the window are discarded.
     """
     gens = tuple(generators) if generators is not None else default_generators(spec.kind, spec.n)
-    for g in gens:
-        _check_generator(spec, g)
-    dim = spec.space().dim
+    table = edge_table(spec, window, gens)
+    dim = table.dim
     spans: dict = {}
     work: list = []
     for k, vectors in seeds.items():
         k = tuple(k)
         if k not in window:
             raise ValueError(f"seed degree {k} outside the window")
-        span = spans.setdefault(k, IntSpan(dim))
+        i = table.index[k]
+        span = spans.setdefault(i, IntSpan(dim))
         grew = False
         for v in vectors:
             grew |= span.add(_int_row(v))
         if grew:
-            work.append(k)
+            work.append(i)
     queued = set(work)
     while work:
-        k = work.pop()
-        queued.discard(k)
-        span = spans[k]
-        if not span.rows:
-            continue
-        rows_snapshot = [list(r) for r in span.rows]
-        for g in gens:
-            target = tuple(a + b for a, b in zip(k, g.r))
-            if target not in window:
-                continue
-            tspan = spans.setdefault(target, IntSpan(dim))
-            if tspan.dim == dim:
+        i = work.pop()
+        queued.discard(i)
+        rows_snapshot = list(spans[i].rows)
+        for gi, j, cq in table.out_edges[i]:
+            tspan = spans.get(j)
+            if tspan is None:
+                tspan = spans[j] = IntSpan(dim)
+            elif tspan.dim == dim:
                 continue
             grew = False
-            for img in _apply_edge(spec, g, k, rows_snapshot):
-                if any(img):
-                    grew |= tspan.add(img)
-            if grew and target not in queued:
-                work.append(target)
-                queued.add(target)
-    fibers = {k: span.to_subspace() for k, span in spans.items() if span.rows}
+            for img in table.apply(gi, cq, rows_snapshot):
+                grew |= tspan.add(img)
+            if grew and j not in queued:
+                work.append(j)
+                queued.add(j)
+    fibers = {table.degs[i]: span.to_subspace() for i, span in spans.items() if span.rows}
     return GradedFamily(spec, window, fibers)
 
 
@@ -507,39 +532,34 @@ def is_invariant(
     """PASS when every in-window fiber map sends each fiber into its target.
 
     Maps whose target degree leaves the window are reported as skipped, never
-    as failures.
+    as failures; a failing degree counts only those before its failing map.
     """
     gens = tuple(generators) if generators is not None else default_generators(spec.kind, spec.n)
+    table = edge_table(spec, family.window, gens)
     rec = Recorder(
         "is-invariant",
         {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber), "beta": beta_str(spec)},
     )
-    for k in family.window.degrees():
+    for i, k in enumerate(table.degs):
         sub = family.fiber(k)
         if not sub.dim:
             continue
-        rows = [list(r) for r in sub.rows]
-        failed_here = False
-        for g in gens:
-            target = tuple(a + b for a, b in zip(k, g.r))
-            if target not in family.window:
-                rec.skip(degree=k)
-                continue
-            tgt = family.fiber(target)
-            for img in _apply_edge(spec, g, k, rows):
-                if any(img) and not tgt.contains_vector(img):
-                    rec.record(
-                        False,
-                        degree=k,
-                        expected="image inside fiber",
-                        actual="escapes",
-                        note=f"generator {g.label()} -> degree {list(target)}",
-                    )
-                    failed_here = True
-                    break
-            if failed_here:
+        for pos, (gi, j, cq) in enumerate(table.out_edges[i]):
+            tgt = family.fiber(table.degs[j])
+            images = table.apply(gi, cq, sub.rows)
+            if any(any(_reduce_row(img, tgt.rows, tgt.pivots)) for img in images):
+                # out_edges is in generator order: gi - pos maps left the window before gi
+                rec.counts["skipped"] += gi - pos
+                rec.record(
+                    False,
+                    degree=k,
+                    expected="image inside fiber",
+                    actual="escapes",
+                    note=f"generator {gens[gi].label()} -> degree {list(table.degs[j])}",
+                )
                 break
-        if not failed_here:
+        else:
+            rec.counts["skipped"] += table.skipped[i]
             rec.record(True, degree=k, expected="invariant", actual="invariant")
     return rec.result()
 

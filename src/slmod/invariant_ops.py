@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .exact_linalg import (
     IntSpan,
@@ -187,12 +188,24 @@ def _t_span_ops(spec: ActionSpec, k, rbound: int = 1) -> list:
     """
     n = spec.n
     box = degree_box(n, rbound)
+    # q * T-vectors from the integer kq = q(k + beta); dividing by
+    # gcd(q, content) leaves T with its denominators cleared, as _int_row does
+    kq = spec.scaled_shift(k)
+    if spec.kind is AlgebraKind.H:
+        pair = bar(kq)
+    elif spec.kind is AlgebraKind.W:
+        pair = kq
+    else:
+        raise ValueError("invariant vectors are defined for the H and W actions")
     span = IntSpan(n)
     basis = []
     for r in box:
+        cr = sum(a * b for a, b in zip(pair, r))
         for s in box:
-            t = invariant_vec(spec.kind, k, spec.beta, (r, s))
-            ti = _int_row(t)
+            cs = sum(a * b for a, b in zip(pair, s))
+            t = [cr * b - cs * a for a, b in zip(r, s)]
+            g = gcd(spec.q, *t)
+            ti = [x // g for x in t]
             if any(ti) and span.add(ti):
                 basis.append(ti)
             if span.dim == n - 1:

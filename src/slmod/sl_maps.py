@@ -50,7 +50,7 @@ from .graded_modules import (
     Window,
     _derivation_int,
     default_generators,
-    edge_scalar_scaled,
+    edge_table,
     fiber_space,
 )
 from .reports import Recorder, Report
@@ -256,10 +256,14 @@ def verify_module_map(
         "module-map",
         {"map": str(map_id), "N": n, "beta": ",".join(str(b) for b in spec.beta), "d": window.d},
     )
-    q = spec.beta_denominator
+    q = spec.q
     hom = map_homogeneity(map_id)
-    degs = window.degrees()
-    index = {k: i for i, k in enumerate(degs)}
+    table = edge_table(spec, window, gens)
+    degs = table.degs
+    edges_by_gen = [[] for _ in gens]
+    for i, edges in enumerate(table.out_edges):
+        for gi, j, cq in edges:
+            edges_by_gen[gi].append((i, j, cq))
 
     phi = np.stack(
         [
@@ -270,25 +274,17 @@ def verify_module_map(
     src_space = fiber_space(n, Lambda(src_p))
     tgt_space = fiber_space(n, Lambda(tgt_p))
     max_phi = int(np.abs(phi).max(initial=0))
-    for g in gens:
+    for g, edges in zip(gens, edges_by_gen):
         d_src, s_src = _derivation_int(n, Lambda(src_p), g)
         d_tgt, s_tgt = _derivation_int(n, Lambda(tgt_p), g)
-        assert s_src == 1 and s_tgt == 1
+        if s_src != 1 or s_tgt != 1:
+            raise RuntimeError(f"exterior-power derivation of {g.label()} is not integral")
         d_src = np.array(d_src, dtype=np.int64).reshape(src_space.dim, src_space.dim)
         d_tgt = np.array(d_tgt, dtype=np.int64).reshape(tgt_space.dim, tgt_space.dim)
-        srcs, tgts, cs = [], [], []
-        skipped = 0
-        for k in degs:
-            target = tuple(a + b for a, b in zip(k, g.r))
-            if target not in window:
-                skipped += 1
-                continue
-            srcs.append(index[k])
-            tgts.append(index[target])
-            cs.append(edge_scalar_scaled(spec, g, k))
-        rec.counts["skipped"] += skipped
-        if not srcs:
+        rec.counts["skipped"] += len(degs) - len(edges)
+        if not edges:
             continue
+        srcs, tgts, cs = zip(*edges)
         a = phi[np.array(tgts)]
         b = phi[np.array(srcs)]
         c = np.array(cs, dtype=np.int64)[:, None, None]

@@ -60,9 +60,8 @@ from .graded_modules import (
     ScalarFiber,
     Sym2,
     Window,
-    _apply_edge,
-    _derivation_int,
     default_generators,
+    edge_table,
     fiber_space,
     is_invariant,
 )
@@ -91,7 +90,6 @@ from .sl_maps import (
     verify_module_map,
 )
 from .torus_lie import (
-    AlgebraKind,
     bar,
     default_j_samples,
     j_membership,
@@ -124,10 +122,12 @@ class ProbeEngine:
         self.spec = spec
         self.window = window
         self.gens = default_generators(spec.kind, spec.n, rbound)
-        self.degs = window.degrees()
-        self.index = {k: i for i, k in enumerate(self.degs)}
-        self.dim = spec.space().dim
-        self.q = spec.beta_denominator
+        self.table = edge_table(spec, window, self.gens)
+        self.degs = self.table.degs
+        self.index = self.table.index
+        self.out_edges = self.table.out_edges
+        self.dim = self.table.dim
+        self.q = self.table.q
         self.special = {
             i for i, k in enumerate(self.degs) if spec.is_special(k)
         }
@@ -155,35 +155,20 @@ class ProbeEngine:
         return (0,)
 
     def _build_edges(self):
-        spec = self.spec
-        n = spec.n
+        """Invertibility bits of every in-window edge (see the module notes)."""
         factors = self._trace_factors()
-        gen_data = []
-        for g in self.gens:
-            drows, scale = _derivation_int(n, spec.fiber, g)
-            trace = 0 if g.u is None else dot(g.u, g.r)
-            gen_data.append((g, drows, scale, trace))
-        self.gen_data = gen_data
-        out_edges = [[] for _ in self.degs]
+        traces = [0 if g.u is None else dot(g.u, g.r) for g in self.gens]
         inv_out = [set() for _ in self.degs]
         inv_in = [set() for _ in self.degs]
-        for i, k in enumerate(self.degs):
-            kq = spec.scaled_shift(k)
-            # (bar r | K) = -(bar K | r), so one bar per degree suffices
-            barkq = bar(kq) if spec.kind is AlgebraKind.H else None
-            for gi, (g, drows, scale, trace) in enumerate(gen_data):
-                target = tuple(a + b for a, b in zip(k, g.r))
-                j = self.index.get(target)
-                if j is None:
+        for i, edges in enumerate(self.out_edges):
+            if i in self.special:
+                continue
+            for gi, j, cq in edges:
+                if j in self.special:
                     continue
-                cq = -dot(barkq, g.r) if barkq is not None else dot(g.u, kq)
-                out_edges[i].append((gi, j, cq))
-                if i in self.special or j in self.special:
-                    continue
-                if all(cq + jj * self.q * trace != 0 for jj in factors):
+                if all(cq + jj * self.q * traces[gi] != 0 for jj in factors):
                     inv_out[i].add(j)
                     inv_in[j].add(i)
-        self.out_edges = out_edges
         self.inv_out = [sorted(s) for s in inv_out]
         self.inv_in = [sorted(s) for s in inv_in]
 
@@ -212,19 +197,6 @@ class ProbeEngine:
                 return
 
     # -- probe runs ----------------------------------------------------------
-
-    def _apply(self, edge, rows):
-        gi, j, cq = edge
-        _, drows, scale, _ = self.gen_data[gi]
-        a = cq * scale
-        q = self.q
-        rng = range(self.dim)
-        out = []
-        for row in rows:
-            img = [a * row[i] + q * sum(drows[i][jj] * row[jj] for jj in rng) for i in rng]
-            if any(img):
-                out.append(img)
-        return out
 
     def min_target(self, family: GradedFamily) -> ProbeTarget:
         dims = {}
@@ -268,12 +240,11 @@ class ProbeEngine:
             done[i] = len(journal[i])
             if not fresh:
                 continue
-            for edge in self.out_edges[i]:
-                _, j, _ = edge
+            for gi, j, cq in self.out_edges[i]:
                 tspan = spans.get(j)
                 if tspan is not None and tspan.dim == self.dim:
                     continue
-                imgs = self._apply(edge, fresh)
+                imgs = self.table.apply(gi, cq, fresh)
                 if not imgs:
                     continue
                 if tspan is None:
@@ -944,35 +915,26 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     if k0 not in window:
         rec.skip(note="degenerate degree outside the window")
         return
-    gens = default_generators(spec.kind, n)
+    table = edge_table(spec, window, default_generators(spec.kind, n))
+    i0 = table.index[k0]
     mn = families[0]
     bad_in = 0
-    for g in gens:
-        src = tuple(a - b for a, b in zip(k0, g.r))
-        if src not in window:
-            continue
-        for famly in families:
-            sub = famly.fiber(src)
-            if not sub.dim:
+    for i, edges in enumerate(table.out_edges):
+        for gi, j, cq in edges:
+            if j != i0:
                 continue
-            for img in _apply_edge(spec, g, src, [list(r) for r in sub.rows]):
-                if any(img):
+            for famly in families:
+                if table.apply(gi, cq, famly.fiber(table.degs[i]).rows):
                     bad_in += 1
-                    break
     rec.record(bad_in == 0, expected="no image lands in the degenerate fiber",
                actual=f"{bad_in} nonzero images", note="glue freedom, incoming")
-    dim = spec.space().dim
+    dim = table.dim
     full_rows = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     bad_out = 0
-    for g in gens:
-        tgt = tuple(a + b for a, b in zip(k0, g.r))
-        if tgt not in window:
-            continue
-        tgt_min = mn.fiber(tgt)
-        for img in _apply_edge(spec, g, k0, full_rows):
-            if any(img) and not tgt_min.contains_vector(img):
-                bad_out += 1
-                break
+    for gi, j, cq in table.out_edges[i0]:
+        tgt_min = mn.fiber(table.degs[j])
+        if not all(tgt_min.contains_vector(img) for img in table.apply(gi, cq, full_rows)):
+            bad_out += 1
     rec.record(bad_out == 0, expected="degenerate fiber maps into the minimal family",
                actual=f"{bad_out} escapes", note="glue freedom, outgoing")
 
@@ -1136,7 +1098,8 @@ def _check_invariant_ops(params) -> CheckResult:
             phi = _map_matrix_scaled(mid, n, kq)
             om_src, sc1 = fiber_space(n, Lambda(src_p)).action_matrix_int(om)
             om_tgt, sc2 = fiber_space(n, Lambda(tgt_p)).action_matrix_int(om)
-            assert sc1 == 1 and sc2 == 1
+            if sc1 != 1 or sc2 != 1:
+                raise RuntimeError("exterior-power action of an invariant operator is not integral")
             if mat_sub(mat_mul(phi, om_src), mat_mul(om_tgt, phi)) != zero_matrix(
                 ext_dim(n, tgt_p), ext_dim(n, src_p)
             ):
@@ -1378,22 +1341,12 @@ def default_grid(check_id: str) -> tuple:
     return CATALOGUE[check_id].grid
 
 
-def run_all(progress=None, max_workers: int = 1) -> list:
-    """Run the whole catalogue on its default parameter grid."""
-    jobs = []
+def run_all(progress=None) -> list:
+    """Run the whole catalogue on its default parameter grid, in order."""
+    results = []
     for check_id in CATALOGUE:
         for grid_params in default_grid(check_id):
-            jobs.append((check_id, grid_params))
-    results = []
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_check, cid, **ps) for cid, ps in jobs]
-            results = [fut.result() for fut in futures]
-    else:
-        for cid, ps in jobs:
-            result = run_check(cid, **ps)
+            result = run_check(check_id, **grid_params)
             results.append(result)
             if progress is not None:
                 progress(result)

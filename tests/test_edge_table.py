@@ -1,0 +1,139 @@
+"""The integer EdgeTable against an independent reference built from exact
+``fiber_action`` matrices.
+
+``closure``, ``is_invariant`` and the probe engine all read their edges and
+images from one EdgeTable, so comparing them with each other proves little.
+The reference here shares none of that code: it multiplies exact Fraction
+matrices and grows ``Subspace`` sums to the fixpoint.
+"""
+
+import random
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+
+from slmod.exact_linalg import Subspace, mat_vec, subspace_sum
+from slmod.graded_modules import (
+    ActionSpec,
+    Fund,
+    GradedFamily,
+    Lambda,
+    ScalarFiber,
+    Sym2,
+    Window,
+    closure,
+    default_generators,
+    edge_table,
+    fiber_action,
+)
+from slmod.sl_maps import FamilyKind, build_family
+from slmod.theorem_registry import probe_engine
+
+
+def reference_closure(spec, seeds, window) -> dict:
+    """Degree -> nonzero fiber of the window-truncated closure of the seeds."""
+    gens = default_generators(spec.kind, spec.n)
+    dim = spec.space().dim
+    fibers = {k: Subspace(dim, vectors) for k, vectors in seeds.items()}
+    work = list(fibers)
+    while work:
+        k = work.pop()
+        rows = fibers[k].rows
+        for g in gens:
+            target = tuple(a + b for a, b in zip(k, g.r))
+            if target not in window:
+                continue
+            # the exact matrix times its common denominator spans the same images
+            m = fiber_action(spec, g, k)
+            denom = lcm(*(x.denominator for row in m for x in row))
+            m = [[int(x * denom) for x in row] for row in m]
+            old = fibers.get(target, Subspace.zero(dim))
+            new = subspace_sum(old, Subspace(dim, [mat_vec(m, row) for row in rows]))
+            if new != old:
+                fibers[target] = new
+                if target not in work:
+                    work.append(target)
+    return {k: s for k, s in fibers.items() if s.dim}
+
+
+def _cases(heavy: bool):
+    """H/W/S x Lambda/Fund/Sym2/Scalar at N=2 (d=2) and N=4 (d=1), beta 0 and
+    e1/2.  Without ``heavy``, W and S at N=4 keep the fibers of dimension at
+    most 4: the reference's exact W/S closures on Lambda(2) and Sym2 take
+    10-50 s each there."""
+    betas = {2: ((0, 0), (F(1, 2), 0)), 4: ((0, 0, 0, 0), (F(1, 2), 0, 0, 0))}
+    fibers = {
+        2: (Lambda(0), Lambda(1), Lambda(2), Sym2(), ScalarFiber()),
+        4: (Lambda(1), Lambda(2), Sym2(), ScalarFiber()),
+    }
+    for n, d in ((2, 2), (4, 1)):
+        for kind in ("H", "W", "S"):
+            # Fund(p) is the kernel of the symplectic contraction: H only
+            extra = (Fund(n // 2),) if kind == "H" else ()
+            for fiber in fibers[n] + extra:
+                if n == 4 and kind != "H" and not heavy and fiber in (Lambda(2), Sym2()):
+                    continue
+                for beta in betas[n]:
+                    yield pytest.param(kind, n, d, fiber, beta, id=f"{kind}-N{n}-{fiber}-b{beta[0]}")
+
+
+def _seeds(spec, window) -> list:
+    """A random vector at the centre degree, and for H on Lambda(p) / Fund(p)
+    also a vector of the minimal family there, whose closure is a proper
+    subfamily."""
+    dim = spec.space().dim
+    rng = random.Random(f"{spec.kind}{spec.n}{spec.fiber}{spec.beta}")
+    seed = [rng.randint(-2, 2) for _ in range(dim)]
+    seed[rng.randrange(dim)] = 1
+    seeds = [seed]
+    centre = (0,) * spec.n
+    if spec.kind.value == "H" and spec.fiber.kind in ("lambda", "fund") and spec.fiber.p:
+        minimal = build_family(FamilyKind.MIN, spec.fiber.p, spec, window).fiber(centre)
+        seeds += [list(row) for row in minimal.rows[:1]]
+    return seeds
+
+
+@pytest.mark.parametrize("kind,n,d,fiber,beta", list(_cases(heavy=False)))
+def test_closure_and_probes_match_the_fiber_action_reference(kind, n, d, fiber, beta):
+    spec = ActionSpec.make(kind, n, fiber, beta)
+    window = Window(n, d)
+    dim = spec.space().dim
+    centre = (0,) * n
+    engine = probe_engine(spec, window)
+    for seed in _seeds(spec, window):
+        ref = reference_closure(spec, {centre: [seed]}, window)
+        fam = closure(spec, {centre: [seed]}, window)
+        for k in window.degrees():
+            assert fam.fiber(k) == ref.get(k, Subspace.zero(dim)), k
+
+        # the closure is its own exact and contained target; the full target
+        # is reached exactly when the reference fills the interior
+        ref_family = GradedFamily(spec, window, ref)
+        assert engine.run(centre, seed, "exact", engine.min_target(ref_family))
+        assert engine.run(centre, seed, "contains", engine.min_target(ref_family))
+        fills = all(ref.get(k, Subspace.zero(dim)).dim == dim for k in window.interior_degrees())
+        assert engine.run(centre, seed, "full", engine.full_target()) == fills
+
+
+@pytest.mark.parametrize("kind,n,d,fiber,beta", list(_cases(heavy=True)))
+def test_edge_table_apply_matches_fiber_action(kind, n, d, fiber, beta):
+    """apply is q * scale * (c Id + D) on every edge of three degrees."""
+    spec = ActionSpec.make(kind, n, fiber, beta)
+    window = Window(n, d)
+    dim = spec.space().dim
+    table = edge_table(spec, window, default_generators(spec.kind, n))
+    units = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for i in (0, table.index[(0,) * n], len(table.degs) - 1):
+        k = table.degs[i]
+        for gi, j, cq in table.out_edges[i]:
+            g = table.gens[gi]
+            assert table.degs[j] == tuple(a + b for a, b in zip(k, g.r))
+            factor = spec.q * table.scale[gi]
+            # the image of the c-th unit vector is column c of the exact matrix
+            columns = zip(*fiber_action(spec, g, k))
+            for unit, column in zip(units, columns):
+                exact = [factor * x for x in column]
+                assert all(x.denominator == 1 for x in exact)
+                assert table.apply(gi, cq, [unit]) == ([[int(x) for x in exact]] if any(exact) else [])
+        assert len(table.out_edges[i]) + table.skipped[i] == len(table.gens)

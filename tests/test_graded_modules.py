@@ -148,7 +148,20 @@ def test_is_invariant_mutation_fails():
     win = Window(4, 1)
     fam = build_family(FamilyKind.MIN, 2, spec, win)
     bad = fam.copy_with((0, 0, 0, 0), Subspace(5, [(1, 0, 0, 0, 0)]))
-    assert is_invariant(spec, bad).status == "FAIL"
+    report = is_invariant(spec, bad)
+    assert report.status == "FAIL"
+    # a failing degree counts only the skipped maps before its failing generator
+    assert report.counts == {"pass": 9, "fail": 72, "skipped": 2224}
+    fails = [d.to_dict() for d in report.details if d.status == "FAIL"]
+    assert len(fails) == 64
+    assert fails[0] == {
+        "degree": [-1, -1, -1, -1],
+        "expected": "image inside fiber",
+        "actual": "escapes",
+        "status": "FAIL",
+        "note": "generator h[1, 1, 1, 1] -> degree [0, 0, 0, 0]",
+    }
+    assert fails[-1]["note"] == "generator h[-1, 0, -1, -1] -> degree [0, 0, 0, 0]"
 
 
 def test_fibers_do_not_depend_on_alpha():

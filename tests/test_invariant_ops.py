@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from slmod.exact_linalg import Subspace, dot, from_triplets, mat_vec, zero_matrix
+from slmod.exact_linalg import IntSpan, Subspace, _int_row, dot, from_triplets, mat_vec, zero_matrix
 from slmod.graded_modules import ActionSpec, Fund, Lambda, Window
 from slmod.invariant_ops import (
+    _t_span_ops,
     invariance_report,
     invariant_vec,
     lie_closure_holds,
@@ -14,7 +15,7 @@ from slmod.invariant_ops import (
     weight_decompose,
 )
 from slmod.sl_maps import FamilyKind, build_family, symplectic_extend
-from slmod.torus_lie import degree_box, sympl_form
+from slmod.torus_lie import degree_box, rank_one, rank_one_sym, sympl_form
 
 K1 = (1, 0, 0, 0)
 ZERO = (0, 0, 0, 0)
@@ -99,3 +100,31 @@ def test_invariance_report_mutation_fails():
     fam = build_family(FamilyKind.MIN, 2, spec, win)
     bad = fam.copy_with((0, 0, 0, 0), Subspace(5, [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]))
     assert invariance_report(bad).status == "FAIL"
+
+
+@pytest.mark.parametrize("kind,beta", [("H", ZERO), ("H", (F(1, 2), F(1, 2), 0, 0)),
+                                       ("W", (F(1, 3), F(1, 2), 0, 0))])
+def test_t_span_ops_use_the_fraction_t_vectors(kind, beta):
+    """The integer T-vectors over gcd(q, content) are the Fraction T-vectors
+    with their denominators cleared, so the operators are unchanged."""
+    spec = ActionSpec.make(kind, 4, Lambda(1), beta)
+    box = degree_box(4)
+    for k in [(0, 0, 0, 0), (1, -1, 0, 1), (-2, 1, 1, 0)]:
+        span, basis = IntSpan(4), []
+        for r in box:
+            for s in box:
+                t = _int_row(invariant_vec(kind, k, beta, (r, s)))
+                if any(t) and span.add(t):
+                    basis.append(t)
+                if span.dim == 3:
+                    break
+            if span.dim == 3:
+                break
+        if kind == "H":
+            expected = []
+            for i, x in enumerate(basis):
+                expected.append(rank_one_sym(x))
+                expected += [rank_one_sym([a + b for a, b in zip(x, y)]) for y in basis[i + 1:]]
+        else:
+            expected = [rank_one(x, y) for x in basis for y in basis]
+        assert _t_span_ops(spec, k) == expected

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 import slmod.sl_maps as sl_maps
+from slmod.cli import main
 from slmod.exact_linalg import Subspace, mat_mul, mat_scale, mat_vec
 from slmod.graded_modules import ActionSpec, Lambda, Window
 from slmod.sl_maps import (
@@ -91,6 +92,19 @@ def test_verify_module_map_detects_sign_flip(monkeypatch):
     spec = ActionSpec.make("H", 4, Lambda(2), HALF)
     monkeypatch.setattr(sl_maps, "_map_matrix_scaled", half_flipped)
     assert verify_module_map(T(2), spec, win).status == "FAIL"
+
+
+def test_non_integral_derivation_is_an_internal_error(monkeypatch):
+    # exterior-power derivations are integral; another scale is a broken
+    # invariant: RuntimeError (not a usage error), and kept under python -O
+    original = sl_maps._derivation_int
+    monkeypatch.setattr(sl_maps, "_derivation_int",
+                        lambda n, fiber, g: (original(n, fiber, g)[0], 2))
+    spec = ActionSpec.make("H", 4, Lambda(2), HALF)
+    with pytest.raises(RuntimeError):
+        verify_module_map(T(2), spec, Window(4, 1))
+    with pytest.raises(RuntimeError):
+        main(["check", "--id", "module-maps", "--N", "2"])
 
 
 def test_build_family_examples():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import slmod.theorem_registry as theorem_registry
 from slmod.graded_modules import ActionSpec, Fund, Lambda, Window, closure
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import (
@@ -72,6 +73,21 @@ def test_probe_engine_rejects_wrong_targets():
     assert not engine.run(k0, seed, "exact", engine.min_target(mx))
     assert not engine.run(k0, seed, "contains", engine.min_target(mx))
     assert not engine.run(k0, list(mx.fiber(k0).rows[0]), "full", engine.full_target())
+
+
+def test_non_integral_operator_action_is_an_internal_error(monkeypatch):
+    class ScaledSpace:
+        def __init__(self, space):
+            self.space = space
+
+        def action_matrix_int(self, a):
+            return self.space.action_matrix_int(a)[0], 2
+
+    original = theorem_registry.fiber_space
+    monkeypatch.setattr(theorem_registry, "fiber_space",
+                        lambda n, fiber: ScaledSpace(original(n, fiber)))
+    with pytest.raises(RuntimeError):
+        run_check("invariant-ops", N=2, beta=(0, 0), d=1)
 
 
 def test_run_check_unknown_id():
