@@ -2,7 +2,8 @@
 homology tables and symplectic frames, with JSON/CSV/text reports.
 
 All numeric output is exact; rationals are printed as "p/q" strings.  Exit
-status is 0 when nothing failed, 1 when some check failed, 2 on usage errors.
+status is 0 when nothing failed, 1 when some check failed, 2 on usage errors
+and 3 on an internal error (a broken invariant of the library itself).
 """
 
 from __future__ import annotations
@@ -227,12 +228,18 @@ def parse_config(argv) -> RunConfig:
         raise UsageError(f"alpha has length {len(alpha)}, expected N={cfg.n}")
     cfg.beta = beta
     cfg.alpha = alpha
-    hamiltonian = ns.command in ("check", "dims", "homology") or (
-        ns.command == "closure" and getattr(ns, "kind", "H") == "H"
+    hamiltonian = (
+        ns.command in ("dims", "homology")
+        or (ns.command == "closure" and getattr(ns, "kind", "H") == "H")
+        or (ns.command == "check" and not CATALOGUE[ns.check_id].odd_n)
     )
     if hamiltonian and cfg.n % 2:
         raise UsageError("this command acts through the Hamiltonian algebra; N must be even")
     if ns.command == "check":
+        if any(alpha):
+            raise UsageError("check does not take --alpha: every check runs with alpha = 0")
+        if cfg.rbound != 1:
+            raise UsageError("check does not take --rbound: every check probes with rbound = 1")
         cfg.check_id = ns.check_id
         cfg.seed = ns.seed
         cfg.samples = ns.samples
@@ -424,6 +431,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     payload = emit(doc, cfg.fmt)
     if cfg.output:
         with open(cfg.output, "wb") as handle:

@@ -8,8 +8,10 @@ their stored bases are identical entry for entry.
 Internally every row is cleared to a primitive integer vector (coprime
 entries, positive leading entry) and elimination is fraction-free: each row
 update is a cross-multiplication followed by a gcd reduction, with pivots
-normalized at the end.  The exposed ``Subspace.basis`` rescales rows so that
-every pivot is 1.
+normalized at the end.  Rational input has its denominators cleared once, by
+``_int_matrix``; from there ``kernel``, ``image`` and ``intersect`` stay in
+integers up to the canonical ``Subspace``.  The exposed ``Subspace.basis``
+rescales rows so that every pivot is 1.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Scalar = Fraction
 
 Rational = Fraction | int
 
@@ -39,22 +39,6 @@ def dot(u: Sequence[Rational], v: Sequence[Rational]):
     if len(u) != len(v):
         raise ValueError(f"dot: length mismatch {len(u)} != {len(v)}")
     return sum(a * b for a, b in zip(u, v))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
-def is_zero_vec(u) -> bool:
-    return all(a == 0 for a in u)
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +88,12 @@ def mat_mul(a, b) -> tuple:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def mat_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a, b) -> tuple:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c, m) -> tuple:
     return tuple(tuple(c * x for x in row) for row in m)
-
-
-def flatten(m) -> tuple:
-    return tuple(x for row in m for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +116,22 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in row)
 
 
-def _int_row(row: Sequence[Rational]) -> list[int]:
-    """Scale a rational row to integers (clearing denominators)."""
+def _int_matrix(m) -> tuple[list[list[int]], int]:
+    """Integer rows equal to ``denom`` times a rational matrix, and ``denom``,
+    the lcm of its denominators (one scalar for the whole matrix)."""
     denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            denom = lcm(denom, x.denominator)
+    for row in m:
+        for x in row:
+            if isinstance(x, Fraction):
+                denom = lcm(denom, x.denominator)
     if denom == 1:
-        return [int(x) for x in row]
-    return [int(x * denom) for x in row]
+        return [[int(x) for x in row] for row in m], 1
+    return [[int(x * denom) for x in row] for row in m], denom
+
+
+def _int_row(row: Sequence[Rational]) -> list[int]:
+    """A rational row scaled to integers: the one-row ``_int_matrix``."""
+    return _int_matrix((row,))[0][0]
 
 
 def _reduce_row(vec_: list[int], rows, pivots) -> list[int]:
@@ -247,12 +230,6 @@ class IntSpan:
         self.pivots.insert(pos, lead)
         return True
 
-    def add_many(self, vectors) -> bool:
-        grew = False
-        for v in vectors:
-            grew |= self.add(v)
-        return grew
-
     def to_subspace(self) -> "Subspace":
         return Subspace._from_int_rows(self.ambient, self.rows)
 
@@ -316,12 +293,6 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return all(self.contains_vector(r) for r in other.rows)
 
-    def to_span(self) -> IntSpan:
-        span = IntSpan(self.ambient_dim)
-        span.rows = [list(r) for r in self.rows]
-        span.pivots = list(self.pivots)
-        return span
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -368,12 +339,15 @@ def kernel(m) -> Subspace:
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = Fraction(-row[free], row[p])
+        # v[free] = L and v[p] = -row[free] * L / row[p], L the lcm of those pivots
+        hits = [(row, p) for row, p in zip(rows, pivots) if row[free]]
+        big = lcm(*(row[p] for row, p in hits))
+        v = [0] * ncols
+        v[free] = big
+        for row, p in hits:
+            v[p] = -row[free] * (big // row[p])
         gens.append(v)
-    return Subspace(ncols, gens)
+    return Subspace._from_int_rows(ncols, gens)
 
 
 def image(m, s: Subspace | None = None) -> Subspace:
@@ -382,12 +356,13 @@ def image(m, s: Subspace | None = None) -> Subspace:
     if not m:
         raise ValueError("image of an empty matrix has no ambient dimension")
     ncols = len(m[0])
-    if s is None:
-        cols = transpose(m)
-        return Subspace(len(m), cols)
-    if s.ambient_dim != ncols:
+    if s is not None and s.ambient_dim != ncols:
         raise ValueError(f"image: subspace ambient {s.ambient_dim} != matrix cols {ncols}")
-    return Subspace(len(m), [mat_vec(m, row) for row in s.rows])
+    # a column span allows one scalar: clear a denominator common to all of m
+    m, _ = _int_matrix(m)
+    if s is None:
+        return Subspace._from_int_rows(len(m), transpose(m))
+    return Subspace._from_int_rows(len(m), [mat_vec(m, row) for row in s.rows])
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -416,7 +391,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
             for j, x in enumerate(arow):
                 v[j] += c * x
         gens.append(v)
-    return Subspace(a.ambient_dim, gens)
+    return Subspace._from_int_rows(a.ambient_dim, gens)
 
 
 def member(s: Subspace, vector: Sequence[Rational]) -> bool:

@@ -27,7 +27,6 @@ from .exact_linalg import (
     _reduce_row,
     dot,
     frac,
-    mat_scale,
     mat_vec,
 )
 from .exterior_algebra import (
@@ -104,13 +103,6 @@ class FiberSpace:
 
     # -- actions ----------------------------------------------------------
 
-    def action_matrix(self, a) -> tuple:
-        """Exact derivation action of the N x N matrix ``a`` on coordinates."""
-        rows, scale = self.action_matrix_int(a)
-        if scale == 1:
-            return rows
-        return mat_scale(Fraction(1, scale), rows)
-
     def action_matrix_int(self, a) -> tuple:
         """Integer matrix equal to ``scale`` times the exact action."""
         kind = self.fiber.kind
@@ -148,14 +140,17 @@ class FiberSpace:
             return s
         basis = self._fund.rows
         pivots = self._fund.pivots
+        # L times the pivot-1 basis, L the lcm of the basis pivots
+        big = lcm(*(brow[pc] for brow, pc in zip(basis, pivots)))
         gens = []
         for row in s.rows:
-            v = [Fraction(0)] * ext_dim(self.n, self.fiber.p)
+            v = [0] * ext_dim(self.n, self.fiber.p)
             for c, brow, pc in zip(row, basis, pivots):
+                c *= big // brow[pc]
                 for j, x in enumerate(brow):
-                    v[j] += Fraction(c * x, brow[pc])
+                    v[j] += c * x
             gens.append(v)
-        return Subspace(ext_dim(self.n, self.fiber.p), gens)
+        return Subspace._from_int_rows(ext_dim(self.n, self.fiber.p), gens)
 
     def restrict_subspace(self, s: Subspace) -> Subspace:
         """Exterior-power coordinates (inside the kernel) -> Fund coordinates."""
@@ -165,12 +160,7 @@ class FiberSpace:
             raise ValueError("subspace does not lie inside the contraction kernel")
         pivots = self._fund.pivots
         gens = [[row[pc] for pc in pivots] for row in s.rows]
-        return Subspace(self.dim, gens)
-
-    def fundamental_rows(self) -> Subspace:
-        if self.fiber.kind != "fund":
-            raise ValueError("not a fundamental fiber")
-        return self._fund
+        return Subspace._from_int_rows(self.dim, gens)
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +200,9 @@ class ActionSpec:
         if kind is AlgebraKind.H:
             require_even(n)
         if fiber.kind == "fund":
-            require_even(n)
+            # only the Hamiltonian action preserves the contraction kernel
+            if kind is not AlgebraKind.H:
+                raise ValueError(f"Fund(p) fibers need the Hamiltonian algebra, not {kind.value}")
             if not 1 <= fiber.p <= n // 2:
                 raise ValueError(f"Fund(p) needs 1 <= p <= {n // 2}")
         if fiber.kind == "lambda" and not 0 <= fiber.p <= n:
@@ -357,11 +349,6 @@ def _window_degrees(n: int, d: int) -> tuple:
     return tuple(product(range(-d, d + 1), repeat=n))
 
 
-def default_window(n: int) -> Window:
-    """d = 2 up to four variables, d = 1 beyond (keeps runs in seconds)."""
-    return Window(n, 2 if n <= 4 else 1)
-
-
 class GradedFamily:
     """A finite window of fibers: degree -> canonical subspace of the fiber."""
 
@@ -400,10 +387,6 @@ class GradedFamily:
     def __repr__(self):
         nonzero = sum(1 for s in self.fibers.values() if s.dim)
         return f"GradedFamily({self.spec.kind}, {self.spec.fiber}, nonzero fibers={nonzero})"
-
-
-def dims(family: GradedFamily) -> dict:
-    return family.dims()
 
 
 # ---------------------------------------------------------------------------

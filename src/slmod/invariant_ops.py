@@ -18,6 +18,7 @@ from math import gcd
 from .exact_linalg import (
     IntSpan,
     Subspace,
+    _int_matrix,
     _int_row,
     dot,
     frac,
@@ -251,7 +252,7 @@ def invariance_report(family: GradedFamily, rbound: int = 1) -> Report:
                     ops.append(rank_one_sym(x))
         ok = True
         for op in ops:
-            rows, scale = space.action_matrix_int(_int_matrix(op))
+            rows, scale = space.action_matrix_int(_int_matrix(op)[0])
             dim = space.dim
             for row in sub.rows:
                 img = [sum(rows[i][j] * row[j] for j in range(dim)) for i in range(dim)]
@@ -262,18 +263,6 @@ def invariance_report(family: GradedFamily, rbound: int = 1) -> Report:
                 break
         rec.record(ok, degree=k, expected="fiber preserved", actual="preserved" if ok else "escapes")
     return rec.result()
-
-
-def _int_matrix(m) -> tuple:
-    """Clear a common denominator from a rational matrix (span-safe)."""
-    from math import lcm
-
-    denom = 1
-    for row in m:
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = lcm(denom, x.denominator)
-    return tuple(tuple(int(x * denom) for x in row) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +280,7 @@ def weight_decompose(alg: SmallAlgebra, spec: ActionSpec, s: Subspace) -> list:
     space = spec.space()
     pieces = [((), s)]
     for cartan in alg.cartans:
-        int_cartan, cscale = _int_matrix_scale(cartan)
+        int_cartan, cscale = _int_matrix(cartan)
         rows, fscale = space.action_matrix_int(int_cartan)
         multiplier = cscale * fscale  # rows = multiplier * exact Cartan action
         next_pieces = []
@@ -305,18 +294,6 @@ def weight_decompose(alg: SmallAlgebra, spec: ActionSpec, s: Subspace) -> list:
     if total != s.dim:
         raise ValueError("subspace is not a sum of integer weight spaces")
     return sorted(pieces, key=lambda t: t[0])
-
-
-def _int_matrix_scale(m) -> tuple:
-    """Integer matrix and the denominator cleared from a rational one."""
-    from math import lcm
-
-    denom = 1
-    for row in m:
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = lcm(denom, x.denominator)
-    return tuple(tuple(int(x * denom) for x in row) for row in m), denom
 
 
 def _eigensplit(rows, multiplier: int, piece: Subspace) -> list:

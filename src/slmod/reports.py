@@ -96,10 +96,6 @@ class Recorder:
     def skip(self, degree=None, note: str = ""):
         self.counts["skipped"] += 1
 
-    def annotate(self, note: str, degree=None, expected=None, actual=None):
-        """Informational detail that does not affect the tallies."""
-        self.details.append(Detail(degree, expected, actual, PASS, note))
-
     @property
     def failed(self) -> bool:
         return self.counts["fail"] > 0

@@ -28,6 +28,7 @@ from math import comb
 from .exact_linalg import (
     IntSpan,
     Subspace,
+    _int_matrix,
     _int_row,
     dot,
     frac,
@@ -66,7 +67,6 @@ from .graded_modules import (
     is_invariant,
 )
 from .invariant_ops import (
-    _int_matrix,
     invariance_report,
     invariant_vec,
     lie_closure_holds,
@@ -212,9 +212,9 @@ class ProbeEngine:
 
     def run(self, seed_k, seed_vec, mode: str, target: ProbeTarget) -> bool:
         """mode "exact": seed and closure stay inside an invariant target and
-        must reach its dims on the interior.  mode "contains": the closure
-        must contain the target rows on the interior.  mode "full": the
-        closure must reach the full fiber dimension on the interior."""
+        must reach its dims on the interior (with ``full_target`` the whole
+        fiber).  mode "contains": the closure must contain the target rows on
+        the interior."""
         seed_i = self.index[tuple(seed_k)]
         vec_int = _int_row(seed_vec)
         if not any(vec_int):
@@ -276,8 +276,6 @@ class ProbeEngine:
             return False
         if mode == "exact":
             return span.dim == want
-        if mode == "full":
-            return span.dim == self.dim
         return all(span.contains(row) for row in target.rows.get(i, ()))
 
     def _special_ok(self, mode: str, target: ProbeTarget, spans) -> bool:
@@ -289,7 +287,7 @@ class ProbeEngine:
             want = target.dims.get(i, 0)
             span = spans.get(i)
             have = span.dim if span is not None else 0
-            if mode in ("exact", "full"):
+            if mode == "exact":
                 if have != want:
                     return False
             else:
@@ -304,10 +302,7 @@ class ProbeEngine:
         for i in self.interior:
             span = spans.get(i)
             have = span.dim if span is not None else 0
-            if mode == "full":
-                if have != self.dim:
-                    return False
-            elif mode == "exact":
+            if mode == "exact":
                 if have != target.dims.get(i, 0):
                     return False
             else:
@@ -395,14 +390,6 @@ def _beta_key(beta) -> str:
     return ",".join(str(frac(b)) for b in beta)
 
 
-def _norm_params(params: dict, defaults: dict) -> dict:
-    out = dict(defaults)
-    out.update(params)
-    if "beta" in out and out["beta"] is not None:
-        out["beta"] = tuple(frac(b) for b in out["beta"])
-    return out
-
-
 def _window(params) -> Window:
     return Window(params["N"], params["d"])
 
@@ -420,11 +407,6 @@ def _random_vector(rng: random.Random, dim: int) -> list:
 
 def _half_grid(n: int) -> list:
     return [beta_zero(n), beta_half(n)]
-
-
-def _min_fund_family(n, p, beta, window) -> GradedFamily:
-    spec = ActionSpec.make("H", n, Fund(p), beta)
-    return build_family(FamilyKind.MIN, p, spec, window)
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +849,7 @@ def _check_main_classification(params) -> CheckResult:
         v = _random_vector(rng, dim)
         while mxk.contains_vector(v):
             v = _random_vector(rng, dim)
-        if not engine.run(k, v, "full", engine.full_target()):
+        if not engine.run(k, v, "exact", engine.full_target()):
             bad += 1
             rec.record(False, degree=k, expected="closure reaches full fibers", actual="partial")
     rec.record(bad == 0, expected="outside-maximal seeds generate everything",
@@ -1004,7 +986,7 @@ def _sym2_closure_check(check_id: str, kind: str, params) -> CheckResult:
             seeds.append((k0, _random_vector(rng, dim)))
     bad = 0
     for k, v in seeds:
-        if not engine.run(k, v, "full", target):
+        if not engine.run(k, v, "exact", target):
             bad += 1
             rec.record(False, degree=k, expected="closure reaches full fibers", actual="partial")
     rec.record(bad == 0, expected=f"{len(seeds)} seeds generate everything", actual=f"{bad} failed")
@@ -1091,7 +1073,7 @@ def _check_invariant_ops(params) -> CheckResult:
         kq = spec0.scaled_shift(k)
         r = tuple(rng.randint(-1, 1) for _ in range(n))
         s = tuple(rng.randint(-1, 1) for _ in range(n))
-        om = _int_matrix(omega_op("H", k, beta, (r, s)))
+        om, _ = _int_matrix(omega_op("H", k, beta, (r, s)))
         ok = True
         for mid in (pi(1), T(2), theta_tilde(2), f(1)):
             src_p, tgt_p = map_degrees(mid, n)
@@ -1161,7 +1143,7 @@ def _check_classify_w(params) -> CheckResult:
             v = _random_vector(rng, dim)
             while sub.contains_vector(v):
                 v = _random_vector(rng, dim)
-            if not engine.run(k, v, "full", engine.full_target()):
+            if not engine.run(k, v, "exact", engine.full_target()):
                 bad += 1
         rec.record(bad == 0, expected="outside seeds generate everything",
                    actual=f"{bad} failed", note=f"p={p}")
@@ -1215,6 +1197,7 @@ class CheckSpec:
     description: str
     runner: object
     grid: tuple  # default parameter dictionaries for check-all
+    odd_n: bool = False  # runs at odd N too (Witt and divergence-free actions only)
 
 
 def _grid_h(n_list=(4,), p=False, d_default=2):
@@ -1288,11 +1271,11 @@ CATALOGUE: dict = {
     ),
     "TW": CheckSpec(
         "symmetric-square closures over the Witt action reach full fibers",
-        _check_tw, tuple({"N": 2, "beta": b, "d": 3} for b in _half_grid(2)),
+        _check_tw, tuple({"N": 2, "beta": b, "d": 3} for b in _half_grid(2)), odd_n=True,
     ),
     "TS": CheckSpec(
         "symmetric-square closures over the divergence-free action reach full fibers",
-        _check_ts, tuple({"N": 2, "beta": b, "d": 3} for b in _half_grid(2)),
+        _check_ts, tuple({"N": 2, "beta": b, "d": 3} for b in _half_grid(2)), odd_n=True,
     ),
     "homology": CheckSpec(
         "per-fiber homology of all complexes matches the family predictions",
@@ -1306,12 +1289,14 @@ CATALOGUE: dict = {
         "Witt-module families have the predicted dimensions and exhaust the closures",
         _check_classify_w,
         tuple({"N": n, "beta": b, "d": 2} for n in (3, 4) for b in _half_grid(n)),
+        odd_n=True,
     ),
     "unique-W": CheckSpec(
         "random-seed closures over the Witt action contain the Witt family",
         _check_unique_w,
         tuple({"N": n, "p": p, "beta": b, "d": 2}
               for n in (3, 4) for p in (1, n - 1) for b in _half_grid(n)),
+        odd_n=True,
     ),
 }
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from slmod import cli
 from slmod.cli import (
     ReportDocument,
     UsageError,
@@ -40,6 +41,36 @@ def test_parse_config_rejects_bad_beta_length():
 def test_parse_config_rejects_odd_n():
     with pytest.raises(UsageError):
         parse_config(["check", "--id", "composition", "--N", "3", "--beta", "0,0,0"])
+
+
+def test_check_runs_the_catalogue_odd_n_points(capsys):
+    for check_id in ("classify-W", "unique-W", "TW", "TS"):
+        assert parse_config(["check", "--id", check_id, "--N", "3", "--beta", "0,0,0"]).n == 3
+    assert main(["check", "--id", "classify-W", "--N", "3", "--beta", "1/2,0,0"]) == 0
+    assert "[PASS] classify-W N=3 beta=1/2,0,0 d=2" in capsys.readouterr().out
+    # Hamiltonian-only ids still stop as usage errors
+    assert main(["check", "--id", "homology", "--N", "3"]) == 2
+
+
+def test_check_rejects_ignored_alpha_and_rbound(capsys):
+    with pytest.raises(UsageError, match="--alpha"):
+        parse_config(["check", "--id", "composition", "--N", "4", "--alpha", "1/2,0,0,0"])
+    with pytest.raises(UsageError, match="--rbound"):
+        parse_config(["check", "--id", "composition", "--N", "4", "--rbound", "2"])
+    assert main(["check", "--id", "contraction-iso", "--N", "4", "--rbound", "0"]) == 2
+    capsys.readouterr()
+    cfg = parse_config(["check", "--id", "composition", "--N", "4",
+                        "--alpha", "0,0,0,0", "--rbound", "1"])
+    assert cfg.echo()["alpha"] == "0,0,0,0" and cfg.echo()["rbound"] == 1
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("square-zero violated")
+
+    monkeypatch.setattr(cli, "run_check", broken)
+    assert main(["check", "--id", "contraction-iso", "--N", "4"]) == 3
+    assert "internal error: square-zero violated" in capsys.readouterr().err
 
 
 def test_round_trip_through_the_echo():

@@ -113,7 +113,7 @@ def test_closure_and_probes_match_the_fiber_action_reference(kind, n, d, fiber, 
         assert engine.run(centre, seed, "exact", engine.min_target(ref_family))
         assert engine.run(centre, seed, "contains", engine.min_target(ref_family))
         fills = all(ref.get(k, Subspace.zero(dim)).dim == dim for k in window.interior_degrees())
-        assert engine.run(centre, seed, "full", engine.full_target()) == fills
+        assert engine.run(centre, seed, "exact", engine.full_target()) == fills
 
 
 @pytest.mark.parametrize("kind,n,d,fiber,beta", list(_cases(heavy=True)))

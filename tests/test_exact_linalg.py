@@ -20,13 +20,14 @@ from slmod.exact_linalg import (
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+integers = st.integers(min_value=-6, max_value=6)
 
 
-def small_matrices(max_rows=4, max_cols=4):
+def small_matrices(max_rows=4, max_cols=4, entries=rationals):
     return st.integers(1, max_rows).flatmap(
         lambda r: st.integers(1, max_cols).flatmap(
             lambda c: st.lists(
-                st.lists(rationals, min_size=c, max_size=c), min_size=r, max_size=r
+                st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
             )
         )
     )
@@ -115,3 +116,36 @@ def test_membership_matches_span(rows):
 def test_from_triplets_accumulates():
     m = from_triplets(2, 2, [(0, 0, 1), (0, 0, 2), (1, 1, -1)])
     assert m == ((3, 0), (0, -1))
+
+
+# ---------------------------------------------------------------------------
+# an independent implementation: sympy (optional, never a dependency)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _from_sympy(vectors) -> list:
+    return [[F(int(x.p), int(x.q)) for x in v] for v in vectors]
+
+
+def _span(ambient, vectors) -> Subspace:
+    return rref(_from_sympy(vectors)) if vectors else Subspace.zero(ambient)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_matrices(5, 5, integers), small_matrices(5, 5)))
+def test_exact_core_agrees_with_sympy(sympy, rows):
+    m = matrix(rows)
+    nrows, ncols = len(m), len(m[0])
+    sm = sympy.Matrix(m)
+    assert rank(m) == sm.rank()
+    reduced = sm.rref()[0]
+    nonzero = [reduced.row(i) for i in range(nrows) if any(reduced.row(i))]
+    assert rref(m).basis == tuple(tuple(r) for r in _from_sympy(nonzero))
+    assert kernel(m) == _span(ncols, sm.nullspace())
+    columns = _span(nrows, sm.columnspace())
+    assert image(m) == columns
+    assert image(m, Subspace.full(ncols)) == columns

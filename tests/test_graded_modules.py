@@ -5,6 +5,7 @@ import pytest
 from slmod.exact_linalg import Subspace, mat_mul, mat_scale, mat_sub, zero_matrix
 from slmod.graded_modules import (
     ActionSpec,
+    FiberSpace,
     Fund,
     GradedFamily,
     Lambda,
@@ -14,7 +15,6 @@ from slmod.graded_modules import (
     closure,
     d_eigenvalue,
     default_generators,
-    dims,
     fiber_action,
     fiber_space,
     gen_d,
@@ -126,7 +126,7 @@ def test_closure_stable_under_larger_generator_box():
     seed = {(0, 0): [[1, 0, 0]]}
     small = closure(spec, seed, win, default_generators(spec.kind, 2, 1))
     large = closure(spec, seed, win, default_generators(spec.kind, 2, 2))
-    assert dims(small) == dims(large)
+    assert small.dims() == large.dims()
 
 
 def test_closure_output_is_invariant():
@@ -181,7 +181,7 @@ def test_window_and_family_plumbing():
     assert (2, 2, 2, 2) in win and (3, 0, 0, 0) not in win
     spec = ActionSpec.make("H", 4, Lambda(2), HALF)
     fam = GradedFamily(spec, win, {(0, 0, 0, 0): Subspace.full(6)})
-    table = dims(fam)
+    table = fam.dims()
     assert table[(0, 0, 0, 0)] == 6
     assert table[(1, 1, 1, 1)] == 0
     with pytest.raises(ValueError):
@@ -196,6 +196,30 @@ def test_fund_fiber_space_roundtrip():
     embedded = space.embed_subspace(full)
     assert embedded.dim == space.dim
     assert space.restrict_subspace(embedded) == full
+
+
+def test_fund_embedding_matches_the_pivot_one_basis():
+    # independent form: Fraction combinations of the pivot-1 kernel basis.
+    # The contraction kernels have unit pivots; a stand-in kernel with
+    # pivots 2 and 3 checks the scaling by their lcm.
+    skewed = FiberSpace(4, Fund(2))
+    skewed._fund = Subspace(6, [(2, 0, 1, 0, 0, 0), (0, 3, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+                                (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)])
+    for space in (fiber_space(4, Fund(2)), skewed):
+        basis = space._fund.basis
+        for coords in ([[1, 0, 0, 0, 0]], [[0, 2, 0, -1, 0], [0, 0, 3, 0, 1]], [[1, 1, 1, 1, 1]]):
+            sub = Subspace(space.dim, coords)
+            ref = [[sum(c * b[j] for c, b in zip(row, basis)) for j in range(6)] for row in sub.rows]
+            assert space.embed_subspace(sub) == Subspace(6, ref)
+            assert space.restrict_subspace(space.embed_subspace(sub)) == sub
+
+
+def test_fund_fibers_need_the_hamiltonian_action():
+    # only the Hamiltonian action preserves the contraction kernel
+    for kind in ("W", "S"):
+        with pytest.raises(ValueError, match="Hamiltonian"):
+            ActionSpec.make(kind, 4, Fund(2), (0, 0, 0, 0))
+    assert ActionSpec.make("H", 4, Fund(2), (0, 0, 0, 0)).space().dim == 5
 
 
 def test_spec_validation():

@@ -72,7 +72,7 @@ def test_probe_engine_rejects_wrong_targets():
     seed = list(mn.fiber(k0).rows[0])
     assert not engine.run(k0, seed, "exact", engine.min_target(mx))
     assert not engine.run(k0, seed, "contains", engine.min_target(mx))
-    assert not engine.run(k0, list(mx.fiber(k0).rows[0]), "full", engine.full_target())
+    assert not engine.run(k0, list(mx.fiber(k0).rows[0]), "exact", engine.full_target())
 
 
 def test_non_integral_operator_action_is_an_internal_error(monkeypatch):
