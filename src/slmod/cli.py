@@ -31,6 +31,9 @@ from .reports import FAIL, PASS, CheckResult, Detail, Recorder
 from .sl_maps import FamilyKind, SpecialFiberPolicy, build_family, symplectic_extend
 from .theorem_registry import CATALOGUE, run_all, run_check
 
+DEFAULT_N = 4  # the --N of every command that takes one
+
+
 class UsageError(Exception):
     pass
 
@@ -59,7 +62,7 @@ def format_vector(v) -> str:
 @dataclass
 class RunConfig:
     command: str
-    n: int = 4
+    n: int = DEFAULT_N
     p: int | None = None
     beta: tuple = ()
     alpha: tuple = ()
@@ -150,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, with_p=True):
-        sp.add_argument("--N", type=int, default=4, help="number of torus variables")
+        sp.add_argument("--N", type=int, default=DEFAULT_N, help="number of torus variables")
         if with_p:
             sp.add_argument("--p", type=int, default=None, help="exterior-power degree")
         sp.add_argument("--beta", default=None, help="comma-separated rationals, e.g. 1/2,0,0,0")
@@ -240,6 +243,8 @@ def parse_config(argv) -> RunConfig:
             raise UsageError("check does not take --alpha: every check runs with alpha = 0")
         if cfg.rbound != 1:
             raise UsageError("check does not take --rbound: every check probes with rbound = 1")
+        if ns.check_id == "fundamental-dims" and cfg.n != DEFAULT_N:
+            raise UsageError("fundamental-dims does not take --N: the check always sweeps N = 2, 4, 6")
         cfg.check_id = ns.check_id
         cfg.seed = ns.seed
         cfg.samples = ns.samples

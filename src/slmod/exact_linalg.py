@@ -263,7 +263,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim)
+        obj = object.__new__(cls)
+        obj.ambient_dim = ambient_dim
+        obj.rows = ()
+        obj.pivots = ()
+        return obj
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":

@@ -27,6 +27,7 @@ from .exact_linalg import (
     _reduce_row,
     dot,
     frac,
+    from_triplets,
     mat_vec,
 )
 from .exterior_algebra import (
@@ -88,6 +89,7 @@ class FiberSpace:
     def __init__(self, n: int, fiber: FiberType):
         self.n = n
         self.fiber = fiber
+        self._rank_one: dict = {}
         if fiber.kind == "scalar":
             self.dim = 1
         elif fiber.kind == "lambda":
@@ -113,6 +115,42 @@ class FiberSpace:
         if kind == "sym2":
             return sym_action_matrix(self.n, a), 1
         return self._restricted_action(a)
+
+    def rank_one_actions(self, symplectic: bool) -> tuple:
+        """Sparse integer actions of the elementary rank-one matrices, built
+        once per fiber space and kept on it.
+
+        Returns ``(pairs, actions)``.  Symplectic: for (a, b) in ``pairs``
+        (a <= b) the action of P_aa = e_a bar(e_a)^T, resp. of
+        P_ab = e_a bar(e_b)^T + e_b bar(e_a)^T, so that
+        x bar(x)^T = sum over pairs of x_a x_b P_ab.  Otherwise every (a, b)
+        with the action of E_ab = e_a e_b^T, so that x y^T = sum x_a y_b E_ab.
+        ``actions[e][i]`` lists the nonzero ``(j, v)`` of row i of the e-th
+        action, scaled by the one ``scale`` of ``action_matrix_int``.  Every
+        P_ab lies in sp, so on Fund(p) the kernel guard runs once per entry.
+        """
+        table = self._rank_one.get(symplectic)
+        if table is None:
+            n = self.n
+            units = _unit_vectors(n)
+            if symplectic:
+                pairs = tuple((a, b) for a in range(n) for b in range(a, n))
+            else:
+                pairs = tuple((a, b) for a in range(n) for b in range(n))
+            actions = []
+            for a, b in pairs:
+                if symplectic:
+                    # e_x bar(e_y)^T over {(a, b), (b, a)}: one term when a == b
+                    m = from_triplets(n, n, [(x, j, v) for x, y in {(a, b), (b, a)}
+                                             for j, v in enumerate(bar(units[y])) if v])
+                else:
+                    m = rank_one(units[a], units[b])
+                rows, _ = self.action_matrix_int(m)
+                actions.append(
+                    tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
+                )
+            table = self._rank_one[symplectic] = (pairs, tuple(actions))
+        return table
 
     def _restricted_action(self, a) -> tuple:
         p = self.fiber.p
@@ -357,6 +395,7 @@ class GradedFamily:
         self.window = window
         self.fibers: dict = {}
         dim = spec.space().dim
+        self._zero = Subspace.zero(dim)
         for k, sub in (fibers or {}).items():
             if tuple(k) not in window:
                 raise ValueError(f"degree {k} outside the window")
@@ -366,7 +405,7 @@ class GradedFamily:
                 self.fibers[tuple(k)] = sub
 
     def fiber(self, k: Degree) -> Subspace:
-        return self.fibers.get(tuple(k), Subspace.zero(self.spec.space().dim))
+        return self.fibers.get(tuple(k), self._zero)
 
     def dims(self) -> dict:
         return {k: self.fiber(k).dim for k in self.window.degrees()}

@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .exact_linalg import (
     IntSpan,
     Subspace,
     _int_matrix,
     _int_row,
+    _reduce_row,
     dot,
     frac,
     intersect,
@@ -37,7 +39,7 @@ from .graded_modules import (
 )
 from .reports import Recorder, Report
 from .torus_lie import AlgebraKind, bar, degree_box, rank_one, rank_one_sym, sympl_form
-from .sl_maps import SymplecticFrame, symplectic_extend
+from .sl_maps import SymplecticFrame
 
 
 def invariant_vec(kind, k, beta, params) -> tuple:
@@ -179,13 +181,14 @@ def lie_closure_holds(alg: SmallAlgebra) -> bool:
 # fiberwise invariance under the operators
 
 
-def _t_span_ops(spec: ActionSpec, k, rbound: int = 1) -> list:
-    """Rank-one operators certifying invariance under all parameter choices.
+def _t_span_factors(spec: ActionSpec, k, rbound: int = 1) -> list:
+    """Factor pairs (x, y) of the rank-one operators that certify invariance
+    under all parameter choices.
 
-    The returned matrices are x bar(x)^T (H) resp. x y^T (W) for x, y running
-    over a basis (and pairwise sums, H case) of span{ T-vectors over the
-    degree box }; every operator with integer parameters is a rational
-    combination of these.
+    x and y run over a basis of span{ T-vectors over the degree box }: for
+    the H action the pairs are (x, x) and (x + y, x + y), giving the
+    operators x bar(x)^T; for the W action every (x, y), giving x y^T.  Every
+    operator with integer parameters is a rational combination of these.
     """
     n = spec.n
     box = degree_box(n, rbound)
@@ -213,50 +216,48 @@ def _t_span_ops(spec: ActionSpec, k, rbound: int = 1) -> list:
                 break
         if span.dim == n - 1:
             break
-    ops = []
-    if spec.kind is AlgebraKind.H:
-        for i, x in enumerate(basis):
-            ops.append(rank_one_sym(x))
-            for y in basis[i + 1 :]:
-                ops.append(rank_one_sym(tuple(a + b for a, b in zip(x, y))))
-    else:
-        for x in basis:
-            for y in basis:
-                ops.append(rank_one(x, y))
-    return ops
+    if spec.kind is AlgebraKind.W:
+        return [(x, y) for x in basis for y in basis]
+    factors = []
+    for i, x in enumerate(basis):
+        factors.append((x, x))
+        for y in basis[i + 1 :]:
+            xy = [a + b for a, b in zip(x, y)]
+            factors.append((xy, xy))
+    return factors
 
 
 def invariance_report(family: GradedFamily, rbound: int = 1) -> Report:
     """PASS when every fiber is preserved by all rank-one invariant operators.
 
-    For the Hamiltonian action the sweep also covers x bar(x)^T for every
-    frame vector x pairing to zero against k + beta (these lie in the span
-    checked above; they are included explicitly as stated).
+    Each operator is an integer combination of elementary rank-one matrices,
+    x bar(x)^T = sum_{a<=b} x_a x_b P_ab (H) and x y^T = sum x_a y_b E_ab (W),
+    whose actions the fiber space builds once.  At each degree every fiber row
+    is sent through those once, and each operator's image is the matching
+    combination.  For the H action, x bar(x)^T for every vector x pairing to
+    zero against k + beta (those of a symplectic frame, say) lies in the span
+    of the checked operators, so it is covered too.
     """
     spec = family.spec
     rec = Recorder(
         "invariant-operators",
         {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber), "beta": beta_str(spec)},
     )
-    space = spec.space()
+    pairs, actions = spec.space().rank_one_actions(spec.kind is AlgebraKind.H)
     for k in family.window.degrees():
         sub = family.fiber(k)
         if not sub.dim:
             continue
-        ops = _t_span_ops(spec, k)
-        if spec.kind is AlgebraKind.H and not spec.is_special(k):
-            shift = tuple(frac(a) + b for a, b in zip(k, spec.beta))
-            frame = symplectic_extend(shift)
-            for x in frame.vectors():
-                if sympl_form(shift, x) == 0:
-                    ops.append(rank_one_sym(x))
+        coeffs = [[x[a] * y[b] for a, b in pairs] for x, y in _t_span_factors(spec, k)]
         ok = True
-        for op in ops:
-            rows, scale = space.action_matrix_int(_int_matrix(op)[0])
-            dim = space.dim
-            for row in sub.rows:
-                img = [sum(rows[i][j] * row[j] for j in range(dim)) for i in range(dim)]
-                if any(img) and not sub.contains_vector(img):
+        for row in sub.rows:
+            # images[i][e]: entry i of the e-th elementary action applied to row
+            images = list(zip(*(
+                [sum([v * row[j] for j, v in ar]) for ar in act] for act in actions
+            )))
+            for c in coeffs:
+                img = [sum(map(mul, c, entry)) for entry in images]
+                if any(_reduce_row(img, sub.rows, sub.pivots)):
                     ok = False
                     break
             if not ok:

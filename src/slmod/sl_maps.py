@@ -29,7 +29,6 @@ from .exact_linalg import (
     dot,
     frac,
     image,
-    intersect,
     kernel,
     mat_scale,
     rref,
@@ -40,6 +39,7 @@ from .exterior_algebra import (
     fundamental_subspace,
     gl_action_matrix,
     interior_matrix,
+    theta_matrix,
     wedge_matrix,
 )
 from .graded_modules import (
@@ -199,8 +199,6 @@ def _map_matrix_scaled(map_id: MapId, n: int, kq: tuple) -> tuple:
 
     Equals q^homogeneity times the exact matrix.
     """
-    from .exterior_algebra import theta_matrix
-
     p = map_id.p
     if map_id.name == "pi":
         return wedge_matrix(n, p, kq)
@@ -363,6 +361,34 @@ def _family_fiber_lambda(kind: FamilyKind, p: int, n: int, kq: tuple) -> Subspac
     raise ValueError(kind)
 
 
+def _theta_rows(n: int, p: int) -> tuple:
+    """The nonzero ``(j, v)`` of each row of the contraction Lambda^p -> Lambda^{p-2}."""
+    return tuple(
+        tuple((j, int(v)) for j, v in enumerate(row) if v) for row in theta_matrix(n, p)
+    )
+
+
+def _contraction_kernel_part(sub: Subspace, theta: tuple) -> Subspace:
+    """sub intersected with the contraction kernel, the same canonical subspace
+    as ``intersect(sub, fundamental_subspace(n, p))``.
+
+    The vectors sum_i u_i a_i over the rows a_i of sub with theta A^T u = 0:
+    the kernel of the (dim Lambda^{p-2}) x (dim sub) integer matrix theta A^T,
+    mapped back through the rows.
+    """
+    rows = sub.rows
+    ker = kernel([[sum(v * a[j] for j, v in trow) for a in rows] for trow in theta])
+    gens = []
+    for u in ker.rows:
+        g = [0] * sub.ambient_dim
+        for c, a in zip(u, rows):
+            if c:
+                for j, x in enumerate(a):
+                    g[j] += c * x
+        gens.append(g)
+    return Subspace._from_int_rows(sub.ambient_dim, gens)
+
+
 @lru_cache(maxsize=None)
 def _build_family_cached(
     kind: FamilyKind,
@@ -379,6 +405,7 @@ def _build_family_cached(
         raise ValueError("Fund fiber degree differs from the family degree")
     space = spec.space()
     fund_sub = fundamental_subspace(n, p) if (restrict or fund) else None
+    theta = _theta_rows(n, p) if fund_sub is not None and p >= 2 else None
     for k in window.degrees():
         kq = spec.scaled_shift(k)
         if not any(kq):
@@ -390,8 +417,8 @@ def _build_family_cached(
                     fibers[k] = Subspace.full(space.dim)
             continue
         sub = _family_fiber_lambda(kind, p, n, kq)
-        if fund_sub is not None:
-            sub = intersect(sub, fund_sub)
+        if theta is not None and sub.dim:
+            sub = _contraction_kernel_part(sub, theta)
         if fund:
             sub = space.restrict_subspace(sub)
         if sub.dim:

@@ -64,6 +64,18 @@ def test_check_rejects_ignored_alpha_and_rbound(capsys):
     assert cfg.echo()["alpha"] == "0,0,0,0" and cfg.echo()["rbound"] == 1
 
 
+def test_fundamental_dims_rejects_another_n(capsys):
+    with pytest.raises(UsageError, match="always sweeps N = 2, 4, 6"):
+        parse_config(["check", "--id", "fundamental-dims", "--N", "8"])
+    assert main(["check", "--id", "fundamental-dims", "--N", "6"]) == 2
+    assert "always sweeps N = 2, 4, 6" in capsys.readouterr().err
+    # the default N (given or not) runs the fixed sweep
+    for argv in (["--N", "4"], []):
+        assert main(["check", "--id", "fundamental-dims", *argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"][0]["params"] == {"Ns": "2,4,6"}
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("square-zero violated")

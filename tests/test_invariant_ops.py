@@ -2,10 +2,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from slmod.exact_linalg import IntSpan, Subspace, _int_row, dot, from_triplets, mat_vec, zero_matrix
-from slmod.graded_modules import ActionSpec, Fund, Lambda, Window
+from slmod.exact_linalg import (
+    IntSpan,
+    Subspace,
+    _int_matrix,
+    _int_row,
+    dot,
+    from_triplets,
+    mat_vec,
+    zero_matrix,
+)
+from slmod.exterior_algebra import sym_position
+from slmod.graded_modules import ActionSpec, Fund, GradedFamily, Lambda, Sym2, Window, beta_str
 from slmod.invariant_ops import (
-    _t_span_ops,
+    _t_span_factors,
     invariance_report,
     invariant_vec,
     lie_closure_holds,
@@ -14,6 +24,7 @@ from slmod.invariant_ops import (
     small_algebra,
     weight_decompose,
 )
+from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family, symplectic_extend
 from slmod.torus_lie import degree_box, rank_one, rank_one_sym, sympl_form
 
@@ -86,6 +97,13 @@ def test_weight_decompose_rejects_non_invariant():
 HALF = (F(1, 2), 0, 0, 0)
 
 
+def _t_span_ops(spec, k):
+    """The certifying operators as matrices: x bar(x)^T (H) resp. x y^T (W)."""
+    if spec.kind.value == "H":
+        return [rank_one_sym(x) for x, _ in _t_span_factors(spec, k)]
+    return [rank_one(x, y) for x, y in _t_span_factors(spec, k)]
+
+
 def test_invariance_report_families():
     win = Window(4, 1)
     spec = ActionSpec.make("H", 4, Fund(2), HALF)
@@ -128,3 +146,109 @@ def test_t_span_ops_use_the_fraction_t_vectors(kind, beta):
         else:
             expected = [rank_one(x, y) for x in basis for y in basis]
         assert _t_span_ops(spec, k) == expected
+
+
+# ---------------------------------------------------------------------------
+# invariance_report against the per-operator reference path
+
+
+def _reference_invariance_report(family):
+    """Every operator of ``_t_span_ops`` and, for the H action away from the
+    special degree, x bar(x)^T for each symplectic-frame vector x pairing to
+    zero against k + beta; each as a dense ``action_matrix_int`` matrix."""
+    spec = family.spec
+    rec = Recorder(
+        "invariant-operators",
+        {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber), "beta": beta_str(spec)},
+    )
+    space = spec.space()
+    for k in family.window.degrees():
+        sub = family.fiber(k)
+        if not sub.dim:
+            continue
+        ops = _t_span_ops(spec, k)
+        if spec.kind.value == "H" and not spec.is_special(k):
+            shift = tuple(F(a) + b for a, b in zip(k, spec.beta))
+            ops += [rank_one_sym(x) for x in symplectic_extend(shift).vectors()
+                    if sympl_form(shift, x) == 0]
+        ok = True
+        for op in ops:
+            rows, _ = space.action_matrix_int(_int_matrix(op)[0])
+            for row in sub.rows:
+                if not sub.contains_vector(mat_vec(rows, row)):
+                    ok = False
+        rec.record(ok, degree=k, expected="fiber preserved", actual="preserved" if ok else "escapes")
+    return rec.result()
+
+
+def _sym2_k_times_v(spec, window):
+    """The Sym2 family K . V: each x bar(x)^T with (bar K|x) = 0 kills K, so it
+    maps K . v to K . (x bar(x)^T v)."""
+    n, dim = spec.n, spec.space().dim
+    pos = sym_position(n)
+    fibers = {}
+    for k in window.degrees():
+        kq = spec.scaled_shift(k)
+        if not any(kq):
+            continue
+        rows = []
+        for j in range(n):
+            row = [0] * dim
+            for i, c in enumerate(kq):
+                row[pos[min(i, j) + 1, max(i, j) + 1]] += c
+            rows.append(row)
+        fibers[k] = Subspace(dim, rows)
+    return GradedFamily(spec, window, fibers)
+
+
+FAMILY_KINDS = (FamilyKind.MIN, FamilyKind.FULLW, FamilyKind.INT, FamilyKind.MAX)
+REFERENCE_CASES = (
+    [("H", fiber, p, kind, b) for b in (0, F(1, 2))
+     for fiber, p in ((Fund(1), 1), (Fund(2), 2), (Lambda(2), 2)) for kind in FAMILY_KINDS]
+    + [("H", Sym2(), None, None, b) for b in (0, F(1, 2))]
+    + [("W", Lambda(p), p, FamilyKind.FULLW, b) for b in (0, F(1, 2)) for p in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("alg,fiber,p,kind,b", REFERENCE_CASES,
+                         ids=[f"{c[0]}-{c[1]}-{c[3]}-b{c[4]}" for c in REFERENCE_CASES])
+def test_invariance_report_matches_the_per_operator_reference(alg, fiber, p, kind, b):
+    n = 4 if alg == "H" else 3
+    spec = ActionSpec.make(alg, n, fiber, (b,) + (0,) * (n - 1))
+    window = Window(n, 1)
+    family = (_sym2_k_times_v(spec, window) if kind is None
+              else build_family(kind, p, spec, window))
+    report = invariance_report(family)
+    assert report.status == "PASS"
+    assert report.to_dict() == _reference_invariance_report(family).to_dict()
+    # one fiber swapped for the line through (1, 2, ..., dim): FAIL there
+    dim = spec.space().dim
+    k = (1,) + (0,) * (n - 1)
+    bad = family.copy_with(k, Subspace(dim, [list(range(1, dim + 1))]))
+    report = invariance_report(bad)
+    assert report.status == "FAIL"
+    assert report.to_dict() == _reference_invariance_report(bad).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the frame operators lie in the checked span
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (6, 1)])
+@pytest.mark.parametrize("b", [0, F(1, 2)])
+def test_frame_operators_lie_in_the_t_span(n, d, b):
+    spec = ActionSpec.make("H", n, Lambda(1), (b,) + (0,) * (n - 1))
+    checked = 0
+    for k in Window(n, d).degrees():
+        if spec.is_special(k):
+            continue
+        span = IntSpan(n * n)
+        for op in _t_span_ops(spec, k):
+            span.add([x for row in op for x in row])
+        shift = tuple(F(a) + c for a, c in zip(k, spec.beta))
+        for x in symplectic_extend(shift).vectors():
+            if sympl_form(shift, x) == 0:
+                op = rank_one_sym(_int_row(x))
+                assert span.contains([v for row in op for v in row]), (k, x)
+                checked += 1
+    assert checked >= (n - 2) * (len(Window(n, d).degrees()) - 1)

@@ -5,7 +5,8 @@ import pytest
 
 import slmod.sl_maps as sl_maps
 from slmod.cli import main
-from slmod.exact_linalg import Subspace, mat_mul, mat_scale, mat_vec
+from slmod.exact_linalg import Subspace, intersect, mat_mul, mat_scale, mat_vec
+from slmod.exterior_algebra import fundamental_subspace
 from slmod.graded_modules import ActionSpec, Lambda, Window
 from slmod.sl_maps import (
     FamilyKind,
@@ -187,3 +188,16 @@ def test_int_family_invalid_at_top_degree():
     win = Window(4, 1)
     with pytest.raises(ValueError):
         build_family(FamilyKind.INT, 4, spec, win)
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (6, 2), (6, 3)])
+@pytest.mark.parametrize("kind", list(FamilyKind), ids=str)
+def test_theta_kernel_part_is_the_intersection(n, p, kind):
+    """The kernel of theta A^T mapped back through A is the canonical
+    intersection with the contraction kernel, fiber by fiber."""
+    spec = ActionSpec.make("H", n, Lambda(p), (F(1, 2),) + (0,) * (n - 1))
+    theta = sl_maps._theta_rows(n, p)
+    fund = fundamental_subspace(n, p)
+    for k in Window(n, 1).degrees():
+        sub = sl_maps._family_fiber_lambda(kind, p, n, spec.scaled_shift(k))
+        assert sl_maps._contraction_kernel_part(sub, theta) == intersect(sub, fund), k
