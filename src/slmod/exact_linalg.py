@@ -216,19 +216,20 @@ class IntSpan:
     def contains(self, vector: Sequence[int]) -> bool:
         return not any(self.residual(vector))
 
-    def add(self, vector: Sequence[int]) -> bool:
-        """Insert a vector; returns True when the span grew."""
+    def add(self, vector: Sequence[int]) -> list[int] | None:
+        """Insert a vector; returns the reduced row stored, or None when the
+        span did not grow."""
         res = self.residual(vector)
         lead = _lead(res)
         if lead < 0:
-            return False
+            return None
         res = list(_primitive(res))
         pos = 0
         while pos < len(self.pivots) and self.pivots[pos] < lead:
             pos += 1
         self.rows.insert(pos, res)
         self.pivots.insert(pos, lead)
-        return True
+        return res
 
     def to_subspace(self) -> "Subspace":
         return Subspace._from_int_rows(self.ambient, self.rows)

@@ -97,11 +97,6 @@ class ExtVector:
         """Degree-1 element from a coordinate vector of Q^n."""
         return cls(n, 1, {(i + 1,): v for i, v in enumerate(vector)})
 
-    @classmethod
-    def from_coords(cls, n: int, p: int, coords: Sequence) -> "ExtVector":
-        keys = ext_basis(n, p)
-        return cls(n, p, dict(zip(keys, coords)))
-
     def to_coords(self) -> tuple:
         return tuple(self.coeffs.get(key, Fraction(0)) for key in ext_basis(self.n, self.degree))
 
@@ -357,10 +352,6 @@ class SymVector:
         if i > j:
             i, j = j, i
         return cls(n, {(i, j): coeff})
-
-    @classmethod
-    def from_coords(cls, n: int, coords: Sequence) -> "SymVector":
-        return cls(n, dict(zip(sym_basis(n), coords)))
 
     def to_coords(self) -> tuple:
         return tuple(self.coeffs.get(key, Fraction(0)) for key in sym_basis(self.n))

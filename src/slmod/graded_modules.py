@@ -13,6 +13,7 @@ Degree derivations act by the scalar k_i + alpha_i and never move fibers.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -497,6 +498,51 @@ def edge_table(spec: ActionSpec, window: Window, gens: tuple) -> EdgeTable:
     return EdgeTable(spec, window, gens)
 
 
+def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
+    """Grow spans from integer seed rows to the fixpoint of the table's maps.
+
+    ``seeds`` maps degree indices to integer rows.  The worklist is FIFO and
+    semi-naive: a visit sends along every out-edge only the rows its span
+    stored since the last visit.  ``stop(i, spans)`` is asked once for each
+    seed degree and again whenever the span at i grows; a true answer ends
+    the run with None.  Otherwise returns degree index -> ``IntSpan``.
+    """
+    dim = table.dim
+    spans: dict = {}
+    fresh: dict = {}  # degree index -> stored rows not yet sent along its edges
+    queue: deque = deque()
+
+    def grow(i: int, rows) -> bool:
+        span = spans.get(i)
+        if span is None:
+            span = spans[i] = IntSpan(dim)
+        new = [row for row in map(span.add, rows) if row is not None]
+        if not new:
+            return False
+        if i in fresh:
+            fresh[i] += new
+        else:
+            fresh[i] = new
+            queue.append(i)
+        return True
+
+    for i, rows in seeds.items():
+        grow(i, rows)
+        if stop is not None and stop(i, spans):
+            return None
+    while queue:
+        i = queue.popleft()
+        rows = fresh.pop(i)
+        for gi, j, cq in table.out_edges[i]:
+            span = spans.get(j)
+            if span is not None and span.dim == dim:
+                continue
+            images = table.apply(gi, cq, rows)
+            if images and grow(j, images) and stop is not None and stop(j, spans):
+                return None
+    return spans
+
+
 def closure(
     spec: ActionSpec,
     seeds: dict,
@@ -504,44 +550,20 @@ def closure(
     generators: Iterable[Generator] | None = None,
 ) -> GradedFamily:
     """Smallest window-truncated family containing the seeds and stable under
-    every in-window fiber map; worklist iteration to the fixpoint.
+    every in-window fiber map: ``saturate`` with no stop hook.
 
     ``seeds`` maps degrees to lists of fiber coordinate vectors.  Action
     targets outside the window are discarded.
     """
     gens = tuple(generators) if generators is not None else default_generators(spec.kind, spec.n)
     table = edge_table(spec, window, gens)
-    dim = table.dim
-    spans: dict = {}
-    work: list = []
+    rows: dict = {}
     for k, vectors in seeds.items():
         k = tuple(k)
         if k not in window:
             raise ValueError(f"seed degree {k} outside the window")
-        i = table.index[k]
-        span = spans.setdefault(i, IntSpan(dim))
-        grew = False
-        for v in vectors:
-            grew |= span.add(_int_row(v))
-        if grew:
-            work.append(i)
-    queued = set(work)
-    while work:
-        i = work.pop()
-        queued.discard(i)
-        rows_snapshot = list(spans[i].rows)
-        for gi, j, cq in table.out_edges[i]:
-            tspan = spans.get(j)
-            if tspan is None:
-                tspan = spans[j] = IntSpan(dim)
-            elif tspan.dim == dim:
-                continue
-            grew = False
-            for img in table.apply(gi, cq, rows_snapshot):
-                grew |= tspan.add(img)
-            if grew and j not in queued:
-                work.append(j)
-                queued.add(j)
+        rows.setdefault(table.index[k], []).extend(_int_row(v) for v in vectors)
+    spans = saturate(table, rows)
     fibers = {table.degs[i]: span.to_subspace() for i, span in spans.items() if span.rows}
     return GradedFamily(spec, window, fibers)
 

@@ -227,7 +227,7 @@ def _t_span_factors(spec: ActionSpec, k, rbound: int = 1) -> list:
     return factors
 
 
-def invariance_report(family: GradedFamily, rbound: int = 1) -> Report:
+def invariance_report(family: GradedFamily) -> Report:
     """PASS when every fiber is preserved by all rank-one invariant operators.
 
     Each operator is an integer combination of elementary rank-one matrices,

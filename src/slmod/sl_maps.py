@@ -37,7 +37,6 @@ from .exact_linalg import (
 from .exterior_algebra import (
     ext_dim,
     fundamental_subspace,
-    gl_action_matrix,
     interior_matrix,
     theta_matrix,
     wedge_matrix,
@@ -54,7 +53,7 @@ from .graded_modules import (
     fiber_space,
 )
 from .reports import Recorder, Report
-from .torus_lie import AlgebraKind, bar, rank_one_sym, require_even, sympl_form
+from .torus_lie import AlgebraKind, bar, require_even, sympl_form
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,22 @@ def _map_matrix_scaled(map_id: MapId, n: int, kq: tuple) -> tuple:
     if map_id.name == "theta":
         return theta_matrix(n, p)
     # f(p) = T(p+1) o pi(p) = derivation action of K bar(K)^T
-    return gl_action_matrix(n, p, rank_one_sym(kq))
+    return _sym_action(n, p, kq)
+
+
+def _sym_action(n: int, p: int, kq: tuple) -> tuple:
+    """Integer matrix of the derivation action of K bar(K)^T on Lambda^p,
+    K = kq, as sum_{a<=b} K_a K_b P_ab over the rank-one action table."""
+    pairs, actions = fiber_space(n, Lambda(p)).rank_one_actions(True)
+    dim = ext_dim(n, p)
+    m = [[0] * dim for _ in range(dim)]
+    for (a, b), act in zip(pairs, actions):
+        c = kq[a] * kq[b]
+        if c:
+            for mrow, arow in zip(m, act):
+                for j, v in arow:
+                    mrow[j] += c * v
+    return tuple(map(tuple, m))
 
 
 def map_matrix(map_id: MapId, k: Degree, beta, n: int | None = None) -> tuple:
@@ -347,7 +361,7 @@ def _family_fiber_lambda(kind: FamilyKind, p: int, n: int, kq: tuple) -> Subspac
     """One fiber of the family on Lambda^p coordinates, for q(k+beta) != 0."""
     dim = ext_dim(n, p)
     if kind is FamilyKind.MIN:
-        return image(gl_action_matrix(n, p, rank_one_sym(kq)))
+        return image(_sym_action(n, p, kq))
     if kind is FamilyKind.FULLW:
         if p < 1:
             raise ValueError("FULLW needs p >= 1")
@@ -357,7 +371,7 @@ def _family_fiber_lambda(kind: FamilyKind, p: int, n: int, kq: tuple) -> Subspac
             raise ValueError(f"INT needs p <= {n - 1}")
         return image(interior_matrix(n, p + 1, bar(kq)))
     if kind is FamilyKind.MAX:
-        return kernel(gl_action_matrix(n, p, rank_one_sym(kq)))
+        return kernel(_sym_action(n, p, kq))
     raise ValueError(kind)
 
 

@@ -137,3 +137,28 @@ def test_edge_table_apply_matches_fiber_action(kind, n, d, fiber, beta):
                 assert all(x.denominator == 1 for x in exact)
                 assert table.apply(gi, cq, [unit]) == ([[int(x) for x in exact]] if any(exact) else [])
         assert len(table.out_edges[i]) + table.skipped[i] == len(table.gens)
+
+
+@pytest.mark.parametrize("n,d,fiber,beta,first", [
+    # here neither seed degree alone generates the closure of both
+    (4, 1, Lambda(2), (F(1, 2), 0, 0, 0), (FamilyKind.INT, -1)),
+    (4, 1, Fund(1), (0, 0, 0, 0), (FamilyKind.MIN, 0)),
+    (2, 2, Lambda(1), (0, 0), (FamilyKind.MIN, 0)),
+])
+def test_multi_seed_closure_matches_the_reference(n, d, fiber, beta, first):
+    """Seeds at two degrees, with a dependent and a zero vector among them:
+    a family vector at one degree and a maximal-family vector at the other,
+    so the closure is a proper subfamily."""
+    spec = ActionSpec.make("H", n, fiber, beta)
+    window = Window(n, d)
+    dim = spec.space().dim
+    k1, k2 = (1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,)
+    kind, row = first
+    u = list(build_family(kind, fiber.p, spec, window).fiber(k1).rows[row])
+    v = list(build_family(FamilyKind.MAX, fiber.p, spec, window).fiber(k2).rows[0])
+    seeds = {k1: [u, [2 * x for x in u], [0] * dim], k2: [v, [3 * x for x in v]]}
+    ref = reference_closure(spec, seeds, window)
+    fam = closure(spec, seeds, window)
+    assert any(s.dim < dim for s in ref.values())
+    for k in window.degrees():
+        assert fam.fiber(k) == ref.get(k, Subspace.zero(dim)), k

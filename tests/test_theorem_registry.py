@@ -5,9 +5,10 @@ import pytest
 
 import slmod.theorem_registry as theorem_registry
 from slmod.graded_modules import ActionSpec, Fund, Lambda, Window, closure
-from slmod.sl_maps import FamilyKind, build_family
+from slmod.sl_maps import FamilyKind, SpecialFiberPolicy, build_family
 from slmod.theorem_registry import (
     CATALOGUE,
+    ProbeEngine,
     default_grid,
     oracle_fiber_dims,
     probe_engine,
@@ -73,6 +74,44 @@ def test_probe_engine_rejects_wrong_targets():
     assert not engine.run(k0, seed, "exact", engine.min_target(mx))
     assert not engine.run(k0, seed, "contains", engine.min_target(mx))
     assert not engine.run(k0, list(mx.fiber(k0).rows[0]), "exact", engine.full_target())
+    # the full target has no rows to contain: no vacuous pass
+    with pytest.raises(ValueError, match="target rows"):
+        engine.run(k0, seed, "contains", engine.full_target())
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("beta", [(0, 0, 0, 0), HALF], ids=["b0", "bhalf"])
+def test_probe_answers_do_not_depend_on_the_certificate(p, beta):
+    """Every probe gives the same answer with reachability certificates off
+    (no dominators: each run goes to the fixpoint) as with them on."""
+    spec = ActionSpec.make("H", 4, Fund(p), beta)
+    win = Window(4, 2)
+    with_cert = probe_engine(spec, win)
+    without = ProbeEngine(spec, win)
+    without.dominators = set()
+    assert with_cert.dominators, "the certificate never fires on this window"
+    rng = random.Random(f"cert-{p}-{beta}")
+    dim = spec.space().dim
+    # the hat family differs from MIN only at the degenerate degree (centre
+    # of the window at beta = 0), which the certificate checks directly
+    families = [build_family(FamilyKind.MIN, p, spec, win),
+                build_family(FamilyKind.MIN, p, spec, win, SpecialFiberPolicy.FULL),
+                build_family(FamilyKind.MAX, p, spec, win)]
+    answers = set()
+    for k in [(0, 0, 0, 0), (1, -1, 0, 2), (2, 2, -2, -2)]:
+        free = [rng.randint(-2, 2) for _ in range(dim)]
+        free[rng.randrange(dim)] = 1
+        runs = [(free, "exact", None)]
+        for fam in families:
+            # exact mode needs a seed inside its invariant target
+            runs += [(list(row), "exact", fam) for row in fam.fiber(k).rows[:1]]
+            runs.append((free, "contains", fam))
+        for v, mode, fam in runs:
+            got = [engine.run(k, v, mode, engine.full_target() if fam is None else engine.min_target(fam))
+                   for engine in (with_cert, without)]
+            assert got[0] == got[1], (k, v, mode, fam)
+            answers.add(got[0])
+    assert answers == {True, False}
 
 
 def test_non_integral_operator_action_is_an_internal_error(monkeypatch):
