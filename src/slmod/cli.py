@@ -26,6 +26,7 @@ from .graded_modules import (
     Lambda,
     Window,
     closure,
+    default_generators,
 )
 from .reports import FAIL, PASS, CheckResult, Detail, Recorder
 from .sl_maps import FamilyKind, SpecialFiberPolicy, build_family, symplectic_extend
@@ -231,6 +232,12 @@ def parse_config(argv) -> RunConfig:
         raise UsageError(f"alpha has length {len(alpha)}, expected N={cfg.n}")
     cfg.beta = beta
     cfg.alpha = alpha
+    # alpha moves no fiber and only closure reads rbound: a command refuses a
+    # flag that it would echo and then ignore
+    if any(alpha):
+        raise UsageError(f"{ns.command} does not take --alpha: it runs with alpha = 0")
+    if cfg.rbound != 1 and ns.command != "closure":
+        raise UsageError(f"{ns.command} does not take --rbound: only closure reads it")
     hamiltonian = (
         ns.command in ("dims", "homology")
         or (ns.command == "closure" and getattr(ns, "kind", "H") == "H")
@@ -239,10 +246,6 @@ def parse_config(argv) -> RunConfig:
     if hamiltonian and cfg.n % 2:
         raise UsageError("this command acts through the Hamiltonian algebra; N must be even")
     if ns.command == "check":
-        if any(alpha):
-            raise UsageError("check does not take --alpha: every check runs with alpha = 0")
-        if cfg.rbound != 1:
-            raise UsageError("check does not take --rbound: every check probes with rbound = 1")
         if ns.check_id == "fundamental-dims" and cfg.n != DEFAULT_N:
             raise UsageError("fundamental-dims does not take --N: the check always sweeps N = 2, 4, 6")
         cfg.check_id = ns.check_id
@@ -279,7 +282,7 @@ def parse_config(argv) -> RunConfig:
 
 def _dims_result(cfg: RunConfig) -> CheckResult:
     fiber = Fund(cfg.p) if cfg.fund else Lambda(cfg.p)
-    spec = ActionSpec.make("H", cfg.n, fiber, cfg.beta, cfg.alpha)
+    spec = ActionSpec.make("H", cfg.n, fiber, cfg.beta)
     window = Window(cfg.n, cfg.d)
     family = build_family(
         FamilyKind(cfg.family.upper()),
@@ -303,14 +306,12 @@ def _dims_result(cfg: RunConfig) -> CheckResult:
 
 def _closure_result(cfg: RunConfig) -> CheckResult:
     fiber = Fund(cfg.p) if cfg.fund else Lambda(cfg.p)
-    spec = ActionSpec.make(cfg.kind, cfg.n, fiber, cfg.beta, cfg.alpha)
+    spec = ActionSpec.make(cfg.kind, cfg.n, fiber, cfg.beta)
     window = Window(cfg.n, cfg.d)
     dim = spec.space().dim
     if not 0 <= cfg.seed_index < dim:
         raise UsageError(f"seed index {cfg.seed_index} out of range 0..{dim - 1}")
     seed = [1 if i == cfg.seed_index else 0 for i in range(dim)]
-    from .graded_modules import default_generators
-
     fam = closure(spec, {cfg.seed_fiber: [seed]}, window,
                   default_generators(spec.kind, cfg.n, cfg.rbound))
     rec = Recorder("closure", {"kind": cfg.kind, "N": cfg.n, "p": cfg.p,
@@ -355,7 +356,7 @@ def _frame_result(cfg: RunConfig) -> CheckResult:
 
 def run_config(cfg: RunConfig) -> ReportDocument:
     if cfg.command == "check":
-        params = {"N": cfg.n, "beta": cfg.beta, "alpha": cfg.alpha, "d": cfg.d}
+        params = {"N": cfg.n, "beta": cfg.beta, "d": cfg.d}
         if cfg.p is not None:
             params["p"] = cfg.p
         if cfg.seed is not None:

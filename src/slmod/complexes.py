@@ -19,11 +19,9 @@ from .graded_modules import ActionSpec, Lambda, Window, beta_str
 from .reports import Recorder, Report
 from .sl_maps import (
     FamilyKind,
-    MapId,
     _map_matrix_scaled,
     build_family,
     f,
-    map_degrees,
     pi,
     T,
 )

@@ -92,10 +92,6 @@ def mat_sub(a, b) -> tuple:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(c, m) -> tuple:
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
 # ---------------------------------------------------------------------------
 # primitive integer row helpers
 
@@ -397,7 +393,3 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
                 v[j] += c * x
         gens.append(v)
     return Subspace._from_int_rows(a.ambient_dim, gens)
-
-
-def member(s: Subspace, vector: Sequence[Rational]) -> bool:
-    return s.contains_vector(vector)

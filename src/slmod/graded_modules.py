@@ -8,7 +8,8 @@ is the derivation action of a rank-one matrix on the fiber representation:
     h_r     : c = (bar r | k + beta),  D = action of r bar(r)^T   (Hamiltonian)
     D(u, r) : c = (u | k + beta),      D = action of r u^T        (Witt / div-free)
 
-Degree derivations act by the scalar k_i + alpha_i and never move fibers.
+Degree derivations act on each fiber by a scalar and never move fibers, so a
+grade shift alpha changes no family, closure or verdict and is not modelled.
 """
 
 from __future__ import annotations
@@ -173,24 +174,6 @@ class FiberSpace:
 
     # -- fundamental coordinate conversions --------------------------------
 
-    def embed_subspace(self, s: Subspace) -> Subspace:
-        """Fund coordinates -> the ambient exterior-power coordinates."""
-        if self.fiber.kind != "fund":
-            return s
-        basis = self._fund.rows
-        pivots = self._fund.pivots
-        # L times the pivot-1 basis, L the lcm of the basis pivots
-        big = lcm(*(brow[pc] for brow, pc in zip(basis, pivots)))
-        gens = []
-        for row in s.rows:
-            v = [0] * ext_dim(self.n, self.fiber.p)
-            for c, brow, pc in zip(row, basis, pivots):
-                c *= big // brow[pc]
-                for j, x in enumerate(brow):
-                    v[j] += c * x
-            gens.append(v)
-        return Subspace._from_int_rows(ext_dim(self.n, self.fiber.p), gens)
-
     def restrict_subspace(self, s: Subspace) -> Subspace:
         """Exterior-power coordinates (inside the kernel) -> Fund coordinates."""
         if self.fiber.kind != "fund":
@@ -213,13 +196,12 @@ def fiber_space(n: int, fiber: FiberType) -> FiberSpace:
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """Which algebra acts, on which fiber type, with which beta and alpha."""
+    """Which algebra acts, on which fiber type, with which beta."""
 
     kind: AlgebraKind
     n: int
     fiber: FiberType
     beta: tuple
-    alpha: tuple
     # q, the beta denominator, and q * beta as plain ints
     q: int = field(init=False, repr=False, compare=False)
     qbeta: tuple = field(init=False, repr=False, compare=False)
@@ -230,12 +212,11 @@ class ActionSpec:
         object.__setattr__(self, "qbeta", tuple(int(q * b) for b in self.beta))
 
     @staticmethod
-    def make(kind, n: int, fiber: FiberType, beta=None, alpha=None) -> "ActionSpec":
+    def make(kind, n: int, fiber: FiberType, beta=None) -> "ActionSpec":
         kind = AlgebraKind(kind)
         beta = tuple(frac(b) for b in (beta if beta is not None else [0] * n))
-        alpha = tuple(frac(a) for a in (alpha if alpha is not None else [0] * n))
-        if len(beta) != n or len(alpha) != n:
-            raise ValueError("beta and alpha must have length N")
+        if len(beta) != n:
+            raise ValueError("beta must have length N")
         if kind is AlgebraKind.H:
             require_even(n)
         if fiber.kind == "fund":
@@ -246,10 +227,10 @@ class ActionSpec:
                 raise ValueError(f"Fund(p) needs 1 <= p <= {n // 2}")
         if fiber.kind == "lambda" and not 0 <= fiber.p <= n:
             raise ValueError(f"Lambda(p) needs 0 <= p <= {n}")
-        return ActionSpec(kind, n, fiber, beta, alpha)
+        return ActionSpec(kind, n, fiber, beta)
 
     def with_fiber(self, fiber: FiberType) -> "ActionSpec":
-        return ActionSpec.make(self.kind, self.n, fiber, self.beta, self.alpha)
+        return ActionSpec.make(self.kind, self.n, fiber, self.beta)
 
     def scaled_shift(self, k: Degree) -> tuple:
         """q * (k + beta) as an integer vector, q the beta denominator."""
@@ -354,13 +335,6 @@ def fiber_action(spec: ActionSpec, gen: Generator, k: Degree):
     )
 
 
-def d_eigenvalue(spec: ActionSpec, i: int, k: Degree) -> Fraction:
-    """Eigenvalue k_i + alpha_i of the i-th degree derivation on the fiber."""
-    if not 1 <= i <= spec.n:
-        raise ValueError(f"index {i} out of range 1..{spec.n}")
-    return frac(k[i - 1]) + spec.alpha[i - 1]
-
-
 # ---------------------------------------------------------------------------
 # windows and graded families
 
@@ -410,11 +384,6 @@ class GradedFamily:
 
     def dims(self) -> dict:
         return {k: self.fiber(k).dim for k in self.window.degrees()}
-
-    def copy_with(self, k: Degree, sub: Subspace) -> "GradedFamily":
-        fibers = dict(self.fibers)
-        fibers[tuple(k)] = sub
-        return GradedFamily(self.spec, self.window, fibers)
 
     def __eq__(self, other) -> bool:
         return (

@@ -18,18 +18,12 @@ from operator import mul
 
 from .exact_linalg import (
     IntSpan,
-    Subspace,
-    _int_matrix,
     _int_row,
     _reduce_row,
     dot,
     frac,
-    intersect,
-    kernel,
-    mat_scale,
     mat_sub,
     mat_mul,
-    matrix,
     vec,
 )
 from .graded_modules import (
@@ -114,13 +108,12 @@ class SmallAlgebra:
     H case: span{ x bar(x)^T : x in {w_i} u {w_i + w_j} } over the frame tail
     w_2..w_{N-1}, a symplectic algebra of rank n-1.  W case: span{ v_i v_j^T }
     over the orthogonal complement of k + beta, a full matrix algebra of size
-    N-1.  Cartan elements act semisimply with integer spectrum.
+    N-1.
     """
 
     kind: AlgebraKind
     frame: tuple  # frame vectors, head first
     generators: tuple
-    cartans: tuple
     span_dim: int
 
 
@@ -134,34 +127,17 @@ def small_algebra(kind, frame) -> SmallAlgebra:
         for i in range(len(tail)):
             for j in range(i + 1, len(tail)):
                 gens.append(rank_one_sym(tuple(a + b for a, b in zip(tail[i], tail[j]))))
-        cartans = []
-        for i in range(0, len(tail) - 1, 2):
-            a, b = tail[i], tail[i + 1]
-            cartans.append(
-                matrix(
-                    [
-                        [
-                            a[x] * bar(b)[y] + b[x] * bar(a)[y]
-                            for y in range(len(a))
-                        ]
-                        for x in range(len(a))
-                    ]
-                )
-            )
         vectors = (frame.v0,) + frame.w
     elif kind is AlgebraKind.W:
         vectors = tuple(frame)
         tail = vectors[1:]
         gens = [rank_one(x, y) for x in tail for y in tail]
-        cartans = [
-            mat_scale(Fraction(1, dot(x, x)), rank_one(x, x)) for x in tail
-        ]
     else:
         raise ValueError("small algebras are defined for the H and W actions")
     span = IntSpan(len(vectors[0]) ** 2)
     for g in gens:
         span.add(_int_row([x for row in g for x in row]))
-    return SmallAlgebra(kind, vectors, tuple(gens), tuple(cartans), span.dim)
+    return SmallAlgebra(kind, vectors, tuple(gens), span.dim)
 
 
 def lie_closure_holds(alg: SmallAlgebra) -> bool:
@@ -181,7 +157,7 @@ def lie_closure_holds(alg: SmallAlgebra) -> bool:
 # fiberwise invariance under the operators
 
 
-def _t_span_factors(spec: ActionSpec, k, rbound: int = 1) -> list:
+def _t_span_factors(spec: ActionSpec, k) -> list:
     """Factor pairs (x, y) of the rank-one operators that certify invariance
     under all parameter choices.
 
@@ -191,7 +167,7 @@ def _t_span_factors(spec: ActionSpec, k, rbound: int = 1) -> list:
     operator with integer parameters is a rational combination of these.
     """
     n = spec.n
-    box = degree_box(n, rbound)
+    box = degree_box(n)
     # q * T-vectors from the integer kq = q(k + beta); dividing by
     # gcd(q, content) leaves T with its denominators cleared, as _int_row does
     kq = spec.scaled_shift(k)
@@ -264,57 +240,3 @@ def invariance_report(family: GradedFamily) -> Report:
                 break
         rec.record(ok, degree=k, expected="fiber preserved", actual="preserved" if ok else "escapes")
     return rec.result()
-
-
-# ---------------------------------------------------------------------------
-# weight decomposition under the commuting Cartan elements
-
-
-def weight_decompose(alg: SmallAlgebra, spec: ActionSpec, s: Subspace) -> list:
-    """Simultaneous eigenspace decomposition of s under the Cartan elements.
-
-    The Cartan actions carry integer spectra by construction, so candidate
-    eigenvalues are scanned inside the Gershgorin bound; an error is raised
-    when the eigenspaces fail to fill s (s not invariant or not semisimple).
-    Returns (weight tuple, canonical subspace) pairs sorted by weight.
-    """
-    space = spec.space()
-    pieces = [((), s)]
-    for cartan in alg.cartans:
-        int_cartan, cscale = _int_matrix(cartan)
-        rows, fscale = space.action_matrix_int(int_cartan)
-        multiplier = cscale * fscale  # rows = multiplier * exact Cartan action
-        next_pieces = []
-        for weights, piece in pieces:
-            if not piece.dim:
-                continue
-            for lam, sub in _eigensplit(rows, multiplier, piece):
-                next_pieces.append((weights + (lam,), sub))
-        pieces = next_pieces
-    total = sum(p.dim for _, p in pieces)
-    if total != s.dim:
-        raise ValueError("subspace is not a sum of integer weight spaces")
-    return sorted(pieces, key=lambda t: t[0])
-
-
-def _eigensplit(rows, multiplier: int, piece: Subspace) -> list:
-    """Eigenspaces of an operator given as ``multiplier`` times the exact one."""
-    dim = piece.ambient_dim
-    bound = 0
-    for row in rows:
-        bound = max(bound, sum(abs(int(x)) for x in row))
-    out = []
-    remaining = piece.dim
-    lam = -(bound // multiplier)
-    top = bound // multiplier
-    while lam <= top and remaining > 0:
-        shifted = tuple(
-            tuple(rows[i][j] - (lam * multiplier if i == j else 0) for j in range(dim))
-            for i in range(dim)
-        )
-        eig = intersect(kernel(shifted), piece)
-        if eig.dim:
-            out.append((lam, eig))
-            remaining -= eig.dim
-        lam += 1
-    return out

@@ -20,17 +20,14 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
 from .exact_linalg import (
     Subspace,
     dot,
-    frac,
     image,
     kernel,
-    mat_scale,
     rref,
     vec,
 )
@@ -43,7 +40,6 @@ from .exterior_algebra import (
 )
 from .graded_modules import (
     ActionSpec,
-    Degree,
     GradedFamily,
     Lambda,
     Window,
@@ -188,15 +184,11 @@ def map_degrees(map_id: MapId, n: int) -> tuple:
     raise ValueError(f"unknown map {map_id.name!r}")
 
 
-def map_homogeneity(map_id: MapId) -> int:
-    """Degree of the matrix entries as polynomials in k + beta."""
-    return {"pi": 1, "T": 1, "theta": 0, "f": 2}[map_id.name]
-
-
 def _map_matrix_scaled(map_id: MapId, n: int, kq: tuple) -> tuple:
     """Integer matrix of the map evaluated at the scaled shift q(k + beta).
 
-    Equals q^homogeneity times the exact matrix.
+    Equals q^h times the exact matrix, h the degree of its entries in
+    k + beta: 1 for pi and T, 0 for theta_tilde, 2 for f.
     """
     p = map_id.p
     if map_id.name == "pi":
@@ -224,22 +216,6 @@ def _sym_action(n: int, p: int, kq: tuple) -> tuple:
     return tuple(map(tuple, m))
 
 
-def map_matrix(map_id: MapId, k: Degree, beta, n: int | None = None) -> tuple:
-    """Exact matrix of the fiber-level map at degree k."""
-    beta = vec(beta)
-    n = n if n is not None else len(beta)
-    require_even(n)
-    shift = tuple(frac(ki) + bi for ki, bi in zip(k, beta))
-    map_degrees(map_id, n)  # validates the degree range
-    q = lcm(*(x.denominator for x in shift)) if shift else 1
-    kq = tuple(int(x * q) for x in shift)
-    rows = _map_matrix_scaled(map_id, n, kq)
-    scale = q ** map_homogeneity(map_id)
-    if scale == 1:
-        return rows
-    return mat_scale(Fraction(1, scale), rows)
-
-
 # ---------------------------------------------------------------------------
 # module-map verification
 
@@ -257,7 +233,8 @@ def verify_module_map(
     target leaves the window are skipped.
 
     The sweep is exact: matrices are scaled to integers by the beta
-    denominator and compared entrywise (int64, with an overflow guard).
+    denominator and compared entrywise, in int64 where an a-priori bound
+    shows that nothing overflows and in Python ints (dtype object) elsewhere.
     """
     if spec.kind is not AlgebraKind.H:
         raise ValueError("module-map verification is defined for the Hamiltonian action")
@@ -269,7 +246,6 @@ def verify_module_map(
         {"map": str(map_id), "N": n, "beta": ",".join(str(b) for b in spec.beta), "d": window.d},
     )
     q = spec.q
-    hom = map_homogeneity(map_id)
     table = edge_table(spec, window, gens)
     degs = table.degs
     edges_by_gen = [[] for _ in gens]
@@ -277,15 +253,11 @@ def verify_module_map(
         for gi, j, cq in edges:
             edges_by_gen[gi].append((i, j, cq))
 
-    phi = np.stack(
-        [
-            np.array(_map_matrix_scaled(map_id, n, spec.scaled_shift(k)), dtype=np.int64)
-            for k in degs
-        ]
-    )
+    mats = [_map_matrix_scaled(map_id, n, spec.scaled_shift(k)) for k in degs]
+    max_phi = max((abs(x) for m in mats for row in m for x in row), default=0)
+    phi = np.array(mats, dtype=np.int64 if max_phi < 2**62 else object)
     src_space = fiber_space(n, Lambda(src_p))
     tgt_space = fiber_space(n, Lambda(tgt_p))
-    max_phi = int(np.abs(phi).max(initial=0))
     for g, edges in zip(gens, edges_by_gen):
         d_src, s_src = _derivation_int(n, Lambda(src_p), g)
         d_tgt, s_tgt = _derivation_int(n, Lambda(tgt_p), g)
@@ -297,16 +269,17 @@ def verify_module_map(
         if not edges:
             continue
         srcs, tgts, cs = zip(*edges)
-        a = phi[np.array(tgts)]
-        b = phi[np.array(srcs)]
-        c = np.array(cs, dtype=np.int64)[:, None, None]
-        # overflow guard for the integer identity below
-        max_c = int(np.abs(c).max(initial=0))
+        # a-priori bound on the entries of the integer identity below
+        max_c = max(map(abs, cs))
         max_d = max(int(np.abs(d_src).max(initial=0)), int(np.abs(d_tgt).max(initial=0)))
         inner = max(src_space.dim, tgt_space.dim)
-        if max_c * 2 * max_phi + q * inner * max_phi * max_d >= 2**62:
-            raise OverflowError("entries too large for the int64 fast path")
-        # q^{hom+1} * (commutation defect) expressed with integer matrices
+        dtype = np.int64 if max_c * 2 * max_phi + q * inner * max_phi * max_d < 2**62 else object
+        a = phi[np.array(tgts)].astype(dtype, copy=False)
+        b = phi[np.array(srcs)].astype(dtype, copy=False)
+        c = np.array(cs, dtype=dtype)[:, None, None]
+        d_src = d_src.astype(dtype, copy=False)
+        d_tgt = d_tgt.astype(dtype, copy=False)
+        # q^{h+1} * (commutation defect) expressed with integer matrices
         lhs = c * (a - b) + q * (a @ d_src - d_tgt @ b)
         if np.any(lhs):
             bad = np.argwhere(np.any(lhs, axis=(1, 2)))[:, 0]

@@ -119,10 +119,10 @@ class ProbeTarget:
 class ProbeEngine:
     """Single-seed closure probes over one action spec and window."""
 
-    def __init__(self, spec: ActionSpec, window: Window, rbound: int = 1):
+    def __init__(self, spec: ActionSpec, window: Window):
         self.spec = spec
         self.window = window
-        self.gens = default_generators(spec.kind, spec.n, rbound)
+        self.gens = default_generators(spec.kind, spec.n)
         self.table = edge_table(spec, window, self.gens)
         self.degs = self.table.degs
         self.index = self.table.index
@@ -134,8 +134,7 @@ class ProbeEngine:
         }
         self.interior = [self.index[k] for k in window.interior_degrees()]
         self.special_interior = [i for i in self.interior if i in self.special]
-        self._build_edges()
-        self._build_dominators()
+        self.dominators = self._dominators(*self._invertible_edges())
 
     # -- static structure ---------------------------------------------------
 
@@ -155,8 +154,9 @@ class ProbeEngine:
             return (0, 1, 2)
         return (0,)
 
-    def _build_edges(self):
-        """Invertibility bits of every in-window edge (see the module notes)."""
+    def _invertible_edges(self) -> tuple:
+        """(out, in) adjacency of the invertible in-window edges (see the
+        module notes)."""
         factors = self._trace_factors()
         traces = [0 if g.u is None else dot(g.u, g.r) for g in self.gens]
         inv_out = [set() for _ in self.degs]
@@ -170,8 +170,7 @@ class ProbeEngine:
                 if all(cq + jj * self.q * traces[gi] != 0 for jj in factors):
                     inv_out[i].add(j)
                     inv_in[j].add(i)
-        self.inv_out = [sorted(s) for s in inv_out]
-        self.inv_in = [sorted(s) for s in inv_in]
+        return inv_out, inv_in
 
     def _reach(self, start: int, adjacency) -> set:
         seen = {start}
@@ -184,18 +183,13 @@ class ProbeEngine:
                     queue.append(j)
         return seen
 
-    def _build_dominators(self):
+    def _dominators(self, inv_out, inv_in) -> set:
         """G = degrees certified to regenerate the window interior."""
         needed = set(self.interior) - self.special
-        self.dominators: set = set()
-        if not needed:
-            return
         for z in self.interior:
-            if z in self.special:
-                continue
-            if needed <= self._reach(z, self.inv_out):
-                self.dominators = self._reach(z, self.inv_in)
-                return
+            if z in needed and needed <= self._reach(z, inv_out):
+                return self._reach(z, inv_in)
+        return set()
 
     # -- probe runs ----------------------------------------------------------
 
@@ -216,6 +210,9 @@ class ProbeEngine:
         must reach its dims on the interior (with ``full_target`` the whole
         fiber).  mode "contains": the closure must contain the target rows on
         the interior."""
+        if not self.interior:
+            raise ValueError(
+                f"window d={self.window.d} has an empty interior: a probe would check nothing")
         seed_i = self.index[tuple(seed_k)]
         vec_int = _int_row(seed_vec)
         if not any(vec_int):
@@ -251,8 +248,8 @@ class ProbeEngine:
 
 
 @lru_cache(maxsize=None)
-def probe_engine(spec: ActionSpec, window: Window, rbound: int = 1) -> ProbeEngine:
-    return ProbeEngine(spec, window, rbound)
+def probe_engine(spec: ActionSpec, window: Window) -> ProbeEngine:
+    return ProbeEngine(spec, window)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,7 @@ import enum
 from itertools import product
 from typing import Sequence
 
-from .exact_linalg import (
-    dot,
-    frac,
-    from_triplets,
-    mat_mul,
-    matrix,
-    transpose,
-)
+from .exact_linalg import IntSpan, dot, kernel
 
 Degree = tuple  # tuple[int, ...]
 
@@ -50,30 +43,6 @@ def sympl_form(u: Sequence, v: Sequence):
     return dot(bar(u), v)
 
 
-def bracket_h(r: Degree, s: Degree) -> tuple:
-    """Structure constant and degree of [h_r, h_s] = (bar r|s) h_{r+s}."""
-    coeff = sympl_form(r, s)
-    return frac(coeff), tuple(a + b for a, b in zip(r, s))
-
-
-def symplectic_j(n: int) -> tuple:
-    """The block matrix J with J r = bar(r)."""
-    require_even(n)
-    half = n // 2
-    trips = [(i, half + i, 1) for i in range(half)] + [(half + i, i, -1) for i in range(half)]
-    return from_triplets(n, n, trips)
-
-
-def is_sp(a, n: int | None = None) -> bool:
-    """Whether A^T J + J A = 0 holds exactly."""
-    a = matrix(a)
-    size = n if n is not None else len(a)
-    j = symplectic_j(size)
-    lhs = mat_mul(transpose(a), j)
-    rhs = mat_mul(j, a)
-    return all(x + y == 0 for row_l, row_r in zip(lhs, rhs) for x, y in zip(row_l, row_r))
-
-
 def rank_one(r: Sequence, u: Sequence) -> tuple:
     """The matrix r u^T."""
     return tuple(tuple(ri * uj for uj in u) for ri in r)
@@ -84,79 +53,20 @@ def rank_one_sym(u: Sequence) -> tuple:
     return rank_one(u, bar(u))
 
 
-_SP_FAMILIES = ("X", "Y", "Z", "U", "V", "H")
-
-
-def sp_generator(n: int, family: str, i: int, j: int | None = None) -> tuple:
-    """Root vectors and Cartan generators of sp_N in the elementary basis.
-
-    X_{i,j} = E_{i,j} - E_{n+j,n+i}, Y_{i,j} = E_{i,n+j} + E_{j,n+i},
-    Z_{i,j} = E_{n+j,i} + E_{n+i,j} (i != j), U_i = E_{i,n+i},
-    V_i = E_{n+i,i}, H_i = E_{i,i} - E_{n+i,n+i}.  Indices are 1-based.
-    """
-    require_even(n)
-    half = n // 2
-    if family not in _SP_FAMILIES:
-        raise ValueError(f"unknown generator family {family!r}")
-    if not 1 <= i <= half:
-        raise ValueError(f"index i={i} out of range 1..{half}")
-    if family in ("X", "Y", "Z"):
-        if j is None or not 1 <= j <= half or j == i:
-            raise ValueError(f"family {family} needs 1 <= i != j <= {half}")
-    elif j is not None:
-        raise ValueError(f"family {family} takes a single index")
-    a, b = i - 1, (j - 1 if j is not None else None)
-    if family == "X":
-        trips = [(a, b, 1), (half + b, half + a, -1)]
-    elif family == "Y":
-        trips = [(a, half + b, 1), (b, half + a, 1)]
-    elif family == "Z":
-        trips = [(half + b, a, 1), (half + a, b, 1)]
-    elif family == "U":
-        trips = [(a, half + a, 1)]
-    elif family == "V":
-        trips = [(half + a, a, 1)]
-    else:  # H
-        trips = [(a, a, 1), (half + a, half + a, -1)]
-    return from_triplets(n, n, trips)
-
-
-def sp_generators(n: int) -> list:
-    """All listed generators of sp_N, in a fixed deterministic order."""
-    require_even(n)
-    half = n // 2
-    gens = []
-    for i in range(1, half + 1):
-        for j in range(1, half + 1):
-            if i != j:
-                for fam in ("X", "Y", "Z"):
-                    gens.append(sp_generator(n, fam, i, j))
-    for i in range(1, half + 1):
-        for fam in ("U", "V", "H"):
-            gens.append(sp_generator(n, fam, i))
-    return gens
-
-
 def sp_dim(n: int) -> int:
     half = n // 2
     return half * (2 * half + 1)
 
 
-def degree_box(n: int, bound: int = 1, include_zero: bool = False) -> tuple:
-    """All r in Z^n with max |r_i| <= bound, zero excluded by default."""
-    out = []
-    for r in product(range(-bound, bound + 1), repeat=n):
-        if include_zero or any(r):
-            out.append(r)
-    return tuple(out)
+def degree_box(n: int, bound: int = 1) -> tuple:
+    """All nonzero r in Z^n with max |r_i| <= bound."""
+    return tuple(r for r in product(range(-bound, bound + 1), repeat=n) if any(r))
 
 
-def rank_one_span_dim(n: int, bound: int = 1) -> int:
-    """Dimension of span{ r bar(r)^T : r in the degree box }."""
-    from .exact_linalg import IntSpan
-
+def rank_one_span_dim(n: int) -> int:
+    """Dimension of span{ r bar(r)^T : r in the unit degree box }."""
     span = IntSpan(n * n)
-    for r in degree_box(n, bound):
+    for r in degree_box(n):
         m = rank_one_sym(r)
         span.add([x for row in m for x in row])
     return span.dim
@@ -206,12 +116,12 @@ def j_membership(kind: AlgebraKind, v, samples) -> bool:
     return True
 
 
-def default_j_samples(kind: AlgebraKind, n: int, bound: int = 1) -> tuple:
-    """Sample (r, u) pairs: r over the degree box, u over admissible vectors."""
+def default_j_samples(kind: AlgebraKind, n: int) -> tuple:
+    """Sample (r, u) pairs: r over the unit degree box, u over admissible vectors."""
     kind = AlgebraKind(kind)
     units = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     samples = []
-    for r in degree_box(n, bound):
+    for r in degree_box(n):
         if kind is AlgebraKind.H:
             samples.append((r, None))
         elif kind is AlgebraKind.W:
@@ -225,7 +135,5 @@ def default_j_samples(kind: AlgebraKind, n: int, bound: int = 1) -> tuple:
 
 def _perp_basis(r: Sequence[int]) -> list:
     """Integer basis of { u : (u|r) = 0 }."""
-    from .exact_linalg import kernel
-
     ker = kernel((tuple(r),))
     return [tuple(row) for row in ker.rows]

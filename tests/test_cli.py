@@ -64,6 +64,18 @@ def test_check_rejects_ignored_alpha_and_rbound(capsys):
     assert cfg.echo()["alpha"] == "0,0,0,0" and cfg.echo()["rbound"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["dims", "--family", "min", "--p", "1", "--rbound", "5", "--alpha", "1/2,0,0,0"],
+    ["dims", "--family", "min", "--p", "1", "--rbound", "2"],
+    ["closure", "--p", "1", "--seed-fiber", "0,0,0,0", "--alpha", "0,0,0,1"],
+    ["homology", "--complex", "derham", "--p", "1", "--rbound", "0"],
+    ["homology", "--complex", "derham", "--p", "1", "--alpha", "1/3,0,0,0"],
+])
+def test_commands_reject_the_flags_they_would_ignore(argv, capsys):
+    assert main(argv + ["--window", "1"]) == 2
+    assert "does not take" in capsys.readouterr().err
+
+
 def test_fundamental_dims_rejects_another_n(capsys):
     with pytest.raises(UsageError, match="always sweeps N = 2, 4, 6"):
         parse_config(["check", "--id", "fundamental-dims", "--N", "8"])
@@ -145,9 +157,10 @@ def test_main_closure_and_dims_and_homology(capsys):
     assert main(["dims", "--family", "min", "--N", "2", "--p", "1",
                  "--beta", "1/2,0", "--window", "1"]) == 0
     capsys.readouterr()
+    # closure is the one command that reads --rbound
     assert main(["closure", "--N", "2", "--p", "1", "--beta", "1/2,0", "--window", "1",
-                 "--seed-fiber", "0,0", "--seed-index", "0"]) == 0
-    capsys.readouterr()
+                 "--seed-fiber", "0,0", "--seed-index", "0", "--rbound", "2"]) == 0
+    assert "rbound=2" in capsys.readouterr().out
     assert main(["homology", "--complex", "fsq", "--N", "2", "--p", "1",
                  "--beta", "1/2,0", "--window", "1"]) == 0
     capsys.readouterr()

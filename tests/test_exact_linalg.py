@@ -12,7 +12,6 @@ from slmod.exact_linalg import (
     intersect,
     kernel,
     matrix,
-    member,
     rank,
     rref,
     subspace_sum,
@@ -62,8 +61,8 @@ def test_intersect_sum_member_examples():
     b = Subspace(3, [e[1], e[2]])
     assert intersect(a, b).basis == ((F(0), F(1), F(0)),)
     assert subspace_sum(Subspace(2, [(1, 0)]), Subspace(2, [(0, 1)])) == Subspace.full(2)
-    assert member(Subspace(2, [(1, 1), (0, 1)]), (1, 0))
-    assert not member(Subspace(3, [(1, 0, 0)]), (0, 1, 0))
+    assert Subspace(2, [(1, 1), (0, 1)]).contains_vector((1, 0))
+    assert not Subspace(3, [(1, 0, 0)]).contains_vector((0, 1, 0))
 
 
 def test_subspace_canonical_contract():
@@ -110,7 +109,7 @@ def test_sum_intersect_dimension_formula(rows_a, rows_b):
 def test_membership_matches_span(rows):
     s = rref(rows)
     for row in rows:
-        assert member(s, row)
+        assert s.contains_vector(row)
 
 
 def test_from_triplets_accumulates():

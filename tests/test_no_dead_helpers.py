@@ -1,10 +1,13 @@
-"""Every function, class and method of the package is used somewhere.
+"""Every function, class, method and import of the package is used by the program.
 
 A definition counts as used when its name appears in code (a name, an
 attribute, an import, or a non-docstring string such as a tracer entry point)
-anywhere in ``src``, ``tests`` or ``perfbench`` other than in its own
-definition.  Comments and docstrings do not count.  Dunder methods are
-called by Python itself and are left out.
+anywhere in ``src`` or ``perfbench`` other than in its own definition.  Names
+that only tests use do not count: code that no check, command or benchmark
+reaches is deleted, and its tests with it.  Comments and docstrings do not
+count.  Dunder methods are called by Python itself and are left out.
+
+A module-level import counts as used when its module names what it binds.
 """
 
 import ast
@@ -14,8 +17,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "slmod"
-SCANNED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+SCANNED = [ROOT / "src", ROOT / "perfbench"]
 WORD = re.compile(r"[A-Za-z_]\w*")
+
+# The one definition kept for the tests alone: ``fiber_action`` builds each
+# fiber map as an exact Fraction matrix, independently of the integer
+# ``EdgeTable``, and the closure, probe and edge-table tests compare against it.
+TEST_REFERENCES = {"fiber_action"}
 
 
 def _docstrings(tree) -> set:
@@ -62,6 +70,17 @@ def _definitions(tree) -> list:
     return out
 
 
+def _imported_names(tree) -> list:
+    """The names that the module-level imports bind, ``__future__`` left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    return out
+
+
 def test_every_package_definition_is_named_elsewhere():
     uses: Counter = Counter()
     for top in SCANNED:
@@ -70,6 +89,15 @@ def test_every_package_definition_is_named_elsewhere():
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         for name in _definitions(ast.parse(path.read_text(), str(path))):
-            if not uses[name]:
+            if not uses[name] and name not in TEST_REFERENCES:
                 dead.append(f"{path.name}: {name}")
-    assert not dead, "defined but never named: " + ", ".join(dead)
+    assert not dead, "defined but never named by src or perfbench: " + ", ".join(dead)
+
+
+def test_every_package_import_is_named_by_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in named]
+    assert not unused, "imported but never named: " + ", ".join(unused)

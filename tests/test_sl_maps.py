@@ -6,7 +6,7 @@ import pytest
 
 import slmod.sl_maps as sl_maps
 from slmod.cli import main
-from slmod.exact_linalg import Subspace, intersect, mat_mul, mat_scale, mat_vec
+from slmod.exact_linalg import Subspace, intersect, mat_mul, mat_vec
 from slmod.exterior_algebra import fundamental_subspace, gl_action_matrix
 from slmod.graded_modules import ActionSpec, Lambda, Window
 from slmod.torus_lie import rank_one_sym
@@ -14,9 +14,10 @@ from slmod.sl_maps import (
     FamilyKind,
     SpecialFiberPolicy,
     T,
+    _map_matrix_scaled,
     build_family,
     f,
-    map_matrix,
+    map_degrees,
     pi,
     quotient_dims,
     symplectic_extend,
@@ -48,28 +49,28 @@ def test_symplectic_extend_validates_for_denser_vectors():
 
 
 def test_map_matrix_examples():
-    k = (1, 0, 0, 0)
-    m = map_matrix(pi(0), k, ZERO)
-    assert m == ((1,), (0,), (0,), (0,))
-    mt = map_matrix(T(1), k, ZERO)
-    assert mt == ((0, 0, 1, 0),)
-    mf = map_matrix(f(1), k, ZERO)
-    assert mat_vec(mf, (0, 0, 1, 0)) == (F(-1), F(0), F(0), F(0))
+    kq = (1, 0, 0, 0)  # q(k + beta) at k = e1, beta = 0
+    assert _map_matrix_scaled(pi(0), 4, kq) == ((1,), (0,), (0,), (0,))
+    assert _map_matrix_scaled(T(1), 4, kq) == ((0, 0, 1, 0),)
+    mf = _map_matrix_scaled(f(1), 4, kq)
+    assert mat_vec(mf, (0, 0, 1, 0)) == (-1, 0, 0, 0)
 
 
 def test_square_map_factors_through_wedge_and_contraction():
-    k = (1, -1, 0, 2)
+    # k = (1, -1, 0, 2), beta = 1/2 e1: q = 2; f is quadratic in k + beta,
+    # pi and T linear, so the q-scaled matrices factor exactly
+    kq = (3, -2, 0, 4)
     for p in range(0, 4):
-        lhs = map_matrix(f(p), k, HALF)
-        rhs = mat_mul(map_matrix(T(p + 1), k, HALF), map_matrix(pi(p), k, HALF))
+        lhs = _map_matrix_scaled(f(p), 4, kq)
+        rhs = mat_mul(_map_matrix_scaled(T(p + 1), 4, kq), _map_matrix_scaled(pi(p), 4, kq))
         assert lhs == rhs
 
 
 def test_map_degree_validation():
     with pytest.raises(ValueError):
-        map_matrix(pi(4), (0, 0, 0, 0), ZERO)
+        map_degrees(pi(4), 4)
     with pytest.raises(ValueError):
-        map_matrix(theta_tilde(1), (0, 0, 0, 0), ZERO)
+        map_degrees(theta_tilde(1), 4)
 
 
 @pytest.mark.parametrize("beta", [ZERO, HALF])
@@ -88,13 +89,36 @@ def test_verify_module_map_detects_sign_flip(monkeypatch):
     def half_flipped(map_id, n, kq):
         rows = original(map_id, n, kq)
         if map_id.name == "T" and map_id.p == 2 and kq[0] > 0:
-            return mat_scale(-1, rows)
+            return tuple(tuple(-x for x in row) for row in rows)
         return rows
 
     win = Window(4, 1)
     spec = ActionSpec.make("H", 4, Lambda(2), HALF)
     monkeypatch.setattr(sl_maps, "_map_matrix_scaled", half_flipped)
     assert verify_module_map(T(2), spec, win).status == "FAIL"
+
+
+# beta = (1/q, 0): at q = 10^9 + 7 the identity's bound fails but f's
+# entries, about q^2, fit in int64; at q = 10^10 + 19 they do not either
+@pytest.mark.parametrize("q", [1000000007, 10000000019])
+def test_module_maps_past_the_int64_bound_run_on_python_ints(q, monkeypatch, capsys):
+    win = Window(2, 1)
+    spec = ActionSpec.make("H", 2, Lambda(1), (F(1, q), 0))
+    assert verify_module_map(f(1), spec, win).status == "PASS"
+    assert main(["check", "--id", "module-maps", "--N", "2", "--beta", f"1/{q},0",
+                 "--window", "1"]) == 0
+    assert "[PASS] module-maps" in capsys.readouterr().out
+    # the Python-int path finds a defect as the int64 path does
+    original = sl_maps._map_matrix_scaled
+
+    def half_flipped(map_id, n, kq):
+        rows = original(map_id, n, kq)
+        if map_id.name == "f" and kq[0] > 0:
+            return tuple(tuple(-x for x in row) for row in rows)
+        return rows
+
+    monkeypatch.setattr(sl_maps, "_map_matrix_scaled", half_flipped)
+    assert verify_module_map(f(1), spec, win).status == "FAIL"
 
 
 def test_non_integral_derivation_is_an_internal_error(monkeypatch):

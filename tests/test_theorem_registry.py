@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import slmod.theorem_registry as theorem_registry
+from slmod.cli import main
 from slmod.graded_modules import ActionSpec, Fund, Lambda, Window, closure
 from slmod.sl_maps import FamilyKind, SpecialFiberPolicy, build_family
 from slmod.theorem_registry import (
@@ -77,6 +78,20 @@ def test_probe_engine_rejects_wrong_targets():
     # the full target has no rows to contain: no vacuous pass
     with pytest.raises(ValueError, match="target rows"):
         engine.run(k0, seed, "contains", engine.full_target())
+
+
+def test_probe_on_an_empty_interior_is_an_error(capsys):
+    # a d=0 window has no interior degree: a probe there would check nothing
+    spec = ActionSpec.make("H", 4, Fund(1), HALF)
+    win = Window(4, 0)
+    engine = probe_engine(spec, win)
+    mn = build_family(FamilyKind.MIN, 1, spec, win)
+    seed = list(mn.fiber((0, 0, 0, 0)).rows[0])
+    for mode, target in (("exact", engine.full_target()), ("contains", engine.min_target(mn))):
+        with pytest.raises(ValueError, match="empty interior"):
+            engine.run((0, 0, 0, 0), seed, mode, target)
+    assert main(["check", "--id", "uniqueness", "--N", "4", "--p", "1", "--window", "0"]) == 2
+    assert "empty interior" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [1, 2])
