@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .complexes import DERHAM, FSQ, FSQ_FUND, TCHAIN, compare_with_prediction, complex_homology
-from .exact_linalg import frac
+from .exact_linalg import format_vector
 from .graded_modules import (
     ActionSpec,
     Fund,
@@ -50,14 +50,6 @@ def parse_rational_vector(text: str) -> tuple:
     if not text:
         return ()
     return tuple(parse_rational(part) for part in text.split(","))
-
-
-def format_rational(x) -> str:
-    return str(frac(x))
-
-
-def format_vector(v) -> str:
-    return ",".join(format_rational(x) for x in v)
 
 
 @dataclass

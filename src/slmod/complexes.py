@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import image, intersect, kernel, mat_mul
+from .exact_linalg import format_vector, image, intersect, kernel, mat_mul
 from .exterior_algebra import ext_dim, fundamental_subspace
-from .graded_modules import ActionSpec, Lambda, Window, beta_str
-from .reports import Recorder, Report
+from .graded_modules import ActionSpec, Lambda, Window
+from .reports import CheckResult, Recorder
 from .sl_maps import (
     FamilyKind,
     _map_matrix_scaled,
@@ -115,7 +115,7 @@ def complex_homology(
         else:
             mat = _map_matrix_scaled(out, n, kq)
             if cid.kind == "fsq" and any(x for row in mat_mul(mat, mat) for x in row):
-                raise ValueError(f"square-zero violated at degree {k}")
+                raise RuntimeError(f"square-zero violated at degree {k}")
             if cid.kind == "fsq_fund":
                 ker_sub = intersect(kernel(mat), fund)
                 ker_dim = ker_sub.dim
@@ -132,7 +132,7 @@ def complex_homology(
                 im_sub = image(mat_in)
             im_dim = im_sub.dim
             if ker_sub is not None and not ker_sub.contains(im_sub):
-                raise ValueError(f"complex property violated at degree {k}")
+                raise RuntimeError(f"complex property violated at degree {k}")
         table[k] = ker_dim - im_dim
     return table
 
@@ -206,13 +206,14 @@ def compare_with_prediction(
     beta,
     window: Window,
     p: int | None = None,
-) -> Report:
+) -> CheckResult:
     """PASS when the computed homology table matches the prediction fiberwise."""
     pos = _position(cid, p)
     spec = ActionSpec.make("H", n, Lambda(0), beta)
     rec = Recorder(
         "homology",
-        {"complex": str(cid), "position": pos, "N": n, "beta": beta_str(spec), "d": window.d},
+        {"complex": str(cid), "position": pos, "N": n, "beta": format_vector(spec.beta),
+         "d": window.d},
     )
     computed = complex_homology(cid, n, beta, window, p=pos)
     predicted = predicted_homology(cid, n, beta, window, p=pos)

@@ -27,6 +27,11 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def format_vector(v) -> str:
+    """Rationals as comma-separated "p/q" literals, as every report prints them."""
+    return ",".join(str(frac(x)) for x in v)
+
+
 # ---------------------------------------------------------------------------
 # vectors
 

@@ -134,14 +134,8 @@ class ExtVector:
         terms = " + ".join(f"{v}*e{list(k)}" for k, v in sorted(self.coeffs.items()))
         return f"ExtVector({terms})"
 
-    def wedge(self, other: "ExtVector") -> "ExtVector":
-        return wedge(self, other)
-
     def apply(self, a) -> "ExtVector":
         return gl_act(a, self)
-
-    def theta(self) -> "ExtVector":
-        return theta(self)
 
 
 def wedge(x: ExtVector, y: ExtVector) -> ExtVector:

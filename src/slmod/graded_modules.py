@@ -28,6 +28,7 @@ from .exact_linalg import (
     _int_row,
     _reduce_row,
     dot,
+    format_vector,
     frac,
     from_triplets,
     mat_vec,
@@ -39,7 +40,7 @@ from .exterior_algebra import (
     sym_action_matrix,
     sym_dim,
 )
-from .reports import Recorder, Report
+from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, degree_box, rank_one, rank_one_sym, require_even
 
 Degree = tuple
@@ -537,21 +538,18 @@ def closure(
     return GradedFamily(spec, window, fibers)
 
 
-def is_invariant(
-    spec: ActionSpec,
-    family: GradedFamily,
-    generators: Iterable[Generator] | None = None,
-) -> Report:
+def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
     """PASS when every in-window fiber map sends each fiber into its target.
 
     Maps whose target degree leaves the window are reported as skipped, never
     as failures; a failing degree counts only those before its failing map.
     """
-    gens = tuple(generators) if generators is not None else default_generators(spec.kind, spec.n)
+    gens = default_generators(spec.kind, spec.n)
     table = edge_table(spec, family.window, gens)
     rec = Recorder(
         "is-invariant",
-        {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber), "beta": beta_str(spec)},
+        {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber),
+         "beta": format_vector(spec.beta)},
     )
     for i, k in enumerate(table.degs):
         sub = family.fiber(k)
@@ -575,7 +573,3 @@ def is_invariant(
             rec.counts["skipped"] += table.skipped[i]
             rec.record(True, degree=k, expected="invariant", actual="invariant")
     return rec.result()
-
-
-def beta_str(spec: ActionSpec) -> str:
-    return ",".join(str(b) for b in spec.beta)

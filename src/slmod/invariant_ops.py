@@ -21,17 +21,14 @@ from .exact_linalg import (
     _int_row,
     _reduce_row,
     dot,
+    format_vector,
     frac,
     mat_sub,
     mat_mul,
     vec,
 )
-from .graded_modules import (
-    ActionSpec,
-    GradedFamily,
-    beta_str,
-)
-from .reports import Recorder, Report
+from .graded_modules import ActionSpec, GradedFamily
+from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, degree_box, rank_one, rank_one_sym, sympl_form
 from .sl_maps import SymplecticFrame
 
@@ -203,7 +200,7 @@ def _t_span_factors(spec: ActionSpec, k) -> list:
     return factors
 
 
-def invariance_report(family: GradedFamily) -> Report:
+def invariance_report(family: GradedFamily) -> CheckResult:
     """PASS when every fiber is preserved by all rank-one invariant operators.
 
     Each operator is an integer combination of elementary rank-one matrices,
@@ -217,7 +214,8 @@ def invariance_report(family: GradedFamily) -> Report:
     spec = family.spec
     rec = Recorder(
         "invariant-operators",
-        {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber), "beta": beta_str(spec)},
+        {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber),
+         "beta": format_vector(spec.beta)},
     )
     pairs, actions = spec.space().rank_one_actions(spec.kind is AlgebraKind.H)
     for k in family.window.degrees():

@@ -59,9 +59,6 @@ class CheckResult:
         }
 
 
-Report = CheckResult
-
-
 class Recorder:
     """Tallies individual assertions and keeps a bounded set of details.
 
@@ -93,7 +90,7 @@ class Recorder:
     def expect(self, expected, actual, degree=None, note: str = "") -> bool:
         return self.record(expected == actual, degree, expected, actual, note)
 
-    def skip(self, degree=None, note: str = ""):
+    def skip(self):
         self.counts["skipped"] += 1
 
     @property

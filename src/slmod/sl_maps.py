@@ -26,6 +26,7 @@ import numpy as np
 from .exact_linalg import (
     Subspace,
     dot,
+    format_vector,
     image,
     kernel,
     rref,
@@ -48,7 +49,7 @@ from .graded_modules import (
     edge_table,
     fiber_space,
 )
-from .reports import Recorder, Report
+from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, require_even, sympl_form
 
 
@@ -224,8 +225,7 @@ def verify_module_map(
     map_id: MapId,
     spec: ActionSpec,
     window: Window,
-    generators=None,
-) -> Report:
+) -> CheckResult:
     """PASS when the map intertwines every in-window fiber action.
 
     Checks map(k+r) o act(k -> k+r) = act'(k -> k+r) o map(k) for all degrees
@@ -240,10 +240,10 @@ def verify_module_map(
         raise ValueError("module-map verification is defined for the Hamiltonian action")
     n = spec.n
     src_p, tgt_p = map_degrees(map_id, n)
-    gens = tuple(generators) if generators is not None else default_generators(spec.kind, n)
+    gens = default_generators(spec.kind, n)
     rec = Recorder(
         "module-map",
-        {"map": str(map_id), "N": n, "beta": ",".join(str(b) for b in spec.beta), "d": window.d},
+        {"map": str(map_id), "N": n, "beta": format_vector(spec.beta), "d": window.d},
     )
     q = spec.q
     table = edge_table(spec, window, gens)

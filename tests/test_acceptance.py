@@ -2,11 +2,16 @@
 
 The full default catalogue is executed once per session and shared; the
 determinism criterion executes it a second time and compares the serialized
-reports byte for byte (the timestamp lives outside the results).
+reports byte for byte (the timestamp lives outside the results).  The same
+results are compared with ``golden_check_all.json``, the sha256 of
+``json.dumps(result.to_dict(), sort_keys=True)`` for every check-all point,
+recorded once from a cold process and only ever read here.
 """
 
+import hashlib
 import json
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -17,10 +22,11 @@ from slmod.graded_modules import ActionSpec, Lambda, Window
 from slmod.invariant_ops import orthogonal_extend, small_algebra
 from slmod.reports import PASS
 from slmod.sl_maps import FamilyKind, build_family
-from slmod.theorem_registry import beta_half, beta_zero, run_all
+from slmod.theorem_registry import CATALOGUE, beta_half, beta_zero, run_all
 
 HALF4 = beta_half(4)
 ZERO4 = beta_zero(4)
+GOLDEN = Path(__file__).resolve().parent / "golden_check_all.json"
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +155,25 @@ def test_criterion_12_determinism(catalogue_results):
             r["status"] == "PASS" for r in payload["results"]
         )
     _report("12 (byte-identical repeated runs)", ok)
+
+
+def _label(check_id, grid):
+    point = " ".join(
+        f"{k}={','.join(map(str, v)) if k == 'beta' else v}" for k, v in sorted(grid.items())
+    )
+    return f"{check_id} {point}".strip()
+
+
+def test_criterion_13_every_check_all_point_matches_its_golden_digest(catalogue_results):
+    golden = json.loads(GOLDEN.read_text())
+    labels = [_label(check_id, grid) for check_id, spec in CATALOGUE.items() for grid in spec.grid]
+    assert len(labels) == len(set(labels)) == len(catalogue_results) == len(golden) == 74
+    changed = [
+        label
+        for label, result in zip(labels, catalogue_results)
+        if hashlib.sha256(json.dumps(result.to_dict(), sort_keys=True).encode()).hexdigest()
+        != golden[label]
+    ]
+    if changed:
+        print("changed digests:", "; ".join(changed))
+    _report("13 (every check-all point matches its golden digest)", not changed)

@@ -177,3 +177,40 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "run_check", fake_run_check)
     assert main(["check", "--id", "contraction-iso", "--N", "4"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("check_id,n,reason", [
+    ("irreducible-min", 4, "empty interior"),
+    ("uniqueness", 4, "empty interior"),
+    ("main-classification", 4, "empty interior"),
+    ("cor-p0", 4, "empty interior"),
+    ("criterion-sym2", 2, "empty interior"),
+    ("classify-W", 3, "empty interior"),
+    ("unique-W", 3, "empty interior"),
+    ("composition", 4, "no generic degree"),
+    ("JH-quotient", 4, "no generic degree"),
+])
+def test_checks_refuse_a_window_without_evidence(check_id, n, reason, capsys):
+    # at beta = 0 the d=0 window is the degenerate degree alone: no interior
+    # degree for a probe and no generic degree for a family comparison
+    assert main(["check", "--id", check_id, "--N", str(n), "--window", "0"]) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("complex_id,violation", [
+    ("fsq", "square-zero violated"),
+    ("derham", "complex property violated"),
+])
+def test_broken_complex_maps_are_internal_errors(complex_id, violation, monkeypatch, capsys):
+    from slmod import complexes
+
+    original = complexes._map_matrix_scaled
+
+    def injection(map_id, n, kq):
+        # same shape as the true map, but f o f != 0 and ker(out) = 0
+        shape = original(map_id, n, kq)
+        return tuple(tuple(int(i == j) for j in range(len(shape[0]))) for i in range(len(shape)))
+
+    monkeypatch.setattr(complexes, "_map_matrix_scaled", injection)
+    assert main(["homology", "--complex", complex_id, "--p", "1", "--window", "1"]) == 3
+    assert f"internal error: {violation}" in capsys.readouterr().err

@@ -8,12 +8,13 @@ from slmod.exact_linalg import (
     _int_matrix,
     _int_row,
     dot,
+    format_vector,
     from_triplets,
     mat_vec,
     zero_matrix,
 )
 from slmod.exterior_algebra import sym_position
-from slmod.graded_modules import ActionSpec, Fund, GradedFamily, Lambda, Sym2, Window, beta_str
+from slmod.graded_modules import ActionSpec, Fund, GradedFamily, Lambda, Sym2, Window
 from slmod.invariant_ops import (
     _t_span_factors,
     invariance_report,
@@ -136,7 +137,8 @@ def _reference_invariance_report(family):
     spec = family.spec
     rec = Recorder(
         "invariant-operators",
-        {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber), "beta": beta_str(spec)},
+        {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber),
+         "beta": format_vector(spec.beta)},
     )
     space = spec.space()
     for k in family.window.degrees():

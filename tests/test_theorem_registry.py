@@ -5,7 +5,7 @@ import pytest
 
 import slmod.theorem_registry as theorem_registry
 from slmod.cli import main
-from slmod.graded_modules import ActionSpec, Fund, Lambda, Window, closure
+from slmod.graded_modules import ActionSpec, Fund, Lambda, Window, closure, edge_table
 from slmod.sl_maps import FamilyKind, SpecialFiberPolicy, build_family
 from slmod.theorem_registry import (
     CATALOGUE,
@@ -142,6 +142,32 @@ def test_non_integral_operator_action_is_an_internal_error(monkeypatch):
                         lambda n, fiber: ScaledSpace(original(n, fiber)))
     with pytest.raises(RuntimeError):
         run_check("invariant-ops", N=2, beta=(0, 0), d=1)
+
+
+def test_probe_engines_are_bounded_like_their_edge_tables():
+    # each engine keeps its EdgeTable alive: an unbounded engine cache would
+    # leave the table cache unbounded in effect
+    assert probe_engine.cache_info().maxsize == edge_table.cache_info().maxsize == 16
+
+
+@pytest.mark.parametrize("check_id,n,beta", [
+    ("irreducible-min", 2, (F(1, 2), 0)),
+    ("uniqueness", 2, (F(1, 2), 0)),
+    ("main-classification", 2, (0, 0)),
+    ("cor-p0", 2, (0, 0)),
+    ("criterion-sym2", 2, (0, 0)),
+    ("classify-W", 3, (F(1, 2), 0, 0)),
+    ("unique-W", 3, (0, 0, 0)),
+])
+def test_failed_probes_fail_the_check_with_at_most_eight_details_a_sweep(
+        check_id, n, beta, monkeypatch):
+    monkeypatch.setattr(ProbeEngine, "run", lambda self, k, v, mode, target: False)
+    result = run_check(check_id, N=n, beta=beta, d=2, samples=12)
+    assert result.status == "FAIL"
+    per_seed = [d for d in result.details if d.status == "FAIL" and d.degree is not None]
+    sweeps = [d for d in result.details if d.status == "FAIL" and d.degree is None]
+    assert per_seed and len(per_seed) <= 8 * len(sweeps)
+    assert result.counts["fail"] == len(per_seed) + len(sweeps)
 
 
 def test_run_check_unknown_id():
