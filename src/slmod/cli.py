@@ -240,6 +240,8 @@ def parse_config(argv) -> RunConfig:
     if ns.command == "check":
         if ns.check_id == "fundamental-dims" and cfg.n != DEFAULT_N:
             raise UsageError("fundamental-dims does not take --N: the check always sweeps N = 2, 4, 6")
+        if cfg.p is not None and not CATALOGUE[ns.check_id].takes_p:
+            raise UsageError(f"{ns.check_id} does not take --p: no point of its grid carries p")
         cfg.check_id = ns.check_id
         cfg.seed = ns.seed
         cfg.samples = ns.samples

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .exact_linalg import Subspace, frac, kernel, matrix
+from .exact_linalg import Subspace, frac, identity, kernel, matrix
 from .torus_lie import bar, require_even
 
 ExtIndex = tuple  # strictly increasing tuple of indices in 1..N
@@ -100,24 +100,6 @@ class ExtVector:
     def to_coords(self) -> tuple:
         return tuple(self.coeffs.get(key, Fraction(0)) for key in ext_basis(self.n, self.degree))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def scale(self, c) -> "ExtVector":
-        c = frac(c)
-        return ExtVector(self.n, self.degree, {k: c * v for k, v in self.coeffs.items()})
-
-    def __add__(self, other: "ExtVector") -> "ExtVector":
-        if (self.n, self.degree) != (other.n, other.degree):
-            raise ValueError("cannot add exterior vectors of different shape")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return ExtVector(self.n, self.degree, out)
-
-    def __sub__(self, other: "ExtVector") -> "ExtVector":
-        return self + other.scale(-1)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExtVector)
@@ -133,9 +115,6 @@ class ExtVector:
             return f"ExtVector({self.n}, {self.degree}, 0)"
         terms = " + ".join(f"{v}*e{list(k)}" for k, v in sorted(self.coeffs.items()))
         return f"ExtVector({terms})"
-
-    def apply(self, a) -> "ExtVector":
-        return gl_act(a, self)
 
 
 def wedge(x: ExtVector, y: ExtVector) -> ExtVector:
@@ -154,28 +133,6 @@ def wedge(x: ExtVector, y: ExtVector) -> ExtVector:
     return ExtVector(x.n, x.degree + y.degree, out)
 
 
-def gl_act(a, x: ExtVector) -> ExtVector:
-    """Derivation action of an N x N matrix across the wedge factors."""
-    a = matrix(a)
-    n = x.n
-    if len(a) != n or (a and len(a[0]) != n):
-        raise ValueError(f"matrix must be {n}x{n}")
-    out: dict = {}
-    for key, val in x.coeffs.items():
-        for slot, idx in enumerate(key):
-            rest = key[:slot] + key[slot + 1 :]
-            slot_sign = -1 if slot % 2 else 1  # moving the new factor back to its slot
-            for row in range(n):
-                c = a[row][idx - 1]
-                if not c:
-                    continue
-                sign, new_key = insert_index(row + 1, rest)
-                if new_key is None:
-                    continue
-                out[new_key] = out.get(new_key, Fraction(0)) + slot_sign * sign * c * val
-    return ExtVector(n, x.degree, out)
-
-
 def interior_product(w, x: ExtVector) -> ExtVector:
     """Contraction v_1 ^ ... ^ v_p -> sum_i (-1)^i (w|v_i) v_1 ^ ..omit i.. ^ v_p."""
     if x.degree < 1:
@@ -190,30 +147,6 @@ def interior_product(w, x: ExtVector) -> ExtVector:
             rest = key[:slot] + key[slot + 1 :]
             out[rest] = out.get(rest, Fraction(0)) + sign * c * val
     return ExtVector(x.n, x.degree - 1, out)
-
-
-def theta(x: ExtVector) -> ExtVector:
-    """Symplectic contraction Lambda^p -> Lambda^{p-2}.
-
-    On v_1 ^ ... ^ v_p it sums (-1)^{i+j-1} (bar v_i | v_j) over i < j with the
-    two paired factors removed.
-    """
-    require_even(x.n)
-    if x.degree < 2:
-        raise ValueError("contraction needs degree at least 2")
-    n = x.n
-    out: dict = {}
-    for key, val in x.coeffs.items():
-        for i in range(len(key)):
-            bi = bar(tuple(1 if t == key[i] - 1 else 0 for t in range(n)))
-            for j in range(i + 1, len(key)):
-                pairing = bi[key[j] - 1]
-                if not pairing:
-                    continue
-                sign = 1 if (i + j) % 2 else -1  # (-1)^{(i+1)+(j+1)-1}
-                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
-                out[rest] = out.get(rest, Fraction(0)) + sign * pairing * val
-    return ExtVector(n, x.degree - 2, out)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +179,26 @@ def gl_action_matrix(n: int, p: int, a) -> tuple:
 
 @lru_cache(maxsize=None)
 def theta_matrix(n: int, p: int) -> tuple:
-    """Matrix of the contraction Lambda^p -> Lambda^{p-2}."""
+    """Integer matrix of the contraction Lambda^p -> Lambda^{p-2}.
+
+    On v_1 ^ ... ^ v_p it sums (-1)^{i+j-1} (bar v_i | v_j) over i < j with the
+    two paired factors removed.
+    """
     require_even(n)
     src = ext_basis(n, p)
     tgt_pos = ext_position(n, p - 2)
+    bars = [bar(u) for u in identity(n)]
     rows = [[0] * len(src) for _ in range(len(tgt_pos))]
     for col, key in enumerate(src):
-        img = theta(ExtVector.monomial(n, key))
-        for k, v in img.coeffs.items():
-            rows[tgt_pos[k]][col] += v
+        for i in range(len(key)):
+            bi = bars[key[i] - 1]
+            for j in range(i + 1, len(key)):
+                pairing = bi[key[j] - 1]
+                if not pairing:
+                    continue
+                sign = 1 if (i + j) % 2 else -1  # (-1)^{(i+1)+(j+1)-1}
+                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
+                rows[tgt_pos[rest]][col] += sign * pairing
     return matrix(rows)
 
 
@@ -321,91 +265,6 @@ def sym_position(n: int) -> dict:
 
 def sym_dim(n: int) -> int:
     return n * (n + 1) // 2
-
-
-class SymVector:
-    """Sparse element of Sym^2 Q^n keyed by unordered index pairs i <= j."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: dict | None = None):
-        self.n = n
-        clean = {}
-        for key, val in (coeffs or {}).items():
-            i, j = key
-            if not 1 <= i <= j <= n:
-                raise ValueError(f"pair {key} must satisfy 1 <= i <= j <= {n}")
-            val = frac(val)
-            if val:
-                clean[(i, j)] = val
-        self.coeffs = clean
-
-    @classmethod
-    def monomial(cls, n: int, key, coeff=1) -> "SymVector":
-        i, j = key
-        if i > j:
-            i, j = j, i
-        return cls(n, {(i, j): coeff})
-
-    def to_coords(self) -> tuple:
-        return tuple(self.coeffs.get(key, Fraction(0)) for key in sym_basis(self.n))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def scale(self, c) -> "SymVector":
-        c = frac(c)
-        return SymVector(self.n, {k: c * v for k, v in self.coeffs.items()})
-
-    def __add__(self, other: "SymVector") -> "SymVector":
-        if self.n != other.n:
-            raise ValueError("cannot add symmetric vectors of different shape")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return SymVector(self.n, out)
-
-    def __sub__(self, other: "SymVector") -> "SymVector":
-        return self + other.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymVector) and self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return f"SymVector({self.n}, 0)"
-        terms = " + ".join(f"{v}*e{i}.e{j}" for (i, j), v in sorted(self.coeffs.items()))
-        return f"SymVector({terms})"
-
-    def apply(self, a) -> "SymVector":
-        return sym2_act(a, self)
-
-
-def sym2_act(a, s: SymVector) -> SymVector:
-    """Derivation action A.(x . y) = (A x) . y + x . (A y) on Sym^2."""
-    a = matrix(a)
-    n = s.n
-    if len(a) != n or (a and len(a[0]) != n):
-        raise ValueError(f"matrix must be {n}x{n}")
-    out: dict = {}
-
-    def bump(i, j, c):
-        if i > j:
-            i, j = j, i
-        out[(i, j)] = out.get((i, j), Fraction(0)) + c
-
-    for (i, j), val in s.coeffs.items():
-        for row in range(1, n + 1):
-            ci = a[row - 1][i - 1]
-            if ci:
-                bump(row, j, ci * val)
-            cj = a[row - 1][j - 1]
-            if cj:
-                bump(i, row, cj * val)
-    return SymVector(n, out)
 
 
 def sym_action_matrix(n: int, a) -> tuple:

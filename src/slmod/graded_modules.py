@@ -84,15 +84,17 @@ class FiberSpace:
 
     Fundamental fibers use the pivot-1 basis of the contraction kernel, so a
     coordinate vector is read off the pivot entries of its ambient image.  The
-    integer action matrix returned by ``action_matrix_int`` is ``scale`` times
-    the exact one; the multiple cancels everywhere an image or kernel is
-    taken.
+    integer action matrices returned by ``action_matrix_int`` and
+    ``rank_one_action`` are ``scale`` times the exact ones, ``scale`` being
+    the lcm of the pivot entries of the primitive kernel rows (1 off Fund);
+    the multiple cancels everywhere an image or kernel is taken.
     """
 
     def __init__(self, n: int, fiber: FiberType):
         self.n = n
         self.fiber = fiber
         self._rank_one: dict = {}
+        self.scale = 1
         if fiber.kind == "scalar":
             self.dim = 1
         elif fiber.kind == "lambda":
@@ -103,6 +105,7 @@ class FiberSpace:
             require_even(n)
             self._fund = fundamental_subspace(n, fiber.p)
             self.dim = self._fund.dim
+            self.scale = lcm(*(row[pc] for row, pc in zip(self._fund.rows, self._fund.pivots)))
         else:
             raise ValueError(f"unknown fiber kind {fiber.kind!r}")
 
@@ -129,7 +132,7 @@ class FiberSpace:
         x bar(x)^T = sum over pairs of x_a x_b P_ab.  Otherwise every (a, b)
         with the action of E_ab = e_a e_b^T, so that x y^T = sum x_a y_b E_ab.
         ``actions[e][i]`` lists the nonzero ``(j, v)`` of row i of the e-th
-        action, scaled by the one ``scale`` of ``action_matrix_int``.  Every
+        action, times ``scale`` as in ``action_matrix_int``.  Every
         P_ab lies in sp, so on Fund(p) the kernel guard runs once per entry.
         """
         table = self._rank_one.get(symplectic)
@@ -155,23 +158,35 @@ class FiberSpace:
             table = self._rank_one[symplectic] = (pairs, tuple(actions))
         return table
 
+    def rank_one_action(self, x, y=None) -> tuple:
+        """``(rows, scale)``: the integer action of x bar(x)^T when ``y`` is
+        None and of x y^T otherwise, summed over ``rank_one_actions``."""
+        pairs, actions = self.rank_one_actions(y is None)
+        if y is None:
+            y = x
+        m = [[0] * self.dim for _ in range(self.dim)]
+        for (a, b), act in zip(pairs, actions):
+            c = x[a] * y[b]
+            if c:
+                for mrow, arow in zip(m, act):
+                    for j, v in arow:
+                        mrow[j] += c * v
+        return tuple(map(tuple, m)), self.scale
+
     def _restricted_action(self, a) -> tuple:
         p = self.fiber.p
         full = gl_action_matrix(self.n, p, a)
         basis = self._fund.rows
         pivots = self._fund.pivots
-        if not basis:
-            return ((),), 1
-        scale = lcm(*(row[pc] for row, pc in zip(basis, pivots)))
         cols = []
         for brow, bpiv in zip(basis, pivots):
             img = mat_vec(full, brow)  # = b_piv * (action of pivot-1 basis vector)
             if not self._fund.contains_vector(img):
                 raise ValueError("matrix action does not preserve the contraction kernel")
             # coords of img/b_piv are its pivot entries / b_piv; scale to ints
-            cols.append([img[pc] * (scale // brow[bpiv]) for pc in pivots])
+            cols.append([img[pc] * (self.scale // brow[bpiv]) for pc in pivots])
         dim = self.dim
-        return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim)), scale
+        return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim)), self.scale
 
     # -- fundamental coordinate conversions --------------------------------
 
@@ -312,8 +327,7 @@ def default_generators(kind: AlgebraKind, n: int, bound: int = 1) -> tuple:
 @lru_cache(maxsize=None)
 def _derivation_int(n: int, fiber: FiberType, gen: Generator) -> tuple:
     """Cached integer derivation matrix (and scale) of the rank-one part."""
-    a = rank_one_sym(gen.r) if gen.u is None else rank_one(gen.r, gen.u)
-    return fiber_space(n, fiber).action_matrix_int(a)
+    return fiber_space(n, fiber).rank_one_action(gen.r, gen.u)
 
 
 def edge_scalar(spec: ActionSpec, gen: Generator, k: Degree) -> Fraction:
@@ -325,10 +339,12 @@ def edge_scalar(spec: ActionSpec, gen: Generator, k: Degree) -> Fraction:
 
 
 def fiber_action(spec: ActionSpec, gen: Generator, k: Degree):
-    """Exact matrix of the fiber map fiber(k) -> fiber(k + r)."""
+    """Exact matrix of the fiber map fiber(k) -> fiber(k + r), from the dense
+    ``action_matrix_int`` of the rank-one matrix rather than the action table."""
     _check_generator(spec, gen)
     c = edge_scalar(spec, gen, k)
-    rows, scale = _derivation_int(spec.n, spec.fiber, gen)
+    a = rank_one_sym(gen.r) if gen.u is None else rank_one(gen.r, gen.u)
+    rows, scale = spec.space().action_matrix_int(a)
     dim = spec.space().dim
     return tuple(
         tuple((c if i == j else 0) + Fraction(rows[i][j], scale) for j in range(dim))

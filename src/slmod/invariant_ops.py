@@ -55,22 +55,6 @@ def invariant_vec(kind, k, beta, params) -> tuple:
     return tuple(cx * b - cy * a for a, b in zip(x, y))
 
 
-def omega_op(kind, k, beta, params) -> tuple:
-    """The rank-one invariant operator.
-
-    H: T bar(T)^T for T = invariant_vec(H, ..., (r, s)), params (r, s).
-    W: T_{r,s} T_{u,v}^T, params ((r, s), (u, v)).
-    """
-    kind = AlgebraKind(kind)
-    if kind is AlgebraKind.H:
-        t = invariant_vec(kind, k, beta, params)
-        return rank_one_sym(t)
-    first, second = params
-    t1 = invariant_vec(kind, k, beta, first)
-    t2 = invariant_vec(kind, k, beta, second)
-    return rank_one(t1, t2)
-
-
 # ---------------------------------------------------------------------------
 # orthogonal frames (Witt case)
 

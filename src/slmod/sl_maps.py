@@ -33,7 +33,6 @@ from .exact_linalg import (
     vec,
 )
 from .exterior_algebra import (
-    ext_dim,
     fundamental_subspace,
     interior_matrix,
     theta_matrix,
@@ -199,22 +198,7 @@ def _map_matrix_scaled(map_id: MapId, n: int, kq: tuple) -> tuple:
     if map_id.name == "theta":
         return theta_matrix(n, p)
     # f(p) = T(p+1) o pi(p) = derivation action of K bar(K)^T
-    return _sym_action(n, p, kq)
-
-
-def _sym_action(n: int, p: int, kq: tuple) -> tuple:
-    """Integer matrix of the derivation action of K bar(K)^T on Lambda^p,
-    K = kq, as sum_{a<=b} K_a K_b P_ab over the rank-one action table."""
-    pairs, actions = fiber_space(n, Lambda(p)).rank_one_actions(True)
-    dim = ext_dim(n, p)
-    m = [[0] * dim for _ in range(dim)]
-    for (a, b), act in zip(pairs, actions):
-        c = kq[a] * kq[b]
-        if c:
-            for mrow, arow in zip(m, act):
-                for j, v in arow:
-                    mrow[j] += c * v
-    return tuple(map(tuple, m))
+    return fiber_space(n, Lambda(p)).rank_one_action(kq)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +316,8 @@ class SpecialFiberPolicy(enum.Enum):
 
 def _family_fiber_lambda(kind: FamilyKind, p: int, n: int, kq: tuple) -> Subspace:
     """One fiber of the family on Lambda^p coordinates, for q(k+beta) != 0."""
-    dim = ext_dim(n, p)
     if kind is FamilyKind.MIN:
-        return image(_sym_action(n, p, kq))
+        return image(fiber_space(n, Lambda(p)).rank_one_action(kq)[0])
     if kind is FamilyKind.FULLW:
         if p < 1:
             raise ValueError("FULLW needs p >= 1")
@@ -344,14 +327,14 @@ def _family_fiber_lambda(kind: FamilyKind, p: int, n: int, kq: tuple) -> Subspac
             raise ValueError(f"INT needs p <= {n - 1}")
         return image(interior_matrix(n, p + 1, bar(kq)))
     if kind is FamilyKind.MAX:
-        return kernel(_sym_action(n, p, kq))
+        return kernel(fiber_space(n, Lambda(p)).rank_one_action(kq)[0])
     raise ValueError(kind)
 
 
 def _theta_rows(n: int, p: int) -> tuple:
     """The nonzero ``(j, v)`` of each row of the contraction Lambda^p -> Lambda^{p-2}."""
     return tuple(
-        tuple((j, int(v)) for j, v in enumerate(row) if v) for row in theta_matrix(n, p)
+        tuple((j, v) for j, v in enumerate(row) if v) for row in theta_matrix(n, p)
     )
 
 
@@ -445,6 +428,6 @@ def quotient_dims(outer: GradedFamily, inner: GradedFamily) -> dict:
         o = outer.fiber(k)
         i = inner.fiber(k)
         if not o.contains(i):
-            raise ValueError(f"containment violated at degree {k}")
+            raise RuntimeError(f"containment violated at degree {k}")
         out[k] = o.dim - i.dim
     return out

@@ -28,15 +28,16 @@ from math import comb
 from .exact_linalg import (
     IntSpan,
     Subspace,
-    _int_matrix,
     _int_row,
     dot,
     format_vector,
     frac,
+    identity,
     intersect,
     kernel,
     mat_mul,
     mat_sub,
+    mat_vec,
     matrix,
     rank,
     subspace_sum,
@@ -45,11 +46,11 @@ from .exact_linalg import (
 )
 from .exterior_algebra import (
     ExtVector,
-    SymVector,
     ext_basis,
     ext_dim,
     fundamental_dim,
     fundamental_subspace,
+    gl_action_matrix,
     interior_product,
     theta_matrix,
     wedge,
@@ -72,7 +73,6 @@ from .invariant_ops import (
     invariance_report,
     invariant_vec,
     lie_closure_holds,
-    omega_op,
     orthogonal_extend,
     small_algebra,
 )
@@ -426,9 +426,13 @@ def _check_l3_span(params) -> CheckResult:
             ]
         )
         for p in range(1, min(n, 3) + 1):
-            x = ExtVector.monomial(n, tuple(range(1, p + 1)))
-            lhs = x.apply(mixed).apply(a) + x.apply(a).apply(mixed)
-            rec.record(lhs.is_zero(), expected="zero", actual="zero" if lhs.is_zero() else "nonzero",
+            # x = e_1 ^ ... ^ e_p, the first monomial: its images are column 0
+            act_m = gl_action_matrix(n, p, mixed)
+            act_a = gl_action_matrix(n, p, a)
+            lhs = [x + y for x, y in zip(mat_vec(act_a, [row[0] for row in act_m]),
+                                         mat_vec(act_m, [row[0] for row in act_a]))]
+            zero = not any(lhs)
+            rec.record(zero, expected="zero", actual="zero" if zero else "nonzero",
                        note=f"symmetrized vanishing p={p}")
     return rec.result()
 
@@ -438,18 +442,19 @@ def _check_j_membership(params) -> CheckResult:
     rec = Recorder("j-membership", {"N": n})
     samples = {kind: default_j_samples(kind, n) for kind in "HWS"}
     for p in range(0, n + 1):
+        space = fiber_space(n, Lambda(p))
+        monomials = identity(space.dim)
         for kind in "HWS" if p <= n - 1 else "HW":
-            ok = all(
-                j_membership(kind, ExtVector.monomial(n, key), samples[kind])
-                for key in ext_basis(n, p)
-            )
+            ok = j_membership(kind, space, monomials, samples[kind])
             rec.record(ok, expected="holds", actual="holds" if ok else "fails",
                        note=f"{kind} on Lambda^{p}")
     # the symmetric square is the smallest non-exceptional module: witnesses
-    witness = SymVector.monomial(2, (2, 2))
+    # e_2 . e_2, the last monomial of Sym^2 Q^2
+    sym2 = fiber_space(2, Sym2())
+    witness = [(0, 0, 1)]
     for kind in "HWS":
         rec.record(
-            not j_membership(kind, witness, default_j_samples(kind, 2)),
+            not j_membership(kind, sym2, witness, default_j_samples(kind, 2)),
             expected="fails",
             actual="checked",
             note=f"{kind} witness on Sym^2 Q^2",
@@ -953,13 +958,15 @@ def _check_invariant_ops(params) -> CheckResult:
         kq = spec0.scaled_shift(k)
         r = tuple(rng.randint(-1, 1) for _ in range(n))
         s = tuple(rng.randint(-1, 1) for _ in range(n))
-        om, _ = _int_matrix(omega_op("H", k, beta, (r, s)))
+        # q T for T = (bar(k+beta)|r) s - (bar(k+beta)|s) r; the operator is T bar(T)^T
+        cr, cs = dot(bar(kq), r), dot(bar(kq), s)
+        t = tuple(cr * b - cs * a for a, b in zip(r, s))
         ok = True
         for mid in (pi(1), T(2), theta_tilde(2), f(1)):
             src_p, tgt_p = map_degrees(mid, n)
             phi = _map_matrix_scaled(mid, n, kq)
-            om_src, sc1 = fiber_space(n, Lambda(src_p)).action_matrix_int(om)
-            om_tgt, sc2 = fiber_space(n, Lambda(tgt_p)).action_matrix_int(om)
+            om_src, sc1 = fiber_space(n, Lambda(src_p)).rank_one_action(t)
+            om_tgt, sc2 = fiber_space(n, Lambda(tgt_p)).rank_one_action(t)
             if sc1 != 1 or sc2 != 1:
                 raise RuntimeError("exterior-power action of an invariant operator is not integral")
             if mat_sub(mat_mul(phi, om_src), mat_mul(om_tgt, phi)) != zero_matrix(
@@ -1039,6 +1046,11 @@ class CheckSpec:
     runner: object
     grid: tuple  # default parameter dictionaries for check-all
     odd_n: bool = False  # runs at odd N too (Witt and divergence-free actions only)
+
+    @property
+    def takes_p(self) -> bool:
+        """Whether the check reads p: some grid point carries it."""
+        return any("p" in grid for grid in self.grid)
 
 
 def _grid_h(n_list=(4,), p=False, d_default=2):
@@ -1155,8 +1167,8 @@ def run_check(check_id: str, **params) -> CheckResult:
         merged["beta"] = beta_zero(merged["N"])
     merged["beta"] = tuple(frac(b) for b in merged["beta"])
     if merged.get("p") is None:
-        # a check whose grid points carry p takes --p, and runs at p = 1 without it
-        merged["p"] = 1 if any("p" in grid for grid in spec.grid) else None
+        # a check that takes p runs at p = 1 without it
+        merged["p"] = 1 if spec.takes_p else None
     return spec.runner(merged)
 
 

@@ -12,7 +12,7 @@ import enum
 from itertools import product
 from typing import Sequence
 
-from .exact_linalg import IntSpan, dot, kernel
+from .exact_linalg import IntSpan, dot, kernel, mat_vec
 
 Degree = tuple  # tuple[int, ...]
 
@@ -76,43 +76,33 @@ def rank_one_span_dim(n: int) -> int:
 # the J-subspace membership predicates
 
 
-def _apply_twice(v, a):
-    return v.apply(a).apply(a)
+def j_membership(kind: AlgebraKind, space, vectors, samples) -> bool:
+    """Whether the defining square identity of the kind holds for every vector.
 
+    ``vectors`` are coordinate vectors of the fiber space ``space``, whose
+    ``rank_one_action`` gives A, ``scale`` times the action of the rank-one
+    matrix.  Samples are (r, u) pairs; for kind H only r is used, and S
+    samples must satisfy (u|r) = 0.  Each identity reads A(Av) = c scale Av:
 
-def j_membership(kind: AlgebraKind, v, samples) -> bool:
-    """Whether the defining square identity of the kind holds for v.
-
-    ``v`` is any fiber element exposing ``apply(matrix)`` and ``scale`` (an
-    exterior or symmetric-square vector).  Samples are (r, u) pairs; for kind
-    H only r is used, and S samples must satisfy (u|r) = 0.
-
-    H: (r bar(r)^T)^2 v = 0.
-    W: (r u^T)^2 v = (u|r) (r u^T) v.
+    H: (r bar(r)^T)^2 v = 0, so c = 0.
+    W: (r u^T)^2 v = (u|r) (r u^T) v, so c = (u|r).
     S: (r u^T)^2 v = 0, for (u|r) = 0.
     """
     kind = AlgebraKind(kind)
-    for sample in samples:
-        r, u = sample if isinstance(sample, tuple) and len(sample) == 2 else (sample, None)
+    for r, u in samples:
         if kind is AlgebraKind.H:
-            a = rank_one_sym(r)
-            if not _apply_twice(v, a).is_zero():
-                return False
+            c = 0
+        elif u is None:
+            raise ValueError(f"kind {kind} samples need (r, u) pairs")
         else:
-            if u is None:
-                raise ValueError(f"kind {kind} samples need (r, u) pairs")
-            pairing = dot(u, r)
-            a = rank_one(r, u)
-            if kind is AlgebraKind.S:
-                if pairing != 0:
-                    raise ValueError("divergence-free samples require (u|r) = 0")
-                if not _apply_twice(v, a).is_zero():
-                    return False
-            else:
-                lhs = _apply_twice(v, a)
-                rhs = v.apply(a).scale(pairing)
-                if lhs != rhs:
-                    return False
+            c = dot(u, r)
+            if kind is AlgebraKind.S and c != 0:
+                raise ValueError("divergence-free samples require (u|r) = 0")
+        rows, scale = space.rank_one_action(r, None if kind is AlgebraKind.H else u)
+        for v in vectors:
+            av = mat_vec(rows, v)
+            if mat_vec(rows, av) != tuple(c * scale * x for x in av):
+                return False
     return True
 
 

@@ -12,6 +12,7 @@ from slmod.cli import (
     parse_config,
     parse_rational_vector,
 )
+from slmod.graded_modules import GradedFamily
 from slmod.reports import PASS, CheckResult, Detail
 
 
@@ -95,6 +96,28 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_check", broken)
     assert main(["check", "--id", "contraction-iso", "--N", "4"]) == 3
     assert "internal error: square-zero violated" in capsys.readouterr().err
+
+
+def test_check_rejects_p_when_its_grid_carries_none(capsys):
+    assert main(["check", "--id", "contraction-iso", "--N", "4", "--p", "3"]) == 2
+    assert "contraction-iso does not take --p" in capsys.readouterr().err
+    assert main(["check", "--id", "composition", "--N", "2", "--p", "1", "--window", "1"]) == 0
+
+
+def test_containment_violation_exits_three(monkeypatch, capsys):
+    from slmod import theorem_registry
+
+    original = theorem_registry.build_family
+
+    def broken(kind, p, spec, window, **kwargs):
+        # an empty maximal family contains neither the Witt nor the intermediate one
+        if kind is theorem_registry.FamilyKind.MAX:
+            return GradedFamily(spec, window)
+        return original(kind, p, spec, window, **kwargs)
+
+    monkeypatch.setattr(theorem_registry, "build_family", broken)
+    assert main(["check", "--id", "JH-quotient", "--N", "2"]) == 3
+    assert "internal error: containment violated" in capsys.readouterr().err
 
 
 def test_round_trip_through_the_echo():

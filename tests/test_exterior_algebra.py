@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction as F
 from math import comb
 
 import pytest
@@ -9,17 +8,13 @@ from hypothesis import strategies as st
 from slmod.exact_linalg import Subspace, from_triplets, identity, mat_mul, mat_sub, mat_vec, rank
 from slmod.exterior_algebra import (
     ExtVector,
-    SymVector,
     ext_basis,
     fundamental_dim,
     fundamental_subspace,
-    gl_act,
     gl_action_matrix,
     interior_matrix,
     interior_product,
-    sym2_act,
     sym_action_matrix,
-    theta,
     theta_matrix,
     wedge,
     wedge_matrix,
@@ -34,7 +29,7 @@ def mono(n, *idx):
 def test_wedge_examples():
     assert wedge(mono(4, 1), mono(4, 2)) == mono(4, 1, 2)
     assert wedge(mono(4, 2), mono(4, 1)) == ExtVector.monomial(4, (1, 2), -1)
-    assert wedge(mono(4, 1) + mono(4, 2), mono(4, 2)) == mono(4, 1, 2)
+    assert wedge(ExtVector.from_vector(4, (1, 1, 0, 0)), mono(4, 2)) == mono(4, 1, 2)
 
 
 def test_wedge_degree_overflow():
@@ -42,28 +37,33 @@ def test_wedge_degree_overflow():
         wedge(mono(2, 1, 2), mono(2, 1))
 
 
-def test_gl_act_examples():
-    e12 = from_triplets(4, 4, [(0, 1, 1)])
-    assert gl_act(e12, mono(4, 2, 3)) == mono(4, 1, 3)
-    e11 = from_triplets(4, 4, [(0, 0, 1)])
-    assert gl_act(e11, mono(4, 1, 2)) == mono(4, 1, 2)
+def test_gl_action_matrix_columns():
+    # Lambda^2 Q^4 in the order 12, 13, 14, 23, 24, 34
+    e12 = from_triplets(4, 4, [(0, 1, 1)])  # e2 -> e1
+    assert gl_action_matrix(4, 2, e12) == from_triplets(6, 6, [(1, 3, 1), (2, 4, 1)])
+    e31 = from_triplets(4, 4, [(2, 0, 1)])  # e1 -> e3: e1^e2 -> e3^e2 = -e2^e3
+    assert gl_action_matrix(4, 2, e31) == from_triplets(6, 6, [(3, 0, -1), (5, 2, 1)])
+    # Lambda^3 Q^4 in the order 123, 124, 134, 234: e1^e2^e4 -> -e2^e3^e4
+    assert gl_action_matrix(4, 3, e31) == from_triplets(4, 4, [(3, 1, -1)])
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
 def test_identity_acts_by_degree(p):
-    x = ExtVector(4, p, {key: F(i + 1) for i, key in enumerate(ext_basis(4, p))})
-    assert gl_act(identity(4), x) == x.scale(p)
+    dim = len(ext_basis(4, p))
+    assert gl_action_matrix(4, p, identity(4)) == tuple(
+        tuple(p if i == j else 0 for j in range(dim)) for i in range(dim))
 
 
-def test_theta_examples():
-    assert theta(mono(4, 1, 2)).is_zero()
-    assert theta(mono(4, 1, 3)) == ExtVector(4, 0, {(): -1})
-    assert theta(mono(4, 1, 2, 3)) == mono(4, 2)
+def test_theta_matrix_columns():
+    # e1^e3 -> -1, e2^e4 -> -1, e1^e2 -> 0
+    assert theta_matrix(4, 2) == ((0, -1, 0, 0, -1, 0),)
+    # e1^e2^e3 -> e2, e1^e2^e4 -> -e1, e1^e3^e4 -> e4, e2^e3^e4 -> -e3
+    assert theta_matrix(4, 3) == ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
 
 
 def test_theta_needs_degree_two():
     with pytest.raises(ValueError):
-        theta(mono(4, 1))
+        theta_matrix(4, 1)
 
 
 def test_fundamental_subspace_examples():
@@ -122,12 +122,13 @@ coeffs = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
 @settings(max_examples=40, deadline=None)
 @given(coeffs, coeffs, coeffs)
 def test_wedge_bilinear_and_alternating(a, b, c):
-    x = ExtVector.from_vector(4, a)
-    y = ExtVector.from_vector(4, b)
-    z = ExtVector.from_vector(4, c)
-    assert wedge(x + y, z) == wedge(x, z) + wedge(y, z)
-    assert wedge(x, y) == wedge(y, x).scale(-1)
-    assert wedge(x, x).is_zero()
+    def w(u, v):
+        return wedge(ExtVector.from_vector(4, u), ExtVector.from_vector(4, v)).to_coords()
+
+    ab = [x + y for x, y in zip(a, b)]
+    assert w(ab, c) == tuple(x + y for x, y in zip(w(a, c), w(b, c)))
+    assert w(a, b) == tuple(-x for x in w(b, a))
+    assert not any(w(a, a))
 
 
 def test_matrix_builders_match_vector_operations():
@@ -145,22 +146,24 @@ def test_matrix_builders_match_vector_operations():
             assert tuple(mat_vec(im, x.to_coords())) == interior_product(v, x).to_coords()
 
 
-def test_sym2_examples():
-    e12 = from_triplets(2, 2, [(0, 1, 1)])
-    s = SymVector.monomial(2, (2, 2))
-    assert sym2_act(e12, s) == SymVector.monomial(2, (1, 2), 2)
-    assert sym2_act(identity(2), s) == s.scale(2)
-    twice = sym2_act(e12, sym2_act(e12, s))
-    assert twice == SymVector.monomial(2, (1, 1), 2)
+def test_sym_action_matrix_columns():
+    # Sym^2 Q^2 in the order e1.e1, e1.e2, e2.e2
+    e12 = from_triplets(2, 2, [(0, 1, 1)])  # e2 -> e1: e2.e2 -> 2 e1.e2
+    assert sym_action_matrix(2, e12) == ((0, 1, 0), (0, 0, 2), (0, 0, 0))
+    e21 = from_triplets(2, 2, [(1, 0, 1)])  # e1 -> e2: e1.e1 -> 2 e1.e2
+    assert sym_action_matrix(2, e21) == ((0, 0, 0), (2, 0, 0), (0, 1, 0))
+    assert sym_action_matrix(2, identity(2)) == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    # e1 -> -e1 only: e1.e2 -> -e1.e2 on Sym^2 Q^3 (order 11 12 13 22 23 33)
+    neg = from_triplets(3, 3, [(0, 0, -1)])
+    assert sym_action_matrix(3, neg) == from_triplets(6, 6, [(0, 0, -2), (1, 1, -1), (2, 2, -1)])
 
 
-def test_sym_action_matrix_matches_vector_action():
+def test_sym_action_matrix_respects_brackets():
     rng = random.Random(7)
     for n in (2, 3):
-        a = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
-        m = sym_action_matrix(n, a)
-        from slmod.exterior_algebra import sym_basis
-
-        for key in sym_basis(n):
-            v = SymVector.monomial(n, key)
-            assert tuple(mat_vec(m, v.to_coords())) == sym2_act(a, v).to_coords()
+        for _ in range(4):
+            a = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+            b = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+            comm = mat_sub(mat_mul(a, b), mat_mul(b, a))
+            sa, sb = sym_action_matrix(n, a), sym_action_matrix(n, b)
+            assert sym_action_matrix(n, comm) == mat_sub(mat_mul(sa, sb), mat_mul(sb, sa))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from slmod.graded_modules import (
     is_invariant,
 )
 from slmod.sl_maps import FamilyKind, build_family
-from slmod.torus_lie import sympl_form
+from slmod.torus_lie import rank_one, rank_one_sym, sympl_form
 
 HALF = (F(1, 2), 0, 0, 0)
 
@@ -207,3 +208,30 @@ def test_spec_validation():
         ActionSpec.make("H", 4, Fund(3), (0, 0, 0, 0))
     with pytest.raises(ValueError):
         ActionSpec.make("H", 4, Lambda(1), (0, 0))
+
+
+RANK_ONE_CASES = (
+    [(n, Lambda(p)) for n in (2, 4, 6) for p in range(n + 1)]
+    + [(n, Fund(p)) for n in (2, 4, 6) for p in range(1, n // 2 + 1)]
+    + [(n, fiber) for n in (2, 4) for fiber in (Sym2(), ScalarFiber())]
+)
+
+
+@pytest.mark.parametrize("form", ["x-bar-x", "x-y"])
+@pytest.mark.parametrize("n,fiber", RANK_ONE_CASES, ids=[f"N{n}-{f}" for n, f in RANK_ONE_CASES])
+def test_rank_one_action_is_the_dense_action(n, fiber, form):
+    """The rank-one table sum equals ``action_matrix_int`` of the same
+    rank-one matrix, rows and scale: x bar(x)^T, and x y^T off Fund(p >= 2)."""
+    space = fiber_space(n, fiber)
+    rng = random.Random(f"rank-one-{n}-{fiber}-{form}")
+    for _ in range(4):
+        x = tuple(rng.randint(-3, 3) for _ in range(n))
+        y = tuple(rng.randint(-3, 3) for _ in range(n))
+        if form == "x-bar-x":
+            assert space.rank_one_action(x) == space.action_matrix_int(rank_one_sym(x)), x
+        elif fiber.kind == "fund" and fiber.p >= 2:
+            # E_ab leaves sp, and with it the contraction kernel
+            with pytest.raises(ValueError):
+                space.rank_one_action(x, y)
+        else:
+            assert space.rank_one_action(x, y) == space.action_matrix_int(rank_one(x, y)), (x, y)

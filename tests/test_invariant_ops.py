@@ -9,9 +9,7 @@ from slmod.exact_linalg import (
     _int_row,
     dot,
     format_vector,
-    from_triplets,
     mat_vec,
-    zero_matrix,
 )
 from slmod.exterior_algebra import sym_position
 from slmod.graded_modules import ActionSpec, Fund, GradedFamily, Lambda, Sym2, Window
@@ -20,7 +18,6 @@ from slmod.invariant_ops import (
     invariance_report,
     invariant_vec,
     lie_closure_holds,
-    omega_op,
     orthogonal_extend,
     small_algebra,
 )
@@ -43,15 +40,6 @@ def test_invariant_vec_pairs_to_zero():
         for s in degree_box(4, 1)[:20]:
             t = invariant_vec("H", K1, ZERO, (r, s))
             assert sympl_form((1, 0, 0, 0), t) == 0
-
-
-def test_omega_op_examples():
-    assert omega_op("H", K1, ZERO, ((0, 0, 1, 0), (0, 1, 0, 0))) == from_triplets(
-        4, 4, [(1, 3, -1)]
-    )
-    assert omega_op("H", K1, ZERO, ((1, 0, 0, 0), (0, 1, 0, 0))) == zero_matrix(4, 4)
-    zero_pair = ((ZERO, ZERO), (ZERO, ZERO))
-    assert omega_op("W", K1, ZERO, zero_pair) == zero_matrix(4, 4)
 
 
 def test_small_symplectic_algebra():

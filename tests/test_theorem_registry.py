@@ -134,8 +134,8 @@ def test_non_integral_operator_action_is_an_internal_error(monkeypatch):
         def __init__(self, space):
             self.space = space
 
-        def action_matrix_int(self, a):
-            return self.space.action_matrix_int(a)[0], 2
+        def rank_one_action(self, x, y=None):
+            return self.space.rank_one_action(x, y)[0], 2
 
     original = theorem_registry.fiber_space
     monkeypatch.setattr(theorem_registry, "fiber_space",

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from slmod.exact_linalg import from_triplets, matrix
-from slmod.exterior_algebra import ExtVector, SymVector, ext_basis
+from slmod.exact_linalg import from_triplets, identity, mat_mul, matrix
+from slmod.exterior_algebra import gl_action_matrix
+from slmod.graded_modules import Lambda, Sym2, fiber_space
 from slmod.torus_lie import (
     bar,
     default_j_samples,
@@ -69,21 +70,27 @@ def test_symmetrized_product_kills_exterior_vectors():
             [[u[i] * bar(v)[j] + v[i] * bar(u)[j] for j in range(n)] for i in range(n)]
         )
         for p in (1, 2, 3):
-            for key in ext_basis(n, p):
-                x = ExtVector.monomial(n, key)
-                lhs = x.apply(mixed).apply(a) + x.apply(a).apply(mixed)
-                assert lhs.is_zero()
+            act_m, act_a = gl_action_matrix(n, p, mixed), gl_action_matrix(n, p, a)
+            lhs = [[x + y for x, y in zip(r1, r2)]
+                   for r1, r2 in zip(mat_mul(act_a, act_m), mat_mul(act_m, act_a))]
+            assert not any(map(any, lhs))
 
 
 def test_j_membership_examples():
-    assert j_membership("H", ExtVector.monomial(4, (1, 3)), default_j_samples("H", 4))
-    assert not j_membership("H", SymVector.monomial(2, (2, 2)), [((1, 0), None)])
-    assert j_membership("W", ExtVector.monomial(4, (1,)), [((1, 0, 0, 0), (1, 0, 0, 0))])
+    lam = fiber_space(4, Lambda(2))
+    e13 = [1 if key == 1 else 0 for key in range(lam.dim)]  # e1^e3
+    assert j_membership("H", lam, [e13], default_j_samples("H", 4))
+    # e2.e2 on Sym^2 Q^2: (e1 bar(e1)^T)^2 sends it to 2 e1.e1
+    assert not j_membership("H", fiber_space(2, Sym2()), [(0, 0, 1)], [((1, 0), None)])
+    lam1 = fiber_space(4, Lambda(1))
+    assert j_membership("W", lam1, identity(4), [((1, 0, 0, 0), (1, 0, 0, 0))])
+    # (e1 e2^T)^2 sends e2.e2 to 2 e1.e1, while (u|r) = 0
+    assert not j_membership("W", fiber_space(2, Sym2()), [(0, 0, 1)], [((1, 0), (0, 1))])
 
 
 def test_j_membership_rejects_divergent_samples():
     with pytest.raises(ValueError):
-        j_membership("S", ExtVector.monomial(2, (1,)), [((1, 0), (1, 0))])
+        j_membership("S", fiber_space(2, Lambda(1)), identity(2), [((1, 0), (1, 0))])
 
 
 def test_degree_box_counts():
