@@ -242,6 +242,9 @@ def parse_config(argv) -> RunConfig:
             raise UsageError("fundamental-dims does not take --N: the check always sweeps N = 2, 4, 6")
         if cfg.p is not None and not CATALOGUE[ns.check_id].takes_p:
             raise UsageError(f"{ns.check_id} does not take --p: no point of its grid carries p")
+        for flag in ("seed", "samples"):
+            if getattr(ns, flag) is not None and flag not in CATALOGUE[ns.check_id].reads:
+                raise UsageError(f"{ns.check_id} does not take --{flag}: the check never reads it")
         cfg.check_id = ns.check_id
         cfg.seed = ns.seed
         cfg.samples = ns.samples

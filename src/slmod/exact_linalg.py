@@ -288,6 +288,28 @@ class Subspace:
             out.append(tuple(Fraction(x, piv) for x in row))
         return tuple(out)
 
+    def annihilator(self) -> list:
+        """Integer rows spanning { v : row . v = 0 for every stored row }.
+
+        One row per free column, read off the canonical rows: v[free] = L and
+        v[p] = -row[free] * L / row[p] at each pivot p, L the lcm of the
+        pivots of the rows that meet column ``free``.  The zero space gives
+        the identity and the full space no rows.
+        """
+        pivot_set = set(self.pivots)
+        out = []
+        for free in range(self.ambient_dim):
+            if free in pivot_set:
+                continue
+            hits = [(row, p) for row, p in zip(self.rows, self.pivots) if row[free]]
+            big = lcm(*(row[p] for row, p in hits))
+            v = [0] * self.ambient_dim
+            v[free] = big
+            for row, p in hits:
+                v[p] = -row[free] * (big // row[p])
+            out.append(v)
+        return out
+
     def contains_vector(self, vector: Sequence[Rational]) -> bool:
         if len(vector) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
@@ -334,26 +356,12 @@ def rank(m) -> int:
 
 
 def kernel(m) -> Subspace:
-    """Canonical null space { v : m v = 0 }."""
+    """Canonical null space { v : m v = 0 }: the annihilator of m's row space."""
     m = matrix(m)
     if not m:
         raise ValueError("kernel of an empty matrix has no ambient dimension")
     ncols = len(m[0])
-    rows, pivots = _echelon([_int_row(r) for r in m])
-    pivot_set = set(pivots)
-    gens = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        # v[free] = L and v[p] = -row[free] * L / row[p], L the lcm of those pivots
-        hits = [(row, p) for row, p in zip(rows, pivots) if row[free]]
-        big = lcm(*(row[p] for row, p in hits))
-        v = [0] * ncols
-        v[free] = big
-        for row, p in hits:
-            v[p] = -row[free] * (big // row[p])
-        gens.append(v)
-    return Subspace._from_int_rows(ncols, gens)
+    return Subspace._from_int_rows(ncols, Subspace(ncols, m).annihilator())
 
 
 def image(m, s: Subspace | None = None) -> Subspace:

@@ -22,11 +22,12 @@ from itertools import product
 from math import lcm
 from typing import Iterable
 
+import numpy as np
+
 from .exact_linalg import (
     IntSpan,
     Subspace,
     _int_row,
-    _reduce_row,
     dot,
     format_vector,
     frac,
@@ -557,6 +558,13 @@ def closure(
 def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
     """PASS when every in-window fiber map sends each fiber into its target.
 
+    The image of the fiber rows R_i under a map lies in the fiber at j exactly
+    when the fiber's integer annihilator A_j kills it:
+    A_j (cq * scale * R_i + R_i (q D)^T)^T = 0.  The test runs over all the
+    in-window edges of one generator at once, in int64 when the a-priori
+    bound on every entry and partial sum of that product stays below 2^62,
+    and in Python ints otherwise, so no wrapped integer decides a verdict.
+
     Maps whose target degree leaves the window are reported as skipped, never
     as failures; a failing degree counts only those before its failing map.
     """
@@ -567,25 +575,79 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
         {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber),
          "beta": format_vector(spec.beta)},
     )
-    for i, k in enumerate(table.degs):
-        sub = family.fiber(k)
-        if not sub.dim:
-            continue
+    dim = table.dim
+    degs = table.degs
+    src = [i for i, k in enumerate(degs) if family.fiber(k).dim]
+    # the nonzero fibers' rows and the annihilators of the fibers that are not
+    # full, each padded with zero rows to one block shape
+    anns, slot = [], {}  # slot: degree index -> its annihilator block
+    for j, k in enumerate(degs):
+        ann = family.fiber(k).annihilator()
+        if ann:
+            slot[j] = len(anns)
+            anns.append(ann)
+    r_blocks, max_r = _blocks([family.fiber(degs[i]).rows for i in src], dim)
+    a_blocks, max_a = _blocks(anns, dim)
+    # each generator's edges into fibers that are not full, four ints an edge
+    # in one flat list: source block, annihilator block, cq and the position
+    # in the source degree's out-edges
+    by_gen = [[] for _ in gens]
+    for s, i in enumerate(src):
         for pos, (gi, j, cq) in enumerate(table.out_edges[i]):
-            tgt = family.fiber(table.degs[j])
-            images = table.apply(gi, cq, sub.rows)
-            if any(any(_reduce_row(img, tgt.rows, tgt.pivots)) for img in images):
-                # out_edges is in generator order: gi - pos maps left the window before gi
-                rec.counts["skipped"] += gi - pos
-                rec.record(
-                    False,
-                    degree=k,
-                    expected="image inside fiber",
-                    actual="escapes",
-                    note=f"generator {gens[gi].label()} -> degree {list(table.degs[j])}",
-                )
-                break
-        else:
+            a = slot.get(j)
+            if a is not None:
+                by_gen[gi] += (s, a, cq, pos)
+    first = {}  # source block -> (gi, pos) of its first escaping map
+    for gi, edges in enumerate(by_gen):
+        if not edges:
+            continue
+        scale = table.scale[gi]
+        cqs = [c * scale for c in edges[2::4]]
+        qd = [[0] * dim for _ in range(dim)]
+        for qrow, dr in zip(qd, table.qdrows[gi]):
+            for j, v in dr:
+                qrow[j] = v
+        max_c = max(map(abs, cqs))
+        max_qd = max(abs(v) for qrow in qd for v in qrow)
+        fits = (r_blocks.dtype == a_blocks.dtype == np.int64
+                and dim * max_a * (max_c * max_r + dim * max_qd * max_r) < 2**62)
+        dtype = np.int64 if fits else object
+        r = r_blocks[np.array(edges[0::4], dtype=np.intp)].astype(dtype, copy=False)
+        c = np.array(cqs, dtype=dtype)[:, None, None]
+        imgs = c * r + r @ np.array(qd, dtype=dtype).T
+        a = a_blocks[np.array(edges[1::4], dtype=np.intp)].astype(dtype, copy=False)
+        bad = np.flatnonzero(np.any(a @ imgs.transpose(0, 2, 1), axis=(1, 2)))
+        for e in bad.tolist():
+            first.setdefault(edges[4 * e], (gi, edges[4 * e + 3]))
+        by_gen[gi] = None  # free each edge list once tested, for peak memory
+    for s, i in enumerate(src):
+        k = degs[i]
+        hit = first.get(s)
+        if hit is None:
             rec.counts["skipped"] += table.skipped[i]
             rec.record(True, degree=k, expected="invariant", actual="invariant")
+            continue
+        gi, pos = hit
+        j = table.out_edges[i][pos][1]
+        # out_edges is in generator order: gi - pos maps left the window before gi
+        rec.counts["skipped"] += gi - pos
+        rec.record(
+            False,
+            degree=k,
+            expected="image inside fiber",
+            actual="escapes",
+            note=f"generator {gens[gi].label()} -> degree {list(degs[j])}",
+        )
     return rec.result()
+
+
+def _blocks(row_sets: list, dim: int) -> tuple:
+    """Row sets stacked into one array, each padded with zero rows, and the
+    largest entry size; in int64 when every entry fits, else in Python ints."""
+    top = max((abs(x) for rows in row_sets for row in rows for x in row), default=0)
+    height = max(map(len, row_sets), default=0)
+    out = np.zeros((len(row_sets), height, dim), dtype=np.int64 if top < 2**62 else object)
+    for block, rows in zip(out, row_sets):
+        if rows:
+            block[: len(rows)] = rows
+    return out, top

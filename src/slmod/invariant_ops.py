@@ -13,46 +13,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from operator import mul
 
 from .exact_linalg import (
     IntSpan,
     _int_row,
-    _reduce_row,
     dot,
     format_vector,
-    frac,
     mat_sub,
     mat_mul,
     vec,
 )
 from .graded_modules import ActionSpec, GradedFamily
 from .reports import CheckResult, Recorder
-from .torus_lie import AlgebraKind, bar, degree_box, rank_one, rank_one_sym, sympl_form
+from .torus_lie import AlgebraKind, bar, degree_box, rank_one, rank_one_sym
 from .sl_maps import SymplecticFrame
 
 
-def invariant_vec(kind, k, beta, params) -> tuple:
-    """The invariant-operator vector at degree k.
+def t_vectors(spec: ActionSpec, k, params):
+    """q T for the invariant-operator vector T at degree k, for each (r, s)
+    of ``params``, in integers from kq = ``spec.scaled_shift(k)`` = q(k + beta).
 
-    H: (bar(k+beta)|r) s - (bar(k+beta)|s) r for params (r, s).
-    W: (k+beta|u) v - (k+beta|v) u for params (u, v).
+    H: T = (bar(k+beta)|r) s - (bar(k+beta)|s) r.
+    W: T = (k+beta|r) s - (k+beta|s) r.
     """
-    kind = AlgebraKind(kind)
-    shift = tuple(frac(a) + frac(b) for a, b in zip(k, beta))
-    x, y = params
-    x = vec(x)
-    y = vec(y)
-    if kind is AlgebraKind.H:
-        cx = sympl_form(shift, x)
-        cy = sympl_form(shift, y)
-    elif kind is AlgebraKind.W:
-        cx = dot(shift, x)
-        cy = dot(shift, y)
+    kq = spec.scaled_shift(k)
+    if spec.kind is AlgebraKind.H:
+        pair = bar(kq)
+    elif spec.kind is AlgebraKind.W:
+        pair = kq
     else:
         raise ValueError("invariant vectors are defined for the H and W actions")
-    return tuple(cx * b - cy * a for a, b in zip(x, y))
+    for r, s in params:
+        cr = sum(map(mul, pair, r))
+        cs = sum(map(mul, pair, s))
+        yield [cr * b - cs * a for a, b in zip(r, s)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,28 +146,14 @@ def _t_span_factors(spec: ActionSpec, k) -> list:
     """
     n = spec.n
     box = degree_box(n)
-    # q * T-vectors from the integer kq = q(k + beta); dividing by
-    # gcd(q, content) leaves T with its denominators cleared, as _int_row does
-    kq = spec.scaled_shift(k)
-    if spec.kind is AlgebraKind.H:
-        pair = bar(kq)
-    elif spec.kind is AlgebraKind.W:
-        pair = kq
-    else:
-        raise ValueError("invariant vectors are defined for the H and W actions")
     span = IntSpan(n)
     basis = []
-    for r in box:
-        cr = sum(a * b for a, b in zip(pair, r))
-        for s in box:
-            cs = sum(a * b for a, b in zip(pair, s))
-            t = [cr * b - cs * a for a, b in zip(r, s)]
-            g = gcd(spec.q, *t)
-            ti = [x // g for x in t]
-            if any(ti) and span.add(ti):
-                basis.append(ti)
-            if span.dim == n - 1:
-                break
+    for t in t_vectors(spec, k, product(box, box)):
+        # q T over gcd(q, content) is T with its denominators cleared, as _int_row does
+        g = gcd(spec.q, *t)
+        ti = [x // g for x in t]
+        if any(ti) and span.add(ti):
+            basis.append(ti)
         if span.dim == n - 1:
             break
     if spec.kind is AlgebraKind.W:
@@ -190,10 +173,12 @@ def invariance_report(family: GradedFamily) -> CheckResult:
     Each operator is an integer combination of elementary rank-one matrices,
     x bar(x)^T = sum_{a<=b} x_a x_b P_ab (H) and x y^T = sum x_a y_b E_ab (W),
     whose actions the fiber space builds once.  At each degree every fiber row
-    is sent through those once, and each operator's image is the matching
-    combination.  For the H action, x bar(x)^T for every vector x pairing to
-    zero against k + beta (those of a symplectic frame, say) lies in the span
-    of the checked operators, so it is covered too.
+    is sent through those once and paired with each row of the fiber's
+    annihilator; an operator's image leaves the fiber exactly when the
+    matching combination of those pairings is nonzero.  For the H action,
+    x bar(x)^T for every vector x pairing to zero against k + beta (those of a
+    symplectic frame, say) lies in the span of the checked operators, so it
+    is covered too.
     """
     spec = family.spec
     rec = Recorder(
@@ -207,18 +192,15 @@ def invariance_report(family: GradedFamily) -> CheckResult:
         if not sub.dim:
             continue
         coeffs = [[x[a] * y[b] for a, b in pairs] for x, y in _t_span_factors(spec, k)]
+        ann = sub.annihilator()
         ok = True
         for row in sub.rows:
-            # images[i][e]: entry i of the e-th elementary action applied to row
-            images = list(zip(*(
-                [sum([v * row[j] for j, v in ar]) for ar in act] for act in actions
-            )))
-            for c in coeffs:
-                img = [sum(map(mul, c, entry)) for entry in images]
-                if any(_reduce_row(img, sub.rows, sub.pivots)):
-                    ok = False
-                    break
-            if not ok:
+            # the e-th elementary action applied to row
+            images = [[sum([v * row[j] for j, v in ar]) for ar in act] for act in actions]
+            # pairings[a][e]: annihilator row a against the e-th image
+            pairings = [[sum(map(mul, a, img)) for img in images] for a in ann]
+            if any(sum(map(mul, c, pa)) for c in coeffs for pa in pairings):
+                ok = False
                 break
         rec.record(ok, degree=k, expected="fiber preserved", actual="preserved" if ok else "escapes")
     return rec.result()

@@ -258,8 +258,8 @@ def verify_module_map(
         max_d = max(int(np.abs(d_src).max(initial=0)), int(np.abs(d_tgt).max(initial=0)))
         inner = max(src_space.dim, tgt_space.dim)
         dtype = np.int64 if max_c * 2 * max_phi + q * inner * max_phi * max_d < 2**62 else object
-        a = phi[np.array(tgts)].astype(dtype, copy=False)
-        b = phi[np.array(srcs)].astype(dtype, copy=False)
+        a = phi[np.array(tgts, dtype=np.intp)].astype(dtype, copy=False)
+        b = phi[np.array(srcs, dtype=np.intp)].astype(dtype, copy=False)
         c = np.array(cs, dtype=dtype)[:, None, None]
         d_src = d_src.astype(dtype, copy=False)
         d_tgt = d_tgt.astype(dtype, copy=False)

@@ -23,7 +23,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import comb
+from operator import mul
 
 from .exact_linalg import (
     IntSpan,
@@ -71,10 +73,10 @@ from .graded_modules import (
 )
 from .invariant_ops import (
     invariance_report,
-    invariant_vec,
     lie_closure_holds,
     orthogonal_extend,
     small_algebra,
+    t_vectors,
 )
 from .reports import PASS, CheckResult, Recorder
 from .sl_maps import (
@@ -817,8 +819,9 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     full_rows = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     bad_out = 0
     for gi, j, cq in table.out_edges[i0]:
-        tgt_min = mn.fiber(table.degs[j])
-        if not all(tgt_min.contains_vector(img) for img in table.apply(gi, cq, full_rows)):
+        ann = mn.fiber(table.degs[j]).annihilator()
+        images = table.apply(gi, cq, full_rows)
+        if any(sum(map(mul, a, img)) for a in ann for img in images):
             bad_out += 1
     rec.record(bad_out == 0, expected="degenerate fiber maps into the minimal family",
                actual=f"{bad_out} escapes", note="glue freedom, outgoing")
@@ -922,21 +925,18 @@ def _check_invariant_ops(params) -> CheckResult:
     units = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     for _ in range(4):
         k = _draw(rng, degs)
-        shift = tuple(frac(a) + b for a, b in zip(k, beta))
+        kq = spec0.scaled_shift(k)
         span = IntSpan(n)
         ok_pair = True
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                t = invariant_vec("H", k, beta, (units[i], units[j]))
-                if sympl_form(shift, t) != 0:
-                    ok_pair = False
-                if any(x != 0 for x in t):
-                    span.add(_int_row(t))
+        for t in t_vectors(spec0, k, permutations(units, 2)):
+            # q T pairs to zero against q (k + beta) exactly when T does
+            if sympl_form(kq, t) != 0:
+                ok_pair = False
+            if any(t):
+                span.add(t)
         rec.expect(n - 1, span.dim, degree=k, note="invariant vectors span the annihilator")
         rec.record(ok_pair, degree=k, expected="pair to zero", actual="ok" if ok_pair else "bad")
-        frame = symplectic_extend(shift)
+        frame = symplectic_extend(tuple(frac(a) + b for a, b in zip(k, beta)))
         alg = small_algebra("H", frame)
         rec.expect((half - 1) * (2 * half - 1), alg.span_dim, degree=k,
                    note="small symplectic algebra dimension")
@@ -958,9 +958,8 @@ def _check_invariant_ops(params) -> CheckResult:
         kq = spec0.scaled_shift(k)
         r = tuple(rng.randint(-1, 1) for _ in range(n))
         s = tuple(rng.randint(-1, 1) for _ in range(n))
-        # q T for T = (bar(k+beta)|r) s - (bar(k+beta)|s) r; the operator is T bar(T)^T
-        cr, cs = dot(bar(kq), r), dot(bar(kq), s)
-        t = tuple(cr * b - cs * a for a, b in zip(r, s))
+        # the operator is T bar(T)^T, here for q T
+        t = next(t_vectors(spec0, k, [(r, s)]))
         ok = True
         for mid in (pi(1), T(2), theta_tilde(2), f(1)):
             src_p, tgt_p = map_degrees(mid, n)
@@ -1046,6 +1045,7 @@ class CheckSpec:
     runner: object
     grid: tuple  # default parameter dictionaries for check-all
     odd_n: bool = False  # runs at odd N too (Witt and divergence-free actions only)
+    reads: tuple = ()  # which of "seed" and "samples" the check reads
 
     @property
     def takes_p(self) -> bool:
@@ -1076,7 +1076,7 @@ CATALOGUE: dict = {
     ),
     "L3-span": CheckSpec(
         "rank-one symplectic matrices over the degree box span the symplectic algebra",
-        _check_l3_span, ({"N": 2}, {"N": 4}, {"N": 6}),
+        _check_l3_span, ({"N": 2}, {"N": 4}, {"N": 6}), reads=("seed",),
     ),
     "j-membership": CheckSpec(
         "square identities hold on exterior powers and fail on the symmetric square",
@@ -1089,6 +1089,7 @@ CATALOGUE: dict = {
     "inclusion-chain": CheckSpec(
         "family inclusions and generic fiber dimensions, cross-checked by the oracle",
         _check_inclusion_chain, _grid_h((4,)) + (({"N": 6, "beta": beta_half(6), "d": 1}),),
+        reads=("seed",),
     ),
     "fiber-equalities": CheckSpec(
         "restricted families coincide fiberwise where predicted",
@@ -1109,26 +1110,31 @@ CATALOGUE: dict = {
     "uniqueness": CheckSpec(
         "random-seed closures always contain the minimal family",
         _check_uniqueness, _grid_h((4,), p=True) + _grid_h((2,), p=True),
+        reads=("seed", "samples"),
     ),
     "main-classification": CheckSpec(
         "closures land on the predicted family lattice; degenerate fiber glue is free",
         _check_main_classification, _grid_h((4,), p=True) + _grid_h((2,), p=True),
+        reads=("seed", "samples"),
     ),
     "cor-p0": CheckSpec(
         "the scalar-fiber module splits exactly at integral beta",
-        _check_cor_p0, _grid_h((4,)) + _grid_h((2,)),
+        _check_cor_p0, _grid_h((4,)) + _grid_h((2,)), reads=("seed",),
     ),
     "criterion-sym2": CheckSpec(
         "symmetric-square closures over the Hamiltonian action reach full fibers",
         _check_criterion_sym2, tuple({"N": 2, "beta": b, "d": 3} for b in _half_grid(2)),
+        reads=("seed", "samples"),
     ),
     "TW": CheckSpec(
         "symmetric-square closures over the Witt action reach full fibers",
         _check_tw, tuple({"N": 2, "beta": b, "d": 3} for b in _half_grid(2)), odd_n=True,
+        reads=("seed", "samples"),
     ),
     "TS": CheckSpec(
         "symmetric-square closures over the divergence-free action reach full fibers",
         _check_ts, tuple({"N": 2, "beta": b, "d": 3} for b in _half_grid(2)), odd_n=True,
+        reads=("seed", "samples"),
     ),
     "homology": CheckSpec(
         "per-fiber homology of all complexes matches the family predictions",
@@ -1136,20 +1142,20 @@ CATALOGUE: dict = {
     ),
     "invariant-ops": CheckSpec(
         "invariant operators span, preserve fibers, and commute with the maps",
-        _check_invariant_ops, _grid_h((4,)) + _grid_h((2,)),
+        _check_invariant_ops, _grid_h((4,)) + _grid_h((2,)), reads=("seed",),
     ),
     "classify-W": CheckSpec(
         "Witt-module families have the predicted dimensions and exhaust the closures",
         _check_classify_w,
         tuple({"N": n, "beta": b, "d": 2} for n in (3, 4) for b in _half_grid(n)),
-        odd_n=True,
+        odd_n=True, reads=("seed", "samples"),
     ),
     "unique-W": CheckSpec(
         "random-seed closures over the Witt action contain the Witt family",
         _check_unique_w,
         tuple({"N": n, "p": p, "beta": b, "d": 2}
               for n in (3, 4) for p in (1, n - 1) for b in _half_grid(n)),
-        odd_n=True,
+        odd_n=True, reads=("seed", "samples"),
     ),
 }
 

@@ -104,6 +104,21 @@ def test_check_rejects_p_when_its_grid_carries_none(capsys):
     assert main(["check", "--id", "composition", "--N", "2", "--p", "1", "--window", "1"]) == 0
 
 
+def test_check_rejects_seed_and_samples_it_never_reads(capsys):
+    assert main(["check", "--id", "contraction-iso", "--N", "4", "--seed", "7"]) == 2
+    assert "contraction-iso does not take --seed" in capsys.readouterr().err
+    assert main(["check", "--id", "cor-p0", "--N", "2", "--samples", "5", "--window", "1"]) == 2
+    assert "cor-p0 does not take --samples" in capsys.readouterr().err
+    with pytest.raises(UsageError, match="irreducible-min does not take --seed"):
+        parse_config(["check", "--id", "irreducible-min", "--N", "2", "--seed", "7"])
+    assert main(["check", "--id", "cor-p0", "--N", "2", "--seed", "7", "--window", "1"]) == 0
+    capsys.readouterr()
+    assert main(["check", "--id", "criterion-sym2", "--N", "2", "--seed", "7", "--samples", "3",
+                 "--window", "1", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["config"]["seed"], doc["config"]["samples"]) == (7, 3)
+
+
 def test_containment_violation_exits_three(monkeypatch, capsys):
     from slmod import theorem_registry
 

@@ -148,3 +148,20 @@ def test_exact_core_agrees_with_sympy(sympy, rows):
     columns = _span(nrows, sm.columnspace())
     assert image(m) == columns
     assert image(m, Subspace.full(ncols)) == columns
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_matrices(5, 5, integers), small_matrices(5, 5)))
+def test_annihilator_agrees_with_sympy(sympy, rows):
+    s = rref(rows)
+    ann = s.annihilator()
+    assert all(type(x) is int for row in ann for x in row)
+    assert len(ann) == s.ambient_dim - s.dim
+    stored = sympy.Matrix(list(s.rows) or [[0] * s.ambient_dim])
+    assert Subspace(s.ambient_dim, ann) == _span(s.ambient_dim, stored.nullspace())
+
+
+def test_annihilator_of_the_zero_and_the_full_space():
+    assert Subspace.zero(3).annihilator() == [list(r) for r in identity(3)]
+    assert Subspace.full(3).annihilator() == []
+    assert Subspace(3, [(2, 0, 1)]).annihilator() == [[0, 1, 0], [-1, 0, 2]]

@@ -5,7 +5,9 @@ matrices; a ``Fraction`` entry anywhere in them means a round trip through
 rational arithmetic that the integer elimination then has to undo.
 """
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 from slmod.exterior_algebra import theta_matrix
 from slmod.graded_modules import ActionSpec, Fund, Lambda, ScalarFiber, Sym2, Window, fiber_space
@@ -38,3 +40,104 @@ def test_every_core_matrix_entry_is_an_int():
         for kind in FamilyKind:
             family = build_family(kind, 2, spec, Window(n, 1), restrict_to_fundamental=restrict)
             assert family.fibers and all(_ints(s.rows) for s in family.fibers.values()), (fiber, kind)
+
+
+# ---------------------------------------------------------------------------
+# exactness lint: no float array enters the exact sweeps
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slmod"
+# numpy constructors, and the position of their dtype argument
+CONSTRUCTORS = {"array": 1, "asarray": 1, "zeros": 1, "empty": 1, "ones": 1, "full": 2}
+
+
+def _exact_dtype(node, assigned: dict, depth: int = 0) -> bool:
+    """np.int64, np.intp or object, directly, through a conditional, or
+    through a local name every assignment of which is one of these."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "np" \
+            and node.attr in ("int64", "intp")
+    if isinstance(node, ast.IfExp):
+        return all(_exact_dtype(branch, assigned, depth) for branch in (node.body, node.orelse))
+    if isinstance(node, ast.Name):
+        if node.id == "object":
+            return True
+        values = assigned.get(node.id, [])
+        return bool(values) and depth < 4 and all(
+            _exact_dtype(v, assigned, depth + 1) for v in values)
+    return False
+
+
+def _dtype_arg(call: ast.Call):
+    """The dtype argument of a numpy constructor or ``astype`` call, or None
+    when the call is neither; ``False`` when the dtype is missing."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr == "astype":
+        position = 0
+    elif isinstance(func.value, ast.Name) and func.value.id == "np" and func.attr in CONSTRUCTORS:
+        position = CONSTRUCTORS[func.attr]
+    else:
+        return None
+    for kw in call.keywords:
+        if kw.arg == "dtype":
+            return kw.value
+    return call.args[position] if len(call.args) > position else False
+
+
+def _array_calls(tree):
+    """(call, dtype argument, local assignments) for every array-making call,
+    the assignments being those of the enclosing function."""
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    seen = set()
+    for scope in reversed(scopes):  # innermost functions first
+        assigned: dict = {}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(node.value)
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and id(node) not in seen:
+                dtype = _dtype_arg(node)
+                if dtype is not None:
+                    seen.add(id(node))
+                    yield node, dtype, assigned
+
+
+def _lint(source: str) -> list:
+    return [f"line {call.lineno}: {ast.unparse(call)}"
+            for call, dtype, assigned in _array_calls(ast.parse(source))
+            if dtype is False or not _exact_dtype(dtype, assigned)]
+
+
+def test_every_array_in_the_package_has_an_exact_dtype():
+    found = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        assert _lint(source) == [], path.name
+        found += sum(1 for _ in _array_calls(ast.parse(source)))
+    assert found >= 10
+
+
+def test_the_exactness_lint_flags_float_and_missing_dtypes():
+    bad = """
+import numpy as np
+def f(rows, big):
+    a = np.array(rows)
+    b = np.zeros((2, 2), dtype=float)
+    c = a.astype(np.float64)
+    dtype = np.int64 if big else np.float64
+    d = np.empty(3, dtype)
+    e = b.astype(dtype, copy=False)
+"""
+    assert len(_lint(bad)) == 5
+    good = """
+import numpy as np
+def f(rows, big):
+    dtype = np.int64 if big else object
+    a = np.array(rows, dtype=np.intp)
+    b = np.zeros((2, 2), dtype=dtype)
+    c = a.astype(object)
+"""
+    assert _lint(good) == []

@@ -16,10 +16,10 @@ from slmod.graded_modules import ActionSpec, Fund, GradedFamily, Lambda, Sym2, W
 from slmod.invariant_ops import (
     _t_span_factors,
     invariance_report,
-    invariant_vec,
     lie_closure_holds,
     orthogonal_extend,
     small_algebra,
+    t_vectors,
 )
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family, symplectic_extend
@@ -29,17 +29,38 @@ K1 = (1, 0, 0, 0)
 ZERO = (0, 0, 0, 0)
 
 
-def test_invariant_vec_examples():
-    assert invariant_vec("H", K1, ZERO, ((0, 0, 1, 0), (0, 1, 0, 0))) == (0, -1, 0, 0)
-    assert invariant_vec("H", K1, ZERO, ((1, 0, 0, 0), (0, 1, 0, 0))) == (0, 0, 0, 0)
-    assert invariant_vec("W", K1, ZERO, ((1, 0, 0, 0), (0, 1, 0, 0))) == (0, 1, 0, 0)
+def _fraction_t(kind, k, beta, r, s):
+    """T = (bar(k+beta)|r) s - (bar(k+beta)|s) r (H), resp. with the dot
+    pairing (W), in Fractions."""
+    shift = tuple(F(a) + b for a, b in zip(k, beta))
+    pair = (lambda x: sympl_form(shift, x)) if kind == "H" else (lambda x: dot(shift, x))
+    cr, cs = pair(r), pair(s)
+    return tuple(cr * b - cs * a for a, b in zip(r, s))
 
 
-def test_invariant_vec_pairs_to_zero():
-    for r in degree_box(4, 1)[:20]:
-        for s in degree_box(4, 1)[:20]:
-            t = invariant_vec("H", K1, ZERO, (r, s))
-            assert sympl_form((1, 0, 0, 0), t) == 0
+def test_t_vectors_examples():
+    h = ActionSpec.make("H", 4, Lambda(1), ZERO)
+    w = ActionSpec.make("W", 4, Lambda(1), ZERO)
+    assert list(t_vectors(h, K1, [((0, 0, 1, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 1, 0, 0))])) \
+        == [[0, -1, 0, 0], [0, 0, 0, 0]]
+    assert list(t_vectors(w, K1, [((1, 0, 0, 0), (0, 1, 0, 0))])) == [[0, 1, 0, 0]]
+    with pytest.raises(ValueError):
+        next(t_vectors(ActionSpec.make("S", 4, Lambda(1), ZERO), K1, [(K1, K1)]))
+
+
+@pytest.mark.parametrize("kind,beta", [("H", ZERO), ("H", (F(1, 2), F(1, 3), 0, 0)),
+                                       ("W", (F(1, 3), F(1, 2), 0, 0))])
+def test_t_vectors_are_q_times_the_fraction_t_vectors(kind, beta):
+    spec = ActionSpec.make(kind, 4, Lambda(1), beta)
+    box = degree_box(4, 1)[:20]
+    params = [(r, s) for r in box for s in box]
+    for k in [K1, (1, -1, 0, 1), (-2, 1, 1, 0)]:
+        kq = spec.scaled_shift(k)
+        for (r, s), t in zip(params, t_vectors(spec, k, params), strict=True):
+            assert all(type(x) is int for x in t)
+            assert t == [spec.q * x for x in _fraction_t(kind, k, beta, r, s)]
+            if kind == "H":
+                assert sympl_form(kq, t) == 0
 
 
 def test_small_symplectic_algebra():
@@ -97,7 +118,7 @@ def test_t_span_ops_use_the_fraction_t_vectors(kind, beta):
         span, basis = IntSpan(4), []
         for r in box:
             for s in box:
-                t = _int_row(invariant_vec(kind, k, beta, (r, s)))
+                t = _int_row(_fraction_t(kind, k, beta, r, s))
                 if any(t) and span.add(t):
                     basis.append(t)
                 if span.dim == 3:

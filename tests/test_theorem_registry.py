@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction as F
 
@@ -202,3 +204,33 @@ def test_quick_checks_pass():
     assert run_check("L3-span", N=4).status == "PASS"
     assert run_check("cor-p0", N=2, beta=(0, 0), d=2).status == "PASS"
     assert run_check("criterion-sym2", N=2, beta=(F(1, 2), 0), d=3).status == "PASS"
+
+
+def _reachable_functions(name: str, functions: dict) -> list:
+    """The module-level function ``name`` and every one it names, transitively."""
+    seen, todo = [], [name]
+    while todo:
+        node = functions[todo.pop()]
+        seen.append(node)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id in functions \
+                    and functions[sub.id] not in seen and sub.id not in todo:
+                todo.append(sub.id)
+    return seen
+
+
+def test_checks_declare_the_seed_and_samples_they_read():
+    """A check reads the seed when it draws from ``_rng`` and the sample count
+    when it looks up "samples"; ``CheckSpec.reads`` says exactly that, so the
+    CLI refuses the flags of the others."""
+    tree = ast.parse(inspect.getsource(theorem_registry))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for check_id, spec in CATALOGUE.items():
+        nodes = [sub for fn in _reachable_functions(spec.runner.__name__, functions)
+                 for sub in ast.walk(fn)]
+        reads = set()
+        if any(isinstance(n, ast.Name) and n.id == "_rng" for n in nodes):
+            reads.add("seed")
+        if any(isinstance(n, ast.Constant) and n.value == "samples" for n in nodes):
+            reads.add("samples")
+        assert set(spec.reads) == reads, check_id
