@@ -10,8 +10,7 @@ entries, positive leading entry) and elimination is fraction-free: each row
 update is a cross-multiplication followed by a gcd reduction, with pivots
 normalized at the end.  Rational input has its denominators cleared once, by
 ``_int_matrix``; from there ``kernel``, ``image`` and ``intersect`` stay in
-integers up to the canonical ``Subspace``.  The exposed ``Subspace.basis``
-rescales rows so that every pivot is 1.
+integers up to the canonical ``Subspace``.
 """
 
 from __future__ import annotations
@@ -240,7 +239,7 @@ class Subspace:
     """A subspace of Q^n in canonical reduced-row-echelon form.
 
     The stored rows are primitive integer vectors, proportional to the unique
-    pivot-1 reduced echelon basis.  ``basis`` exposes the pivot-1 form.
+    pivot-1 reduced echelon basis.
     """
 
     __slots__ = ("ambient_dim", "rows", "pivots")
@@ -278,15 +277,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def basis(self) -> tuple:
-        """Basis matrix in reduced row echelon form with pivot entries 1."""
-        out = []
-        for row, p in zip(self.rows, self.pivots):
-            piv = row[p]
-            out.append(tuple(Fraction(x, piv) for x in row))
-        return tuple(out)
 
     def annihilator(self) -> list:
         """Integer rows spanning { v : row . v = 0 for every stored row }.

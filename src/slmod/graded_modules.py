@@ -429,7 +429,9 @@ class EdgeTable:
     images.  ``out_edges[i]`` lists ``(gi, j, cq)`` for the maps leaving
     degree ``degs[i]`` for ``degs[j]`` inside the window, cq = q * c, in
     generator order; ``skipped[i]`` counts the maps that leave the window.
-    The derivation rows ``scale * D`` are kept sparse and times q.
+    The derivation rows ``scale * D`` are kept times q, sparse in ``qdrows``
+    for ``apply`` and as one dense block per generator in ``qd`` for
+    ``fiber_escapes``.
     """
 
     def __init__(self, spec: ActionSpec, window: Window, gens: tuple):
@@ -443,12 +445,15 @@ class EdgeTable:
         self.dim = spec.space().dim
         self.scale = []
         self.qdrows = []
+        dense = []
         for g in gens:
             drows, scale = _derivation_int(spec.n, spec.fiber, g)
             self.scale.append(scale)
             self.qdrows.append(
                 tuple(tuple((j, q * v) for j, v in enumerate(row) if v) for row in drows)
             )
+            dense.append([[q * v for v in row] for row in drows])
+        self.qd = int_blocks(dense, self.dim)
 
     def apply(self, gi: int, cq: int, rows) -> list:
         """Nonzero images of integer rows under q * scale * (c * Id + D)."""
@@ -558,15 +563,13 @@ def closure(
 def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
     """PASS when every in-window fiber map sends each fiber into its target.
 
-    The image of the fiber rows R_i under a map lies in the fiber at j exactly
-    when the fiber's integer annihilator A_j kills it:
-    A_j (cq * scale * R_i + R_i (q D)^T)^T = 0.  The test runs over all the
-    in-window edges of one generator at once, in int64 when the a-priori
-    bound on every entry and partial sum of that product stays below 2^62,
-    and in Python ints otherwise, so no wrapped integer decides a verdict.
+    Every in-window edge of one generator into a fiber that is not full is
+    one item of ``fiber_escapes``: the source fiber's rows, the target
+    fiber's annihilator, cq * scale and the generator's q * D.
 
     Maps whose target degree leaves the window are reported as skipped, never
-    as failures; a failing degree counts only those before its failing map.
+    as failures, at every degree whatever its verdict; a failing degree names
+    its first escaping generator.
     """
     gens = default_generators(spec.kind, spec.n)
     table = edge_table(spec, family.window, gens)
@@ -575,7 +578,6 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
         {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber),
          "beta": format_vector(spec.beta)},
     )
-    dim = table.dim
     degs = table.degs
     src = [i for i, k in enumerate(degs) if family.fiber(k).dim]
     # the nonzero fibers' rows and the annihilators of the fibers that are not
@@ -586,68 +588,81 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
         if ann:
             slot[j] = len(anns)
             anns.append(ann)
-    r_blocks, max_r = _blocks([family.fiber(degs[i]).rows for i in src], dim)
-    a_blocks, max_a = _blocks(anns, dim)
-    # each generator's edges into fibers that are not full, four ints an edge
-    # in one flat list: source block, annihilator block, cq and the position
-    # in the source degree's out-edges
+    r_blocks = int_blocks([family.fiber(degs[i]).rows for i in src], table.dim)
+    a_blocks = int_blocks(anns, table.dim)
+    # each generator's edges into fibers that are not full, three ints an edge
+    # in one flat list: source block, annihilator block and cq
     by_gen = [[] for _ in gens]
     for s, i in enumerate(src):
-        for pos, (gi, j, cq) in enumerate(table.out_edges[i]):
+        for gi, j, cq in table.out_edges[i]:
             a = slot.get(j)
             if a is not None:
-                by_gen[gi] += (s, a, cq, pos)
-    first = {}  # source block -> (gi, pos) of its first escaping map
+                by_gen[gi] += (s, a, cq)
+    first = {}  # source block -> its first escaping generator
     for gi, edges in enumerate(by_gen):
         if not edges:
             continue
         scale = table.scale[gi]
-        cqs = [c * scale for c in edges[2::4]]
-        qd = [[0] * dim for _ in range(dim)]
-        for qrow, dr in zip(qd, table.qdrows[gi]):
-            for j, v in dr:
-                qrow[j] = v
-        max_c = max(map(abs, cqs))
-        max_qd = max(abs(v) for qrow in qd for v in qrow)
-        fits = (r_blocks.dtype == a_blocks.dtype == np.int64
-                and dim * max_a * (max_c * max_r + dim * max_qd * max_r) < 2**62)
-        dtype = np.int64 if fits else object
-        r = r_blocks[np.array(edges[0::4], dtype=np.intp)].astype(dtype, copy=False)
-        c = np.array(cqs, dtype=dtype)[:, None, None]
-        imgs = c * r + r @ np.array(qd, dtype=dtype).T
-        a = a_blocks[np.array(edges[1::4], dtype=np.intp)].astype(dtype, copy=False)
-        bad = np.flatnonzero(np.any(a @ imgs.transpose(0, 2, 1), axis=(1, 2)))
-        for e in bad.tolist():
-            first.setdefault(edges[4 * e], (gi, edges[4 * e + 3]))
+        bad = fiber_escapes(r_blocks[np.array(edges[0::3], dtype=np.intp)],
+                            a_blocks[np.array(edges[1::3], dtype=np.intp)],
+                            [c * scale for c in edges[2::3]], table.qd[gi])
+        for e in np.flatnonzero(bad).tolist():
+            first.setdefault(edges[3 * e], gi)
         by_gen[gi] = None  # free each edge list once tested, for peak memory
     for s, i in enumerate(src):
         k = degs[i]
-        hit = first.get(s)
-        if hit is None:
-            rec.counts["skipped"] += table.skipped[i]
+        rec.counts["skipped"] += table.skipped[i]
+        gi = first.get(s)
+        if gi is None:
             rec.record(True, degree=k, expected="invariant", actual="invariant")
             continue
-        gi, pos = hit
-        j = table.out_edges[i][pos][1]
-        # out_edges is in generator order: gi - pos maps left the window before gi
-        rec.counts["skipped"] += gi - pos
-        rec.record(
-            False,
-            degree=k,
-            expected="image inside fiber",
-            actual="escapes",
-            note=f"generator {gens[gi].label()} -> degree {list(degs[j])}",
-        )
+        target = [a + b for a, b in zip(k, gens[gi].r)]
+        rec.record(False, degree=k, expected="image inside fiber", actual="escapes",
+                   note=f"generator {gens[gi].label()} -> degree {target}")
     return rec.result()
 
 
-def _blocks(row_sets: list, dim: int) -> tuple:
-    """Row sets stacked into one array, each padded with zero rows, and the
-    largest entry size; in int64 when every entry fits, else in Python ints."""
+def fits_int64(bound: int) -> bool:
+    """Whether int64 arithmetic is exact for a product whose every entry and
+    partial sum is at most ``bound`` in absolute value: the one rule by which
+    every sweep picks int64 or Python ints (dtype object)."""
+    return bound < 2**62
+
+
+def fiber_escapes(rows, anns, cs: list, maps) -> np.ndarray:
+    """Which items send their rows out of a fixed fiber: the one fiber
+    membership test of every sweep.
+
+    Item e maps the row block R_e through c_e * Id + M_e; the image lies in
+    the target fiber exactly when the fiber's annihilator block A_e kills it,
+    so the item escapes when A_e (c_e R_e + R_e M_e^T)^T != 0.  ``rows``,
+    ``anns`` and ``maps`` are integer arrays, each either one block that
+    every item shares (h x D, a x D, D x D) or one block per item stacked
+    along a first axis of length ``len(cs)``; zero rows pad a block freely.
+    The products run in int64 when the a-priori bound
+    D * max|A| * max|R| * (max|c| + D * max|M|) on every entry and partial
+    sum, and every input entry, stay below 2^62, and on dtype=object arrays
+    of Python ints otherwise, so no wrapped integer decides a result.
+    """
+    dim = rows.shape[-1]
+    max_r, max_a, max_m = (int(np.abs(x).max(initial=0)) for x in (rows, anns, maps))
+    max_c = max(map(abs, cs), default=0)
+    bound = dim * max_a * max_r * (max_c + dim * max_m)
+    dtype = np.int64 if fits_int64(max(bound, max_r, max_a, max_m, max_c)) else object
+    r = rows.astype(dtype, copy=False)
+    c = np.array(cs, dtype=dtype)[:, None, None]
+    images = c * r + r @ np.swapaxes(maps.astype(dtype, copy=False), -1, -2)
+    products = anns.astype(dtype, copy=False) @ np.swapaxes(images, -1, -2)
+    return np.any(products, axis=(-2, -1))
+
+
+def int_blocks(row_sets: list, dim: int) -> np.ndarray:
+    """Integer row sets stacked into one array, each padded with zero rows;
+    in int64 when every entry fits, else in Python ints."""
     top = max((abs(x) for rows in row_sets for row in rows for x in row), default=0)
     height = max(map(len, row_sets), default=0)
-    out = np.zeros((len(row_sets), height, dim), dtype=np.int64 if top < 2**62 else object)
+    out = np.zeros((len(row_sets), height, dim), dtype=np.int64 if fits_int64(top) else object)
     for block, rows in zip(out, row_sets):
         if rows:
             block[: len(rows)] = rows
-    return out, top
+    return out

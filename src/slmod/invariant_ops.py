@@ -4,21 +4,21 @@ For the Hamiltonian action the vector
 T^H_{k,r,s} = (bar(k+beta)|r) s - (bar(k+beta)|s) r pairs to zero against
 bar(k+beta), and the operator T bar(T)^T preserves every fiber of every
 submodule; for the Witt action the analogue uses the plain dot pairing and
-two vectors per side.  Spanning these vectors over a degree box recovers the
-full annihilator hyperplane of k + beta, so checking the polarized rank-one
-operators over a basis of that span certifies invariance under all of them.
+two vectors per side.  These vectors span the whole hyperplane that
+bar(k+beta) (resp. k+beta) annihilates, so checking the polarized rank-one
+operators over an integer basis of that hyperplane certifies invariance under
+all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd
 from operator import mul
 
 from .exact_linalg import (
     IntSpan,
+    Subspace,
     _int_row,
     dot,
     format_vector,
@@ -26,10 +26,21 @@ from .exact_linalg import (
     mat_mul,
     vec,
 )
-from .graded_modules import ActionSpec, GradedFamily
+from .graded_modules import ActionSpec, GradedFamily, fiber_escapes, int_blocks
 from .reports import CheckResult, Recorder
-from .torus_lie import AlgebraKind, bar, degree_box, rank_one, rank_one_sym
+from .torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
 from .sl_maps import SymplecticFrame
+
+
+def _pairing_row(spec: ActionSpec, k) -> tuple:
+    """bar(q(k + beta)) for the H action and q(k + beta) for the W action:
+    every T-vector at k pairs to zero against this row."""
+    kq = spec.scaled_shift(k)
+    if spec.kind is AlgebraKind.H:
+        return bar(kq)
+    if spec.kind is AlgebraKind.W:
+        return kq
+    raise ValueError("invariant vectors are defined for the H and W actions")
 
 
 def t_vectors(spec: ActionSpec, k, params):
@@ -39,13 +50,7 @@ def t_vectors(spec: ActionSpec, k, params):
     H: T = (bar(k+beta)|r) s - (bar(k+beta)|s) r.
     W: T = (k+beta|r) s - (k+beta|s) r.
     """
-    kq = spec.scaled_shift(k)
-    if spec.kind is AlgebraKind.H:
-        pair = bar(kq)
-    elif spec.kind is AlgebraKind.W:
-        pair = kq
-    else:
-        raise ValueError("invariant vectors are defined for the H and W actions")
+    pair = _pairing_row(spec, k)
     for r, s in params:
         cr = sum(map(mul, pair, r))
         cs = sum(map(mul, pair, s))
@@ -139,46 +144,32 @@ def _t_span_factors(spec: ActionSpec, k) -> list:
     """Factor pairs (x, y) of the rank-one operators that certify invariance
     under all parameter choices.
 
-    x and y run over a basis of span{ T-vectors over the degree box }: for
-    the H action the pairs are (x, x) and (x + y, x + y), giving the
-    operators x bar(x)^T; for the W action every (x, y), giving x y^T.  Every
-    operator with integer parameters is a rational combination of these.
+    The T-vectors over the degree box span the whole hyperplane that the
+    pairing row annihilates, so x and y run over its integer basis,
+    ``annihilator()`` of that one row.  For the H action the pairs are
+    (x, None) and (x + y, None), giving the operators x bar(x)^T; for the W
+    action every (x, y), giving x y^T.  Every operator with integer
+    parameters is a rational combination of these; at k + beta = 0 there
+    is none.
     """
-    n = spec.n
-    box = degree_box(n)
-    span = IntSpan(n)
-    basis = []
-    for t in t_vectors(spec, k, product(box, box)):
-        # q T over gcd(q, content) is T with its denominators cleared, as _int_row does
-        g = gcd(spec.q, *t)
-        ti = [x // g for x in t]
-        if any(ti) and span.add(ti):
-            basis.append(ti)
-        if span.dim == n - 1:
-            break
+    pair = _pairing_row(spec, k)
+    if not any(pair):
+        return []
+    basis = Subspace._from_int_rows(spec.n, [pair]).annihilator()
     if spec.kind is AlgebraKind.W:
         return [(x, y) for x in basis for y in basis]
-    factors = []
-    for i, x in enumerate(basis):
-        factors.append((x, x))
-        for y in basis[i + 1 :]:
-            xy = [a + b for a, b in zip(x, y)]
-            factors.append((xy, xy))
-    return factors
+    return [(x, None) for x in basis] + [([a + b for a, b in zip(x, y)], None)
+                                         for i, x in enumerate(basis) for y in basis[i + 1 :]]
 
 
 def invariance_report(family: GradedFamily) -> CheckResult:
     """PASS when every fiber is preserved by all rank-one invariant operators.
 
-    Each operator is an integer combination of elementary rank-one matrices,
-    x bar(x)^T = sum_{a<=b} x_a x_b P_ab (H) and x y^T = sum x_a y_b E_ab (W),
-    whose actions the fiber space builds once.  At each degree every fiber row
-    is sent through those once and paired with each row of the fiber's
-    annihilator; an operator's image leaves the fiber exactly when the
-    matching combination of those pairings is nonzero.  For the H action,
-    x bar(x)^T for every vector x pairing to zero against k + beta (those of a
-    symplectic frame, say) lies in the span of the checked operators, so it
-    is covered too.
+    At each degree one ``fiber_escapes`` call tests the fiber's rows under
+    the integer action ``rank_one_action(x, y)`` of every T-span factor
+    against the fiber's annihilator.  For the H action, x bar(x)^T for every
+    vector x pairing to zero against k + beta (those of a symplectic frame,
+    say) lies in the span of the checked operators, so it is covered too.
     """
     spec = family.spec
     rec = Recorder(
@@ -186,21 +177,15 @@ def invariance_report(family: GradedFamily) -> CheckResult:
         {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber),
          "beta": format_vector(spec.beta)},
     )
-    pairs, actions = spec.space().rank_one_actions(spec.kind is AlgebraKind.H)
+    space = spec.space()
     for k in family.window.degrees():
         sub = family.fiber(k)
         if not sub.dim:
             continue
-        coeffs = [[x[a] * y[b] for a, b in pairs] for x, y in _t_span_factors(spec, k)]
-        ann = sub.annihilator()
-        ok = True
-        for row in sub.rows:
-            # the e-th elementary action applied to row
-            images = [[sum([v * row[j] for j, v in ar]) for ar in act] for act in actions]
-            # pairings[a][e]: annihilator row a against the e-th image
-            pairings = [[sum(map(mul, a, img)) for img in images] for a in ann]
-            if any(sum(map(mul, c, pa)) for c in coeffs for pa in pairings):
-                ok = False
-                break
+        factors = _t_span_factors(spec, k)
+        maps = int_blocks([space.rank_one_action(x, y)[0] for x, y in factors], space.dim)
+        ok = not factors or not fiber_escapes(
+            int_blocks([sub.rows], space.dim)[0], int_blocks([sub.annihilator()], space.dim)[0],
+            [0] * len(factors), maps).any()
         rec.record(ok, degree=k, expected="fiber preserved", actual="preserved" if ok else "escapes")
     return rec.result()

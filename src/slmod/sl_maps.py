@@ -47,6 +47,7 @@ from .graded_modules import (
     default_generators,
     edge_table,
     fiber_space,
+    fits_int64,
 )
 from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, require_even, sympl_form
@@ -239,7 +240,7 @@ def verify_module_map(
 
     mats = [_map_matrix_scaled(map_id, n, spec.scaled_shift(k)) for k in degs]
     max_phi = max((abs(x) for m in mats for row in m for x in row), default=0)
-    phi = np.array(mats, dtype=np.int64 if max_phi < 2**62 else object)
+    phi = np.array(mats, dtype=np.int64 if fits_int64(max_phi) else object)
     src_space = fiber_space(n, Lambda(src_p))
     tgt_space = fiber_space(n, Lambda(tgt_p))
     for g, edges in zip(gens, edges_by_gen):
@@ -257,7 +258,8 @@ def verify_module_map(
         max_c = max(map(abs, cs))
         max_d = max(int(np.abs(d_src).max(initial=0)), int(np.abs(d_tgt).max(initial=0)))
         inner = max(src_space.dim, tgt_space.dim)
-        dtype = np.int64 if max_c * 2 * max_phi + q * inner * max_phi * max_d < 2**62 else object
+        bound = max_c * 2 * max_phi + q * inner * max_phi * max_d
+        dtype = np.int64 if fits_int64(bound) else object
         a = phi[np.array(tgts, dtype=np.intp)].astype(dtype, copy=False)
         b = phi[np.array(srcs, dtype=np.intp)].astype(dtype, copy=False)
         c = np.array(cs, dtype=dtype)[:, None, None]
@@ -359,7 +361,7 @@ def _contraction_kernel_part(sub: Subspace, theta: tuple) -> Subspace:
     return Subspace._from_int_rows(sub.ambient_dim, gens)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _build_family_cached(
     kind: FamilyKind,
     p: int,

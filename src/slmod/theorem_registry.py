@@ -19,13 +19,13 @@ certificate never fires.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb
-from operator import mul
 
 from .exact_linalg import (
     IntSpan,
@@ -67,7 +67,9 @@ from .graded_modules import (
     Window,
     default_generators,
     edge_table,
+    fiber_escapes,
     fiber_space,
+    int_blocks,
     is_invariant,
     saturate,
 )
@@ -796,33 +798,38 @@ def _check_main_classification(params) -> CheckResult:
 def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     """At integral beta the degenerate fiber can carry any subspace: images
     into it from each family vanish and images out of the full fiber stay in
-    the minimal family."""
+    the minimal family.  Each direction is one ``fiber_escapes`` call with one
+    item per edge (and family) and counts the escaping items."""
     n = spec.n
     k0 = tuple(int(-b) for b in spec.beta)
     if k0 not in window:
         rec.skip()  # the degenerate degree lies outside the window
         return
-    table = edge_table(spec, window, default_generators(spec.kind, n))
-    i0 = table.index[k0]
-    mn = families[0]
-    bad_in = 0
-    for i, edges in enumerate(table.out_edges):
-        for gi, j, cq in edges:
-            if j != i0:
-                continue
-            for famly in families:
-                if table.apply(gi, cq, famly.fiber(table.degs[i]).rows):
-                    bad_in += 1
+    gens = default_generators(spec.kind, n)
+    table = edge_table(spec, window, gens)
+    dim = table.dim
+    eye = int_blocks([identity(dim)], dim)[0]
+    # into k0 the edge of each generator r from k0 - r, once per family; every
+    # family is zero at k0, so the annihilator there is the identity
+    rows, cs, gis = [], [], []
+    for gi, g in enumerate(gens):
+        i = table.index.get(tuple(a - b for a, b in zip(k0, g.r)))
+        if i is None:
+            continue
+        edges = table.out_edges[i]  # in generator order
+        cq = edges[bisect_left(edges, (gi,))][2]
+        for family in families:
+            rows.append(family.fiber(table.degs[i]).rows)
+            cs.append(cq * table.scale[gi])
+            gis.append(gi)
+    bad_in = int(fiber_escapes(int_blocks(rows, dim), eye, cs, table.qd[gis]).sum())
     rec.record(bad_in == 0, expected="no image lands in the degenerate fiber",
                actual=f"{bad_in} nonzero images", note="glue freedom, incoming")
-    dim = table.dim
-    full_rows = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    bad_out = 0
-    for gi, j, cq in table.out_edges[i0]:
-        ann = mn.fiber(table.degs[j]).annihilator()
-        images = table.apply(gi, cq, full_rows)
-        if any(sum(map(mul, a, img)) for a in ann for img in images):
-            bad_out += 1
+    # out of the full fiber at k0 into the minimal family
+    out = table.out_edges[table.index[k0]]
+    anns = int_blocks([families[0].fiber(table.degs[j]).annihilator() for _, j, _ in out], dim)
+    cs = [cq * table.scale[gi] for gi, _, cq in out]
+    bad_out = int(fiber_escapes(eye, anns, cs, table.qd[[gi for gi, _, _ in out]]).sum())
     rec.record(bad_out == 0, expected="degenerate fiber maps into the minimal family",
                actual=f"{bad_out} escapes", note="glue freedom, outgoing")
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from slmod import graded_modules
 from slmod.exact_linalg import Subspace, mat_mul, mat_sub, zero_matrix
 from slmod.graded_modules import (
     ActionSpec,
@@ -134,15 +135,20 @@ def test_is_invariant_families():
     assert is_invariant(spec, build_family(FamilyKind.MAX, 2, spec, win)).status == "PASS"
 
 
-def test_is_invariant_mutation_fails():
+def _mutated_min_family(k=(0, 0, 0, 0)):
     spec = ActionSpec.make("H", 4, Fund(2), HALF)
     win = Window(4, 1)
     fam = build_family(FamilyKind.MIN, 2, spec, win)
-    bad = GradedFamily(spec, win, {**fam.fibers, (0, 0, 0, 0): Subspace(5, [(1, 0, 0, 0, 0)])})
+    line = Subspace(5, [(1, 0, 0, 0, 0)])
+    return spec, GradedFamily(spec, win, {**fam.fibers, k: line})
+
+
+def test_is_invariant_mutation_fails():
+    spec, bad = _mutated_min_family()
     report = is_invariant(spec, bad)
     assert report.status == "FAIL"
-    # a failing degree counts only the skipped maps before its failing generator
-    assert report.counts == {"pass": 9, "fail": 72, "skipped": 2224}
+    # every degree counts all of its maps that leave the window, pass or fail
+    assert report.counts == {"pass": 9, "fail": 72, "skipped": 4160}
     fails = [d.to_dict() for d in report.details if d.status == "FAIL"]
     assert len(fails) == 64
     assert fails[0] == {
@@ -153,6 +159,19 @@ def test_is_invariant_mutation_fails():
         "note": "generator h[1, 1, 1, 1] -> degree [0, 0, 0, 0]",
     }
     assert fails[-1]["note"] == "generator h[-1, 0, -1, -1] -> degree [0, 0, 0, 0]"
+
+
+def test_is_invariant_counts_do_not_depend_on_generator_order(monkeypatch):
+    # swapped off the centre, so that reversing the generators (r -> -r) is
+    # no symmetry of the family
+    spec, bad = _mutated_min_family((1, 0, 0, 0))
+    counts = is_invariant(spec, bad).counts
+    forward = graded_modules.default_generators
+    monkeypatch.setattr(graded_modules, "default_generators",
+                        lambda kind, n: tuple(reversed(forward(kind, n))))
+    report = is_invariant(spec, bad)
+    assert report.status == "FAIL"
+    assert report.counts == counts
 
 
 def test_window_and_family_plumbing():
@@ -186,7 +205,8 @@ def test_fund_restriction_reads_pivot_one_coordinates():
     skewed._fund = Subspace(6, [(2, 0, 1, 0, 0, 0), (0, 3, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
                                 (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)])
     for space in (fiber_space(4, Fund(2)), skewed):
-        basis = space._fund.basis
+        fund = space._fund
+        basis = [[F(x, row[pc]) for x in row] for row, pc in zip(fund.rows, fund.pivots)]
         for coords in ([[1, 0, 0, 0, 0]], [[0, 2, 0, -1, 0], [0, 0, 3, 0, 1]], [[1, 1, 1, 1, 1]]):
             sub = Subspace(space.dim, coords)
             ref = [[sum(c * b[j] for c, b in zip(row, basis)) for j in range(6)] for row in sub.rows]

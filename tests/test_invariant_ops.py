@@ -1,5 +1,7 @@
 from fractions import Fraction as F
+from math import lcm
 
+import numpy as np
 import pytest
 
 from slmod.exact_linalg import (
@@ -107,32 +109,68 @@ def test_invariance_report_mutation_fails():
     assert invariance_report(bad).status == "FAIL"
 
 
-@pytest.mark.parametrize("kind,beta", [("H", ZERO), ("H", (F(1, 2), F(1, 2), 0, 0)),
-                                       ("W", (F(1, 3), F(1, 2), 0, 0))])
-def test_t_span_ops_use_the_fraction_t_vectors(kind, beta):
-    """The integer T-vectors over gcd(q, content) are the Fraction T-vectors
-    with their denominators cleared, so the operators are unchanged."""
-    spec = ActionSpec.make(kind, 4, Lambda(1), beta)
-    box = degree_box(4)
-    for k in [(0, 0, 0, 0), (1, -1, 0, 1), (-2, 1, 1, 0)]:
-        span, basis = IntSpan(4), []
-        for r in box:
-            for s in box:
-                t = _int_row(_fraction_t(kind, k, beta, r, s))
-                if any(t) and span.add(t):
-                    basis.append(t)
-                if span.dim == 3:
-                    break
-            if span.dim == 3:
-                break
+def _fraction_t_directions(kind, k, beta):
+    """The distinct directions of the Fraction T-vectors over the whole
+    degree box, as primitive integer rows: the pairings (bar(k+beta)|r) (H)
+    resp. (k+beta|r) (W) are taken in Fractions, cleared by their common
+    denominator, and T(r, s) = c_r s - c_s r is formed for every pair."""
+    n = len(k)
+    box = np.array(degree_box(n), dtype=np.int64)
+    shift = tuple(F(a) + b for a, b in zip(k, beta))
+    pairings = [sympl_form(shift, r) if kind == "H" else dot(shift, r) for r in degree_box(n)]
+    denom = lcm(*(F(c).denominator for c in pairings))
+    c = np.array([int(x * denom) for x in pairings], dtype=np.int64)
+    t = (c[:, None, None] * box[None, :, :] - c[None, :, None] * box[:, None, :]).reshape(-1, n)
+    t = t[np.any(t, axis=1)]
+    t //= np.gcd.reduce(t, axis=1)[:, None]
+    lead = t[np.arange(len(t)), np.argmax(t != 0, axis=1)]
+    return np.unique(t * np.sign(lead)[:, None], axis=0)
+
+
+def _op_rows(ops):
+    return [[x for row in op for x in row] for op in ops]
+
+
+CASES_T_SPAN = (
+    [(kind, beta, [ZERO, (1, -1, 0, 1), (-2, 1, 1, 0)])
+     for kind, beta in [("H", ZERO), ("H", (F(1, 2), F(1, 2), 0, 0)),
+                        ("W", (F(1, 3), F(1, 2), 0, 0))]]
+    + [("H", (0,) * 6, [(0,) * 6, (1, 0, 0, 0, 0, 0), (1, -1, 0, 1, 0, 1), (-1, 1, 1, 0, -1, 0)])]
+)
+
+
+@pytest.mark.parametrize("kind,beta,degrees", CASES_T_SPAN,
+                         ids=[f"{c[0]}-N{len(c[1])}-beta{i}" for i, c in enumerate(CASES_T_SPAN)])
+def test_t_span_ops_span_the_fraction_t_vector_operators(kind, beta, degrees):
+    """The operators of ``_t_span_factors`` span exactly the operators of the
+    Fraction T-vectors over the whole degree box: T bar(T)^T (H), T T'^T
+    (W).  Every T-vector operator is killed by the annihilator of the checked
+    span, and they reach its dimension.  At k + beta = 0 there is none."""
+    n = len(beta)
+    spec = ActionSpec.make(kind, n, Lambda(1), beta)
+    for k in degrees:
+        checked = IntSpan(n * n)
+        for row in _op_rows(_t_span_ops(spec, k)):
+            checked.add(row)
+        t = _fraction_t_directions(kind, k, beta)
         if kind == "H":
-            expected = []
-            for i, x in enumerate(basis):
-                expected.append(rank_one_sym(x))
-                expected += [rank_one_sym([a + b for a, b in zip(x, y)]) for y in basis[i + 1:]]
+            half = n // 2
+            tbar = np.concatenate([t[:, half:], -t[:, :half]], axis=1)
+            ops = np.einsum("ei,ej->eij", t, tbar).reshape(-1, n * n)
         else:
-            expected = [rank_one(x, y) for x in basis for y in basis]
-        assert _t_span_ops(spec, k) == expected
+            ops = np.einsum("ai,bj->abij", t, t).reshape(-1, n * n)
+        if spec.is_special(k):
+            assert _t_span_factors(spec, k) == [] and len(ops) == 0
+            continue
+        ann = checked.to_subspace().annihilator()
+        assert max(map(abs, (x for row in ann for x in row))) * int(np.abs(ops).max()) * n * n < 2**62
+        assert not np.any(np.array(ann, dtype=np.int64) @ ops.T), k
+        reached = IntSpan(n * n)
+        for row in ops.tolist():
+            reached.add(row)
+            if reached.dim == checked.dim:
+                break
+        assert reached.dim == checked.dim, k
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import slmod.theorem_registry as theorem_registry
 from slmod.cli import main
 from slmod.graded_modules import ActionSpec, Fund, Lambda, Window, closure, edge_table
-from slmod.sl_maps import FamilyKind, SpecialFiberPolicy, build_family
+from slmod.sl_maps import FamilyKind, SpecialFiberPolicy, _build_family_cached, build_family
 from slmod.theorem_registry import (
     CATALOGUE,
     ProbeEngine,
@@ -150,6 +150,9 @@ def test_probe_engines_are_bounded_like_their_edge_tables():
     # each engine keeps its EdgeTable alive: an unbounded engine cache would
     # leave the table cache unbounded in effect
     assert probe_engine.cache_info().maxsize == edge_table.cache_info().maxsize == 16
+    # families are bounded too: 256 holds the 153 distinct families of a
+    # check-all, so a warm pass rebuilds none
+    assert _build_family_cached.cache_info().maxsize == 256
 
 
 @pytest.mark.parametrize("check_id,n,beta", [
