@@ -145,10 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"slmod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_p=True):
+    def common(sp):
         sp.add_argument("--N", type=int, default=DEFAULT_N, help="number of torus variables")
-        if with_p:
-            sp.add_argument("--p", type=int, default=None, help="exterior-power degree")
+        sp.add_argument("--p", type=int, default=None, help="exterior-power degree")
         sp.add_argument("--beta", default=None, help="comma-separated rationals, e.g. 1/2,0,0,0")
         sp.add_argument("--alpha", default=None, help="grade shift, comma-separated rationals")
         sp.add_argument("--window", type=int, default=2, dest="d", help="degree window bound")
@@ -287,7 +286,6 @@ def _dims_result(cfg: RunConfig) -> CheckResult:
         spec,
         window,
         policy=SpecialFiberPolicy(cfg.policy.upper()),
-        restrict_to_fundamental=cfg.fund,
     )
     rec = Recorder("dims", {"family": cfg.family, "N": cfg.n, "p": cfg.p,
                             "beta": format_vector(cfg.beta), "fund": cfg.fund,

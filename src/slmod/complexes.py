@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .exact_linalg import format_vector, image, intersect, kernel, mat_mul
 from .exterior_algebra import ext_dim, fundamental_subspace
-from .graded_modules import ActionSpec, Lambda, Window
+from .graded_modules import ActionSpec, Fund, Lambda, Window
 from .reports import CheckResult, Recorder
 from .sl_maps import (
     FamilyKind,
@@ -176,27 +176,21 @@ def predicted_homology(
                 table[k] = above.fiber(k).dim + (below.fiber(k).dim if below else 0)
         return table
     # fsq_fund
-    fund_dim = fundamental_subspace(n, pos).dim
+    fund = fundamental_subspace(n, pos)
     if pos == half:
-        lower = build_family(
-            FamilyKind.MIN,
-            pos - 1,
-            spec.with_fiber(Lambda(pos - 1)),
-            window,
-            restrict_to_fundamental=True,
-        )
+        # Lambda^0 is its own contraction kernel
+        below = Fund(pos - 1) if pos >= 2 else Lambda(0)
+        lower = build_family(FamilyKind.MIN, pos - 1, spec.with_fiber(below), window)
         for k in window.degrees():
-            table[k] = fund_dim if spec.is_special(k) else lower.fiber(k).dim
+            table[k] = fund.dim if spec.is_special(k) else lower.fiber(k).dim
         return table
-    maxf = build_family(
-        FamilyKind.MAX, pos, spec.with_fiber(Lambda(pos)), window, restrict_to_fundamental=True
-    )
+    maxf = build_family(FamilyKind.MAX, pos, spec.with_fiber(Lambda(pos)), window)
     for k in window.degrees():
         if spec.is_special(k):
-            table[k] = fund_dim
+            table[k] = fund.dim
             continue
         kq = spec.scaled_shift(k)
-        table[k] = image(_map_matrix_scaled(pi(pos), n, kq), maxf.fiber(k)).dim
+        table[k] = image(_map_matrix_scaled(pi(pos), n, kq), intersect(maxf.fiber(k), fund)).dim
     return table
 
 

@@ -39,6 +39,13 @@ def vec(entries: Iterable[Rational]) -> tuple:
     return tuple(frac(x) for x in entries)
 
 
+def fits_int64(bound: int) -> bool:
+    """Whether int64 arithmetic is exact for a product whose every entry and
+    partial sum is at most ``bound`` in absolute value: the one rule by which
+    every sweep picks int64 or Python ints (dtype object)."""
+    return bound < 2**62
+
+
 def dot(u: Sequence[Rational], v: Sequence[Rational]):
     if len(u) != len(v):
         raise ValueError(f"dot: length mismatch {len(u)} != {len(v)}")
@@ -242,7 +249,7 @@ class Subspace:
     pivot-1 reduced echelon basis.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_annihilator")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Sequence[Rational]] = ()):
         canon, piv = _echelon([_int_row(r) for r in rows])
@@ -252,6 +259,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.rows = tuple(canon)
         self.pivots = tuple(piv)
+        self._annihilator = None
 
     @classmethod
     def _from_int_rows(cls, ambient_dim: int, rows) -> "Subspace":
@@ -260,15 +268,12 @@ class Subspace:
         obj.ambient_dim = ambient_dim
         obj.rows = tuple(canon)
         obj.pivots = tuple(piv)
+        obj._annihilator = None
         return obj
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        obj = object.__new__(cls)
-        obj.ambient_dim = ambient_dim
-        obj.rows = ()
-        obj.pivots = ()
-        return obj
+        return cls._from_int_rows(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -278,14 +283,17 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def annihilator(self) -> list:
+    def annihilator(self) -> tuple:
         """Integer rows spanning { v : row . v = 0 for every stored row }.
 
         One row per free column, read off the canonical rows: v[free] = L and
         v[p] = -row[free] * L / row[p] at each pivot p, L the lcm of the
         pivots of the rows that meet column ``free``.  The zero space gives
-        the identity and the full space no rows.
+        the identity and the full space no rows.  Computed on the first call
+        and kept: a subspace never changes.
         """
+        if self._annihilator is not None:
+            return self._annihilator
         pivot_set = set(self.pivots)
         out = []
         for free in range(self.ambient_dim):
@@ -297,8 +305,9 @@ class Subspace:
             v[free] = big
             for row, p in hits:
                 v[p] = -row[free] * (big // row[p])
-            out.append(v)
-        return out
+            out.append(tuple(v))
+        self._annihilator = tuple(out)
+        return self._annihilator
 
     def contains_vector(self, vector: Sequence[Rational]) -> bool:
         if len(vector) != self.ambient_dim:

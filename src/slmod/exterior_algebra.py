@@ -84,13 +84,13 @@ class ExtVector:
         self.coeffs = clean
 
     @classmethod
-    def monomial(cls, n: int, key: Sequence[int], coeff=1) -> "ExtVector":
+    def monomial(cls, n: int, key: Sequence[int]) -> "ExtVector":
         key = tuple(key)
         if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
             raise ValueError(f"monomial key {key} must be strictly increasing")
         if key and not (1 <= key[0] and key[-1] <= n):
             raise ValueError(f"monomial key {key} out of range 1..{n}")
-        return cls(n, len(key), {key: coeff})
+        return cls(n, len(key), {key: 1})
 
     @classmethod
     def from_vector(cls, n: int, vector: Sequence) -> "ExtVector":

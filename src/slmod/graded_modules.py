@@ -29,9 +29,12 @@ from .exact_linalg import (
     Subspace,
     _int_row,
     dot,
+    fits_int64,
     format_vector,
     frac,
     from_triplets,
+    identity,
+    kernel,
     mat_vec,
 )
 from .exterior_algebra import (
@@ -40,6 +43,7 @@ from .exterior_algebra import (
     gl_action_matrix,
     sym_action_matrix,
     sym_dim,
+    theta_matrix,
 )
 from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, degree_box, rank_one, rank_one_sym, require_even
@@ -84,11 +88,12 @@ class FiberSpace:
     """Coordinate space of one fiber type, with the derivation action on it.
 
     Fundamental fibers use the pivot-1 basis of the contraction kernel, so a
-    coordinate vector is read off the pivot entries of its ambient image.  The
-    integer action matrices returned by ``action_matrix_int`` and
-    ``rank_one_action`` are ``scale`` times the exact ones, ``scale`` being
-    the lcm of the pivot entries of the primitive kernel rows (1 off Fund);
-    the multiple cancels everywhere an image or kernel is taken.
+    coordinate vector is read off the pivot entries of its ambient image
+    (``from_lambda``).  The integer action matrices returned by
+    ``action_matrix_int`` and ``rank_one_action`` are ``scale`` times the
+    exact ones, ``scale`` being the lcm of the pivot entries of the primitive
+    kernel rows (1 off Fund); the multiple cancels everywhere an image or
+    kernel is taken.
     """
 
     def __init__(self, n: int, fiber: FiberType):
@@ -107,6 +112,9 @@ class FiberSpace:
             self._fund = fundamental_subspace(n, fiber.p)
             self.dim = self._fund.dim
             self.scale = lcm(*(row[pc] for row, pc in zip(self._fund.rows, self._fund.pivots)))
+            # the nonzero (j, v) of each row of the contraction Lambda^p -> Lambda^{p-2}
+            theta = theta_matrix(n, fiber.p) if fiber.p >= 2 else ()
+            self._theta = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in theta)
         else:
             raise ValueError(f"unknown fiber kind {fiber.kind!r}")
 
@@ -189,16 +197,28 @@ class FiberSpace:
         dim = self.dim
         return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim)), self.scale
 
-    # -- fundamental coordinate conversions --------------------------------
+    # -- exterior-power subspaces in this space's coordinates ---------------
 
-    def restrict_subspace(self, s: Subspace) -> Subspace:
-        """Exterior-power coordinates (inside the kernel) -> Fund coordinates."""
+    def from_lambda(self, s: Subspace) -> Subspace:
+        """The part of a Lambda^p subspace inside this space, in its coordinates.
+
+        Off Fund that is ``s`` itself.  On Fund(p) it is s intersected with
+        the contraction kernel: the vectors sum_i u_i a_i over the rows a_i
+        of s with theta A^T u = 0, the kernel of a (dim Lambda^{p-2}) x
+        (dim s) integer matrix, mapped back through the rows at the kernel
+        basis' pivot columns only, which are the Fund coordinates.
+        """
         if self.fiber.kind != "fund":
             return s
-        if not self._fund.contains(s):
-            raise ValueError("subspace does not lie inside the contraction kernel")
-        pivots = self._fund.pivots
-        gens = [[row[pc] for pc in pivots] for row in s.rows]
+        rows = s.rows
+        if not rows:
+            return Subspace.zero(self.dim)
+        if self._theta:
+            us = kernel([[sum(v * a[j] for j, v in trow) for a in rows] for trow in self._theta]).rows
+        else:
+            us = identity(len(rows))  # p = 1: no contraction, every vector is inside
+        gens = [[sum(c * a[pc] for c, a in zip(u, rows) if c) for pc in self._fund.pivots]
+                for u in us]
         return Subspace._from_int_rows(self.dim, gens)
 
 
@@ -620,13 +640,6 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
         rec.record(False, degree=k, expected="image inside fiber", actual="escapes",
                    note=f"generator {gens[gi].label()} -> degree {target}")
     return rec.result()
-
-
-def fits_int64(bound: int) -> bool:
-    """Whether int64 arithmetic is exact for a product whose every entry and
-    partial sum is at most ``bound`` in absolute value: the one rule by which
-    every sweep picks int64 or Python ints (dtype object)."""
-    return bound < 2**62
 
 
 def fiber_escapes(rows, anns, cs: list, maps) -> np.ndarray:

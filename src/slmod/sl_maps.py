@@ -8,6 +8,13 @@ fiber from the shifted degree K = k + beta:
     INT    image of the degree-lowering contraction from Lambda^{p+1}
     MAX    kernel of the derivation action of K bar(K)^T
 
+On a Fund(p) fiber each family is its part inside the contraction kernel,
+in Fund coordinates.  K bar(K)^T lies in sp, so it commutes with the
+contraction theta and preserves the Lefschetz splitting
+Lambda^p = ker theta + omega ^ Lambda^{p-2}: MIN and MAX there are the image
+and kernel of the restricted action, while FULLW and INT are cut out of their
+Lambda^p fibers by ``FiberSpace.from_lambda``.
+
 At the single degree with K = 0 (present only for integral beta) every
 defining operator vanishes; a policy flag picks the zero fiber or the full
 fiber there, which is exactly the difference between each family and its hat
@@ -26,6 +33,7 @@ import numpy as np
 from .exact_linalg import (
     Subspace,
     dot,
+    fits_int64,
     format_vector,
     image,
     kernel,
@@ -33,13 +41,14 @@ from .exact_linalg import (
     vec,
 )
 from .exterior_algebra import (
-    fundamental_subspace,
     interior_matrix,
     theta_matrix,
     wedge_matrix,
 )
 from .graded_modules import (
     ActionSpec,
+    FiberSpace,
+    Fund,
     GradedFamily,
     Lambda,
     Window,
@@ -47,7 +56,6 @@ from .graded_modules import (
     default_generators,
     edge_table,
     fiber_space,
-    fits_int64,
 )
 from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, require_even, sympl_form
@@ -316,49 +324,22 @@ class SpecialFiberPolicy(enum.Enum):
         return self.value
 
 
-def _family_fiber_lambda(kind: FamilyKind, p: int, n: int, kq: tuple) -> Subspace:
-    """One fiber of the family on Lambda^p coordinates, for q(k+beta) != 0."""
+def _family_fiber(kind: FamilyKind, p: int, space: FiberSpace, kq: tuple) -> Subspace:
+    """One fiber of the family in the space's coordinates, for q(k+beta) != 0."""
+    n = space.n
     if kind is FamilyKind.MIN:
-        return image(fiber_space(n, Lambda(p)).rank_one_action(kq)[0])
+        return image(space.rank_one_action(kq)[0])
     if kind is FamilyKind.FULLW:
         if p < 1:
             raise ValueError("FULLW needs p >= 1")
-        return image(wedge_matrix(n, p - 1, kq))
+        return space.from_lambda(image(wedge_matrix(n, p - 1, kq)))
     if kind is FamilyKind.INT:
         if p > n - 1:
             raise ValueError(f"INT needs p <= {n - 1}")
-        return image(interior_matrix(n, p + 1, bar(kq)))
+        return space.from_lambda(image(interior_matrix(n, p + 1, bar(kq))))
     if kind is FamilyKind.MAX:
-        return kernel(fiber_space(n, Lambda(p)).rank_one_action(kq)[0])
+        return kernel(space.rank_one_action(kq)[0])
     raise ValueError(kind)
-
-
-def _theta_rows(n: int, p: int) -> tuple:
-    """The nonzero ``(j, v)`` of each row of the contraction Lambda^p -> Lambda^{p-2}."""
-    return tuple(
-        tuple((j, v) for j, v in enumerate(row) if v) for row in theta_matrix(n, p)
-    )
-
-
-def _contraction_kernel_part(sub: Subspace, theta: tuple) -> Subspace:
-    """sub intersected with the contraction kernel, the same canonical subspace
-    as ``intersect(sub, fundamental_subspace(n, p))``.
-
-    The vectors sum_i u_i a_i over the rows a_i of sub with theta A^T u = 0:
-    the kernel of the (dim Lambda^{p-2}) x (dim sub) integer matrix theta A^T,
-    mapped back through the rows.
-    """
-    rows = sub.rows
-    ker = kernel([[sum(v * a[j] for j, v in trow) for a in rows] for trow in theta])
-    gens = []
-    for u in ker.rows:
-        g = [0] * sub.ambient_dim
-        for c, a in zip(u, rows):
-            if c:
-                for j, x in enumerate(a):
-                    g[j] += c * x
-        gens.append(g)
-    return Subspace._from_int_rows(sub.ambient_dim, gens)
 
 
 @lru_cache(maxsize=256)
@@ -368,33 +349,18 @@ def _build_family_cached(
     spec: ActionSpec,
     window: Window,
     policy: SpecialFiberPolicy,
-    restrict: bool,
 ) -> GradedFamily:
-    n = spec.n
-    fibers = {}
-    fund = spec.fiber.kind == "fund"
-    if fund and spec.fiber.p != p:
-        raise ValueError("Fund fiber degree differs from the family degree")
+    if spec.fiber not in (Lambda(p), Fund(p)):
+        raise ValueError(f"a degree-{p} family lives on Lambda({p}) or Fund({p}), not {spec.fiber}")
     space = spec.space()
-    fund_sub = fundamental_subspace(n, p) if (restrict or fund) else None
-    theta = _theta_rows(n, p) if fund_sub is not None and p >= 2 else None
+    fibers = {}
     for k in window.degrees():
         kq = spec.scaled_shift(k)
-        if not any(kq):
-            if policy is SpecialFiberPolicy.FULL:
-                # the hat variants carry the whole representation fiber here
-                if fund_sub is not None and not fund:
-                    fibers[k] = fund_sub
-                else:
-                    fibers[k] = Subspace.full(space.dim)
-            continue
-        sub = _family_fiber_lambda(kind, p, n, kq)
-        if theta is not None and sub.dim:
-            sub = _contraction_kernel_part(sub, theta)
-        if fund:
-            sub = space.restrict_subspace(sub)
-        if sub.dim:
-            fibers[k] = sub
+        if any(kq):
+            fibers[k] = _family_fiber(kind, p, space, kq)
+        elif policy is SpecialFiberPolicy.FULL:
+            # the hat variants carry the whole representation fiber here
+            fibers[k] = Subspace.full(space.dim)
     return GradedFamily(spec, window, fibers)
 
 
@@ -404,21 +370,17 @@ def build_family(
     spec: ActionSpec,
     window: Window,
     policy: SpecialFiberPolicy = SpecialFiberPolicy.OMIT,
-    restrict_to_fundamental: bool = False,
 ) -> GradedFamily:
     """The graded family of the given kind on the spec's fiber type.
 
-    With a Lambda(p) fiber the result lives on exterior-power coordinates
-    (optionally intersected with the contraction kernel); with a Fund(p)
-    fiber it is intersected and converted to kernel coordinates.  The policy
-    decides the single degenerate fiber: OMIT is the plain family, FULL the
-    hat variant.
+    With a Lambda(p) fiber the result lives on exterior-power coordinates;
+    with a Fund(p) fiber it is the restricted family, on the pivot-1
+    coordinates of the contraction kernel.  The policy decides the single
+    degenerate fiber: OMIT is the plain family, FULL the hat variant.
     """
     if spec.fiber.kind == "lambda" and spec.fiber.p != p:
         spec = spec.with_fiber(Lambda(p))
-    return _build_family_cached(
-        FamilyKind(kind), p, spec, window, SpecialFiberPolicy(policy), restrict_to_fundamental
-    )
+    return _build_family_cached(FamilyKind(kind), p, spec, window, SpecialFiberPolicy(policy))
 
 
 def quotient_dims(outer: GradedFamily, inner: GradedFamily) -> dict:

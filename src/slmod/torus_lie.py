@@ -12,7 +12,9 @@ import enum
 from itertools import product
 from typing import Sequence
 
-from .exact_linalg import IntSpan, dot, kernel, mat_vec
+import numpy as np
+
+from .exact_linalg import IntSpan, _int_row, dot, fits_int64, kernel
 
 Degree = tuple  # tuple[int, ...]
 
@@ -87,8 +89,15 @@ def j_membership(kind: AlgebraKind, space, vectors, samples) -> bool:
     H: (r bar(r)^T)^2 v = 0, so c = 0.
     W: (r u^T)^2 v = (u|r) (r u^T) v, so c = (u|r).
     S: (r u^T)^2 v = 0, for (u|r) = 0.
+
+    Per sample, one integer identity (A - c scale I)(A V) = 0 tests every
+    vector at once, V the vectors scaled to integers as columns: in int64
+    when the a-priori bound on its entries and partial sums allows it, in
+    Python ints (dtype object) otherwise.
     """
     kind = AlgebraKind(kind)
+    cols = [_int_row(v) for v in vectors]
+    max_v = max((abs(x) for v in cols for x in v), default=0)
     for r, u in samples:
         if kind is AlgebraKind.H:
             c = 0
@@ -99,10 +108,14 @@ def j_membership(kind: AlgebraKind, space, vectors, samples) -> bool:
             if kind is AlgebraKind.S and c != 0:
                 raise ValueError("divergence-free samples require (u|r) = 0")
         rows, scale = space.rank_one_action(r, None if kind is AlgebraKind.H else u)
-        for v in vectors:
-            av = mat_vec(rows, v)
-            if mat_vec(rows, av) != tuple(c * scale * x for x in av):
-                return False
+        cs = c * scale
+        max_a = max((abs(x) for row in rows for x in row), default=0)
+        bound = space.dim**2 * (max_a + abs(cs)) * max_a * max_v
+        dtype = np.int64 if fits_int64(max(bound, max_a + abs(cs), max_v)) else object
+        a = np.array(rows, dtype=dtype)
+        av = a @ np.array(cols, dtype=dtype).reshape(len(cols), space.dim).T
+        if np.any(a @ av - cs * av):
+            return False
     return True
 
 

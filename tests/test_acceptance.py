@@ -18,7 +18,7 @@ import pytest
 from slmod.cli import ReportDocument, emit
 from slmod.exact_linalg import rank
 from slmod.exterior_algebra import fundamental_dim, theta_matrix
-from slmod.graded_modules import ActionSpec, Lambda, Window
+from slmod.graded_modules import ActionSpec, Fund, Window
 from slmod.invariant_ops import orthogonal_extend, small_algebra
 from slmod.reports import PASS
 from slmod.sl_maps import FamilyKind, build_family
@@ -90,8 +90,8 @@ def test_criterion_06_composition_bookkeeping(catalogue_results):
     win = Window(4, 2)
     m = {}
     for p in (1, 2):
-        spec = ActionSpec.make("H", 4, Lambda(p), HALF4)
-        fam = build_family(FamilyKind.MIN, p, spec, win, restrict_to_fundamental=True)
+        spec = ActionSpec.make("H", 4, Fund(p), HALF4)
+        fam = build_family(FamilyKind.MIN, p, spec, win)
         m[p] = fam.fiber((0, 0, 0, 0)).dim
     ok &= m[1] == 1 and m[2] == 2
     ok &= 2 * m[1] + m[2] == fundamental_dim(4, 1) == 4

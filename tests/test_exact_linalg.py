@@ -167,6 +167,8 @@ def test_annihilator_agrees_with_sympy(sympy, rows):
 
 
 def test_annihilator_of_the_zero_and_the_full_space():
-    assert Subspace.zero(3).annihilator() == [list(r) for r in identity(3)]
-    assert Subspace.full(3).annihilator() == []
-    assert Subspace(3, [(2, 0, 1)]).annihilator() == [[0, 1, 0], [-1, 0, 2]]
+    assert Subspace.zero(3).annihilator() == identity(3)
+    assert Subspace.full(3).annihilator() == ()
+    s = Subspace(3, [(2, 0, 1)])
+    assert s.annihilator() == ((0, 1, 0), (-1, 0, 2))
+    assert s.annihilator() is s.annihilator()  # computed once, kept on the subspace

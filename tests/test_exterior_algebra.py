@@ -28,7 +28,7 @@ def mono(n, *idx):
 
 def test_wedge_examples():
     assert wedge(mono(4, 1), mono(4, 2)) == mono(4, 1, 2)
-    assert wedge(mono(4, 2), mono(4, 1)) == ExtVector.monomial(4, (1, 2), -1)
+    assert wedge(mono(4, 2), mono(4, 1)) == ExtVector(4, 2, {(1, 2): -1})
     assert wedge(ExtVector.from_vector(4, (1, 1, 0, 0)), mono(4, 2)) == mono(4, 1, 2)
 
 

@@ -192,25 +192,34 @@ def test_window_and_family_plumbing():
 
 def test_fund_fiber_space_restricts_the_whole_kernel():
     space = fiber_space(4, Fund(2))
-    assert space.restrict_subspace(space._fund) == Subspace.full(space.dim)
-    with pytest.raises(ValueError):
-        space.restrict_subspace(Subspace.full(6))
+    assert space.from_lambda(space._fund) == Subspace.full(space.dim)
+    assert space.from_lambda(Subspace.full(6)) == Subspace.full(space.dim)
+    # the orthogonal complement of the kernel meets it in zero
+    assert space.from_lambda(Subspace(6, space._fund.annihilator())) == Subspace.zero(space.dim)
+    lam = fiber_space(4, Lambda(2))
+    assert lam.from_lambda(space._fund) is space._fund
 
 
 def test_fund_restriction_reads_pivot_one_coordinates():
     # independent form: Fraction combinations of the pivot-1 kernel basis.
     # The contraction kernels have unit pivots; a stand-in kernel with
-    # pivots 2 and 3 checks that coordinates are read off the pivots.
+    # pivots 2 and 3, cut out by its own one-row contraction, checks that
+    # coordinates are read off the pivots.
     skewed = FiberSpace(4, Fund(2))
     skewed._fund = Subspace(6, [(2, 0, 1, 0, 0, 0), (0, 3, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
                                 (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)])
+    skewed._theta = tuple(tuple((j, v) for j, v in enumerate(row) if v)
+                          for row in skewed._fund.annihilator())
     for space in (fiber_space(4, Fund(2)), skewed):
         fund = space._fund
         basis = [[F(x, row[pc]) for x in row] for row, pc in zip(fund.rows, fund.pivots)]
+        # a vector off the kernel: the part of its span with the kernel rows is theirs
+        off = list(fund.annihilator()[0])
         for coords in ([[1, 0, 0, 0, 0]], [[0, 2, 0, -1, 0], [0, 0, 3, 0, 1]], [[1, 1, 1, 1, 1]]):
             sub = Subspace(space.dim, coords)
             ref = [[sum(c * b[j] for c, b in zip(row, basis)) for j in range(6)] for row in sub.rows]
-            assert space.restrict_subspace(Subspace(6, ref)) == sub
+            assert space.from_lambda(Subspace(6, ref)) == sub
+            assert space.from_lambda(Subspace(6, ref + [off])) == sub
 
 
 def test_fund_fibers_need_the_hamiltonian_action():

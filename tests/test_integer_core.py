@@ -35,10 +35,10 @@ def test_every_core_matrix_entry_is_an_int():
         for args in forms:
             rows, scale = space.rank_one_action(*args)
             assert _ints(rows) and type(scale) is int, (fiber, args)
-    for fiber, restrict in ((Lambda(2), False), (Lambda(2), True), (Fund(2), False)):
+    for fiber in (Lambda(2), Fund(2)):
         spec = ActionSpec.make("H", n, fiber, (F(1, 2), 0, 0, 0))
         for kind in FamilyKind:
-            family = build_family(kind, 2, spec, Window(n, 1), restrict_to_fundamental=restrict)
+            family = build_family(kind, 2, spec, Window(n, 1))
             assert family.fibers and all(_ints(s.rows) for s in family.fibers.values()), (fiber, kind)
 
 

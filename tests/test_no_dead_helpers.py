@@ -125,3 +125,100 @@ def test_every_package_import_is_named_by_its_module():
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in named]
     assert not unused, "imported but never named: " + ", ".join(unused)
+
+
+# ---------------------------------------------------------------------------
+# dead knobs: a default that every caller keeps is a constant, not a parameter
+
+# ``main(argv=None)`` reads sys.argv when the console script calls it bare.
+KNOB_EXEMPT = {"main(argv)"}
+
+
+def _defaulted_parameters(tree) -> list:
+    """(qualified name, name it is called by, parameter, position) for every
+    parameter with a default of every function, method and nested function.
+    Positions count the arguments a call passes, so ``self`` and ``cls`` are
+    left out, and keyword-only parameters have position None.  ``__init__``
+    is called by its class name."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                decorators = {d.id for d in child.decorator_list if isinstance(d, ast.Name)}
+                positional = args.posonlyargs + args.args
+                if in_class and "staticmethod" not in decorators:
+                    positional = positional[1:]
+                called_as = child.name
+                if child.name == "__init__":
+                    called_as = prefix.rstrip(".").rsplit(".", 1)[-1]
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    out.append((f"{prefix}{child.name}", called_as, arg.arg, i))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((f"{prefix}{child.name}", called_as, arg.arg, None))
+                visit(child, f"{prefix}{child.name}.", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, "", False)
+    return out
+
+
+def _call_shapes(tree) -> dict:
+    """Called name -> list of (positional count, keyword names) of its calls;
+    a ``*args`` call passes every position and a ``**kwargs`` call every
+    keyword (the name ``**``)."""
+    out: dict = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        npos = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+        keywords = {k.arg or "**" for k in node.keywords}
+        out.setdefault(name, []).append((npos, keywords))
+    return out
+
+
+def _unset_defaults(definitions: list, calls: dict) -> list:
+    unset = []
+    for qualname, called_as, param, position in definitions:
+        shapes = calls.get(called_as, [])
+        if not any(param in kws or "**" in kws or (position is not None and npos > position)
+                   for npos, kws in shapes):
+            unset.append(f"{qualname}({param})")
+    return unset
+
+
+def test_a_default_no_call_sets_is_a_dead_knob():
+    source = (
+        "class A:\n"
+        "    def __init__(self, x, y=0):\n        pass\n"
+        "    def m(self, a, b=1, *, c=2):\n        pass\n"
+        "def f(u, v=3, w=4):\n    def inner(z=5):\n        pass\n    inner()\n"
+        "A(1)\nA(1).m(0, 2)\nf(0, w=1)\nf(*args)\n"
+    )
+    tree = ast.parse(source)
+    unset = _unset_defaults(_defaulted_parameters(tree), _call_shapes(tree))
+    assert sorted(unset) == ["A.__init__(y)", "A.m(c)", "f.inner(z)"]
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    calls: dict = {}
+    for top in SCANNED:
+        for path in top.rglob("*.py"):
+            for name, shapes in _call_shapes(ast.parse(path.read_text(), str(path))).items():
+                calls.setdefault(name, []).extend(shapes)
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        definitions = _defaulted_parameters(ast.parse(path.read_text(), str(path)))
+        dead += [f"{path.name}: {knob}" for knob in _unset_defaults(definitions, calls)
+                 if knob not in KNOB_EXEMPT]
+    assert not dead, "a default that no call in src or perfbench sets: " + ", ".join(dead)

@@ -7,7 +7,7 @@ import slmod.sl_maps as sl_maps
 from slmod.cli import main
 from slmod.exact_linalg import Subspace, intersect, mat_mul, mat_vec
 from slmod.exterior_algebra import fundamental_subspace
-from slmod.graded_modules import ActionSpec, Lambda, Window
+from slmod.graded_modules import ActionSpec, Fund, Lambda, ScalarFiber, Sym2, Window
 from slmod.sl_maps import (
     FamilyKind,
     SpecialFiberPolicy,
@@ -138,9 +138,7 @@ def test_build_family_examples():
     fam_min = build_family(FamilyKind.MIN, 2, spec, win)
     assert fam_min.fiber(k) == Subspace(6, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)])
     assert build_family(FamilyKind.MAX, 2, spec, win).fiber(k).dim == 4
-    assert (
-        build_family(FamilyKind.MAX, 2, spec, win, restrict_to_fundamental=True).fiber(k).dim == 3
-    )
+    assert build_family(FamilyKind.MAX, 2, spec.with_fiber(Fund(2)), win).fiber(k).dim == 3
     assert build_family(FamilyKind.INT, 2, spec, win).fiber(k).dim == 3
 
 
@@ -154,7 +152,7 @@ def test_special_fiber_policies():
     assert full.fiber(k0) == Subspace.full(6)
     # under the fundamental restriction the hat fiber is the restricted space
     fullf = build_family(
-        FamilyKind.MIN, 2, spec, win, policy=SpecialFiberPolicy.FULL, restrict_to_fundamental=True
+        FamilyKind.MIN, 2, spec.with_fiber(Fund(2)), win, policy=SpecialFiberPolicy.FULL
     )
     assert fullf.fiber(k0).dim == 5
     # maximal with OMIT drops the degenerate fiber entirely
@@ -186,12 +184,9 @@ def test_quotient_dims_examples():
     full = sl_maps.GradedFamily(spec, win, {kk: Subspace.full(6) for kk in win.degrees()})
     mx = build_family(FamilyKind.MAX, 2, spec, win, policy=SpecialFiberPolicy.FULL)
     assert quotient_dims(full, mx)[k] == 2
-    mxf = build_family(
-        FamilyKind.MAX, 2, spec, win, policy=SpecialFiberPolicy.FULL, restrict_to_fundamental=True
-    )
-    intf = build_family(
-        FamilyKind.INT, 2, spec, win, policy=SpecialFiberPolicy.FULL, restrict_to_fundamental=True
-    )
+    fund = spec.with_fiber(Fund(2))
+    mxf = build_family(FamilyKind.MAX, 2, fund, win, policy=SpecialFiberPolicy.FULL)
+    intf = build_family(FamilyKind.INT, 2, fund, win, policy=SpecialFiberPolicy.FULL)
     assert quotient_dims(mxf, intf)[k] == 1
     it = build_family(FamilyKind.INT, 2, spec, win, policy=SpecialFiberPolicy.FULL)
     mn = build_family(FamilyKind.MIN, 2, spec, win, policy=SpecialFiberPolicy.FULL)
@@ -214,14 +209,42 @@ def test_int_family_invalid_at_top_degree():
         build_family(FamilyKind.INT, 4, spec, win)
 
 
-@pytest.mark.parametrize("n,p", [(4, 2), (6, 2), (6, 3)])
-@pytest.mark.parametrize("kind", list(FamilyKind), ids=str)
-def test_theta_kernel_part_is_the_intersection(n, p, kind):
-    """The kernel of theta A^T mapped back through A is the canonical
-    intersection with the contraction kernel, fiber by fiber."""
-    spec = ActionSpec.make("H", n, Lambda(p), (F(1, 2),) + (0,) * (n - 1))
-    theta = sl_maps._theta_rows(n, p)
-    fund = fundamental_subspace(n, p)
-    for k in Window(n, 1).degrees():
-        sub = sl_maps._family_fiber_lambda(kind, p, n, spec.scaled_shift(k))
-        assert sl_maps._contraction_kernel_part(sub, theta) == intersect(sub, fund), k
+def test_families_need_a_lambda_or_fund_fiber_of_their_degree():
+    win = Window(4, 1)
+    for fiber in (Fund(1), Sym2(), ScalarFiber()):
+        with pytest.raises(ValueError, match="lives on Lambda"):
+            build_family(FamilyKind.MIN, 2, ActionSpec.make("H", 4, fiber, HALF), win)
+
+
+THIRDS = (F(1, 3), F(2, 5))
+
+
+# N=6 d=1 runs at the least special beta alone: all three take about 45 s
+@pytest.mark.parametrize("n,d,beta", [(4, 1, "zero"), (4, 1, "half"), (4, 1, "thirds"),
+                                      (4, 2, "zero"), (4, 2, "half"), (4, 2, "thirds"),
+                                      (6, 1, "thirds")])
+def test_fund_families_are_the_restricted_lambda_families(n, d, beta):
+    """Every Fund(p) family, MIN and MAX from the restricted action and FULLW
+    and INT through the theta cut, is its Lambda(p) family intersected with
+    the contraction kernel and read off the kernel basis' pivot entries."""
+    beta = {"zero": (0,) * n, "half": (F(1, 2),) + (0,) * (n - 1),
+            "thirds": THIRDS + (0,) * (n - 2)}[beta]
+    win = Window(n, d)
+    for p in range(1, n // 2 + 1):
+        fund = fundamental_subspace(n, p)
+        lam = ActionSpec.make("H", n, Lambda(p), beta)
+        reads: dict = {}  # Lambda fiber -> its restricted Fund(p) coordinates
+
+        def restricted(sub):
+            if sub not in reads:
+                cut = intersect(sub, fund)
+                reads[sub] = Subspace(fund.dim, [[row[pc] for pc in fund.pivots] for row in cut.rows])
+            return reads[sub]
+
+        for kind in FamilyKind:
+            # the policies differ at k + beta = 0 alone, inside the window only at beta = 0
+            for policy in SpecialFiberPolicy if not any(beta) else [SpecialFiberPolicy.OMIT]:
+                big = build_family(kind, p, lam, win, policy=policy)
+                small = build_family(kind, p, lam.with_fiber(Fund(p)), win, policy=policy)
+                for k in win.degrees():
+                    assert small.fiber(k) == restricted(big.fiber(k)), (p, kind, policy, k)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from slmod.exact_linalg import from_triplets, identity, mat_mul, matrix
+from slmod.exact_linalg import dot, from_triplets, identity, mat_mul, mat_vec, matrix
 from slmod.exterior_algebra import gl_action_matrix
 from slmod.graded_modules import Lambda, Sym2, fiber_space
 from slmod.torus_lie import (
@@ -86,6 +86,53 @@ def test_j_membership_examples():
     assert j_membership("W", lam1, identity(4), [((1, 0, 0, 0), (1, 0, 0, 0))])
     # (e1 e2^T)^2 sends e2.e2 to 2 e1.e1, while (u|r) = 0
     assert not j_membership("W", fiber_space(2, Sym2()), [(0, 0, 1)], [((1, 0), (0, 1))])
+
+
+def reference_j_membership(kind, space, vectors, samples) -> bool:
+    """The vector-by-vector loop: A(Av) against c scale Av for each sample."""
+    for r, u in samples:
+        c = 0 if kind == "H" else dot(u, r)
+        rows, scale = space.rank_one_action(r, None if kind == "H" else u)
+        for v in vectors:
+            av = mat_vec(rows, v)
+            if mat_vec(rows, av) != tuple(c * scale * x for x in av):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_j_membership_matches_the_reference_loop(n):
+    rng = random.Random(f"j-membership-{n}")
+    for p in range(n + 1):
+        space = fiber_space(n, Lambda(p))
+        mixed = [[rng.randint(-2, 2) for _ in range(space.dim)] for _ in range(3)]
+        # entries past 2^62: the products run on Python ints
+        huge = [[x * 2**70 for x in v] for v in mixed]
+        for kind in "HWS":
+            samples = default_j_samples(kind, n)
+            for vectors in [[v] for v in identity(space.dim)] + [identity(space.dim), mixed, huge]:
+                assert j_membership(kind, space, vectors, samples) == \
+                    reference_j_membership(kind, space, vectors, samples), (p, kind, vectors)
+
+
+def test_j_membership_matches_the_reference_on_the_sym2_witnesses():
+    sym2 = fiber_space(2, Sym2())
+    for kind in "HWS":
+        samples = default_j_samples(kind, 2)
+        assert not j_membership(kind, sym2, [(0, 0, 1)], samples)
+        assert not reference_j_membership(kind, sym2, [(0, 0, 1)], samples)
+    # every Lambda^p answer above is "holds"; Sym^2 monomials answer both ways
+    answers = set()
+    for n in (2, 4):
+        space = fiber_space(n, Sym2())
+        for kind in "HWS":
+            samples = default_j_samples(kind, n)
+            for v in identity(space.dim):
+                for vectors in ([v], [[x * 2**70 for x in v]]):
+                    got = j_membership(kind, space, vectors, samples)
+                    assert got == reference_j_membership(kind, space, vectors, samples), (kind, v)
+                    answers.add(got)
+    assert answers == {True, False}
 
 
 def test_j_membership_rejects_divergent_samples():
