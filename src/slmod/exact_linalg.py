@@ -318,7 +318,7 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(r) for r in other.rows)
+        return not any(any(_reduce_row(r, self.rows, self.pivots)) for r in other.rows)
 
     def __eq__(self, other) -> bool:
         return (

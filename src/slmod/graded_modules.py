@@ -518,11 +518,24 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
     stored since the last visit.  ``stop(i, spans)`` is asked once for each
     seed degree and again whenever the span at i grows; a true answer ends
     the run with None.  Otherwise returns degree index -> ``IntSpan``.
+
+    A target is settled once images from a later visit than the one that
+    last grew it stored nothing there.  A visit tests its rows on every edge
+    into a settled target in one ``fiber_escapes`` call against the target's
+    annihilator, and only the rows that escape go on to ``apply`` and
+    ``IntSpan.add``.  Spans only grow, so a row the annihilator of an older
+    span kills is one ``add`` would refuse: the stored rows, ``grow``
+    results and ``stop`` calls are those of the run that applies every edge.
+    A target that grows drops its annihilator and is unsettled.
     """
     dim = table.dim
     spans: dict = {}
     fresh: dict = {}  # degree index -> stored rows not yet sent along its edges
     queue: deque = deque()
+    grown: dict = {}  # degree index -> the visit that last stored a row there
+    settled: set = set()
+    anns: dict = {}  # settled degree index -> annihilator block, padded to dim rows
+    visit = 0
 
     def grow(i: int, rows) -> bool:
         span = spans.get(i)
@@ -531,6 +544,9 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
         new = [row for row in map(span.add, rows) if row is not None]
         if not new:
             return False
+        grown[i] = visit
+        settled.discard(i)
+        anns.pop(i, None)
         if i in fresh:
             fresh[i] += new
         else:
@@ -543,15 +559,37 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
         if stop is not None and stop(i, spans):
             return None
     while queue:
+        visit += 1
         i = queue.popleft()
         rows = fresh.pop(i)
-        for gi, j, cq in table.out_edges[i]:
+        edges = table.out_edges[i]
+        escaping = {}  # edge position -> the rows that escape its settled target
+        tested = [e for e, (_, j, _) in enumerate(edges) if j in settled]
+        if tested:
+            gis, targets, cqs = zip(*(edges[e] for e in tested))
+            for j in targets:
+                if j not in anns:
+                    span = spans[j]  # dim - span.dim annihilator rows, padded to dim
+                    anns[j] = int_blocks(
+                        [span.to_subspace().annihilator() + ((0,) * dim,) * span.dim], dim)[0]
+            flags = fiber_escapes(int_blocks([rows], dim)[0], np.stack([anns[j] for j in targets]),
+                                  [cq * table.scale[gi] for gi, cq in zip(gis, cqs)],
+                                  table.qd[list(gis)])
+            for e, flag in zip(tested, flags.tolist()):
+                escaping[e] = [row for row, out in zip(rows, flag) if out]
+        for e, (gi, j, cq) in enumerate(edges):
             span = spans.get(j)
             if span is not None and span.dim == dim:
                 continue
-            images = table.apply(gi, cq, rows)
-            if images and grow(j, images) and stop is not None and stop(j, spans):
-                return None
+            sent = escaping.get(e, rows)
+            images = table.apply(gi, cq, sent) if sent else None
+            if not images:
+                continue
+            if grow(j, images):
+                if stop is not None and stop(j, spans):
+                    return None
+            elif grown[j] < visit:
+                settled.add(j)
     return spans
 
 
@@ -625,7 +663,7 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
         scale = table.scale[gi]
         bad = fiber_escapes(r_blocks[np.array(edges[0::3], dtype=np.intp)],
                             a_blocks[np.array(edges[1::3], dtype=np.intp)],
-                            [c * scale for c in edges[2::3]], table.qd[gi])
+                            [c * scale for c in edges[2::3]], table.qd[gi]).any(-1)
         for e in np.flatnonzero(bad).tolist():
             first.setdefault(edges[3 * e], gi)
         by_gen[gi] = None  # free each edge list once tested, for peak memory
@@ -643,12 +681,13 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
 
 
 def fiber_escapes(rows, anns, cs: list, maps) -> np.ndarray:
-    """Which items send their rows out of a fixed fiber: the one fiber
-    membership test of every sweep.
+    """Which rows of which items leave a fixed fiber: the one fiber
+    membership test of every sweep, one flag per (item, row).
 
-    Item e maps the row block R_e through c_e * Id + M_e; the image lies in
+    Item e maps the row block R_e through c_e * Id + M_e; an image lies in
     the target fiber exactly when the fiber's annihilator block A_e kills it,
-    so the item escapes when A_e (c_e R_e + R_e M_e^T)^T != 0.  ``rows``,
+    so row t of item e escapes when column t of A_e (c_e R_e + R_e M_e^T)^T
+    is nonzero.  ``rows``,
     ``anns`` and ``maps`` are integer arrays, each either one block that
     every item shares (h x D, a x D, D x D) or one block per item stacked
     along a first axis of length ``len(cs)``; zero rows pad a block freely.
@@ -666,7 +705,7 @@ def fiber_escapes(rows, anns, cs: list, maps) -> np.ndarray:
     c = np.array(cs, dtype=dtype)[:, None, None]
     images = c * r + r @ np.swapaxes(maps.astype(dtype, copy=False), -1, -2)
     products = anns.astype(dtype, copy=False) @ np.swapaxes(images, -1, -2)
-    return np.any(products, axis=(-2, -1))
+    return np.any(products, axis=-2)
 
 
 def int_blocks(row_sets: list, dim: int) -> np.ndarray:

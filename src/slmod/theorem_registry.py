@@ -827,14 +827,15 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
             rows.append(family.fiber(table.degs[i]).rows)
             cs.append(cq * table.scale[gi])
             gis.append(gi)
-    bad_in = int(fiber_escapes(int_blocks(rows, dim), eye, cs, table.qd[gis]).sum())
+    bad_in = int(fiber_escapes(int_blocks(rows, dim), eye, cs, table.qd[gis]).any(-1).sum())
     rec.record(bad_in == 0, expected="no image lands in the degenerate fiber",
                actual=f"{bad_in} nonzero images", note="glue freedom, incoming")
     # out of the full fiber at k0 into the minimal family
     out = table.out_edges[table.index[k0]]
     anns = int_blocks([families[0].fiber(table.degs[j]).annihilator() for _, j, _ in out], dim)
     cs = [cq * table.scale[gi] for gi, _, cq in out]
-    bad_out = int(fiber_escapes(eye, anns, cs, table.qd[[gi for gi, _, _ in out]]).sum())
+    gis = [gi for gi, _, _ in out]
+    bad_out = int(fiber_escapes(eye, anns, cs, table.qd[gis]).any(-1).sum())
     rec.record(bad_out == 0, expected="degenerate fiber maps into the minimal family",
                actual=f"{bad_out} escapes", note="glue freedom, outgoing")
 

@@ -13,6 +13,7 @@ from math import lcm
 
 import pytest
 
+from slmod import graded_modules
 from slmod.exact_linalg import Subspace, mat_vec, subspace_sum
 from slmod.graded_modules import (
     ActionSpec,
@@ -162,3 +163,25 @@ def test_multi_seed_closure_matches_the_reference(n, d, fiber, beta, first):
     assert any(s.dim < dim for s in ref.values())
     for k in window.degrees():
         assert fam.fiber(k) == ref.get(k, Subspace.zero(dim)), k
+
+
+def test_closure_with_seed_entries_past_int64_matches_the_reference(monkeypatch):
+    """A centre seed inside INT but outside MIN with entries past 2^62: the
+    settled-target test of ``saturate`` then runs on Python ints, and the
+    closure still equals the Fraction reference."""
+    spec = ActionSpec.make("H", 4, Fund(1), (F(1, 2), 0, 0, 0))
+    window = Window(4, 1)
+    seeds = {(0, 0, 0, 0): [[2**63 + 1, 2**62 + 3, 0, 5]]}
+    tops = []
+    fiber_escapes = graded_modules.fiber_escapes
+
+    def logged(rows, anns, cs, maps):
+        tops.append(max(abs(x) for x in rows.flat))
+        return fiber_escapes(rows, anns, cs, maps)
+
+    monkeypatch.setattr(graded_modules, "fiber_escapes", logged)
+    fam = closure(spec, seeds, window)
+    assert tops and max(tops) >= 2**62
+    ref = reference_closure(spec, seeds, window)
+    for k in window.degrees():
+        assert fam.fiber(k) == ref.get(k, Subspace.zero(4)), k

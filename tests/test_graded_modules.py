@@ -1,10 +1,12 @@
 import random
+from collections import deque
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from slmod import graded_modules
-from slmod.exact_linalg import Subspace, mat_mul, mat_sub, zero_matrix
+from slmod import graded_modules, theorem_registry
+from slmod.exact_linalg import IntSpan, Subspace, mat_mul, mat_sub, zero_matrix
 from slmod.graded_modules import (
     ActionSpec,
     FiberSpace,
@@ -16,11 +18,15 @@ from slmod.graded_modules import (
     Window,
     closure,
     default_generators,
+    edge_table,
     fiber_action,
+    fiber_escapes,
     fiber_space,
     gen_d,
     gen_h,
+    int_blocks,
     is_invariant,
+    saturate,
 )
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.torus_lie import rank_one, rank_one_sym, sympl_form
@@ -264,3 +270,137 @@ def test_rank_one_action_is_the_dense_action(n, fiber, form):
                 space.rank_one_action(x, y)
         else:
             assert space.rank_one_action(x, y) == space.action_matrix_int(rank_one(x, y)), (x, y)
+
+
+# ---------------------------------------------------------------------------
+# saturate against the worklist that applies every edge
+
+
+def reference_saturate(table, seeds: dict, stop=None):
+    """``saturate`` without its settled-target filter: every visit applies
+    every edge into a target that is not full and adds each image."""
+    dim = table.dim
+    spans: dict = {}
+    fresh: dict = {}
+    queue: deque = deque()
+
+    def grow(i: int, rows) -> bool:
+        span = spans.get(i)
+        if span is None:
+            span = spans[i] = IntSpan(dim)
+        new = [row for row in map(span.add, rows) if row is not None]
+        if not new:
+            return False
+        if i in fresh:
+            fresh[i] += new
+        else:
+            fresh[i] = new
+            queue.append(i)
+        return True
+
+    for i, rows in seeds.items():
+        grow(i, rows)
+        if stop is not None and stop(i, spans):
+            return None
+    while queue:
+        i = queue.popleft()
+        rows = fresh.pop(i)
+        for gi, j, cq in table.out_edges[i]:
+            span = spans.get(j)
+            if span is not None and span.dim == dim:
+                continue
+            images = table.apply(gi, cq, rows)
+            if images and grow(j, images) and stop is not None and stop(j, spans):
+                return None
+    return spans
+
+
+def _recording(stop, calls: list):
+    """A stop hook that logs (degree index, dims of every span) and then
+    defers to ``stop`` (never stopping when it is None)."""
+    def hook(i, spans):
+        calls.append((i, sorted((j, span.dim) for j, span in spans.items())))
+        return stop is not None and stop(i, spans)
+    return hook
+
+
+def _same_run(table, seeds, stop=None):
+    """Run ``saturate`` and the reference; both must make the same stop
+    calls and return equal spans.  Returns saturate's spans."""
+    calls, ref_calls = [], []
+    ref = reference_saturate(table, seeds, _recording(stop, ref_calls))
+    out = saturate(table, seeds, _recording(stop, calls))
+    assert calls == ref_calls
+    assert (out is None) == (ref is None)
+    if out is not None:
+        assert {i: s.rows for i, s in out.items()} == {i: s.rows for i, s in ref.items()}
+    return out
+
+
+def test_saturate_matches_the_reference_on_the_int_closure(monkeypatch):
+    """H Fund(1), N=4, d=2, beta = e1/2, from a centre vector inside INT but
+    outside MIN: the closure is INT, and most images land in fibers that
+    already hold them, so fewer than a quarter of the reference's image rows
+    may reach ``IntSpan.add``."""
+    spec = ActionSpec.make("H", 4, Fund(1), HALF)
+    table = edge_table(spec, Window(4, 2), default_generators(spec.kind, 4))
+    seeds = {table.index[(0, 0, 0, 0)]: [[2, -1, 0, 3]]}
+    adds = {"n": 0}
+    add = IntSpan.add
+
+    def counted(span, vector):
+        adds["n"] += 1
+        return add(span, vector)
+
+    monkeypatch.setattr(IntSpan, "add", counted)
+    reference_saturate(table, seeds)
+    ref_adds, adds["n"] = adds["n"], 0
+    saturate(table, seeds)
+    assert adds["n"] < ref_adds / 4, (adds["n"], ref_adds)
+    spans = _same_run(table, seeds)
+    assert 0 < sum(s.dim for s in spans.values()) < 4 * len(table.degs)
+
+
+@pytest.mark.parametrize("kind,fiber,beta,mode", [
+    ("W", Lambda(1), (F(1, 2), 0, 0), "exact"),
+    ("H", Fund(2), HALF, "contains"),
+])
+def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mode):
+    """Probes with the certificate's stop hook: W N=3 d=2 probes against the
+    full target, and H Fund(2) N=4 d=2 probes that must contain MIN.  The
+    W hook fires before any target settles, so the last W seed also runs
+    without a hook, with N generators per degree step into each target."""
+    n = len(beta)
+    spec = ActionSpec.make(kind, n, fiber, beta)
+    window = Window(n, 2)
+    engine = theorem_registry.probe_engine(spec, window)
+    hooks = []
+
+    def twin(table, seeds, stop=None):
+        hooks.append(stop is not None)
+        return _same_run(table, seeds, stop)
+
+    monkeypatch.setattr(theorem_registry, "saturate", twin)
+    if mode == "exact":
+        target = engine.full_target()
+    else:
+        target = engine.min_target(build_family(FamilyKind.MIN, fiber.p, spec, window))
+    rng = random.Random(f"saturate-{kind}-{fiber}")
+    degs = window.degrees()
+    for _ in range(6):
+        vector = [rng.randint(-3, 3) for _ in range(spec.space().dim)]
+        vector[rng.randrange(len(vector))] = 1
+        k = degs[rng.randrange(len(degs))]
+        engine.run(k, vector, mode, target)
+    assert any(hooks)
+    _same_run(engine.table, {engine.index[k]: [vector]})
+
+
+def test_fiber_escapes_leaves_int64_before_a_product_wraps():
+    """A row and an annihilator row with 2^32 in one entry: the product is
+    exactly 2^64, which int64 would wrap to 0."""
+    row = int_blocks([[[2**32, 0, 0, 0]]], 4)[0]
+    assert row.dtype == np.int64
+    assert (row[:, :1] * row[:, :1]).tolist() == [[0]]  # the wrapped product
+    maps = np.zeros((1, 4, 4), dtype=np.int64)
+    assert fiber_escapes(row, row, [1], maps).tolist() == [[True]]

@@ -47,7 +47,8 @@ def test_every_core_matrix_entry_is_an_int():
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slmod"
 # numpy constructors, and the position of their dtype argument
-CONSTRUCTORS = {"array": 1, "asarray": 1, "zeros": 1, "empty": 1, "ones": 1, "full": 2}
+CONSTRUCTORS = {"array": 1, "asarray": 1, "zeros": 1, "empty": 1, "ones": 1, "full": 2,
+                "eye": 3, "identity": 1}
 
 
 def _exact_dtype(node, assigned: dict, depth: int = 0) -> bool:
@@ -130,8 +131,10 @@ def f(rows, big):
     dtype = np.int64 if big else np.float64
     d = np.empty(3, dtype)
     e = b.astype(dtype, copy=False)
+    f = np.eye(3)
+    g = np.identity(2, float)
 """
-    assert len(_lint(bad)) == 5
+    assert len(_lint(bad)) == 7
     good = """
 import numpy as np
 def f(rows, big):
@@ -139,5 +142,7 @@ def f(rows, big):
     a = np.array(rows, dtype=np.intp)
     b = np.zeros((2, 2), dtype=dtype)
     c = a.astype(object)
+    d = np.eye(3, dtype=np.int64)
+    e = np.identity(2, object)
 """
     assert _lint(good) == []
