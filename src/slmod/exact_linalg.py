@@ -1,16 +1,17 @@
-"""Exact rational linear algebra with canonical row-echelon subspaces.
+"""Exact linear algebra over Q with canonical row-echelon subspaces.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``); plain
-``int`` entries are accepted anywhere a rational is expected.  A ``Subspace``
-of Q^n is stored in a canonical form, so two subspaces are equal exactly when
-their stored bases are identical entry for entry.
+A ``Subspace`` of Q^n is stored in a canonical form, so two subspaces are
+equal exactly when their stored bases are identical entry for entry.
 
-Internally every row is cleared to a primitive integer vector (coprime
-entries, positive leading entry) and elimination is fraction-free: each row
-update is a cross-multiplication followed by a gcd reduction, with pivots
-normalized at the end.  Rational input has its denominators cleared once, by
-``_int_matrix``; from there ``kernel``, ``image`` and ``intersect`` stay in
-integers up to the canonical ``Subspace``.
+The core takes Python-int rows only: ``Subspace``, ``kernel``, ``image``,
+``rank`` and ``contains_vector`` never scan for rationals, and a ``Fraction``
+handed to them raises ``TypeError`` from ``math.gcd`` in the elimination
+rather than giving a wrong answer.  Every row is kept as a primitive integer
+vector (coprime entries, positive leading entry) and elimination is
+fraction-free: each row update is a cross-multiplication followed by a gcd
+reduction.  Rationals have their denominators cleared by ``_int_matrix``,
+called only where a ``Fraction`` can enter (``rref`` and a few callers
+outside this module).
 """
 
 from __future__ import annotations
@@ -136,11 +137,6 @@ def _int_matrix(m) -> tuple[list[list[int]], int]:
     return [[int(x * denom) for x in row] for row in m], denom
 
 
-def _int_row(row: Sequence[Rational]) -> list[int]:
-    """A rational row scaled to integers: the one-row ``_int_matrix``."""
-    return _int_matrix((row,))[0][0]
-
-
 def _reduce_row(vec_: list[int], rows, pivots) -> list[int]:
     """Eliminate ``vec_`` against echelon ``rows`` (sorted by pivot column)."""
     for row, p in zip(rows, pivots):
@@ -162,9 +158,11 @@ def _lead(row: Sequence[int]) -> int:
 
 
 def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Full Gauss-Jordan over Z; returns primitive canonical rows and pivots."""
-    work = [list(r) for r in rows if any(r)]
-    out: list[list[int]] = []
+    """Full Gauss-Jordan over Z; returns primitive canonical rows and pivots.
+
+    A row is made primitive (positive lead) when it is chosen as pivot row
+    and after every update, so the result needs no final normalization."""
+    work = [r for r in rows if any(r)]
     pivots: list[int] = []
     if not work:
         return [], []
@@ -180,8 +178,7 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[tuple[int, ...]], list
         if sel is None:
             continue
         work[r], work[sel] = work[sel], work[r]
-        prow = list(_primitive(work[r]))
-        work[r] = prow
+        prow = work[r] = _primitive(work[r])
         a = prow[col]
         for i in range(nrows):
             if i != r and work[i][col]:
@@ -189,14 +186,12 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[tuple[int, ...]], list
                 g = gcd(a, b)
                 ma = a // g
                 mb = b // g
-                work[i] = list(_primitive([ma * x - mb * y for x, y in zip(work[i], prow)]))
+                work[i] = _primitive([ma * x - mb * y for x, y in zip(work[i], prow)])
         pivots.append(col)
         r += 1
         if r == nrows:
             break
-    for i in range(r):
-        out.append(list(_primitive(work[i])))
-    return [tuple(row) for row in out], pivots
+    return work[:r], pivots
 
 
 class IntSpan:
@@ -239,11 +234,12 @@ class IntSpan:
         return res
 
     def to_subspace(self) -> "Subspace":
-        return Subspace._from_int_rows(self.ambient, self.rows)
+        return Subspace(self.ambient, self.rows)
 
 
 class Subspace:
-    """A subspace of Q^n in canonical reduced-row-echelon form.
+    """A subspace of Q^n in canonical reduced-row-echelon form, spanned by
+    the given Python-int rows.
 
     The stored rows are primitive integer vectors, proportional to the unique
     pivot-1 reduced echelon basis.
@@ -251,8 +247,8 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "rows", "pivots", "_annihilator")
 
-    def __init__(self, ambient_dim: int, rows: Iterable[Sequence[Rational]] = ()):
-        canon, piv = _echelon([_int_row(r) for r in rows])
+    def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]] = ()):
+        canon, piv = _echelon(rows)
         for r in canon:
             if len(r) != ambient_dim:
                 raise ValueError("subspace row length differs from ambient dimension")
@@ -262,18 +258,8 @@ class Subspace:
         self._annihilator = None
 
     @classmethod
-    def _from_int_rows(cls, ambient_dim: int, rows) -> "Subspace":
-        obj = object.__new__(cls)
-        canon, piv = _echelon(rows)
-        obj.ambient_dim = ambient_dim
-        obj.rows = tuple(canon)
-        obj.pivots = tuple(piv)
-        obj._annihilator = None
-        return obj
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._from_int_rows(ambient_dim, ())
+        return cls(ambient_dim)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -309,11 +295,10 @@ class Subspace:
         self._annihilator = tuple(out)
         return self._annihilator
 
-    def contains_vector(self, vector: Sequence[Rational]) -> bool:
+    def contains_vector(self, vector: Sequence[int]) -> bool:
         if len(vector) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        res = _reduce_row(_int_row(vector), self.rows, self.pivots)
-        return not any(res)
+        return not any(_reduce_row(vector, self.rows, self.pivots))
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -339,19 +324,18 @@ class Subspace:
 
 
 def rref(m) -> Subspace:
-    """Canonical row space of a matrix."""
+    """Canonical row space of a rational matrix."""
     m = matrix(m)
     if not m:
         raise ValueError("rref of an empty matrix has no ambient dimension")
-    return Subspace(len(m[0]), m)
+    return Subspace(len(m[0]), _int_matrix(m)[0])
 
 
 def rank(m) -> int:
     m = matrix(m)
     if not m:
         return 0
-    rows, _ = _echelon([_int_row(r) for r in m])
-    return len(rows)
+    return len(_echelon(m)[0])
 
 
 def kernel(m) -> Subspace:
@@ -360,7 +344,7 @@ def kernel(m) -> Subspace:
     if not m:
         raise ValueError("kernel of an empty matrix has no ambient dimension")
     ncols = len(m[0])
-    return Subspace._from_int_rows(ncols, Subspace(ncols, m).annihilator())
+    return Subspace(ncols, Subspace(ncols, m).annihilator())
 
 
 def image(m, s: Subspace | None = None) -> Subspace:
@@ -371,17 +355,15 @@ def image(m, s: Subspace | None = None) -> Subspace:
     ncols = len(m[0])
     if s is not None and s.ambient_dim != ncols:
         raise ValueError(f"image: subspace ambient {s.ambient_dim} != matrix cols {ncols}")
-    # a column span allows one scalar: clear a denominator common to all of m
-    m, _ = _int_matrix(m)
     if s is None:
-        return Subspace._from_int_rows(len(m), transpose(m))
-    return Subspace._from_int_rows(len(m), [mat_vec(m, row) for row in s.rows])
+        return Subspace(len(m), transpose(m))
+    return Subspace(len(m), [mat_vec(m, row) for row in s.rows])
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace._from_int_rows(a.ambient_dim, list(a.rows) + list(b.rows))
+    return Subspace(a.ambient_dim, list(a.rows) + list(b.rows))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -404,4 +386,4 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
             for j, x in enumerate(arow):
                 v[j] += c * x
         gens.append(v)
-    return Subspace._from_int_rows(a.ambient_dim, gens)
+    return Subspace(a.ambient_dim, gens)

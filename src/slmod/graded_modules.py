@@ -27,7 +27,7 @@ import numpy as np
 from .exact_linalg import (
     IntSpan,
     Subspace,
-    _int_row,
+    _int_matrix,
     dot,
     fits_int64,
     format_vector,
@@ -219,7 +219,7 @@ class FiberSpace:
             us = identity(len(rows))  # p = 1: no contraction, every vector is inside
         gens = [[sum(c * a[pc] for c, a in zip(u, rows) if c) for pc in self._fund.pivots]
                 for u in us]
-        return Subspace._from_int_rows(self.dim, gens)
+        return Subspace(self.dim, gens)
 
 
 @lru_cache(maxsize=None)
@@ -280,8 +280,12 @@ class ActionSpec:
         """Whether k + beta = 0 (the one fiber every formula degenerates at)."""
         return all(ki + bi == 0 for ki, bi in zip(k, self.beta))
 
-    def beta_integral(self) -> bool:
-        return all(b.denominator == 1 for b in self.beta)
+    def special_degree(self) -> Degree | None:
+        """The degree k with k + beta = 0 as an int tuple when beta is
+        integral, else None (no degree is special)."""
+        if self.q != 1:
+            return None
+        return tuple(-b for b in self.qbeta)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +347,6 @@ def default_generators(kind: AlgebraKind, n: int, bound: int = 1) -> tuple:
             for u in _perp_basis(r):
                 gens.append(gen_d(u, r))
     return tuple(gens)
-
-
-@lru_cache(maxsize=None)
-def _derivation_int(n: int, fiber: FiberType, gen: Generator) -> tuple:
-    """Cached integer derivation matrix (and scale) of the rank-one part."""
-    return fiber_space(n, fiber).rank_one_action(gen.r, gen.u)
 
 
 def edge_scalar(spec: ActionSpec, gen: Generator, k: Degree) -> Fraction:
@@ -462,12 +460,13 @@ class EdgeTable:
         self.degs = window.degrees()
         self.index, self.out_edges = _out_edges(spec.kind, q, spec.qbeta, window, gens)
         self.skipped = [len(gens) - len(edges) for edges in self.out_edges]
-        self.dim = spec.space().dim
+        space = spec.space()
+        self.dim = space.dim
         self.scale = []
         self.qdrows = []
         dense = []
         for g in gens:
-            drows, scale = _derivation_int(spec.n, spec.fiber, g)
+            drows, scale = space.rank_one_action(g.r, g.u)
             self.scale.append(scale)
             self.qdrows.append(
                 tuple(tuple((j, q * v) for j, v in enumerate(row) if v) for row in drows)
@@ -612,7 +611,7 @@ def closure(
         k = tuple(k)
         if k not in window:
             raise ValueError(f"seed degree {k} outside the window")
-        rows.setdefault(table.index[k], []).extend(_int_row(v) for v in vectors)
+        rows.setdefault(table.index[k], []).extend(_int_matrix(vectors)[0])
     spans = saturate(table, rows)
     fibers = {table.degs[i]: span.to_subspace() for i, span in spans.items() if span.rows}
     return GradedFamily(spec, window, fibers)

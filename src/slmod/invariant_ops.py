@@ -19,7 +19,7 @@ from operator import mul
 from .exact_linalg import (
     IntSpan,
     Subspace,
-    _int_row,
+    _int_matrix,
     dot,
     format_vector,
     mat_sub,
@@ -118,22 +118,22 @@ def small_algebra(kind, frame) -> SmallAlgebra:
     else:
         raise ValueError("small algebras are defined for the H and W actions")
     span = IntSpan(len(vectors[0]) ** 2)
-    for g in gens:
-        span.add(_int_row([x for row in g for x in row]))
+    for row in _int_matrix([[x for row in g for x in row] for g in gens])[0]:
+        span.add(row)
     return SmallAlgebra(kind, vectors, tuple(gens), span.dim)
 
 
 def lie_closure_holds(alg: SmallAlgebra) -> bool:
     """Whether the generator span is closed under the commutator."""
     span = IntSpan(len(alg.frame[0]) ** 2)
-    for g in alg.generators:
-        span.add(_int_row([x for row in g for x in row]))
+    for row in _int_matrix([[x for row in g for x in row] for g in alg.generators])[0]:
+        span.add(row)
+    comms = []
     for i, a in enumerate(alg.generators):
         for b in alg.generators[i + 1 :]:
             comm = mat_sub(mat_mul(a, b), mat_mul(b, a))
-            if not span.contains(_int_row([x for row in comm for x in row])):
-                return False
-    return True
+            comms.append([x for row in comm for x in row])
+    return all(map(span.contains, _int_matrix(comms)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def _t_span_factors(spec: ActionSpec, k) -> list:
     pair = _pairing_row(spec, k)
     if not any(pair):
         return []
-    basis = Subspace._from_int_rows(spec.n, [pair]).annihilator()
+    basis = Subspace(spec.n, [pair]).annihilator()
     if spec.kind is AlgebraKind.W:
         return [(x, y) for x in basis for y in basis]
     return [(x, None) for x in basis] + [([a + b for a, b in zip(x, y)], None)

@@ -52,7 +52,6 @@ from .graded_modules import (
     GradedFamily,
     Lambda,
     Window,
-    _derivation_int,
     default_generators,
     edge_table,
     fiber_space,
@@ -238,43 +237,37 @@ def verify_module_map(
         "module-map",
         {"map": str(map_id), "N": n, "beta": format_vector(spec.beta), "d": window.d},
     )
-    q = spec.q
-    table = edge_table(spec, window, gens)
-    degs = table.degs
+    src_table = edge_table(spec.with_fiber(Lambda(src_p)), window, gens)
+    tgt_table = edge_table(spec.with_fiber(Lambda(tgt_p)), window, gens)
+    if any(scale != 1 for scale in src_table.scale + tgt_table.scale):
+        raise RuntimeError("exterior-power derivations are not integral")
+    degs = src_table.degs
     edges_by_gen = [[] for _ in gens]
-    for i, edges in enumerate(table.out_edges):
+    for i, edges in enumerate(src_table.out_edges):
         for gi, j, cq in edges:
             edges_by_gen[gi].append((i, j, cq))
 
     mats = [_map_matrix_scaled(map_id, n, spec.scaled_shift(k)) for k in degs]
     max_phi = max((abs(x) for m in mats for row in m for x in row), default=0)
     phi = np.array(mats, dtype=np.int64 if fits_int64(max_phi) else object)
-    src_space = fiber_space(n, Lambda(src_p))
-    tgt_space = fiber_space(n, Lambda(tgt_p))
-    for g, edges in zip(gens, edges_by_gen):
-        d_src, s_src = _derivation_int(n, Lambda(src_p), g)
-        d_tgt, s_tgt = _derivation_int(n, Lambda(tgt_p), g)
-        if s_src != 1 or s_tgt != 1:
-            raise RuntimeError(f"exterior-power derivation of {g.label()} is not integral")
-        d_src = np.array(d_src, dtype=np.int64).reshape(src_space.dim, src_space.dim)
-        d_tgt = np.array(d_tgt, dtype=np.int64).reshape(tgt_space.dim, tgt_space.dim)
+    inner = max(src_table.dim, tgt_table.dim)
+    for g, edges, qd_src, qd_tgt in zip(gens, edges_by_gen, src_table.qd, tgt_table.qd):
         rec.counts["skipped"] += len(degs) - len(edges)
         if not edges:
             continue
         srcs, tgts, cs = zip(*edges)
         # a-priori bound on the entries of the integer identity below
         max_c = max(map(abs, cs))
-        max_d = max(int(np.abs(d_src).max(initial=0)), int(np.abs(d_tgt).max(initial=0)))
-        inner = max(src_space.dim, tgt_space.dim)
-        bound = max_c * 2 * max_phi + q * inner * max_phi * max_d
+        max_qd = max(int(np.abs(qd_src).max(initial=0)), int(np.abs(qd_tgt).max(initial=0)))
+        bound = max(max_qd, max_c * 2 * max_phi + inner * max_phi * max_qd)
         dtype = np.int64 if fits_int64(bound) else object
         a = phi[np.array(tgts, dtype=np.intp)].astype(dtype, copy=False)
         b = phi[np.array(srcs, dtype=np.intp)].astype(dtype, copy=False)
         c = np.array(cs, dtype=dtype)[:, None, None]
-        d_src = d_src.astype(dtype, copy=False)
-        d_tgt = d_tgt.astype(dtype, copy=False)
+        qd_src = qd_src.astype(dtype, copy=False)
+        qd_tgt = qd_tgt.astype(dtype, copy=False)
         # q^{h+1} * (commutation defect) expressed with integer matrices
-        lhs = c * (a - b) + q * (a @ d_src - d_tgt @ b)
+        lhs = c * (a - b) + (a @ qd_src - qd_tgt @ b)
         if np.any(lhs):
             bad = np.argwhere(np.any(lhs, axis=(1, 2)))[:, 0]
             for idx in bad[:8]:

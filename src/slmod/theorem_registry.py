@@ -30,7 +30,7 @@ from math import comb
 from .exact_linalg import (
     IntSpan,
     Subspace,
-    _int_row,
+    _int_matrix,
     dot,
     format_vector,
     frac,
@@ -219,8 +219,7 @@ class ProbeEngine:
             raise ValueError(
                 f"window d={self.window.d} has an empty interior: a probe would check nothing")
         seed_i = self.index[tuple(seed_k)]
-        vec_int = _int_row(seed_vec)
-        if not any(vec_int):
+        if not any(seed_vec):
             raise ValueError("probe seed is zero")
         if mode == "contains" and target.rows is None:
             raise ValueError("mode contains needs target rows")
@@ -234,7 +233,7 @@ class ProbeEngine:
             def stop(i, spans):
                 return (i in self.dominators and self._holds((i,), mode, target, spans)
                         and self._holds(self.special_interior, mode, target, spans))
-        spans = saturate(self.table, {seed_i: [vec_int]}, stop)
+        spans = saturate(self.table, {seed_i: [seed_vec]}, stop)
         return spans is None or self._holds(self.interior, mode, target, spans)
 
     def _holds(self, degrees, mode: str, target: ProbeTarget, spans) -> bool:
@@ -273,8 +272,8 @@ def oracle_fiber_dims(n: int, p: int, kplusbeta) -> dict:
 
     def span_dim(vectors) -> int:
         span = IntSpan(len(vectors[0]) if vectors else 0)
-        for v in vectors:
-            span.add(_int_row(v))
+        for v in _int_matrix(vectors)[0]:
+            span.add(v)
         return span.dim
 
     out: dict = {}
@@ -308,7 +307,7 @@ def oracle_fiber_dims(n: int, p: int, kplusbeta) -> dict:
     # maximal: kernel of the assembled square map
     dim = ext_dim(n, p)
     rows = tuple(tuple(f_cols[j][i] for j in range(dim)) for i in range(dim))
-    out["max"] = kernel(rows).dim
+    out["max"] = kernel(_int_matrix(rows)[0]).dim
     return out
 
 
@@ -583,7 +582,7 @@ def _check_jh_quotient(params) -> CheckResult:
     rec = Recorder("JH-quotient", {"N": n, "beta": format_vector(beta), "d": window.d})
     spec0 = ActionSpec.make("H", n, Lambda(0), beta)
     generic = _generic_degrees(spec0, window)
-    integral = spec0.beta_integral()
+    integral = spec0.special_degree() is not None
     policy = SpecialFiberPolicy.FULL if integral else SpecialFiberPolicy.OMIT
 
     def minimal(q, pol=SpecialFiberPolicy.OMIT):
@@ -645,8 +644,8 @@ def _check_composition(params) -> CheckResult:
         raise ValueError(f"composition needs 1 <= p <= {half}")
     spec0 = ActionSpec.make("H", n, Lambda(0), beta)
     generic = _generic_degrees(spec0, window)
-    integral = spec0.beta_integral()
-    policy = SpecialFiberPolicy.FULL if integral else SpecialFiberPolicy.OMIT
+    k0 = spec0.special_degree()
+    policy = SpecialFiberPolicy.FULL if k0 is not None else SpecialFiberPolicy.OMIT
 
     def fam(kind, q, pol=SpecialFiberPolicy.OMIT):
         return build_family(kind, q, spec0.with_fiber(Fund(q)), window, policy=pol)
@@ -676,10 +675,9 @@ def _check_composition(params) -> CheckResult:
         chain_example = dims_chain
     rec.record(bad == 0, expected="chain dims and bookkeeping", actual=f"{bad} bad",
                note=f"generic chain {chain_example}")
-    if integral:
+    if k0 is not None:
         # hat chain at the degenerate degree: the extra factor is the whole fiber
         hat_min = fam(FamilyKind.MIN, p, SpecialFiberPolicy.FULL)
-        k0 = tuple(int(-b) for b in beta)
         if k0 in window:
             rec.expect(fdim, hat_min.fiber(k0).dim - mn.fiber(k0).dim,
                        degree=k0, note="hat minimal adds the full degenerate fiber")
@@ -795,7 +793,7 @@ def _check_main_classification(params) -> CheckResult:
                      f"closure = {label} family", "mismatch")
         rec.record(bad == 0, expected=f"{label}-stratum seeds generate the {label} family",
                    actual=f"{bad} failed")
-    if spec.beta_integral():
+    if spec.special_degree() is not None:
         _glue_freedom(rec, spec, (mn, it, mx), window)
     return rec.result()
 
@@ -806,7 +804,7 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     the minimal family.  Each direction is one ``fiber_escapes`` call with one
     item per edge (and family) and counts the escaping items."""
     n = spec.n
-    k0 = tuple(int(-b) for b in spec.beta)
+    k0 = spec.special_degree()
     if k0 not in window:
         rec.skip()  # the degenerate degree lies outside the window
         return
@@ -849,7 +847,7 @@ def _check_cor_p0(params) -> CheckResult:
     engine = probe_engine(spec, window)
     degs = window.degrees()
     one = Subspace.full(1)
-    k0 = tuple(int(-b) for b in beta) if spec.beta_integral() else None
+    k0 = spec.special_degree()
     # at integral beta the degenerate line splits off; seeds off it regenerate the rest
     family = GradedFamily(spec, window, {k: one for k in degs if k != k0})
     if k0 is not None:
@@ -883,10 +881,9 @@ def _sym2_closure_check(check_id: str, kind: str, params) -> CheckResult:
     seeds = [(_draw(rng, degs), [1 if j == i else 0 for j in range(dim)]) for i in range(dim)]
     seeds += [(_draw(rng, degs), _random_vector(rng, dim))
               for _ in range(params.get("samples", 12))]
-    if spec.beta_integral():
-        k0 = tuple(int(-b) for b in beta)
-        if k0 in window:
-            seeds.append((k0, _random_vector(rng, dim)))
+    k0 = spec.special_degree()
+    if k0 is not None and k0 in window:
+        seeds.append((k0, _random_vector(rng, dim)))
     bad = _probe(rec, engine, seeds, "exact", engine.full_target(),
                  "closure reaches full fibers", "partial")
     rec.record(bad == 0, expected=f"{len(seeds)} seeds generate everything", actual=f"{bad} failed")
@@ -1038,7 +1035,7 @@ def _check_classify_w(params) -> CheckResult:
                      engine.full_target(), "closure reaches full fibers", "partial")
         rec.record(bad == 0, expected="outside seeds generate everything",
                    actual=f"{bad} failed", note=f"p={p}")
-        if spec.beta_integral():
+        if spec.special_degree() is not None:
             _glue_freedom(rec, spec, (fam,), window)
     # the small matrix algebra over the orthogonal complement
     shift_deg = next(k for k in window.degrees() if any(a + b for a, b in zip(k, beta)))

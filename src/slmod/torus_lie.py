@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import IntSpan, _int_row, dot, fits_int64, kernel
+from .exact_linalg import IntSpan, _int_matrix, dot, fits_int64, kernel
 
 Degree = tuple  # tuple[int, ...]
 
@@ -96,7 +96,7 @@ def j_membership(kind: AlgebraKind, space, vectors, samples) -> bool:
     Python ints (dtype object) otherwise.
     """
     kind = AlgebraKind(kind)
-    cols = [_int_row(v) for v in vectors]
+    cols = _int_matrix(vectors)[0]
     max_v = max((abs(x) for v in cols for x in v), default=0)
     for r, u in samples:
         if kind is AlgebraKind.H:

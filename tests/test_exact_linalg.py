@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from slmod.exact_linalg import (
     Subspace,
+    _int_matrix,
     from_triplets,
     identity,
     image,
@@ -96,7 +97,7 @@ def test_rref_idempotent(rows):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rank_nullity(rows):
-    m = matrix(rows)
+    m = matrix(_int_matrix(rows)[0])
     assert rank(m) + kernel(m).dim == len(m[0])
 
 
@@ -104,8 +105,8 @@ def test_rank_nullity(rows):
 @given(small_matrices(3, 4), small_matrices(3, 4))
 def test_sum_intersect_dimension_formula(rows_a, rows_b):
     cols = max(len(rows_a[0]), len(rows_b[0]))
-    a = Subspace(cols, [list(r) + [0] * (cols - len(r)) for r in rows_a])
-    b = Subspace(cols, [list(r) + [0] * (cols - len(r)) for r in rows_b])
+    a = Subspace(cols, _int_matrix([list(r) + [0] * (cols - len(r)) for r in rows_a])[0])
+    b = Subspace(cols, _int_matrix([list(r) + [0] * (cols - len(r)) for r in rows_b])[0])
     assert subspace_sum(a, b).dim + intersect(a, b).dim == a.dim + b.dim
 
 
@@ -113,8 +114,20 @@ def test_sum_intersect_dimension_formula(rows_a, rows_b):
 @given(small_matrices(3, 4))
 def test_membership_matches_span(rows):
     s = rref(rows)
-    for row in rows:
+    for row in _int_matrix(rows)[0]:
         assert s.contains_vector(row)
+
+
+def test_the_integer_core_refuses_fractions():
+    # a Fraction never reaches the elimination silently: math.gcd refuses it
+    half = [[F(1, 2), 1], [0, F(3)]]
+    for call in (lambda: Subspace(2, half), lambda: kernel(half), lambda: image(half),
+                 lambda: rank(half)):
+        with pytest.raises(TypeError):
+            call()
+    # the boundary clears one common denominator, and rref goes through it
+    assert _int_matrix(half) == ([[1, 2], [0, 6]], 2)
+    assert rref(half) == Subspace.full(2)
 
 
 def test_from_triplets_accumulates():
@@ -145,14 +158,17 @@ def test_exact_core_agrees_with_sympy(sympy, rows):
     m = matrix(rows)
     nrows, ncols = len(m), len(m[0])
     sm = sympy.Matrix(m)
-    assert rank(m) == sm.rank()
+    # the integer core sees the rationals through the boundary helper: one
+    # common denominator changes no row space, null space or column span
+    ints, _ = _int_matrix(m)
+    assert rank(ints) == sm.rank()
     reduced = sm.rref()[0]
     nonzero = [reduced.row(i) for i in range(nrows) if any(reduced.row(i))]
     assert _pivot_one(rref(m)) == tuple(tuple(r) for r in _from_sympy(nonzero))
-    assert kernel(m) == _span(ncols, sm.nullspace())
+    assert kernel(ints) == _span(ncols, sm.nullspace())
     columns = _span(nrows, sm.columnspace())
-    assert image(m) == columns
-    assert image(m, Subspace.full(ncols)) == columns
+    assert image(ints) == columns
+    assert image(ints, Subspace.full(ncols)) == columns
 
 
 @settings(max_examples=80, deadline=None)

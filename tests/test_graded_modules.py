@@ -1,6 +1,7 @@
 import random
 from collections import deque
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 import pytest
@@ -207,7 +208,8 @@ def test_fund_fiber_space_restricts_the_whole_kernel():
 
 
 def test_fund_restriction_reads_pivot_one_coordinates():
-    # independent form: Fraction combinations of the pivot-1 kernel basis.
+    # independent form: integer combinations of the pivot-1 kernel basis
+    # times the lcm of the pivots.
     # The contraction kernels have unit pivots; a stand-in kernel with
     # pivots 2 and 3, cut out by its own one-row contraction, checks that
     # coordinates are read off the pivots.
@@ -218,7 +220,8 @@ def test_fund_restriction_reads_pivot_one_coordinates():
                           for row in skewed._fund.annihilator())
     for space in (fiber_space(4, Fund(2)), skewed):
         fund = space._fund
-        basis = [[F(x, row[pc]) for x in row] for row, pc in zip(fund.rows, fund.pivots)]
+        big = lcm(*(row[pc] for row, pc in zip(fund.rows, fund.pivots)))
+        basis = [[x * (big // row[pc]) for x in row] for row, pc in zip(fund.rows, fund.pivots)]
         # a vector off the kernel: the part of its span with the kernel rows is theirs
         off = list(fund.annihilator()[0])
         for coords in ([[1, 0, 0, 0, 0]], [[0, 2, 0, -1, 0], [0, 0, 3, 0, 1]], [[1, 1, 1, 1, 1]]):

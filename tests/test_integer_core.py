@@ -146,3 +146,61 @@ def f(rows, big):
     e = np.identity(2, object)
 """
     assert _lint(good) == []
+
+
+# ---------------------------------------------------------------------------
+# boundary lint: rationals are cleared only where a Fraction can enter
+
+# (module, top-level function) pairs that may call ``_int_matrix``: the
+# rational row spaces of ``rref``, seed vectors handed to ``closure``,
+# ExtVector coordinates in the oracle, the Fraction frames of the small
+# algebras, and the vectors ``j_membership`` hands to numpy (whose int64 cast
+# would truncate a Fraction silently)
+BOUNDARY = {
+    ("exact_linalg", "rref"),
+    ("graded_modules", "closure"),
+    ("theorem_registry", "oracle_fiber_dims"),
+    ("invariant_ops", "small_algebra"),
+    ("invariant_ops", "lie_closure_holds"),
+    ("torus_lie", "j_membership"),
+}
+
+
+def _int_matrix_uses(module: str, source: str) -> list:
+    """(module, top-level function or None) of every use of ``_int_matrix``
+    other than its definition and imports."""
+    found = []
+
+    def visit(node, top):
+        for child in ast.iter_child_nodes(node):
+            inner = top
+            if top is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name
+            if isinstance(child, ast.Name) and child.id == "_int_matrix" \
+                    or isinstance(child, ast.Attribute) and child.attr == "_int_matrix":
+                found.append((module, top))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _boundary_lint(module: str, source: str) -> list:
+    return [use for use in _int_matrix_uses(module, source) if use not in BOUNDARY]
+
+
+def test_int_matrix_is_called_only_at_the_boundary():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        assert _boundary_lint(path.stem, source) == [], path.name
+        callers.update(_int_matrix_uses(path.stem, source))
+    assert callers == BOUNDARY  # every listed boundary still clears rationals
+
+
+def test_the_boundary_lint_flags_a_call_in_kernel():
+    source = (PACKAGE / "exact_linalg.py").read_text()
+    original = '    m = matrix(m)\n    if not m:\n        raise ValueError("kernel'
+    assert source.count(original) == 1
+    planted = source.replace(original, original.replace("matrix(m)", "matrix(_int_matrix(m)[0])"))
+    assert _boundary_lint("exact_linalg", planted) == [("exact_linalg", "kernel")]

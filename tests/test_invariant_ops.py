@@ -8,7 +8,6 @@ from slmod.exact_linalg import (
     IntSpan,
     Subspace,
     _int_matrix,
-    _int_row,
     dot,
     format_vector,
     mat_vec,
@@ -274,7 +273,7 @@ def test_frame_operators_lie_in_the_t_span(n, d, b):
         shift = tuple(F(a) + c for a, c in zip(k, spec.beta))
         for x in symplectic_extend(shift).vectors():
             if sympl_form(shift, x) == 0:
-                op = rank_one_sym(_int_row(x))
+                op = rank_one_sym(_int_matrix([x])[0][0])
                 assert span.contains([v for row in op for v in row]), (k, x)
                 checked += 1
     assert checked >= (n - 2) * (len(Window(n, d).degrees()) - 1)

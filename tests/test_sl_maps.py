@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction as F
 from math import comb
 
@@ -122,9 +123,14 @@ def test_module_maps_past_the_int64_bound_run_on_python_ints(q, monkeypatch, cap
 def test_non_integral_derivation_is_an_internal_error(monkeypatch):
     # exterior-power derivations are integral; another scale is a broken
     # invariant: RuntimeError (not a usage error), and kept under python -O
-    original = sl_maps._derivation_int
-    monkeypatch.setattr(sl_maps, "_derivation_int",
-                        lambda n, fiber, g: (original(n, fiber, g)[0], 2))
+    original = sl_maps.edge_table
+
+    def doubled(spec, window, gens):
+        table = copy.copy(original(spec, window, gens))
+        table.scale = [2 * s for s in table.scale]
+        return table
+
+    monkeypatch.setattr(sl_maps, "edge_table", doubled)
     spec = ActionSpec.make("H", 4, Lambda(2), HALF)
     with pytest.raises(RuntimeError):
         verify_module_map(T(2), spec, Window(4, 1))
