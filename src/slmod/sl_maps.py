@@ -15,6 +15,11 @@ Lambda^p = ker theta + omega ^ Lambda^{p-2}: MIN and MAX there are the image
 and kernel of the restricted action, while FULLW and INT are cut out of their
 Lambda^p fibers by ``FiberSpace.from_lambda``.
 
+Every family fiber depends on K only up to a nonzero scalar: K bar(K)^T
+scales by lambda^2, K ^ and the contraction against bar(K) by lambda.  A
+build therefore eliminates once per primitive direction of q(k + beta), up to
+sign, and degrees along one direction share one fiber.
+
 At the single degree with K = 0 (present only for integral beta) every
 defining operator vanishes; a policy flag picks the zero fiber or the full
 fiber there, which is exactly the difference between each family and its hat
@@ -32,6 +37,7 @@ import numpy as np
 
 from .exact_linalg import (
     Subspace,
+    _primitive,
     dot,
     fits_int64,
     format_vector,
@@ -343,14 +349,22 @@ def _build_family_cached(
     window: Window,
     policy: SpecialFiberPolicy,
 ) -> GradedFamily:
+    """The family's fibers, one elimination per primitive direction of
+    q(k + beta): the fiber depends on K only up to a nonzero scalar, and its
+    canonical ``Subspace`` is shared by every degree along that direction."""
     if spec.fiber not in (Lambda(p), Fund(p)):
         raise ValueError(f"a degree-{p} family lives on Lambda({p}) or Fund({p}), not {spec.fiber}")
     space = spec.space()
     fibers = {}
+    by_direction = {}
     for k in window.degrees():
         kq = spec.scaled_shift(k)
         if any(kq):
-            fibers[k] = _family_fiber(kind, p, space, kq)
+            direction = _primitive(kq)
+            fiber = by_direction.get(direction)
+            if fiber is None:
+                fiber = by_direction[direction] = _family_fiber(kind, p, space, direction)
+            fibers[k] = fiber
         elif policy is SpecialFiberPolicy.FULL:
             # the hat variants carry the whole representation fiber here
             fibers[k] = Subspace.full(space.dim)

@@ -114,11 +114,13 @@ DEFAULT_SEED = 20240801
 
 
 class ProbeTarget:
-    """Per-degree target data for a probe: dims and (optionally) basis rows."""
+    """Per-degree target data for a probe: dims, (optionally) basis rows,
+    and whether the dominator certificate applies to it."""
 
-    def __init__(self, dims_by_index, rows_by_index=None):
+    def __init__(self, dims_by_index, rows_by_index, certified: bool):
         self.dims = dims_by_index
         self.rows = rows_by_index
+        self.certified = certified
 
 
 class ProbeEngine:
@@ -205,10 +207,16 @@ class ProbeEngine:
             i = self.index[k]
             dims[i] = sub.dim
             rows[i] = [list(r) for r in sub.rows]
-        return ProbeTarget(dims, rows)
+        return self._target(dims, rows)
 
     def full_target(self) -> ProbeTarget:
-        return ProbeTarget({i: self.dim for i in range(len(self.degs))})
+        return self._target({i: self.dim for i in range(len(self.degs))}, None)
+
+    def _target(self, dims, rows) -> ProbeTarget:
+        # certificates transfer full target fibers along invertible edges and
+        # therefore need one common nonzero dimension off the degenerate degree
+        generic = {dims.get(i, 0) for i in range(len(self.degs)) if i not in self.special}
+        return ProbeTarget(dims, rows, len(generic) == 1 and generic != {0})
 
     def run(self, seed_k, seed_vec, mode: str, target: ProbeTarget) -> bool:
         """mode "exact": seed and closure stay inside an invariant target and
@@ -223,11 +231,8 @@ class ProbeEngine:
             raise ValueError("probe seed is zero")
         if mode == "contains" and target.rows is None:
             raise ValueError("mode contains needs target rows")
-        # certificates transfer full target fibers along invertible edges and
-        # therefore need one common nonzero dimension off the degenerate degree
-        generic = {target.dims.get(i, 0) for i in range(len(self.degs)) if i not in self.special}
         stop = None
-        if len(generic) == 1 and generic != {0}:
+        if target.certified:
             # interior degenerate degrees are outside every certificate's
             # reach and are checked directly
             def stop(i, spans):

@@ -222,3 +222,54 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
         dead += [f"{path.name}: {knob}" for knob in _unset_defaults(definitions, calls)
                  if knob not in KNOB_EXEMPT]
     assert not dead, "a default that no call in src or perfbench sets: " + ", ".join(dead)
+
+
+# ---------------------------------------------------------------------------
+# unbounded caches: every cache has a size bound or a clear owner
+
+# Small combinatorial tables keyed by small ints, fiber types or algebra
+# kinds: a run reaches a handful of keys, so their size is bounded by the
+# grids the checks sweep.
+UNBOUNDED_ALLOWED = {
+    "ext_basis", "ext_position", "theta_matrix", "fundamental_subspace", "sym_basis",
+    "sym_position", "fiber_space", "_unit_vectors", "default_generators", "_window_degrees",
+}
+
+
+def _unbounded(decorator) -> bool:
+    """``functools.cache``, or ``lru_cache`` with a maxsize of None."""
+    name = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = name.id if isinstance(name, ast.Name) else getattr(name, "attr", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(decorator, ast.Call):
+        return False
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+def _unbounded_caches(tree) -> list:
+    """Names of the functions and methods decorated with an unbounded cache."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(_unbounded, node.decorator_list))]
+
+
+def test_an_unbounded_cache_keyed_by_a_run_is_flagged():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef f(spec, window):\n    pass\n"
+        "@lru_cache(None)\ndef g(spec):\n    pass\n"
+        "@functools.cache\ndef h(window):\n    pass\n"
+        "@lru_cache(maxsize=16)\ndef bounded(spec):\n    pass\n"
+        "@lru_cache\ndef default_bound(spec):\n    pass\n"
+    )
+    assert _unbounded_caches(ast.parse(source)) == ["f", "g", "h"]
+
+
+def test_every_unbounded_cache_is_a_small_combinatorial_table():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.update(_unbounded_caches(ast.parse(path.read_text(), str(path))))
+    assert not found - UNBOUNDED_ALLOWED, f"unbounded caches: {sorted(found - UNBOUNDED_ALLOWED)}"
+    assert not UNBOUNDED_ALLOWED - found, f"stale allow-list: {sorted(UNBOUNDED_ALLOWED - found)}"

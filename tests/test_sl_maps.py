@@ -254,3 +254,46 @@ def test_fund_families_are_the_restricted_lambda_families(n, d, beta):
                 small = build_family(kind, p, lam.with_fiber(Fund(p)), win, policy=policy)
                 for k in win.degrees():
                     assert small.fiber(k) == restricted(big.fiber(k)), (p, kind, policy, k)
+
+
+@pytest.mark.parametrize("beta", ["zero", "half", "thirds"])
+def test_fibers_shared_by_direction_are_the_fibers_of_the_unnormalised_shift(beta):
+    """A family fiber depends on K = q(k + beta) only up to a nonzero scalar,
+    so ``build_family`` builds one per primitive direction; at every degree
+    that fiber is the one built from the unnormalised shift itself."""
+    n = 4
+    beta = {"zero": ZERO, "half": HALF, "thirds": THIRDS + (0, 0)}[beta]
+    win = Window(n, 2)
+    for p in (1, 2):
+        for fiber in (Lambda(p), Fund(p)):
+            spec = ActionSpec.make("H", n, fiber, beta)
+            space = spec.space()
+            for kind in FamilyKind:
+                built = {policy: build_family(kind, p, spec, win, policy=policy)
+                         for policy in SpecialFiberPolicy}
+                for k in win.degrees():
+                    kq = spec.scaled_shift(k)
+                    if not any(kq):
+                        continue
+                    own = sl_maps._family_fiber(kind, p, space, kq)
+                    for policy, family in built.items():
+                        assert family.fiber(k) == own, (p, fiber, kind, policy, k)
+
+
+@pytest.mark.parametrize("beta,directions", [(ZERO, 272), (HALF, 373)])
+def test_build_family_eliminates_once_per_direction(beta, directions, monkeypatch):
+    calls = []
+    build_one = sl_maps._family_fiber
+
+    def counted(kind, p, space, kq):
+        calls.append(kq)
+        return build_one(kind, p, space, kq)
+
+    monkeypatch.setattr(sl_maps, "_family_fiber", counted)
+    sl_maps._build_family_cached.cache_clear()
+    spec = ActionSpec.make("H", 4, Fund(2), beta)
+    family = build_family(FamilyKind.MIN, 2, spec, Window(4, 2))
+    assert len(calls) == len(set(calls)) == directions
+    # q(k + beta) is (1, 0, 0, 0) and (-1, 0, 0, 0) at beta = 0, (3, 0, 0, 0)
+    # and (-1, 0, 0, 0) at beta = e_1 / 2: one direction, one fiber object
+    assert family.fiber((1, 0, 0, 0)) is family.fiber((-1, 0, 0, 0))
