@@ -12,6 +12,9 @@ fraction-free: each row update is a cross-multiplication followed by a gcd
 reduction.  Rationals have their denominators cleared by ``_int_matrix``,
 called only where a ``Fraction`` can enter (``rref`` and a few callers
 outside this module).
+
+``echelon_stack`` runs the same elimination on a numpy stack of matrices
+at once; canonical form is unique, so each item's rows are ``_echelon``'s.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Rational = Fraction | int
 
@@ -45,6 +50,17 @@ def fits_int64(bound: int) -> bool:
     partial sum is at most ``bound`` in absolute value: the one rule by which
     every sweep picks int64 or Python ints (dtype object)."""
     return bound < 2**62
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(max(a.max(initial=0), -a.min(initial=0)))
+
+
+def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for integer arrays: int64 when ``fits_int64`` bounds every
+    entry and partial sum of the product, Python ints (dtype object) past it."""
+    dtype = np.int64 if fits_int64(a.shape[-1] * _max_abs(a) * _max_abs(b)) else object
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
 def dot(u: Sequence[Rational], v: Sequence[Rational]):
@@ -110,18 +126,12 @@ def mat_sub(a, b) -> tuple:
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     """Divide by the gcd and make the leading nonzero entry positive."""
-    g = 0
-    lead = 0
-    for x in row:
-        if x:
-            if g == 0:
-                lead = x
-            g = gcd(g, x)
+    g = gcd(*row)
     if g == 0:
         return tuple(row)
-    if lead < 0:
+    if next(filter(None, row)) < 0:
         g = -g
-    return tuple(x // g for x in row)
+    return tuple(row) if g == 1 else tuple(x // g for x in row)
 
 
 def _int_matrix(m) -> tuple[list[list[int]], int]:
@@ -192,6 +202,62 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[tuple[int, ...]], list
         if r == nrows:
             break
     return work[:r], pivots
+
+
+def echelon_stack(stack: np.ndarray) -> np.ndarray:
+    """``_echelon`` of every matrix of a (B, m, n) integer stack at once.
+
+    Item b's rows are ``_echelon(stack[b])[0]``, then zero rows up to the
+    largest rank in the stack.  Per column, each item pivots on its first
+    nonzero row at or below its rank, made primitive with a positive lead,
+    and cross-multiplies its other rows against it, each then divided by its
+    gcd.  A step makes no entry past 2 M^2, M the largest entry it reads: it
+    runs in int64 while ``fits_int64`` holds for that, on Python ints after.
+    """
+    work = stack.copy()
+    rank = np.zeros(len(work), dtype=np.intp)
+    below = np.arange(work.shape[1])
+    for col in range(work.shape[2]):
+        cand = (work[:, :, col] != 0) & (below >= rank[:, None])
+        items = np.flatnonzero(cand.any(axis=1))
+        if not items.size:
+            continue
+        rows = work[items]
+        if rows.dtype != object and not fits_int64(2 * _max_abs(rows) ** 2):
+            work, rows = work.astype(object), rows.astype(object)
+        at, top = np.arange(items.size), rank[items]
+        sel = cand[items].argmax(axis=1)
+        pivot = rows[at, sel]
+        rows[at, sel] = rows[at, top]
+        rows[at, top] = 0
+        pivot //= (np.gcd.reduce(pivot, axis=1) * np.sign(pivot[:, col]))[:, None]
+        a = pivot[:, col, None]
+        g = np.gcd(a, rows[:, :, col])
+        b = rows[:, :, col] // g
+        rows *= (a // g)[:, :, None]
+        rows -= b[:, :, None] * pivot[:, None, :]
+        rows[at, top] = pivot
+        norm = np.gcd.reduce(rows, axis=2)
+        norm[norm == 0] = 1
+        rows //= norm[:, :, None]
+        work[items] = rows
+        rank[items] += 1
+    return work[:, : rank.max(initial=0)]
+
+
+def kernel_stack(stack: np.ndarray) -> np.ndarray:
+    """The null spaces { v : M v = 0 } of a (B, m, n) integer stack as one
+    (B, n, n) stack of canonical rows: the right parts of the rows of the
+    reduced [M^T | I] whose left part vanishes, other rows zeroed."""
+    nitems, m, n = stack.shape
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (nitems, n, n))
+    red = echelon_stack(np.concatenate([stack.transpose(0, 2, 1), eye], axis=2))
+    return np.where((red[:, :, :m] != 0).any(axis=2, keepdims=True), 0, red[:, :, m:])
+
+
+def subspaces(stack: np.ndarray) -> list:
+    """One ``Subspace`` per item of a (B, m, n) integer stack, spanned by its rows."""
+    return [Subspace(stack.shape[2], item) for item in stack.tolist()]
 
 
 class IntSpan:

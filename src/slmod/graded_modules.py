@@ -29,13 +29,15 @@ from .exact_linalg import (
     Subspace,
     _int_matrix,
     dot,
+    echelon_stack,
     fits_int64,
     format_vector,
     frac,
     from_triplets,
-    identity,
-    kernel,
+    int_matmul,
+    kernel_stack,
     mat_vec,
+    subspaces,
 )
 from .exterior_algebra import (
     ext_dim,
@@ -112,9 +114,9 @@ class FiberSpace:
             self._fund = fundamental_subspace(n, fiber.p)
             self.dim = self._fund.dim
             self.scale = lcm(*(row[pc] for row, pc in zip(self._fund.rows, self._fund.pivots)))
-            # the nonzero (j, v) of each row of the contraction Lambda^p -> Lambda^{p-2}
+            # the contraction Lambda^p -> Lambda^{p-2}, with no rows below p = 2
             theta = theta_matrix(n, fiber.p) if fiber.p >= 2 else ()
-            self._theta = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in theta)
+            self._theta = np.array(theta, dtype=np.int64).reshape(len(theta), ext_dim(n, fiber.p))
         else:
             raise ValueError(f"unknown fiber kind {fiber.kind!r}")
 
@@ -132,16 +134,17 @@ class FiberSpace:
         return self._restricted_action(a)
 
     def rank_one_actions(self, symplectic: bool) -> tuple:
-        """Sparse integer actions of the elementary rank-one matrices, built
-        once per fiber space and kept on it.
+        """Integer actions of the elementary rank-one matrices, built once per
+        fiber space and kept on it.
 
-        Returns ``(pairs, actions)``.  Symplectic: for (a, b) in ``pairs``
-        (a <= b) the action of P_aa = e_a bar(e_a)^T, resp. of
+        Returns ``(pairs, actions, dense)``.  Symplectic: for (a, b) in
+        ``pairs`` (a <= b) the action of P_aa = e_a bar(e_a)^T, resp. of
         P_ab = e_a bar(e_b)^T + e_b bar(e_a)^T, so that
         x bar(x)^T = sum over pairs of x_a x_b P_ab.  Otherwise every (a, b)
         with the action of E_ab = e_a e_b^T, so that x y^T = sum x_a y_b E_ab.
         ``actions[e][i]`` lists the nonzero ``(j, v)`` of row i of the e-th
-        action, times ``scale`` as in ``action_matrix_int``.  Every
+        action, times ``scale`` as in ``action_matrix_int``, and ``dense`` is
+        the int64 (pairs, dim, dim) array of the same actions.  Every
         P_ab lies in sp, so on Fund(p) the kernel guard runs once per entry.
         """
         table = self._rank_one.get(symplectic)
@@ -152,7 +155,7 @@ class FiberSpace:
                 pairs = tuple((a, b) for a in range(n) for b in range(a, n))
             else:
                 pairs = tuple((a, b) for a in range(n) for b in range(n))
-            actions = []
+            dense = []
             for a, b in pairs:
                 if symplectic:
                     # e_x bar(e_y)^T over {(a, b), (b, a)}: one term when a == b
@@ -160,17 +163,17 @@ class FiberSpace:
                                              for j, v in enumerate(bar(units[y])) if v])
                 else:
                     m = rank_one(units[a], units[b])
-                rows, _ = self.action_matrix_int(m)
-                actions.append(
-                    tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
-                )
-            table = self._rank_one[symplectic] = (pairs, tuple(actions))
+                dense.append(self.action_matrix_int(m)[0])
+            actions = tuple(tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
+                            for rows in dense)
+            dense = np.array(dense, dtype=np.int64).reshape(len(pairs), self.dim, self.dim)
+            table = self._rank_one[symplectic] = (pairs, actions, dense)
         return table
 
     def rank_one_action(self, x, y=None) -> tuple:
         """``(rows, scale)``: the integer action of x bar(x)^T when ``y`` is
         None and of x y^T otherwise, summed over ``rank_one_actions``."""
-        pairs, actions = self.rank_one_actions(y is None)
+        pairs, actions, _ = self.rank_one_actions(y is None)
         if y is None:
             y = x
         m = [[0] * self.dim for _ in range(self.dim)]
@@ -199,27 +202,20 @@ class FiberSpace:
 
     # -- exterior-power subspaces in this space's coordinates ---------------
 
-    def from_lambda(self, s: Subspace) -> Subspace:
-        """The part of a Lambda^p subspace inside this space, in its coordinates.
+    def from_lambda(self, stack: np.ndarray) -> list:
+        """The parts of a (B, r, dim Lambda^p) stack of row spaces inside this
+        space: one canonical ``Subspace`` per item, in this space's coordinates.
 
-        Off Fund that is ``s`` itself.  On Fund(p) it is s intersected with
-        the contraction kernel: the vectors sum_i u_i a_i over the rows a_i
-        of s with theta A^T u = 0, the kernel of a (dim Lambda^{p-2}) x
-        (dim s) integer matrix, mapped back through the rows at the kernel
+        Off Fund that is each item's row space.  On Fund(p) it is the row
+        space intersected with the contraction kernel: the vectors
+        sum_i u_i a_i over the item's rows a_i with theta A^T u = 0, one kernel
+        taken for the whole stack, mapped back through the rows at the kernel
         basis' pivot columns only, which are the Fund coordinates.
         """
         if self.fiber.kind != "fund":
-            return s
-        rows = s.rows
-        if not rows:
-            return Subspace.zero(self.dim)
-        if self._theta:
-            us = kernel([[sum(v * a[j] for j, v in trow) for a in rows] for trow in self._theta]).rows
-        else:
-            us = identity(len(rows))  # p = 1: no contraction, every vector is inside
-        gens = [[sum(c * a[pc] for c, a in zip(u, rows) if c) for pc in self._fund.pivots]
-                for u in us]
-        return Subspace(self.dim, gens)
+            return subspaces(stack)
+        us = kernel_stack(int_matmul(self._theta, stack.transpose(0, 2, 1)))
+        return subspaces(echelon_stack(int_matmul(us, stack[:, :, list(self._fund.pivots)])))
 
 
 @lru_cache(maxsize=None)

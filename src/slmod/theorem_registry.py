@@ -27,6 +27,8 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
+import numpy as np
+
 from .exact_linalg import (
     IntSpan,
     Subspace,
@@ -35,6 +37,7 @@ from .exact_linalg import (
     format_vector,
     frac,
     identity,
+    int_matmul,
     intersect,
     kernel,
     mat_mul,
@@ -251,7 +254,9 @@ class ProbeEngine:
                     return False
             else:
                 rows = target.rows.get(i, ())
-                if rows and (span is None or not all(map(span.contains, rows))):
+                # canonical target rows are independent: a smaller span misses one
+                if rows and (span is None or span.dim < len(rows)
+                             or not all(map(span.contains, rows))):
                     return False
         return True
 
@@ -564,16 +569,16 @@ def _check_fiber_equalities(params) -> CheckResult:
         it = fam(FamilyKind.INT, p)
         fund = fundamental_subspace(n, p)
         scale = fiber_space(n, Fund(p)).scale
-        embed = [[row[i] * (scale // row[pc]) for row, pc in zip(fund.rows, fund.pivots)]
-                 for i in range(fund.ambient_dim)]
+        embed = np.array([[row[i] * (scale // row[pc]) for row, pc in zip(fund.rows, fund.pivots)]
+                          for i in range(fund.ambient_dim)], dtype=object)
+        theta = np.array(theta_matrix(n, p + 1), dtype=object)  # theta_tilde(p + 1): free of K
         bad = 0
         for k in window.degrees():
             kq = spec0.scaled_shift(k)
             if not any(kq):
                 continue
-            composite = mat_mul(_map_matrix_scaled(theta_tilde(p + 1), n, kq),
-                                _map_matrix_scaled(pi(p), n, kq))
-            if kernel(mat_mul(composite, embed)) != it.fiber(k):
+            wedge_k = np.array(_map_matrix_scaled(pi(p), n, kq), dtype=object)
+            if kernel(int_matmul(theta, int_matmul(wedge_k, embed)).tolist()) != it.fiber(k):
                 bad += 1
         rec.record(bad == 0, expected="intermediate = contraction-wedge kernel", actual=f"{bad} bad",
                    note=f"p={p}")

@@ -1,17 +1,25 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slmod.exact_linalg import (
     Subspace,
+    _echelon,
     _int_matrix,
+    _lead,
+    echelon_stack,
+    fits_int64,
     from_triplets,
     identity,
     image,
+    int_matmul,
     intersect,
     kernel,
+    kernel_stack,
+    mat_mul,
     matrix,
     rank,
     rref,
@@ -136,6 +144,91 @@ def test_from_triplets_accumulates():
 
 
 # ---------------------------------------------------------------------------
+# the stacked elimination: every item is the scalar one, entry for entry
+
+
+def _assert_stack_is_echelon(stack):
+    """``echelon_stack`` gives each item ``_echelon``'s rows, then zero rows,
+    and ``kernel_stack`` each item's ``kernel``; the reduced stack is returned."""
+    red = echelon_stack(stack)
+    n = stack.shape[2]
+    assert red.shape == (len(stack), max((len(_echelon(m)[0]) for m in stack.tolist()), default=0), n)
+    for item, out, null in zip(stack.tolist(), red.tolist(), kernel_stack(stack).tolist()):
+        rows, pivots = _echelon(item)
+        assert [tuple(r) for r in out[: len(rows)]] == rows
+        assert [_lead(r) for r in out[: len(rows)]] == pivots
+        assert not any(map(any, out[len(rows):]))
+        expected = kernel(item) if item else Subspace.full(n)
+        assert [tuple(r) for r in null if any(r)] == list(expected.rows)
+    return red
+
+
+def integer_stacks(max_items=4, max_rows=6, max_cols=6):
+    """Stacks of small integer matrices, many of them rank-deficient; some
+    items repeat a row or its multiple."""
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+
+    def build(shape):
+        nitems, m, n = shape
+        matrices = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
+        return st.lists(matrices, min_size=nitems, max_size=nitems).flatmap(
+            lambda items: st.lists(st.integers(-2, 2), min_size=nitems, max_size=nitems).map(
+                lambda factors: np.array(
+                    [rows[:-1] + [[f * x for x in rows[0]]] if m > 1 else rows
+                     for rows, f in zip(items, factors)], dtype=np.int64).reshape(nitems, m, n)))
+
+    return st.tuples(st.integers(0, max_items), st.integers(1, max_rows),
+                     st.integers(1, max_cols)).flatmap(build)
+
+
+@settings(max_examples=120, deadline=None)
+@given(integer_stacks())
+def test_echelon_stack_is_the_scalar_echelon(stack):
+    _assert_stack_is_echelon(stack)
+    assert _assert_stack_is_echelon(stack.astype(object)).dtype == object
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 1, 1), (0, 3, 4), (2, 0, 3), (2, 3, 0)])
+def test_echelon_stack_of_zero_and_empty_stacks(shape):
+    zero = np.zeros(shape, dtype=np.int64)
+    assert _assert_stack_is_echelon(zero).shape == (shape[0], 0, shape[2])
+    assert all((null == np.eye(shape[2], dtype=np.int64)).all() for null in kernel_stack(zero))
+
+
+def test_echelon_stack_shapes_duplicates_and_one_item():
+    rng = np.random.default_rng(7)
+    tall = rng.integers(-4, 5, size=(5, 7, 2))
+    wide = rng.integers(-4, 5, size=(5, 2, 7))
+    # rows that repeat, are multiples of, or add up other rows: rank 2 of 4
+    base = rng.integers(-3, 4, size=(6, 2, 5))
+    deficient = np.concatenate([base, 3 * base[:, :1], base[:, :1] - 2 * base[:, 1:]], axis=1)
+    for stack in (tall, wide, deficient, tall[:1], wide[:1]):
+        _assert_stack_is_echelon(stack.astype(np.int64))
+    assert all(len(_echelon(item)[0]) == 2 for item in deficient.tolist())
+
+
+def test_echelon_stack_leaves_int64_before_it_overflows():
+    """Entries near 2^20 fit the first step in int64; cross-multiplying
+    squares them, so a later step passes 2^62 and must run on Python ints.
+    The two free columns keep ratios of 7 x 7 minors, far past 2^62."""
+    rng = np.random.default_rng(11)
+    stack = rng.integers(-2**20, 2**20, size=(3, 7, 9))
+    assert stack.dtype == np.int64 and fits_int64(2 * int(np.abs(stack).max()) ** 2)
+    red = _assert_stack_is_echelon(stack)
+    assert red.dtype == object
+    assert max(abs(x) for x in red.ravel()) >= 2**62
+
+
+def test_int_matmul_picks_int64_or_python_ints():
+    a = np.array([[2**30, 1], [0, -3]], dtype=np.int64)
+    small = int_matmul(a, a)
+    assert small.dtype == np.int64 and small.tolist() == [list(r) for r in mat_mul(a.tolist(), a.tolist())]
+    big = int_matmul(a, a * 2**20)
+    assert big.dtype == object
+    assert big.tolist() == [list(r) for r in mat_mul(a.tolist(), (a * 2**20).tolist())]
+
+
+# ---------------------------------------------------------------------------
 # an independent implementation: sympy (optional, never a dependency)
 
 
@@ -188,3 +281,14 @@ def test_annihilator_of_the_zero_and_the_full_space():
     s = Subspace(3, [(2, 0, 1)])
     assert s.annihilator() == ((0, 1, 0), (-1, 0, 2))
     assert s.annihilator() is s.annihilator()  # computed once, kept on the subspace
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_stacks(max_items=3, max_rows=5, max_cols=5))
+def test_echelon_stack_agrees_with_sympy(sympy, stack):
+    for item, out, null in zip(stack.tolist(), echelon_stack(stack).tolist(), kernel_stack(stack).tolist()):
+        reduced = sympy.Matrix(item).rref()[0]
+        expected = [reduced.row(i) for i in range(len(item)) if any(reduced.row(i))]
+        got = Subspace(len(item[0]), out)
+        assert _pivot_one(got) == tuple(tuple(r) for r in _from_sympy(expected))
+        assert Subspace(len(item[0]), null) == _span(len(item[0]), sympy.Matrix(item).nullspace())

@@ -148,6 +148,37 @@ def f(rows, big):
     assert _lint(good) == []
 
 
+# numpy calls that always compute in floating point, whatever the dtype in
+FLOAT_CALLS = ("divide", "true_divide")
+
+
+def _float_math(source: str) -> list:
+    """Every use of ``np.linalg`` (and so of any ``np.linalg.*``), ``np.divide``
+    and ``np.true_divide``."""
+    return [f"line {node.lineno}: np.{node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "np" and (node.attr == "linalg" or node.attr in FLOAT_CALLS)]
+
+
+def test_no_floating_point_numpy_math_in_the_package():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _float_math(path.read_text()) == [], path.name
+
+
+def test_the_float_math_lint_flags_linalg_and_true_division():
+    bad = """
+import numpy as np
+def f(a, b):
+    r = np.linalg.matrix_rank(a)
+    x = np.linalg.solve(a, b)
+    q = np.divide(a, b)
+    t = np.true_divide(a, 2)
+    return r, x, q, t
+"""
+    assert len(_float_math(bad)) == 4
+    assert _float_math("import numpy as np\nq = np.floor_divide(a, b) + np.gcd(a, b)\n") == []
+
+
 # ---------------------------------------------------------------------------
 # boundary lint: rationals are cleared only where a Fraction can enter
 

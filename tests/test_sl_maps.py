@@ -6,8 +6,8 @@ import pytest
 
 import slmod.sl_maps as sl_maps
 from slmod.cli import main
-from slmod.exact_linalg import Subspace, intersect, mat_mul, mat_vec
-from slmod.exterior_algebra import fundamental_subspace
+from slmod.exact_linalg import Subspace, image, intersect, kernel, mat_mul, mat_vec
+from slmod.exterior_algebra import fundamental_subspace, interior_matrix, wedge_matrix
 from slmod.graded_modules import ActionSpec, Fund, Lambda, ScalarFiber, Sym2, Window
 from slmod.sl_maps import (
     FamilyKind,
@@ -23,6 +23,7 @@ from slmod.sl_maps import (
     theta_tilde,
     verify_module_map,
 )
+from slmod.torus_lie import bar
 
 HALF = (F(1, 2), 0, 0, 0)
 ZERO = (0, 0, 0, 0)
@@ -256,40 +257,86 @@ def test_fund_families_are_the_restricted_lambda_families(n, d, beta):
                     assert small.fiber(k) == restricted(big.fiber(k)), (p, kind, policy, k)
 
 
+def reference_fiber(kind, p, space, kq) -> Subspace:
+    """One family fiber from its own matrix at one shift q(k + beta), with the
+    scalar elimination; a Fund(p) fiber is the Lambda^p fiber intersected with
+    the contraction kernel, read off the kernel basis' pivot columns.  The
+    per-direction reference for the stacked ``build_family``."""
+    n = space.n
+    if kind is FamilyKind.MIN:
+        return image(space.rank_one_action(kq)[0])
+    if kind is FamilyKind.MAX:
+        return kernel(space.rank_one_action(kq)[0])
+    if kind is FamilyKind.FULLW:
+        fiber = image(wedge_matrix(n, p - 1, kq))
+    else:
+        fiber = image(interior_matrix(n, p + 1, bar(kq)))
+    if space.fiber.kind != "fund":
+        return fiber
+    fund = space._fund
+    cut = intersect(fiber, fund)
+    return Subspace(fund.dim, [[row[pc] for pc in fund.pivots] for row in cut.rows])
+
+
+def _assert_families_are_the_reference(n, d, beta, policies):
+    win = Window(n, d)
+    for p in range(1, n // 2 + 1):
+        for fiber in (Lambda(p), Fund(p)):
+            spec = ActionSpec.make("H", n, fiber, beta)
+            space = spec.space()
+            for kind in FamilyKind:
+                built = {policy: build_family(kind, p, spec, win, policy=policy) for policy in policies}
+                for k in win.degrees():
+                    kq = spec.scaled_shift(k)
+                    if not any(kq):
+                        continue
+                    own = reference_fiber(kind, p, space, kq)
+                    for policy, family in built.items():
+                        assert family.fiber(k) == own, (p, fiber, kind, policy, k)
+
+
 @pytest.mark.parametrize("beta", ["zero", "half", "thirds"])
 def test_fibers_shared_by_direction_are_the_fibers_of_the_unnormalised_shift(beta):
     """A family fiber depends on K = q(k + beta) only up to a nonzero scalar,
     so ``build_family`` builds one per primitive direction; at every degree
     that fiber is the one built from the unnormalised shift itself."""
-    n = 4
     beta = {"zero": ZERO, "half": HALF, "thirds": THIRDS + (0, 0)}[beta]
-    win = Window(n, 2)
-    for p in (1, 2):
-        for fiber in (Lambda(p), Fund(p)):
-            spec = ActionSpec.make("H", n, fiber, beta)
-            space = spec.space()
-            for kind in FamilyKind:
-                built = {policy: build_family(kind, p, spec, win, policy=policy)
-                         for policy in SpecialFiberPolicy}
-                for k in win.degrees():
-                    kq = spec.scaled_shift(k)
-                    if not any(kq):
-                        continue
-                    own = sl_maps._family_fiber(kind, p, space, kq)
-                    for policy, family in built.items():
-                        assert family.fiber(k) == own, (p, fiber, kind, policy, k)
+    _assert_families_are_the_reference(4, 2, beta, list(SpecialFiberPolicy))
+
+
+def test_families_past_int64_are_the_reference():
+    """At beta_1 = 1/(10^10 + 19) the shifts are near 10^10, so K bar(K)^T
+    leaves int64 and the stacked build runs on Python ints; every kind, on
+    Lambda(p) and Fund(p), still equals the per-shift reference."""
+    beta = (F(1, 10**10 + 19), 0, 0, 0)
+    _assert_families_are_the_reference(4, 1, beta, [SpecialFiberPolicy.OMIT])
+    spec = ActionSpec.make("H", 4, Fund(2), beta)
+    assert max(abs(x) for x in spec.scaled_shift((1, 1, 1, 1))) ** 2 >= 2**63
+
+
+def test_families_built_in_several_stacks_are_the_same(monkeypatch):
+    """Directions are eliminated ``STACK_ITEMS`` at a time; a bound below the
+    direction count splits every stage and changes no fiber."""
+    for kind in FamilyKind:
+        spec = ActionSpec.make("H", 4, Fund(2), HALF)
+        whole = build_family(kind, 2, spec, Window(4, 2))
+        sl_maps._build_family_cached.cache_clear()
+        monkeypatch.setattr(sl_maps, "STACK_ITEMS", 50)
+        assert build_family(kind, 2, spec, Window(4, 2)) == whole
+        monkeypatch.undo()
+        sl_maps._build_family_cached.cache_clear()
 
 
 @pytest.mark.parametrize("beta,directions", [(ZERO, 272), (HALF, 373)])
 def test_build_family_eliminates_once_per_direction(beta, directions, monkeypatch):
     calls = []
-    build_one = sl_maps._family_fiber
+    build_stack = sl_maps._family_fibers
 
-    def counted(kind, p, space, kq):
-        calls.append(kq)
-        return build_one(kind, p, space, kq)
+    def counted(kind, p, space, stacked):
+        calls.extend(stacked)
+        return build_stack(kind, p, space, stacked)
 
-    monkeypatch.setattr(sl_maps, "_family_fiber", counted)
+    monkeypatch.setattr(sl_maps, "_family_fibers", counted)
     sl_maps._build_family_cached.cache_clear()
     spec = ActionSpec.make("H", 4, Fund(2), beta)
     family = build_family(FamilyKind.MIN, 2, spec, Window(4, 2))
