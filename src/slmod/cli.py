@@ -3,7 +3,8 @@ homology tables and symplectic frames, with JSON/CSV/text reports.
 
 All numeric output is exact; rationals are printed as "p/q" strings.  Exit
 status is 0 when nothing failed, 1 when some check failed, 2 on usage errors
-and 3 on an internal error (a broken invariant of the library itself).
+and 3 on an internal error: a broken invariant of the library itself, or a
+check that raised, which ``check-all`` reports as ERROR after the others.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .graded_modules import (
     closure,
     default_generators,
 )
-from .reports import FAIL, PASS, CheckResult, Detail, Recorder
+from .reports import ERROR, FAIL, PASS, SKIPPED, CheckResult, Detail, Recorder
 from .sl_maps import FamilyKind, SpecialFiberPolicy, build_family, symplectic_extend
 from .theorem_registry import CATALOGUE, run_all, run_check
 
@@ -120,11 +122,10 @@ class ReportDocument:
     summary: dict = field(default_factory=dict)
 
     def finalize(self):
-        self.summary = {
-            "pass": sum(1 for r in self.results if r.status == PASS),
-            "fail": sum(1 for r in self.results if r.status == FAIL),
-            "skipped": sum(1 for r in self.results if r.status not in (PASS, FAIL)),
-        }
+        counts = Counter(r.status for r in self.results)
+        self.summary = {"pass": counts[PASS], "fail": counts[FAIL], "skipped": counts[SKIPPED]}
+        if counts[ERROR]:  # a run in which nothing raised keeps its three counts alone
+            self.summary["error"] = counts[ERROR]
         return self
 
     def to_dict(self) -> dict:
@@ -404,9 +405,9 @@ def emit(doc: ReportDocument, fmt: str) -> bytes:
             params = " ".join(f"{k}={v}" for k, v in sorted(result.params.items()))
             lines.append(f"[{result.status}] {result.check_id} {params}")
             for detail in result.details:
-                if detail.status == FAIL:
+                if detail.status in (FAIL, ERROR):
                     lines.append(
-                        f"    FAIL at degree {detail.degree}: expected {detail.expected}, "
+                        f"    {detail.status} at degree {detail.degree}: expected {detail.expected}, "
                         f"got {detail.actual} {detail.note}"
                     )
             if result.check_id in ("dims", "closure", "homology", "frame"):
@@ -415,8 +416,7 @@ def emit(doc: ReportDocument, fmt: str) -> bytes:
                     lines.append(f"    {label}: {detail.actual}")
                 if len(result.details) > 64:
                     lines.append(f"    ... {len(result.details) - 64} more degrees")
-        s = doc.summary
-        lines.append(f"summary: pass={s['pass']} fail={s['fail']} skipped={s['skipped']}")
+        lines.append("summary: " + " ".join(f"{k}={v}" for k, v in doc.summary.items()))
         return ("\n".join(lines) + "\n").encode()
     raise UsageError(f"unknown format {fmt!r}")
 
@@ -441,7 +441,7 @@ def main(argv=None) -> int:
             handle.write(payload)
     else:
         sys.stdout.write(payload.decode())
-    return 1 if doc.summary["fail"] else 0
+    return 3 if doc.summary.get("error") else 1 if doc.summary["fail"] else 0
 
 
 if __name__ == "__main__":

@@ -436,16 +436,18 @@ class GradedFamily:
 
 class EdgeTable:
     """Every in-window fiber map of one spec, window and generator tuple, in
-    integers.
+    integer arrays over the mixed-radix numbering of ``window.degrees()``.
 
-    The map of generator ``gens[gi]`` at degree k is c * Id + D; the table
-    keeps ``q * scale * (c * Id + D)``, a positive multiple with the same
-    images.  ``out_edges[i]`` lists ``(gi, j, cq)`` for the maps leaving
-    degree ``degs[i]`` for ``degs[j]`` inside the window, cq = q * c, in
-    generator order; ``skipped[i]`` counts the maps that leave the window.
-    The derivation rows ``scale * D`` are kept times q, sparse in ``qdrows``
-    for ``apply`` and as one dense block per generator in ``qd`` for
-    ``fiber_escapes``.
+    Generator g moves degree index i to i + ``offset[g]``, offset[g] =
+    sum_a r_a (2d+1)^(N-1-a), when the box mask ``inbox[i, g]`` holds: every
+    coordinate of degs[i] + r lies in [-d, d].  Its map there is c * Id + D;
+    the table keeps ``q * scale * (c * Id + D)``, a positive multiple with
+    the same images, with ``cq[i, g]`` = q * c from one product of the
+    shifts q(k + beta) with the pairing vectors (bar(r) for H, u otherwise).
+    ``edges(i)`` gathers the maps leaving degree i, in generator order;
+    ``skipped[i]`` counts the maps that leave the window.  The derivation
+    rows ``scale * D`` are kept times q, sparse in ``qdrows`` for ``apply``
+    and as one dense block per generator in ``qd`` for ``fiber_escapes``.
     """
 
     def __init__(self, spec: ActionSpec, window: Window, gens: tuple):
@@ -454,8 +456,23 @@ class EdgeTable:
         self.gens = gens
         self.q = q = spec.q
         self.degs = window.degrees()
-        self.index, self.out_edges = _out_edges(spec.kind, q, spec.qbeta, window, gens)
-        self.skipped = [len(gens) - len(edges) for edges in self.out_edges]
+        self.index = {k: i for i, k in enumerate(self.degs)}
+        n, d = spec.n, window.d
+        ks = np.array(self.degs, dtype=np.int64)
+        r = np.array([g.r for g in gens], dtype=np.int64).reshape(len(gens), n)
+        self.offset = r @ (2 * d + 1) ** np.arange(n - 1, -1, -1)
+        # fits[v + d, a, g]: coordinate a of value v stays in [-d, d] under
+        # gens[g]; gathered one coordinate at a time, since a (degrees, gens,
+        # N) temporary would not fit at N = 6
+        fits = np.abs(np.arange(-d, d + 1)[:, None, None] + r.T) <= d
+        self.inbox = fits[ks[:, 0] + d, 0]
+        for a in range(1, n):
+            self.inbox &= fits[ks[:, a] + d, a]
+        self.skipped = (len(gens) - self.inbox.sum(1)).tolist()
+        pairing = [bar(g.r) if spec.kind is AlgebraKind.H else g.u for g in gens]
+        dtype = np.int64 if fits_int64(q * d + max(map(abs, spec.qbeta))) else object
+        self.cq = int_matmul(q * ks.astype(dtype) + np.array(spec.qbeta, dtype=dtype),
+                             np.array(pairing, dtype=np.int64).reshape(len(gens), n).T)
         space = spec.space()
         self.dim = space.dim
         self.scale = []
@@ -470,6 +487,12 @@ class EdgeTable:
             dense.append([[q * v for v in row] for row in drows])
         self.qd = int_blocks(dense, self.dim)
 
+    def edges(self, i: int) -> tuple:
+        """``(gis, js, cqs)``: the generator, target index and cq of every
+        map leaving degree index i for the window, in generator order."""
+        gis = self.inbox[i].nonzero()[0]  # a few numpy calls: this runs on every closure visit
+        return gis.tolist(), (self.offset[gis] + i).tolist(), self.cq[i][gis].tolist()
+
     def apply(self, gi: int, cq: int, rows) -> list:
         """Nonzero images of integer rows under q * scale * (c * Id + D)."""
         a = cq * self.scale[gi]
@@ -483,24 +506,6 @@ class EdgeTable:
 
 
 @lru_cache(maxsize=16)
-def _out_edges(kind: AlgebraKind, q: int, qbeta: tuple, window: Window, gens: tuple) -> tuple:
-    """Degree index and in-window edges; shared by the tables of every fiber."""
-    degs = window.degrees()
-    index = {k: i for i, k in enumerate(degs)}
-    pairing = [bar(g.r) if kind is AlgebraKind.H else g.u for g in gens]
-    out_edges = []
-    for k in degs:
-        kq = [q * ki + bi for ki, bi in zip(k, qbeta)]
-        edges = []
-        for gi, (g, pv) in enumerate(zip(gens, pairing)):
-            j = index.get(tuple(a + b for a, b in zip(k, g.r)))
-            if j is not None:
-                edges.append((gi, j, sum(a * b for a, b in zip(pv, kq))))
-        out_edges.append(edges)
-    return index, out_edges
-
-
-@lru_cache(maxsize=16)
 def edge_table(spec: ActionSpec, window: Window, gens: tuple) -> EdgeTable:
     return EdgeTable(spec, window, gens)
 
@@ -509,7 +514,8 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
     """Grow spans from integer seed rows to the fixpoint of the table's maps.
 
     ``seeds`` maps degree indices to integer rows.  The worklist is FIFO and
-    semi-naive: a visit sends along every out-edge only the rows its span
+    semi-naive: a visit gathers its degree's edges from the box mask, offsets
+    and cq (``EdgeTable.edges``) and sends along each only the rows its span
     stored since the last visit.  ``stop(i, spans)`` is asked once for each
     seed degree and again whenever the span at i grows; a true answer ends
     the run with None.  Otherwise returns degree index -> ``IntSpan``.
@@ -557,22 +563,20 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
         visit += 1
         i = queue.popleft()
         rows = fresh.pop(i)
-        edges = table.out_edges[i]
+        gis, js, cqs = table.edges(i)
         escaping = {}  # edge position -> the rows that escape its settled target
-        tested = [e for e, (_, j, _) in enumerate(edges) if j in settled]
+        tested = [e for e, j in enumerate(js) if j in settled]
         if tested:
-            gis, targets, cqs = zip(*(edges[e] for e in tested))
-            for j in targets:
-                if j not in anns:
-                    span = spans[j]  # dim - span.dim annihilator rows, padded to dim
-                    anns[j] = int_blocks(
-                        [span.to_subspace().annihilator() + ((0,) * dim,) * span.dim], dim)[0]
-            flags = fiber_escapes(int_blocks([rows], dim)[0], np.stack([anns[j] for j in targets]),
-                                  [cq * table.scale[gi] for gi, cq in zip(gis, cqs)],
-                                  table.qd[list(gis)])
+            for j in {js[e] for e in tested} - anns.keys():
+                span = spans[j]  # dim - span.dim annihilator rows, padded to dim
+                anns[j] = int_blocks(
+                    [span.to_subspace().annihilator() + ((0,) * dim,) * span.dim], dim)[0]
+            flags = fiber_escapes(int_blocks([rows], dim)[0], np.stack([anns[js[e]] for e in tested]),
+                                  [cqs[e] * table.scale[gis[e]] for e in tested],
+                                  table.qd[[gis[e] for e in tested]])
             for e, flag in zip(tested, flags.tolist()):
                 escaping[e] = [row for row, out in zip(rows, flag) if out]
-        for e, (gi, j, cq) in enumerate(edges):
+        for e, (gi, j, cq) in enumerate(zip(gis, js, cqs)):
             span = spans.get(j)
             if span is not None and span.dim == dim:
                 continue
@@ -632,10 +636,11 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
          "beta": format_vector(spec.beta)},
     )
     degs = table.degs
-    src = [i for i, k in enumerate(degs) if family.fiber(k).dim]
+    src = np.array([i for i, k in enumerate(degs) if family.fiber(k).dim], dtype=np.intp)
     # the nonzero fibers' rows and the annihilators of the fibers that are not
     # full, each padded with zero rows to one block shape
-    anns, slot = [], {}  # slot: degree index -> its annihilator block
+    # slot: degree index -> its annihilator block, or -1 at a full fiber
+    anns, slot = [], np.full(len(degs), -1, dtype=np.intp)
     for j, k in enumerate(degs):
         ann = family.fiber(k).annihilator()
         if ann:
@@ -643,26 +648,20 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
             anns.append(ann)
     r_blocks = int_blocks([family.fiber(degs[i]).rows for i in src], table.dim)
     a_blocks = int_blocks(anns, table.dim)
-    # each generator's edges into fibers that are not full, three ints an edge
-    # in one flat list: source block, annihilator block and cq
-    by_gen = [[] for _ in gens]
-    for s, i in enumerate(src):
-        for gi, j, cq in table.out_edges[i]:
-            a = slot.get(j)
-            if a is not None:
-                by_gen[gi] += (s, a, cq)
     first = {}  # source block -> its first escaping generator
-    for gi, edges in enumerate(by_gen):
-        if not edges:
+    for gi in range(len(gens)):
+        # the edges of one generator, read off its column of the table, into
+        # fibers that are not full: source block and annihilator block
+        r = np.flatnonzero(table.inbox[src, gi])
+        a = slot[src[r] + table.offset[gi]]
+        r, a = r[a >= 0], a[a >= 0]
+        if not len(r):
             continue
-        scale = table.scale[gi]
-        bad = fiber_escapes(r_blocks[np.array(edges[0::3], dtype=np.intp)],
-                            a_blocks[np.array(edges[1::3], dtype=np.intp)],
-                            [c * scale for c in edges[2::3]], table.qd[gi]).any(-1)
-        for e in np.flatnonzero(bad).tolist():
-            first.setdefault(edges[3 * e], gi)
-        by_gen[gi] = None  # free each edge list once tested, for peak memory
-    for s, i in enumerate(src):
+        cs = [c * table.scale[gi] for c in table.cq[src[r], gi].tolist()]
+        bad = fiber_escapes(r_blocks[r], a_blocks[a], cs, table.qd[gi]).any(-1)
+        for e in r[bad].tolist():
+            first.setdefault(e, gi)
+    for s, i in enumerate(src.tolist()):
         k = degs[i]
         rec.counts["skipped"] += table.skipped[i]
         gi = first.get(s)

@@ -1,4 +1,4 @@
-"""Per-check, per-degree PASS/FAIL/SKIPPED records shared by all verifiers."""
+"""Per-check, per-degree PASS/FAIL/SKIPPED/ERROR records shared by all verifiers."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
+ERROR = "ERROR"
 
 # How many non-failure detail records a recorder keeps before summarizing.
 DETAIL_CAP = 16

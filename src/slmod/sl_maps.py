@@ -254,27 +254,23 @@ def verify_module_map(
     if any(scale != 1 for scale in src_table.scale + tgt_table.scale):
         raise RuntimeError("exterior-power derivations are not integral")
     degs = src_table.degs
-    edges_by_gen = [[] for _ in gens]
-    for i, edges in enumerate(src_table.out_edges):
-        for gi, j, cq in edges:
-            edges_by_gen[gi].append((i, j, cq))
-
     mats = [_map_matrix_scaled(map_id, n, spec.scaled_shift(k)) for k in degs]
     max_phi = max((abs(x) for m in mats for row in m for x in row), default=0)
     phi = np.array(mats, dtype=np.int64 if fits_int64(max_phi) else object)
     inner = max(src_table.dim, tgt_table.dim)
-    for g, edges, qd_src, qd_tgt in zip(gens, edges_by_gen, src_table.qd, tgt_table.qd):
-        rec.counts["skipped"] += len(degs) - len(edges)
-        if not edges:
+    for gi, (g, qd_src, qd_tgt) in enumerate(zip(gens, src_table.qd, tgt_table.qd)):
+        srcs = np.flatnonzero(src_table.inbox[:, gi])
+        rec.counts["skipped"] += len(degs) - len(srcs)
+        if not len(srcs):
             continue
-        srcs, tgts, cs = zip(*edges)
+        cs = src_table.cq[srcs, gi].tolist()
         # a-priori bound on the entries of the integer identity below
         max_c = max(map(abs, cs))
         max_qd = max(int(np.abs(qd_src).max(initial=0)), int(np.abs(qd_tgt).max(initial=0)))
         bound = max(max_qd, max_c * 2 * max_phi + inner * max_phi * max_qd)
         dtype = np.int64 if fits_int64(bound) else object
-        a = phi[np.array(tgts, dtype=np.intp)].astype(dtype, copy=False)
-        b = phi[np.array(srcs, dtype=np.intp)].astype(dtype, copy=False)
+        a = phi[srcs + src_table.offset[gi]].astype(dtype, copy=False)
+        b = phi[srcs].astype(dtype, copy=False)
         c = np.array(cs, dtype=dtype)[:, None, None]
         qd_src = qd_src.astype(dtype, copy=False)
         qd_tgt = qd_tgt.astype(dtype, copy=False)

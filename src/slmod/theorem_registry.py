@@ -19,8 +19,7 @@ certificate never fires.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from collections import deque
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +33,7 @@ from .exact_linalg import (
     Subspace,
     _int_matrix,
     dot,
+    fits_int64,
     format_vector,
     frac,
     identity,
@@ -83,7 +83,7 @@ from .invariant_ops import (
     small_algebra,
     t_vectors,
 )
-from .reports import PASS, CheckResult, Recorder
+from .reports import ERROR, PASS, CheckResult, Detail, Recorder
 from .sl_maps import (
     FamilyKind,
     SpecialFiberPolicy,
@@ -134,16 +134,11 @@ class ProbeEngine:
         self.window = window
         self.gens = default_generators(spec.kind, spec.n)
         self.table = edge_table(spec, window, self.gens)
-        self.degs = self.table.degs
-        self.index = self.table.index
-        self.out_edges = self.table.out_edges
-        self.dim = self.table.dim
-        self.q = self.table.q
-        self.special = {
-            i for i, k in enumerate(self.degs) if spec.is_special(k)
-        }
-        self.interior = [self.index[k] for k in window.interior_degrees()]
-        self.special_interior = [i for i in self.interior if i in self.special]
+        index = self.table.index
+        k0 = spec.special_degree()  # the degenerate degree, when beta is integral
+        self.special = [index[k0]] if k0 is not None and k0 in window else []
+        self.interior = [index[k] for k in window.interior_degrees()]
+        self.special_interior = [i for i in self.special if window.is_interior(k0)]
         self.dominators = self._dominators(*self._invertible_edges())
 
     # -- static structure ---------------------------------------------------
@@ -165,40 +160,40 @@ class ProbeEngine:
         return (0,)
 
     def _invertible_edges(self) -> tuple:
-        """(out, in) adjacency of the invertible in-window edges (see the
-        module notes)."""
-        factors = self._trace_factors()
+        """The invertible in-window edges off the degenerate degree (see the
+        module notes) as flat (source, target) index arrays."""
+        table = self.table
         traces = [0 if g.u is None else dot(g.u, g.r) for g in self.gens]
-        inv_out = [set() for _ in self.degs]
-        inv_in = [set() for _ in self.degs]
-        for i, edges in enumerate(self.out_edges):
-            if i in self.special:
-                continue
-            for gi, j, cq in edges:
-                if j in self.special:
-                    continue
-                if all(cq + jj * self.q * traces[gi] != 0 for jj in factors):
-                    inv_out[i].add(j)
-                    inv_in[j].add(i)
-        return inv_out, inv_in
+        invertible = table.inbox.copy()
+        for jj in self._trace_factors():
+            shift = [-jj * table.q * t for t in traces]  # cq + jj q t = 0 when cq = shift
+            invertible &= table.cq != np.array(
+                shift, dtype=np.int64 if fits_int64(max(map(abs, shift))) else object)
+        for s in self.special:  # no edge leaves or enters the degenerate degree
+            into = s - table.offset  # the source of each generator's edge into s
+            ok = (into >= 0) & (into < len(table.degs))
+            invertible[into[ok], ok.nonzero()[0]] = False
+            invertible[s] = False
+        src, gis = np.nonzero(invertible)
+        tgt = table.offset[gis]
+        tgt += src
+        return src, tgt
 
-    def _reach(self, start: int, adjacency) -> set:
-        seen = {start}
-        queue = deque((start,))
-        while queue:
-            i = queue.popleft()
-            for j in adjacency[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
+    def _reach(self, start: int, src, tgt) -> np.ndarray:
+        """Mask of the degrees reached from ``start`` along the src -> tgt
+        edges, one frontier sweep over every edge per step."""
+        seen = frontier = np.arange(len(self.table.degs)) == start
+        while frontier.any():
+            frontier = (np.bincount(tgt[frontier[src]], minlength=len(seen)) > 0) & ~seen
+            seen = seen | frontier
         return seen
 
-    def _dominators(self, inv_out, inv_in) -> set:
+    def _dominators(self, src, tgt) -> set:
         """G = degrees certified to regenerate the window interior."""
-        needed = set(self.interior) - self.special
-        for z in self.interior:
-            if z in needed and needed <= self._reach(z, inv_out):
-                return self._reach(z, inv_in)
+        needed = [i for i in self.interior if i not in self.special]
+        for z in needed:
+            if self._reach(z, src, tgt)[needed].all():
+                return set(np.flatnonzero(self._reach(z, tgt, src)).tolist())
         return set()
 
     # -- probe runs ----------------------------------------------------------
@@ -207,18 +202,18 @@ class ProbeEngine:
         dims = {}
         rows = {}
         for k, sub in family.fibers.items():
-            i = self.index[k]
+            i = self.table.index[k]
             dims[i] = sub.dim
             rows[i] = [list(r) for r in sub.rows]
         return self._target(dims, rows)
 
     def full_target(self) -> ProbeTarget:
-        return self._target({i: self.dim for i in range(len(self.degs))}, None)
+        return self._target(dict.fromkeys(range(len(self.table.degs)), self.table.dim), None)
 
     def _target(self, dims, rows) -> ProbeTarget:
         # certificates transfer full target fibers along invertible edges and
         # therefore need one common nonzero dimension off the degenerate degree
-        generic = {dims.get(i, 0) for i in range(len(self.degs)) if i not in self.special}
+        generic = {dims.get(i, 0) for i in range(len(self.table.degs)) if i not in self.special}
         return ProbeTarget(dims, rows, len(generic) == 1 and generic != {0})
 
     def run(self, seed_k, seed_vec, mode: str, target: ProbeTarget) -> bool:
@@ -229,7 +224,7 @@ class ProbeEngine:
         if not self.interior:
             raise ValueError(
                 f"window d={self.window.d} has an empty interior: a probe would check nothing")
-        seed_i = self.index[tuple(seed_k)]
+        seed_i = self.table.index[tuple(seed_k)]
         if not any(seed_vec):
             raise ValueError("probe seed is zero")
         if mode == "contains" and target.rows is None:
@@ -813,36 +808,28 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     into it from each family vanish and images out of the full fiber stay in
     the minimal family.  Each direction is one ``fiber_escapes`` call with one
     item per edge (and family) and counts the escaping items."""
-    n = spec.n
     k0 = spec.special_degree()
     if k0 not in window:
         rec.skip()  # the degenerate degree lies outside the window
         return
-    gens = default_generators(spec.kind, n)
-    table = edge_table(spec, window, gens)
+    table = edge_table(spec, window, default_generators(spec.kind, spec.n))
     dim = table.dim
     eye = int_blocks([identity(dim)], dim)[0]
-    # into k0 the edge of each generator r from k0 - r, once per family; every
-    # family is zero at k0, so the annihilator there is the identity
-    rows, cs, gis = [], [], []
-    for gi, g in enumerate(gens):
-        i = table.index.get(tuple(a - b for a, b in zip(k0, g.r)))
-        if i is None:
-            continue
-        edges = table.out_edges[i]  # in generator order
-        cq = edges[bisect_left(edges, (gi,))][2]
-        for family in families:
-            rows.append(family.fiber(table.degs[i]).rows)
-            cs.append(cq * table.scale[gi])
-            gis.append(gi)
+    # into k0 the edge of each generator g from k0 - offset[g], once per
+    # family; every family is zero at k0, so the annihilator there is the identity
+    i0 = table.index[k0]
+    into = [(gi, i) for gi, i in enumerate((i0 - table.offset).tolist())
+            if 0 <= i < len(table.degs) and table.inbox[i, gi]]
+    rows = [family.fiber(table.degs[i]).rows for _, i in into for family in families]
+    cs = [int(table.cq[i, gi]) * table.scale[gi] for gi, i in into for _ in families]
+    gis = [gi for gi, _ in into for _ in families]
     bad_in = int(fiber_escapes(int_blocks(rows, dim), eye, cs, table.qd[gis]).any(-1).sum())
     rec.record(bad_in == 0, expected="no image lands in the degenerate fiber",
                actual=f"{bad_in} nonzero images", note="glue freedom, incoming")
     # out of the full fiber at k0 into the minimal family
-    out = table.out_edges[table.index[k0]]
-    anns = int_blocks([families[0].fiber(table.degs[j]).annihilator() for _, j, _ in out], dim)
-    cs = [cq * table.scale[gi] for gi, _, cq in out]
-    gis = [gi for gi, _, _ in out]
+    gis, js, cqs = table.edges(i0)
+    anns = int_blocks([families[0].fiber(table.degs[j]).annihilator() for j in js], dim)
+    cs = [cq * table.scale[gi] for gi, cq in zip(gis, cqs)]
     bad_out = int(fiber_escapes(eye, anns, cs, table.qd[gis]).any(-1).sum())
     rec.record(bad_out == 0, expected="degenerate fiber maps into the minimal family",
                actual=f"{bad_out} escapes", note="glue freedom, outgoing")
@@ -1203,6 +1190,19 @@ def default_grid(check_id: str) -> tuple:
 
 
 def run_all() -> list:
-    """Run the whole catalogue on its default parameter grid, in order."""
-    return [run_check(check_id, **grid_params)
-            for check_id in CATALOGUE for grid_params in default_grid(check_id)]
+    """Run the whole catalogue on its default parameter grid, in order.
+
+    A check that raises becomes an ERROR result whose one detail carries the
+    exception's type and message, its traceback goes to stderr, and the run
+    goes on with the next grid point."""
+    results = []
+    for check_id in CATALOGUE:
+        for grid_params in default_grid(check_id):
+            try:
+                results.append(run_check(check_id, **grid_params))
+            except Exception as exc:  # one broken check must not lose the others' results
+                traceback.print_exc()
+                params = {k: format_vector(v) if k == "beta" else v for k, v in grid_params.items()}
+                results.append(CheckResult(check_id, params, ERROR, [
+                    Detail(None, "no exception", f"{type(exc).__name__}: {exc}", ERROR)]))
+    return results

@@ -252,3 +252,59 @@ def test_broken_complex_maps_are_internal_errors(complex_id, violation, monkeypa
     monkeypatch.setattr(complexes, "_map_matrix_scaled", injection)
     assert main(["homology", "--complex", complex_id, "--p", "1", "--window", "1"]) == 3
     assert f"internal error: {violation}" in capsys.readouterr().err
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty the table and engine caches before and after, so that a test
+    that plants a fault in ``EdgeTable`` builds its own and leaves none."""
+    from slmod.graded_modules import edge_table
+    from slmod.theorem_registry import probe_engine
+
+    for cache in (edge_table, probe_engine):
+        cache.cache_clear()
+    yield
+    for cache in (edge_table, probe_engine):
+        cache.cache_clear()
+
+
+def test_check_all_reports_a_raising_check_as_error_and_exits_three(monkeypatch, capsys,
+                                                                     cold_tables):
+    """A planted fault drops the box-mask column of every edge table's last
+    generator.  The checks that read the table raise; each becomes an ERROR
+    result carrying the exception, the checks that follow still run, and
+    check-all exits 3 once the report is written.  ERROR is never counted as
+    skipped."""
+    from dataclasses import replace
+
+    from slmod import graded_modules, theorem_registry
+
+    init = graded_modules.EdgeTable.__init__
+
+    def planted(self, *args):
+        init(self, *args)
+        self.inbox = self.inbox[:, :-1]
+
+    monkeypatch.setattr(graded_modules.EdgeTable, "__init__", planted)
+    # the N = 2 points of two checks that read no edge table around two that do
+    small = {check_id: replace(spec, grid=tuple(g for g in spec.grid if g["N"] == 2))
+             for check_id, spec in theorem_registry.CATALOGUE.items()
+             if check_id in ("L3-span", "module-maps", "cor-p0", "homology")}
+    monkeypatch.setattr(theorem_registry, "CATALOGUE", small)
+    assert main(["check-all", "--format", "json"]) == 3
+    out = capsys.readouterr()
+    assert out.err.count("Traceback") == 4
+    doc = json.loads(out.out)
+    assert [(r["check_id"], r["status"]) for r in doc["results"]] == [
+        ("L3-span", "PASS"), ("module-maps", "ERROR"), ("module-maps", "ERROR"),
+        ("cor-p0", "ERROR"), ("cor-p0", "ERROR"), ("homology", "PASS"), ("homology", "PASS")]
+    assert doc["summary"] == {"pass": 3, "fail": 0, "skipped": 0, "error": 4}
+    error = doc["results"][1]
+    assert error["params"] == {"N": 2, "beta": "0,0", "d": 2}
+    assert error["details"] == [{
+        "degree": None, "expected": "no exception", "status": "ERROR",
+        "actual": "IndexError: index 7 is out of bounds for axis 1 with size 7"}]
+    assert main(["check-all"]) == 3
+    text = capsys.readouterr().out
+    assert "[ERROR] module-maps" in text
+    assert text.endswith("summary: pass=3 fail=0 skipped=0 error=4\n")

@@ -30,6 +30,131 @@ from slmod.graded_modules import (
 )
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import probe_engine
+from slmod.torus_lie import AlgebraKind, bar
+
+
+def reference_edges(spec, window, gens) -> tuple:
+    """``(index, out_edges)``: the degree index of ``window.degrees()`` and,
+    per degree, the ``(gi, j, cq)`` of every map into the window, in
+    generator order, found one degree and one generator at a time."""
+    degs = window.degrees()
+    index = {k: i for i, k in enumerate(degs)}
+    pairing = [bar(g.r) if spec.kind is AlgebraKind.H else g.u for g in gens]
+    out_edges = []
+    for k in degs:
+        kq = spec.scaled_shift(k)
+        edges = []
+        for gi, (g, pv) in enumerate(zip(gens, pairing)):
+            j = index.get(tuple(a + b for a, b in zip(k, g.r)))
+            if j is not None:
+                edges.append((gi, j, sum(a * b for a, b in zip(pv, kq))))
+        out_edges.append(edges)
+    return index, out_edges
+
+
+def reference_dominators(engine) -> set:
+    """The engine's dominator set by breadth-first search over sets of the
+    invertible reference edges off the degenerate degree."""
+    spec, window, gens = engine.spec, engine.window, engine.gens
+    index, out_edges = reference_edges(spec, window, gens)
+    factors = engine._trace_factors()
+    special = {i for i, k in enumerate(window.degrees()) if spec.is_special(k)}
+    inv_out = [set() for _ in out_edges]
+    inv_in = [set() for _ in out_edges]
+    for i, edges in enumerate(out_edges):
+        for gi, j, cq in edges:
+            trace = 0 if gens[gi].u is None else sum(a * b for a, b in zip(gens[gi].u, gens[gi].r))
+            if i not in special and j not in special and all(
+                    cq + jj * spec.q * trace != 0 for jj in factors):
+                inv_out[i].add(j)
+                inv_in[j].add(i)
+
+    def reach(start, adjacency):
+        seen, work = {start}, [start]
+        while work:
+            for j in adjacency[work.pop()] - seen:
+                seen.add(j)
+                work.append(j)
+        return seen
+
+    interior = [index[k] for k in window.interior_degrees()]
+    needed = set(interior) - special
+    for z in interior:
+        if z in needed and needed <= reach(z, inv_out):
+            return reach(z, inv_in)
+    return set()
+
+
+def _edge_cases():
+    """H, W and S at N = 2, 3, 4 (H at even N only), d = 1 and 2, beta 0
+    and e1/2, with the default generators and with those of ``--rbound 2``;
+    the last at d = 2 for N <= 3 only, where it still runs in well under a
+    second."""
+    for kind in ("H", "W", "S"):
+        for n in (2, 3, 4):
+            if kind == "H" and n % 2:
+                continue
+            for d in (1, 2):
+                for rbound in (1, 2):
+                    if rbound == 2 and d == 2 and n == 4:
+                        continue
+                    for beta in ((0,) * n, (F(1, 2),) + (0,) * (n - 1)):
+                        yield pytest.param(kind, n, d, rbound, beta,
+                                           id=f"{kind}-N{n}-d{d}-r{rbound}-b{beta[0]}")
+
+
+def _assert_edges_match(spec, window, gens):
+    table = edge_table(spec, window, gens)
+    index, out_edges = reference_edges(spec, window, gens)
+    assert table.index == index
+    for i, edges in enumerate(out_edges):
+        assert list(zip(*table.edges(i))) == edges, table.degs[i]
+        assert table.skipped[i] == len(gens) - len(edges)
+
+
+@pytest.mark.parametrize("kind,n,d,rbound,beta", list(_edge_cases()))
+def test_gathered_edges_equal_the_reference(kind, n, d, rbound, beta):
+    spec = ActionSpec.make(kind, n, ScalarFiber(), beta)
+    _assert_edges_match(spec, Window(n, d), default_generators(spec.kind, n, rbound))
+
+
+def test_gathered_edges_equal_the_reference_past_int64():
+    """A beta denominator above 2^62: at d = 2 the shifts q(k + beta) pass
+    2^63, so they and cq are Python ints."""
+    for kind, n in (("H", 2), ("W", 3)):
+        spec = ActionSpec.make(kind, n, ScalarFiber(), (F(1, 2**62 + 1),) + (0,) * (n - 1))
+        _assert_edges_match(spec, Window(n, 2), default_generators(spec.kind, n))
+        assert edge_table(spec, Window(n, 2), default_generators(spec.kind, n)).cq.dtype == object
+
+
+def test_gathered_edges_equal_the_reference_at_n6():
+    spec = ActionSpec.make("H", 6, Fund(2), (F(1, 2),) + (0,) * 5)
+    _assert_edges_match(spec, Window(6, 1), default_generators(spec.kind, 6))
+
+
+@pytest.mark.parametrize("kind,n,d,fiber,beta", [
+    (kind, n, d, fiber, beta)
+    for kind, n, fibers in (("H", 2, (Lambda(1), Fund(1), ScalarFiber())),
+                            ("H", 4, (Fund(2), Lambda(2), Sym2())),
+                            ("W", 3, (Lambda(1), Lambda(3), Sym2())),
+                            ("S", 3, (Lambda(0), Lambda(2))))
+    for d in (1, 2)
+    for fiber in fibers
+    for beta in ((0,) * n, (F(1, 2),) + (0,) * (n - 1), (-1,) + (0,) * (n - 1),
+                 (F(1, 2**62 + 1),) + (0,) * (n - 1))
+])
+def test_dominators_equal_the_set_search(kind, n, d, fiber, beta):
+    spec = ActionSpec.make(kind, n, fiber, beta)
+    window = Window(n, d)
+    engine = probe_engine(spec, window)
+    assert engine.dominators == reference_dominators(engine)
+
+
+def test_dominators_equal_the_set_search_at_n6():
+    spec = ActionSpec.make("H", 6, Fund(2), (F(1, 2),) + (0,) * 5)
+    window = Window(6, 1)
+    engine = probe_engine(spec, window)
+    assert engine.dominators == reference_dominators(engine)
 
 
 def reference_closure(spec, seeds, window) -> dict:
@@ -127,7 +252,7 @@ def test_edge_table_apply_matches_fiber_action(kind, n, d, fiber, beta):
     units = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for i in (0, table.index[(0,) * n], len(table.degs) - 1):
         k = table.degs[i]
-        for gi, j, cq in table.out_edges[i]:
+        for gi, j, cq in zip(*table.edges(i)):
             g = table.gens[gi]
             assert table.degs[j] == tuple(a + b for a, b in zip(k, g.r))
             factor = spec.q * table.scale[gi]
@@ -137,7 +262,7 @@ def test_edge_table_apply_matches_fiber_action(kind, n, d, fiber, beta):
                 exact = [factor * x for x in column]
                 assert all(x.denominator == 1 for x in exact)
                 assert table.apply(gi, cq, [unit]) == ([[int(x) for x in exact]] if any(exact) else [])
-        assert len(table.out_edges[i]) + table.skipped[i] == len(table.gens)
+        assert len(table.edges(i)[0]) + table.skipped[i] == len(table.gens)
 
 
 @pytest.mark.parametrize("n,d,fiber,beta,first", [

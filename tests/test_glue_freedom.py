@@ -1,8 +1,8 @@
 """``_glue_freedom`` against the edge-by-edge reference.
 
 The program tests both directions at the degenerate degree k0 = -beta with
-``fiber_escapes``, one item per edge.  The reference below walks every
-out-edge of every degree for the maps into k0 and applies each with
+``fiber_escapes``, one item per edge.  The reference below walks the
+per-degree reference edge lists for the maps into k0 and applies each with
 ``EdgeTable.apply``, then sends the full fiber at k0 through each of its
 out-edges and pairs the images with the minimal family's annihilator.  Both
 must produce the same records and counts, on the families the checks glue
@@ -26,6 +26,7 @@ from slmod.graded_modules import (
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import _glue_freedom
+from test_edge_table import reference_edges
 
 
 def reference_glue_freedom(rec, spec, families, window):
@@ -33,10 +34,12 @@ def reference_glue_freedom(rec, spec, families, window):
     if k0 not in window:
         rec.skip()
         return
-    table = edge_table(spec, window, default_generators(spec.kind, spec.n))
-    i0 = table.index[k0]
+    gens = default_generators(spec.kind, spec.n)
+    table = edge_table(spec, window, gens)
+    index, out_edges = reference_edges(spec, window, gens)
+    i0 = index[k0]
     bad_in = 0
-    for i, edges in enumerate(table.out_edges):
+    for i, edges in enumerate(out_edges):
         for gi, j, cq in edges:
             if j != i0:
                 continue
@@ -48,7 +51,7 @@ def reference_glue_freedom(rec, spec, families, window):
     dim = table.dim
     full_rows = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     bad_out = 0
-    for gi, j, cq in table.out_edges[i0]:
+    for gi, j, cq in out_edges[i0]:
         ann = families[0].fiber(table.degs[j]).annihilator()
         images = table.apply(gi, cq, full_rows)
         if any(sum(map(mul, a, img)) for a in ann for img in images):

@@ -317,7 +317,7 @@ def reference_saturate(table, seeds: dict, stop=None):
     while queue:
         i = queue.popleft()
         rows = fresh.pop(i)
-        for gi, j, cq in table.out_edges[i]:
+        for gi, j, cq in zip(*table.edges(i)):
             span = spans.get(j)
             if span is not None and span.dim == dim:
                 continue
@@ -405,7 +405,7 @@ def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mo
         k = degs[rng.randrange(len(degs))]
         engine.run(k, vector, mode, target)
     assert any(hooks)
-    _same_run(engine.table, {engine.index[k]: [vector]})
+    _same_run(engine.table, {engine.table.index[k]: [vector]})
 
 
 def test_fiber_escapes_leaves_int64_before_a_product_wraps():

@@ -2,8 +2,9 @@
 
 The program tests fiber membership with integer annihilators, one generator
 at a time in int64 (or in Python ints past the overflow bound).  The
-reference below sends every fiber row through ``EdgeTable.apply`` and
-reduces each image against the target's echelon rows, one edge at a time.
+reference below walks the per-degree reference edge lists, sends every fiber
+row through ``EdgeTable.apply`` and reduces each image against the target's
+echelon rows, one edge at a time.
 Both must produce the same report, byte for byte, on invariant families and
 on families with one fiber swapped so that they fail.
 """
@@ -28,6 +29,7 @@ from slmod.graded_modules import (
 )
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family
+from test_edge_table import reference_edges
 
 
 def reference_is_invariant(spec, family):
@@ -35,6 +37,7 @@ def reference_is_invariant(spec, family):
     each image against the target fiber's echelon rows."""
     gens = default_generators(spec.kind, spec.n)
     table = edge_table(spec, family.window, gens)
+    _, out_edges = reference_edges(spec, family.window, gens)
     rec = Recorder(
         "is-invariant",
         {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber),
@@ -44,8 +47,8 @@ def reference_is_invariant(spec, family):
         sub = family.fiber(k)
         if not sub.dim:
             continue
-        rec.counts["skipped"] += table.skipped[i]
-        for gi, j, cq in table.out_edges[i]:
+        rec.counts["skipped"] += len(gens) - len(out_edges[i])
+        for gi, j, cq in out_edges[i]:
             tgt = family.fiber(table.degs[j])
             images = table.apply(gi, cq, sub.rows)
             if any(any(_reduce_row(img, tgt.rows, tgt.pivots)) for img in images):

@@ -225,7 +225,7 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
 
 
 # ---------------------------------------------------------------------------
-# unbounded caches: every cache has a size bound or a clear owner
+# caches: every cache has a size bound or a clear owner
 
 # Small combinatorial tables keyed by small ints, fiber types or algebra
 # kinds: a run reaches a handful of keys, so their size is bounded by the
@@ -234,12 +234,22 @@ UNBOUNDED_ALLOWED = {
     "ext_basis", "ext_position", "theta_matrix", "fundamental_subspace", "sym_basis",
     "sym_position", "fiber_space", "_unit_vectors", "default_generators", "_window_degrees",
 }
+# Caches keyed by a run's spec and window, each entry an edge table, a probe
+# engine or a family: these alone may grow with the run, so each has a size
+# bound, and no other cache may join them.
+BOUNDED_ALLOWED = {"edge_table", "probe_engine", "_build_family_cached"}
+
+
+def _cache_name(decorator):
+    """``cache`` or ``lru_cache`` when the decorator is one of them."""
+    name = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = name.id if isinstance(name, ast.Name) else getattr(name, "attr", None)
+    return name if name in ("cache", "lru_cache") else None
 
 
 def _unbounded(decorator) -> bool:
     """``functools.cache``, or ``lru_cache`` with a maxsize of None."""
-    name = decorator.func if isinstance(decorator, ast.Call) else decorator
-    name = name.id if isinstance(name, ast.Name) else getattr(name, "attr", None)
+    name = _cache_name(decorator)
     if name == "cache":
         return True
     if name != "lru_cache" or not isinstance(decorator, ast.Call):
@@ -248,11 +258,24 @@ def _unbounded(decorator) -> bool:
     return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
 
 
+def _caches(tree) -> list:
+    """``(name, unbounded)`` for every function and method decorated with a
+    cache."""
+    return [(node.name, any(map(_unbounded, node.decorator_list))) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(_cache_name, node.decorator_list))]
+
+
 def _unbounded_caches(tree) -> list:
     """Names of the functions and methods decorated with an unbounded cache."""
-    return [node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and any(map(_unbounded, node.decorator_list))]
+    return [name for name, unbounded in _caches(tree) if unbounded]
+
+
+def _unlisted_caches(tree) -> list:
+    """The caches on neither list: unbounded ones that are no combinatorial
+    table, and bounded ones that are not keyed by a run."""
+    return [name for name, unbounded in _caches(tree)
+            if name not in (UNBOUNDED_ALLOWED if unbounded else BOUNDED_ALLOWED)]
 
 
 def test_an_unbounded_cache_keyed_by_a_run_is_flagged():
@@ -267,9 +290,33 @@ def test_an_unbounded_cache_keyed_by_a_run_is_flagged():
     assert _unbounded_caches(ast.parse(source)) == ["f", "g", "h"]
 
 
+def test_a_bounded_cache_keyed_by_a_run_is_flagged_unless_listed():
+    source = (
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=16)\ndef edge_table(spec, window, gens):\n    pass\n"
+        "@lru_cache(maxsize=16)\ndef engine_for(spec, window):\n    pass\n"
+        "@lru_cache\ndef closure_of(spec, seeds):\n    pass\n"
+        "@lru_cache(maxsize=None)\ndef probe_engine(spec, window):\n    pass\n"
+        "@lru_cache(maxsize=None)\ndef fiber_space(n, fiber):\n    pass\n"
+        "@lru_cache(maxsize=8)\ndef fiber_space_bounded(n, fiber):\n    pass\n"
+    )
+    assert _unlisted_caches(ast.parse(source)) == [
+        "engine_for", "closure_of", "probe_engine", "fiber_space_bounded"]
+
+
+def _package_trees() -> list:
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+
+
 def test_every_unbounded_cache_is_a_small_combinatorial_table():
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        found.update(_unbounded_caches(ast.parse(path.read_text(), str(path))))
+    found = {name for tree in _package_trees() for name in _unbounded_caches(tree)}
     assert not found - UNBOUNDED_ALLOWED, f"unbounded caches: {sorted(found - UNBOUNDED_ALLOWED)}"
     assert not UNBOUNDED_ALLOWED - found, f"stale allow-list: {sorted(UNBOUNDED_ALLOWED - found)}"
+
+
+def test_every_bounded_cache_is_keyed_by_a_run():
+    trees = _package_trees()
+    unlisted = [name for tree in trees for name in _unlisted_caches(tree)]
+    assert not unlisted, f"caches on neither list: {unlisted}"
+    bounded = {name for tree in trees for name, unbounded in _caches(tree) if not unbounded}
+    assert bounded == BOUNDED_ALLOWED, f"stale list: {sorted(BOUNDED_ALLOWED - bounded)}"
