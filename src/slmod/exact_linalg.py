@@ -256,8 +256,10 @@ def kernel_stack(stack: np.ndarray) -> np.ndarray:
 
 
 def subspaces(stack: np.ndarray) -> list:
-    """One ``Subspace`` per item of a (B, m, n) integer stack, spanned by its rows."""
-    return [Subspace(stack.shape[2], item) for item in stack.tolist()]
+    """One ``Subspace`` per item of an ``echelon_stack`` or ``kernel_stack``
+    output, its canonical rows wrapped as they are, with no second elimination."""
+    leads = (np.cumsum(stack != 0, axis=2) == 0).sum(axis=2).tolist()  # n on a zero row
+    return [Subspace._trusted(stack.shape[2], item, lead) for item, lead in zip(stack.tolist(), leads)]
 
 
 class IntSpan:
@@ -322,6 +324,15 @@ class Subspace:
         self.rows = tuple(canon)
         self.pivots = tuple(piv)
         self._annihilator = None
+
+    @classmethod
+    def _trusted(cls, ambient_dim: int, rows: list, leads: list) -> "Subspace":
+        """Canonical rows as they are, zero rows (lead ``ambient_dim``) dropped."""
+        self = cls.__new__(cls)
+        self.ambient_dim, self._annihilator = ambient_dim, None
+        self.rows = tuple(tuple(row) for row, lead in zip(rows, leads) if lead < ambient_dim)
+        self.pivots = tuple(lead for lead in leads if lead < ambient_dim)
+        return self
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from math import lcm
 from typing import Iterable
@@ -269,12 +269,17 @@ class ActionSpec:
         """q * (k + beta) as an integer vector, q the beta denominator."""
         return tuple(self.q * ki + bi for ki, bi in zip(k, self.qbeta))
 
+    def scaled_shifts(self, window: "Window") -> np.ndarray:
+        """``scaled_shift`` of every window degree as rows, int64 under ``fits_int64``."""
+        dtype = np.int64 if fits_int64(self.q * window.d + max(map(abs, self.qbeta))) else object
+        return self.q * np.array(window.degrees(), dtype=dtype) + np.array(self.qbeta, dtype=dtype)
+
     def space(self) -> FiberSpace:
         return fiber_space(self.n, self.fiber)
 
     def is_special(self, k: Degree) -> bool:
         """Whether k + beta = 0 (the one fiber every formula degenerates at)."""
-        return all(ki + bi == 0 for ki, bi in zip(k, self.beta))
+        return self.q == 1 and all(ki + bi == 0 for ki, bi in zip(k, self.qbeta))
 
     def special_degree(self) -> Degree | None:
         """The degree k with k + beta = 0 as an int tuple when beta is
@@ -430,6 +435,13 @@ class GradedFamily:
         return f"GradedFamily({self.spec.kind}, {self.spec.fiber}, nonzero fibers={nonzero})"
 
 
+def per_fiber_tuple(families, degrees, verdict) -> list:
+    """``(k, verdict(*fibers at k))`` per degree, computed once per distinct tuple
+    of fibers: a built family shares one fiber along each direction of k + beta."""
+    once = cache(verdict)  # kept for this call alone
+    return [(k, once(*(family.fiber(k) for family in families))) for k in degrees]
+
+
 # ---------------------------------------------------------------------------
 # closure and invariance
 
@@ -470,8 +482,7 @@ class EdgeTable:
             self.inbox &= fits[ks[:, a] + d, a]
         self.skipped = (len(gens) - self.inbox.sum(1)).tolist()
         pairing = [bar(g.r) if spec.kind is AlgebraKind.H else g.u for g in gens]
-        dtype = np.int64 if fits_int64(q * d + max(map(abs, spec.qbeta))) else object
-        self.cq = int_matmul(q * ks.astype(dtype) + np.array(spec.qbeta, dtype=dtype),
+        self.cq = int_matmul(spec.scaled_shifts(window),
                              np.array(pairing, dtype=np.int64).reshape(len(gens), n).T)
         space = spec.space()
         self.dim = space.dim

@@ -40,7 +40,6 @@ import numpy as np
 
 from .exact_linalg import (
     Subspace,
-    _primitive,
     dot,
     echelon_stack,
     fits_int64,
@@ -67,6 +66,7 @@ from .graded_modules import (
     default_generators,
     edge_table,
     fiber_space,
+    per_fiber_tuple,
 )
 from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, require_even, sympl_form
@@ -325,13 +325,13 @@ class SpecialFiberPolicy(enum.Enum):
         return self.value
 
 
-def _family_fibers(kind: FamilyKind, p: int, space: FiberSpace, directions: list) -> list:
-    """The family's fibers at nonzero shifts q(k + beta), in the space's
-    coordinates.  Each defining map is a sum of fixed integer matrices with
-    coefficients in K, so one product builds the matrices of every shift and
-    one stacked elimination per stage takes their images or kernels."""
+def _family_fibers(kind: FamilyKind, p: int, space: FiberSpace, directions: np.ndarray) -> list:
+    """The family's fibers at the shifts q(k + beta) != 0 in the rows of
+    ``directions``, in the space's coordinates.  Each defining map is a sum of
+    fixed integer matrices with coefficients in K, so one product builds every
+    row's matrix and one stacked elimination per stage its image or kernel."""
     n = space.n
-    ks = np.array(directions, dtype=object).reshape(len(directions), n)
+    ks = directions.astype(object)  # products of two entries may pass int64
     if kind in (FamilyKind.MIN, FamilyKind.MAX):
         # K bar(K)^T = sum over pairs (a, b) of K_a K_b P_ab
         pairs, _, tensor = space.rank_one_actions(True)
@@ -371,22 +371,25 @@ def _build_family_cached(
     if spec.fiber not in (Lambda(p), Fund(p)):
         raise ValueError(f"a degree-{p} family lives on Lambda({p}) or Fund({p}), not {spec.fiber}")
     space = spec.space()
-    directions = {}  # primitive direction, up to sign -> its place in the stack
-    places = {}  # degree -> the place of its direction, None where K = 0
-    for k in window.degrees():
-        kq = spec.scaled_shift(k)
-        places[k] = directions.setdefault(_primitive(kq), len(directions)) if any(kq) else None
-    stack = list(directions)
+    degs, kq = window.degrees(), spec.scaled_shifts(window)
+    # each shift K != 0 over its gcd and the sign of its leading entry: its
+    # primitive direction up to sign; K = 0 has gcd 0
+    gcds = np.gcd.reduce(kq, axis=1)
+    live = np.flatnonzero(gcds)
+    kq = kq[live]
+    dirs = kq // (gcds[live] * np.sign(kq[np.arange(len(live)), (kq != 0).argmax(axis=1)]))[:, None]
+    # numbered as first seen: a dict beats np.unique(axis=0), which takes no object rows
+    first: dict = {}
+    place = [first.setdefault(row, len(first)) for row in map(tuple, dirs.tolist())]
+    stack = dirs[np.unique(place, return_index=True)[1]]  # each direction's first row
     built = [fiber for start in range(0, len(stack), STACK_ITEMS)
              for fiber in _family_fibers(kind, p, space, stack[start : start + STACK_ITEMS])]
-    fibers = {}
-    for k, place in places.items():
-        if place is not None:
-            fibers[k] = built[place]
-        elif policy is SpecialFiberPolicy.FULL:
-            # the hat variants carry the whole representation fiber here
-            fibers[k] = Subspace.full(space.dim)
-    return GradedFamily(spec, window, fibers)
+    family = GradedFamily(spec, window)
+    family.fibers = {degs[i]: built[j] for i, j in zip(live.tolist(), place) if built[j].dim}
+    if policy is SpecialFiberPolicy.FULL:
+        # the hat variants carry the whole representation fiber where K = 0
+        family.fibers.update((degs[i], Subspace.full(space.dim)) for i in np.flatnonzero(gcds == 0))
+    return family
 
 
 def build_family(
@@ -413,10 +416,9 @@ def quotient_dims(outer: GradedFamily, inner: GradedFamily) -> dict:
     if outer.window != inner.window:
         raise ValueError("families live on different windows")
     out = {}
-    for k in outer.window.degrees():
-        o = outer.fiber(k)
-        i = inner.fiber(k)
-        if not o.contains(i):
+    for k, gap in per_fiber_tuple((outer, inner), outer.window.degrees(),
+                                  lambda o, i: o.dim - i.dim if o.contains(i) else None):
+        if gap is None:
             raise RuntimeError(f"containment violated at degree {k}")
-        out[k] = o.dim - i.dim
+        out[k] = gap
     return out

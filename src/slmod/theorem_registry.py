@@ -18,6 +18,7 @@ certificate never fires.
 
 from __future__ import annotations
 
+import operator
 import random
 import traceback
 from dataclasses import dataclass
@@ -74,6 +75,7 @@ from .graded_modules import (
     fiber_space,
     int_blocks,
     is_invariant,
+    per_fiber_tuple,
     saturate,
 )
 from .invariant_ops import (
@@ -513,19 +515,16 @@ def _check_inclusion_chain(params) -> CheckResult:
             "max": comb(n, p) - comb(n - 2, p - 1),
         }
         degs = _generic_degrees(spec, window)
-        bad = 0
-        for k in degs:
-            fibers = {name: family.fiber(k) for name, family in fam.items()}
-            mn, fw, it, mx = fibers.values()
+
+        def failure(mn, fw, it, mx):
             if not (fw.contains(mn) and mx.contains(fw) and it.contains(mn) and mx.contains(it)):
-                bad += 1
-                rec.record(False, degree=k, expected="chain inclusions", actual="violated")
-                continue
-            dims_here = {name: sub.dim for name, sub in fibers.items()}
-            if dims_here != expected:
-                bad += 1
-                rec.record(False, degree=k, expected=str(expected), actual=str(dims_here))
-        rec.record(bad == 0, expected="all fibers", actual=f"{bad} bad", note=f"p={p} dims {tuple(expected.values())}")
+                return "chain inclusions", "violated"
+            dims_here = dict(zip(fam, (mn.dim, fw.dim, it.dim, mx.dim)))
+            return (str(expected), str(dims_here)) if dims_here != expected else None
+        fails = [(k, fail) for k, fail in per_fiber_tuple(fam.values(), degs, failure) if fail]
+        for k, (want, got) in fails:
+            rec.record(False, degree=k, expected=want, actual=got)
+        rec.record(not fails, expected="all fibers", actual=f"{len(fails)} bad", note=f"p={p} dims {tuple(expected.values())}")
         # oracle cross-validation on sampled degrees
         for _ in range(oracle_samples):
             k = _draw(rng, degs)
@@ -555,7 +554,7 @@ def _check_fiber_equalities(params) -> CheckResult:
     for kind_a, kind_b, p, expected, note in equalities:
         a = fam(kind_a, p)
         b = fam(kind_b, p)
-        bad = sum(1 for k in window.degrees() if a.fiber(k) != b.fiber(k))
+        bad = sum(ne for _, ne in per_fiber_tuple((a, b), window.degrees(), operator.ne))
         rec.record(bad == 0, expected=expected, actual=f"{bad} bad", note=note)
     # intermediate = kernel of the composed contraction-after-wedge map on the
     # contraction kernel, entered through the integer embedding of its pivot-1
@@ -602,7 +601,7 @@ def _check_jh_quotient(params) -> CheckResult:
 
     for p in range(1, n):
         spec = spec0.with_fiber(Lambda(p))
-        full = GradedFamily(spec, window, {k: Subspace.full(ext_dim(n, p)) for k in window.degrees()})
+        full = GradedFamily(spec, window, dict.fromkeys(window.degrees(), Subspace.full(ext_dim(n, p))))
         mn = minimal(p)
         hat_mn = minimal(p, policy)
         fw = build_family(FamilyKind.FULLW, p, spec, window, policy=policy)
@@ -625,14 +624,9 @@ def _check_jh_quotient(params) -> CheckResult:
             if family is not None:
                 quotient_is(outer, inner, family, expected)
         # lattice identities: sum and intersection of Witt and intermediate
-        bad = 0
-        for k in generic:
-            w_k = fw.fiber(k)
-            i_k = it.fiber(k)
-            if subspace_sum(w_k, i_k) != mx.fiber(k):
-                bad += 1
-            if intersect(w_k, i_k) != mn.fiber(k):
-                bad += 1
+        bad = sum(fails for _, fails in per_fiber_tuple(
+            (fw, it, mx, mn), generic,
+            lambda w_k, i_k, mx_k, mn_k: (subspace_sum(w_k, i_k) != mx_k) + (intersect(w_k, i_k) != mn_k)))
         rec.record(bad == 0, expected="Witt + intermediate = maximal; meet = minimal",
                    actual=f"{bad} bad", note=f"p={p}")
     return rec.result()

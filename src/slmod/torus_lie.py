@@ -82,7 +82,7 @@ def j_membership(kind: AlgebraKind, space, vectors, samples) -> bool:
     """Whether the defining square identity of the kind holds for every vector.
 
     ``vectors`` are coordinate vectors of the fiber space ``space``, whose
-    ``rank_one_action`` gives A, ``scale`` times the action of the rank-one
+    ``rank_one_actions`` give A, ``scale`` times the action of the rank-one
     matrix.  Samples are (r, u) pairs; for kind H only r is used, and S
     samples must satisfy (u|r) = 0.  Each identity reads A(Av) = c scale Av:
 
@@ -90,33 +90,34 @@ def j_membership(kind: AlgebraKind, space, vectors, samples) -> bool:
     W: (r u^T)^2 v = (u|r) (r u^T) v, so c = (u|r).
     S: (r u^T)^2 v = 0, for (u|r) = 0.
 
-    Per sample, one integer identity (A - c scale I)(A V) = 0 tests every
-    vector at once, V the vectors scaled to integers as columns: in int64
-    when the a-priori bound on its entries and partial sums allows it, in
-    Python ints (dtype object) otherwise.
+    The actions A of all samples are one product with the space's
+    ``rank_one_actions``, and one stacked (A - c scale I)(A V) = 0 tests
+    every vector under every sample, V the vectors scaled to integer columns:
+    in int64 under one a-priori bound, in Python ints (dtype object) past it.
     """
     kind = AlgebraKind(kind)
+    if kind is not AlgebraKind.H and any(u is None for _, u in samples):
+        raise ValueError(f"kind {kind} samples need (r, u) pairs")
     cols = _int_matrix(vectors)[0]
-    max_v = max((abs(x) for v in cols for x in v), default=0)
-    for r, u in samples:
-        if kind is AlgebraKind.H:
-            c = 0
-        elif u is None:
-            raise ValueError(f"kind {kind} samples need (r, u) pairs")
-        else:
-            c = dot(u, r)
-            if kind is AlgebraKind.S and c != 0:
-                raise ValueError("divergence-free samples require (u|r) = 0")
-        rows, scale = space.rank_one_action(r, None if kind is AlgebraKind.H else u)
-        cs = c * scale
-        max_a = max((abs(x) for row in rows for x in row), default=0)
-        bound = space.dim**2 * (max_a + abs(cs)) * max_a * max_v
-        dtype = np.int64 if fits_int64(max(bound, max_a + abs(cs), max_v)) else object
-        a = np.array(rows, dtype=dtype)
-        av = a @ np.array(cols, dtype=dtype).reshape(len(cols), space.dim).T
-        if np.any(a @ av - cs * av):
-            return False
-    return True
+    pairs, _, dense = space.rank_one_actions(kind is AlgebraKind.H)
+    rs = [r for r, _ in samples]
+    ys = rs if kind is AlgebraKind.H else [u for _, u in samples]
+    max_r, max_y, max_v = (max((abs(x) for v in m for x in v), default=0) for m in (rs, ys, cols))
+    # entries of the coefficients, of the actions A, of c scale, and of the identity
+    max_a = len(pairs) * max_r * max_y * int(np.abs(dense).max(initial=0))
+    max_c = 0 if kind is AlgebraKind.H else space.n * max_r * max_y * space.scale
+    bound = space.dim**2 * (max_a + max_c) * max_a * max_v
+    dtype = np.int64 if fits_int64(max(bound, max_r, max_y, max_r * max_y, max_a + max_c, max_v)) \
+        else object
+    rs, ys = (np.array(m, dtype=dtype).reshape(len(samples), space.n) for m in (rs, ys))
+    c = np.zeros(len(samples), dtype=dtype) if kind is AlgebraKind.H else (rs * ys).sum(axis=1)
+    if kind is AlgebraKind.S and np.any(c):
+        raise ValueError("divergence-free samples require (u|r) = 0")
+    a, b = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
+    acts = ((rs[:, a] * ys[:, b]) @ dense.reshape(len(pairs), -1).astype(dtype)).reshape(
+        len(samples), space.dim, space.dim)
+    av = acts @ np.array(cols, dtype=dtype).reshape(len(cols), space.dim).T
+    return not np.any(acts @ av - (c * space.scale)[:, None, None] * av)
 
 
 def default_j_samples(kind: AlgebraKind, n: int) -> tuple:

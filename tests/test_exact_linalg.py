@@ -24,6 +24,7 @@ from slmod.exact_linalg import (
     rank,
     rref,
     subspace_sum,
+    subspaces,
     zero_matrix,
 )
 
@@ -147,10 +148,26 @@ def test_from_triplets_accumulates():
 # the stacked elimination: every item is the scalar one, entry for entry
 
 
+def _assert_wraps_are_the_checked_subspaces(stack):
+    """``subspaces`` wraps each item of a reduced stack, with no elimination,
+    as exactly the ``Subspace`` that the checking constructor makes of it."""
+    n = stack.shape[2]
+    wrapped = subspaces(stack)
+    assert len(wrapped) == len(stack)
+    for sub, item in zip(wrapped, stack.tolist()):
+        checked = Subspace(n, item)
+        assert sub.ambient_dim == n
+        assert sub.rows == checked.rows and sub.pivots == checked.pivots and sub == checked
+        assert all(type(x) is int for row in sub.rows for x in row)
+
+
 def _assert_stack_is_echelon(stack):
     """``echelon_stack`` gives each item ``_echelon``'s rows, then zero rows,
-    and ``kernel_stack`` each item's ``kernel``; the reduced stack is returned."""
+    and ``kernel_stack`` each item's ``kernel``; the reduced stack is returned.
+    ``subspaces`` wraps both outputs as the checking constructor would."""
     red = echelon_stack(stack)
+    _assert_wraps_are_the_checked_subspaces(red)
+    _assert_wraps_are_the_checked_subspaces(kernel_stack(stack))
     n = stack.shape[2]
     assert red.shape == (len(stack), max((len(_echelon(m)[0]) for m in stack.tolist()), default=0), n)
     for item, out, null in zip(stack.tolist(), red.tolist(), kernel_stack(stack).tolist()):
@@ -205,6 +222,23 @@ def test_echelon_stack_shapes_duplicates_and_one_item():
     for stack in (tall, wide, deficient, tall[:1], wide[:1]):
         _assert_stack_is_echelon(stack.astype(np.int64))
     assert all(len(_echelon(item)[0]) == 2 for item in deficient.tolist())
+
+
+def test_trusted_wraps_of_mixed_zero_and_rank_deficient_items():
+    """Items of one stack that are all zero, rank-deficient or of full rank,
+    in int64 and on Python ints, tall and wide; kernel rows come interleaved
+    with zero rows."""
+    rng = np.random.default_rng(5)
+    for shape in ((4, 6, 3), (4, 3, 6)):
+        stack = rng.integers(-3, 4, size=shape)
+        stack[0] = 0
+        stack[1, 1:] = 2 * stack[1, :1]  # rank one
+        for typed in (stack, stack.astype(object) * 2**70):
+            for reduced in (echelon_stack(typed), kernel_stack(typed)):
+                assert reduced.dtype == typed.dtype
+                _assert_wraps_are_the_checked_subspaces(reduced)
+    assert subspaces(np.zeros((0, 2, 3), dtype=np.int64)) == []
+    assert subspaces(np.zeros((2, 0, 3), dtype=np.int64)) == [Subspace.zero(3)] * 2
 
 
 def test_echelon_stack_leaves_int64_before_it_overflows():

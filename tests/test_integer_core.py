@@ -197,9 +197,9 @@ BOUNDARY = {
 }
 
 
-def _int_matrix_uses(module: str, source: str) -> list:
-    """(module, top-level function or None) of every use of ``_int_matrix``
-    other than its definition and imports."""
+def _uses(name: str, module: str, source: str) -> list:
+    """(module, top-level function or class, or None) of every use of
+    ``name`` other than its definition and imports."""
     found = []
 
     def visit(node, top):
@@ -207,13 +207,17 @@ def _int_matrix_uses(module: str, source: str) -> list:
             inner = top
             if top is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = child.name
-            if isinstance(child, ast.Name) and child.id == "_int_matrix" \
-                    or isinstance(child, ast.Attribute) and child.attr == "_int_matrix":
+            if isinstance(child, ast.Name) and child.id == name \
+                    or isinstance(child, ast.Attribute) and child.attr == name:
                 found.append((module, top))
             visit(child, inner)
 
     visit(ast.parse(source), None)
     return found
+
+
+def _int_matrix_uses(module: str, source: str) -> list:
+    return _uses("_int_matrix", module, source)
 
 
 def _boundary_lint(module: str, source: str) -> list:
@@ -235,3 +239,35 @@ def test_the_boundary_lint_flags_a_call_in_kernel():
     assert source.count(original) == 1
     planted = source.replace(original, original.replace("matrix(m)", "matrix(_int_matrix(m)[0])"))
     assert _boundary_lint("exact_linalg", planted) == [("exact_linalg", "kernel")]
+
+
+# ---------------------------------------------------------------------------
+# trusted-wrap lint: rows skip the elimination only where echelon_stack or
+# kernel_stack made them canonical
+
+TRUSTED = {("exact_linalg", "subspaces")}
+
+
+def _trusted_lint(module: str, source: str) -> list:
+    return [use for use in _uses("_trusted", module, source) if use not in TRUSTED]
+
+
+def test_the_trusted_wrap_is_called_only_by_subspaces():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        assert _trusted_lint(path.stem, source) == [], path.name
+        callers.update(_uses("_trusted", path.stem, source))
+    assert callers == TRUSTED
+
+
+def test_the_trusted_wrap_lint_flags_a_planted_call():
+    source = (PACKAGE / "exact_linalg.py").read_text()
+    original = "        return Subspace(self.ambient, self.rows)\n"
+    assert source.count(original) == 1
+    planted = source.replace(original, original.replace(
+        "Subspace(self.ambient, self.rows)",
+        "Subspace._trusted(self.ambient, self.rows, list(map(_lead, self.rows)))"))
+    assert _trusted_lint("exact_linalg", planted) == [("exact_linalg", "IntSpan")]
+    assert _trusted_lint("graded_modules", "def closure():\n    return _trusted(3, [], [])\n") \
+        == [("graded_modules", "closure")]

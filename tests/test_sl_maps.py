@@ -2,6 +2,7 @@ import copy
 from fractions import Fraction as F
 from math import comb
 
+import numpy as np
 import pytest
 
 import slmod.sl_maps as sl_maps
@@ -314,6 +315,25 @@ def test_families_past_int64_are_the_reference():
     assert max(abs(x) for x in spec.scaled_shift((1, 1, 1, 1))) ** 2 >= 2**63
 
 
+def test_directions_past_int64_are_found_on_python_ints(monkeypatch):
+    """At beta_1 = 1/(2^62 + 1) the scaled shifts themselves pass int64, so
+    the direction pass runs on Python ints, where ``np.unique`` sorts no
+    rows; every kind, on Lambda(p) and Fund(p), still equals the reference."""
+    stacked = []
+    build_stack = sl_maps._family_fibers
+
+    def recorded(kind, p, space, directions):
+        stacked.append(directions.dtype)
+        return build_stack(kind, p, space, directions)
+
+    monkeypatch.setattr(sl_maps, "_family_fibers", recorded)
+    sl_maps._build_family_cached.cache_clear()
+    beta = (F(1, 2**62 + 1), 0, 0, 0)
+    _assert_families_are_the_reference(4, 1, beta, [SpecialFiberPolicy.OMIT])
+    assert stacked and set(stacked) == {np.dtype(object)}
+    sl_maps._build_family_cached.cache_clear()
+
+
 def test_families_built_in_several_stacks_are_the_same(monkeypatch):
     """Directions are eliminated ``STACK_ITEMS`` at a time; a bound below the
     direction count splits every stage and changes no fiber."""
@@ -333,7 +353,7 @@ def test_build_family_eliminates_once_per_direction(beta, directions, monkeypatc
     build_stack = sl_maps._family_fibers
 
     def counted(kind, p, space, stacked):
-        calls.extend(stacked)
+        calls.extend(map(tuple, stacked.tolist()))
         return build_stack(kind, p, space, stacked)
 
     monkeypatch.setattr(sl_maps, "_family_fibers", counted)

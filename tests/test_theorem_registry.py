@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import slmod.sl_maps as sl_maps
 import slmod.theorem_registry as theorem_registry
 from slmod.cli import main
 from slmod.graded_modules import ActionSpec, Fund, Lambda, Window, closure, edge_table
@@ -237,3 +238,40 @@ def test_checks_declare_the_seed_and_samples_they_read():
         if any(isinstance(n, ast.Constant) and n.value == "samples" for n in nodes):
             reads.add("samples")
         assert set(spec.reads) == reads, check_id
+
+
+def reference_per_degree(families, degrees, verdict):
+    """The per-degree loop that ``per_fiber_tuple`` replaces: every degree's
+    verdict computed from its own fibers."""
+    for k in degrees:
+        yield k, verdict(*(family.fiber(k) for family in families))
+
+
+def test_per_pair_comparisons_keep_every_failing_record(monkeypatch):
+    """INT's fiber along one direction of k + beta is replaced by MIN's: the
+    comparisons made once per tuple of fiber objects FAIL at every degree of
+    that direction, with the records and counts of the per-degree loop."""
+    _build_family_cached.cache_clear()
+    try:
+        spec, win = ActionSpec.make("H", 4, Lambda(2), HALF), Window(4, 2)
+        it = build_family(FamilyKind.INT, 2, spec, win)
+        mn = build_family(FamilyKind.MIN, 2, spec, win)
+        # q(k + beta) = (2 k_1 + 1, 0, 0, 0): five degrees along e_1 share one fiber
+        shared = it.fiber((1, 0, 0, 0))
+        moved = [k for k, sub in it.fibers.items() if sub is shared]
+        assert moved == [(k1, 0, 0, 0) for k1 in range(-2, 3)]
+        for k in moved:
+            it.fibers[k] = mn.fiber(k)
+        checks = ("inclusion-chain", "JH-quotient")
+        got = {cid: run_check(cid, N=4, beta=HALF, d=2).to_dict() for cid in checks}
+        monkeypatch.setattr(theorem_registry, "per_fiber_tuple", reference_per_degree)
+        monkeypatch.setattr(sl_maps, "per_fiber_tuple", reference_per_degree)
+        assert got == {cid: run_check(cid, N=4, beta=HALF, d=2).to_dict() for cid in checks}
+        assert {cid: got[cid]["status"] for cid in checks} == dict.fromkeys(checks, "FAIL")
+        failed = [d["degree"] for d in got["inclusion-chain"]["details"] if d["status"] == "FAIL"
+                  and d["degree"] is not None]
+        assert failed == [list(k) for k in moved]
+        assert [d["actual"] for d in got["JH-quotient"]["details"] if d["status"] == "FAIL"] \
+            == ["5 bad"] * 3
+    finally:
+        _build_family_cached.cache_clear()

@@ -1,11 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
-from slmod.exact_linalg import dot, from_triplets, identity, mat_mul, mat_vec, matrix
+import slmod.torus_lie as torus_lie
+from slmod.exact_linalg import (
+    _int_matrix, dot, fits_int64, from_triplets, identity, mat_mul, mat_vec, matrix,
+)
 from slmod.exterior_algebra import gl_action_matrix
 from slmod.graded_modules import Lambda, Sym2, fiber_space
 from slmod.torus_lie import (
+    AlgebraKind,
     bar,
     default_j_samples,
     degree_box,
@@ -89,7 +94,35 @@ def test_j_membership_examples():
 
 
 def reference_j_membership(kind, space, vectors, samples) -> bool:
-    """The vector-by-vector loop: A(Av) against c scale Av for each sample."""
+    """The per-sample loop that ``j_membership`` replaces: one
+    ``rank_one_action`` per sample, and (A - c scale I)(A V) = 0 tested with
+    that sample's own int64 bound."""
+    kind = AlgebraKind(kind)
+    cols = _int_matrix(vectors)[0]
+    max_v = max((abs(x) for v in cols for x in v), default=0)
+    for r, u in samples:
+        if kind is AlgebraKind.H:
+            c = 0
+        elif u is None:
+            raise ValueError(f"kind {kind} samples need (r, u) pairs")
+        else:
+            c = dot(u, r)
+            if kind is AlgebraKind.S and c != 0:
+                raise ValueError("divergence-free samples require (u|r) = 0")
+        rows, scale = space.rank_one_action(r, None if kind is AlgebraKind.H else u)
+        cs = c * scale
+        max_a = max((abs(x) for row in rows for x in row), default=0)
+        bound = space.dim**2 * (max_a + abs(cs)) * max_a * max_v
+        dtype = np.int64 if fits_int64(max(bound, max_a + abs(cs), max_v)) else object
+        a = np.array(rows, dtype=dtype)
+        av = a @ np.array(cols, dtype=dtype).reshape(len(cols), space.dim).T
+        if np.any(a @ av - cs * av):
+            return False
+    return True
+
+
+def vector_loop_j_membership(kind, space, vectors, samples) -> bool:
+    """The vector-by-vector loop in Python ints: A(Av) against c scale Av."""
     for r, u in samples:
         c = 0 if kind == "H" else dot(u, r)
         rows, scale = space.rank_one_action(r, None if kind == "H" else u)
@@ -98,6 +131,17 @@ def reference_j_membership(kind, space, vectors, samples) -> bool:
             if mat_vec(rows, av) != tuple(c * scale * x for x in av):
                 return False
     return True
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_j_membership_matches_the_reference_on_every_exterior_power(n):
+    for p in range(n + 1):
+        space = fiber_space(n, Lambda(p))
+        for kind in "HWS":
+            samples = default_j_samples(kind, n)
+            got = j_membership(kind, space, identity(space.dim), samples)
+            assert got == reference_j_membership(kind, space, identity(space.dim), samples), (p, kind)
+            assert got  # every exterior power lies in J
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -111,8 +155,9 @@ def test_j_membership_matches_the_reference_loop(n):
         for kind in "HWS":
             samples = default_j_samples(kind, n)
             for vectors in [[v] for v in identity(space.dim)] + [identity(space.dim), mixed, huge]:
-                assert j_membership(kind, space, vectors, samples) == \
-                    reference_j_membership(kind, space, vectors, samples), (p, kind, vectors)
+                got = j_membership(kind, space, vectors, samples)
+                assert got == reference_j_membership(kind, space, vectors, samples), (p, kind, vectors)
+                assert got == vector_loop_j_membership(kind, space, vectors, samples), (p, kind, vectors)
 
 
 def test_j_membership_matches_the_reference_on_the_sym2_witnesses():
@@ -131,6 +176,7 @@ def test_j_membership_matches_the_reference_on_the_sym2_witnesses():
                 for vectors in ([v], [[x * 2**70 for x in v]]):
                     got = j_membership(kind, space, vectors, samples)
                     assert got == reference_j_membership(kind, space, vectors, samples), (kind, v)
+                    assert got == vector_loop_j_membership(kind, space, vectors, samples), (kind, v)
                     answers.add(got)
     assert answers == {True, False}
 
@@ -138,6 +184,56 @@ def test_j_membership_matches_the_reference_on_the_sym2_witnesses():
 def test_j_membership_rejects_divergent_samples():
     with pytest.raises(ValueError):
         j_membership("S", fiber_space(2, Lambda(1)), identity(2), [((1, 0), (1, 0))])
+
+
+def test_j_membership_finds_one_planted_vector_that_breaks_the_identity():
+    """Among the Sym^2 monomials that satisfy the identity (six for W, none
+    for H and S) and the zero vector, one planted vector that breaks it turns
+    the verdict, in int64 and past it."""
+    space = fiber_space(4, Sym2())
+    for kind, count in zip("HWS", (0, 6, 0)):
+        samples = default_j_samples(kind, 4)
+        holding = [v for v in identity(space.dim) if reference_j_membership(kind, space, [v], samples)]
+        assert len(holding) == count
+        holding.append((0,) * space.dim)
+        assert j_membership(kind, space, holding, samples)
+        for factor in (1, 2**70):
+            planted = [[x * factor for x in v] for v in holding + [(1,) * space.dim]]
+            assert not reference_j_membership(kind, space, planted, samples), kind
+            assert not j_membership(kind, space, planted, samples), kind
+
+
+def test_j_membership_past_int64_runs_on_python_ints(monkeypatch):
+    """Vectors near 2^62 leave no room for the products in int64: the one
+    bound says so, and the verdicts on Python ints are the reference's."""
+    picks = []
+
+    def spy(bound):
+        picks.append(fits_int64(bound))
+        return picks[-1]
+
+    monkeypatch.setattr(torus_lie, "fits_int64", spy)
+    space = fiber_space(4, Lambda(2))
+    huge = [[x * (2**62 - 1) for x in v] for v in identity(space.dim)]
+    sym2 = fiber_space(2, Sym2())
+    for kind in "HWS":
+        samples = default_j_samples(kind, 4)
+        assert j_membership(kind, space, huge, samples) == reference_j_membership(kind, space, huge, samples)
+        assert j_membership(kind, space, huge, samples)
+        witness = [(0, 0, 2**62 - 1)]
+        samples = default_j_samples(kind, 2)
+        assert not j_membership(kind, sym2, witness, samples)
+        assert not reference_j_membership(kind, sym2, witness, samples)
+    assert picks == [False] * 9
+
+
+def test_j_membership_and_its_reference_reject_malformed_samples():
+    lam = fiber_space(2, Lambda(1))
+    for check in (j_membership, reference_j_membership):
+        with pytest.raises(ValueError):  # a Witt sample needs its u
+            check("W", lam, identity(2), [((1, 0), None)])
+        with pytest.raises(ValueError):  # a divergence-free sample needs (u|r) = 0
+            check("S", lam, identity(2), [((1, 0), (1, 0))])
 
 
 def test_degree_box_counts():
