@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import format_vector, image, intersect, kernel, mat_mul
+from .exact_linalg import format_vector, image, int_matmul, intersect, kernel
 from .exterior_algebra import ext_dim, fundamental_subspace
 from .graded_modules import ActionSpec, Fund, Lambda, Window
 from .reports import CheckResult, Recorder
 from .sl_maps import (
     FamilyKind,
-    _map_matrix_scaled,
     build_family,
     f,
+    map_stack,
     pi,
     T,
 )
@@ -103,9 +103,13 @@ def complex_homology(
     spec = ActionSpec.make("H", n, Lambda(min(pos, n)), beta)
     inc, out = _in_out_maps(cid, pos, n)
     fund = fundamental_subspace(n, pos) if cid.kind == "fsq_fund" else None
+    # each map at every degree in one stack; kernel and image stay per degree
+    kqs = spec.scaled_shifts(window)
+    outs = map_stack(out, n, kqs) if out is not None else None
+    incs = map_stack(inc, n, kqs) if inc is not None else None
+    squares = int_matmul(outs, outs).any(axis=(1, 2)) if cid.kind == "fsq" else None
     table: dict = {}
-    for k in window.degrees():
-        kq = spec.scaled_shift(k)
+    for i, k in enumerate(window.degrees()):
         dim_here = ext_dim(n, pos)
         if cid.kind == "fsq_fund":
             dim_here = fund.dim
@@ -113,8 +117,8 @@ def complex_homology(
             ker_dim = dim_here
             ker_sub = None
         else:
-            mat = _map_matrix_scaled(out, n, kq)
-            if cid.kind == "fsq" and any(x for row in mat_mul(mat, mat) for x in row):
+            mat = outs[i].tolist()
+            if squares is not None and squares[i]:
                 raise RuntimeError(f"square-zero violated at degree {k}")
             if cid.kind == "fsq_fund":
                 ker_sub = intersect(kernel(mat), fund)
@@ -125,7 +129,7 @@ def complex_homology(
         if inc is None:
             im_dim = 0
         else:
-            mat_in = _map_matrix_scaled(inc, n, kq)
+            mat_in = incs[i].tolist()
             if cid.kind == "fsq_fund":
                 im_sub = image(mat_in, fund)
             else:
@@ -185,12 +189,12 @@ def predicted_homology(
             table[k] = fund.dim if spec.is_special(k) else lower.fiber(k).dim
         return table
     maxf = build_family(FamilyKind.MAX, pos, spec.with_fiber(Lambda(pos)), window)
-    for k in window.degrees():
+    wedges = map_stack(pi(pos), n, spec.scaled_shifts(window))
+    for k, wedge in zip(window.degrees(), wedges):
         if spec.is_special(k):
             table[k] = fund.dim
             continue
-        kq = spec.scaled_shift(k)
-        table[k] = image(_map_matrix_scaled(pi(pos), n, kq), intersect(maxf.fiber(k), fund)).dim
+        table[k] = image(wedge.tolist(), intersect(maxf.fiber(k), fund)).dim
     return table
 
 

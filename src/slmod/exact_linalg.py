@@ -48,19 +48,55 @@ def vec(entries: Iterable[Rational]) -> tuple:
 def fits_int64(bound: int) -> bool:
     """Whether int64 arithmetic is exact for a product whose every entry and
     partial sum is at most ``bound`` in absolute value: the one rule by which
-    every sweep picks int64 or Python ints (dtype object)."""
+    every product and elimination picks int64 or Python ints (dtype object)."""
     return bound < 2**62
 
 
 def _max_abs(a: np.ndarray) -> int:
-    return int(max(a.max(initial=0), -a.min(initial=0)))
+    if not a.size:
+        return 0
+    top = abs(a)  # on int64 it wraps -2^63 to itself, which reads right as uint64
+    return int((top.view(np.uint64) if top.dtype == np.int64 else top).max())
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for integer arrays: int64 when ``fits_int64`` bounds every
-    entry and partial sum of the product, Python ints (dtype object) past it."""
-    dtype = np.int64 if fits_int64(a.shape[-1] * _max_abs(a) * _max_abs(b)) else object
+    entry and partial sum of the product and every entry of each operand,
+    Python ints (dtype object) past it, so an int64 output is below 2^62."""
+    top_a, top_b = _max_abs(a), _max_abs(b)
+    dtype = np.int64 if fits_int64(max(a.shape[-1] * top_a * top_b, top_a, top_b)) else object
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+
+
+def int_affine(cs: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cs[e] * a_e + a_e @ b_e`` for a list of integers and integer stacks
+    a and b, either of them possibly one block that every e shares: the
+    images of the rows of a_e under c_e * Id + b_e^T.  The rule of
+    ``int_matmul`` with the scaled term in the bound: int64 when
+    max|c| max|a| + n max|a| max|b| and every entry fit, Python ints past it."""
+    top_c, top_a, top_b = max(map(abs, cs), default=0), _max_abs(a), _max_abs(b)
+    bound = max(top_c * top_a + a.shape[-1] * top_a * top_b, top_c, top_a, top_b)
+    dtype = np.int64 if fits_int64(bound) else object
+    a = a.astype(dtype, copy=False)
+    return np.array(cs, dtype=dtype).reshape(len(cs), 1, 1) * a + a @ b.astype(dtype, copy=False)
+
+
+def int_blocks(row_sets: list, dim: int) -> np.ndarray:
+    """Integer row sets stacked into one array, each padded with zero rows;
+    in int64 when every entry is one, else in Python ints.  Every product
+    reads its operands' magnitudes itself, so none is bounded here."""
+    shape = (len(row_sets), max(map(len, row_sets), default=0), dim)
+
+    def filled(out):
+        for block, rows in zip(out, row_sets):
+            if rows:
+                block[: len(rows)] = rows
+        return out
+
+    try:
+        return filled(np.zeros(shape, dtype=np.int64))
+    except OverflowError:  # an entry past int64
+        return filled(np.zeros(shape, dtype=object))
 
 
 def dot(u: Sequence[Rational], v: Sequence[Rational]):
@@ -84,11 +120,6 @@ def matrix(rows: Iterable[Iterable[Rational]]) -> tuple:
 
 def identity(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zero_matrix(nrows: int, ncols: int) -> tuple:
-    row = (0,) * ncols
-    return tuple(row for _ in range(nrows))
 
 
 def from_triplets(nrows: int, ncols: int, triplets: Iterable[tuple]) -> tuple:

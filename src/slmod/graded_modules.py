@@ -30,10 +30,11 @@ from .exact_linalg import (
     _int_matrix,
     dot,
     echelon_stack,
-    fits_int64,
     format_vector,
     frac,
     from_triplets,
+    int_affine,
+    int_blocks,
     int_matmul,
     kernel_stack,
     mat_vec,
@@ -92,7 +93,7 @@ class FiberSpace:
     Fundamental fibers use the pivot-1 basis of the contraction kernel, so a
     coordinate vector is read off the pivot entries of its ambient image
     (``from_lambda``).  The integer action matrices returned by
-    ``action_matrix_int`` and ``rank_one_action`` are ``scale`` times the
+    ``action_matrix_int`` and ``rank_one_stack`` are ``scale`` times the
     exact ones, ``scale`` being the lcm of the pivot entries of the primitive
     kernel rows (1 off Fund); the multiple cancels everywhere an image or
     kernel is taken.
@@ -137,24 +138,24 @@ class FiberSpace:
         """Integer actions of the elementary rank-one matrices, built once per
         fiber space and kept on it.
 
-        Returns ``(pairs, actions, dense)``.  Symplectic: for (a, b) in
-        ``pairs`` (a <= b) the action of P_aa = e_a bar(e_a)^T, resp. of
+        Returns ``(pairs, dense)``.  Symplectic: for (a, b) in ``pairs``
+        (a <= b) the action of P_aa = e_a bar(e_a)^T, resp. of
         P_ab = e_a bar(e_b)^T + e_b bar(e_a)^T, so that
         x bar(x)^T = sum over pairs of x_a x_b P_ab.  Otherwise every (a, b)
         with the action of E_ab = e_a e_b^T, so that x y^T = sum x_a y_b E_ab.
-        ``actions[e][i]`` lists the nonzero ``(j, v)`` of row i of the e-th
-        action, times ``scale`` as in ``action_matrix_int``, and ``dense`` is
-        the int64 (pairs, dim, dim) array of the same actions.  Every
-        P_ab lies in sp, so on Fund(p) the kernel guard runs once per entry.
+        ``pairs`` is a (P, 2) index array and ``dense`` the int64
+        (P, dim, dim) array of the actions, times ``scale`` as in
+        ``action_matrix_int``.  Every P_ab lies in sp, so on Fund(p) the
+        kernel guard runs once per entry.
         """
         table = self._rank_one.get(symplectic)
         if table is None:
             n = self.n
             units = _unit_vectors(n)
             if symplectic:
-                pairs = tuple((a, b) for a in range(n) for b in range(a, n))
+                pairs = [(a, b) for a in range(n) for b in range(a, n)]
             else:
-                pairs = tuple((a, b) for a in range(n) for b in range(n))
+                pairs = [(a, b) for a in range(n) for b in range(n)]
             dense = []
             for a, b in pairs:
                 if symplectic:
@@ -164,26 +165,20 @@ class FiberSpace:
                 else:
                     m = rank_one(units[a], units[b])
                 dense.append(self.action_matrix_int(m)[0])
-            actions = tuple(tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
-                            for rows in dense)
-            dense = np.array(dense, dtype=np.int64).reshape(len(pairs), self.dim, self.dim)
-            table = self._rank_one[symplectic] = (pairs, actions, dense)
+            table = self._rank_one[symplectic] = (
+                np.array(pairs, dtype=np.intp).reshape(len(pairs), 2),
+                np.array(dense, dtype=np.int64).reshape(len(pairs), self.dim, self.dim))
         return table
 
-    def rank_one_action(self, x, y=None) -> tuple:
-        """``(rows, scale)``: the integer action of x bar(x)^T when ``y`` is
-        None and of x y^T otherwise, summed over ``rank_one_actions``."""
-        pairs, actions, _ = self.rank_one_actions(y is None)
-        if y is None:
-            y = x
-        m = [[0] * self.dim for _ in range(self.dim)]
-        for (a, b), act in zip(pairs, actions):
-            c = x[a] * y[b]
-            if c:
-                for mrow, arow in zip(m, act):
-                    for j, v in arow:
-                        mrow[j] += c * v
-        return tuple(map(tuple, m)), self.scale
+    def rank_one_stack(self, xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
+        """``scale`` times the action of x bar(x)^T (``ys`` None) or of x y^T
+        for every row x of ``xs`` (and y of ``ys``), as one (B, dim, dim)
+        stack: the coefficients x_a y_b are one batched outer product, and
+        the actions one product of them with ``rank_one_actions``."""
+        pairs, dense = self.rank_one_actions(ys is None)
+        outer = int_matmul(xs[:, :, None], (xs if ys is None else ys)[:, None, :])
+        coeffs = outer[:, pairs[:, 0], pairs[:, 1]]
+        return int_matmul(coeffs, dense.reshape(len(pairs), -1)).reshape(len(xs), self.dim, self.dim)
 
     def _restricted_action(self, a) -> tuple:
         p = self.fiber.p
@@ -270,9 +265,13 @@ class ActionSpec:
         return tuple(self.q * ki + bi for ki, bi in zip(k, self.qbeta))
 
     def scaled_shifts(self, window: "Window") -> np.ndarray:
-        """``scaled_shift`` of every window degree as rows, int64 under ``fits_int64``."""
-        dtype = np.int64 if fits_int64(self.q * window.d + max(map(abs, self.qbeta))) else object
-        return self.q * np.array(window.degrees(), dtype=dtype) + np.array(self.qbeta, dtype=dtype)
+        """``scaled_shift`` of every window degree as rows: one product
+        [k | 1] (q I ; q beta)."""
+        ks = np.array(window.degrees(), dtype=np.int64).reshape(-1, self.n)
+        lifted = np.concatenate([ks, np.ones((len(ks), 1), dtype=np.int64)], axis=1)
+        shift = np.array([[self.q * (i == j) for j in range(self.n)] for i in range(self.n)]
+                         + [self.qbeta], dtype=object)
+        return int_matmul(lifted, shift)
 
     def space(self) -> FiberSpace:
         return fiber_space(self.n, self.fiber)
@@ -458,8 +457,9 @@ class EdgeTable:
     shifts q(k + beta) with the pairing vectors (bar(r) for H, u otherwise).
     ``edges(i)`` gathers the maps leaving degree i, in generator order;
     ``skipped[i]`` counts the maps that leave the window.  The derivation
-    rows ``scale * D`` are kept times q, sparse in ``qdrows`` for ``apply``
-    and as one dense block per generator in ``qd`` for ``fiber_escapes``.
+    rows ``scale * D`` of all generators are one ``rank_one_stack``, kept
+    times q as one dense block per generator in ``qd`` for ``fiber_escapes``
+    and read off it as sparse ``qdrows`` for ``apply``.
     """
 
     def __init__(self, spec: ActionSpec, window: Window, gens: tuple):
@@ -485,18 +485,13 @@ class EdgeTable:
         self.cq = int_matmul(spec.scaled_shifts(window),
                              np.array(pairing, dtype=np.int64).reshape(len(gens), n).T)
         space = spec.space()
-        self.dim = space.dim
-        self.scale = []
-        self.qdrows = []
-        dense = []
-        for g in gens:
-            drows, scale = space.rank_one_action(g.r, g.u)
-            self.scale.append(scale)
-            self.qdrows.append(
-                tuple(tuple((j, q * v) for j, v in enumerate(row) if v) for row in drows)
-            )
-            dense.append([[q * v for v in row] for row in drows])
-        self.qd = int_blocks(dense, self.dim)
+        self.dim, self.scale = space.dim, space.scale
+        us = None if spec.kind is AlgebraKind.H else np.array([g.u for g in gens], dtype=np.int64)
+        # q times each generator's derivation block: q * D + D * 0
+        self.qd = int_affine([q] * len(gens), space.rank_one_stack(r, us),
+                             np.zeros((self.dim, self.dim), dtype=np.int64))
+        self.qdrows = [tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in block)
+                       for block in self.qd.tolist()]
 
     def edges(self, i: int) -> tuple:
         """``(gis, js, cqs)``: the generator, target index and cq of every
@@ -506,7 +501,7 @@ class EdgeTable:
 
     def apply(self, gi: int, cq: int, rows) -> list:
         """Nonzero images of integer rows under q * scale * (c * Id + D)."""
-        a = cq * self.scale[gi]
+        a = cq * self.scale
         qdrows = self.qdrows[gi]
         out = []
         for row in rows:
@@ -583,7 +578,7 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
                 anns[j] = int_blocks(
                     [span.to_subspace().annihilator() + ((0,) * dim,) * span.dim], dim)[0]
             flags = fiber_escapes(int_blocks([rows], dim)[0], np.stack([anns[js[e]] for e in tested]),
-                                  [cqs[e] * table.scale[gis[e]] for e in tested],
+                                  [cqs[e] * table.scale for e in tested],
                                   table.qd[[gis[e] for e in tested]])
             for e, flag in zip(tested, flags.tolist()):
                 escaping[e] = [row for row, out in zip(rows, flag) if out]
@@ -668,7 +663,7 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
         r, a = r[a >= 0], a[a >= 0]
         if not len(r):
             continue
-        cs = [c * table.scale[gi] for c in table.cq[src[r], gi].tolist()]
+        cs = [c * table.scale for c in table.cq[src[r], gi].tolist()]
         bad = fiber_escapes(r_blocks[r], a_blocks[a], cs, table.qd[gi]).any(-1)
         for e in r[bad].tolist():
             first.setdefault(e, gi)
@@ -692,34 +687,11 @@ def fiber_escapes(rows, anns, cs: list, maps) -> np.ndarray:
     Item e maps the row block R_e through c_e * Id + M_e; an image lies in
     the target fiber exactly when the fiber's annihilator block A_e kills it,
     so row t of item e escapes when column t of A_e (c_e R_e + R_e M_e^T)^T
-    is nonzero.  ``rows``,
-    ``anns`` and ``maps`` are integer arrays, each either one block that
-    every item shares (h x D, a x D, D x D) or one block per item stacked
-    along a first axis of length ``len(cs)``; zero rows pad a block freely.
-    The products run in int64 when the a-priori bound
-    D * max|A| * max|R| * (max|c| + D * max|M|) on every entry and partial
-    sum, and every input entry, stay below 2^62, and on dtype=object arrays
-    of Python ints otherwise, so no wrapped integer decides a result.
+    is nonzero.  ``rows``, ``anns`` and ``maps`` are integer arrays, each
+    either one block that every item shares (h x D, a x D, D x D) or one
+    block per item stacked along a first axis of length ``len(cs)``; zero
+    rows pad a block freely.  The images are one ``int_affine`` and their
+    test one ``int_matmul``.
     """
-    dim = rows.shape[-1]
-    max_r, max_a, max_m = (int(np.abs(x).max(initial=0)) for x in (rows, anns, maps))
-    max_c = max(map(abs, cs), default=0)
-    bound = dim * max_a * max_r * (max_c + dim * max_m)
-    dtype = np.int64 if fits_int64(max(bound, max_r, max_a, max_m, max_c)) else object
-    r = rows.astype(dtype, copy=False)
-    c = np.array(cs, dtype=dtype)[:, None, None]
-    images = c * r + r @ np.swapaxes(maps.astype(dtype, copy=False), -1, -2)
-    products = anns.astype(dtype, copy=False) @ np.swapaxes(images, -1, -2)
-    return np.any(products, axis=-2)
-
-
-def int_blocks(row_sets: list, dim: int) -> np.ndarray:
-    """Integer row sets stacked into one array, each padded with zero rows;
-    in int64 when every entry fits, else in Python ints."""
-    top = max((abs(x) for rows in row_sets for row in rows for x in row), default=0)
-    height = max(map(len, row_sets), default=0)
-    out = np.zeros((len(row_sets), height, dim), dtype=np.int64 if fits_int64(top) else object)
-    for block, rows in zip(out, row_sets):
-        if rows:
-            block[: len(rows)] = rows
-    return out
+    images = int_affine(cs, rows, maps.swapaxes(-1, -2))
+    return int_matmul(anns, images.swapaxes(-1, -2)).any(axis=-2)

@@ -22,11 +22,12 @@ from .exact_linalg import (
     _int_matrix,
     dot,
     format_vector,
+    int_blocks,
     mat_sub,
     mat_mul,
     vec,
 )
-from .graded_modules import ActionSpec, GradedFamily, fiber_escapes, int_blocks
+from .graded_modules import ActionSpec, GradedFamily, fiber_escapes
 from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
 from .sl_maps import SymplecticFrame
@@ -166,7 +167,7 @@ def invariance_report(family: GradedFamily) -> CheckResult:
     """PASS when every fiber is preserved by all rank-one invariant operators.
 
     At each degree one ``fiber_escapes`` call tests the fiber's rows under
-    the integer action ``rank_one_action(x, y)`` of every T-span factor
+    the integer actions of all T-span factors, one ``rank_one_stack``,
     against the fiber's annihilator.  For the H action, x bar(x)^T for every
     vector x pairing to zero against k + beta (those of a symplectic frame,
     say) lies in the span of the checked operators, so it is covered too.
@@ -183,9 +184,10 @@ def invariance_report(family: GradedFamily) -> CheckResult:
         if not sub.dim:
             continue
         factors = _t_span_factors(spec, k)
-        maps = int_blocks([space.rank_one_action(x, y)[0] for x, y in factors], space.dim)
+        xs = int_blocks([[x for x, _ in factors]], spec.n)[0]
+        ys = None if spec.kind is AlgebraKind.H else int_blocks([[y for _, y in factors]], spec.n)[0]
         ok = not factors or not fiber_escapes(
             int_blocks([sub.rows], space.dim)[0], int_blocks([sub.annihilator()], space.dim)[0],
-            [0] * len(factors), maps).any()
+            [0] * len(factors), space.rank_one_stack(xs, ys)).any()
         rec.record(ok, degree=k, expected="fiber preserved", actual="preserved" if ok else "escapes")
     return rec.result()

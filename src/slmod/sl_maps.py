@@ -18,10 +18,12 @@ Lambda^p fibers by ``FiberSpace.from_lambda``.
 Every family fiber depends on K only up to a nonzero scalar: K bar(K)^T
 scales by lambda^2, K ^ and the contraction against bar(K) by lambda.  A
 build therefore makes one fiber per primitive direction of q(k + beta), up to
-sign, and degrees along one direction share it.  The maps are linear in K,
-so one integer contraction gives the matrices of all directions as a stack,
-and ``exact_linalg.echelon_stack`` eliminates the whole stack at once, per
-stage: the image or kernel, then on Fund(p) the theta cut for FULLW and INT.
+sign, and degrees along one direction share it.  ``map_stack``, the one
+builder of the structural maps, gives the matrices of all directions as one
+integer product (MIN and MAX read f(p) off the fiber space's own
+``rank_one_stack``), and ``exact_linalg.echelon_stack`` eliminates the whole
+stack at once, per stage: the image or kernel, then on Fund(p) the theta cut
+for FULLW and INT.
 
 At the single degree with K = 0 (present only for integral beta) every
 defining operator vanishes; a policy flag picks the zero fiber or the full
@@ -42,9 +44,9 @@ from .exact_linalg import (
     Subspace,
     dot,
     echelon_stack,
-    fits_int64,
     format_vector,
     identity,
+    int_affine,
     int_matmul,
     kernel_stack,
     rref,
@@ -52,6 +54,7 @@ from .exact_linalg import (
     vec,
 )
 from .exterior_algebra import (
+    ext_dim,
     interior_matrix,
     theta_matrix,
     wedge_matrix,
@@ -204,21 +207,29 @@ def map_degrees(map_id: MapId, n: int) -> tuple:
     raise ValueError(f"unknown map {map_id.name!r}")
 
 
-def _map_matrix_scaled(map_id: MapId, n: int, kq: tuple) -> tuple:
-    """Integer matrix of the map evaluated at the scaled shift q(k + beta).
+def map_stack(map_id: MapId, n: int, kqs: np.ndarray) -> np.ndarray:
+    """The map's integer matrix at every scaled shift K = q(k + beta) in the
+    rows of ``kqs``, as one (B, rows, cols) stack.
 
-    Equals q^h times the exact matrix, h the degree of its entries in
-    k + beta: 1 for pi and T, 0 for theta_tilde, 2 for f.
+    Each matrix is q^h times the exact one, h the degree of its entries in
+    k + beta: 1 for pi and T, 0 for theta_tilde, 2 for f.  pi and T are
+    linear in K, so they are one product of the shifts with the map at the
+    unit vectors; theta_tilde is constant; f(p) = T(p+1) o pi(p) is the
+    derivation action of K bar(K)^T, one ``rank_one_stack``.
     """
-    p = map_id.p
-    if map_id.name == "pi":
-        return wedge_matrix(n, p, kq)
-    if map_id.name == "T":
-        return interior_matrix(n, p, bar(kq))
+    src, tgt = map_degrees(map_id, n)
     if map_id.name == "theta":
-        return theta_matrix(n, p)
-    # f(p) = T(p+1) o pi(p) = derivation action of K bar(K)^T
-    return fiber_space(n, Lambda(p)).rank_one_action(kq)[0]
+        theta = np.array(theta_matrix(n, src), dtype=np.int64)
+        return np.broadcast_to(theta, (len(kqs), *theta.shape))
+    if map_id.name == "f":
+        return fiber_space(n, Lambda(src)).rank_one_stack(kqs)
+    if map_id.name == "pi":
+        units = [wedge_matrix(n, src, e) for e in identity(n)]
+    else:  # the contraction against bar(K) = sum_a K_a bar(e_a)
+        units = [interior_matrix(n, src, bar(e)) for e in identity(n)]
+    shape = (ext_dim(n, tgt), ext_dim(n, src))
+    units = np.array(units, dtype=np.int64).reshape(n, shape[0] * shape[1])
+    return int_matmul(kqs, units).reshape(len(kqs), *shape)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +247,10 @@ def verify_module_map(
     k in the window and all generators with k + r still inside; pairs whose
     target leaves the window are skipped.
 
-    The sweep is exact: matrices are scaled to integers by the beta
-    denominator and compared entrywise, in int64 where an a-priori bound
-    shows that nothing overflows and in Python ints (dtype object) elsewhere.
+    The sweep is exact: the map comes from ``map_stack`` and the actions
+    from the edge tables, all scaled to integers by the beta denominator,
+    and the two sides are ``int_affine`` products compared entrywise, for
+    up to ``STACK_ITEMS`` (degree, generator) pairs at once.
     """
     if spec.kind is not AlgebraKind.H:
         raise ValueError("module-map verification is defined for the Hamiltonian action")
@@ -251,46 +263,31 @@ def verify_module_map(
     )
     src_table = edge_table(spec.with_fiber(Lambda(src_p)), window, gens)
     tgt_table = edge_table(spec.with_fiber(Lambda(tgt_p)), window, gens)
-    if any(scale != 1 for scale in src_table.scale + tgt_table.scale):
+    if src_table.scale != 1 or tgt_table.scale != 1:
         raise RuntimeError("exterior-power derivations are not integral")
     degs = src_table.degs
-    mats = [_map_matrix_scaled(map_id, n, spec.scaled_shift(k)) for k in degs]
-    max_phi = max((abs(x) for m in mats for row in m for x in row), default=0)
-    phi = np.array(mats, dtype=np.int64 if fits_int64(max_phi) else object)
-    inner = max(src_table.dim, tgt_table.dim)
-    for gi, (g, qd_src, qd_tgt) in enumerate(zip(gens, src_table.qd, tgt_table.qd)):
-        srcs = np.flatnonzero(src_table.inbox[:, gi])
-        rec.counts["skipped"] += len(degs) - len(srcs)
-        if not len(srcs):
-            continue
-        cs = src_table.cq[srcs, gi].tolist()
-        # a-priori bound on the entries of the integer identity below
-        max_c = max(map(abs, cs))
-        max_qd = max(int(np.abs(qd_src).max(initial=0)), int(np.abs(qd_tgt).max(initial=0)))
-        bound = max(max_qd, max_c * 2 * max_phi + inner * max_phi * max_qd)
-        dtype = np.int64 if fits_int64(bound) else object
-        a = phi[srcs + src_table.offset[gi]].astype(dtype, copy=False)
-        b = phi[srcs].astype(dtype, copy=False)
-        c = np.array(cs, dtype=dtype)[:, None, None]
-        qd_src = qd_src.astype(dtype, copy=False)
-        qd_tgt = qd_tgt.astype(dtype, copy=False)
-        # q^{h+1} * (commutation defect) expressed with integer matrices
-        lhs = c * (a - b) + (a @ qd_src - qd_tgt @ b)
-        if np.any(lhs):
-            bad = np.argwhere(np.any(lhs, axis=(1, 2)))[:, 0]
-            for idx in bad[:8]:
-                k = degs[srcs[int(idx)]]
-                rec.record(
-                    False,
-                    degree=k,
-                    expected="intertwines",
-                    actual="defect",
-                    note=f"generator {g.label()}",
-                )
-            rec.counts["fail"] += max(0, len(bad) - 8)
-            rec.counts["pass"] += len(srcs) - len(bad)
-        else:
-            rec.counts["pass"] += len(srcs)
+    phi = map_stack(map_id, n, spec.scaled_shifts(window))
+    # the in-window (degree, generator) pairs, generator-major
+    gis, srcs = np.nonzero(src_table.inbox.T)
+    failing: dict = {}  # generator index -> the degrees where its square fails
+    for start in range(0, len(gis), STACK_ITEMS):
+        g, i = gis[start : start + STACK_ITEMS], srcs[start : start + STACK_ITEMS]
+        cs = src_table.cq[i, g].tolist()
+        # q^{h+1} times each side of the intertwining identity
+        lhs = int_affine(cs, phi[i + src_table.offset[g]], src_table.qd[g])
+        rhs = int_affine(cs, phi[i].transpose(0, 2, 1), tgt_table.qd[g].transpose(0, 2, 1))
+        bad = (lhs != rhs.transpose(0, 2, 1)).any(axis=(1, 2))
+        for gi, k in zip(g[bad].tolist(), i[bad].tolist()):
+            failing.setdefault(gi, []).append(degs[k])
+    rec.counts["skipped"] += len(degs) * len(gens) - len(gis)
+    for gi, g in enumerate(gens):
+        count = int(src_table.inbox[:, gi].sum())
+        bad = failing.get(gi, [])
+        for k in bad[:8]:
+            rec.record(False, degree=k, expected="intertwines", actual="defect",
+                       note=f"generator {g.label()}")
+        rec.counts["fail"] += max(0, len(bad) - 8)
+        rec.counts["pass"] += count - len(bad)
     if not rec.failed:
         rec.record(
             True,
@@ -327,32 +324,21 @@ class SpecialFiberPolicy(enum.Enum):
 
 def _family_fibers(kind: FamilyKind, p: int, space: FiberSpace, directions: np.ndarray) -> list:
     """The family's fibers at the shifts q(k + beta) != 0 in the rows of
-    ``directions``, in the space's coordinates.  Each defining map is a sum of
-    fixed integer matrices with coefficients in K, so one product builds every
-    row's matrix and one stacked elimination per stage its image or kernel."""
-    n = space.n
-    ks = directions.astype(object)  # products of two entries may pass int64
+    ``directions``, in the space's coordinates: one stack of its defining
+    map's matrices, f(p) on the space itself for MIN and MAX, pi(p-1) for
+    FULLW and T(p+1) for INT, then one stacked elimination per stage."""
     if kind in (FamilyKind.MIN, FamilyKind.MAX):
-        # K bar(K)^T = sum over pairs (a, b) of K_a K_b P_ab
-        pairs, _, tensor = space.rank_one_actions(True)
-        a, b = np.array(pairs, dtype=np.intp).T
-        coeffs = ks[:, a] * ks[:, b]
-    elif kind is FamilyKind.FULLW and p >= 1:
-        coeffs, tensor = ks, np.array([wedge_matrix(n, p - 1, e) for e in identity(n)], dtype=np.int64)
-    elif kind is FamilyKind.INT and p <= n - 1:
-        # the contraction against bar(K) = sum_a K_a bar(e_a)
-        coeffs, tensor = ks, np.array([interior_matrix(n, p + 1, bar(e)) for e in identity(n)],
-                                      dtype=np.int64)
+        mats = space.rank_one_stack(directions)
     else:
-        raise ValueError(f"no {kind} family at p = {p} for N = {n}")
-    mats = int_matmul(coeffs, tensor.reshape(len(tensor), -1)).reshape(len(ks), *tensor.shape[1:])
+        mats = map_stack(pi(p - 1) if kind is FamilyKind.FULLW else T(p + 1), space.n, directions)
     if kind is FamilyKind.MAX:
         return subspaces(kernel_stack(mats))
     images = echelon_stack(mats.transpose(0, 2, 1))
     return subspaces(images) if kind is FamilyKind.MIN else space.from_lambda(images)
 
 
-# directions eliminated in one stack: bounds the stacks' transient memory,
+# directions eliminated in one stack, and (degree, generator) pairs of the
+# module-map sweep multiplied in one: bounds the stacks' transient memory,
 # about 13 kB per direction at N = 6, at no cost in speed
 STACK_ITEMS = 1024
 

@@ -34,21 +34,18 @@ from .exact_linalg import (
     Subspace,
     _int_matrix,
     dot,
-    fits_int64,
     format_vector,
     frac,
     identity,
+    int_blocks,
     int_matmul,
     intersect,
     kernel,
-    mat_mul,
-    mat_sub,
     mat_vec,
     matrix,
     rank,
     subspace_sum,
     vec,
-    zero_matrix,
 )
 from .exterior_algebra import (
     ExtVector,
@@ -73,7 +70,6 @@ from .graded_modules import (
     edge_table,
     fiber_escapes,
     fiber_space,
-    int_blocks,
     is_invariant,
     per_fiber_tuple,
     saturate,
@@ -90,10 +86,10 @@ from .sl_maps import (
     FamilyKind,
     SpecialFiberPolicy,
     T,
-    _map_matrix_scaled,
     build_family,
     f,
     map_degrees,
+    map_stack,
     pi,
     quotient_dims,
     symplectic_extend,
@@ -165,12 +161,13 @@ class ProbeEngine:
         """The invertible in-window edges off the degenerate degree (see the
         module notes) as flat (source, target) index arrays."""
         table = self.table
-        traces = [0 if g.u is None else dot(g.u, g.r) for g in self.gens]
+        traces = np.array([[0 if g.u is None else dot(g.u, g.r) for g in self.gens]], dtype=np.int64)
+        # cq + jj q t = 0 when cq = -jj q t: one row per factor jj
+        shifts = int_matmul(np.array([[-jj * table.q] for jj in self._trace_factors()], dtype=object),
+                            traces)
         invertible = table.inbox.copy()
-        for jj in self._trace_factors():
-            shift = [-jj * table.q * t for t in traces]  # cq + jj q t = 0 when cq = shift
-            invertible &= table.cq != np.array(
-                shift, dtype=np.int64 if fits_int64(max(map(abs, shift))) else object)
+        for shift in shifts:
+            invertible &= table.cq != shift
         for s in self.special:  # no edge leaves or enters the degenerate degree
             into = s - table.offset  # the source of each generator's edge into s
             ok = (into >= 0) & (into < len(table.degs))
@@ -559,21 +556,19 @@ def _check_fiber_equalities(params) -> CheckResult:
     # intermediate = kernel of the composed contraction-after-wedge map on the
     # contraction kernel, entered through the integer embedding of its pivot-1
     # basis (Fund(p) coordinates to Lambda^p)
+    degs = window.degrees()
+    kqs = spec0.scaled_shifts(window)
+    live = np.flatnonzero(kqs.any(axis=1))
     for p in range(2, half + 1):
         it = fam(FamilyKind.INT, p)
         fund = fundamental_subspace(n, p)
         scale = fiber_space(n, Fund(p)).scale
         embed = np.array([[row[i] * (scale // row[pc]) for row, pc in zip(fund.rows, fund.pivots)]
                           for i in range(fund.ambient_dim)], dtype=object)
-        theta = np.array(theta_matrix(n, p + 1), dtype=object)  # theta_tilde(p + 1): free of K
-        bad = 0
-        for k in window.degrees():
-            kq = spec0.scaled_shift(k)
-            if not any(kq):
-                continue
-            wedge_k = np.array(_map_matrix_scaled(pi(p), n, kq), dtype=object)
-            if kernel(int_matmul(theta, int_matmul(wedge_k, embed)).tolist()) != it.fiber(k):
-                bad += 1
+        # theta_tilde(p + 1) pi(p) embed at every degree with k + beta != 0, one product
+        composite = int_matmul(map_stack(theta_tilde(p + 1), n, kqs[live]),
+                               int_matmul(map_stack(pi(p), n, kqs[live]), embed))
+        bad = sum(kernel(mat.tolist()) != it.fiber(degs[i]) for i, mat in zip(live.tolist(), composite))
         rec.record(bad == 0, expected="intermediate = contraction-wedge kernel", actual=f"{bad} bad",
                    note=f"p={p}")
     return rec.result()
@@ -815,7 +810,7 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     into = [(gi, i) for gi, i in enumerate((i0 - table.offset).tolist())
             if 0 <= i < len(table.degs) and table.inbox[i, gi]]
     rows = [family.fiber(table.degs[i]).rows for _, i in into for family in families]
-    cs = [int(table.cq[i, gi]) * table.scale[gi] for gi, i in into for _ in families]
+    cs = [int(table.cq[i, gi]) * table.scale for gi, i in into for _ in families]
     gis = [gi for gi, _ in into for _ in families]
     bad_in = int(fiber_escapes(int_blocks(rows, dim), eye, cs, table.qd[gis]).any(-1).sum())
     rec.record(bad_in == 0, expected="no image lands in the degenerate fiber",
@@ -823,7 +818,7 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     # out of the full fiber at k0 into the minimal family
     gis, js, cqs = table.edges(i0)
     anns = int_blocks([families[0].fiber(table.degs[j]).annihilator() for j in js], dim)
-    cs = [cq * table.scale[gi] for gi, cq in zip(gis, cqs)]
+    cs = [cq * table.scale for cq in cqs]
     bad_out = int(fiber_escapes(eye, anns, cs, table.qd[gis]).any(-1).sum())
     rec.record(bad_out == 0, expected="degenerate fiber maps into the minimal family",
                actual=f"{bad_out} escapes", note="glue freedom, outgoing")
@@ -953,28 +948,28 @@ def _check_invariant_ops(params) -> CheckResult:
             rep = invariance_report(fam)
             rec.record(rep.status == PASS, expected=PASS, actual=rep.status,
                        note=f"{kind} family preserved, p={p}")
-    # the operators commute with the structural maps, fiber by fiber
+    # the operators commute with the structural maps, fiber by fiber: the
+    # operator is T bar(T)^T, here for q T, and each side is one product
+    # over the three sampled degrees
+    draws = []
     for _ in range(3):
         k = _draw(rng, degs)
-        kq = spec0.scaled_shift(k)
         r = tuple(rng.randint(-1, 1) for _ in range(n))
         s = tuple(rng.randint(-1, 1) for _ in range(n))
-        # the operator is T bar(T)^T, here for q T
-        t = next(t_vectors(spec0, k, [(r, s)]))
-        ok = True
-        for mid in (pi(1), T(2), theta_tilde(2), f(1)):
-            src_p, tgt_p = map_degrees(mid, n)
-            phi = _map_matrix_scaled(mid, n, kq)
-            om_src, sc1 = fiber_space(n, Lambda(src_p)).rank_one_action(t)
-            om_tgt, sc2 = fiber_space(n, Lambda(tgt_p)).rank_one_action(t)
-            if sc1 != 1 or sc2 != 1:
-                raise RuntimeError("exterior-power action of an invariant operator is not integral")
-            if mat_sub(mat_mul(phi, om_src), mat_mul(om_tgt, phi)) != zero_matrix(
-                ext_dim(n, tgt_p), ext_dim(n, src_p)
-            ):
-                ok = False
-        rec.record(ok, degree=k, expected="operators commute with the maps",
-                   actual="commute" if ok else "defect")
+        draws.append((k, next(t_vectors(spec0, k, [(r, s)]))))
+    kqs = np.array([spec0.scaled_shift(k) for k, _ in draws], dtype=object)
+    ts = np.array([t for _, t in draws], dtype=object)
+    defect = False
+    for mid in (pi(1), T(2), theta_tilde(2), f(1)):
+        src, tgt = (fiber_space(n, Lambda(deg)) for deg in map_degrees(mid, n))
+        if src.scale != 1 or tgt.scale != 1:
+            raise RuntimeError("exterior-power action of an invariant operator is not integral")
+        phi = map_stack(mid, n, kqs)
+        sides = int_matmul(phi, src.rank_one_stack(ts)), int_matmul(tgt.rank_one_stack(ts), phi)
+        defect = defect | (sides[0] != sides[1]).any(axis=(1, 2))
+    for (k, _), bad in zip(draws, defect.tolist()):
+        rec.record(not bad, degree=k, expected="operators commute with the maps",
+                   actual="defect" if bad else "commute")
     return rec.result()
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import IntSpan, _int_matrix, dot, fits_int64, kernel
+from .exact_linalg import IntSpan, _int_matrix, dot, int_affine, int_blocks, int_matmul, kernel
 
 Degree = tuple  # tuple[int, ...]
 
@@ -82,7 +82,7 @@ def j_membership(kind: AlgebraKind, space, vectors, samples) -> bool:
     """Whether the defining square identity of the kind holds for every vector.
 
     ``vectors`` are coordinate vectors of the fiber space ``space``, whose
-    ``rank_one_actions`` give A, ``scale`` times the action of the rank-one
+    ``rank_one_stack`` gives A, ``scale`` times the action of the rank-one
     matrix.  Samples are (r, u) pairs; for kind H only r is used, and S
     samples must satisfy (u|r) = 0.  Each identity reads A(Av) = c scale Av:
 
@@ -90,34 +90,25 @@ def j_membership(kind: AlgebraKind, space, vectors, samples) -> bool:
     W: (r u^T)^2 v = (u|r) (r u^T) v, so c = (u|r).
     S: (r u^T)^2 v = 0, for (u|r) = 0.
 
-    The actions A of all samples are one product with the space's
-    ``rank_one_actions``, and one stacked (A - c scale I)(A V) = 0 tests
-    every vector under every sample, V the vectors scaled to integer columns:
-    in int64 under one a-priori bound, in Python ints (dtype object) past it.
+    The actions A of all samples are one ``rank_one_stack``, their pairings
+    (u|r) one batched product, and (A - c scale I)(A V) = 0 one
+    ``int_affine`` for every vector under every sample, V the vectors as
+    integer columns.
     """
     kind = AlgebraKind(kind)
     if kind is not AlgebraKind.H and any(u is None for _, u in samples):
         raise ValueError(f"kind {kind} samples need (r, u) pairs")
-    cols = _int_matrix(vectors)[0]
-    pairs, _, dense = space.rank_one_actions(kind is AlgebraKind.H)
-    rs = [r for r, _ in samples]
-    ys = rs if kind is AlgebraKind.H else [u for _, u in samples]
-    max_r, max_y, max_v = (max((abs(x) for v in m for x in v), default=0) for m in (rs, ys, cols))
-    # entries of the coefficients, of the actions A, of c scale, and of the identity
-    max_a = len(pairs) * max_r * max_y * int(np.abs(dense).max(initial=0))
-    max_c = 0 if kind is AlgebraKind.H else space.n * max_r * max_y * space.scale
-    bound = space.dim**2 * (max_a + max_c) * max_a * max_v
-    dtype = np.int64 if fits_int64(max(bound, max_r, max_y, max_r * max_y, max_a + max_c, max_v)) \
-        else object
-    rs, ys = (np.array(m, dtype=dtype).reshape(len(samples), space.n) for m in (rs, ys))
-    c = np.zeros(len(samples), dtype=dtype) if kind is AlgebraKind.H else (rs * ys).sum(axis=1)
-    if kind is AlgebraKind.S and np.any(c):
+    rs = int_blocks([[r for r, _ in samples]], space.n)[0]
+    ys = None if kind is AlgebraKind.H else int_blocks([[u for _, u in samples]], space.n)[0]
+    # -c scale per sample
+    cs = [0] * len(samples) if ys is None \
+        else [-space.scale * c for c in int_matmul(ys[:, None, :], rs[:, :, None]).ravel().tolist()]
+    if kind is AlgebraKind.S and any(cs):
         raise ValueError("divergence-free samples require (u|r) = 0")
-    a, b = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
-    acts = ((rs[:, a] * ys[:, b]) @ dense.reshape(len(pairs), -1).astype(dtype)).reshape(
-        len(samples), space.dim, space.dim)
-    av = acts @ np.array(cols, dtype=dtype).reshape(len(cols), space.dim).T
-    return not np.any(acts @ av - (c * space.scale)[:, None, None] * av)
+    acts = space.rank_one_stack(rs, ys)
+    av = int_matmul(acts, int_blocks([_int_matrix(vectors)[0]], space.dim)[0].T)
+    # the rows of (A - c scale I)(A V), transposed
+    return not np.any(int_affine(cs, av.transpose(0, 2, 1), acts.transpose(0, 2, 1)))
 
 
 def default_j_samples(kind: AlgebraKind, n: int) -> tuple:

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from slmod import cli
@@ -242,14 +243,14 @@ def test_checks_refuse_a_window_without_evidence(check_id, n, reason, capsys):
 def test_broken_complex_maps_are_internal_errors(complex_id, violation, monkeypatch, capsys):
     from slmod import complexes
 
-    original = complexes._map_matrix_scaled
+    original = complexes.map_stack
 
-    def injection(map_id, n, kq):
+    def injection(map_id, n, kqs):
         # same shape as the true map, but f o f != 0 and ker(out) = 0
-        shape = original(map_id, n, kq)
-        return tuple(tuple(int(i == j) for j in range(len(shape[0]))) for i in range(len(shape)))
+        shape = original(map_id, n, kqs).shape
+        return np.broadcast_to(np.eye(*shape[1:], dtype=np.int64), shape)
 
-    monkeypatch.setattr(complexes, "_map_matrix_scaled", injection)
+    monkeypatch.setattr(complexes, "map_stack", injection)
     assert main(["homology", "--complex", complex_id, "--p", "1", "--window", "1"]) == 3
     assert f"internal error: {violation}" in capsys.readouterr().err
 

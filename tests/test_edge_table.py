@@ -255,7 +255,7 @@ def test_edge_table_apply_matches_fiber_action(kind, n, d, fiber, beta):
         for gi, j, cq in zip(*table.edges(i)):
             g = table.gens[gi]
             assert table.degs[j] == tuple(a + b for a, b in zip(k, g.r))
-            factor = spec.q * table.scale[gi]
+            factor = spec.q * table.scale
             # the image of the c-th unit vector is column c of the exact matrix
             columns = zip(*fiber_action(spec, g, k))
             for unit, column in zip(units, columns):

@@ -15,6 +15,7 @@ from slmod.exact_linalg import (
     from_triplets,
     identity,
     image,
+    int_affine,
     int_matmul,
     intersect,
     kernel,
@@ -25,7 +26,6 @@ from slmod.exact_linalg import (
     rref,
     subspace_sum,
     subspaces,
-    zero_matrix,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -56,12 +56,12 @@ def test_rref_examples():
 def test_kernel_examples():
     assert _pivot_one(kernel([[1, 2]])) == ((F(1), F(-1, 2)),)
     assert kernel(identity(3)).dim == 0
-    assert kernel(zero_matrix(2, 3)) == Subspace.full(3)
+    assert kernel(((0, 0, 0), (0, 0, 0))) == Subspace.full(3)
 
 
 def test_image_examples():
     assert _pivot_one(image(from_triplets(2, 2, [(0, 1, 1)]), Subspace.full(2))) == ((F(1), F(0)),)
-    assert image(zero_matrix(2, 2), Subspace.full(2)).dim == 0
+    assert image(((0, 0), (0, 0)), Subspace.full(2)).dim == 0
     assert _pivot_one(image([[1, 1], [1, 1]], Subspace.full(2))) == ((F(1), F(1)),)
 
 
@@ -260,6 +260,30 @@ def test_int_matmul_picks_int64_or_python_ints():
     big = int_matmul(a, a * 2**20)
     assert big.dtype == object
     assert big.tolist() == [list(r) for r in mat_mul(a.tolist(), (a * 2**20).tolist())]
+
+
+@pytest.mark.parametrize("rows", [1, 0])
+def test_int_matmul_with_a_zero_or_empty_operand_keeps_the_other_exact(rows):
+    """A zero product bound does not make a huge operand fit int64: an
+    all-zero or empty left factor against an entry of 2^70, and the same
+    with the factors swapped."""
+    zero = np.zeros((rows, 2), dtype=np.int64)
+    huge = np.array([[2**70], [1]], dtype=object)
+    out = int_matmul(zero, huge)
+    assert out.shape == (rows, 1) and out.dtype == object and not out.any()
+    out = int_matmul(huge.T, zero.T)
+    assert out.shape == (1, rows) and out.dtype == object and not out.any()
+
+
+def test_int_affine_is_the_scaled_rows_plus_the_product():
+    a = np.array([[[1, -2]], [[3, 0]]], dtype=np.int64)
+    b = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    got = int_affine([5, -7], a, b)
+    assert got.dtype == np.int64 and got.tolist() == [[[3, -9]], [[-21, 3]]]
+    # one block shared by every item, and a scalar past int64
+    shared = int_affine([2**70, 0], a[0], b)
+    assert shared.dtype == object and shared.tolist() == [[[2**70 - 2, -(2**71) + 1]], [[-2, 1]]]
+    assert int_affine([], a[0], b).shape == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slmod import graded_modules, theorem_registry
-from slmod.exact_linalg import IntSpan, Subspace, mat_mul, mat_sub, zero_matrix
+from slmod.exact_linalg import IntSpan, Subspace, int_blocks, mat_mul, mat_sub
 from slmod.graded_modules import (
     ActionSpec,
     FiberSpace,
@@ -25,7 +25,6 @@ from slmod.graded_modules import (
     fiber_space,
     gen_d,
     gen_h,
-    int_blocks,
     is_invariant,
     saturate,
 )
@@ -42,7 +41,7 @@ def test_fiber_action_examples():
     assert m == ((0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
     # r = 0 gives the zero map
     z = fiber_action(spec, gen_h((0, 0, 0, 0)), (1, 0, 0, 0))
-    assert z == zero_matrix(4, 4)
+    assert z == ((0,) * 4,) * 4
     # scalar fiber: multiplication by the pairing
     spec0 = ActionSpec.make("H", 4, ScalarFiber(), (0, 0, 0, 0))
     m = fiber_action(spec0, gen_h((0, 0, 1, 0)), (1, 0, 0, 0))
@@ -267,21 +266,31 @@ RANK_ONE_CASES = (
 @pytest.mark.parametrize("form", ["x-bar-x", "x-y"])
 @pytest.mark.parametrize("n,fiber", RANK_ONE_CASES, ids=[f"N{n}-{f}" for n, f in RANK_ONE_CASES])
 def test_rank_one_action_is_the_dense_action(n, fiber, form):
-    """The rank-one table sum equals ``action_matrix_int`` of the same
-    rank-one matrix, rows and scale: x bar(x)^T, and x y^T off Fund(p >= 2)."""
+    """Each item of ``rank_one_stack`` equals ``action_matrix_int`` of the
+    same rank-one matrix, times the space's scale: x bar(x)^T, and x y^T off
+    Fund(p >= 2); on small entries, a zero row, entries near 2^40 (where the
+    coefficients pass int64 and the product runs on Python ints) and no row."""
     space = fiber_space(n, fiber)
     rng = random.Random(f"rank-one-{n}-{fiber}-{form}")
-    for _ in range(4):
-        x = tuple(rng.randint(-3, 3) for _ in range(n))
-        y = tuple(rng.randint(-3, 3) for _ in range(n))
+    small = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(8)] + [(0,) * n]
+    huge = [tuple(rng.randint(-(2**40), 2**40) for _ in range(n)) for _ in range(3)]
+    for rows in (small, huge, []):
+        xs = np.array(rows, dtype=object).reshape(len(rows), n)
+        ys = xs[::-1].copy()
         if form == "x-bar-x":
-            assert space.rank_one_action(x) == space.action_matrix_int(rank_one_sym(x)), x
+            stack = space.rank_one_stack(xs)
+            want = [space.action_matrix_int(rank_one_sym(x)) for x in rows]
         elif fiber.kind == "fund" and fiber.p >= 2:
             # E_ab leaves sp, and with it the contraction kernel
             with pytest.raises(ValueError):
-                space.rank_one_action(x, y)
+                space.rank_one_stack(xs, ys)
+            continue
         else:
-            assert space.rank_one_action(x, y) == space.action_matrix_int(rank_one(x, y)), (x, y)
+            stack = space.rank_one_stack(xs, ys)
+            want = [space.action_matrix_int(rank_one(x, y)) for x, y in zip(rows, ys.tolist())]
+        assert stack.shape == (len(rows), space.dim, space.dim)
+        for got, (mat, scale) in zip(stack.tolist(), want):
+            assert scale == space.scale and tuple(map(tuple, got)) == mat
 
 
 # ---------------------------------------------------------------------------

@@ -9,32 +9,40 @@ import ast
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
+
 from slmod.exterior_algebra import theta_matrix
 from slmod.graded_modules import ActionSpec, Fund, Lambda, ScalarFiber, Sym2, Window, fiber_space
-from slmod.sl_maps import FamilyKind, T, _map_matrix_scaled, build_family, f, pi, theta_tilde
+from slmod.sl_maps import FamilyKind, T, build_family, f, map_stack, pi, theta_tilde
 
 
 def _ints(rows) -> bool:
     return all(type(x) is int for row in rows for x in row)
 
 
+def _int_array(a) -> bool:
+    """int64, or Python ints on dtype object."""
+    return a.dtype == np.int64 or a.dtype == object and all(type(x) is int for x in a.flat)
+
+
 def test_every_core_matrix_entry_is_an_int():
     for n in (2, 4, 6):
         for p in range(2, n + 1):
             assert _ints(theta_matrix(n, p)), ("theta", n, p)
-    n, kq = 4, (3, -1, 0, 2)
+    n = 4
     maps = ([pi(p) for p in range(n)] + [T(p) for p in range(1, n + 1)]
             + [theta_tilde(p) for p in range(2, n + 1)] + [f(p) for p in range(n)])
-    for map_id in maps:
-        assert _ints(_map_matrix_scaled(map_id, n, kq)), map_id
+    for kqs in ([(3, -1, 0, 2)], [(3 * 2**40, -1, 0, 2)]):
+        for map_id in maps:
+            assert _int_array(map_stack(map_id, n, np.array(kqs, dtype=object))), (map_id, kqs)
     x, y = (1, -2, 0, 3), (2, 0, -1, 1)
     for fiber in (Lambda(2), Fund(2), Sym2(), ScalarFiber()):
         space = fiber_space(n, fiber)
         # x y^T leaves sp, so Fund fibers take only x bar(x)^T
         forms = [(x,)] if fiber.kind == "fund" else [(x,), (x, y)]
         for args in forms:
-            rows, scale = space.rank_one_action(*args)
-            assert _ints(rows) and type(scale) is int, (fiber, args)
+            stack = space.rank_one_stack(*(np.array([v], dtype=object) for v in args))
+            assert _int_array(stack) and type(space.scale) is int, (fiber, args)
     for fiber in (Lambda(2), Fund(2)):
         spec = ActionSpec.make("H", n, fiber, (F(1, 2), 0, 0, 0))
         for kind in FamilyKind:
@@ -271,3 +279,32 @@ def test_the_trusted_wrap_lint_flags_a_planted_call():
     assert _trusted_lint("exact_linalg", planted) == [("exact_linalg", "IntSpan")]
     assert _trusted_lint("graded_modules", "def closure():\n    return _trusted(3, [], [])\n") \
         == [("graded_modules", "closure")]
+
+
+# ---------------------------------------------------------------------------
+# one int64 rule: every choice between int64 and Python ints is made inside
+# exact_linalg, by int_matmul, int_affine, int_blocks and the stacked elimination
+
+
+def _fits_lint(module: str, source: str) -> list:
+    """Every use and import of ``fits_int64`` outside exact_linalg."""
+    if module == "exact_linalg":
+        return []
+    imports = [(module, "import") for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.alias) and node.name == "fits_int64"]
+    return imports + _uses("fits_int64", module, source)
+
+
+def test_fits_int64_is_named_only_in_exact_linalg():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _fits_lint(path.stem, path.read_text()) == [], path.name
+    assert _uses("fits_int64", "exact_linalg", (PACKAGE / "exact_linalg.py").read_text())
+
+
+def test_the_int64_rule_lint_flags_a_planted_call():
+    source = (PACKAGE / "graded_modules.py").read_text()
+    original = "    images = int_affine(cs, rows"
+    assert source.count(original) == 1
+    planted = source.replace(original, "    assert fits_int64(0)\n" + original)
+    assert _fits_lint("graded_modules", planted) == [("graded_modules", "fiber_escapes")]
+    assert _fits_lint("torus_lie", "from .exact_linalg import fits_int64\n") == [("torus_lie", "import")]

@@ -1,4 +1,5 @@
 import copy
+import random
 from fractions import Fraction as F
 from math import comb
 
@@ -8,23 +9,23 @@ import pytest
 import slmod.sl_maps as sl_maps
 from slmod.cli import main
 from slmod.exact_linalg import Subspace, image, intersect, kernel, mat_mul, mat_vec
-from slmod.exterior_algebra import fundamental_subspace, interior_matrix, wedge_matrix
-from slmod.graded_modules import ActionSpec, Fund, Lambda, ScalarFiber, Sym2, Window
+from slmod.exterior_algebra import fundamental_subspace, interior_matrix, theta_matrix, wedge_matrix
+from slmod.graded_modules import ActionSpec, Fund, Lambda, ScalarFiber, Sym2, Window, fiber_space
 from slmod.sl_maps import (
     FamilyKind,
     SpecialFiberPolicy,
     T,
-    _map_matrix_scaled,
     build_family,
     f,
     map_degrees,
+    map_stack,
     pi,
     quotient_dims,
     symplectic_extend,
     theta_tilde,
     verify_module_map,
 )
-from slmod.torus_lie import bar
+from slmod.torus_lie import bar, rank_one_sym
 
 HALF = (F(1, 2), 0, 0, 0)
 ZERO = (0, 0, 0, 0)
@@ -49,11 +50,16 @@ def test_symplectic_extend_validates_for_denser_vectors():
         symplectic_extend(v).validate()
 
 
+def _one(map_id, n, kq) -> tuple:
+    """The map at one scaled shift, as a tuple of row tuples."""
+    return tuple(map(tuple, map_stack(map_id, n, np.array([kq], dtype=object))[0].tolist()))
+
+
 def test_map_matrix_examples():
     kq = (1, 0, 0, 0)  # q(k + beta) at k = e1, beta = 0
-    assert _map_matrix_scaled(pi(0), 4, kq) == ((1,), (0,), (0,), (0,))
-    assert _map_matrix_scaled(T(1), 4, kq) == ((0, 0, 1, 0),)
-    mf = _map_matrix_scaled(f(1), 4, kq)
+    assert _one(pi(0), 4, kq) == ((1,), (0,), (0,), (0,))
+    assert _one(T(1), 4, kq) == ((0, 0, 1, 0),)
+    mf = _one(f(1), 4, kq)
     assert mat_vec(mf, (0, 0, 1, 0)) == (-1, 0, 0, 0)
 
 
@@ -62,9 +68,51 @@ def test_square_map_factors_through_wedge_and_contraction():
     # pi and T linear, so the q-scaled matrices factor exactly
     kq = (3, -2, 0, 4)
     for p in range(0, 4):
-        lhs = _map_matrix_scaled(f(p), 4, kq)
-        rhs = mat_mul(_map_matrix_scaled(T(p + 1), 4, kq), _map_matrix_scaled(pi(p), 4, kq))
-        assert lhs == rhs
+        assert _one(f(p), 4, kq) == mat_mul(_one(T(p + 1), 4, kq), _one(pi(p), 4, kq))
+
+
+def reference_map(map_id, n, kq) -> tuple:
+    """The map at one shift from the exterior-algebra builders, one matrix at
+    a time, with f from the dense ``action_matrix_int``."""
+    p = map_id.p
+    if map_id.name == "pi":
+        return wedge_matrix(n, p, kq)
+    if map_id.name == "T":
+        return interior_matrix(n, p, bar(kq))
+    if map_id.name == "theta":
+        return theta_matrix(n, p)
+    return fiber_space(n, Lambda(p)).action_matrix_int(rank_one_sym(kq))[0]
+
+
+def _every_map(n) -> list:
+    return ([pi(p) for p in range(n)] + [T(p) for p in range(1, n + 1)]
+            + [theta_tilde(p) for p in range(2, n + 1)] + [f(p) for p in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_map_stack_is_the_reference_at_every_shift(n):
+    """Every map at every valid p, at random shifts with a zero row among
+    them, and on entries near 2^40, where f's entries pass int64 and the
+    product runs on Python ints."""
+    rng = random.Random(f"map-stack-{n}")
+    small = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)] + [(0,) * n]
+    huge = [tuple(rng.randint(-(2**40), 2**40) for _ in range(n)) for _ in range(3)]
+    for map_id in _every_map(n):
+        for kqs in (small, huge):
+            stack = map_stack(map_id, n, np.array(kqs, dtype=object))
+            assert stack.shape[0] == len(kqs)
+            for kq, mat in zip(kqs, stack.tolist()):
+                assert tuple(map(tuple, mat)) == reference_map(map_id, n, kq), (map_id, kq)
+    assert map_stack(f(1), n, np.array(huge, dtype=object)).dtype == object
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_map_stack_of_no_shift_is_empty(n):
+    for map_id in _every_map(n):
+        src, tgt = map_degrees(map_id, n)
+        for dtype in (np.int64, object):
+            stack = map_stack(map_id, n, np.zeros((0, n), dtype=dtype))
+            assert stack.shape == (0, comb(n, tgt), comb(n, src)), map_id
 
 
 def test_map_degree_validation():
@@ -82,25 +130,31 @@ def test_verify_module_map_passes(beta):
     assert verify_module_map(pi(1), spec.with_fiber(Lambda(1)), win).status == "PASS"
 
 
+def _half_flipped(name, p=None):
+    """``map_stack`` with the sign of the named map flipped at the shifts
+    with a positive first entry."""
+    original = sl_maps.map_stack
+
+    def flipped(map_id, n, kqs):
+        stack = original(map_id, n, kqs)
+        if map_id.name == name and p in (None, map_id.p):
+            stack = np.where((kqs[:, 0] > 0)[:, None, None], -stack, stack)
+        return stack
+
+    return flipped
+
+
 def test_verify_module_map_detects_sign_flip(monkeypatch):
     # a global sign flip still intertwines; flipping the sign on half of the
     # degrees breaks the squares between flipped and unflipped fibers
-    original = sl_maps._map_matrix_scaled
-
-    def half_flipped(map_id, n, kq):
-        rows = original(map_id, n, kq)
-        if map_id.name == "T" and map_id.p == 2 and kq[0] > 0:
-            return tuple(tuple(-x for x in row) for row in rows)
-        return rows
-
     win = Window(4, 1)
     spec = ActionSpec.make("H", 4, Lambda(2), HALF)
-    monkeypatch.setattr(sl_maps, "_map_matrix_scaled", half_flipped)
+    monkeypatch.setattr(sl_maps, "map_stack", _half_flipped("T", 2))
     assert verify_module_map(T(2), spec, win).status == "FAIL"
 
 
-# beta = (1/q, 0): at q = 10^9 + 7 the identity's bound fails but f's
-# entries, about q^2, fit in int64; at q = 10^10 + 19 they do not either
+# beta = (1/q, 0): at q = 10^9 + 7 the identity's products pass int64 but
+# f's entries, about q^2, fit in it; at q = 10^10 + 19 they do not either
 @pytest.mark.parametrize("q", [1000000007, 10000000019])
 def test_module_maps_past_the_int64_bound_run_on_python_ints(q, monkeypatch, capsys):
     win = Window(2, 1)
@@ -110,15 +164,7 @@ def test_module_maps_past_the_int64_bound_run_on_python_ints(q, monkeypatch, cap
                  "--window", "1"]) == 0
     assert "[PASS] module-maps" in capsys.readouterr().out
     # the Python-int path finds a defect as the int64 path does
-    original = sl_maps._map_matrix_scaled
-
-    def half_flipped(map_id, n, kq):
-        rows = original(map_id, n, kq)
-        if map_id.name == "f" and kq[0] > 0:
-            return tuple(tuple(-x for x in row) for row in rows)
-        return rows
-
-    monkeypatch.setattr(sl_maps, "_map_matrix_scaled", half_flipped)
+    monkeypatch.setattr(sl_maps, "map_stack", _half_flipped("f"))
     assert verify_module_map(f(1), spec, win).status == "FAIL"
 
 
@@ -129,7 +175,7 @@ def test_non_integral_derivation_is_an_internal_error(monkeypatch):
 
     def doubled(spec, window, gens):
         table = copy.copy(original(spec, window, gens))
-        table.scale = [2 * s for s in table.scale]
+        table.scale = 2 * table.scale
         return table
 
     monkeypatch.setattr(sl_maps, "edge_table", doubled)
@@ -265,9 +311,9 @@ def reference_fiber(kind, p, space, kq) -> Subspace:
     per-direction reference for the stacked ``build_family``."""
     n = space.n
     if kind is FamilyKind.MIN:
-        return image(space.rank_one_action(kq)[0])
+        return image(space.action_matrix_int(rank_one_sym(kq))[0])
     if kind is FamilyKind.MAX:
-        return kernel(space.rank_one_action(kq)[0])
+        return kernel(space.action_matrix_int(rank_one_sym(kq))[0])
     if kind is FamilyKind.FULLW:
         fiber = image(wedge_matrix(n, p - 1, kq))
     else:

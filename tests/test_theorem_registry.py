@@ -134,11 +134,13 @@ def test_probe_answers_do_not_depend_on_the_certificate(p, beta):
 
 def test_non_integral_operator_action_is_an_internal_error(monkeypatch):
     class ScaledSpace:
+        scale = 2
+
         def __init__(self, space):
             self.space = space
 
-        def rank_one_action(self, x, y=None):
-            return self.space.rank_one_action(x, y)[0], 2
+        def rank_one_stack(self, xs, ys=None):
+            return self.space.rank_one_stack(xs, ys)
 
     original = theorem_registry.fiber_space
     monkeypatch.setattr(theorem_registry, "fiber_space",

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-import slmod.torus_lie as torus_lie
+import slmod.exact_linalg as exact_linalg
 from slmod.exact_linalg import (
     _int_matrix, dot, fits_int64, from_triplets, identity, mat_mul, mat_vec, matrix,
 )
@@ -15,6 +15,7 @@ from slmod.torus_lie import (
     default_j_samples,
     degree_box,
     j_membership,
+    rank_one,
     rank_one_sym,
     rank_one_span_dim,
     sp_dim,
@@ -93,10 +94,16 @@ def test_j_membership_examples():
     assert not j_membership("W", fiber_space(2, Sym2()), [(0, 0, 1)], [((1, 0), (0, 1))])
 
 
+def _dense_action(space, kind, r, u) -> tuple:
+    """``(rows, scale)`` of the sample's rank-one matrix, from the dense
+    ``action_matrix_int``: independent of the rank-one table."""
+    return space.action_matrix_int(rank_one_sym(r) if kind in ("H", AlgebraKind.H) else rank_one(r, u))
+
+
 def reference_j_membership(kind, space, vectors, samples) -> bool:
-    """The per-sample loop that ``j_membership`` replaces: one
-    ``rank_one_action`` per sample, and (A - c scale I)(A V) = 0 tested with
-    that sample's own int64 bound."""
+    """The per-sample loop that ``j_membership`` replaces: one dense action
+    per sample, and (A - c scale I)(A V) = 0 tested with that sample's own
+    int64 bound."""
     kind = AlgebraKind(kind)
     cols = _int_matrix(vectors)[0]
     max_v = max((abs(x) for v in cols for x in v), default=0)
@@ -109,7 +116,7 @@ def reference_j_membership(kind, space, vectors, samples) -> bool:
             c = dot(u, r)
             if kind is AlgebraKind.S and c != 0:
                 raise ValueError("divergence-free samples require (u|r) = 0")
-        rows, scale = space.rank_one_action(r, None if kind is AlgebraKind.H else u)
+        rows, scale = _dense_action(space, kind, r, u)
         cs = c * scale
         max_a = max((abs(x) for row in rows for x in row), default=0)
         bound = space.dim**2 * (max_a + abs(cs)) * max_a * max_v
@@ -125,7 +132,7 @@ def vector_loop_j_membership(kind, space, vectors, samples) -> bool:
     """The vector-by-vector loop in Python ints: A(Av) against c scale Av."""
     for r, u in samples:
         c = 0 if kind == "H" else dot(u, r)
-        rows, scale = space.rank_one_action(r, None if kind == "H" else u)
+        rows, scale = _dense_action(space, kind, r, u)
         for v in vectors:
             av = mat_vec(rows, v)
             if mat_vec(rows, av) != tuple(c * scale * x for x in av):
@@ -205,26 +212,33 @@ def test_j_membership_finds_one_planted_vector_that_breaks_the_identity():
 
 def test_j_membership_past_int64_runs_on_python_ints(monkeypatch):
     """Vectors near 2^62 leave no room for the products in int64: the one
-    bound says so, and the verdicts on Python ints are the reference's."""
+    rule says so for some product of every call, and the verdicts on Python
+    ints are the reference's."""
     picks = []
 
     def spy(bound):
         picks.append(fits_int64(bound))
         return picks[-1]
 
-    monkeypatch.setattr(torus_lie, "fits_int64", spy)
+    def on_python_ints(*args) -> bool:
+        picks.clear()
+        got = j_membership(*args)
+        assert False in picks, args[0]
+        return got
+
+    monkeypatch.setattr(exact_linalg, "fits_int64", spy)
     space = fiber_space(4, Lambda(2))
     huge = [[x * (2**62 - 1) for x in v] for v in identity(space.dim)]
     sym2 = fiber_space(2, Sym2())
     for kind in "HWS":
         samples = default_j_samples(kind, 4)
-        assert j_membership(kind, space, huge, samples) == reference_j_membership(kind, space, huge, samples)
-        assert j_membership(kind, space, huge, samples)
+        got = on_python_ints(kind, space, huge, samples)
+        assert got == reference_j_membership(kind, space, huge, samples)
+        assert on_python_ints(kind, space, huge, samples)
         witness = [(0, 0, 2**62 - 1)]
         samples = default_j_samples(kind, 2)
-        assert not j_membership(kind, sym2, witness, samples)
+        assert not on_python_ints(kind, sym2, witness, samples)
         assert not reference_j_membership(kind, sym2, witness, samples)
-    assert picks == [False] * 9
 
 
 def test_j_membership_and_its_reference_reject_malformed_samples():
