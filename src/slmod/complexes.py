@@ -120,12 +120,9 @@ def complex_homology(
             mat = outs[i].tolist()
             if squares is not None and squares[i]:
                 raise RuntimeError(f"square-zero violated at degree {k}")
-            if cid.kind == "fsq_fund":
-                ker_sub = intersect(kernel(mat), fund)
-                ker_dim = ker_sub.dim
-            else:
-                ker_sub = kernel(mat)
-                ker_dim = ker_sub.dim
+            # on FSQ_FUND one kernel of f(p) stacked over the rows that cut out Fund
+            ker_sub = kernel(mat + list(fund.annihilator()) if fund is not None else mat)
+            ker_dim = ker_sub.dim
         if inc is None:
             im_dim = 0
         else:

@@ -15,6 +15,11 @@ outside this module).
 
 ``echelon_stack`` runs the same elimination on a numpy stack of matrices
 at once; canonical form is unique, so each item's rows are ``_echelon``'s.
+
+Every null space is read off one elimination by the rule of
+``Subspace.annihilator``: ``kernel`` and ``kernel_stack`` eliminate the
+matrix with its columns reversed and turn the read-off rows back, and
+``intersect`` is the kernel of both annihilators' rows.
 """
 
 from __future__ import annotations
@@ -278,12 +283,34 @@ def echelon_stack(stack: np.ndarray) -> np.ndarray:
 
 def kernel_stack(stack: np.ndarray) -> np.ndarray:
     """The null spaces { v : M v = 0 } of a (B, m, n) integer stack as one
-    (B, n, n) stack of canonical rows: the right parts of the rows of the
-    reduced [M^T | I] whose left part vanishes, other rows zeroed."""
-    nitems, m, n = stack.shape
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (nitems, n, n))
-    red = echelon_stack(np.concatenate([stack.transpose(0, 2, 1), eye], axis=2))
-    return np.where((red[:, :, :m] != 0).any(axis=2, keepdims=True), 0, red[:, :, m:])
+    (B, n, n) stack of canonical rows, row i the one leading at column i or
+    zero: ``kernel``'s read-off for every item at once.
+
+    The stack is eliminated once with its columns reversed.  E holds each
+    item's rows scaled to L, the lcm of its pivots, at their pivot indices;
+    the free columns of L I - E, turned back and divided by their gcd, are
+    the null space.  L is taken on Python ints (int64 would wrap it), and the
+    read-off runs in int64 while ``fits_int64`` bounds L max|row|.
+    """
+    red = echelon_stack(stack[:, :, ::-1])
+    n = stack.shape[2]
+    leads = (np.cumsum(red != 0, axis=2) == 0).sum(axis=2)  # n on a zero row
+    items, rows = np.nonzero(leads < n)
+    cols = leads[items, rows]
+    pivots = np.ones(red.shape[:2], dtype=object)
+    pivots[items, rows] = red[items, rows, cols]
+    scale = np.lcm.reduce(pivots, axis=1, initial=1)
+    small = red.dtype != object and fits_int64(max(scale, default=1) * _max_abs(red))
+    dtype = np.int64 if small else object
+    out = np.zeros((len(stack), n, n), dtype=dtype)
+    out[:, np.arange(n), np.arange(n)] = scale.astype(dtype)[:, None]
+    factor = (scale[items] // pivots[items, rows]).astype(dtype)
+    out[items, cols] -= red[items, rows].astype(dtype) * factor[:, None]
+    null = out[:, ::-1, ::-1].transpose(0, 2, 1)
+    norm = np.gcd.reduce(null, axis=2, initial=0)
+    norm[norm == 0] = 1
+    null //= norm[:, :, None]
+    return null
 
 
 def subspaces(stack: np.ndarray) -> list:
@@ -447,12 +474,16 @@ def rank(m) -> int:
 
 
 def kernel(m) -> Subspace:
-    """Canonical null space { v : m v = 0 }: the annihilator of m's row space."""
+    """Canonical null space { v : m v = 0 }, from one elimination: the
+    annihilator of m's row space with its columns reversed, turned back.
+    Each turned-back row leads at its own free column and is zero at the
+    others, so the checking constructor only makes each row primitive."""
     m = matrix(m)
     if not m:
         raise ValueError("kernel of an empty matrix has no ambient dimension")
     ncols = len(m[0])
-    return Subspace(ncols, Subspace(ncols, m).annihilator())
+    flipped = Subspace(ncols, [row[::-1] for row in m]).annihilator()
+    return Subspace(ncols, [row[::-1] for row in reversed(flipped)])
 
 
 def image(m, s: Subspace | None = None) -> Subspace:
@@ -475,23 +506,9 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked-basis coefficient system."""
+    """The vectors annihilated by the rows of both annihilators: one kernel,
+    or the full space when both are full."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    # Solve A^T u = B^T v: kernel of [A^T | -B^T], then map u back through A.
-    stacked = []
-    for i in range(a.ambient_dim):
-        row = [r[i] for r in a.rows] + [-r[i] for r in b.rows]
-        stacked.append(row)
-    ker = kernel(stacked)
-    gens = []
-    for row in ker.rows:
-        coeffs = row[: a.dim]
-        v = [0] * a.ambient_dim
-        for c, arow in zip(coeffs, a.rows):
-            for j, x in enumerate(arow):
-                v[j] += c * x
-        gens.append(v)
-    return Subspace(a.ambient_dim, gens)
+    rows = a.annihilator() + b.annihilator()
+    return kernel(rows) if rows else Subspace.full(a.ambient_dim)

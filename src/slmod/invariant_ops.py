@@ -17,7 +17,6 @@ from fractions import Fraction
 from operator import mul
 
 from .exact_linalg import (
-    IntSpan,
     Subspace,
     _int_matrix,
     dot,
@@ -25,6 +24,7 @@ from .exact_linalg import (
     int_blocks,
     mat_sub,
     mat_mul,
+    rank,
     vec,
 )
 from .graded_modules import ActionSpec, GradedFamily, fiber_escapes
@@ -118,23 +118,20 @@ def small_algebra(kind, frame) -> SmallAlgebra:
         gens = [rank_one(x, y) for x in tail for y in tail]
     else:
         raise ValueError("small algebras are defined for the H and W actions")
-    span = IntSpan(len(vectors[0]) ** 2)
-    for row in _int_matrix([[x for row in g for x in row] for g in gens])[0]:
-        span.add(row)
-    return SmallAlgebra(kind, vectors, tuple(gens), span.dim)
+    span_dim = rank(_int_matrix([[x for row in g for x in row] for g in gens])[0])
+    return SmallAlgebra(kind, vectors, tuple(gens), span_dim)
 
 
 def lie_closure_holds(alg: SmallAlgebra) -> bool:
     """Whether the generator span is closed under the commutator."""
-    span = IntSpan(len(alg.frame[0]) ** 2)
-    for row in _int_matrix([[x for row in g for x in row] for g in alg.generators])[0]:
-        span.add(row)
+    span = Subspace(len(alg.frame[0]) ** 2,
+                    _int_matrix([[x for row in g for x in row] for g in alg.generators])[0])
     comms = []
     for i, a in enumerate(alg.generators):
         for b in alg.generators[i + 1 :]:
             comm = mat_sub(mat_mul(a, b), mat_mul(b, a))
             comms.append([x for row in comm for x in row])
-    return all(map(span.contains, _int_matrix(comms)[0]))
+    return all(map(span.contains_vector, _int_matrix(comms)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from math import comb
 import numpy as np
 
 from .exact_linalg import (
-    IntSpan,
     Subspace,
     _int_matrix,
     dot,
@@ -97,8 +96,8 @@ from .sl_maps import (
     verify_module_map,
 )
 from .torus_lie import (
+    AlgebraKind,
     bar,
-    default_j_samples,
     j_membership,
     rank_one_span_dim,
     rank_one_sym,
@@ -275,10 +274,7 @@ def oracle_fiber_dims(n: int, p: int, kplusbeta) -> dict:
     bk = bar(k)
 
     def span_dim(vectors) -> int:
-        span = IntSpan(len(vectors[0]) if vectors else 0)
-        for v in _int_matrix(vectors)[0]:
-            span.add(v)
-        return span.dim
+        return rank(_int_matrix(vectors)[0])
 
     out: dict = {}
     # minimal: contraction of K ^ m against bar(K), over monomials m
@@ -444,15 +440,21 @@ def _check_l3_span(params) -> CheckResult:
     return rec.result()
 
 
+def _j_samples(kind, n: int) -> list:
+    """The (r, u) pairs of the cached generator sample set: r over the unit
+    degree box, u over the unit vectors for W and over an integer basis of
+    { u : (u|r) = 0 } for S."""
+    return [(g.r, g.u) for g in default_generators(AlgebraKind(kind), n)]
+
+
 def _check_j_membership(params) -> CheckResult:
     n = params["N"]
     rec = Recorder("j-membership", {"N": n})
-    samples = {kind: default_j_samples(kind, n) for kind in "HWS"}
     for p in range(0, n + 1):
         space = fiber_space(n, Lambda(p))
         monomials = identity(space.dim)
         for kind in "HWS" if p <= n - 1 else "HW":
-            ok = j_membership(kind, space, monomials, samples[kind])
+            ok = j_membership(kind, space, monomials, _j_samples(kind, n))
             rec.record(ok, expected="holds", actual="holds" if ok else "fails",
                        note=f"{kind} on Lambda^{p}")
     # the symmetric square is the smallest non-exceptional module: witnesses
@@ -461,7 +463,7 @@ def _check_j_membership(params) -> CheckResult:
     witness = [(0, 0, 1)]
     for kind in "HWS":
         rec.record(
-            not j_membership(kind, sym2, witness, default_j_samples(kind, 2)),
+            not j_membership(kind, sym2, witness, _j_samples(kind, 2)),
             expected="fails",
             actual="checked",
             note=f"{kind} witness on Sym^2 Q^2",
@@ -922,15 +924,10 @@ def _check_invariant_ops(params) -> CheckResult:
     for _ in range(4):
         k = _draw(rng, degs)
         kq = spec0.scaled_shift(k)
-        span = IntSpan(n)
-        ok_pair = True
-        for t in t_vectors(spec0, k, permutations(units, 2)):
-            # q T pairs to zero against q (k + beta) exactly when T does
-            if sympl_form(kq, t) != 0:
-                ok_pair = False
-            if any(t):
-                span.add(t)
-        rec.expect(n - 1, span.dim, degree=k, note="invariant vectors span the annihilator")
+        ts = list(t_vectors(spec0, k, permutations(units, 2)))
+        # q T pairs to zero against q (k + beta) exactly when T does
+        ok_pair = all(sympl_form(kq, t) == 0 for t in ts)
+        rec.expect(n - 1, rank(ts), degree=k, note="invariant vectors span the annihilator")
         rec.record(ok_pair, degree=k, expected="pair to zero", actual="ok" if ok_pair else "bad")
         frame = symplectic_extend(tuple(frac(a) + b for a, b in zip(k, beta)))
         alg = small_algebra("H", frame)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import IntSpan, _int_matrix, dot, int_affine, int_blocks, int_matmul, kernel
+from .exact_linalg import _int_matrix, dot, int_affine, int_blocks, int_matmul, kernel, rank
 
 Degree = tuple  # tuple[int, ...]
 
@@ -67,11 +67,7 @@ def degree_box(n: int, bound: int = 1) -> tuple:
 
 def rank_one_span_dim(n: int) -> int:
     """Dimension of span{ r bar(r)^T : r in the unit degree box }."""
-    span = IntSpan(n * n)
-    for r in degree_box(n):
-        m = rank_one_sym(r)
-        span.add([x for row in m for x in row])
-    return span.dim
+    return rank([[x for row in rank_one_sym(r) for x in row] for r in degree_box(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -109,23 +105,6 @@ def j_membership(kind: AlgebraKind, space, vectors, samples) -> bool:
     av = int_matmul(acts, int_blocks([_int_matrix(vectors)[0]], space.dim)[0].T)
     # the rows of (A - c scale I)(A V), transposed
     return not np.any(int_affine(cs, av.transpose(0, 2, 1), acts.transpose(0, 2, 1)))
-
-
-def default_j_samples(kind: AlgebraKind, n: int) -> tuple:
-    """Sample (r, u) pairs: r over the unit degree box, u over admissible vectors."""
-    kind = AlgebraKind(kind)
-    units = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    samples = []
-    for r in degree_box(n):
-        if kind is AlgebraKind.H:
-            samples.append((r, None))
-        elif kind is AlgebraKind.W:
-            for u in units:
-                samples.append((r, u))
-        else:
-            for u in _perp_basis(r):
-                samples.append((r, u))
-    return tuple(samples)
 
 
 def _perp_basis(r: Sequence[int]) -> list:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slmod.exact_linalg as exact_linalg
 from slmod.exact_linalg import (
     Subspace,
     _echelon,
     _int_matrix,
     _lead,
+    _primitive,
     echelon_stack,
     fits_int64,
     from_triplets,
@@ -117,6 +119,56 @@ def test_sum_intersect_dimension_formula(rows_a, rows_b):
     a = Subspace(cols, _int_matrix([list(r) + [0] * (cols - len(r)) for r in rows_a])[0])
     b = Subspace(cols, _int_matrix([list(r) + [0] * (cols - len(r)) for r in rows_b])[0])
     assert subspace_sum(a, b).dim + intersect(a, b).dim == a.dim + b.dim
+
+
+def subspace_pairs(max_cols=5):
+    """Pairs of subspaces of one Q^n, each the zero space, the full space or
+    the span of a few small integer rows."""
+
+    def one(n):
+        rows = st.lists(st.lists(integers, min_size=n, max_size=n), min_size=1, max_size=n)
+        return st.one_of(st.just(Subspace.zero(n)), st.just(Subspace.full(n)),
+                         rows.map(lambda r: Subspace(n, r)))
+
+    return st.integers(1, max_cols).flatmap(lambda n: st.tuples(one(n), one(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(subspace_pairs())
+def test_intersect_lies_in_both_with_the_right_dimension(pair):
+    """Lying in a and in b with dim a + dim b - dim(a + b) makes it the
+    intersection; the dimension alone passes rows that are wrong.  It takes
+    one elimination and the checking pass over the rows read off it."""
+    a, b = pair
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_linalg, "_echelon", lambda rows: calls.append(1) or _echelon(rows))
+        both = intersect(a, b)
+    assert len(calls) <= 2
+    assert a.contains(both) and b.contains(both)
+    assert both.dim == a.dim + b.dim - subspace_sum(a, b).dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrices(5, 5, integers))
+def test_kernel_reads_canonical_rows_off_one_elimination(rows):
+    """``kernel`` eliminates m once, with its columns reversed; the rows it
+    reads off and turns back are already the canonical null space up to
+    ``_primitive``, so the checking constructor only scales them."""
+    seen = []
+
+    def spy(given_rows):
+        seen.append([tuple(r) for r in given_rows])
+        return _echelon(seen[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_linalg, "_echelon", spy)
+        null = kernel(rows)
+    flipped, read_off = seen
+    assert flipped == [tuple(r[::-1]) for r in rows]
+    assert [_primitive(r) for r in read_off] == list(null.rows)
+    assert null.dim + rank(rows) == len(rows[0])
+    assert all(not any(sum(x * y for x, y in zip(r, v)) for r in rows) for v in null.rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,6 +303,42 @@ def test_echelon_stack_leaves_int64_before_it_overflows():
     red = _assert_stack_is_echelon(stack)
     assert red.dtype == object
     assert max(abs(x) for x in red.ravel()) >= 2**62
+
+
+def test_kernel_stack_runs_one_elimination_of_the_input_shape(monkeypatch):
+    """One ``echelon_stack`` call, on the stack itself with its columns
+    reversed: n columns, not the m + n of an augmented matrix."""
+    shapes = []
+
+    def spy(stack):
+        shapes.append(stack.shape)
+        return echelon_stack(stack)
+
+    monkeypatch.setattr(exact_linalg, "echelon_stack", spy)
+    stack = np.random.default_rng(3).integers(-3, 4, size=(5, 3, 7))
+    stack[1, 2] = stack[1, 0] - stack[1, 1]
+    null = kernel_stack(stack)
+    assert shapes == [stack.shape]
+    for item, rows in zip(stack.tolist(), null.tolist()):
+        assert [tuple(r) for r in rows if any(r)] == list(kernel(item).rows)
+
+
+@pytest.mark.parametrize("top", [2**31, 2**20])
+def test_kernel_stack_read_off_leaves_int64_for_a_large_lcm(top):
+    """Three coprime pivots near ``top``: their lcm L is near top^3, which
+    int64 wraps at 2^31, and L max|row| passes 2^62 at 2^20 too, where the
+    elimination itself stays in int64.  Every item is the scalar kernel."""
+    pivots = (top - 1, top - 3, top - 5)
+    flipped = np.array([[[pivots[0], 0, 0, 1], [0, pivots[1], 0, 1], [0, 0, pivots[2], 1]],
+                        [[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 3, 1]]], dtype=np.int64)
+    stack = flipped[:, :, ::-1]
+    assert (echelon_stack(flipped)[0] == flipped[0]).all()
+    assert (echelon_stack(flipped).dtype == np.int64) == (top == 2**20)
+    null = kernel_stack(stack)
+    assert null.dtype == object
+    for item, rows in zip(stack.tolist(), null.tolist()):
+        assert [tuple(r) for r in rows if any(r)] == list(kernel(item).rows)
+    _assert_wraps_are_the_checked_subspaces(null)
 
 
 def test_int_matmul_picks_int64_or_python_ints():

@@ -5,14 +5,14 @@ import pytest
 
 import slmod.exact_linalg as exact_linalg
 from slmod.exact_linalg import (
-    _int_matrix, dot, fits_int64, from_triplets, identity, mat_mul, mat_vec, matrix,
+    _int_matrix, dot, fits_int64, from_triplets, identity, kernel, mat_mul, mat_vec, matrix,
 )
 from slmod.exterior_algebra import gl_action_matrix
 from slmod.graded_modules import Lambda, Sym2, fiber_space
+from slmod.theorem_registry import _j_samples
 from slmod.torus_lie import (
     AlgebraKind,
     bar,
-    default_j_samples,
     degree_box,
     j_membership,
     rank_one,
@@ -80,6 +80,31 @@ def test_symmetrized_product_kills_exterior_vectors():
             lhs = [[x + y for x, y in zip(r1, r2)]
                    for r1, r2 in zip(mat_mul(act_a, act_m), mat_mul(act_m, act_a))]
             assert not any(map(any, lhs))
+
+
+def default_j_samples(kind, n: int) -> tuple:
+    """The box sweep the samples were once built by, kept as the reference:
+    r over the unit degree box, u over the unit vectors for W and over the
+    canonical basis of { u : (u|r) = 0 } for S."""
+    kind = AlgebraKind(kind)
+    units = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    samples = []
+    for r in degree_box(n):
+        if kind is AlgebraKind.H:
+            samples.append((r, None))
+        elif kind is AlgebraKind.W:
+            samples.extend((r, u) for u in units)
+        else:
+            samples.extend((r, u) for u in kernel((r,)).rows)
+    return tuple(samples)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_j_samples_are_the_box_sweep(n):
+    """The j-membership check reads its samples off the cached generator set:
+    the same pairs in the same order as the box sweep, for every kind."""
+    for kind in "HWS":
+        assert tuple(_j_samples(kind, n)) == default_j_samples(kind, n), kind
 
 
 def test_j_membership_examples():
