@@ -158,10 +158,11 @@ def predicted_homology(
     half = n // 2
     _in_out_maps(cid, pos, n)  # validates the position
     spec = ActionSpec.make("H", n, Lambda(min(pos, n)), beta)
+    k0 = spec.special_degree()
     table: dict = {}
     if cid.kind in ("derham", "tchain"):
         for k in window.degrees():
-            table[k] = ext_dim(n, pos) if spec.is_special(k) else 0
+            table[k] = ext_dim(n, pos) if k == k0 else 0
         return table
     if cid.kind == "fsq":
         above = build_family(FamilyKind.MIN, pos + 1, spec.with_fiber(Lambda(pos + 1)), window)
@@ -171,7 +172,7 @@ def predicted_homology(
             else None
         )
         for k in window.degrees():
-            if spec.is_special(k):
+            if k == k0:
                 table[k] = ext_dim(n, pos)
             else:
                 table[k] = above.fiber(k).dim + (below.fiber(k).dim if below else 0)
@@ -183,12 +184,12 @@ def predicted_homology(
         below = Fund(pos - 1) if pos >= 2 else Lambda(0)
         lower = build_family(FamilyKind.MIN, pos - 1, spec.with_fiber(below), window)
         for k in window.degrees():
-            table[k] = fund.dim if spec.is_special(k) else lower.fiber(k).dim
+            table[k] = fund.dim if k == k0 else lower.fiber(k).dim
         return table
     maxf = build_family(FamilyKind.MAX, pos, spec.with_fiber(Lambda(pos)), window)
     wedges = map_stack(pi(pos), n, spec.scaled_shifts(window))
     for k, wedge in zip(window.degrees(), wedges):
-        if spec.is_special(k):
+        if k == k0:
             table[k] = fund.dim
             continue
         table[k] = image(wedge.tolist(), intersect(maxf.fiber(k), fund)).dim
@@ -212,7 +213,8 @@ def compare_with_prediction(
     )
     computed = complex_homology(cid, n, beta, window, p=pos)
     predicted = predicted_homology(cid, n, beta, window, p=pos)
+    k0 = spec.special_degree()
     for k in window.degrees():
-        note = "degenerate degree" if spec.is_special(k) else ""
+        note = "degenerate degree" if k == k0 else ""
         rec.expect(predicted[k], computed[k], degree=k, note=note)
     return rec.result()

@@ -467,10 +467,12 @@ def rref(m) -> Subspace:
 
 
 def rank(m) -> int:
+    """The number of rows a forward-only ``IntSpan`` of m's rows stores."""
     m = matrix(m)
-    if not m:
-        return 0
-    return len(_echelon(m)[0])
+    span = IntSpan(len(m[0]) if m else 0)
+    for row in m:
+        span.add(row)
+    return span.dim
 
 
 def kernel(m) -> Subspace:

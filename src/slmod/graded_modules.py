@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
 from math import lcm
+from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -33,6 +33,7 @@ from .exact_linalg import (
     format_vector,
     frac,
     from_triplets,
+    identity,
     int_affine,
     int_blocks,
     int_matmul,
@@ -49,7 +50,7 @@ from .exterior_algebra import (
     theta_matrix,
 )
 from .reports import CheckResult, Recorder
-from .torus_lie import AlgebraKind, bar, degree_box, rank_one, rank_one_sym, require_even
+from .torus_lie import AlgebraKind, bar, degree_box, rank_one, require_even
 
 Degree = tuple
 
@@ -127,11 +128,11 @@ class FiberSpace:
         """Integer matrix equal to ``scale`` times the exact action."""
         kind = self.fiber.kind
         if kind == "scalar":
-            return ((0,),), 1
+            return ((0,),)
         if kind == "lambda":
-            return gl_action_matrix(self.n, self.fiber.p, a), 1
+            return gl_action_matrix(self.n, self.fiber.p, a)
         if kind == "sym2":
-            return sym_action_matrix(self.n, a), 1
+            return sym_action_matrix(self.n, a)
         return self._restricted_action(a)
 
     def rank_one_actions(self, symplectic: bool) -> tuple:
@@ -151,7 +152,7 @@ class FiberSpace:
         table = self._rank_one.get(symplectic)
         if table is None:
             n = self.n
-            units = _unit_vectors(n)
+            units = identity(n)
             if symplectic:
                 pairs = [(a, b) for a in range(n) for b in range(a, n)]
             else:
@@ -164,7 +165,7 @@ class FiberSpace:
                                              for j, v in enumerate(bar(units[y])) if v])
                 else:
                     m = rank_one(units[a], units[b])
-                dense.append(self.action_matrix_int(m)[0])
+                dense.append(self.action_matrix_int(m))
             table = self._rank_one[symplectic] = (
                 np.array(pairs, dtype=np.intp).reshape(len(pairs), 2),
                 np.array(dense, dtype=np.int64).reshape(len(pairs), self.dim, self.dim))
@@ -192,8 +193,7 @@ class FiberSpace:
                 raise ValueError("matrix action does not preserve the contraction kernel")
             # coords of img/b_piv are its pivot entries / b_piv; scale to ints
             cols.append([img[pc] * (self.scale // brow[bpiv]) for pc in pivots])
-        dim = self.dim
-        return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim)), self.scale
+        return tuple(zip(*cols))
 
     # -- exterior-power subspaces in this space's coordinates ---------------
 
@@ -276,13 +276,10 @@ class ActionSpec:
     def space(self) -> FiberSpace:
         return fiber_space(self.n, self.fiber)
 
-    def is_special(self, k: Degree) -> bool:
-        """Whether k + beta = 0 (the one fiber every formula degenerates at)."""
-        return self.q == 1 and all(ki + bi == 0 for ki, bi in zip(k, self.qbeta))
-
     def special_degree(self) -> Degree | None:
-        """The degree k with k + beta = 0 as an int tuple when beta is
-        integral, else None (no degree is special)."""
+        """The degree k with k + beta = 0 (the one fiber every formula
+        degenerates at) as an int tuple when beta is integral, else None (no
+        degree is special)."""
         if self.q != 1:
             return None
         return tuple(-b for b in self.qbeta)
@@ -325,11 +322,6 @@ def _check_generator(spec: ActionSpec, gen: Generator):
 
 
 @lru_cache(maxsize=None)
-def _unit_vectors(n: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-@lru_cache(maxsize=None)
 def default_generators(kind: AlgebraKind, n: int, bound: int = 1) -> tuple:
     """The generator sample set built from the degree box max|r_i| <= bound."""
     gens = []
@@ -338,7 +330,7 @@ def default_generators(kind: AlgebraKind, n: int, bound: int = 1) -> tuple:
             gens.append(gen_h(r))
     elif kind is AlgebraKind.W:
         for r in degree_box(n, bound):
-            for u in _unit_vectors(n):
+            for u in identity(n):
                 gens.append(gen_d(u, r))
     else:
         from .torus_lie import _perp_basis
@@ -347,28 +339,6 @@ def default_generators(kind: AlgebraKind, n: int, bound: int = 1) -> tuple:
             for u in _perp_basis(r):
                 gens.append(gen_d(u, r))
     return tuple(gens)
-
-
-def edge_scalar(spec: ActionSpec, gen: Generator, k: Degree) -> Fraction:
-    """The pairing coefficient c of the fiber map at degree k."""
-    shift = tuple(frac(ki) + bi for ki, bi in zip(k, spec.beta))
-    if spec.kind is AlgebraKind.H:
-        return frac(dot(bar(gen.r), shift))
-    return frac(dot(gen.u, shift))
-
-
-def fiber_action(spec: ActionSpec, gen: Generator, k: Degree):
-    """Exact matrix of the fiber map fiber(k) -> fiber(k + r), from the dense
-    ``action_matrix_int`` of the rank-one matrix rather than the action table."""
-    _check_generator(spec, gen)
-    c = edge_scalar(spec, gen, k)
-    a = rank_one_sym(gen.r) if gen.u is None else rank_one(gen.r, gen.u)
-    rows, scale = spec.space().action_matrix_int(a)
-    dim = spec.space().dim
-    return tuple(
-        tuple((c if i == j else 0) + Fraction(rows[i][j], scale) for j in range(dim))
-        for i in range(dim)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +428,8 @@ class EdgeTable:
     ``edges(i)`` gathers the maps leaving degree i, in generator order;
     ``skipped[i]`` counts the maps that leave the window.  The derivation
     rows ``scale * D`` of all generators are one ``rank_one_stack``, kept
-    times q as one dense block per generator in ``qd`` for ``fiber_escapes``
-    and read off it as sparse ``qdrows`` for ``apply``.
+    times q as one dense block per generator in ``qd``: ``fiber_escapes``
+    takes the array, and ``apply`` the same blocks read once as Python ints.
     """
 
     def __init__(self, spec: ActionSpec, window: Window, gens: tuple):
@@ -490,8 +460,7 @@ class EdgeTable:
         # q times each generator's derivation block: q * D + D * 0
         self.qd = int_affine([q] * len(gens), space.rank_one_stack(r, us),
                              np.zeros((self.dim, self.dim), dtype=np.int64))
-        self.qdrows = [tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in block)
-                       for block in self.qd.tolist()]
+        self._qd_ints = self.qd.tolist()
 
     def edges(self, i: int) -> tuple:
         """``(gis, js, cqs)``: the generator, target index and cq of every
@@ -502,10 +471,10 @@ class EdgeTable:
     def apply(self, gi: int, cq: int, rows) -> list:
         """Nonzero images of integer rows under q * scale * (c * Id + D)."""
         a = cq * self.scale
-        qdrows = self.qdrows[gi]
+        block = self._qd_ints[gi]
         out = []
         for row in rows:
-            img = [a * x + sum([v * row[j] for j, v in dr]) for x, dr in zip(row, qdrows)]
+            img = [a * x + sum(map(mul, qrow, row)) for x, qrow in zip(row, block)]
             if any(img):
                 out.append(img)
         return out

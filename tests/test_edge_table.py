@@ -1,5 +1,5 @@
 """The integer EdgeTable against an independent reference built from exact
-``fiber_action`` matrices.
+``fiber_action`` matrices, which live here for the tests alone.
 
 ``closure``, ``is_invariant`` and the probe engine all read their edges and
 images from one EdgeTable, so comparing them with each other proves little.
@@ -14,7 +14,7 @@ from math import lcm
 import pytest
 
 from slmod import graded_modules
-from slmod.exact_linalg import Subspace, mat_vec, subspace_sum
+from slmod.exact_linalg import Subspace, dot, mat_vec, subspace_sum
 from slmod.graded_modules import (
     ActionSpec,
     Fund,
@@ -23,14 +23,34 @@ from slmod.graded_modules import (
     ScalarFiber,
     Sym2,
     Window,
+    _check_generator,
     closure,
     default_generators,
     edge_table,
-    fiber_action,
 )
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import probe_engine
-from slmod.torus_lie import AlgebraKind, bar
+from slmod.torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
+
+
+def edge_scalar(spec, gen, k) -> F:
+    """The pairing coefficient c of the fiber map at degree k."""
+    shift = tuple(F(ki) + bi for ki, bi in zip(k, spec.beta))
+    return F(dot(bar(gen.r) if spec.kind is AlgebraKind.H else gen.u, shift))
+
+
+def fiber_action(spec, gen, k) -> tuple:
+    """Exact matrix c * Id + D of the fiber map fiber(k) -> fiber(k + r), in
+    ``Fraction``: D from the dense ``action_matrix_int`` of the rank-one
+    matrix divided by the space's scale, not from the rank-one table."""
+    _check_generator(spec, gen)
+    c = edge_scalar(spec, gen, k)
+    space = spec.space()
+    rows = space.action_matrix_int(rank_one_sym(gen.r) if gen.u is None else rank_one(gen.r, gen.u))
+    return tuple(
+        tuple((c if i == j else 0) + F(rows[i][j], space.scale) for j in range(space.dim))
+        for i in range(space.dim)
+    )
 
 
 def reference_edges(spec, window, gens) -> tuple:
@@ -58,7 +78,8 @@ def reference_dominators(engine) -> set:
     spec, window, gens = engine.spec, engine.window, engine.gens
     index, out_edges = reference_edges(spec, window, gens)
     factors = engine._trace_factors()
-    special = {i for i, k in enumerate(window.degrees()) if spec.is_special(k)}
+    k0 = spec.special_degree()
+    special = {i for i, k in enumerate(window.degrees()) if k == k0}
     inv_out = [set() for _ in out_edges]
     inv_in = [set() for _ in out_edges]
     for i, edges in enumerate(out_edges):
@@ -242,15 +263,19 @@ def test_closure_and_probes_match_the_fiber_action_reference(kind, n, d, fiber, 
         assert engine.run(centre, seed, "exact", engine.full_target()) == fills
 
 
-@pytest.mark.parametrize("kind,n,d,fiber,beta", list(_cases(heavy=True)))
+@pytest.mark.parametrize("kind,n,d,fiber,beta", list(_cases(heavy=True)) + [
+    pytest.param("H", 6, 1, Fund(2), (F(1, 2),) + (0,) * 5, id="H-N6-Fund(2)-b1/2")])
 def test_edge_table_apply_matches_fiber_action(kind, n, d, fiber, beta):
-    """apply is q * scale * (c Id + D) on every edge of three degrees."""
+    """apply is q * scale * (c Id + D) on every edge of three degrees (at
+    N = 6, where the dense product is widest, of the centre alone), on unit
+    rows and on unit rows times 2^70, whose products pass int64."""
     spec = ActionSpec.make(kind, n, fiber, beta)
     window = Window(n, d)
     dim = spec.space().dim
     table = edge_table(spec, window, default_generators(spec.kind, n))
     units = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    for i in (0, table.index[(0,) * n], len(table.degs) - 1):
+    centre = table.index[(0,) * n]
+    for i in (centre,) if n == 6 else (0, centre, len(table.degs) - 1):
         k = table.degs[i]
         for gi, j, cq in zip(*table.edges(i)):
             g = table.gens[gi]
@@ -261,7 +286,9 @@ def test_edge_table_apply_matches_fiber_action(kind, n, d, fiber, beta):
             for unit, column in zip(units, columns):
                 exact = [factor * x for x in column]
                 assert all(x.denominator == 1 for x in exact)
-                assert table.apply(gi, cq, [unit]) == ([[int(x) for x in exact]] if any(exact) else [])
+                for big in (1, 2**70):
+                    want = [[big * int(x) for x in exact]] if any(exact) else []
+                    assert table.apply(gi, cq, [[big * x for x in unit]]) == want
         assert len(table.edges(i)[0]) + table.skipped[i] == len(table.gens)
 
 

@@ -24,12 +24,6 @@ SCANNED = [ROOT / "src", ROOT / "perfbench"]
 WORD = re.compile(r"[A-Za-z_]\w*")
 DOTTED = re.compile(r"[A-Za-z_]\w*\.[A-Za-z_]\w*")
 
-# The one definition kept for the tests alone: ``fiber_action`` builds each
-# fiber map as an exact Fraction matrix, independently of the integer
-# ``EdgeTable``, and the closure, probe and edge-table tests compare against it.
-TEST_REFERENCES = {"fiber_action"}
-
-
 def _docstrings(tree) -> set:
     """ids of the string constants that are docstrings."""
     out = set()
@@ -91,24 +85,50 @@ def _imported_names(tree) -> list:
     return out
 
 
-def test_every_package_definition_is_named_elsewhere():
+def _dead_definitions(package: Path, scanned: list) -> list:
+    """``module: name`` of every definition in ``package`` that no code
+    under the ``scanned`` directories names."""
     names: Counter = Counter()
     members: Counter = Counter()
-    for top in SCANNED:
+    for top in scanned:
         for path in top.rglob("*.py"):
             used, as_member = _uses(ast.parse(path.read_text(), str(path)))
             names += used
             members += as_member
     dead = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         for name, owner in _definitions(ast.parse(path.read_text(), str(path))):
             if owner is None:
-                used = names[name] or name in TEST_REFERENCES
+                used = names[name]
             else:
                 used = members[name] or members[f"{owner}.{name}"]
             if not used:
                 dead.append(f"{path.name}: {name if owner is None else f'{owner}.{name}'}")
+    return dead
+
+
+def test_every_package_definition_is_named_elsewhere():
+    dead = _dead_definitions(PACKAGE, SCANNED)
     assert not dead, "defined but never named by src or perfbench: " + ", ".join(dead)
+
+
+def test_a_function_only_a_test_names_is_dead(tmp_path):
+    """A package function that a ``tests/`` file calls, and no code under
+    ``src`` or ``perfbench``, is reported: the tests are not scanned."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "tests").mkdir()
+    (package / "mod.py").write_text(
+        "def used():\n    return reference()\n\n"
+        "def reference():\n    return 1\n\n"
+        "def only_tested():\n    return 2\n")
+    (tmp_path / "perfbench" / "run.py").write_text("from pkg.mod import used\nused()\n")
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import only_tested\n\n"
+        "def test_only_tested():\n    assert only_tested() == 2\n")
+    dead = _dead_definitions(package, [tmp_path / "src", tmp_path / "perfbench"])
+    assert dead == ["mod.py: only_tested"]
 
 
 def test_a_method_named_only_by_a_word_of_a_string_is_dead():
@@ -232,7 +252,7 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
 # grids the checks sweep.
 UNBOUNDED_ALLOWED = {
     "ext_basis", "ext_position", "theta_matrix", "fundamental_subspace", "sym_basis",
-    "sym_position", "fiber_space", "_unit_vectors", "default_generators", "_window_degrees",
+    "sym_position", "fiber_space", "default_generators", "_window_degrees",
 }
 # Caches keyed by a run's spec and window, each entry an edge table, a probe
 # engine or a family: these alone may grow with the run, so each has a size

@@ -81,7 +81,7 @@ def reference_map(map_id, n, kq) -> tuple:
         return interior_matrix(n, p, bar(kq))
     if map_id.name == "theta":
         return theta_matrix(n, p)
-    return fiber_space(n, Lambda(p)).action_matrix_int(rank_one_sym(kq))[0]
+    return fiber_space(n, Lambda(p)).action_matrix_int(rank_one_sym(kq))
 
 
 def _every_map(n) -> list:
@@ -311,9 +311,9 @@ def reference_fiber(kind, p, space, kq) -> Subspace:
     per-direction reference for the stacked ``build_family``."""
     n = space.n
     if kind is FamilyKind.MIN:
-        return image(space.action_matrix_int(rank_one_sym(kq))[0])
+        return image(space.action_matrix_int(rank_one_sym(kq)))
     if kind is FamilyKind.MAX:
-        return kernel(space.action_matrix_int(rank_one_sym(kq))[0])
+        return kernel(space.action_matrix_int(rank_one_sym(kq)))
     if kind is FamilyKind.FULLW:
         fiber = image(wedge_matrix(n, p - 1, kq))
     else:

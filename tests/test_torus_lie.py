@@ -122,7 +122,8 @@ def test_j_membership_examples():
 def _dense_action(space, kind, r, u) -> tuple:
     """``(rows, scale)`` of the sample's rank-one matrix, from the dense
     ``action_matrix_int``: independent of the rank-one table."""
-    return space.action_matrix_int(rank_one_sym(r) if kind in ("H", AlgebraKind.H) else rank_one(r, u))
+    a = rank_one_sym(r) if kind in ("H", AlgebraKind.H) else rank_one(r, u)
+    return space.action_matrix_int(a), space.scale
 
 
 def reference_j_membership(kind, space, vectors, samples) -> bool:
