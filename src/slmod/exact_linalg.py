@@ -24,6 +24,7 @@ matrix with its columns reversed and turn the read-off rows back, and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -57,29 +58,33 @@ def fits_int64(bound: int) -> bool:
     return bound < 2**62
 
 
-def _max_abs(a: np.ndarray) -> int:
+def max_abs(a: np.ndarray) -> int:
     if not a.size:
         return 0
     top = abs(a)  # on int64 it wraps -2^63 to itself, which reads right as uint64
     return int((top.view(np.uint64) if top.dtype == np.int64 else top).max())
 
 
-def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def int_matmul(a: np.ndarray, b: np.ndarray, tops: tuple | None = None) -> np.ndarray:
     """``a @ b`` for integer arrays: int64 when ``fits_int64`` bounds every
     entry and partial sum of the product and every entry of each operand,
-    Python ints (dtype object) past it, so an int64 output is below 2^62."""
-    top_a, top_b = _max_abs(a), _max_abs(b)
+    Python ints (dtype object) past it, so an int64 output is below 2^62.
+    ``tops`` is (max|a|, max|b|), or bounds on them, when the caller already
+    has them; otherwise both are read here."""
+    top_a, top_b = tops or (max_abs(a), max_abs(b))
     dtype = np.int64 if fits_int64(max(a.shape[-1] * top_a * top_b, top_a, top_b)) else object
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
-def int_affine(cs: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def int_affine(cs: list, a: np.ndarray, b: np.ndarray, tops: tuple | None = None) -> np.ndarray:
     """``cs[e] * a_e + a_e @ b_e`` for a list of integers and integer stacks
     a and b, either of them possibly one block that every e shares: the
     images of the rows of a_e under c_e * Id + b_e^T.  The rule of
     ``int_matmul`` with the scaled term in the bound: int64 when
-    max|c| max|a| + n max|a| max|b| and every entry fit, Python ints past it."""
-    top_c, top_a, top_b = max(map(abs, cs), default=0), _max_abs(a), _max_abs(b)
+    max|c| max|a| + n max|a| max|b| and every entry fit, Python ints past it.
+    ``tops`` is (max|c|, max|a|, max|b|), or bounds on them, as in
+    ``int_matmul``."""
+    top_c, top_a, top_b = tops or (max(map(abs, cs), default=0), max_abs(a), max_abs(b))
     bound = max(top_c * top_a + a.shape[-1] * top_a * top_b, top_c, top_a, top_b)
     dtype = np.int64 if fits_int64(bound) else object
     a = a.astype(dtype, copy=False)
@@ -143,17 +148,6 @@ def transpose(m) -> tuple:
 
 def mat_vec(m, v) -> tuple:
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a, b) -> tuple:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"mat_mul: inner dimensions {len(a[0])} != {len(b)}")
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def mat_sub(a, b) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +253,7 @@ def echelon_stack(stack: np.ndarray) -> np.ndarray:
         if not items.size:
             continue
         rows = work[items]
-        if rows.dtype != object and not fits_int64(2 * _max_abs(rows) ** 2):
+        if rows.dtype != object and not fits_int64(2 * max_abs(rows) ** 2):
             work, rows = work.astype(object), rows.astype(object)
         at, top = np.arange(items.size), rank[items]
         sel = cand[items].argmax(axis=1)
@@ -300,7 +294,7 @@ def kernel_stack(stack: np.ndarray) -> np.ndarray:
     pivots = np.ones(red.shape[:2], dtype=object)
     pivots[items, rows] = red[items, rows, cols]
     scale = np.lcm.reduce(pivots, axis=1, initial=1)
-    small = red.dtype != object and fits_int64(max(scale, default=1) * _max_abs(red))
+    small = red.dtype != object and fits_int64(max(scale, default=1) * max_abs(red))
     dtype = np.int64 if small else object
     out = np.zeros((len(stack), n, n), dtype=dtype)
     out[:, np.arange(n), np.arange(n)] = scale.astype(dtype)[:, None]
@@ -346,15 +340,15 @@ class IntSpan:
 
     def add(self, vector: Sequence[int]) -> list[int] | None:
         """Insert a vector; returns the reduced row stored, or None when the
-        span did not grow."""
-        res = self.residual(vector)
+        span did not grow.  The stored row is always a new list: ``vector``
+        is neither changed nor kept."""
+        res = _reduce_row(vector, self.rows, self.pivots)
         lead = _lead(res)
         if lead < 0:
             return None
-        res = list(_primitive(res))
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < lead:
-            pos += 1
+        g = gcd(*res)
+        res = [x // (g if res[lead] > 0 else -g) for x in res]
+        pos = bisect_left(self.pivots, lead)
         self.rows.insert(pos, res)
         self.pivots.insert(pos, lead)
         return res

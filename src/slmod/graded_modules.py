@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import product
+from itertools import compress, product, repeat
 from math import lcm
 from operator import mul
 from typing import Iterable
@@ -39,6 +39,7 @@ from .exact_linalg import (
     int_matmul,
     kernel_stack,
     mat_vec,
+    max_abs,
     subspaces,
 )
 from .exterior_algebra import (
@@ -499,10 +500,14 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
     last grew it stored nothing there.  A visit tests its rows on every edge
     into a settled target in one ``fiber_escapes`` call against the target's
     annihilator, and only the rows that escape go on to ``apply`` and
-    ``IntSpan.add``.  Spans only grow, so a row the annihilator of an older
-    span kills is one ``add`` would refuse: the stored rows, ``grow``
-    results and ``stop`` calls are those of the run that applies every edge.
-    A target that grows drops its annihilator and is unsettled.
+    ``IntSpan.add``: the loop receives, in generator order, the edges that
+    were not tested and the tested edges with an escaping row, picked by one
+    mask.  Spans only grow, so a row the annihilator of an older span kills
+    is one ``add`` would refuse: the stored rows, ``grow`` results and
+    ``stop`` calls are those of the run that applies every edge.  A target
+    that grows drops its annihilator and is unsettled.  The annihilators are
+    kept zero-padded in one (degrees, dim, dim) array, allocated when the
+    first target settles and dropped with the call.
     """
     dim = table.dim
     spans: dict = {}
@@ -510,7 +515,8 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
     queue: deque = deque()
     grown: dict = {}  # degree index -> the visit that last stored a row there
     settled: set = set()
-    anns: dict = {}  # settled degree index -> annihilator block, padded to dim rows
+    current: set = set()  # settled degree indices whose block of ``anns`` is their span's
+    anns = None  # degree index -> annihilator block, padded with zero rows to dim
     visit = 0
 
     def grow(i: int, rows) -> bool:
@@ -522,7 +528,7 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
             return False
         grown[i] = visit
         settled.discard(i)
-        anns.pop(i, None)
+        current.discard(i)
         if i in fresh:
             fresh[i] += new
         else:
@@ -539,24 +545,36 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
         i = queue.popleft()
         rows = fresh.pop(i)
         gis, js, cqs = table.edges(i)
-        escaping = {}  # edge position -> the rows that escape its settled target
-        tested = [e for e, j in enumerate(js) if j in settled]
+        sends = zip(gis, js, cqs, repeat(rows))
+        tested = [e for e, j in enumerate(js) if j in settled] if settled else ()
         if tested:
-            for j in {js[e] for e in tested} - anns.keys():
-                span = spans[j]  # dim - span.dim annihilator rows, padded to dim
-                anns[j] = int_blocks(
-                    [span.to_subspace().annihilator() + ((0,) * dim,) * span.dim], dim)[0]
-            flags = fiber_escapes(int_blocks([rows], dim)[0], np.stack([anns[js[e]] for e in tested]),
+            at = np.array(tested, dtype=np.intp)
+            targets = np.array(js, dtype=np.intp)[at]
+            for j in set(targets.tolist()) - current:
+                block = int_blocks([spans[j].to_subspace().annihilator()], dim)[0]
+                if anns is None:
+                    anns = np.zeros((len(table.degs), dim, dim), dtype=np.int64)
+                if block.dtype == object:
+                    anns = anns.astype(object, copy=False)
+                anns[j] = 0
+                anns[j, : len(block)] = block
+                current.add(j)
+            flags = fiber_escapes(int_blocks([rows], dim)[0], anns[targets],
                                   [cqs[e] * table.scale for e in tested],
-                                  table.qd[[gis[e] for e in tested]])
-            for e, flag in zip(tested, flags.tolist()):
-                escaping[e] = [row for row, out in zip(rows, flag) if out]
-        for e, (gi, j, cq) in enumerate(zip(gis, js, cqs)):
+                                  table.qd[np.array(gis, dtype=np.intp)[at]])
+            # slot[e]: -1 untested, -2 tested with every row held, else the
+            # row of e's flags
+            slot = np.full(len(js), -1, dtype=np.intp)
+            slot[at] = np.where(flags.any(axis=1), np.arange(len(at)), -2)
+            keep = np.flatnonzero(slot != -2)
+            flags = flags.tolist()
+            sends = [(gis[e], js[e], cqs[e], rows if s < 0 else list(compress(rows, flags[s])))
+                     for e, s in zip(keep.tolist(), slot[keep].tolist())]
+        for gi, j, cq, sent in sends:
             span = spans.get(j)
             if span is not None and span.dim == dim:
                 continue
-            sent = escaping.get(e, rows)
-            images = table.apply(gi, cq, sent) if sent else None
+            images = table.apply(gi, cq, sent)
             if not images:
                 continue
             if grow(j, images):
@@ -574,7 +592,8 @@ def closure(
     generators: Iterable[Generator] | None = None,
 ) -> GradedFamily:
     """Smallest window-truncated family containing the seeds and stable under
-    every in-window fiber map: ``saturate`` with no stop hook.
+    every in-window fiber map: ``saturate`` with no stop hook, its nonzero
+    spans made canonical by one ``echelon_stack``.
 
     ``seeds`` maps degrees to lists of fiber coordinate vectors.  Action
     targets outside the window are discarded.
@@ -588,8 +607,9 @@ def closure(
             raise ValueError(f"seed degree {k} outside the window")
         rows.setdefault(table.index[k], []).extend(_int_matrix(vectors)[0])
     spans = saturate(table, rows)
-    fibers = {table.degs[i]: span.to_subspace() for i, span in spans.items() if span.rows}
-    return GradedFamily(spec, window, fibers)
+    live = [i for i, span in spans.items() if span.rows]
+    stack = echelon_stack(int_blocks([spans[i].rows for i in live], table.dim))
+    return GradedFamily(spec, window, {table.degs[i]: sub for i, sub in zip(live, subspaces(stack))})
 
 
 def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
@@ -660,7 +680,10 @@ def fiber_escapes(rows, anns, cs: list, maps) -> np.ndarray:
     either one block that every item shares (h x D, a x D, D x D) or one
     block per item stacked along a first axis of length ``len(cs)``; zero
     rows pad a block freely.  The images are one ``int_affine`` and their
-    test one ``int_matmul``.
+    test one ``int_matmul``; each operand's magnitude is read once, and the
+    images are bounded a priori by max|c| max|R| + D max|R| max|M|.
     """
-    images = int_affine(cs, rows, maps.swapaxes(-1, -2))
-    return int_matmul(anns, images.swapaxes(-1, -2)).any(axis=-2)
+    top_c, top_r, top_m = max(map(abs, cs), default=0), max_abs(rows), max_abs(maps)
+    images = int_affine(cs, rows, maps.swapaxes(-1, -2), (top_c, top_r, top_m))
+    top_i = top_c * top_r + rows.shape[-1] * top_r * top_m
+    return int_matmul(anns, images.swapaxes(-1, -2), (max_abs(anns), top_i)).any(axis=-2)

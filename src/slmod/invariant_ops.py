@@ -16,14 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+import numpy as np
+
 from .exact_linalg import (
     Subspace,
     _int_matrix,
     dot,
     format_vector,
     int_blocks,
-    mat_sub,
-    mat_mul,
+    int_matmul,
     rank,
     vec,
 )
@@ -123,15 +124,19 @@ def small_algebra(kind, frame) -> SmallAlgebra:
 
 
 def lie_closure_holds(alg: SmallAlgebra) -> bool:
-    """Whether the generator span is closed under the commutator."""
-    span = Subspace(len(alg.frame[0]) ** 2,
-                    _int_matrix([[x for row in g for x in row] for g in alg.generators])[0])
-    comms = []
-    for i, a in enumerate(alg.generators):
-        for b in alg.generators[i + 1 :]:
-            comm = mat_sub(mat_mul(a, b), mat_mul(b, a))
-            comms.append([x for row in comm for x in row])
-    return all(map(span.contains_vector, _int_matrix(comms)[0]))
+    """Whether the generator span is closed under the commutator.
+
+    Each generator's denominators are cleared once, A_i = d_i a_i, so
+    A_i A_j - A_j A_i = d_i d_j [a_i, a_j] lies in the span exactly when the
+    commutator does; every product A_i A_j is one ``int_matmul``."""
+    n = len(alg.frame[0])
+    ints = [_int_matrix(g)[0] for g in alg.generators]
+    span = Subspace(n * n, [[x for row in m for x in row] for m in ints])
+    stack = int_blocks(ints, n).reshape(len(ints), n, n)
+    prods = int_matmul(stack[:, None], stack[None, :])
+    i, j = np.triu_indices(len(ints), 1)
+    comms = (prods[i, j] - prods[j, i]).reshape(len(i), n * n)
+    return all(map(span.contains_vector, comms.tolist()))
 
 
 # ---------------------------------------------------------------------------

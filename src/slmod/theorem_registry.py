@@ -239,7 +239,7 @@ class ProbeEngine:
 
     def _holds(self, degrees, mode: str, target: ProbeTarget, spans) -> bool:
         """The fiber test at each degree: "exact" compares dims, "contains"
-        asks for every target row."""
+        asks for every target row, which a full span holds."""
         for i in degrees:
             span = spans.get(i)
             if mode == "exact":
@@ -249,7 +249,7 @@ class ProbeEngine:
                 rows = target.rows.get(i, ())
                 # canonical target rows are independent: a smaller span misses one
                 if rows and (span is None or span.dim < len(rows)
-                             or not all(map(span.contains, rows))):
+                             or span.dim < span.ambient and not all(map(span.contains, rows))):
                     return False
         return True
 

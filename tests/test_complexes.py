@@ -11,9 +11,10 @@ from slmod.complexes import (
     compare_with_prediction,
     complex_homology,
 )
-from slmod.exact_linalg import kernel, mat_mul
+from slmod.exact_linalg import kernel
 from slmod.graded_modules import ActionSpec, Lambda, Window
 from slmod.sl_maps import FamilyKind, T, build_family, f, map_stack, pi
+from test_exact_linalg import mat_mul
 
 HALF = (F(1, 2), 0, 0, 0)
 ZERO = (0, 0, 0, 0)

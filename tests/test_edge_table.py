@@ -337,3 +337,37 @@ def test_closure_with_seed_entries_past_int64_matches_the_reference(monkeypatch)
     ref = reference_closure(spec, seeds, window)
     for k in window.degrees():
         assert fam.fiber(k) == ref.get(k, Subspace.zero(4)), k
+
+
+@pytest.mark.parametrize("d,seed,dtype", [
+    (2, [2, -1, 0, 3], "int64"),
+    # the seed of the past-int64 test above
+    (1, [2**63 + 1, 2**62 + 3, 0, 5], "object"),
+])
+def test_closure_converts_its_spans_in_one_stacked_elimination(monkeypatch, d, seed, dtype):
+    """``closure`` makes every span canonical with one ``echelon_stack``,
+    in int64 or on Python ints as its rows need, and each fiber equals the
+    checking constructor's ``Subspace(dim, span.rows)``."""
+    spec = ActionSpec.make("H", 4, Fund(1), (F(1, 2), 0, 0, 0))
+    window = Window(4, d)
+    runs, stacks = [], []
+    saturate, echelon_stack = graded_modules.saturate, graded_modules.echelon_stack
+
+    def kept(*args):
+        runs.append(saturate(*args))
+        return runs[-1]
+
+    def logged(stack):
+        stacks.append(stack.dtype)
+        return echelon_stack(stack)
+
+    monkeypatch.setattr(graded_modules, "saturate", kept)
+    monkeypatch.setattr(graded_modules, "echelon_stack", logged)
+    fam = closure(spec, {(0, 0, 0, 0): [seed]}, window)
+    assert stacks == [dtype]
+    table = edge_table(spec, window, default_generators(spec.kind, 4))
+    (spans,) = runs
+    for i, k in enumerate(table.degs):
+        span = spans.get(i)
+        assert fam.fiber(k) == Subspace(4, span.rows if span else ()), k
+    assert any(sub.dim < 4 for sub in fam.fibers.values())  # a proper subfamily

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import slmod.exact_linalg as exact_linalg
 from slmod.exact_linalg import (
+    IntSpan,
     Subspace,
     _echelon,
     _int_matrix,
@@ -22,13 +23,26 @@ from slmod.exact_linalg import (
     intersect,
     kernel,
     kernel_stack,
-    mat_mul,
     matrix,
     rank,
     rref,
     subspace_sum,
     subspaces,
+    transpose,
 )
+
+def mat_mul(a, b) -> tuple:
+    """Dense product of matrices given as row tuples, in plain Python
+    arithmetic: the reference the integer products are checked against."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"mat_mul: inner dimensions {len(a[0])} != {len(b)}")
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def mat_sub(a, b) -> tuple:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 integers = st.integers(min_value=-6, max_value=6)
@@ -189,6 +203,26 @@ def test_the_integer_core_refuses_fractions():
     # the boundary clears one common denominator, and rref goes through it
     assert _int_matrix(half) == ([[1, 2], [0, 6]], 2)
     assert rref(half) == Subspace.full(2)
+
+
+def test_int_span_add_neither_changes_nor_keeps_the_callers_list():
+    """A vector that needs no reduction and is already primitive is still
+    stored as a new list, and a reduced or divided one leaves the caller's
+    list as it was."""
+    span = IntSpan(3)
+    first = [0, 1, 2]
+    assert span.add(first) == [0, 1, 2] and first == [0, 1, 2]
+    assert span.rows[0] is not first
+    first[1] = 7
+    assert span.rows == [[0, 1, 2]]
+    second = [-4, 2, 4]  # reduced to [-4, 0, 0], stored primitive with a positive lead
+    assert span.add(second) == [1, 0, 0] and second == [-4, 2, 4]
+    assert all(row is not second for row in span.rows)
+    third = [0, 2, 4]
+    assert span.add(third) is None and third == [0, 2, 4]
+    assert span.rows == [[1, 0, 0], [0, 1, 2]] and span.pivots == [0, 1]
+    fourth = (0, 0, -3)  # reduced by nothing, ahead of no pivot
+    assert span.add(fourth) == [0, 0, 1] and span.pivots == [0, 1, 2]
 
 
 def test_from_triplets_accumulates():

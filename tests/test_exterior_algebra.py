@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmod.exact_linalg import Subspace, from_triplets, identity, mat_mul, mat_sub, mat_vec, rank
+from slmod.exact_linalg import Subspace, from_triplets, identity, mat_vec, rank
 from slmod.exterior_algebra import (
     ExtVector,
     ext_basis,
@@ -20,6 +20,7 @@ from slmod.exterior_algebra import (
     wedge_matrix,
 )
 from slmod.torus_lie import degree_box, rank_one_sym
+from test_exact_linalg import mat_mul, mat_sub
 
 
 def mono(n, *idx):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from slmod import graded_modules, theorem_registry
-from slmod.exact_linalg import IntSpan, Subspace, int_blocks, mat_mul, mat_sub
+from slmod.exact_linalg import IntSpan, Subspace, int_blocks
 from slmod.graded_modules import (
     ActionSpec,
+    EdgeTable,
     FiberSpace,
     Fund,
     GradedFamily,
@@ -30,6 +31,7 @@ from slmod.graded_modules import (
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.torus_lie import rank_one, rank_one_sym, sympl_form
 from test_edge_table import fiber_action
+from test_exact_linalg import mat_mul, mat_sub
 
 HALF = (F(1, 2), 0, 0, 0)
 
@@ -362,35 +364,51 @@ def test_saturate_matches_the_reference_on_the_int_closure(monkeypatch):
     """H Fund(1), N=4, d=2, beta = e1/2, from a centre vector inside INT but
     outside MIN: the closure is INT, and most images land in fibers that
     already hold them, so fewer than a quarter of the reference's image rows
-    may reach ``IntSpan.add``."""
+    may reach ``IntSpan.add``, and fewer than a tenth of its edges reach
+    ``EdgeTable.apply``.  From a centre vector outside INT the closure fills
+    the window."""
     spec = ActionSpec.make("H", 4, Fund(1), HALF)
     table = edge_table(spec, Window(4, 2), default_generators(spec.kind, 4))
     seeds = {table.index[(0, 0, 0, 0)]: [[2, -1, 0, 3]]}
     adds = {"n": 0}
     add = IntSpan.add
+    applies = {"n": 0}
+    apply = EdgeTable.apply
 
     def counted(span, vector):
         adds["n"] += 1
         return add(span, vector)
 
+    def counted_apply(self, gi, cq, rows):
+        applies["n"] += 1
+        return apply(self, gi, cq, rows)
+
     monkeypatch.setattr(IntSpan, "add", counted)
+    monkeypatch.setattr(EdgeTable, "apply", counted_apply)
     reference_saturate(table, seeds)
     ref_adds, adds["n"] = adds["n"], 0
+    ref_applies, applies["n"] = applies["n"], 0
     saturate(table, seeds)
     assert adds["n"] < ref_adds / 4, (adds["n"], ref_adds)
+    assert applies["n"] < ref_applies / 10, (applies["n"], ref_applies)
     spans = _same_run(table, seeds)
     assert 0 < sum(s.dim for s in spans.values()) < 4 * len(table.degs)
+    filled = _same_run(table, {table.index[(0, 0, 0, 0)]: [[1, 0, 1, 0]]})
+    assert sum(s.dim for s in filled.values()) == 4 * len(table.degs)
 
 
-@pytest.mark.parametrize("kind,fiber,beta,mode", [
-    ("W", Lambda(1), (F(1, 2), 0, 0), "exact"),
-    ("H", Fund(2), HALF, "contains"),
+@pytest.mark.parametrize("kind,fiber,beta,mode,fixpoints", [
+    # from (1, 2, 1) the N generators of one degree step fill a shared,
+    # settled target partway through a visit, its later edges then skipped
+    ("W", Lambda(1), (F(1, 2), 0, 0), "exact", [((1, 2, 1), [3, 3, 1])]),
+    ("H", Fund(2), HALF, "contains", []),
 ])
-def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mode):
+def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mode, fixpoints):
     """Probes with the certificate's stop hook: W N=3 d=2 probes against the
     full target, and H Fund(2) N=4 d=2 probes that must contain MIN.  The
     W hook fires before any target settles, so the last W seed also runs
-    without a hook, with N generators per degree step into each target."""
+    without a hook, with N generators per degree step into each target, and
+    so do the ``fixpoints`` seeds."""
     n = len(beta)
     spec = ActionSpec.make(kind, n, fiber, beta)
     window = Window(n, 2)
@@ -415,6 +433,8 @@ def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mo
         engine.run(k, vector, mode, target)
     assert any(hooks)
     _same_run(engine.table, {engine.table.index[k]: [vector]})
+    for k, vector in fixpoints:
+        _same_run(engine.table, {engine.table.index[k]: [vector]})
 
 
 def test_fiber_escapes_leaves_int64_before_a_product_wraps():

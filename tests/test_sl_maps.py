@@ -8,7 +8,7 @@ import pytest
 
 import slmod.sl_maps as sl_maps
 from slmod.cli import main
-from slmod.exact_linalg import Subspace, image, intersect, kernel, mat_mul, mat_vec
+from slmod.exact_linalg import Subspace, image, intersect, kernel, mat_vec
 from slmod.exterior_algebra import fundamental_subspace, interior_matrix, theta_matrix, wedge_matrix
 from slmod.graded_modules import ActionSpec, Fund, Lambda, ScalarFiber, Sym2, Window, fiber_space
 from slmod.sl_maps import (
@@ -26,6 +26,7 @@ from slmod.sl_maps import (
     verify_module_map,
 )
 from slmod.torus_lie import bar, rank_one_sym
+from test_exact_linalg import mat_mul
 
 HALF = (F(1, 2), 0, 0, 0)
 ZERO = (0, 0, 0, 0)

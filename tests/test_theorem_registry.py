@@ -8,7 +8,10 @@ import pytest
 import slmod.sl_maps as sl_maps
 import slmod.theorem_registry as theorem_registry
 from slmod.cli import main
-from slmod.graded_modules import ActionSpec, Fund, Lambda, Window, closure, edge_table
+from slmod.exact_linalg import IntSpan, Subspace
+from slmod.graded_modules import (
+    ActionSpec, Fund, GradedFamily, Lambda, Window, closure, edge_table,
+)
 from slmod.sl_maps import FamilyKind, SpecialFiberPolicy, _build_family_cached, build_family
 from slmod.theorem_registry import (
     CATALOGUE,
@@ -65,6 +68,27 @@ def test_probe_engine_agrees_with_reference_closure():
             reference = closure(spec, {k: [list(row)]}, win)
             expected = all(reference.fiber(kk) == fam.fiber(kk) for kk in win.interior_degrees())
             assert engine.run(k, list(row), "exact", target) == expected
+
+
+def test_a_full_span_holds_every_target_row_without_a_membership_test(monkeypatch):
+    """A "contains" probe against full target fibers at N=4 d=2 (H Fund(1),
+    beta = e1/2) from a centre seed outside INT: the closure fills the
+    window, each degree's test passes only once its span is full, and a full
+    span holds without one ``IntSpan.contains`` call."""
+    spec = ActionSpec.make("H", 4, Fund(1), HALF)
+    window = Window(4, 2)
+    engine = probe_engine(spec, window)
+    full = GradedFamily(spec, window, {k: Subspace.full(4) for k in window.degrees()})
+    calls = []
+    contains = IntSpan.contains
+
+    def logged(span, vector):
+        calls.append(span.dim)
+        return contains(span, vector)
+
+    monkeypatch.setattr(IntSpan, "contains", logged)
+    assert engine.run((0, 0, 0, 0), [1, 0, 1, 0], "contains", engine.min_target(full))
+    assert calls == []
 
 
 def test_probe_engine_rejects_wrong_targets():

@@ -5,7 +5,7 @@ import pytest
 
 import slmod.exact_linalg as exact_linalg
 from slmod.exact_linalg import (
-    _int_matrix, dot, fits_int64, from_triplets, identity, kernel, mat_mul, mat_vec, matrix,
+    _int_matrix, dot, fits_int64, from_triplets, identity, kernel, mat_vec, matrix,
 )
 from slmod.exterior_algebra import gl_action_matrix
 from slmod.graded_modules import Lambda, Sym2, fiber_space
@@ -21,6 +21,7 @@ from slmod.torus_lie import (
     sp_dim,
     sympl_form,
 )
+from test_exact_linalg import mat_mul
 
 
 def test_bar_examples():
