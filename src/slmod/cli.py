@@ -426,10 +426,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
         doc = run_config(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -91,6 +91,14 @@ class Recorder:
     def expect(self, expected, actual, degree=None, note: str = "") -> bool:
         return self.record(expected == actual, degree, expected, actual, note)
 
+    def verdict(self, report: CheckResult, note: str = "") -> bool:
+        """One record for a sub-report: PASS expected, its status actual."""
+        return self.record(report.status == PASS, expected=PASS, actual=report.status, note=note)
+
+    def tally(self, bad: int, expected, noun: str = "bad", note: str = "") -> bool:
+        """One record for a count of failures, which passes at zero."""
+        return self.record(bad == 0, expected=expected, actual=f"{bad} {noun}", note=note)
+
     def skip(self):
         self.counts["skipped"] += 1
 

@@ -80,7 +80,7 @@ from .invariant_ops import (
     small_algebra,
     t_vectors,
 )
-from .reports import ERROR, PASS, CheckResult, Detail, Recorder
+from .reports import ERROR, CheckResult, Detail, Recorder
 from .sl_maps import (
     FamilyKind,
     SpecialFiberPolicy,
@@ -375,17 +375,31 @@ def _outside_seeds(rng: random.Random, degs, family: GradedFamily, count: int) -
     return seeds
 
 
+def _recorder(check_id: str, params, *keys, **extra) -> Recorder:
+    """The recorder of one check, whose report params echo the ``keys`` of
+    ``params`` (beta through ``format_vector``) and then ``extra``."""
+    echoed = {key: format_vector(params[key]) if key == "beta" else params[key] for key in keys}
+    return Recorder(check_id, {**echoed, **extra})
+
+
 def _probe(rec: Recorder, engine: ProbeEngine, seeds, mode: str, target: ProbeTarget,
-           expected: str, actual: str) -> int:
-    """One closure probe per (degree, vector) seed; the first 8 failures are
-    recorded with ``expected`` and ``actual``.  Returns the failure count."""
+           summary: str, claim: str = "", noun: str = "failed", note: str = ""):
+    """One closure probe per (degree, vector) seed, then one record of the
+    sweep: ``summary`` expected, ``f"{bad} {noun}"`` actual.  Each of the
+    first 8 failing seeds is recorded as a "partial" closure against a full
+    target, else against ``claim`` as "missing" in mode "contains" and as a
+    "mismatch" in mode "exact"."""
+    if target.rows is None:  # only the full target carries no rows
+        claim, miss = "closure reaches full fibers", "partial"
+    else:
+        miss = "missing" if mode == "contains" else "mismatch"
     bad = 0
     for k, v in seeds:
         if not engine.run(k, v, mode, target):
             bad += 1
             if bad <= 8:
-                rec.record(False, degree=k, expected=expected, actual=actual)
-    return bad
+                rec.record(False, degree=k, expected=claim, actual=miss)
+    rec.tally(bad, summary, noun, note)
 
 
 def _half_grid(n: int) -> list:
@@ -397,7 +411,7 @@ def _half_grid(n: int) -> list:
 
 
 def _check_fundamental_dims(params) -> CheckResult:
-    rec = Recorder("fundamental-dims", {"Ns": "2,4,6"})
+    rec = _recorder("fundamental-dims", params, Ns="2,4,6")
     for n in (2, 4, 6):
         for p in range(1, n // 2 + 1):
             expected = comb(n, p) - (comb(n, p - 2) if p >= 2 else 0)
@@ -407,7 +421,7 @@ def _check_fundamental_dims(params) -> CheckResult:
 
 def _check_contraction_iso(params) -> CheckResult:
     n = params["N"]
-    rec = Recorder("contraction-iso", {"N": n})
+    rec = _recorder("contraction-iso", params, "N")
     half = n // 2
     rec.expect(comb(n, half - 1), rank(theta_matrix(n, half + 1)), note="rank of the contraction")
     return rec.result()
@@ -415,7 +429,7 @@ def _check_contraction_iso(params) -> CheckResult:
 
 def _check_l3_span(params) -> CheckResult:
     n = params["N"]
-    rec = Recorder("L3-span", {"N": n})
+    rec = _recorder("L3-span", params, "N")
     rec.expect(sp_dim(n), rank_one_span_dim(n), note="rank-one span dimension")
     # the symmetrized-product vanishing used throughout the submodule proofs
     rng = _rng(params, f"l3-{n}")
@@ -450,7 +464,7 @@ def _j_samples(kind, n: int) -> list:
 
 def _check_j_membership(params) -> CheckResult:
     n = params["N"]
-    rec = Recorder("j-membership", {"N": n})
+    rec = _recorder("j-membership", params, "N")
     for p in range(0, n + 1):
         space = fiber_space(n, Lambda(p))
         monomials = identity(space.dim)
@@ -474,10 +488,9 @@ def _check_j_membership(params) -> CheckResult:
 
 def _check_module_maps(params) -> CheckResult:
     n = params["N"]
-    beta = params["beta"]
     window = _window(params)
-    rec = Recorder("module-maps", {"N": n, "beta": format_vector(beta), "d": window.d})
-    spec = ActionSpec.make("H", n, Lambda(0), beta)
+    rec = _recorder("module-maps", params, "N", "beta", "d")
+    spec = ActionSpec.make("H", n, Lambda(0), params["beta"])
     map_ids = (
         [pi(p) for p in range(0, n)]
         + [T(p) for p in range(1, n + 1)]
@@ -487,12 +500,7 @@ def _check_module_maps(params) -> CheckResult:
     for mid in map_ids:
         src, _ = map_degrees(mid, n)
         rep = verify_module_map(mid, spec.with_fiber(Lambda(src)), window)
-        rec.record(
-            rep.status == PASS,
-            expected=PASS,
-            actual=rep.status,
-            note=f"map {mid}",
-        )
+        rec.verdict(rep, f"map {mid}")
         rec.counts["skipped"] += rep.counts.get("skipped", 0)
     return rec.result()
 
@@ -501,7 +509,7 @@ def _check_inclusion_chain(params) -> CheckResult:
     n = params["N"]
     beta = params["beta"]
     window = _window(params)
-    rec = Recorder("inclusion-chain", {"N": n, "beta": format_vector(beta), "d": window.d})
+    rec = _recorder("inclusion-chain", params, "N", "beta", "d")
     oracle_samples = 4
     rng = _rng(params, f"oracle-{n}")
     for p in range(1, n):
@@ -524,7 +532,7 @@ def _check_inclusion_chain(params) -> CheckResult:
         fails = [(k, fail) for k, fail in per_fiber_tuple(fam.values(), degs, failure) if fail]
         for k, (want, got) in fails:
             rec.record(False, degree=k, expected=want, actual=got)
-        rec.record(not fails, expected="all fibers", actual=f"{len(fails)} bad", note=f"p={p} dims {tuple(expected.values())}")
+        rec.tally(len(fails), "all fibers", note=f"p={p} dims {tuple(expected.values())}")
         # oracle cross-validation on sampled degrees
         for _ in range(oracle_samples):
             k = _draw(rng, degs)
@@ -536,11 +544,10 @@ def _check_inclusion_chain(params) -> CheckResult:
 
 def _check_fiber_equalities(params) -> CheckResult:
     n = params["N"]
-    beta = params["beta"]
     window = _window(params)
-    rec = Recorder("fiber-equalities", {"N": n, "beta": format_vector(beta), "d": window.d})
+    rec = _recorder("fiber-equalities", params, "N", "beta", "d")
     half = n // 2
-    spec0 = ActionSpec.make("H", n, Lambda(0), beta)
+    spec0 = ActionSpec.make("H", n, Lambda(0), params["beta"])
 
     def fam(kind, p):
         return build_family(kind, p, spec0.with_fiber(Fund(p)), window)
@@ -555,7 +562,7 @@ def _check_fiber_equalities(params) -> CheckResult:
         a = fam(kind_a, p)
         b = fam(kind_b, p)
         bad = sum(ne for _, ne in per_fiber_tuple((a, b), window.degrees(), operator.ne))
-        rec.record(bad == 0, expected=expected, actual=f"{bad} bad", note=note)
+        rec.tally(bad, expected, note=note)
     # intermediate = kernel of the composed contraction-after-wedge map on the
     # contraction kernel, entered through the integer embedding of its pivot-1
     # basis (Fund(p) coordinates to Lambda^p)
@@ -572,17 +579,15 @@ def _check_fiber_equalities(params) -> CheckResult:
         composite = int_matmul(map_stack(theta_tilde(p + 1), n, kqs[live]),
                                int_matmul(map_stack(pi(p), n, kqs[live]), embed))
         bad = sum(kernel(mat.tolist()) != it.fiber(degs[i]) for i, mat in zip(live.tolist(), composite))
-        rec.record(bad == 0, expected="intermediate = contraction-wedge kernel", actual=f"{bad} bad",
-                   note=f"p={p}")
+        rec.tally(bad, "intermediate = contraction-wedge kernel", note=f"p={p}")
     return rec.result()
 
 
 def _check_jh_quotient(params) -> CheckResult:
     n = params["N"]
-    beta = params["beta"]
     window = _window(params)
-    rec = Recorder("JH-quotient", {"N": n, "beta": format_vector(beta), "d": window.d})
-    spec0 = ActionSpec.make("H", n, Lambda(0), beta)
+    rec = _recorder("JH-quotient", params, "N", "beta", "d")
+    spec0 = ActionSpec.make("H", n, Lambda(0), params["beta"])
     generic = _generic_degrees(spec0, window)
     k0 = spec0.special_degree()
     integral = k0 is not None
@@ -594,8 +599,7 @@ def _check_jh_quotient(params) -> CheckResult:
     def quotient_is(outer, inner, family, expected) -> dict:
         """outer/inner against the family's dims over the generic degrees."""
         qd = quotient_dims(outer, inner)
-        bad = sum(1 for k in generic if qd[k] != family.fiber(k).dim)
-        rec.record(bad == 0, expected=expected, actual=f"{bad} bad", note=f"p={p}")
+        rec.tally(sum(1 for k in generic if qd[k] != family.fiber(k).dim), expected, note=f"p={p}")
         return qd
 
     for p in range(1, n):
@@ -610,9 +614,8 @@ def _check_jh_quotient(params) -> CheckResult:
         upper = minimal(p + 1)
         qd = quotient_is(full, mx, mn, "full/maximal = minimal")
         if integral:
-            bad = int(qd.get(k0, 0) != 0)
-            rec.record(bad == 0, expected="hat quotient vanishes at the degenerate degree",
-                       actual=f"{bad} bad", note=f"p={p}")
+            rec.tally(int(qd.get(k0, 0) != 0), "hat quotient vanishes at the degenerate degree",
+                      note=f"p={p}")
         # the Witt and intermediate quotients drop or raise the degree by one
         for outer, inner, family, expected in (
             (fw, hat_mn, lower, "Witt/minimal drops one degree"),
@@ -626,21 +629,19 @@ def _check_jh_quotient(params) -> CheckResult:
         bad = sum(fails for _, fails in per_fiber_tuple(
             (fw, it, mx, mn), generic,
             lambda w_k, i_k, mx_k, mn_k: (subspace_sum(w_k, i_k) != mx_k) + (intersect(w_k, i_k) != mn_k)))
-        rec.record(bad == 0, expected="Witt + intermediate = maximal; meet = minimal",
-                   actual=f"{bad} bad", note=f"p={p}")
+        rec.tally(bad, "Witt + intermediate = maximal; meet = minimal", note=f"p={p}")
     return rec.result()
 
 
 def _check_composition(params) -> CheckResult:
     n = params["N"]
     p = params["p"]
-    beta = params["beta"]
     window = _window(params)
-    rec = Recorder("composition", {"N": n, "p": p, "beta": format_vector(beta), "d": window.d})
+    rec = _recorder("composition", params, "N", "p", "beta", "d")
     half = n // 2
     if not 1 <= p <= half:
         raise ValueError(f"composition needs 1 <= p <= {half}")
-    spec0 = ActionSpec.make("H", n, Lambda(0), beta)
+    spec0 = ActionSpec.make("H", n, Lambda(0), params["beta"])
     generic = _generic_degrees(spec0, window)
     k0 = spec0.special_degree()
     policy = SpecialFiberPolicy.FULL if k0 is not None else SpecialFiberPolicy.OMIT
@@ -671,8 +672,7 @@ def _check_composition(params) -> CheckResult:
             rec.record(False, degree=k, expected=f"bookkeeping {fdim}",
                        actual=m_below + 2 * m_p + m_above)
         chain_example = dims_chain
-    rec.record(bad == 0, expected="chain dims and bookkeeping", actual=f"{bad} bad",
-               note=f"generic chain {chain_example}")
+    rec.tally(bad, "chain dims and bookkeeping", note=f"generic chain {chain_example}")
     if k0 is not None:
         # hat chain at the degenerate degree: the extra factor is the whole fiber
         hat_min = fam(FamilyKind.MIN, p, SpecialFiberPolicy.FULL)
@@ -683,27 +683,18 @@ def _check_composition(params) -> CheckResult:
 
 
 def _check_irreducible_min(params) -> CheckResult:
-    n = params["N"]
     p = params["p"]
-    beta = params["beta"]
     window = _probe_window(params)
-    rec = Recorder(
-        "irreducible-min",
-        {"N": n, "p": p, "beta": format_vector(beta), "d": window.d,
-         "seed": params.get("seed", DEFAULT_SEED)},
-    )
-    spec = ActionSpec.make("H", n, Fund(p), beta)
+    rec = _recorder("irreducible-min", params, "N", "p", "beta", "d", "seed")
+    spec = ActionSpec.make("H", params["N"], Fund(p), params["beta"])
     family = build_family(FamilyKind.MIN, p, spec, window)
-    inv = is_invariant(spec, family)
-    rec.record(inv.status == PASS, expected=PASS, actual=inv.status, note="minimal family invariant")
-    if inv.status != PASS:
+    if not rec.verdict(is_invariant(spec, family), "minimal family invariant"):
         return rec.result()
     engine = probe_engine(spec, window)
     seeds = [(k, row) for k in window.degrees() for row in family.fiber(k).rows]
-    bad = _probe(rec, engine, seeds, "exact", engine.min_target(family),
-                 "closure = minimal on interior", "mismatch")
-    rec.record(bad == 0, expected=f"{len(seeds)} seed closures match", actual=f"{bad} mismatched",
-               note="every basis vector of every fiber")
+    _probe(rec, engine, seeds, "exact", engine.min_target(family),
+           f"{len(seeds)} seed closures match", "closure = minimal on interior", "mismatched",
+           "every basis vector of every fiber")
     return rec.result()
 
 
@@ -714,19 +705,14 @@ def _contains_check(check_id: str, spec: ActionSpec, kind: FamilyKind, salt: str
     summary records."""
     window = _probe_window(params)
     count = params.get("samples", 100)
-    rec = Recorder(
-        check_id,
-        {"N": spec.n, "p": params["p"], "beta": format_vector(spec.beta), "d": window.d,
-         "seed": params.get("seed", DEFAULT_SEED), "samples": count},
-    )
+    rec = _recorder(check_id, params, "N", "p", "beta", "d", "seed", samples=count)
     family = build_family(kind, params["p"], spec, window)
     engine = probe_engine(spec, window)
     rng = _rng(params, salt)
     degs = window.degrees()
     seeds = [(_draw(rng, degs), _random_vector(rng, spec.space().dim)) for _ in range(count)]
-    bad = _probe(rec, engine, seeds, "contains", engine.min_target(family), missing, "missing")
-    rec.record(bad == 0, expected=f"{count} random closures contain {family_name}",
-               actual=f"{bad} missing")
+    _probe(rec, engine, seeds, "contains", engine.min_target(family),
+           f"{count} random closures contain {family_name}", missing, "missing")
     return rec.result()
 
 
@@ -750,11 +736,7 @@ def _check_main_classification(params) -> CheckResult:
     beta = params["beta"]
     window = _probe_window(params)
     count = params.get("samples", 12)
-    rec = Recorder(
-        "main-classification",
-        {"N": n, "p": p, "beta": format_vector(beta), "d": window.d,
-         "seed": params.get("seed", DEFAULT_SEED), "samples": count},
-    )
+    rec = _recorder("main-classification", params, "N", "p", "beta", "d", "seed", samples=count)
     spec = ActionSpec.make("H", n, Fund(p), beta)
     mn, it, mx = (build_family(kind, p, spec, window)
                   for kind in (FamilyKind.MIN, FamilyKind.INT, FamilyKind.MAX))
@@ -764,19 +746,15 @@ def _check_main_classification(params) -> CheckResult:
     dim = spec.space().dim
     # vectors outside the maximal family generate everything
     seeds = _outside_seeds(rng, degs, mx, count)
-    bad = _probe(rec, engine, seeds, "exact", engine.full_target(),
-                 "closure reaches full fibers", "partial")
-    rec.record(bad == 0, expected="outside-maximal seeds generate everything",
-               actual=f"{bad} failed", note=f"{count} seeds")
+    _probe(rec, engine, seeds, "exact", engine.full_target(),
+           "outside-maximal seeds generate everything", note=f"{count} seeds")
     # strata: a vector in one family but not the previous generates that family
     strata = [(mx, it, "maximal"), (it, mn, "intermediate")]
     for outer, inner, label in strata:
         sample_k = [k for k in degs if outer.fiber(k).dim > inner.fiber(k).dim]
         if not sample_k:
             continue  # the two families coincide at this p
-        inv = is_invariant(spec, outer)
-        rec.record(inv.status == PASS, expected=PASS, actual=inv.status,
-                   note=f"{label} family invariant")
+        rec.verdict(is_invariant(spec, outer), f"{label} family invariant")
         seeds = []
         for _ in range(count):
             k = _draw(rng, sample_k)
@@ -787,10 +765,8 @@ def _check_main_classification(params) -> CheckResult:
                 if any(w) and not inner.fiber(k).contains_vector(w):
                     seeds.append((k, w))
                     break
-        bad = _probe(rec, engine, seeds, "exact", engine.min_target(outer),
-                     f"closure = {label} family", "mismatch")
-        rec.record(bad == 0, expected=f"{label}-stratum seeds generate the {label} family",
-                   actual=f"{bad} failed")
+        _probe(rec, engine, seeds, "exact", engine.min_target(outer),
+               f"{label}-stratum seeds generate the {label} family", f"closure = {label} family")
     if spec.special_degree() is not None:
         _glue_freedom(rec, spec, (mn, it, mx), window)
     return rec.result()
@@ -817,23 +793,22 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     cs = [int(table.cq[i, gi]) * table.scale for gi, i in into for _ in families]
     gis = [gi for gi, _ in into for _ in families]
     bad_in = int(fiber_escapes(int_blocks(rows, dim), eye, cs, table.qd[gis]).any(-1).sum())
-    rec.record(bad_in == 0, expected="no image lands in the degenerate fiber",
-               actual=f"{bad_in} nonzero images", note="glue freedom, incoming")
+    rec.tally(bad_in, "no image lands in the degenerate fiber", "nonzero images",
+              "glue freedom, incoming")
     # out of the full fiber at k0 into the minimal family
     gis, js, cqs = table.edges(i0)
     anns = int_blocks([families[0].fiber(table.degs[j]).annihilator() for j in js], dim)
     cs = [cq * table.scale for cq in cqs]
     bad_out = int(fiber_escapes(eye, anns, cs, table.qd[gis]).any(-1).sum())
-    rec.record(bad_out == 0, expected="degenerate fiber maps into the minimal family",
-               actual=f"{bad_out} escapes", note="glue freedom, outgoing")
+    rec.tally(bad_out, "degenerate fiber maps into the minimal family", "escapes",
+              "glue freedom, outgoing")
 
 
 def _check_cor_p0(params) -> CheckResult:
     n = params["N"]
-    beta = params["beta"]
     window = _probe_window(params)
-    rec = Recorder("cor-p0", {"N": n, "beta": format_vector(beta), "d": window.d})
-    spec = ActionSpec.make("H", n, ScalarFiber(), beta)
+    rec = _recorder("cor-p0", params, "N", "beta", "d")
+    spec = ActionSpec.make("H", n, ScalarFiber(), params["beta"])
     engine = probe_engine(spec, window)
     degs = window.degrees()
     one = Subspace.full(1)
@@ -841,29 +816,22 @@ def _check_cor_p0(params) -> CheckResult:
     # at integral beta the degenerate line splits off; seeds off it regenerate the rest
     family = GradedFamily(spec, window, {k: one for k in degs if k != k0})
     if k0 is not None:
-        inv1 = is_invariant(spec, GradedFamily(spec, window, {k0: one}))
-        inv2 = is_invariant(spec, family)
-        rec.record(inv1.status == PASS, expected=PASS, actual=inv1.status,
-                   note="degenerate line is a family")
-        rec.record(inv2.status == PASS, expected=PASS, actual=inv2.status,
-                   note="complement family is invariant")
+        rec.verdict(is_invariant(spec, GradedFamily(spec, window, {k0: one})),
+                    "degenerate line is a family")
+        rec.verdict(is_invariant(spec, family), "complement family is invariant")
     rng = _rng(params, f"p0-{n}")
     seeds = [(k, [1]) for k in [_draw(rng, degs) for _ in range(8)] if k != k0]
-    bad = _probe(rec, engine, seeds, "exact", engine.min_target(family),
-                 "closure = the predicted family", "mismatch")
-    rec.record(bad == 0,
-               expected="any seed generates every fiber" if k0 is None
-               else "complement seeds regenerate it",
-               actual=f"{bad} failed")
+    _probe(rec, engine, seeds, "exact", engine.min_target(family),
+           "any seed generates every fiber" if k0 is None else "complement seeds regenerate it",
+           "closure = the predicted family")
     return rec.result()
 
 
 def _sym2_closure_check(check_id: str, kind: str, params) -> CheckResult:
     n = params["N"]
-    beta = params["beta"]
     window = _probe_window(params)
-    rec = Recorder(check_id, {"N": n, "kind": kind, "beta": format_vector(beta), "d": window.d})
-    spec = ActionSpec.make(kind, n, Sym2(), beta)
+    rec = _recorder(check_id, params, "N", "beta", "d", kind=kind)
+    spec = ActionSpec.make(kind, n, Sym2(), params["beta"])
     engine = probe_engine(spec, window)
     dim = spec.space().dim
     rng = _rng(params, f"sym2-{kind}-{n}")
@@ -874,9 +842,8 @@ def _sym2_closure_check(check_id: str, kind: str, params) -> CheckResult:
     k0 = spec.special_degree()
     if k0 is not None and k0 in window:
         seeds.append((k0, _random_vector(rng, dim)))
-    bad = _probe(rec, engine, seeds, "exact", engine.full_target(),
-                 "closure reaches full fibers", "partial")
-    rec.record(bad == 0, expected=f"{len(seeds)} seeds generate everything", actual=f"{bad} failed")
+    _probe(rec, engine, seeds, "exact", engine.full_target(),
+           f"{len(seeds)} seeds generate everything")
     return rec.result()
 
 
@@ -896,19 +863,16 @@ def _check_homology(params) -> CheckResult:
     n = params["N"]
     beta = params["beta"]
     window = _window(params)
-    rec = Recorder("homology", {"N": n, "beta": format_vector(beta), "d": window.d})
+    rec = _recorder("homology", params, "N", "beta", "d")
     for pos in range(0, n + 1):
-        rep = compare_with_prediction(DERHAM, n, beta, window, p=pos)
-        rec.record(rep.status == PASS, expected=PASS, actual=rep.status, note=f"wedge complex at {pos}")
-        rep = compare_with_prediction(TCHAIN, n, beta, window, p=pos)
-        rec.record(rep.status == PASS, expected=PASS, actual=rep.status,
-                   note=f"contraction complex at {pos}")
+        rec.verdict(compare_with_prediction(DERHAM, n, beta, window, p=pos),
+                    f"wedge complex at {pos}")
+        rec.verdict(compare_with_prediction(TCHAIN, n, beta, window, p=pos),
+                    f"contraction complex at {pos}")
     for p in range(1, n // 2 + 1):
-        rep = compare_with_prediction(FSQ(p), n, beta, window)
-        rec.record(rep.status == PASS, expected=PASS, actual=rep.status, note=f"square-zero at {p}")
-        rep = compare_with_prediction(FSQ_FUND(p), n, beta, window)
-        rec.record(rep.status == PASS, expected=PASS, actual=rep.status,
-                   note=f"restricted square-zero at {p}")
+        rec.verdict(compare_with_prediction(FSQ(p), n, beta, window), f"square-zero at {p}")
+        rec.verdict(compare_with_prediction(FSQ_FUND(p), n, beta, window),
+                    f"restricted square-zero at {p}")
     return rec.result()
 
 
@@ -916,7 +880,7 @@ def _check_invariant_ops(params) -> CheckResult:
     n = params["N"]
     beta = params["beta"]
     window = _window(params)
-    rec = Recorder("invariant-ops", {"N": n, "beta": format_vector(beta), "d": window.d})
+    rec = _recorder("invariant-ops", params, "N", "beta", "d")
     half = n // 2
     spec0 = ActionSpec.make("H", n, Lambda(0), beta)
     # spanning and annihilation of the invariant vectors at sampled degrees
@@ -943,10 +907,8 @@ def _check_invariant_ops(params) -> CheckResult:
         small_window = Window(n, 1)
         spec = ActionSpec.make("H", n, Fund(p), beta)
         for kind in (FamilyKind.MIN, FamilyKind.INT):
-            fam = build_family(kind, p, spec, small_window)
-            rep = invariance_report(fam)
-            rec.record(rep.status == PASS, expected=PASS, actual=rep.status,
-                       note=f"{kind} family preserved, p={p}")
+            rec.verdict(invariance_report(build_family(kind, p, spec, small_window)),
+                        f"{kind} family preserved, p={p}")
     # the operators commute with the structural maps, fiber by fiber: the
     # operator is T bar(T)^T, here for q T, and each side is one product
     # over the three sampled degrees
@@ -977,34 +939,22 @@ def _check_classify_w(params) -> CheckResult:
     beta = params["beta"]
     window = _probe_window(params)
     count = params.get("samples", 10)
-    rec = Recorder(
-        "classify-W",
-        {"N": n, "beta": format_vector(beta), "d": window.d,
-         "seed": params.get("seed", DEFAULT_SEED)},
-    )
+    rec = _recorder("classify-W", params, "N", "beta", "d", "seed")
     rng = _rng(params, f"clw-{n}")
     probe_ps = sorted({1, n - 1})
     for p in range(1, n):
         spec = ActionSpec.make("W", n, Lambda(p), beta)
         k0 = spec.special_degree()
         fam = build_family(FamilyKind.FULLW, p, spec, window)
-        bad = sum(
-            1
-            for k in window.degrees()
-            if k != k0 and fam.fiber(k).dim != comb(n - 1, p - 1)
-        )
-        rec.record(bad == 0, expected=f"fiber dim {comb(n - 1, p - 1)}", actual=f"{bad} bad",
-                   note=f"p={p}")
-        rep = invariance_report(GradedFamily(spec, Window(n, 1),
-                                             {k: fam.fiber(k) for k in Window(n, 1).degrees()
-                                              if fam.fiber(k).dim}))
-        rec.record(rep.status == PASS, expected=PASS, actual=rep.status,
-                   note=f"rank-one operators preserve the fibers, p={p}")
+        bad = sum(1 for k in window.degrees() if k != k0 and fam.fiber(k).dim != comb(n - 1, p - 1))
+        rec.tally(bad, f"fiber dim {comb(n - 1, p - 1)}", note=f"p={p}")
+        small = Window(n, 1)
+        rec.verdict(invariance_report(GradedFamily(
+            spec, small, {k: fam.fiber(k) for k in small.degrees() if fam.fiber(k).dim})),
+            f"rank-one operators preserve the fibers, p={p}")
         if p not in probe_ps:
             continue
-        inv = is_invariant(spec, fam)
-        rec.record(inv.status == PASS, expected=PASS, actual=inv.status,
-                   note=f"Witt family invariant, p={p}")
+        rec.verdict(is_invariant(spec, fam), f"Witt family invariant, p={p}")
         engine = probe_engine(spec, window)
         degs = _generic_degrees(spec, window)
         # seeds inside the family regenerate it; seeds outside reach everything
@@ -1013,14 +963,10 @@ def _check_classify_w(params) -> CheckResult:
             k = _draw(rng, degs)
             sub = fam.fiber(k)
             seeds.append((k, list(sub.rows[rng.randrange(sub.dim)])))
-        bad = _probe(rec, engine, seeds, "exact", engine.min_target(fam),
-                     "closure = Witt family", "mismatch")
-        rec.record(bad == 0, expected="inside seeds regenerate the Witt family",
-                   actual=f"{bad} failed", note=f"p={p}")
-        bad = _probe(rec, engine, _outside_seeds(rng, degs, fam, count), "exact",
-                     engine.full_target(), "closure reaches full fibers", "partial")
-        rec.record(bad == 0, expected="outside seeds generate everything",
-                   actual=f"{bad} failed", note=f"p={p}")
+        _probe(rec, engine, seeds, "exact", engine.min_target(fam),
+               "inside seeds regenerate the Witt family", "closure = Witt family", note=f"p={p}")
+        _probe(rec, engine, _outside_seeds(rng, degs, fam, count), "exact", engine.full_target(),
+               "outside seeds generate everything", note=f"p={p}")
         if k0 is not None:
             _glue_freedom(rec, spec, (fam,), window)
     # the small matrix algebra over the orthogonal complement
@@ -1191,7 +1137,7 @@ def run_all() -> list:
                 results.append(run_check(check_id, **grid_params))
             except Exception as exc:  # one broken check must not lose the others' results
                 traceback.print_exc()
-                params = {k: format_vector(v) if k == "beta" else v for k, v in grid_params.items()}
+                params = _recorder(check_id, grid_params, *grid_params).params
                 results.append(CheckResult(check_id, params, ERROR, [
                     Detail(None, "no exception", f"{type(exc).__name__}: {exc}", ERROR)]))
     return results

@@ -1,0 +1,90 @@
+"""The check layer writes its evidence through four rules.
+
+``theorem_registry._probe`` runs every closure sweep and records its failing
+seeds and its summary; ``Recorder.verdict`` records a sub-report;
+``Recorder.tally`` records a failure count; ``theorem_registry._recorder``
+echoes a check's report params.  These lints keep the hand-written forms from
+coming back, and each is shown to flag a planted copy of one.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slmod"
+REGISTRY = (PACKAGE / "theorem_registry.py").read_text()
+
+
+def _callers(source: str, match) -> list:
+    """The top-level function or class around every call ``match`` accepts
+    (None at module level)."""
+    found = []
+
+    def visit(node, top):
+        for child in ast.iter_child_nodes(node):
+            inner = top
+            if top is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name
+            if isinstance(child, ast.Call) and match(child):
+                found.append(inner)
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _runs_a_probe(call: ast.Call) -> bool:
+    return isinstance(call.func, ast.Attribute) and call.func.attr == "run"
+
+
+def _builds_a_recorder(call: ast.Call) -> bool:
+    return isinstance(call.func, ast.Name) and call.func.id == "Recorder"
+
+
+def _records_a_pass_verdict(call: ast.Call) -> bool:
+    """A ``record`` call with ``expected=PASS``: a sub-report written by hand."""
+    return isinstance(call.func, ast.Attribute) and call.func.attr == "record" and any(
+        kw.arg == "expected" and isinstance(kw.value, ast.Name) and kw.value.id == "PASS"
+        for kw in call.keywords)
+
+
+def _plant(original: str, replacement: str) -> str:
+    assert REGISTRY.count(original) == 1, original
+    return REGISTRY.replace(original, replacement)
+
+
+def test_only_probe_runs_the_probe_engine():
+    assert _callers(REGISTRY, _runs_a_probe) == ["_probe"]
+
+
+def test_the_probe_lint_flags_a_hand_written_sweep():
+    planted = _plant(
+        '    _probe(rec, engine, seeds, "exact", engine.full_target(),\n'
+        '           f"{len(seeds)} seeds generate everything")\n',
+        '    bad = sum(not engine.run(k, v, "exact", engine.full_target()) for k, v in seeds)\n'
+        '    rec.tally(bad, f"{len(seeds)} seeds generate everything", "failed")\n')
+    assert _callers(planted, _runs_a_probe) == ["_probe", "_sym2_closure_check"]
+
+
+def test_only_recorder_builds_a_recorder_in_the_check_layer():
+    assert _callers(REGISTRY, _builds_a_recorder) == ["_recorder"]
+
+
+def test_the_recorder_lint_flags_a_hand_built_params_dict():
+    planted = _plant('    rec = _recorder("homology", params, "N", "beta", "d")\n',
+                     '    rec = Recorder("homology", {"N": n, "beta": format_vector(beta), "d": 2})\n')
+    assert _callers(planted, _builds_a_recorder) == ["_recorder", "_check_homology"]
+
+
+def test_no_sub_report_is_recorded_by_hand():
+    for path in sorted(PACKAGE.glob("*.py")):
+        expected = ["Recorder"] if path.stem == "reports" else []  # Recorder.verdict itself
+        assert _callers(path.read_text(), _records_a_pass_verdict) == expected, path.name
+
+
+def test_the_verdict_lint_flags_a_hand_written_sub_report_record():
+    planted = _plant(
+        '        rec.verdict(is_invariant(spec, family), "complement family is invariant")\n',
+        '        inv = is_invariant(spec, family)\n'
+        '        rec.record(inv.status == PASS, expected=PASS, actual=inv.status,\n'
+        '                   note="complement family is invariant")\n')
+    assert _callers(planted, _records_a_pass_verdict) == ["_check_cor_p0"]

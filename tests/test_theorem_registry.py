@@ -266,6 +266,21 @@ def test_checks_declare_the_seed_and_samples_they_read():
         assert set(spec.reads) == reads, check_id
 
 
+def test_reports_echo_what_they_read():
+    """A report that leaves out the seed or sample count its check read
+    cannot be reproduced from what it prints.  These checks do so today, and
+    irreducible-min echoes a seed it never reads; mending them changes their
+    reports, so the set may only shrink."""
+    mismatched = set()
+    for check_id, spec in CATALOGUE.items():
+        point = min(spec.grid, key=lambda grid: grid.get("N", 0))
+        echoed = {"seed", "samples"} & set(run_check(check_id, **point).params)
+        if echoed != set(spec.reads):
+            mismatched.add(check_id)
+    assert mismatched == {"L3-span", "inclusion-chain", "cor-p0", "invariant-ops",
+                          "criterion-sym2", "TW", "TS", "classify-W", "irreducible-min"}
+
+
 def reference_per_degree(families, degrees, verdict):
     """The per-degree loop that ``per_fiber_tuple`` replaces: every degree's
     verdict computed from its own fibers."""
