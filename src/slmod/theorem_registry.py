@@ -13,7 +13,9 @@ couple of dot products.  Invertible edges transfer a full predicted fiber
 onto the next one, hence a closure that fills one predicted fiber at a degree
 from which invertible edges reach the whole window interior already covers
 the predicted family there; a plain fixpoint run backs up every probe whose
-certificate never fires.
+certificate never fires.  Before it, the seed's images along the edges and
+two-edge paths into one certified neighbour usually fill that neighbour's
+fiber at once, where the fixpoint run would take several whole visits.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from math import comb
 import numpy as np
 
 from .exact_linalg import (
+    IntSpan,
     Subspace,
     _int_matrix,
     dot,
@@ -137,6 +140,9 @@ class ProbeEngine:
         self.interior = [index[k] for k in window.interior_degrees()]
         self.special_interior = [i for i in self.special if window.is_interior(k0)]
         self.dominators = self._dominators(*self._invertible_edges())
+        self.by_offset: dict = {}  # degree-index offset -> the generators that move by it
+        for gi, off in enumerate(self.table.offset.tolist()):
+            self.by_offset.setdefault(off, []).append(gi)
 
     # -- static structure ---------------------------------------------------
 
@@ -218,7 +224,7 @@ class ProbeEngine:
         """mode "exact": seed and closure stay inside an invariant target and
         must reach its dims on the interior (with ``full_target`` the whole
         fiber).  mode "contains": the closure must contain the target rows on
-        the interior."""
+        the interior.  A certified target first tries ``_short_paths``."""
         if not self.interior:
             raise ValueError(
                 f"window d={self.window.d} has an empty interior: a probe would check nothing")
@@ -227,19 +233,64 @@ class ProbeEngine:
             raise ValueError("probe seed is zero")
         if mode == "contains" and target.rows is None:
             raise ValueError("mode contains needs target rows")
+        shown: dict = {}  # span -> its leading target rows shown contained
+        seeds = {seed_i: [seed_vec]}
         stop = None
         if target.certified:
             # interior degenerate degrees are outside every certificate's
             # reach and are checked directly
             def stop(i, spans):
-                return (i in self.dominators and self._holds((i,), mode, target, spans)
-                        and self._holds(self.special_interior, mode, target, spans))
-        spans = saturate(self.table, {seed_i: [seed_vec]}, stop)
-        return spans is None or self._holds(self.interior, mode, target, spans)
+                return (i in self.dominators and self._holds((i,), mode, target, spans, shown)
+                        and self._holds(self.special_interior, mode, target, spans, shown))
 
-    def _holds(self, degrees, mode: str, target: ProbeTarget, spans) -> bool:
+            seeds = self._short_paths(seed_i, seed_vec, stop)
+            if seeds is None:
+                return True
+        spans = saturate(self.table, seeds, stop)
+        return spans is None or self._holds(self.interior, mode, target, spans, shown)
+
+    def _short_paths(self, seed_i: int, seed_vec, stop) -> dict | None:
+        """Fill one dominator z, the seed's first out-neighbour among them in
+        generator order, with the seed's images along the edges seed -> z and
+        the in-window paths seed -> t -> z, asking ``stop(z, spans)`` after
+        each stored row.  None once the hook fires, else the seeds of the
+        fixpoint run: the seed and the rows stored at z, all in the closure."""
+        table = self.table
+        gis, js, cqs = table.edges(seed_i)
+        z = next((j for j in js if j in self.dominators), None)
+        if z is None:
+            return {seed_i: [seed_vec]}
+        span = IntSpan(table.dim)
+        spans = {z: span}
+        for images in self._images_at(z, seed_vec, gis, js, cqs):
+            for row in images:
+                if span.add(row) is not None and stop(z, spans):
+                    return None
+            if span.dim == table.dim:
+                break
+        return {seed_i: [seed_vec], z: span.rows}
+
+    def _images_at(self, z: int, seed_vec, gis, js, cqs):
+        """The seed's images at z, one list per path: the edges (gis, js,
+        cqs) that leave the seed's degree and end at z, then each two-edge
+        path through the other ends t, in generator order on both steps."""
+        table = self.table
+        for gi, j, cq in zip(gis, js, cqs):
+            if j == z:
+                yield table.apply(gi, cq, [seed_vec])
+        for gi, t, cq in zip(gis, js, cqs):
+            # at d=1 an offset z - t can also belong to a step that leaves the box
+            into = [gj for gj in self.by_offset.get(z - t, ()) if table.inbox[t, gj]]
+            if into:
+                first = table.apply(gi, cq, [seed_vec])
+                for gj in into:
+                    yield table.apply(gj, int(table.cq[t, gj]), first)
+
+    def _holds(self, degrees, mode: str, target: ProbeTarget, spans, shown: dict) -> bool:
         """The fiber test at each degree: "exact" compares dims, "contains"
-        asks for every target row, which a full span holds."""
+        asks for every target row, which a full span holds.  A span only
+        grows, so the ``shown[span]`` leading target rows found contained in
+        it stay contained and are not tested again."""
         for i in degrees:
             span = spans.get(i)
             if mode == "exact":
@@ -247,10 +298,18 @@ class ProbeEngine:
                     return False
             else:
                 rows = target.rows.get(i, ())
+                if not rows:
+                    continue
                 # canonical target rows are independent: a smaller span misses one
-                if rows and (span is None or span.dim < len(rows)
-                             or span.dim < span.ambient and not all(map(span.contains, rows))):
+                if span is None or span.dim < len(rows):
                     return False
+                if span.dim < span.ambient:
+                    done = shown.get(span, 0)
+                    while done < len(rows) and span.contains(rows[done]):
+                        done += 1
+                    shown[span] = done
+                    if done < len(rows):
+                        return False
         return True
 
 

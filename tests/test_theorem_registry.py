@@ -156,6 +156,162 @@ def test_probe_answers_do_not_depend_on_the_certificate(p, beta):
     assert answers == {True, False}
 
 
+def _no_short_paths(engine, seed_i, seed_vec, stop):
+    """``ProbeEngine._short_paths`` bypassed: the fixpoint run gets the seed alone."""
+    return {seed_i: [seed_vec]}
+
+
+def _misplaced_short_path_rows(kind, fiber, beta, d):
+    """(seed degree, seed, z, row) for each row the short-path pass stores at
+    its dominator z outside the closure's fiber at z, its hook never firing.
+    20 seeds: ten inside the family a probe of this spec compares against
+    (MIN for H, the Witt family for W), whose closures are proper at z, and
+    ten random vectors."""
+    n = len(beta)
+    spec = ActionSpec.make(kind, n, fiber, beta)
+    window = Window(n, d)
+    engine = probe_engine(spec, window)
+    family = build_family(FamilyKind.MIN if kind == "H" else FamilyKind.FULLW, fiber.p, spec, window)
+    rng = random.Random(f"short-paths-{kind}-{fiber}-{beta}-{d}")
+    dim = spec.space().dim
+    inside = [k for k in window.degrees() if family.fiber(k).dim]
+    seeds = []
+    for _ in range(10):
+        k = inside[rng.randrange(len(inside))]
+        rows = family.fiber(k).rows
+        cs = [rng.randint(-2, 2) for _ in rows]
+        cs[rng.randrange(len(cs))] = 3  # canonical rows are independent: the seed is nonzero
+        seeds.append((k, [sum(c * row[a] for c, row in zip(cs, rows)) for a in range(dim)]))
+    degs = window.degrees()
+    for _ in range(10):
+        v = [rng.randint(-3, 3) for _ in range(dim)]
+        v[rng.randrange(dim)] = 1
+        seeds.append((degs[rng.randrange(len(degs))], v))
+    for k, v in seeds:
+        i = engine.table.index[k]
+        (z, rows), = [(j, rows) for j, rows in engine._short_paths(i, v, lambda j, spans: False).items()
+                      if j != i]
+        assert z in engine.dominators and z in engine.table.edges(i)[1]
+        assert rows, (k, v)
+        fiber_z = closure(spec, {k: [v]}, window).fiber(engine.table.degs[z])
+        for row in rows:
+            if not fiber_z.contains_vector(row):
+                yield k, v, z, row
+
+
+SHORT_PATH_POINTS = [
+    ("H", Fund(1), (0, 0, 0, 0), 2), ("H", Fund(1), HALF, 2),
+    ("H", Fund(2), (0, 0, 0, 0), 2), ("H", Fund(2), HALF, 2),
+    ("W", Lambda(1), (0, 0, 0), 2), ("W", Lambda(1), (F(1, 2), 0, 0), 2),
+    # at d=1 a second step's offset can match a step that leaves the box
+    # (in base 2d+1 = 3 the difference of two steps has no unique digits),
+    # so only there does the pass need its box mask
+    ("H", Fund(2), HALF, 1),
+]
+
+
+@pytest.mark.parametrize("kind,fiber,beta,d", SHORT_PATH_POINTS)
+def test_short_paths_store_only_closure_rows(kind, fiber, beta, d):
+    """Every row the short-path pass stores at z lies in the seed's closure
+    there, so the stop hook it asks sees spans inside the closure."""
+    assert list(_misplaced_short_path_rows(kind, fiber, beta, d)) == []
+
+
+def test_a_short_path_pass_that_misfiles_first_hops_is_caught(monkeypatch):
+    """A mutant pass that files each first-hop image at t as if it were at z
+    stores rows outside the closure."""
+    images_at = ProbeEngine._images_at
+
+    def misfiled(engine, z, seed_vec, gis, js, cqs):
+        for gi, cq in zip(gis, cqs):
+            yield engine.table.apply(gi, cq, [seed_vec])
+        yield from images_at(engine, z, seed_vec, gis, js, cqs)
+
+    monkeypatch.setattr(ProbeEngine, "_images_at", misfiled)
+    assert any(next(_misplaced_short_path_rows(*point), None) for point in SHORT_PATH_POINTS)
+
+
+def test_short_paths_leave_every_probe_answer_unchanged(monkeypatch):
+    """Every probe of every sweep at each probe check's first default grid
+    point gives the same answer with the short-path pass bypassed."""
+    runs, ended = [], []
+    run, short_paths = ProbeEngine.run, ProbeEngine._short_paths
+
+    def recorded(engine, k, v, mode, target):
+        got = run(engine, k, v, mode, target)
+        runs.append((check_id, engine, k, v, mode, target, got))
+        return got
+
+    def counted(engine, seed_i, seed_vec, stop):
+        out = short_paths(engine, seed_i, seed_vec, stop)
+        ended.append(out is None)
+        return out
+
+    monkeypatch.setattr(ProbeEngine, "run", recorded)
+    monkeypatch.setattr(ProbeEngine, "_short_paths", counted)
+    for check_id in CATALOGUE:
+        run_check(check_id, **default_grid(check_id)[0])
+    assert {r[0] for r in runs} == {
+        "irreducible-min", "uniqueness", "main-classification", "cor-p0", "criterion-sym2",
+        "TW", "TS", "classify-W", "unique-W"}
+    assert 0 < sum(ended) < len(runs)
+    monkeypatch.setattr(ProbeEngine, "run", run)
+    monkeypatch.setattr(ProbeEngine, "_short_paths", _no_short_paths)
+    for check_id, engine, k, v, mode, target, got in runs:
+        assert engine.run(k, v, mode, target) == got, (check_id, k, v, mode)
+
+
+@pytest.mark.parametrize("check_id,least,probes", [
+    ("uniqueness", 85, 100),
+    ("irreducible-min", 1200, 1250),
+])
+def test_short_paths_end_most_probes(monkeypatch, check_id, least, probes):
+    """At N=4 p=2 beta = e1/2 d=2 and the default seed the short-path pass
+    certifies nearly every probe (90 of 100 and 1 247 of 1 250 when this
+    test was written): a change that loses the pass's speedup fails here."""
+    ended = []
+    short_paths = ProbeEngine._short_paths
+
+    def counted(engine, seed_i, seed_vec, stop):
+        out = short_paths(engine, seed_i, seed_vec, stop)
+        ended.append(out is None)
+        return out
+
+    monkeypatch.setattr(ProbeEngine, "_short_paths", counted)
+    assert run_check(check_id, N=4, p=2, beta=HALF, d=2).status == "PASS"
+    assert len(ended) == probes
+    assert sum(ended) >= least, sum(ended)
+
+
+def test_a_contained_target_row_is_tested_once(monkeypatch):
+    """A span only grows: ``_holds`` remembers how many leading target rows
+    it found contained in the span and tests only the rest."""
+    spec = ActionSpec.make("H", 4, Fund(2), HALF)
+    window = Window(4, 2)
+    engine = probe_engine(spec, window)
+    target = engine.min_target(build_family(FamilyKind.MIN, 2, spec, window))
+    i = engine.table.index[(1, 0, -1, 0)]
+    first, second = target.rows[i]
+    tested = []
+    contains = IntSpan.contains
+
+    def logged(span, vector):
+        tested.append(vector)
+        return contains(span, vector)
+
+    monkeypatch.setattr(IntSpan, "contains", logged)
+    span, shown = IntSpan(engine.table.dim), {}
+    for row in (first, [1, 2, 3, 4, 5]):  # the second row leaves ``second`` outside
+        span.add(row)
+    assert not engine._holds((i,), "contains", target, {i: span}, shown)
+    assert tested == [first, second] and shown == {span: 1}
+    tested.clear()
+    span.add(second)
+    assert engine._holds((i,), "contains", target, {i: span}, shown)
+    assert engine._holds((i,), "contains", target, {i: span}, shown)
+    assert tested == [second] and shown == {span: 2}
+
+
 def test_non_integral_operator_action_is_an_internal_error(monkeypatch):
     class ScaledSpace:
         scale = 2
