@@ -16,6 +16,14 @@ the predicted family there; a plain fixpoint run backs up every probe whose
 certificate never fires.  Before it, the seed's images along the edges and
 two-edge paths into one certified neighbour usually fill that neighbour's
 fiber at once, where the fixpoint run would take several whole visits.
+
+A probe against the full fiber needs two more steps.  At integral beta its
+certificate would also have to find the degenerate fiber full.  Each engine
+tests once whether the images of the full fibers at the interior degrees
+next to that fiber span it; where they do, the certificate's full interior
+fibers fill it too, and it is not tested again.  And when the two-edge
+paths leave the neighbour partial, its rows go on along the two-edge loops
+through it until a round stores nothing.
 """
 
 from __future__ import annotations
@@ -118,12 +126,14 @@ DEFAULT_SEED = 20240801
 
 class ProbeTarget:
     """Per-degree target data for a probe: dims, (optionally) basis rows,
-    and whether the dominator certificate applies to it."""
+    whether the dominator certificate applies to it, and the degenerate
+    degrees its certificate hook must still test directly."""
 
-    def __init__(self, dims_by_index, rows_by_index, certified: bool):
+    def __init__(self, dims_by_index, rows_by_index, certified: bool, special: list):
         self.dims = dims_by_index
         self.rows = rows_by_index
         self.certified = certified
+        self.special = special
 
 
 class ProbeEngine:
@@ -140,6 +150,7 @@ class ProbeEngine:
         self.interior = [index[k] for k in window.interior_degrees()]
         self.special_interior = [i for i in self.special if window.is_interior(k0)]
         self.dominators = self._dominators(*self._invertible_edges())
+        self.open_special = [s for s in self.special_interior if not self._filled_from_interior(s)]
         self.by_offset: dict = {}  # degree-index offset -> the generators that move by it
         for gi, off in enumerate(self.table.offset.tolist()):
             self.by_offset.setdefault(off, []).append(gi)
@@ -200,6 +211,22 @@ class ProbeEngine:
                 return set(np.flatnonzero(self._reach(z, tgt, src)).tolist())
         return set()
 
+    def _filled_from_interior(self, s: int) -> bool:
+        """Whether the images of full fibers at the interior degrees with an
+        in-window edge into the degenerate degree s span the fiber at s: one
+        ``IntSpan`` of each such map's images of the unit vectors."""
+        table = self.table
+        sources = set(self.interior) - set(self.special)
+        span = IntSpan(table.dim)
+        units = identity(table.dim)
+        for gi, offset in enumerate(table.offset.tolist()):
+            t = s - offset
+            if t in sources and table.inbox[t, gi]:
+                for row in table.apply(gi, int(table.cq[t, gi]), units):
+                    if span.add(row) is not None and span.dim == table.dim:
+                        return True
+        return False
+
     # -- probe runs ----------------------------------------------------------
 
     def min_target(self, family: GradedFamily) -> ProbeTarget:
@@ -209,22 +236,24 @@ class ProbeEngine:
             i = self.table.index[k]
             dims[i] = sub.dim
             rows[i] = [list(r) for r in sub.rows]
-        return self._target(dims, rows)
+        return self._target(dims, rows, self.special_interior)
 
     def full_target(self) -> ProbeTarget:
-        return self._target(dict.fromkeys(range(len(self.table.degs)), self.table.dim), None)
+        return self._target(dict.fromkeys(range(len(self.table.degs)), self.table.dim), None,
+                            self.open_special)
 
-    def _target(self, dims, rows) -> ProbeTarget:
+    def _target(self, dims, rows, special: list) -> ProbeTarget:
         # certificates transfer full target fibers along invertible edges and
         # therefore need one common nonzero dimension off the degenerate degree
         generic = {dims.get(i, 0) for i in range(len(self.table.degs)) if i not in self.special}
-        return ProbeTarget(dims, rows, len(generic) == 1 and generic != {0})
+        return ProbeTarget(dims, rows, len(generic) == 1 and generic != {0}, special)
 
     def run(self, seed_k, seed_vec, mode: str, target: ProbeTarget) -> bool:
         """mode "exact": seed and closure stay inside an invariant target and
         must reach its dims on the interior (with ``full_target`` the whole
         fiber).  mode "contains": the closure must contain the target rows on
-        the interior.  A certified target first tries ``_short_paths``."""
+        the interior.  A certified target first tries ``_short_paths``, and a
+        full target then ``_loops``."""
         if not self.interior:
             raise ValueError(
                 f"window d={self.window.d} has an empty interior: a probe would check nothing")
@@ -238,12 +267,16 @@ class ProbeEngine:
         stop = None
         if target.certified:
             # interior degenerate degrees are outside every certificate's
-            # reach and are checked directly
+            # reach: the target's are checked directly
             def stop(i, spans):
                 return (i in self.dominators and self._holds((i,), mode, target, spans, shown)
-                        and self._holds(self.special_interior, mode, target, spans, shown))
+                        and self._holds(target.special, mode, target, spans, shown))
 
             seeds = self._short_paths(seed_i, seed_vec, stop)
+            # targets with rows keep the two-edge pass alone: for the
+            # contains-mode probes the loops stored nothing and cost time
+            if seeds is not None and target.rows is None:
+                seeds = self._loops(seed_i, seeds, stop)
             if seeds is None:
                 return True
         spans = saturate(self.table, seeds, stop)
@@ -270,10 +303,45 @@ class ProbeEngine:
                 break
         return {seed_i: [seed_vec], z: span.rows}
 
+    def _loops(self, seed_i: int, seeds: dict, stop) -> dict | None:
+        """Go on from a partial z, the short-path pass's other seed degree:
+        send z's rows along the two-edge loops z -> u -> z (``_images_at``
+        over z's own edges), then the rows each round stored, until a round
+        stores nothing or z is full, asking ``stop(z, spans)`` after each
+        stored row.  Images of closure rows stay in the closure.  None once
+        the hook fires, else ``seeds`` with z's rows grown in place."""
+        dim = self.table.dim
+        z = next((j for j in seeds if j != seed_i), None)
+        if z is None or len(seeds[z]) == dim:
+            return seeds
+        span = IntSpan(dim)
+        for row in seeds[z]:
+            span.add(row)
+        spans = {z: span}
+        seeds[z] = span.rows
+        edges = self.table.edges(z)
+        new = list(span.rows)
+        while new:
+            stored = []
+            for row in new:
+                for images in self._images_at(z, row, *edges):
+                    for image in images:
+                        image = span.add(image)
+                        if image is None:
+                            continue
+                        if stop(z, spans):
+                            return None
+                        if span.dim == dim:
+                            return seeds
+                        stored.append(image)
+            new = stored
+        return seeds
+
     def _images_at(self, z: int, seed_vec, gis, js, cqs):
         """The seed's images at z, one list per path: the edges (gis, js,
         cqs) that leave the seed's degree and end at z, then each two-edge
-        path through the other ends t, in generator order on both steps."""
+        path through the other ends t, in generator order on both steps.
+        From z's own edges these are the loops z -> t -> z alone."""
         table = self.table
         for gi, j, cq in zip(gis, js, cqs):
             if j == z:

@@ -10,7 +10,8 @@ import slmod.theorem_registry as theorem_registry
 from slmod.cli import main
 from slmod.exact_linalg import IntSpan, Subspace
 from slmod.graded_modules import (
-    ActionSpec, Fund, GradedFamily, Lambda, Window, closure, edge_table,
+    ActionSpec, Fund, GradedFamily, Lambda, ScalarFiber, Sym2, Window, closure, default_generators,
+    edge_table,
 )
 from slmod.sl_maps import FamilyKind, SpecialFiberPolicy, _build_family_cached, build_family
 from slmod.theorem_registry import (
@@ -21,6 +22,7 @@ from slmod.theorem_registry import (
     probe_engine,
     run_check,
 )
+from test_edge_table import fiber_action
 
 HALF = (F(1, 2), 0, 0, 0)
 
@@ -156,41 +158,126 @@ def test_probe_answers_do_not_depend_on_the_certificate(p, beta):
     assert answers == {True, False}
 
 
+# beta = 0, so the degenerate degree k0 = 0 is interior: whether the images
+# of the full fibers at its interior neighbours span the fiber at k0
+IN_FLOW_POINTS = [
+    ("H", ScalarFiber(), 2, 2, False), ("W", Lambda(3), 3, 2, False),
+    ("S", Lambda(0), 3, 2, False),
+    ("H", Fund(1), 4, 2, True), ("H", Fund(2), 4, 2, True), ("H", Sym2(), 2, 3, True),
+    ("W", Lambda(0), 3, 2, True), ("W", Lambda(1), 3, 2, True),
+]
+
+
+def reference_in_flow_dim(spec, window) -> int:
+    """dim of the span of the images into k0 = 0 of the full fibers at its
+    interior neighbours, one ``Fraction`` fiber map at a time."""
+    space = spec.space()
+    images = []
+    for gen in default_generators(spec.kind, spec.n):
+        t = tuple(-a for a in gen.r)
+        if window.is_interior(t):
+            m = fiber_action(spec, gen, t)  # images are its columns, integral at beta = 0
+            images += [[int(m[a][b] * space.scale) for a in range(space.dim)]
+                       for b in range(space.dim)]
+    return Subspace(space.dim, images).dim
+
+
+@pytest.mark.parametrize("kind,fiber,n,d,fills", IN_FLOW_POINTS)
+def test_full_targets_test_the_degenerate_fiber_the_in_flow_leaves_open(kind, fiber, n, d, fills):
+    """A full target's hook stops testing k0 exactly where the in-flow fills
+    it; a family target's hook always tests it."""
+    spec = ActionSpec.make(kind, n, fiber)
+    window = Window(n, d)
+    engine = ProbeEngine(spec, window)
+    i0 = engine.table.index[(0,) * n]
+    assert (reference_in_flow_dim(spec, window) == spec.space().dim) == fills
+    assert engine.special_interior == [i0]
+    assert engine.full_target().special == ([] if fills else [i0])
+    assert engine.min_target(GradedFamily(spec, window)).special == [i0]
+
+
+def test_an_engine_that_counts_the_degenerate_fiber_filled_passes_a_split_probe(monkeypatch):
+    """The H scalar fiber at beta = 0 splits off its degenerate fiber: no
+    edge carries anything into k0, so a full-target probe from (1, 0) fails.
+    An engine whose in-flow test always says "filled" certifies it."""
+    spec = ActionSpec.make("H", 2, ScalarFiber())
+    window = Window(2, 2)
+    engine = ProbeEngine(spec, window)
+    assert not engine.run((1, 0), [1], "exact", engine.full_target())
+    monkeypatch.setattr(ProbeEngine, "_filled_from_interior", lambda engine, s: True)
+    mutant = ProbeEngine(spec, window)
+    assert mutant.run((1, 0), [1], "exact", mutant.full_target())
+
+
+SYM2_POINTS = [(kind, Sym2(), beta, 3) for kind in "HWS" for beta in ((0, 0), (F(1, 2), 0))]
+
+
+@pytest.mark.parametrize("kind,fiber,beta,d", [
+    ("H", ScalarFiber(), (0, 0), 2), ("W", Lambda(3), (0, 0, 0), 2),
+    ("S", Lambda(0), (0, 0, 0), 2), *SYM2_POINTS,
+])
+def test_full_target_answers_do_not_depend_on_the_certificate(kind, fiber, beta, d):
+    """Full-target probes where k0 stays open, and at the Sym2 points where
+    the loop pass runs, give the same answer with no dominators (each run
+    goes to the fixpoint) as with the certificate."""
+    n = len(beta)
+    spec = ActionSpec.make(kind, n, fiber, beta)
+    window = Window(n, d)
+    with_cert = probe_engine(spec, window)
+    without = ProbeEngine(spec, window)
+    without.dominators = set()
+    assert with_cert.dominators
+    rng = random.Random(f"cert-full-{kind}-{fiber}-{beta}")
+    dim = spec.space().dim
+    degs = window.degrees()
+    for k in [(0,) * n, (1,) + (0,) * (n - 1)] + [degs[rng.randrange(len(degs))] for _ in range(6)]:
+        v = [rng.randint(-2, 2) for _ in range(dim)]
+        v[rng.randrange(dim)] = 1
+        got = [engine.run(k, v, "exact", engine.full_target()) for engine in (with_cert, without)]
+        assert got[0] == got[1], (k, v)
+
+
 def _no_short_paths(engine, seed_i, seed_vec, stop):
     """``ProbeEngine._short_paths`` bypassed: the fixpoint run gets the seed alone."""
     return {seed_i: [seed_vec]}
 
 
 def _misplaced_short_path_rows(kind, fiber, beta, d):
-    """(seed degree, seed, z, row) for each row the short-path pass stores at
-    its dominator z outside the closure's fiber at z, its hook never firing.
-    20 seeds: ten inside the family a probe of this spec compares against
-    (MIN for H, the Witt family for W), whose closures are proper at z, and
-    ten random vectors."""
+    """(seed degree, seed, z, row) for each row the short-path pass and the
+    loop pass after it store at their dominator z outside the closure's
+    fiber at z, the hook never firing.  20 seeds: ten inside the family a
+    probe of this spec compares against (MIN for H, the Witt family for W;
+    none for Sym2, whose probes all target the full fiber), whose closures
+    are proper at z, and random vectors."""
     n = len(beta)
     spec = ActionSpec.make(kind, n, fiber, beta)
     window = Window(n, d)
     engine = probe_engine(spec, window)
-    family = build_family(FamilyKind.MIN if kind == "H" else FamilyKind.FULLW, fiber.p, spec, window)
     rng = random.Random(f"short-paths-{kind}-{fiber}-{beta}-{d}")
     dim = spec.space().dim
-    inside = [k for k in window.degrees() if family.fiber(k).dim]
     seeds = []
-    for _ in range(10):
-        k = inside[rng.randrange(len(inside))]
-        rows = family.fiber(k).rows
-        cs = [rng.randint(-2, 2) for _ in rows]
-        cs[rng.randrange(len(cs))] = 3  # canonical rows are independent: the seed is nonzero
-        seeds.append((k, [sum(c * row[a] for c, row in zip(cs, rows)) for a in range(dim)]))
+    if fiber.kind != "sym2":
+        family = build_family(FamilyKind.MIN if kind == "H" else FamilyKind.FULLW, fiber.p, spec,
+                              window)
+        inside = [k for k in window.degrees() if family.fiber(k).dim]
+        for _ in range(10):
+            k = inside[rng.randrange(len(inside))]
+            rows = family.fiber(k).rows
+            cs = [rng.randint(-2, 2) for _ in rows]
+            cs[rng.randrange(len(cs))] = 3  # canonical rows are independent: the seed is nonzero
+            seeds.append((k, [sum(c * row[a] for c, row in zip(cs, rows)) for a in range(dim)]))
     degs = window.degrees()
-    for _ in range(10):
+    while len(seeds) < 20:
         v = [rng.randint(-3, 3) for _ in range(dim)]
         v[rng.randrange(dim)] = 1
         seeds.append((degs[rng.randrange(len(degs))], v))
+    def never(j, spans):
+        return False
+
     for k, v in seeds:
         i = engine.table.index[k]
-        (z, rows), = [(j, rows) for j, rows in engine._short_paths(i, v, lambda j, spans: False).items()
-                      if j != i]
+        paths = engine._short_paths(i, v, never)
+        (z, rows), = [(j, rows) for j, rows in engine._loops(i, paths, never).items() if j != i]
         assert z in engine.dominators and z in engine.table.edges(i)[1]
         assert rows, (k, v)
         fiber_z = closure(spec, {k: [v]}, window).fiber(engine.table.degs[z])
@@ -210,10 +297,13 @@ SHORT_PATH_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("kind,fiber,beta,d", SHORT_PATH_POINTS)
+@pytest.mark.parametrize("kind,fiber,beta,d", SHORT_PATH_POINTS + SYM2_POINTS)
 def test_short_paths_store_only_closure_rows(kind, fiber, beta, d):
-    """Every row the short-path pass stores at z lies in the seed's closure
-    there, so the stop hook it asks sees spans inside the closure."""
+    """Every row the short-path and loop passes store at z lies in the
+    seed's closure there, so the stop hook they ask sees spans inside the
+    closure.  The checks' full-target probes run the loop pass at the Sym2
+    points, where closures are full; the family seeds elsewhere have proper
+    closures, where a misfiled row shows."""
     assert list(_misplaced_short_path_rows(kind, fiber, beta, d)) == []
 
 
@@ -225,6 +315,21 @@ def test_a_short_path_pass_that_misfiles_first_hops_is_caught(monkeypatch):
     def misfiled(engine, z, seed_vec, gis, js, cqs):
         for gi, cq in zip(gis, cqs):
             yield engine.table.apply(gi, cq, [seed_vec])
+        yield from images_at(engine, z, seed_vec, gis, js, cqs)
+
+    monkeypatch.setattr(ProbeEngine, "_images_at", misfiled)
+    assert any(next(_misplaced_short_path_rows(*point), None) for point in SHORT_PATH_POINTS)
+
+
+def test_a_loop_pass_that_misfiles_first_steps_is_caught(monkeypatch):
+    """A mutant loop pass that files each first-step image at u as if it
+    were at z stores rows outside the closure."""
+    images_at = ProbeEngine._images_at
+
+    def misfiled(engine, z, seed_vec, gis, js, cqs):
+        if z not in js:  # only the loop pass sends paths that start at z itself
+            for gi, cq in zip(gis, cqs):
+                yield engine.table.apply(gi, cq, [seed_vec])
         yield from images_at(engine, z, seed_vec, gis, js, cqs)
 
     monkeypatch.setattr(ProbeEngine, "_images_at", misfiled)
@@ -281,6 +386,33 @@ def test_short_paths_end_most_probes(monkeypatch, check_id, least, probes):
     assert run_check(check_id, N=4, p=2, beta=HALF, d=2).status == "PASS"
     assert len(ended) == probes
     assert sum(ended) >= least, sum(ended)
+
+
+@pytest.mark.parametrize("check_id,params", [
+    ("classify-W", {"N": 3, "beta": (0, 0, 0), "d": 2}),
+    *[(check_id, {"N": 2, "beta": beta, "d": 3})
+      for check_id in ("criterion-sym2", "TW", "TS") for beta in ((0, 0), (F(1, 2), 0))],
+    ("main-classification", {"N": 2, "p": 1, "beta": (0, 0), "d": 2}),
+])
+def test_full_targets_end_in_the_short_path_and_loop_passes(monkeypatch, check_id, params):
+    """At these points and the default seed no probe reaches the fixpoint
+    run: the in-flow fills k0 and the loop pass fills z.  Without either,
+    full-target probes here fall back, so a change that loses one fails."""
+    runs, fixpoints = [], []
+    run, saturate = ProbeEngine.run, theorem_registry.saturate
+
+    def counted_run(engine, k, v, mode, target):
+        runs.append(target.rows is None)
+        return run(engine, k, v, mode, target)
+
+    def counted_saturate(table, seeds, stop=None):
+        fixpoints.append(seeds)
+        return saturate(table, seeds, stop)
+
+    monkeypatch.setattr(ProbeEngine, "run", counted_run)
+    monkeypatch.setattr(theorem_registry, "saturate", counted_saturate)
+    assert run_check(check_id, **params).status == "PASS"
+    assert any(runs) and fixpoints == []
 
 
 def test_a_contained_target_row_is_tested_once(monkeypatch):
