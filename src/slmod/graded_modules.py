@@ -426,11 +426,14 @@ class EdgeTable:
     the table keeps ``q * scale * (c * Id + D)``, a positive multiple with
     the same images, with ``cq[i, g]`` = q * c from one product of the
     shifts q(k + beta) with the pairing vectors (bar(r) for H, u otherwise).
-    ``edges(i)`` gathers the maps leaving degree i, in generator order;
-    ``skipped[i]`` counts the maps that leave the window.  The derivation
-    rows ``scale * D`` of all generators are one ``rank_one_stack``, kept
-    times q as one dense block per generator in ``qd``: ``fiber_escapes``
-    takes the array, and ``apply`` the same blocks read once as Python ints.
+    ``inbox_into[j, g]``, the same mask read at the target, holds when
+    degs[j] - r lies in the box.  ``edges(i)`` gathers the maps leaving
+    degree i and ``edges_into(j)`` those entering degree j, both in
+    generator order; ``skipped[i]`` counts the maps that leave the window.
+    The derivation rows ``scale * D`` of all generators are one
+    ``rank_one_stack``, kept times q as one dense block per generator in
+    ``qd``: ``fiber_escapes`` takes the array, and ``apply`` the same blocks
+    read once as Python ints.
     """
 
     def __init__(self, spec: ActionSpec, window: Window, gens: tuple):
@@ -448,9 +451,15 @@ class EdgeTable:
         # gens[g]; gathered one coordinate at a time, since a (degrees, gens,
         # N) temporary would not fit at N = 6
         fits = np.abs(np.arange(-d, d + 1)[:, None, None] + r.T) <= d
-        self.inbox = fits[ks[:, 0] + d, 0]
-        for a in range(1, n):
-            self.inbox &= fits[ks[:, a] + d, a]
+
+        def gather(rows):  # rows[:, a] indexes the value axis of fits
+            mask = fits[rows[:, 0], 0]
+            for a in range(1, n):
+                mask &= fits[rows[:, a], a]
+            return mask
+
+        self.inbox = gather(ks + d)
+        self.inbox_into = gather(d - ks)  # |-k + r| <= d: k - r lies in the box
         self.skipped = (len(gens) - self.inbox.sum(1)).tolist()
         pairing = [bar(g.r) if spec.kind is AlgebraKind.H else g.u for g in gens]
         self.cq = int_matmul(spec.scaled_shifts(window),
@@ -468,6 +477,12 @@ class EdgeTable:
         map leaving degree index i for the window, in generator order."""
         gis = self.inbox[i].nonzero()[0]  # a few numpy calls: this runs on every closure visit
         return gis.tolist(), (self.offset[gis] + i).tolist(), self.cq[i][gis].tolist()
+
+    def edges_into(self, j: int) -> tuple:
+        """``(gis, srcs)``: the generator and source index of every map from
+        the window into degree index j, in generator order."""
+        gis = self.inbox_into[j].nonzero()[0]
+        return gis.tolist(), (j - self.offset[gis]).tolist()
 
     def apply(self, gi: int, cq: int, rows) -> list:
         """Nonzero images of integer rows under q * scale * (c * Id + D)."""

@@ -21,9 +21,10 @@ A probe against the full fiber needs two more steps.  At integral beta its
 certificate would also have to find the degenerate fiber full.  Each engine
 tests once whether the images of the full fibers at the interior degrees
 next to that fiber span it; where they do, the certificate's full interior
-fibers fill it too, and it is not tested again.  And when the two-edge
-paths leave the neighbour partial, its rows go on along the two-edge loops
-through it until a round stores nothing.
+fibers fill it too, and it is not tested again.  And the short-path pass
+goes on in rounds: when round 0, the seed's paths, leaves the neighbour
+partial, each later round sends the rows the round before stored along the
+two-edge loops through it, until a round stores nothing.
 """
 
 from __future__ import annotations
@@ -151,9 +152,6 @@ class ProbeEngine:
         self.special_interior = [i for i in self.special if window.is_interior(k0)]
         self.dominators = self._dominators(*self._invertible_edges())
         self.open_special = [s for s in self.special_interior if not self._filled_from_interior(s)]
-        self.by_offset: dict = {}  # degree-index offset -> the generators that move by it
-        for gi, off in enumerate(self.table.offset.tolist()):
-            self.by_offset.setdefault(off, []).append(gi)
 
     # -- static structure ---------------------------------------------------
 
@@ -185,9 +183,8 @@ class ProbeEngine:
         for shift in shifts:
             invertible &= table.cq != shift
         for s in self.special:  # no edge leaves or enters the degenerate degree
-            into = s - table.offset  # the source of each generator's edge into s
-            ok = (into >= 0) & (into < len(table.degs))
-            invertible[into[ok], ok.nonzero()[0]] = False
+            gis, srcs = table.edges_into(s)
+            invertible[srcs, gis] = False
             invertible[s] = False
         src, gis = np.nonzero(invertible)
         tgt = table.offset[gis]
@@ -219,9 +216,8 @@ class ProbeEngine:
         sources = set(self.interior) - set(self.special)
         span = IntSpan(table.dim)
         units = identity(table.dim)
-        for gi, offset in enumerate(table.offset.tolist()):
-            t = s - offset
-            if t in sources and table.inbox[t, gi]:
+        for gi, t in zip(*table.edges_into(s)):
+            if t in sources:
                 for row in table.apply(gi, int(table.cq[t, gi]), units):
                     if span.add(row) is not None and span.dim == table.dim:
                         return True
@@ -252,8 +248,8 @@ class ProbeEngine:
         """mode "exact": seed and closure stay inside an invariant target and
         must reach its dims on the interior (with ``full_target`` the whole
         fiber).  mode "contains": the closure must contain the target rows on
-        the interior.  A certified target first tries ``_short_paths``, and a
-        full target then ``_loops``."""
+        the interior.  A certified target first tries ``_short_paths``, with
+        its loop rounds on for a full target."""
         if not self.interior:
             raise ValueError(
                 f"window d={self.window.d} has an empty interior: a probe would check nothing")
@@ -272,86 +268,69 @@ class ProbeEngine:
                 return (i in self.dominators and self._holds((i,), mode, target, spans, shown)
                         and self._holds(target.special, mode, target, spans, shown))
 
-            seeds = self._short_paths(seed_i, seed_vec, stop)
-            # targets with rows keep the two-edge pass alone: for the
-            # contains-mode probes the loops stored nothing and cost time
-            if seeds is not None and target.rows is None:
-                seeds = self._loops(seed_i, seeds, stop)
+            # targets with rows keep round 0 alone: for the contains-mode
+            # probes later rounds stored nothing and cost time
+            seeds = self._short_paths(seed_i, seed_vec, stop, target.rows is None)
             if seeds is None:
                 return True
         spans = saturate(self.table, seeds, stop)
         return spans is None or self._holds(self.interior, mode, target, spans, shown)
 
-    def _short_paths(self, seed_i: int, seed_vec, stop) -> dict | None:
+    def _short_paths(self, seed_i: int, seed_vec, stop, rounds: bool) -> dict | None:
         """Fill one dominator z, the seed's first out-neighbour among them in
-        generator order, with the seed's images along the edges seed -> z and
-        the in-window paths seed -> t -> z, asking ``stop(z, spans)`` after
-        each stored row.  None once the hook fires, else the seeds of the
-        fixpoint run: the seed and the rows stored at z, all in the closure."""
+        generator order, asking ``stop(z, spans)`` after each stored row.
+        Round 0 sends the seed along the edges seed -> z and the in-window
+        paths seed -> t -> z; with ``rounds``, each later round sends the
+        rows the one before stored along the two-edge loops z -> u -> z,
+        until a round stores nothing.  Images of closure rows stay in the
+        closure.  None once the hook fires, else the seeds of the fixpoint
+        run: the seed and the rows stored at z, all in the closure."""
         table = self.table
-        gis, js, cqs = table.edges(seed_i)
-        z = next((j for j in js if j in self.dominators), None)
+        edges = table.edges(seed_i)
+        z = next((j for j in edges[1] if j in self.dominators), None)
         if z is None:
             return {seed_i: [seed_vec]}
+        into: dict = {}  # the source of each edge into z -> its generators
+        for gj, t in zip(*table.edges_into(z)):
+            into.setdefault(t, []).append(gj)
         span = IntSpan(table.dim)
         spans = {z: span}
-        for images in self._images_at(z, seed_vec, gis, js, cqs):
-            for row in images:
-                if span.add(row) is not None and stop(z, spans):
-                    return None
-            if span.dim == table.dim:
-                break
-        return {seed_i: [seed_vec], z: span.rows}
-
-    def _loops(self, seed_i: int, seeds: dict, stop) -> dict | None:
-        """Go on from a partial z, the short-path pass's other seed degree:
-        send z's rows along the two-edge loops z -> u -> z (``_images_at``
-        over z's own edges), then the rows each round stored, until a round
-        stores nothing or z is full, asking ``stop(z, spans)`` after each
-        stored row.  Images of closure rows stay in the closure.  None once
-        the hook fires, else ``seeds`` with z's rows grown in place."""
-        dim = self.table.dim
-        z = next((j for j in seeds if j != seed_i), None)
-        if z is None or len(seeds[z]) == dim:
-            return seeds
-        span = IntSpan(dim)
-        for row in seeds[z]:
-            span.add(row)
-        spans = {z: span}
-        seeds[z] = span.rows
-        edges = self.table.edges(z)
-        new = list(span.rows)
+        seeds = {seed_i: [seed_vec], z: span.rows}
+        i, new = seed_i, [seed_vec]
         while new:
             stored = []
             for row in new:
-                for images in self._images_at(z, row, *edges):
+                for images in self._images_at(into, i, row, *edges):
                     for image in images:
                         image = span.add(image)
                         if image is None:
                             continue
                         if stop(z, spans):
                             return None
-                        if span.dim == dim:
+                        if span.dim == table.dim:
                             return seeds
                         stored.append(image)
+            if not rounds:
+                break
+            if i == seed_i:  # later rounds leave z along its own edges
+                i, edges = z, table.edges(z)
             new = stored
         return seeds
 
-    def _images_at(self, z: int, seed_vec, gis, js, cqs):
-        """The seed's images at z, one list per path: the edges (gis, js,
-        cqs) that leave the seed's degree and end at z, then each two-edge
-        path through the other ends t, in generator order on both steps.
-        From z's own edges these are the loops z -> t -> z alone."""
+    def _images_at(self, into: dict, i: int, vec, gis, js, cqs):
+        """The images at z of a row at degree i, one list per path: the
+        edges ``into[i]`` straight to z, then each two-edge path i -> t -> z
+        through i's edges (gis, js, cqs) and ``into[t]``, in generator order
+        on both steps.  ``into`` maps each source of an edge into z to its
+        generators; z has no edge into itself, so from z these are the loops
+        z -> t -> z alone."""
         table = self.table
-        for gi, j, cq in zip(gis, js, cqs):
-            if j == z:
-                yield table.apply(gi, cq, [seed_vec])
+        for gj in into.get(i, ()):
+            yield table.apply(gj, int(table.cq[i, gj]), [vec])
         for gi, t, cq in zip(gis, js, cqs):
-            # at d=1 an offset z - t can also belong to a step that leaves the box
-            into = [gj for gj in self.by_offset.get(z - t, ()) if table.inbox[t, gj]]
-            if into:
-                first = table.apply(gi, cq, [seed_vec])
-                for gj in into:
+            if t in into:
+                first = table.apply(gi, cq, [vec])
+                for gj in into[t]:
                     yield table.apply(gj, int(table.cq[t, gj]), first)
 
     def _holds(self, degrees, mode: str, target: ProbeTarget, spans, shown: dict) -> bool:
@@ -911,11 +890,10 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     table = edge_table(spec, window, default_generators(spec.kind, spec.n))
     dim = table.dim
     eye = int_blocks([identity(dim)], dim)[0]
-    # into k0 the edge of each generator g from k0 - offset[g], once per
-    # family; every family is zero at k0, so the annihilator there is the identity
+    # every edge into k0, once per family; every family is zero at k0, so
+    # the annihilator there is the identity
     i0 = table.index[k0]
-    into = [(gi, i) for gi, i in enumerate((i0 - table.offset).tolist())
-            if 0 <= i < len(table.degs) and table.inbox[i, gi]]
+    into = list(zip(*table.edges_into(i0)))
     rows = [family.fiber(table.degs[i]).rows for _, i in into for family in families]
     cs = [int(table.cq[i, gi]) * table.scale for gi, i in into for _ in families]
     gis = [gi for gi, _ in into for _ in families]

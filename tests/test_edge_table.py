@@ -139,6 +139,25 @@ def test_gathered_edges_equal_the_reference(kind, n, d, rbound, beta):
     _assert_edges_match(spec, Window(n, d), default_generators(spec.kind, n, rbound))
 
 
+@pytest.mark.parametrize("kind,n,d,rbound,beta", list(_edge_cases()))
+def test_gathered_in_edges_equal_the_reference(kind, n, d, rbound, beta):
+    """``edges_into(j)`` at every degree index j: the pairs (g, i), in
+    generator order, with degs[i] + r_g = degs[j].  The box mask needs no
+    test of its own here, since degs[j] lies in the window."""
+    spec = ActionSpec.make(kind, n, ScalarFiber(), beta)
+    gens = default_generators(spec.kind, n, rbound)
+    table = edge_table(spec, Window(n, d), gens)
+    index = {k: i for i, k in enumerate(table.degs)}
+    into = [[] for _ in table.degs]
+    for g, gen in enumerate(gens):
+        for i, k in enumerate(table.degs):
+            j = index.get(tuple(a + b for a, b in zip(k, gen.r)))
+            if j is not None:
+                into[j].append((g, i))
+    for j, edges in enumerate(into):
+        assert list(zip(*table.edges_into(j))) == edges, table.degs[j]
+
+
 def test_gathered_edges_equal_the_reference_past_int64():
     """A beta denominator above 2^62: at d = 2 the shifts q(k + beta) pass
     2^63, so they and cq are Python ints."""

@@ -1,10 +1,13 @@
-"""The check layer writes its evidence through four rules.
+"""The check layer writes its evidence through four rules, and reads the
+edges into a degree through one gather.
 
 ``theorem_registry._probe`` runs every closure sweep and records its failing
 seeds and its summary; ``Recorder.verdict`` records a sub-report;
 ``Recorder.tally`` records a failure count; ``theorem_registry._recorder``
-echoes a check's report params.  These lints keep the hand-written forms from
-coming back, and each is shown to flag a planted copy of one.
+echoes a check's report params.  ``EdgeTable.edges_into`` gathers the maps
+into a degree index, the only place that subtracts an ``offset``.  These
+lints keep the hand-written forms from coming back, and each is shown to flag
+a planted copy of one.
 """
 
 import ast
@@ -14,9 +17,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slmod"
 REGISTRY = (PACKAGE / "theorem_registry.py").read_text()
 
 
-def _callers(source: str, match) -> list:
-    """The top-level function or class around every call ``match`` accepts
-    (None at module level)."""
+def _callers(source: str, match, kind=ast.Call) -> list:
+    """The top-level function or class around every node of ``kind`` (a
+    call unless given) that ``match`` accepts (None at module level)."""
     found = []
 
     def visit(node, top):
@@ -24,7 +27,7 @@ def _callers(source: str, match) -> list:
             inner = top
             if top is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = child.name
-            if isinstance(child, ast.Call) and match(child):
+            if isinstance(child, kind) and match(child):
                 found.append(inner)
             visit(child, inner)
 
@@ -45,6 +48,26 @@ def _records_a_pass_verdict(call: ast.Call) -> bool:
     return isinstance(call.func, ast.Attribute) and call.func.attr == "record" and any(
         kw.arg == "expected" and isinstance(kw.value, ast.Name) and kw.value.id == "PASS"
         for kw in call.keywords)
+
+
+def _is_offset(node) -> bool:
+    """``x.offset`` or a subscript of it."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "offset"
+
+
+SUBTRACTIONS = (ast.BinOp, ast.AugAssign, ast.UnaryOp)
+
+
+def _subtracts_an_offset(node) -> bool:
+    """``j - table.offset``, ``j -= table.offset[g]`` or ``-table.offset``:
+    the source of an edge into j, gathered by hand.  Adding an offset, the
+    target of an edge out of i, stays allowed."""
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, ast.USub) and _is_offset(node.operand)
+    return isinstance(node.op, ast.Sub) and _is_offset(
+        node.right if isinstance(node, ast.BinOp) else node.value)
 
 
 def _plant(original: str, replacement: str) -> str:
@@ -88,3 +111,17 @@ def test_the_verdict_lint_flags_a_hand_written_sub_report_record():
         '        rec.record(inv.status == PASS, expected=PASS, actual=inv.status,\n'
         '                   note="complement family is invariant")\n')
     assert _callers(planted, _records_a_pass_verdict) == ["_check_cor_p0"]
+
+
+def test_only_edge_table_gathers_in_edges():
+    for path in sorted(PACKAGE.glob("*.py")):
+        expected = ["EdgeTable"] if path.stem == "graded_modules" else []  # edges_into itself
+        assert _callers(path.read_text(), _subtracts_an_offset, SUBTRACTIONS) == expected, path.name
+
+
+def test_the_in_edge_lint_flags_a_hand_written_gather():
+    planted = _plant(
+        '    into = list(zip(*table.edges_into(i0)))\n',
+        '    into = [(gi, i) for gi, i in enumerate((i0 - table.offset).tolist())\n'
+        '            if 0 <= i < len(table.degs) and table.inbox[i, gi]]\n')
+    assert _callers(planted, _subtracts_an_offset, SUBTRACTIONS) == ["_glue_freedom"]

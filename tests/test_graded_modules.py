@@ -423,7 +423,7 @@ def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mo
     # the short-path pass certifies every one of these seeds: bypassed, each
     # reaches the hooked fixpoint run
     monkeypatch.setattr(theorem_registry.ProbeEngine, "_short_paths",
-                        lambda engine, seed_i, seed_vec, stop: {seed_i: [seed_vec]})
+                        lambda engine, seed_i, seed_vec, stop, rounds: {seed_i: [seed_vec]})
     if mode == "exact":
         target = engine.full_target()
     else:

@@ -237,15 +237,15 @@ def test_full_target_answers_do_not_depend_on_the_certificate(kind, fiber, beta,
         assert got[0] == got[1], (k, v)
 
 
-def _no_short_paths(engine, seed_i, seed_vec, stop):
+def _no_short_paths(engine, seed_i, seed_vec, stop, rounds):
     """``ProbeEngine._short_paths`` bypassed: the fixpoint run gets the seed alone."""
     return {seed_i: [seed_vec]}
 
 
 def _misplaced_short_path_rows(kind, fiber, beta, d):
-    """(seed degree, seed, z, row) for each row the short-path pass and the
-    loop pass after it store at their dominator z outside the closure's
-    fiber at z, the hook never firing.  20 seeds: ten inside the family a
+    """(seed degree, seed, z, row) for each row the short-path pass, its
+    loop rounds on, stores at its dominator z outside the closure's fiber
+    at z, the hook never firing.  20 seeds: ten inside the family a
     probe of this spec compares against (MIN for H, the Witt family for W;
     none for Sym2, whose probes all target the full fiber), whose closures
     are proper at z, and random vectors."""
@@ -276,8 +276,8 @@ def _misplaced_short_path_rows(kind, fiber, beta, d):
 
     for k, v in seeds:
         i = engine.table.index[k]
-        paths = engine._short_paths(i, v, never)
-        (z, rows), = [(j, rows) for j, rows in engine._loops(i, paths, never).items() if j != i]
+        paths = engine._short_paths(i, v, never, True)
+        (z, rows), = [(j, rows) for j, rows in paths.items() if j != i]
         assert z in engine.dominators and z in engine.table.edges(i)[1]
         assert rows, (k, v)
         fiber_z = closure(spec, {k: [v]}, window).fiber(engine.table.degs[z])
@@ -312,10 +312,10 @@ def test_a_short_path_pass_that_misfiles_first_hops_is_caught(monkeypatch):
     stores rows outside the closure."""
     images_at = ProbeEngine._images_at
 
-    def misfiled(engine, z, seed_vec, gis, js, cqs):
+    def misfiled(engine, into, i, vec, gis, js, cqs):
         for gi, cq in zip(gis, cqs):
-            yield engine.table.apply(gi, cq, [seed_vec])
-        yield from images_at(engine, z, seed_vec, gis, js, cqs)
+            yield engine.table.apply(gi, cq, [vec])
+        yield from images_at(engine, into, i, vec, gis, js, cqs)
 
     monkeypatch.setattr(ProbeEngine, "_images_at", misfiled)
     assert any(next(_misplaced_short_path_rows(*point), None) for point in SHORT_PATH_POINTS)
@@ -326,11 +326,11 @@ def test_a_loop_pass_that_misfiles_first_steps_is_caught(monkeypatch):
     were at z stores rows outside the closure."""
     images_at = ProbeEngine._images_at
 
-    def misfiled(engine, z, seed_vec, gis, js, cqs):
-        if z not in js:  # only the loop pass sends paths that start at z itself
+    def misfiled(engine, into, i, vec, gis, js, cqs):
+        if i not in into:  # only later rounds send paths from z, which has no edge into z
             for gi, cq in zip(gis, cqs):
-                yield engine.table.apply(gi, cq, [seed_vec])
-        yield from images_at(engine, z, seed_vec, gis, js, cqs)
+                yield engine.table.apply(gi, cq, [vec])
+        yield from images_at(engine, into, i, vec, gis, js, cqs)
 
     monkeypatch.setattr(ProbeEngine, "_images_at", misfiled)
     assert any(next(_misplaced_short_path_rows(*point), None) for point in SHORT_PATH_POINTS)
@@ -347,8 +347,8 @@ def test_short_paths_leave_every_probe_answer_unchanged(monkeypatch):
         runs.append((check_id, engine, k, v, mode, target, got))
         return got
 
-    def counted(engine, seed_i, seed_vec, stop):
-        out = short_paths(engine, seed_i, seed_vec, stop)
+    def counted(engine, seed_i, seed_vec, stop, rounds):
+        out = short_paths(engine, seed_i, seed_vec, stop, rounds)
         ended.append(out is None)
         return out
 
@@ -377,8 +377,8 @@ def test_short_paths_end_most_probes(monkeypatch, check_id, least, probes):
     ended = []
     short_paths = ProbeEngine._short_paths
 
-    def counted(engine, seed_i, seed_vec, stop):
-        out = short_paths(engine, seed_i, seed_vec, stop)
+    def counted(engine, seed_i, seed_vec, stop, rounds):
+        out = short_paths(engine, seed_i, seed_vec, stop, rounds)
         ended.append(out is None)
         return out
 
