@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exact_linalg import format_vector, image, int_matmul, intersect, kernel
 from .exterior_algebra import ext_dim, fundamental_subspace
-from .graded_modules import ActionSpec, Fund, Lambda, Window
+from .graded_modules import ActionSpec, Fund, Lambda, Window, directions
 from .reports import CheckResult, Recorder
 from .sl_maps import (
     FamilyKind,
@@ -103,38 +105,28 @@ def complex_homology(
     spec = ActionSpec.make("H", n, Lambda(min(pos, n)), beta)
     inc, out = _in_out_maps(cid, pos, n)
     fund = fundamental_subspace(n, pos) if cid.kind == "fsq_fund" else None
-    # each map at every degree in one stack; kernel and image stay per degree
+    # every map is homogeneous in K: kernel and image once per direction, and
+    # once at K = 0, where every map vanishes, as the class after them
     kqs = spec.scaled_shifts(window)
-    outs = map_stack(out, n, kqs) if out is not None else None
-    incs = map_stack(inc, n, kqs) if inc is not None else None
+    live, place, stack = directions(kqs)
+    classes = np.full(len(kqs), len(stack), dtype=np.intp)
+    classes[live] = place
+    stack = np.concatenate([stack, np.delete(kqs, live, axis=0)[:1]])  # K = 0, if in the window
+    outs = map_stack(out, n, stack) if out is not None else None
+    incs = map_stack(inc, n, stack) if inc is not None else None
     squares = int_matmul(outs, outs).any(axis=(1, 2)) if cid.kind == "fsq" else None
+    # on FSQ_FUND one kernel of f(p) stacked over the rows that cut out Fund
+    kers = [kernel(mat + list(fund.annihilator()) if fund is not None else mat)
+            for mat in outs.tolist()] if out is not None else None
+    ims = [image(mat, fund) for mat in incs.tolist()] if inc is not None else None
     table: dict = {}
-    for i, k in enumerate(window.degrees()):
-        dim_here = ext_dim(n, pos)
-        if cid.kind == "fsq_fund":
-            dim_here = fund.dim
-        if out is None:
-            ker_dim = dim_here
-            ker_sub = None
-        else:
-            mat = outs[i].tolist()
-            if squares is not None and squares[i]:
-                raise RuntimeError(f"square-zero violated at degree {k}")
-            # on FSQ_FUND one kernel of f(p) stacked over the rows that cut out Fund
-            ker_sub = kernel(mat + list(fund.annihilator()) if fund is not None else mat)
-            ker_dim = ker_sub.dim
-        if inc is None:
-            im_dim = 0
-        else:
-            mat_in = incs[i].tolist()
-            if cid.kind == "fsq_fund":
-                im_sub = image(mat_in, fund)
-            else:
-                im_sub = image(mat_in)
-            im_dim = im_sub.dim
-            if ker_sub is not None and not ker_sub.contains(im_sub):
-                raise RuntimeError(f"complex property violated at degree {k}")
-        table[k] = ker_dim - im_dim
+    for k, j in zip(window.degrees(), classes.tolist()):
+        if squares is not None and squares[j]:
+            raise RuntimeError(f"square-zero violated at degree {k}")
+        if kers is not None and ims is not None and not kers[j].contains(ims[j]):
+            raise RuntimeError(f"complex property violated at degree {k}")
+        ker_dim = kers[j].dim if kers is not None else ext_dim(n, pos)
+        table[k] = ker_dim - (ims[j].dim if ims is not None else 0)
     return table
 
 
@@ -187,12 +179,16 @@ def predicted_homology(
             table[k] = fund.dim if k == k0 else lower.fiber(k).dim
         return table
     maxf = build_family(FamilyKind.MAX, pos, spec.with_fiber(Lambda(pos)), window)
-    wedges = map_stack(pi(pos), n, spec.scaled_shifts(window))
-    for k, wedge in zip(window.degrees(), wedges):
-        if k == k0:
-            table[k] = fund.dim
-            continue
-        table[k] = image(wedge.tolist(), intersect(maxf.fiber(k), fund)).dim
+    degs = window.degrees()
+    live, place, stack = directions(spec.scaled_shifts(window))
+    wedges = map_stack(pi(pos), n, stack).tolist()
+    table = dict.fromkeys(degs, fund.dim)  # kept at the degenerate degree, K = 0
+    images: dict = {}  # (direction, MAX fiber) -> dim: MAX is read at every degree
+    for i, j in zip(live.tolist(), place):
+        key = (j, maxf.fiber(degs[i]))
+        if key not in images:
+            images[key] = image(wedges[j], intersect(key[1], fund)).dim
+        table[degs[i]] = images[key]
     return table
 
 

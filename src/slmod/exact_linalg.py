@@ -365,7 +365,7 @@ class Subspace:
     pivot-1 reduced echelon basis.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_annihilator")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_annihilator", "_hash")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]] = ()):
         canon, piv = _echelon(rows)
@@ -375,13 +375,13 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.rows = tuple(canon)
         self.pivots = tuple(piv)
-        self._annihilator = None
+        self._annihilator = self._hash = None
 
     @classmethod
     def _trusted(cls, ambient_dim: int, rows: list, leads: list) -> "Subspace":
         """Canonical rows as they are, zero rows (lead ``ambient_dim``) dropped."""
         self = cls.__new__(cls)
-        self.ambient_dim, self._annihilator = ambient_dim, None
+        self.ambient_dim, self._annihilator, self._hash = ambient_dim, None, None
         self.rows = tuple(tuple(row) for row, lead in zip(rows, leads) if lead < ambient_dim)
         self.pivots = tuple(lead for lead in leads if lead < ambient_dim)
         return self
@@ -442,7 +442,9 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.rows))
+        if self._hash is None:  # kept, as the annihilator is
+            self._hash = hash((self.ambient_dim, self.rows))
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, rows={self.rows})"
@@ -508,3 +510,12 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     rows = a.annihilator() + b.annihilator()
     return kernel(rows) if rows else Subspace.full(a.ambient_dim)
+
+
+def contained(inners: Sequence[Subspace], outers: Sequence[Subspace], dim: int) -> np.ndarray:
+    """Whether ``inners[t]`` lies in ``outers[t]``, for every t at once: X is
+    in Y exactly when ann(Y) rows(X)^T = 0, one ``int_matmul`` over the pairs
+    padded with zero rows."""
+    anns = int_blocks([outer.annihilator() for outer in outers], dim)
+    rows = int_blocks([inner.rows for inner in inners], dim)
+    return ~int_matmul(anns, rows.transpose(0, 2, 1)).any(axis=(1, 2))

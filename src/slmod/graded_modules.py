@@ -412,6 +412,22 @@ def per_fiber_tuple(families, degrees, verdict) -> list:
     return [(k, once(*(family.fiber(k) for family in families))) for k in degrees]
 
 
+def directions(kq: np.ndarray) -> tuple:
+    """(live, place, stack): the indices of the nonzero rows of ``kq``, the
+    number of each one's primitive direction up to sign (its row over its
+    gcd and the sign of its leading entry), and those directions as rows,
+    numbered in order of first sight.  Every map homogeneous in K = q(k + beta)
+    has one kernel and one image along a direction."""
+    gcds = np.gcd.reduce(kq, axis=1)  # 0 at K = 0
+    live = np.flatnonzero(gcds)
+    kq = kq[live]
+    dirs = kq // (gcds[live] * np.sign(kq[np.arange(len(live)), (kq != 0).argmax(axis=1)]))[:, None]
+    # numbered as first seen: a dict beats np.unique(axis=0), which takes no object rows
+    first: dict = {}
+    place = [first.setdefault(row, len(first)) for row in map(tuple, dirs.tolist())]
+    return live, place, dirs[np.unique(place, return_index=True)[1]]  # each direction's first row
+
+
 # ---------------------------------------------------------------------------
 # closure and invariance
 

@@ -67,6 +67,7 @@ from .graded_modules import (
     Lambda,
     Window,
     default_generators,
+    directions,
     edge_table,
     fiber_space,
     per_fiber_tuple,
@@ -357,24 +358,15 @@ def _build_family_cached(
     if spec.fiber not in (Lambda(p), Fund(p)):
         raise ValueError(f"a degree-{p} family lives on Lambda({p}) or Fund({p}), not {spec.fiber}")
     space = spec.space()
-    degs, kq = window.degrees(), spec.scaled_shifts(window)
-    # each shift K != 0 over its gcd and the sign of its leading entry: its
-    # primitive direction up to sign; K = 0 has gcd 0
-    gcds = np.gcd.reduce(kq, axis=1)
-    live = np.flatnonzero(gcds)
-    kq = kq[live]
-    dirs = kq // (gcds[live] * np.sign(kq[np.arange(len(live)), (kq != 0).argmax(axis=1)]))[:, None]
-    # numbered as first seen: a dict beats np.unique(axis=0), which takes no object rows
-    first: dict = {}
-    place = [first.setdefault(row, len(first)) for row in map(tuple, dirs.tolist())]
-    stack = dirs[np.unique(place, return_index=True)[1]]  # each direction's first row
+    degs = window.degrees()
+    live, place, stack = directions(spec.scaled_shifts(window))
     built = [fiber for start in range(0, len(stack), STACK_ITEMS)
              for fiber in _family_fibers(kind, p, space, stack[start : start + STACK_ITEMS])]
     family = GradedFamily(spec, window)
     family.fibers = {degs[i]: built[j] for i, j in zip(live.tolist(), place) if built[j].dim}
-    if policy is SpecialFiberPolicy.FULL:
+    if policy is SpecialFiberPolicy.FULL and len(live) < len(degs):
         # the hat variants carry the whole representation fiber where K = 0
-        family.fibers.update((degs[i], Subspace.full(space.dim)) for i in np.flatnonzero(gcds == 0))
+        family.fibers[spec.special_degree()] = Subspace.full(space.dim)
     return family
 
 

@@ -44,6 +44,7 @@ from .exact_linalg import (
     IntSpan,
     Subspace,
     _int_matrix,
+    contained,
     dot,
     format_vector,
     frac,
@@ -78,6 +79,7 @@ from .graded_modules import (
     Sym2,
     Window,
     default_generators,
+    directions,
     edge_table,
     fiber_escapes,
     fiber_space,
@@ -152,6 +154,7 @@ class ProbeEngine:
         self.special_interior = [i for i in self.special if window.is_interior(k0)]
         self.dominators = self._dominators(*self._invertible_edges())
         self.open_special = [s for s in self.special_interior if not self._filled_from_interior(s)]
+        self.into: dict = {}  # z -> {source of an edge into z: its generators}, filled by probes
 
     # -- static structure ---------------------------------------------------
 
@@ -290,9 +293,11 @@ class ProbeEngine:
         z = next((j for j in edges[1] if j in self.dominators), None)
         if z is None:
             return {seed_i: [seed_vec]}
-        into: dict = {}  # the source of each edge into z -> its generators
-        for gj, t in zip(*table.edges_into(z)):
-            into.setdefault(t, []).append(gj)
+        into = self.into.get(z)
+        if into is None:
+            into = self.into[z] = {}
+            for gj, t in zip(*table.edges_into(z)):
+                into[t] = into.get(t, ()) + (gj,)
         span = IntSpan(table.dim)
         spans = {z: span}
         seeds = {seed_i: [seed_vec], z: span.rows}
@@ -629,13 +634,21 @@ def _check_inclusion_chain(params) -> CheckResult:
             "max": comb(n, p) - comb(n - 2, p - 1),
         }
         degs = _generic_degrees(spec, window)
-
-        def failure(mn, fw, it, mx):
-            if not (fw.contains(mn) and mx.contains(fw) and it.contains(mn) and mx.contains(it)):
-                return "chain inclusions", "violated"
-            dims_here = dict(zip(fam, (mn.dim, fw.dim, it.dim, mx.dim)))
-            return (str(expected), str(dims_here)) if dims_here != expected else None
-        fails = [(k, fail) for k, fail in per_fiber_tuple(fam.values(), degs, failure) if fail]
+        # the distinct tuples of fibers, numbered as first seen, each inclusion
+        # tested over all of them in one product
+        tuples: dict = {}
+        at = [tuples.setdefault(tuple(family.fiber(k) for family in fam.values()), len(tuples))
+              for k in degs]
+        mn, fw, it, mx = zip(*tuples)
+        dim = spec.space().dim
+        held = contained(mn, fw, dim) & contained(fw, mx, dim) & contained(mn, it, dim) \
+            & contained(it, mx, dim)
+        verdicts = []
+        for fibers, ok in zip(tuples, held.tolist()):
+            dims_here = {name: fiber.dim for name, fiber in zip(fam, fibers)}
+            verdicts.append(("chain inclusions", "violated") if not ok else
+                            (str(expected), str(dims_here)) if dims_here != expected else None)
+        fails = [(k, verdicts[t]) for k, t in zip(degs, at) if verdicts[t]]
         for k, (want, got) in fails:
             rec.record(False, degree=k, expected=want, actual=got)
         rec.tally(len(fails), "all fibers", note=f"p={p} dims {tuple(expected.values())}")
@@ -673,18 +686,19 @@ def _check_fiber_equalities(params) -> CheckResult:
     # contraction kernel, entered through the integer embedding of its pivot-1
     # basis (Fund(p) coordinates to Lambda^p)
     degs = window.degrees()
-    kqs = spec0.scaled_shifts(window)
-    live = np.flatnonzero(kqs.any(axis=1))
+    live, place, stack = directions(spec0.scaled_shifts(window))
     for p in range(2, half + 1):
         it = fam(FamilyKind.INT, p)
         fund = fundamental_subspace(n, p)
         scale = fiber_space(n, Fund(p)).scale
         embed = np.array([[row[i] * (scale // row[pc]) for row, pc in zip(fund.rows, fund.pivots)]
                           for i in range(fund.ambient_dim)], dtype=object)
-        # theta_tilde(p + 1) pi(p) embed at every degree with k + beta != 0, one product
-        composite = int_matmul(map_stack(theta_tilde(p + 1), n, kqs[live]),
-                               int_matmul(map_stack(pi(p), n, kqs[live]), embed))
-        bad = sum(kernel(mat.tolist()) != it.fiber(degs[i]) for i, mat in zip(live.tolist(), composite))
+        # theta_tilde(p + 1) pi(p) embed along every direction of k + beta, one
+        # product: its kernel is taken once per direction, INT read at every degree
+        composite = int_matmul(map_stack(theta_tilde(p + 1), n, stack),
+                               int_matmul(map_stack(pi(p), n, stack), embed))
+        kernels = [kernel(mat) for mat in composite.tolist()]
+        bad = sum(kernels[j] != it.fiber(degs[i]) for i, j in zip(live.tolist(), place))
         rec.tally(bad, "intermediate = contraction-wedge kernel", note=f"p={p}")
     return rec.result()
 

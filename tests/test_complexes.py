@@ -1,19 +1,27 @@
+import random
 from fractions import Fraction as F
 from math import comb
 
+import numpy as np
 import pytest
 
+import slmod.complexes as complexes
+import slmod.theorem_registry as theorem_registry
 from slmod.complexes import (
     DERHAM,
     FSQ,
     FSQ_FUND,
     TCHAIN,
+    _in_out_maps,
     compare_with_prediction,
     complex_homology,
+    predicted_homology,
 )
-from slmod.exact_linalg import kernel
-from slmod.graded_modules import ActionSpec, Lambda, Window
+from slmod.exact_linalg import Subspace, image, intersect, kernel
+from slmod.exterior_algebra import fundamental_subspace
+from slmod.graded_modules import ActionSpec, Lambda, Window, directions
 from slmod.sl_maps import FamilyKind, T, build_family, f, map_stack, pi
+from slmod.theorem_registry import run_check
 from test_exact_linalg import mat_mul
 
 HALF = (F(1, 2), 0, 0, 0)
@@ -92,3 +100,74 @@ def test_position_validation():
         complex_homology(DERHAM, 4, HALF, WIN, p=5)
     with pytest.raises(ValueError):
         complex_homology(DERHAM, 4, HALF, WIN)
+
+
+def _per_degree_homology(cid, pos, beta, win) -> dict:
+    """The homology table from the scalar ``kernel`` and ``image`` of each
+    map at every degree's own K, with no grouping by direction."""
+    spec = ActionSpec.make("H", 4, Lambda(pos), beta)
+    inc, out = _in_out_maps(cid, pos, 4)
+    fund = fundamental_subspace(4, pos) if cid.kind == "fsq_fund" else None
+    kqs = spec.scaled_shifts(win)
+    outs = map_stack(out, 4, kqs).tolist() if out is not None else None
+    incs = map_stack(inc, 4, kqs).tolist() if inc is not None else None
+    table = {}
+    for i, k in enumerate(win.degrees()):
+        ker = kernel(outs[i]) if outs is not None else Subspace.full(comb(4, pos))
+        ker = intersect(ker, fund) if fund is not None else ker
+        im = image(incs[i], fund) if incs is not None else Subspace.zero(comb(4, pos))
+        assert ker.contains(im), (cid, pos, k)
+        table[k] = ker.dim - im.dim
+    return table
+
+
+@pytest.mark.parametrize("beta", [ZERO, HALF])
+def test_homology_by_direction_matches_the_per_degree_reference(beta):
+    win = Window(4, 2)
+    cases = [(cid, pos) for cid in (DERHAM, TCHAIN) for pos in range(5)]
+    cases += [(kind(p), p) for kind in (FSQ, FSQ_FUND) for p in (1, 2)]
+    for cid, pos in cases:
+        assert complex_homology(cid, 4, beta, win, p=pos) == _per_degree_homology(cid, pos, beta, win), \
+            (cid, pos)
+    # the restricted prediction below the middle: the wedge image of MAX's
+    # part in Fund(1), per degree
+    spec = ActionSpec.make("H", 4, Lambda(1), beta)
+    maxf = build_family(FamilyKind.MAX, 1, spec, win)
+    fund = fundamental_subspace(4, 1)
+    k0 = spec.special_degree()
+    expected = {k: fund.dim if k == k0 else image(wedge, intersect(maxf.fiber(k), fund)).dim
+                for k, wedge in zip(win.degrees(), map_stack(pi(1), 4, spec.scaled_shifts(win)).tolist())}
+    assert predicted_homology(FSQ_FUND(1), 4, beta, win) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_directions_number_each_primitive_direction_once(seed):
+    """Stack rows are pairwise distinct, and every nonzero row is a nonzero
+    integer multiple of its direction's row; zero rows are not live."""
+    rng = random.Random(seed)
+    big = 2**70 if seed == 3 else 1  # Python-int rows past int64
+    rows = [[rng.choice((0, 0, 1)) * rng.randint(-3, 3) * big for _ in range(4)] for _ in range(200)]
+    rows += [[0] * 4, [2 * x for x in rows[0]], [-x for x in rows[1]]]
+    kq = np.array(rows, dtype=object if big > 1 else np.int64)
+    live, place, stack = directions(kq)
+    assert live.tolist() == [i for i, row in enumerate(rows) if any(row)]
+    assert len(place) == len(live) and sorted(set(place)) == list(range(len(stack)))
+    assert len({tuple(row) for row in stack.tolist()}) == len(stack)
+    for i, j in zip(live.tolist(), place):
+        direction = stack[j].tolist()
+        lead = next(x for x in direction if x)
+        factor = next(x for x in rows[i] if x) // lead
+        assert factor != 0 and [factor * x for x in direction] == rows[i], (rows[i], direction)
+
+
+def _merged_directions(kq):
+    """A mutant of ``directions`` that files the second direction under the first."""
+    live, place, stack = directions(kq)
+    return live, [0 if j == 1 else j for j in place], stack
+
+
+def test_a_directions_mutant_that_merges_two_directions_is_caught(monkeypatch):
+    monkeypatch.setattr(theorem_registry, "directions", _merged_directions)
+    monkeypatch.setattr(complexes, "directions", _merged_directions)
+    assert run_check("fiber-equalities", N=4, beta=ZERO, d=2).status == "FAIL"
+    assert run_check("homology", N=4, beta=HALF, d=1).status in ("FAIL", "ERROR")

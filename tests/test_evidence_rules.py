@@ -5,9 +5,11 @@ edges into a degree through one gather.
 seeds and its summary; ``Recorder.verdict`` records a sub-report;
 ``Recorder.tally`` records a failure count; ``theorem_registry._recorder``
 echoes a check's report params.  ``EdgeTable.edges_into`` gathers the maps
-into a degree index, the only place that subtracts an ``offset``.  These
-lints keep the hand-written forms from coming back, and each is shown to flag
-a planted copy of one.
+into a degree index, the only place that subtracts an ``offset``.
+``graded_modules.directions`` numbers the primitive directions of the
+scaled shifts, the only place that divides them by their gcd.  These lints
+keep the hand-written forms from coming back, and each is shown to flag a
+planted copy of one.
 """
 
 import ast
@@ -125,3 +127,58 @@ def test_the_in_edge_lint_flags_a_hand_written_gather():
         '    into = [(gi, i) for gi, i in enumerate((i0 - table.offset).tolist())\n'
         '            if 0 <= i < len(table.degs) and table.inbox[i, gi]]\n')
     assert _callers(planted, _subtracts_an_offset, SUBTRACTIONS) == ["_glue_freedom"]
+
+
+# by the package's naming, a parameter that holds rows of scaled shifts
+SHIFT_PARAMS = {"kq", "kqs"}
+
+
+def _is_gcd_reduce(node) -> bool:
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "reduce"
+            and isinstance(func.value, ast.Attribute) and func.value.attr == "gcd")
+
+
+def _normalises_shifts(source: str) -> list:
+    """The top-level function or class around every ``np.gcd.reduce`` of
+    scaled shifts: of a ``scaled_shifts`` call, of a parameter named as
+    shifts, or of a local name assigned from either, directly or through
+    other such names."""
+    found = []
+    for top in ast.parse(source).body:
+        tainted = {arg.arg for node in ast.walk(top) if isinstance(node, ast.arguments)
+                   for arg in node.args + node.kwonlyargs} & SHIFT_PARAMS
+
+        def derived(node):
+            return any(isinstance(sub, ast.Name) and sub.id in tainted
+                       or isinstance(sub, ast.Attribute) and sub.attr == "scaled_shifts"
+                       for sub in ast.walk(node))
+
+        assigns = [node for node in ast.walk(top) if isinstance(node, ast.Assign)]
+        grew = True
+        while grew:  # until every name derived from a shift is found
+            names = {sub.id for node in assigns if derived(node.value)
+                     for target in node.targets for sub in ast.walk(target)
+                     if isinstance(sub, ast.Name)}
+            grew = not names <= tainted
+            tainted |= names
+        found += [getattr(top, "name", None) for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and _is_gcd_reduce(node) and node.args
+                  and derived(node.args[0])]
+    return found
+
+
+def test_only_directions_normalises_the_shifts():
+    for path in sorted(PACKAGE.glob("*.py")):
+        expected = ["directions"] if path.stem == "graded_modules" else []
+        assert _normalises_shifts(path.read_text()) == expected, path.name
+
+
+def test_the_shift_lint_flags_a_hand_written_normaliser():
+    planted = _plant(
+        '    live, place, stack = directions(spec0.scaled_shifts(window))\n',
+        '    kqs = spec0.scaled_shifts(window)\n'
+        '    gcds = np.gcd.reduce(kqs, axis=1)\n'
+        '    live = np.flatnonzero(gcds)\n'
+        '    stack, place = np.unique(kqs[live] // gcds[live, None], axis=0, return_inverse=True)\n')
+    assert _normalises_shifts(planted) == ["_check_fiber_equalities"]

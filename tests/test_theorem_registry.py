@@ -3,6 +3,7 @@ import inspect
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import slmod.sl_maps as sl_maps
@@ -576,10 +577,17 @@ def reference_per_degree(families, degrees, verdict):
         yield k, verdict(*(family.fiber(k) for family in families))
 
 
+def reference_contained(inners, outers, dim):
+    """The per-pair test that ``contained`` stacks: one ``Subspace.contains``
+    per pair."""
+    return np.array([outer.contains(inner) for inner, outer in zip(inners, outers)], dtype=bool)
+
+
 def test_per_pair_comparisons_keep_every_failing_record(monkeypatch):
     """INT's fiber along one direction of k + beta is replaced by MIN's: the
-    comparisons made once per tuple of fiber objects FAIL at every degree of
-    that direction, with the records and counts of the per-degree loop."""
+    comparisons made once per tuple of fiber objects, and the containments
+    tested over all tuples in one product, FAIL at every degree of that
+    direction, with the records and counts of the per-degree loop."""
     _build_family_cached.cache_clear()
     try:
         spec, win = ActionSpec.make("H", 4, Lambda(2), HALF), Window(4, 2)
@@ -595,6 +603,7 @@ def test_per_pair_comparisons_keep_every_failing_record(monkeypatch):
         got = {cid: run_check(cid, N=4, beta=HALF, d=2).to_dict() for cid in checks}
         monkeypatch.setattr(theorem_registry, "per_fiber_tuple", reference_per_degree)
         monkeypatch.setattr(sl_maps, "per_fiber_tuple", reference_per_degree)
+        monkeypatch.setattr(theorem_registry, "contained", reference_contained)
         assert got == {cid: run_check(cid, N=4, beta=HALF, d=2).to_dict() for cid in checks}
         assert {cid: got[cid]["status"] for cid in checks} == dict.fromkeys(checks, "FAIL")
         failed = [d["degree"] for d in got["inclusion-chain"]["details"] if d["status"] == "FAIL"
@@ -602,5 +611,31 @@ def test_per_pair_comparisons_keep_every_failing_record(monkeypatch):
         assert failed == [list(k) for k in moved]
         assert [d["actual"] for d in got["JH-quotient"]["details"] if d["status"] == "FAIL"] \
             == ["5 bad"] * 3
+    finally:
+        _build_family_cached.cache_clear()
+
+
+def test_inclusion_chain_fails_at_the_one_faulty_degree():
+    """INT's fiber at one degree, not a whole direction, is taken from another
+    direction: same dimension, but MIN no longer lies in it there.  The
+    fiber tuples are keyed by the fibers, so ``inclusion-chain`` FAILs at
+    exactly that degree, as the per-pair reference does."""
+    _build_family_cached.cache_clear()
+    try:
+        spec, win = ActionSpec.make("H", 4, Lambda(2), HALF), Window(4, 2)
+        it = build_family(FamilyKind.INT, 2, spec, win)
+        mn = build_family(FamilyKind.MIN, 2, spec, win)
+        k = (1, 0, 0, 0)  # one of five degrees along e_1
+        it.fibers[k] = it.fiber((0, 1, 0, 0))
+        assert it.fiber(k).dim == it.fiber((2, 0, 0, 0)).dim
+        assert not it.fiber(k).contains(mn.fiber(k))
+        got = run_check("inclusion-chain", N=4, beta=HALF, d=2).to_dict()
+        assert got["status"] == "FAIL"
+        failed = [(d["degree"], d["actual"]) for d in got["details"]
+                  if d["status"] == "FAIL" and d["degree"] is not None]
+        assert failed == [(list(k), "violated")]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(theorem_registry, "contained", reference_contained)
+            assert run_check("inclusion-chain", N=4, beta=HALF, d=2).to_dict() == got
     finally:
         _build_family_cached.cache_clear()
