@@ -55,6 +55,12 @@ from .torus_lie import AlgebraKind, bar, degree_box, rank_one, require_even
 
 Degree = tuple
 
+# items of one stacked call: directions eliminated at once by ``build_family``,
+# (degree, generator) pairs of one module-map product and items of one
+# ``fiber_escapes`` call of the invariance sweeps; bounds the transient
+# memory, about 13 kB per direction at N = 6, at no cost in speed
+STACK_ITEMS = 1024
+
 
 # ---------------------------------------------------------------------------
 # fiber types and their coordinate spaces
@@ -412,6 +418,19 @@ def per_fiber_tuple(families, degrees, verdict) -> list:
     return [(k, once(*(family.fiber(k) for family in families))) for k in degrees]
 
 
+def fiber_blocks(family: GradedFamily, degrees) -> tuple:
+    """(place, dims, rows, anns): per degree the number of its fiber among the
+    family's distinct fibers and that fiber's dimension, then the distinct
+    fibers' rows and annihilators as ``int_blocks``.  A built family shares
+    one fiber along each direction, so each block is built once per direction."""
+    first: dict = {}
+    place = np.array([first.setdefault(family.fiber(k), len(first)) for k in degrees], dtype=np.intp)
+    dim = family.spec.space().dim
+    return (place, np.array([sub.dim for sub in first], dtype=np.intp)[place],
+            int_blocks([sub.rows for sub in first], dim),
+            int_blocks([sub.annihilator() for sub in first], dim))
+
+
 def directions(kq: np.ndarray) -> tuple:
     """(live, place, stack): the indices of the nonzero rows of ``kq``, the
     number of each one's primitive direction up to sign (its row over its
@@ -646,9 +665,11 @@ def closure(
 def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
     """PASS when every in-window fiber map sends each fiber into its target.
 
-    Every in-window edge of one generator into a fiber that is not full is
+    Every in-window edge out of a nonzero fiber into one that is not full is
     one item of ``fiber_escapes``: the source fiber's rows, the target
-    fiber's annihilator, cq * scale and the generator's q * D.
+    fiber's annihilator, cq * scale and the generator's q * D.  The edges of
+    all generators go generator-major, ``STACK_ITEMS`` to a call, with the
+    blocks of ``fiber_blocks`` and every magnitude read once per sweep.
 
     Maps whose target degree leaves the window are reported as skipped, never
     as failures, at every degree whatever its verdict; a failing degree names
@@ -662,35 +683,27 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
          "beta": format_vector(spec.beta)},
     )
     degs = table.degs
-    src = np.array([i for i, k in enumerate(degs) if family.fiber(k).dim], dtype=np.intp)
-    # the nonzero fibers' rows and the annihilators of the fibers that are not
-    # full, each padded with zero rows to one block shape
-    # slot: degree index -> its annihilator block, or -1 at a full fiber
-    anns, slot = [], np.full(len(degs), -1, dtype=np.intp)
-    for j, k in enumerate(degs):
-        ann = family.fiber(k).annihilator()
-        if ann:
-            slot[j] = len(anns)
-            anns.append(ann)
-    r_blocks = int_blocks([family.fiber(degs[i]).rows for i in src], table.dim)
-    a_blocks = int_blocks(anns, table.dim)
-    first = {}  # source block -> its first escaping generator
-    for gi in range(len(gens)):
-        # the edges of one generator, read off its column of the table, into
-        # fibers that are not full: source block and annihilator block
-        r = np.flatnonzero(table.inbox[src, gi])
-        a = slot[src[r] + table.offset[gi]]
-        r, a = r[a >= 0], a[a >= 0]
-        if not len(r):
-            continue
-        cs = [c * table.scale for c in table.cq[src[r], gi].tolist()]
-        bad = fiber_escapes(r_blocks[r], a_blocks[a], cs, table.qd[gi]).any(-1)
-        for e in r[bad].tolist():
+    place, dims, r_blocks, a_blocks = fiber_blocks(family, degs)
+    src = np.flatnonzero(dims)
+    tops = (max_abs(r_blocks), max_abs(table.qd), max_abs(a_blocks))
+    # the in-window edges out of nonzero fibers, generator-major, each as
+    # gi * len(src) + the position of its source in src
+    flat = np.flatnonzero(table.inbox[src].T)
+    first = {}  # source degree index -> its first escaping generator
+    for start in range(0, len(flat), STACK_ITEMS):
+        gis, i = np.divmod(flat[start : start + STACK_ITEMS], len(src))
+        i = src[i]
+        j = i + table.offset[gis]
+        into = dims[j] < table.dim  # a full target holds every image
+        gis, i, j = gis[into], i[into], j[into]
+        cs = [c * table.scale for c in table.cq[i, gis].tolist()]
+        bad = fiber_escapes(r_blocks[place[i]], a_blocks[place[j]], cs, table.qd[gis], tops).any(-1)
+        for e, gi in zip(i[bad].tolist(), gis[bad].tolist()):
             first.setdefault(e, gi)
-    for s, i in enumerate(src.tolist()):
+    for i in src.tolist():
         k = degs[i]
         rec.counts["skipped"] += table.skipped[i]
-        gi = first.get(s)
+        gi = first.get(i)
         if gi is None:
             rec.record(True, degree=k, expected="invariant", actual="invariant")
             continue
@@ -700,7 +713,7 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
     return rec.result()
 
 
-def fiber_escapes(rows, anns, cs: list, maps) -> np.ndarray:
+def fiber_escapes(rows, anns, cs: list, maps, tops: tuple | None = None) -> np.ndarray:
     """Which rows of which items leave a fixed fiber: the one fiber
     membership test of every sweep, one flag per (item, row).
 
@@ -711,10 +724,13 @@ def fiber_escapes(rows, anns, cs: list, maps) -> np.ndarray:
     either one block that every item shares (h x D, a x D, D x D) or one
     block per item stacked along a first axis of length ``len(cs)``; zero
     rows pad a block freely.  The images are one ``int_affine`` and their
-    test one ``int_matmul``; each operand's magnitude is read once, and the
-    images are bounded a priori by max|c| max|R| + D max|R| max|M|.
+    test one ``int_matmul``, the images bounded a priori by
+    max|c| max|R| + D max|R| max|M|.  ``tops`` is (max|R|, max|M|, max|A|),
+    or bounds on them, as in ``int_matmul``: a sweep split over several
+    calls reads them once; without it each call reads them.
     """
-    top_c, top_r, top_m = max(map(abs, cs), default=0), max_abs(rows), max_abs(maps)
+    top_r, top_m, top_a = tops or (max_abs(rows), max_abs(maps), max_abs(anns))
+    top_c = max(map(abs, cs), default=0)
     images = int_affine(cs, rows, maps.swapaxes(-1, -2), (top_c, top_r, top_m))
     top_i = top_c * top_r + rows.shape[-1] * top_r * top_m
-    return int_matmul(anns, images.swapaxes(-1, -2), (max_abs(anns), top_i)).any(axis=-2)
+    return int_matmul(anns, images.swapaxes(-1, -2), (top_a, top_i)).any(axis=-2)

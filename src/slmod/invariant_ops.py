@@ -25,19 +25,20 @@ from .exact_linalg import (
     format_vector,
     int_blocks,
     int_matmul,
+    max_abs,
     rank,
     vec,
 )
-from .graded_modules import ActionSpec, GradedFamily, fiber_escapes
+from .graded_modules import (STACK_ITEMS, ActionSpec, GradedFamily, directions, fiber_blocks,
+                             fiber_escapes)
 from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
 from .sl_maps import SymplecticFrame
 
 
-def _pairing_row(spec: ActionSpec, k) -> tuple:
-    """bar(q(k + beta)) for the H action and q(k + beta) for the W action:
+def _pairing_row(spec: ActionSpec, kq) -> tuple:
+    """bar(kq) for the H action and kq for the W action, kq = q(k + beta):
     every T-vector at k pairs to zero against this row."""
-    kq = spec.scaled_shift(k)
     if spec.kind is AlgebraKind.H:
         return bar(kq)
     if spec.kind is AlgebraKind.W:
@@ -52,7 +53,7 @@ def t_vectors(spec: ActionSpec, k, params):
     H: T = (bar(k+beta)|r) s - (bar(k+beta)|s) r.
     W: T = (k+beta|r) s - (k+beta|s) r.
     """
-    pair = _pairing_row(spec, k)
+    pair = _pairing_row(spec, spec.scaled_shift(k))
     for r, s in params:
         cr = sum(map(mul, pair, r))
         cs = sum(map(mul, pair, s))
@@ -143,19 +144,19 @@ def lie_closure_holds(alg: SmallAlgebra) -> bool:
 # fiberwise invariance under the operators
 
 
-def _t_span_factors(spec: ActionSpec, k) -> list:
+def _t_span_factors(spec: ActionSpec, kq) -> list:
     """Factor pairs (x, y) of the rank-one operators that certify invariance
-    under all parameter choices.
+    under all parameter choices at the scaled shift kq = q(k + beta).
 
     The T-vectors over the degree box span the whole hyperplane that the
     pairing row annihilates, so x and y run over its integer basis,
-    ``annihilator()`` of that one row.  For the H action the pairs are
-    (x, None) and (x + y, None), giving the operators x bar(x)^T; for the W
-    action every (x, y), giving x y^T.  Every operator with integer
-    parameters is a rational combination of these; at k + beta = 0 there
-    is none.
+    ``annihilator()`` of that one row: canonical, so one list serves every
+    shift along a direction.  For the H action the pairs are (x, None) and
+    (x + y, None), giving the operators x bar(x)^T; for the W action every
+    (x, y), giving x y^T.  Every operator with integer parameters is a
+    rational combination of these; at k + beta = 0 there is none.
     """
-    pair = _pairing_row(spec, k)
+    pair = _pairing_row(spec, kq)
     if not any(pair):
         return []
     basis = Subspace(spec.n, [pair]).annihilator()
@@ -168,11 +169,15 @@ def _t_span_factors(spec: ActionSpec, k) -> list:
 def invariance_report(family: GradedFamily) -> CheckResult:
     """PASS when every fiber is preserved by all rank-one invariant operators.
 
-    At each degree one ``fiber_escapes`` call tests the fiber's rows under
-    the integer actions of all T-span factors, one ``rank_one_stack``,
-    against the fiber's annihilator.  For the H action, x bar(x)^T for every
-    vector x pairing to zero against k + beta (those of a symplectic frame,
-    say) lies in the span of the checked operators, so it is covered too.
+    The operators depend on k only through the direction of k + beta, so the
+    T-span factors and their integer actions, one ``rank_one_stack``, are
+    built once per direction (``directions``).  A ``fiber_escapes`` item is
+    a distinct (direction, fiber) pair with one of its direction's
+    operators: c = 0 and the fiber's rows and annihilator, ``STACK_ITEMS``
+    items to a call.  At k + beta = 0 there is no operator.  For the H
+    action, x bar(x)^T for every vector x pairing to zero against k + beta
+    (those of a symplectic frame, say) lies in the span of the checked
+    operators, so it is covered too.
     """
     spec = family.spec
     rec = Recorder(
@@ -180,16 +185,24 @@ def invariance_report(family: GradedFamily) -> CheckResult:
         {"kind": str(spec.kind), "N": spec.n, "fiber": str(spec.fiber),
          "beta": format_vector(spec.beta)},
     )
-    space = spec.space()
-    for k in family.window.degrees():
-        sub = family.fiber(k)
-        if not sub.dim:
-            continue
-        factors = _t_span_factors(spec, k)
-        xs = int_blocks([[x for x, _ in factors]], spec.n)[0]
-        ys = None if spec.kind is AlgebraKind.H else int_blocks([[y for _, y in factors]], spec.n)[0]
-        ok = not factors or not fiber_escapes(
-            int_blocks([sub.rows], space.dim)[0], int_blocks([sub.annihilator()], space.dim)[0],
-            [0] * len(factors), space.rank_one_stack(xs, ys)).any()
-        rec.record(ok, degree=k, expected="fiber preserved", actual="preserved" if ok else "escapes")
+    n, degs = spec.n, family.window.degrees()
+    live, dirs, stack = directions(spec.scaled_shifts(family.window))
+    factors = [_t_span_factors(spec, kq) for kq in stack.tolist()]
+    xs = int_blocks([[x for x, _ in f] for f in factors], n)
+    ys = None if spec.kind is AlgebraKind.H else int_blocks([[y for _, y in f] for f in factors], n)
+    ops = spec.space().rank_one_stack(xs.reshape(-1, n), None if ys is None else ys.reshape(-1, n))
+    place, dims, r_blocks, a_blocks = fiber_blocks(family, degs)
+    pairs: dict = {}  # (direction, fiber) -> its number
+    key = {i: pairs.setdefault((d, place[i]), len(pairs)) for i, d in zip(live.tolist(), dirs) if dims[i]}
+    pair_dir, pair_fiber = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    tops = (max_abs(r_blocks), max_abs(ops), max_abs(a_blocks))
+    count, bad = xs.shape[1], set()  # operators per direction; pairs with an escaping row
+    for start in range(0, len(pairs) * count, STACK_ITEMS):
+        u, o = np.divmod(np.arange(start, min(start + STACK_ITEMS, len(pairs) * count)), count)
+        flags = fiber_escapes(r_blocks[pair_fiber[u]], a_blocks[pair_fiber[u]], [0] * len(u),
+                              ops[pair_dir[u] * count + o], tops)
+        bad.update(u[flags.any(-1)].tolist())
+    for i in np.flatnonzero(dims).tolist():
+        ok = key.get(i) not in bad
+        rec.record(ok, degree=degs[i], expected="fiber preserved", actual="preserved" if ok else "escapes")
     return rec.result()

@@ -61,6 +61,7 @@ from .exterior_algebra import (
 )
 from .graded_modules import (
     ActionSpec,
+    STACK_ITEMS,
     FiberSpace,
     Fund,
     GradedFamily,
@@ -336,12 +337,6 @@ def _family_fibers(kind: FamilyKind, p: int, space: FiberSpace, directions: np.n
         return subspaces(kernel_stack(mats))
     images = echelon_stack(mats.transpose(0, 2, 1))
     return subspaces(images) if kind is FamilyKind.MIN else space.from_lambda(images)
-
-
-# directions eliminated in one stack, and (degree, generator) pairs of the
-# module-map sweep multiplied in one: bounds the stacks' transient memory,
-# about 13 kB per direction at N = 6, at no cost in speed
-STACK_ITEMS = 1024
 
 
 @lru_cache(maxsize=256)

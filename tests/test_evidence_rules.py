@@ -7,7 +7,10 @@ seeds and its summary; ``Recorder.verdict`` records a sub-report;
 echoes a check's report params.  ``EdgeTable.edges_into`` gathers the maps
 into a degree index, the only place that subtracts an ``offset``.
 ``graded_modules.directions`` numbers the primitive directions of the
-scaled shifts, the only place that divides them by their gcd.  These lints
+scaled shifts, the only place that divides them by their gcd.  A sweep
+calls ``fiber_escapes`` once per slice of ``STACK_ITEMS`` items, never once
+per generator, degree or direction; ``saturate``, which tests the edges of
+one visit, is the one exception.  These lints
 keep the hand-written forms from coming back, and each is shown to flag a
 planted copy of one.
 """
@@ -72,9 +75,9 @@ def _subtracts_an_offset(node) -> bool:
         node.right if isinstance(node, ast.BinOp) else node.value)
 
 
-def _plant(original: str, replacement: str) -> str:
-    assert REGISTRY.count(original) == 1, original
-    return REGISTRY.replace(original, replacement)
+def _plant(original: str, replacement: str, source: str = REGISTRY) -> str:
+    assert source.count(original) == 1, original
+    return source.replace(original, replacement)
 
 
 def test_only_probe_runs_the_probe_engine():
@@ -182,3 +185,50 @@ def test_the_shift_lint_flags_a_hand_written_normaliser():
         '    live = np.flatnonzero(gcds)\n'
         '    stack, place = np.unique(kqs[live] // gcds[live, None], axis=0, return_inverse=True)\n')
     assert _normalises_shifts(planted) == ["_check_fiber_equalities"]
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _over_stack_slices(loop) -> bool:
+    """``for start in range(..., ..., STACK_ITEMS)``."""
+    it = getattr(loop, "iter", None)
+    return (isinstance(loop, ast.For) and isinstance(it, ast.Call)
+            and isinstance(it.func, ast.Name) and it.func.id == "range" and len(it.args) == 3
+            and isinstance(it.args[2], ast.Name) and it.args[2].id == "STACK_ITEMS")
+
+
+def _loops_over_fiber_escapes(loop) -> bool:
+    """A loop around a ``fiber_escapes`` call that is not a loop over stack
+    slices: one call per generator, degree or direction."""
+    return not _over_stack_slices(loop) and any(
+        isinstance(node, ast.Call) and "fiber_escapes" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None))
+        for node in ast.walk(loop))
+
+
+def test_fiber_escapes_runs_once_per_stack_slice():
+    for path in sorted(PACKAGE.glob("*.py")):
+        expected = ["saturate"] if path.stem == "graded_modules" else []
+        assert _callers(path.read_text(), _loops_over_fiber_escapes, LOOPS) == expected, path.name
+
+
+def test_the_batch_lint_flags_per_generator_and_per_degree_calls():
+    graded = (PACKAGE / "graded_modules.py").read_text()
+    planted = _plant(
+        '    for start in range(0, len(flat), STACK_ITEMS):\n'
+        '        gis, i = np.divmod(flat[start : start + STACK_ITEMS], len(src))\n',
+        '    for gi in range(len(gens)):\n'
+        '        i = np.flatnonzero(table.inbox[src, gi])\n'
+        '        gis = np.full(len(i), gi, dtype=np.intp)\n', graded)
+    assert _callers(planted, _loops_over_fiber_escapes, LOOPS) == ["saturate", "is_invariant"]
+    invariant = (PACKAGE / "invariant_ops.py").read_text()
+    planted = _plant(
+        '    for start in range(0, len(pairs) * count, STACK_ITEMS):\n'
+        '        u, o = np.divmod(np.arange(start, min(start + STACK_ITEMS, len(pairs) * count)), count)\n',
+        '    for i, pair in key.items():  # one call per degree\n'
+        '        u, o = np.full(count, pair, dtype=np.intp), np.arange(count, dtype=np.intp)\n',
+        invariant)
+    assert _callers(planted, _loops_over_fiber_escapes, LOOPS) == ["invariance_report"]
+    planted = _plant('len(pairs) * count, STACK_ITEMS)', 'len(pairs) * count, 1)', invariant)
+    assert _callers(planted, _loops_over_fiber_escapes, LOOPS) == ["invariance_report"]

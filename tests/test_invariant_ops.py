@@ -4,6 +4,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+from slmod import invariant_ops
 from slmod.exact_linalg import (
     IntSpan,
     Subspace,
@@ -25,6 +26,7 @@ from slmod.invariant_ops import (
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family, symplectic_extend
 from slmod.torus_lie import degree_box, rank_one, rank_one_sym, sympl_form
+from test_complexes import _merged_directions
 
 K1 = (1, 0, 0, 0)
 ZERO = (0, 0, 0, 0)
@@ -87,8 +89,8 @@ HALF = (F(1, 2), 0, 0, 0)
 def _t_span_ops(spec, k):
     """The certifying operators as matrices: x bar(x)^T (H) resp. x y^T (W)."""
     if spec.kind.value == "H":
-        return [rank_one_sym(x) for x, _ in _t_span_factors(spec, k)]
-    return [rank_one(x, y) for x, y in _t_span_factors(spec, k)]
+        return [rank_one_sym(x) for x, _ in _t_span_factors(spec, spec.scaled_shift(k))]
+    return [rank_one(x, y) for x, y in _t_span_factors(spec, spec.scaled_shift(k))]
 
 
 def test_invariance_report_families():
@@ -159,7 +161,7 @@ def test_t_span_ops_span_the_fraction_t_vector_operators(kind, beta, degrees):
         else:
             ops = np.einsum("ai,bj->abij", t, t).reshape(-1, n * n)
         if k == spec.special_degree():
-            assert _t_span_factors(spec, k) == [] and len(ops) == 0
+            assert _t_span_factors(spec, spec.scaled_shift(k)) == [] and len(ops) == 0
             continue
         ann = checked.to_subspace().annihilator()
         assert max(map(abs, (x for row in ann for x in row))) * int(np.abs(ops).max()) * n * n < 2**62
@@ -253,6 +255,37 @@ def test_invariance_report_matches_the_per_operator_reference(alg, fiber, p, kin
     report = invariance_report(bad)
     assert report.status == "FAIL"
     assert report.to_dict() == _reference_invariance_report(bad).to_dict()
+
+
+@pytest.mark.parametrize("alg,fiber,p,kind,b", REFERENCE_CASES,
+                         ids=[f"{c[0]}-{c[1]}-{c[3]}-b{c[4]}" for c in REFERENCE_CASES])
+def test_invariance_report_in_batches_of_seven_matches_the_reference(alg, fiber, p, kind, b,
+                                                                     monkeypatch):
+    """The same reports when the (pair, operator) items go seven to a call."""
+    monkeypatch.setattr(invariant_ops, "STACK_ITEMS", 7)
+    sizes = []
+
+    def counted(rows, anns, cs, maps, tops=None):
+        sizes.append(len(cs))
+        return fiber_escapes(rows, anns, cs, maps, tops)
+
+    fiber_escapes = invariant_ops.fiber_escapes
+    monkeypatch.setattr(invariant_ops, "fiber_escapes", counted)
+    test_invariance_report_matches_the_per_operator_reference(alg, fiber, p, kind, b)
+    assert len(sizes) > 2 and max(sizes) <= 7
+
+
+@pytest.mark.parametrize("p,kind", [(1, FamilyKind.MIN), (2, FamilyKind.MIN), (2, FamilyKind.INT)])
+@pytest.mark.parametrize("beta", [ZERO, HALF])
+def test_a_directions_mutant_in_invariance_report_is_caught(p, kind, beta, monkeypatch):
+    """``invariance_report`` with the second direction filed under the first
+    tests those degrees' fibers under the first direction's operators: on
+    the ``invariant-ops`` families at N=4 the report fails where the
+    per-operator reference passes."""
+    family = build_family(kind, p, ActionSpec.make("H", 4, Fund(p), beta), Window(4, 1))
+    assert _reference_invariance_report(family).status == "PASS"
+    monkeypatch.setattr(invariant_ops, "directions", _merged_directions)
+    assert invariance_report(family).status == "FAIL"
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ reference below walks the per-degree reference edge lists, sends every fiber
 row through ``EdgeTable.apply`` and reduces each image against the target's
 echelon rows, one edge at a time.
 Both must produce the same report, byte for byte, on invariant families and
-on families with one fiber swapped so that they fail.
+on families with one fiber swapped so that they fail, also when the program
+splits its edges into batches of a few items.
 """
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from slmod import graded_modules
 from slmod.exact_linalg import Subspace, _reduce_row, format_vector
 from slmod.graded_modules import (
     ActionSpec,
@@ -128,3 +131,63 @@ def test_is_invariant_past_the_int64_bound(alg, n, fiber):
         assert is_invariant(spec, family).to_dict() == reference_is_invariant(spec, family).to_dict()
         bad = _swapped(family)
         assert is_invariant(spec, bad).to_dict() == reference_is_invariant(spec, bad).to_dict()
+
+
+@pytest.fixture
+def batches_of_seven(monkeypatch):
+    """``STACK_ITEMS`` = 7, and the item count of every ``fiber_escapes``
+    call ``is_invariant`` makes (closures building a family call it too)."""
+    monkeypatch.setattr(graded_modules, "STACK_ITEMS", 7)
+    sizes = []
+
+    def counted(rows, anns, cs, maps, tops=None):
+        if sys._getframe(1).f_code.co_name == "is_invariant":
+            sizes.append(len(cs))
+        return graded_modules_fiber_escapes(rows, anns, cs, maps, tops)
+
+    graded_modules_fiber_escapes = graded_modules.fiber_escapes
+    monkeypatch.setattr(graded_modules, "fiber_escapes", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("b", [0, F(1, 2)])
+@pytest.mark.parametrize("alg,n,d,fiber", CASES, ids=[f"{a}-N{n}-d{d}-{f}" for a, n, d, f in CASES])
+def test_is_invariant_in_batches_of_seven_matches_the_reference(alg, n, d, fiber, b,
+                                                                 batches_of_seven):
+    test_is_invariant_matches_the_reference(alg, n, d, fiber, b)
+    assert len(batches_of_seven) > 1 and max(batches_of_seven) <= 7
+
+
+def _escaping_generators(spec, family, k):
+    """The generators whose in-window map at k sends a row of the fiber at k
+    out of its target fiber, in the reference's arithmetic."""
+    gens = default_generators(spec.kind, spec.n)
+    table = edge_table(spec, family.window, gens)
+    _, out_edges = reference_edges(spec, family.window, gens)
+    rows = family.fiber(k).rows
+    escaping = []
+    for gi, j, cq in out_edges[table.index[k]]:
+        tgt = family.fiber(table.degs[j])
+        if any(any(_reduce_row(img, tgt.rows, tgt.pivots)) for img in table.apply(gi, cq, rows)):
+            escaping.append(gi)
+    return escaping
+
+
+def test_a_failing_degree_split_over_batches_names_its_smallest_generator(batches_of_seven):
+    """The swapped degree's escaping edges fall into several batches of seven
+    (edges go generator-major, one per source degree and generator); the
+    report names the smallest escaping generator, as the reference does."""
+    spec = ActionSpec.make("H", 4, Lambda(1), (F(1, 2), 0, 0, 0))
+    window = Window(4, 1)
+    bad = _swapped(build_family(FamilyKind.MIN, 1, spec, window))
+    k = (1, 0, 0, 0)
+    escaping = _escaping_generators(spec, bad, k)
+    src = [key for key in window.degrees() if bad.fiber(key).dim]
+    batches = {(gi * len(src) + src.index(k)) // 7 for gi in escaping}
+    assert len(batches) > 1
+    report = is_invariant(spec, bad)
+    assert report.to_dict() == reference_is_invariant(spec, bad).to_dict()
+    gens = default_generators(spec.kind, spec.n)
+    [record] = [r for r in report.to_dict()["details"]
+                if r["degree"] == list(k) and r["status"] == "FAIL"]
+    assert record["note"].startswith(f"generator {gens[min(escaping)].label()} ->")

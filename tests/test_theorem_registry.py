@@ -1,11 +1,15 @@
 import ast
+import importlib
 import inspect
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slmod.graded_modules as graded_modules
+import slmod.invariant_ops as invariant_ops
 import slmod.sl_maps as sl_maps
 import slmod.theorem_registry as theorem_registry
 from slmod.cli import main
@@ -639,3 +643,27 @@ def test_inclusion_chain_fails_at_the_one_faulty_degree():
             assert run_check("inclusion-chain", N=4, beta=HALF, d=2).to_dict() == got
     finally:
         _build_family_cached.cache_clear()
+
+
+def test_a_warm_catalogue_pass_makes_few_fiber_escapes_calls(monkeypatch):
+    """The invariance sweeps stack their items ``STACK_ITEMS`` to a call: a
+    warm pass over the checks of the benchmark's ``catalogue`` workload
+    makes at most 60 ``fiber_escapes`` calls, where one call per generator
+    (``is_invariant``) and per degree (``invariance_report``) made 490."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    ops = [op for op in workloads.build("catalogue", 7) if op.kind == "check"]
+    for op in ops:  # the cold pass fills the family and engine caches
+        theorem_registry.run_check(op.check_id, **op.params)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fiber_escapes(*args, **kwargs)
+
+    fiber_escapes = graded_modules.fiber_escapes
+    for module in (graded_modules, invariant_ops, theorem_registry):
+        monkeypatch.setattr(module, "fiber_escapes", counted)
+    for op in ops:
+        theorem_registry.run_check(op.check_id, **op.params)
+    assert 0 < len(calls) <= 60
