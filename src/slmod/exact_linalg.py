@@ -353,9 +353,6 @@ class IntSpan:
         self.pivots.insert(pos, lead)
         return res
 
-    def to_subspace(self) -> "Subspace":
-        return Subspace(self.ambient, self.rows)
-
 
 class Subspace:
     """A subspace of Q^n in canonical reduced-row-echelon form, spanned by

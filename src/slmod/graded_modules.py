@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import compress, product, repeat
+from itertools import product
 from math import lcm
 from operator import mul
 from typing import Iterable
@@ -56,9 +56,10 @@ from .torus_lie import AlgebraKind, bar, degree_box, rank_one, require_even
 Degree = tuple
 
 # items of one stacked call: directions eliminated at once by ``build_family``,
-# (degree, generator) pairs of one module-map product and items of one
-# ``fiber_escapes`` call of the invariance sweeps; bounds the transient
-# memory, about 13 kB per direction at N = 6, at no cost in speed
+# (degree, generator) pairs of one module-map product, items of one
+# ``fiber_escapes`` call of the invariance sweeps and edges of one ``saturate``
+# chunk; bounds the transient memory, about 13 kB per direction at N = 6, at
+# no cost in speed
 STACK_ITEMS = 1024
 
 
@@ -510,7 +511,7 @@ class EdgeTable:
     def edges(self, i: int) -> tuple:
         """``(gis, js, cqs)``: the generator, target index and cq of every
         map leaving degree index i for the window, in generator order."""
-        gis = self.inbox[i].nonzero()[0]  # a few numpy calls: this runs on every closure visit
+        gis = self.inbox[i].nonzero()[0]  # a few numpy calls: probes call this per step
         return gis.tolist(), (self.offset[gis] + i).tolist(), self.cq[i][gis].tolist()
 
     def edges_into(self, j: int) -> tuple:
@@ -536,38 +537,48 @@ def edge_table(spec: ActionSpec, window: Window, gens: tuple) -> EdgeTable:
     return EdgeTable(spec, window, gens)
 
 
+# turns a fixpoint run takes before it tests its chunks: every probe that
+# reaches ``saturate`` in the benchmark's edges workload and in
+# main-classification N=6 d=2 stops within three, where tests only cost
+UNTESTED_TURNS = 3
+
+
 def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
     """Grow spans from integer seed rows to the fixpoint of the table's maps.
 
     ``seeds`` maps degree indices to integer rows.  The worklist is FIFO and
-    semi-naive: a visit gathers its degree's edges from the box mask, offsets
-    and cq (``EdgeTable.edges``) and sends along each only the rows its span
-    stored since the last visit.  ``stop(i, spans)`` is asked once for each
-    seed degree and again whenever the span at i grows; a true answer ends
-    the run with None.  Otherwise returns degree index -> ``IntSpan``.
+    semi-naive: at its turn a degree sends along its out-edges only the rows
+    its span stored since its last turn.  ``stop(i, spans)`` is asked once
+    for each seed degree and again whenever the span at i grows; a true
+    answer ends the run with None.  Otherwise returns degree index ->
+    ``IntSpan``.
 
-    A target is settled once images from a later visit than the one that
-    last grew it stored nothing there.  A visit tests its rows on every edge
-    into a settled target in one ``fiber_escapes`` call against the target's
-    annihilator, and only the rows that escape go on to ``apply`` and
-    ``IntSpan.add``: the loop receives, in generator order, the edges that
-    were not tested and the tested edges with an escaping row, picked by one
-    mask.  Spans only grow, so a row the annihilator of an older span kills
-    is one ``add`` would refuse: the stored rows, ``grow`` results and
-    ``stop`` calls are those of the run that applies every edge.  A target
-    that grows drops its annihilator and is unsettled.  The annihilators are
-    kept zero-padded in one (degrees, dim, dim) array, allocated when the
-    first target settles and dropped with the call.
+    Queued degrees are taken a chunk at a time: the first chunk takes one
+    degree and each later one up to twice as many as the one before, while
+    their out-edges stay within ``STACK_ITEMS`` (a chunk always takes one).
+    A chunk gathers its edges into targets whose spans are not full from
+    the box mask at once.  Once the run has taken ``UNTESTED_TURNS``
+    turns, these edges are tested with the rows each source holds at chunk
+    start, in ``fiber_escapes`` calls of at most ``STACK_ITEMS`` items,
+    against the targets' annihilators: one ``kernel_stack`` refreshes
+    those of the targets that grew since their last refresh, and a target
+    with no span gets the identity.  The chunk is then replayed in FIFO
+    order.  Along each edge go, to ``apply`` and ``IntSpan.add``, the
+    tested rows that escaped and every row the source stored after chunk
+    start; an edge is skipped once its target is full.  Spans only grow,
+    so a row the annihilator of an older span kills is one ``add`` would
+    refuse: the stored rows, ``grow`` results and ``stop`` calls are those
+    of the run that applies every edge.  The annihilators live in one
+    (degrees, dim, dim) array, paged in only where a target is tested and
+    dropped with the call.
     """
     dim = table.dim
     spans: dict = {}
     fresh: dict = {}  # degree index -> stored rows not yet sent along its edges
     queue: deque = deque()
-    grown: dict = {}  # degree index -> the visit that last stored a row there
-    settled: set = set()
-    current: set = set()  # settled degree indices whose block of ``anns`` is their span's
-    anns = None  # degree index -> annihilator block, padded with zero rows to dim
-    visit = 0
+    dims = np.zeros(len(table.degs), dtype=np.intp)  # span dimension per degree index
+    known = np.full(len(table.degs), -1, dtype=np.intp)  # dims[j] when anns[j] was refreshed
+    anns = np.zeros((len(table.degs), dim, dim), dtype=np.int64)
 
     def grow(i: int, rows) -> bool:
         span = spans.get(i)
@@ -576,9 +587,7 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
         new = [row for row in map(span.add, rows) if row is not None]
         if not new:
             return False
-        grown[i] = visit
-        settled.discard(i)
-        current.discard(i)
+        dims[i] = span.dim
         if i in fresh:
             fresh[i] += new
         else:
@@ -590,48 +599,65 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
         grow(i, rows)
         if stop is not None and stop(i, spans):
             return None
+    width, turns = 1, 0
     while queue:
-        visit += 1
-        i = queue.popleft()
-        rows = fresh.pop(i)
-        gis, js, cqs = table.edges(i)
-        sends = zip(gis, js, cqs, repeat(rows))
-        tested = [e for e, j in enumerate(js) if j in settled] if settled else ()
-        if tested:
-            at = np.array(tested, dtype=np.intp)
-            targets = np.array(js, dtype=np.intp)[at]
-            for j in set(targets.tolist()) - current:
-                block = int_blocks([spans[j].to_subspace().annihilator()], dim)[0]
-                if anns is None:
-                    anns = np.zeros((len(table.degs), dim, dim), dtype=np.int64)
-                if block.dtype == object:
-                    anns = anns.astype(object, copy=False)
-                anns[j] = 0
-                anns[j, : len(block)] = block
-                current.add(j)
-            flags = fiber_escapes(int_blocks([rows], dim)[0], anns[targets],
-                                  [cqs[e] * table.scale for e in tested],
-                                  table.qd[np.array(gis, dtype=np.intp)[at]])
-            # slot[e]: -1 untested, -2 tested with every row held, else the
-            # row of e's flags
-            slot = np.full(len(js), -1, dtype=np.intp)
-            slot[at] = np.where(flags.any(axis=1), np.arange(len(at)), -2)
-            keep = np.flatnonzero(slot != -2)
-            flags = flags.tolist()
-            sends = [(gis[e], js[e], cqs[e], rows if s < 0 else list(compress(rows, flags[s])))
-                     for e, s in zip(keep.tolist(), slot[keep].tolist())]
-        for gi, j, cq, sent in sends:
-            span = spans.get(j)
-            if span is not None and span.dim == dim:
-                continue
-            images = table.apply(gi, cq, sent)
-            if not images:
-                continue
-            if grow(j, images):
-                if stop is not None and stop(j, spans):
+        chunk, fanout = [], 0
+        while queue and len(chunk) < width:
+            out = len(table.gens) - table.skipped[queue[0]]
+            if chunk and fanout + out > STACK_ITEMS:
+                break
+            chunk.append(queue.popleft())
+            fanout += out
+        width = 2 * len(chunk)
+        at = np.array(chunk, dtype=np.intp)
+        pos, gis = np.nonzero(table.inbox[at])  # each chunk degree's edges in generator order
+        js = at[pos] + table.offset[gis]
+        live = np.flatnonzero(dims[js] < dim)  # a full target holds every image
+        pos, gis, js = pos[live], gis[live], js[live]
+        cqs = table.cq[at[pos], gis].tolist()
+        # chunk position b owns the edges ends[b]:ends[b + 1] and the hits marks[b]:marks[b + 1]
+        ends = np.searchsorted(pos, np.arange(len(chunk) + 1)).tolist()
+        tested = [0] * len(chunk)  # rows tested per degree: none, so all go as later rows
+        hits, flags = [], []  # the edges with an escaping held row, and those rows' flags
+        if turns >= UNTESTED_TURNS:
+            stale = np.unique(js[known[js] != dims[js]])
+            anns[stale[dims[stale] == 0]] = np.eye(dim, dtype=np.int64)
+            grew = stale[dims[stale] > 0]
+            if grew.size:
+                block = kernel_stack(int_blocks([spans[j].rows for j in grew.tolist()], dim))
+                if block.dtype == object:  # the read-off's bound is loose: int_blocks picks again
+                    block = int_blocks(block.tolist(), dim)
+                    if block.dtype == object:
+                        anns = anns.astype(object, copy=False)
+                anns[grew] = block
+            known[stale] = dims[stale]
+            tested = [len(fresh[i]) for i in chunk]
+            blocks = int_blocks([fresh[i] for i in chunk], dim)
+            for start in range(0, len(js), STACK_ITEMS):
+                e = slice(start, start + STACK_ITEMS)
+                escapes = fiber_escapes(blocks[pos[e]], anns[js[e]],
+                                        [c * table.scale for c in cqs[e]], table.qd[gis[e]])
+                hit = np.flatnonzero(escapes.any(axis=1))
+                hits += (hit + start).tolist()
+                flags += escapes[hit].tolist()
+        turns += len(chunk)
+        marks = np.searchsorted(np.array(hits, dtype=np.intp), ends).tolist()
+        gis, js = gis.tolist(), js.tolist()
+        for b, i in enumerate(chunk):
+            rows = fresh.pop(i)
+            held, later = rows[: tested[b]], rows[tested[b] :]
+            hit = dict(zip(hits[marks[b] : marks[b + 1]], flags[marks[b] : marks[b + 1]]))
+            for e in range(ends[b], ends[b + 1]) if later else hit:
+                j = js[e]
+                span = spans.get(j)
+                if span is not None and span.dim == dim:
+                    continue
+                sent = later
+                if e in hit:
+                    sent = [row for row, escaped in zip(held, hit[e]) if escaped] + later
+                images = table.apply(gis[e], cqs[e], sent)
+                if images and grow(j, images) and stop is not None and stop(j, spans):
                     return None
-            elif grown[j] < visit:
-                settled.add(j)
     return spans
 
 

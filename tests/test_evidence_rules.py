@@ -9,8 +9,8 @@ into a degree index, the only place that subtracts an ``offset``.
 ``graded_modules.directions`` numbers the primitive directions of the
 scaled shifts, the only place that divides them by their gcd.  A sweep
 calls ``fiber_escapes`` once per slice of ``STACK_ITEMS`` items, never once
-per generator, degree or direction; ``saturate``, which tests the edges of
-one visit, is the one exception.  These lints
+per generator, degree or direction; ``saturate``, whose fixpoint loop tests
+one chunk of queued degrees at a time, is the one exception.  These lints
 keep the hand-written forms from coming back, and each is shown to flag a
 planted copy of one.
 """

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import deque
 from fractions import Fraction as F
 from math import lcm
@@ -397,12 +398,15 @@ def test_saturate_matches_the_reference_on_the_int_closure(monkeypatch):
     assert sum(s.dim for s in filled.values()) == 4 * len(table.degs)
 
 
-@pytest.mark.parametrize("kind,fiber,beta,mode,fixpoints", [
-    # from (1, 2, 1) the N generators of one degree step fill a shared,
-    # settled target partway through a visit, its later edges then skipped
+PROBE_CASES = [
+    # from (1, 2, 1) the N generators of one degree step fill a shared
+    # target partway through a turn, its later edges then skipped
     ("W", Lambda(1), (F(1, 2), 0, 0), "exact", [((1, 2, 1), [3, 3, 1])]),
     ("H", Fund(2), HALF, "contains", []),
-])
+]
+
+
+@pytest.mark.parametrize("kind,fiber,beta,mode,fixpoints", PROBE_CASES)
 def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mode, fixpoints):
     """Probes with the certificate's stop hook: W N=3 d=2 probes against the
     full target, and H Fund(2) N=4 d=2 probes that must contain MIN.  The
@@ -439,6 +443,146 @@ def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mo
     _same_run(engine.table, {engine.table.index[k]: [vector]})
     for k, vector in fixpoints:
         _same_run(engine.table, {engine.table.index[k]: [vector]})
+
+
+def _int_closure():
+    """The table and centre seed of the INT closure above."""
+    spec = ActionSpec.make("H", 4, Fund(1), HALF)
+    table = edge_table(spec, Window(4, 2), default_generators(spec.kind, 4))
+    return table, {table.index[(0, 0, 0, 0)]: [[2, -1, 0, 3]]}
+
+
+def _counted_chunks(monkeypatch) -> list:
+    """Per ``fiber_escapes`` call from ``saturate``: (its items, the list of
+    degree indices of the chunk it tests, its annihilator blocks).  Every
+    chunk is a new list, so ``_chunks`` tells the chunks apart by identity."""
+    calls = []
+    escapes = graded_modules.fiber_escapes
+
+    def counted(rows, anns, cs, maps, tops=None):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "saturate":
+            calls.append((len(cs), frame.f_locals["chunk"], anns))
+        return escapes(rows, anns, cs, maps, tops)
+
+    monkeypatch.setattr(graded_modules, "fiber_escapes", counted)
+    return calls
+
+
+def _chunks(calls) -> list:
+    """The tested chunks, in order."""
+    chunks = []
+    for _, chunk, _ in calls:
+        if not chunks or chunk is not chunks[-1]:
+            chunks.append(chunk)
+    return chunks
+
+
+def _events(table, seeds) -> list:
+    """The reference run's ("visit", i) and ("grow", i) events in order."""
+    events = []
+    edges = table.edges
+
+    def visit(i):
+        events.append(("visit", i))
+        return edges(i)
+
+    table.edges = visit  # on this table alone, until the run returns
+    try:
+        reference_saturate(table, seeds, lambda i, spans: events.append(("grow", i)))
+    finally:
+        del table.edges
+    return events
+
+
+def test_saturate_chunks_double_in_width(monkeypatch):
+    """The turns of the INT closure follow the reference's visits, taken in
+    chunks of 1, 2, 4, 8, ... degrees, each at most twice as wide as the one
+    before.  The first three turns, the first two chunks, go untested, so
+    the tested chunks start at the fourth visit, and they cover every visit
+    after it: every fiber of the INT closure stays partial, so every chunk
+    has an edge to test."""
+    table, seeds = _int_closure()
+    visits = [i for kind, i in _events(table, seeds) if kind == "visit"]
+    calls = _counted_chunks(monkeypatch)
+    spans = saturate(table, seeds)
+    assert all(span.dim < table.dim for span in spans.values())
+    chunks = _chunks(calls)
+    assert [i for chunk in chunks for i in chunk] == visits[1 + 2 :]
+    widths = [len(chunk) for chunk in chunks]
+    assert widths[:2] == [4, 8]
+    assert all(w <= 2 * v for v, w in zip(widths, widths[1:])), widths
+
+
+def _chunk_rows_case():
+    """W Lambda(1), N=3, d=2, beta = e1/2: the third chunk, the first one
+    tested, takes the centre, the centre's first out-neighbour and two
+    corners; three other corners fill the first two chunks."""
+    spec = ActionSpec.make("W", 3, Lambda(1), (F(1, 2), 0, 0))
+    table = edge_table(spec, Window(3, 2), default_generators(spec.kind, 3))
+    centre = table.index[(0, 0, 0)]
+    step = table.edges(centre)[1][0]
+    corners = [table.index[k] for k in ((2, 2, 2), (-2, 2, 2), (2, -2, 2), (-2, -2, 2), (2, 2, -2))]
+    rows = ([1, 2, 0], [0, 1, 1], [2, 0, 1], [1, -1, 1], [0, 1, 3], [1, 1, 0], [3, 0, 1])
+    order = corners[:3] + [centre, step] + corners[3:]
+    return table, {i: [row] for i, row in zip(order, rows)}
+
+
+def test_saturate_replays_rows_a_chunk_degree_stores_before_its_turn(monkeypatch):
+    """In the tested chunk that holds the centre and its neighbour, the
+    centre's images grow the neighbour before its turn: the rows stored
+    there go untested along every edge of the neighbour.  The reference's
+    events show the growth between the two visits."""
+    table, seeds = _chunk_rows_case()
+    centre, step = list(seeds)[3:5]
+    events = _events(table, seeds)
+    assert ("grow", step) in events[events.index(("visit", centre)) : events.index(("visit", step))]
+    calls = _counted_chunks(monkeypatch)
+    _same_run(table, seeds)
+    assert _chunks(calls)[0][:2] == [centre, step]
+
+
+def test_saturate_tests_spanless_targets_against_the_identity(monkeypatch):
+    """A target with no span at chunk start gets the identity block, so
+    every nonzero image into it escapes: in the INT closure the first
+    tested chunk has such targets, and later chunks mix them with targets
+    that hold rows."""
+    calls = _counted_chunks(monkeypatch)
+    table, seeds = _int_closure()
+    _same_run(table, seeds)
+    eye = np.eye(table.dim, dtype=np.int64)
+    identities = [[(block == eye).all() for block in anns] for _, _, anns in calls]
+    assert any(identities[0])
+    assert any(any(ids) and not all(ids) for ids in identities[1:])
+
+
+@pytest.fixture
+def chunks_of_seven(monkeypatch):
+    """``STACK_ITEMS`` = 7, and the ``_counted_chunks`` log."""
+    monkeypatch.setattr(graded_modules, "STACK_ITEMS", 7)
+    return _counted_chunks(monkeypatch)
+
+
+def _in_chunks_of_seven(calls):
+    assert calls and max(items for items, _, _ in calls) <= 7
+    assert len(_chunks(calls)) > 1
+
+
+def test_saturate_in_chunks_of_seven_matches_the_reference(monkeypatch, chunks_of_seven):
+    test_saturate_matches_the_reference_on_the_int_closure(monkeypatch)
+    _in_chunks_of_seven(chunks_of_seven)
+
+
+@pytest.mark.parametrize("kind,fiber,beta,mode,fixpoints", PROBE_CASES)
+def test_probes_in_chunks_of_seven_make_the_reference_stop_calls(
+        monkeypatch, chunks_of_seven, kind, fiber, beta, mode, fixpoints):
+    test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mode, fixpoints)
+    _in_chunks_of_seven(chunks_of_seven)
+
+
+def test_chunk_rows_case_in_chunks_of_seven_matches_the_reference(chunks_of_seven):
+    _same_run(*_chunk_rows_case())
+    _in_chunks_of_seven(chunks_of_seven)
 
 
 def test_fiber_escapes_leaves_int64_before_a_product_wraps():

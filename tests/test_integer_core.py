@@ -271,12 +271,12 @@ def test_the_trusted_wrap_is_called_only_by_subspaces():
 
 def test_the_trusted_wrap_lint_flags_a_planted_call():
     source = (PACKAGE / "exact_linalg.py").read_text()
-    original = "        return Subspace(self.ambient, self.rows)\n"
+    original = "    return Subspace(a.ambient_dim, list(a.rows) + list(b.rows))\n"
     assert source.count(original) == 1
     planted = source.replace(original, original.replace(
-        "Subspace(self.ambient, self.rows)",
-        "Subspace._trusted(self.ambient, self.rows, list(map(_lead, self.rows)))"))
-    assert _trusted_lint("exact_linalg", planted) == [("exact_linalg", "IntSpan")]
+        "Subspace(a.ambient_dim, list(a.rows) + list(b.rows))",
+        "Subspace._trusted(a.ambient_dim, a.rows + b.rows, a.pivots + b.pivots)"))
+    assert _trusted_lint("exact_linalg", planted) == [("exact_linalg", "subspace_sum")]
     assert _trusted_lint("graded_modules", "def closure():\n    return _trusted(3, [], [])\n") \
         == [("graded_modules", "closure")]
 

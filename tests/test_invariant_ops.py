@@ -163,7 +163,7 @@ def test_t_span_ops_span_the_fraction_t_vector_operators(kind, beta, degrees):
         if k == spec.special_degree():
             assert _t_span_factors(spec, spec.scaled_shift(k)) == [] and len(ops) == 0
             continue
-        ann = checked.to_subspace().annihilator()
+        ann = Subspace(checked.ambient, checked.rows).annihilator()
         assert max(map(abs, (x for row in ann for x in row))) * int(np.abs(ops).max()) * n * n < 2**62
         assert not np.any(np.array(ann, dtype=np.int64) @ ops.T), k
         reached = IntSpan(n * n)
