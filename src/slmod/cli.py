@@ -30,7 +30,7 @@ from .graded_modules import (
     closure,
     default_generators,
 )
-from .reports import ERROR, FAIL, PASS, SKIPPED, CheckResult, Detail, Recorder
+from .reports import ERROR, FAIL, PASS, SKIPPED, CheckResult, Detail
 from .sl_maps import FamilyKind, SpecialFiberPolicy, build_family, symplectic_extend
 from .theorem_registry import CATALOGUE, run_all, run_check
 
@@ -277,6 +277,11 @@ def parse_config(argv) -> RunConfig:
 # command implementations
 
 
+def _pass_table(check_id: str, params: dict, details: list) -> CheckResult:
+    """A PASS report of table rows that each pass: dims, closure and frame."""
+    return CheckResult(check_id, params, PASS, details, {"pass": len(details), "fail": 0, "skipped": 0})
+
+
 def _dims_result(cfg: RunConfig) -> CheckResult:
     fiber = Fund(cfg.p) if cfg.fund else Lambda(cfg.p)
     spec = ActionSpec.make("H", cfg.n, fiber, cfg.beta)
@@ -288,16 +293,10 @@ def _dims_result(cfg: RunConfig) -> CheckResult:
         window,
         policy=SpecialFiberPolicy(cfg.policy.upper()),
     )
-    rec = Recorder("dims", {"family": cfg.family, "N": cfg.n, "p": cfg.p,
-                            "beta": format_vector(cfg.beta), "fund": cfg.fund,
-                            "policy": cfg.policy, "d": cfg.d})
-    result = rec.result()
-    result.details = [
-        Detail(k, "dim", family.fiber(k).dim, PASS) for k in window.degrees()
-    ]
-    result.counts["pass"] = len(result.details)
-    result.status = PASS
-    return result
+    return _pass_table("dims", {"family": cfg.family, "N": cfg.n, "p": cfg.p,
+                                "beta": format_vector(cfg.beta), "fund": cfg.fund,
+                                "policy": cfg.policy, "d": cfg.d},
+                       [Detail(k, "dim", family.fiber(k).dim, PASS) for k in window.degrees()])
 
 
 def _closure_result(cfg: RunConfig) -> CheckResult:
@@ -310,16 +309,12 @@ def _closure_result(cfg: RunConfig) -> CheckResult:
     seed = [1 if i == cfg.seed_index else 0 for i in range(dim)]
     fam = closure(spec, {cfg.seed_fiber: [seed]}, window,
                   default_generators(spec.kind, cfg.n, cfg.rbound))
-    rec = Recorder("closure", {"kind": cfg.kind, "N": cfg.n, "p": cfg.p,
-                               "beta": format_vector(cfg.beta), "fund": cfg.fund,
-                               "seed-fiber": format_vector(cfg.seed_fiber),
-                               "seed-index": cfg.seed_index, "d": cfg.d,
-                               "rbound": cfg.rbound})
-    result = rec.result()
-    result.details = [Detail(k, "dim", fam.fiber(k).dim, PASS) for k in window.degrees()]
-    result.counts["pass"] = len(result.details)
-    result.status = PASS
-    return result
+    return _pass_table("closure", {"kind": cfg.kind, "N": cfg.n, "p": cfg.p,
+                                   "beta": format_vector(cfg.beta), "fund": cfg.fund,
+                                   "seed-fiber": format_vector(cfg.seed_fiber),
+                                   "seed-index": cfg.seed_index, "d": cfg.d,
+                                   "rbound": cfg.rbound},
+                       [Detail(k, "dim", fam.fiber(k).dim, PASS) for k in window.degrees()])
 
 
 def _homology_result(cfg: RunConfig) -> CheckResult:
@@ -339,15 +334,9 @@ def _homology_result(cfg: RunConfig) -> CheckResult:
 
 def _frame_result(cfg: RunConfig) -> CheckResult:
     frame = symplectic_extend(cfg.vector)
-    rec = Recorder("frame", {"vector": format_vector(cfg.vector), "N": cfg.n})
-    result = rec.result()
-    result.details = [
-        Detail(None, f"w{i}", format_vector(v), PASS)
-        for i, v in enumerate(frame.vectors())
-    ]
-    result.counts["pass"] = len(result.details)
-    result.status = PASS
-    return result
+    return _pass_table("frame", {"vector": format_vector(cfg.vector), "N": cfg.n},
+                       [Detail(None, f"w{i}", format_vector(v), PASS)
+                        for i, v in enumerate(frame.vectors())])
 
 
 def run_config(cfg: RunConfig) -> ReportDocument:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_linalg import format_vector, image, int_matmul, intersect, kernel
+from .exact_linalg import format_vector, image, int_matmul, kernel
 from .exterior_algebra import ext_dim, fundamental_subspace
-from .graded_modules import ActionSpec, Fund, Lambda, Window, directions
+from .graded_modules import ActionSpec, Fund, Lambda, Window, directions, fiber_space
 from .reports import CheckResult, Recorder
 from .sl_maps import (
     FamilyKind,
@@ -142,8 +142,8 @@ def predicted_homology(
     DERHAM / TCHAIN: zero away from the degenerate degree, the full fiber
     there.  FSQ(p): the minimal-family dimensions one step above plus one
     step below.  FSQ_FUND(p): the image of the wedge map on the restricted
-    maximal family (p < n), or the restricted minimal family one step below
-    (p = n); the full restricted fiber at the degenerate degree.
+    maximal family (p < N/2), or the restricted minimal family one step
+    below (p = N/2); the full restricted fiber at the degenerate degree.
     """
     require_even(n)
     pos = _position(cid, p)
@@ -170,24 +170,25 @@ def predicted_homology(
                 table[k] = above.fiber(k).dim + (below.fiber(k).dim if below else 0)
         return table
     # fsq_fund
-    fund = fundamental_subspace(n, pos)
+    space = fiber_space(n, Fund(pos))
     if pos == half:
         # Lambda^0 is its own contraction kernel
         below = Fund(pos - 1) if pos >= 2 else Lambda(0)
         lower = build_family(FamilyKind.MIN, pos - 1, spec.with_fiber(below), window)
         for k in window.degrees():
-            table[k] = fund.dim if k == k0 else lower.fiber(k).dim
+            table[k] = space.dim if k == k0 else lower.fiber(k).dim
         return table
-    maxf = build_family(FamilyKind.MAX, pos, spec.with_fiber(Lambda(pos)), window)
+    maxf = build_family(FamilyKind.MAX, pos, spec.with_fiber(Fund(pos)), window)
     degs = window.degrees()
     live, place, stack = directions(spec.scaled_shifts(window))
-    wedges = map_stack(pi(pos), n, stack).tolist()
-    table = dict.fromkeys(degs, fund.dim)  # kept at the degenerate degree, K = 0
+    # pi(pos) on Fund(pos) coordinates along every direction, one product
+    wedges = int_matmul(map_stack(pi(pos), n, stack), space.embed).tolist()
+    table = dict.fromkeys(degs, space.dim)  # kept at the degenerate degree, K = 0
     images: dict = {}  # (direction, MAX fiber) -> dim: MAX is read at every degree
     for i, j in zip(live.tolist(), place):
         key = (j, maxf.fiber(degs[i]))
         if key not in images:
-            images[key] = image(wedges[j], intersect(key[1], fund)).dim
+            images[key] = image(wedges[j], key[1]).dim
         table[degs[i]] = images[key]
     return table
 

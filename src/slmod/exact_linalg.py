@@ -284,7 +284,9 @@ def kernel_stack(stack: np.ndarray) -> np.ndarray:
     item's rows scaled to L, the lcm of its pivots, at their pivot indices;
     the free columns of L I - E, turned back and divided by their gcd, are
     the null space.  L is taken on Python ints (int64 would wrap it), and the
-    read-off runs in int64 while ``fits_int64`` bounds L max|row|.
+    read-off runs in int64 while ``fits_int64`` bounds L max|row|.  The
+    normalised rows come back in int64 whenever they fit, however large the
+    read-off ran.
     """
     red = echelon_stack(stack[:, :, ::-1])
     n = stack.shape[2]
@@ -304,7 +306,7 @@ def kernel_stack(stack: np.ndarray) -> np.ndarray:
     norm = np.gcd.reduce(null, axis=2, initial=0)
     norm[norm == 0] = 1
     null //= norm[:, :, None]
-    return null
+    return null.astype(np.int64) if dtype is object and fits_int64(max_abs(null)) else null
 
 
 def subspaces(stack: np.ndarray) -> list:

@@ -38,7 +38,6 @@ from .exact_linalg import (
     int_blocks,
     int_matmul,
     kernel_stack,
-    mat_vec,
     max_abs,
     subspaces,
 )
@@ -101,11 +100,13 @@ class FiberSpace:
 
     Fundamental fibers use the pivot-1 basis of the contraction kernel, so a
     coordinate vector is read off the pivot entries of its ambient image
-    (``from_lambda``).  The integer action matrices returned by
-    ``action_matrix_int`` and ``rank_one_stack`` are ``scale`` times the
-    exact ones, ``scale`` being the lcm of the pivot entries of the primitive
-    kernel rows (1 off Fund); the multiple cancels everywhere an image or
-    kernel is taken.
+    (``from_lambda``).  ``embed`` maps Fund(p) coordinates into Lambda^p:
+    the restricted action and every Lambda^p map applied to a Fund(p)
+    fiber go through it.  ``embed`` and the integer action matrices
+    returned by ``action_matrix_int`` and ``rank_one_stack`` are ``scale``
+    times the exact ones, ``scale`` being the lcm of the pivot entries of
+    the primitive kernel rows (1 off Fund); the multiple cancels everywhere
+    an image or kernel is taken.
     """
 
     def __init__(self, n: int, fiber: FiberType):
@@ -124,6 +125,11 @@ class FiberSpace:
             self._fund = fundamental_subspace(n, fiber.p)
             self.dim = self._fund.dim
             self.scale = lcm(*(row[pc] for row, pc in zip(self._fund.rows, self._fund.pivots)))
+            # Fund(p) coordinates to Lambda^p: column i is scale times the
+            # pivot-1 kernel basis vector i
+            self.embed = np.array([[row[i] * (self.scale // row[pc])
+                                    for row, pc in zip(self._fund.rows, self._fund.pivots)]
+                                   for i in range(self._fund.ambient_dim)], dtype=np.int64)
             # the contraction Lambda^p -> Lambda^{p-2}, with no rows below p = 2
             theta = theta_matrix(n, fiber.p) if fiber.p >= 2 else ()
             self._theta = np.array(theta, dtype=np.int64).reshape(len(theta), ext_dim(n, fiber.p))
@@ -190,18 +196,13 @@ class FiberSpace:
         return int_matmul(coeffs, dense.reshape(len(pairs), -1)).reshape(len(xs), self.dim, self.dim)
 
     def _restricted_action(self, a) -> tuple:
-        p = self.fiber.p
-        full = gl_action_matrix(self.n, p, a)
-        basis = self._fund.rows
-        pivots = self._fund.pivots
-        cols = []
-        for brow, bpiv in zip(basis, pivots):
-            img = mat_vec(full, brow)  # = b_piv * (action of pivot-1 basis vector)
-            if not self._fund.contains_vector(img):
-                raise ValueError("matrix action does not preserve the contraction kernel")
-            # coords of img/b_piv are its pivot entries / b_piv; scale to ints
-            cols.append([img[pc] * (self.scale // brow[bpiv]) for pc in pivots])
-        return tuple(zip(*cols))
+        # the action on the columns of embed: scale times the images of the
+        # pivot-1 basis, whose Fund coordinates are their pivot entries
+        full = np.array(gl_action_matrix(self.n, self.fiber.p, a), dtype=object)
+        images = int_matmul(full, self.embed)
+        if int_matmul(self._theta, images).any():
+            raise ValueError("matrix action does not preserve the contraction kernel")
+        return tuple(map(tuple, images[list(self._fund.pivots)].tolist()))
 
     # -- exterior-power subspaces in this space's coordinates ---------------
 
@@ -462,9 +463,10 @@ class EdgeTable:
     the table keeps ``q * scale * (c * Id + D)``, a positive multiple with
     the same images, with ``cq[i, g]`` = q * c from one product of the
     shifts q(k + beta) with the pairing vectors (bar(r) for H, u otherwise).
-    ``inbox_into[j, g]``, the same mask read at the target, holds when
-    degs[j] - r lies in the box.  ``edges(i)`` gathers the maps leaving
-    degree i and ``edges_into(j)`` those entering degree j, both in
+    ``fits[v + d, a, g]``, from which the mask is gathered, holds when
+    coordinate a of value v stays in [-d, d] under gens[g].  ``edges(i)``
+    gathers the maps leaving degree i from the mask and ``edges_into(j)``
+    those entering degree j from ``fits`` read at -degs[j], both in
     generator order; ``skipped[i]`` counts the maps that leave the window.
     The derivation rows ``scale * D`` of all generators are one
     ``rank_one_stack``, kept times q as one dense block per generator in
@@ -483,19 +485,12 @@ class EdgeTable:
         ks = np.array(self.degs, dtype=np.int64)
         r = np.array([g.r for g in gens], dtype=np.int64).reshape(len(gens), n)
         self.offset = r @ (2 * d + 1) ** np.arange(n - 1, -1, -1)
-        # fits[v + d, a, g]: coordinate a of value v stays in [-d, d] under
-        # gens[g]; gathered one coordinate at a time, since a (degrees, gens,
-        # N) temporary would not fit at N = 6
-        fits = np.abs(np.arange(-d, d + 1)[:, None, None] + r.T) <= d
-
-        def gather(rows):  # rows[:, a] indexes the value axis of fits
-            mask = fits[rows[:, 0], 0]
-            for a in range(1, n):
-                mask &= fits[rows[:, a], a]
-            return mask
-
-        self.inbox = gather(ks + d)
-        self.inbox_into = gather(d - ks)  # |-k + r| <= d: k - r lies in the box
+        # the mask is gathered one coordinate at a time, since a (degrees,
+        # gens, N) temporary would not fit at N = 6
+        self.fits = np.abs(np.arange(-d, d + 1)[:, None, None] + r.T) <= d
+        self.inbox = self.fits[ks[:, 0] + d, 0]
+        for a in range(1, n):
+            self.inbox &= self.fits[ks[:, a] + d, a]
         self.skipped = (len(gens) - self.inbox.sum(1)).tolist()
         pairing = [bar(g.r) if spec.kind is AlgebraKind.H else g.u for g in gens]
         self.cq = int_matmul(spec.scaled_shifts(window),
@@ -517,7 +512,9 @@ class EdgeTable:
     def edges_into(self, j: int) -> tuple:
         """``(gis, srcs)``: the generator and source index of every map from
         the window into degree index j, in generator order."""
-        gis = self.inbox_into[j].nonzero()[0]
+        k = np.array(self.degs[j], dtype=np.int64)
+        # |-k + r| <= d: k - r lies in the box, read at d - k
+        gis = self.fits[len(self.fits) // 2 - k, np.arange(len(k))].all(axis=0).nonzero()[0]
         return gis.tolist(), (j - self.offset[gis]).tolist()
 
     def apply(self, gi: int, cq: int, rows) -> list:
@@ -625,10 +622,8 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
             grew = stale[dims[stale] > 0]
             if grew.size:
                 block = kernel_stack(int_blocks([spans[j].rows for j in grew.tolist()], dim))
-                if block.dtype == object:  # the read-off's bound is loose: int_blocks picks again
-                    block = int_blocks(block.tolist(), dim)
-                    if block.dtype == object:
-                        anns = anns.astype(object, copy=False)
+                if block.dtype == object:
+                    anns = anns.astype(object, copy=False)
                 anns[grew] = block
             known[stale] = dims[stale]
             tested = [len(fresh[i]) for i in chunk]

@@ -64,7 +64,6 @@ from .exterior_algebra import (
     ext_basis,
     ext_dim,
     fundamental_dim,
-    fundamental_subspace,
     gl_action_matrix,
     interior_product,
     theta_matrix,
@@ -152,31 +151,25 @@ class ProbeEngine:
         self.special = [index[k0]] if k0 is not None and k0 in window else []
         self.interior = [index[k] for k in window.interior_degrees()]
         self.special_interior = [i for i in self.special if window.is_interior(k0)]
-        self.dominators = self._dominators(*self._invertible_edges())
+        self.dominators = self._dominators(self._invertible_edges())
         self.open_special = [s for s in self.special_interior if not self._filled_from_interior(s)]
         self.into: dict = {}  # z -> {source of an edge into z: its generators}, filled by probes
 
     # -- static structure ---------------------------------------------------
 
     def _trace_factors(self) -> tuple:
-        """Exponent set {j} with (c + j t) a determinant factor, by fiber."""
-        fiber = self.spec.fiber
-        n = self.spec.n
-        if fiber.kind == "lambda":
-            if fiber.p == 0:
-                return (0,)
-            if fiber.p == n:
-                return (1,)
-            return (0, 1)
-        if fiber.kind == "fund":
-            return (0,)  # Hamiltonian only; the trace term vanishes
-        if fiber.kind == "sym2":
-            return (0, 1, 2)
-        return (0,)
+        """Exponent set {j} with (c + j t) a determinant factor: h(r) acts by
+        a traceless rank-one matrix, (0,); D(u, r) by one of trace t, which
+        for t != 0 is conjugate to t E_00, whose action the space's monomial
+        basis diagonalises, so the j are the diagonal entries of that action."""
+        if self.spec.kind is AlgebraKind.H:
+            return (0,)
+        e00 = self.spec.space().rank_one_actions(False)[1][0]
+        return tuple(sorted(set(np.diagonal(e00).tolist())))
 
-    def _invertible_edges(self) -> tuple:
+    def _invertible_edges(self) -> np.ndarray:
         """The invertible in-window edges off the degenerate degree (see the
-        module notes) as flat (source, target) index arrays."""
+        module notes), as a (degrees, generators) mask."""
         table = self.table
         traces = np.array([[0 if g.u is None else dot(g.u, g.r) for g in self.gens]], dtype=np.int64)
         # cq + jj q t = 0 when cq = -jj q t: one row per factor jj
@@ -189,10 +182,7 @@ class ProbeEngine:
             gis, srcs = table.edges_into(s)
             invertible[srcs, gis] = False
             invertible[s] = False
-        src, gis = np.nonzero(invertible)
-        tgt = table.offset[gis]
-        tgt += src
-        return src, tgt
+        return invertible
 
     def _reach(self, start: int, src, tgt) -> np.ndarray:
         """Mask of the degrees reached from ``start`` along the src -> tgt
@@ -203,8 +193,10 @@ class ProbeEngine:
             seen = seen | frontier
         return seen
 
-    def _dominators(self, src, tgt) -> set:
+    def _dominators(self, invertible: np.ndarray) -> set:
         """G = degrees certified to regenerate the window interior."""
+        src, gis = np.nonzero(invertible)
+        tgt = self.table.offset[gis] + src
         needed = [i for i in self.interior if i not in self.special]
         for z in needed:
             if self._reach(z, src, tgt)[needed].all():
@@ -683,20 +675,15 @@ def _check_fiber_equalities(params) -> CheckResult:
         bad = sum(ne for _, ne in per_fiber_tuple((a, b), window.degrees(), operator.ne))
         rec.tally(bad, expected, note=note)
     # intermediate = kernel of the composed contraction-after-wedge map on the
-    # contraction kernel, entered through the integer embedding of its pivot-1
-    # basis (Fund(p) coordinates to Lambda^p)
+    # contraction kernel, entered through the Fund(p) space's embedding
     degs = window.degrees()
     live, place, stack = directions(spec0.scaled_shifts(window))
     for p in range(2, half + 1):
         it = fam(FamilyKind.INT, p)
-        fund = fundamental_subspace(n, p)
-        scale = fiber_space(n, Fund(p)).scale
-        embed = np.array([[row[i] * (scale // row[pc]) for row, pc in zip(fund.rows, fund.pivots)]
-                          for i in range(fund.ambient_dim)], dtype=object)
         # theta_tilde(p + 1) pi(p) embed along every direction of k + beta, one
         # product: its kernel is taken once per direction, INT read at every degree
         composite = int_matmul(map_stack(theta_tilde(p + 1), n, stack),
-                               int_matmul(map_stack(pi(p), n, stack), embed))
+                               int_matmul(map_stack(pi(p), n, stack), fiber_space(n, Fund(p)).embed))
         kernels = [kernel(mat) for mat in composite.tolist()]
         bad = sum(kernels[j] != it.fiber(degs[i]) for i, j in zip(live.tolist(), place))
         rec.tally(bad, "intermediate = contraction-wedge kernel", note=f"p={p}")

@@ -11,10 +11,11 @@ import random
 from fractions import Fraction as F
 from math import lcm
 
+import numpy as np
 import pytest
 
 from slmod import graded_modules
-from slmod.exact_linalg import Subspace, dot, mat_vec, subspace_sum
+from slmod.exact_linalg import Subspace, dot, echelon_stack, int_blocks, mat_vec, subspace_sum
 from slmod.graded_modules import (
     ActionSpec,
     Fund,
@@ -29,7 +30,7 @@ from slmod.graded_modules import (
     edge_table,
 )
 from slmod.sl_maps import FamilyKind, build_family
-from slmod.theorem_registry import probe_engine
+from slmod.theorem_registry import ProbeEngine, probe_engine
 from slmod.torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
 
 
@@ -72,23 +73,39 @@ def reference_edges(spec, window, gens) -> tuple:
     return index, out_edges
 
 
+def full_rank(mats: list, dim: int) -> list:
+    """Whether each integer dim x dim matrix has rank dim, by the number of
+    nonzero rows of one stacked exact elimination."""
+    if not mats:
+        return []
+    red = echelon_stack(int_blocks(mats, dim))
+    return ((red != 0).any(axis=2).sum(axis=1) == dim).tolist()
+
+
 def reference_dominators(engine) -> set:
     """The engine's dominator set by breadth-first search over sets of the
-    invertible reference edges off the degenerate degree."""
+    reference edges off the degenerate degree whose map q * scale * (c Id + D),
+    D from the dense ``action_matrix_int``, has full rank."""
     spec, window, gens = engine.spec, engine.window, engine.gens
     index, out_edges = reference_edges(spec, window, gens)
-    factors = engine._trace_factors()
     k0 = spec.special_degree()
     special = {i for i, k in enumerate(window.degrees()) if k == k0}
+    space = spec.space()
+    edges = [(i, j, gi, cq) for i, es in enumerate(out_edges) for gi, j, cq in es
+             if i not in special and j not in special]
+    keys = sorted({(gi, cq) for _, _, gi, cq in edges})
+    dense = {gi: space.action_matrix_int(rank_one_sym(gens[gi].r) if gens[gi].u is None
+                                         else rank_one(gens[gi].r, gens[gi].u))
+             for gi in {gi for gi, _ in keys}}
+    mats = [[[cq * space.scale * (a == b) + spec.q * x for b, x in enumerate(row)]
+             for a, row in enumerate(dense[gi])] for gi, cq in keys]
+    invertible = dict(zip(keys, full_rank(mats, space.dim)))
     inv_out = [set() for _ in out_edges]
     inv_in = [set() for _ in out_edges]
-    for i, edges in enumerate(out_edges):
-        for gi, j, cq in edges:
-            trace = 0 if gens[gi].u is None else sum(a * b for a, b in zip(gens[gi].u, gens[gi].r))
-            if i not in special and j not in special and all(
-                    cq + jj * spec.q * trace != 0 for jj in factors):
-                inv_out[i].add(j)
-                inv_in[j].add(i)
+    for i, j, gi, cq in edges:
+        if invertible[gi, cq]:
+            inv_out[i].add(j)
+            inv_in[j].add(i)
 
     def reach(start, adjacency):
         seen, work = {start}, [start]
@@ -195,6 +212,58 @@ def test_dominators_equal_the_set_search_at_n6():
     window = Window(6, 1)
     engine = probe_engine(spec, window)
     assert engine.dominators == reference_dominators(engine)
+
+
+def certificate_mismatches(engine) -> list:
+    """The edges on which ``_invertible_edges`` and the exact rank of the
+    table's own map cq scale I + qd[g] disagree, one edge (degree and
+    generator) at a time: off the degenerate degree an edge must be in the
+    mask exactly when that map has full rank, at it never."""
+    table = engine.table
+    mask = engine._invertible_edges()
+    assert not (mask & ~table.inbox).any()
+    src, gis = np.nonzero(table.inbox)
+    tgt = src + table.offset[gis]
+    cqs = table.cq[src, gis].tolist()
+    live = ~np.isin(src, engine.special) & ~np.isin(tgt, engine.special)
+    keys = sorted({(g, cq) for g, cq, on in zip(gis.tolist(), cqs, live.tolist()) if on})
+    qd = table.qd.tolist()
+    mats = [[[cq * table.scale * (a == b) + x for b, x in enumerate(row)] for a, row in enumerate(qd[g])]
+            for g, cq in keys]
+    invertible = dict(zip(keys, full_rank(mats, table.dim)))
+    return [(table.degs[i], table.gens[g].label(), cq)
+            for i, g, cq, on in zip(src.tolist(), gis.tolist(), cqs, live.tolist())
+            if mask[i, g] != (on and invertible[g, cq])]
+
+
+def _certificate_cases():
+    """H, W and S on every Lambda(p), Fund(p), Sym2 and the scalar fiber at
+    N = 2 and 3 with d = 2 and N = 4 with d = 1 (H and Fund at even N),
+    beta 0, e1/2 and (1/3, 2/5, 0, ...)."""
+    for n, d in ((2, 2), (3, 2), (4, 1)):
+        for kind in ("H", "W", "S"):
+            if kind == "H" and n % 2:
+                continue
+            fibers = [Lambda(p) for p in range(n + 1)] + [Sym2(), ScalarFiber()]
+            fibers += [Fund(p) for p in range(1, n // 2 + 1)] if kind == "H" else []
+            for fiber in fibers:
+                for beta in ((0,) * n, (F(1, 2),) + (0,) * (n - 1), (F(1, 3), F(2, 5)) + (0,) * (n - 2)):
+                    yield pytest.param(kind, n, d, fiber, beta,
+                                       id=f"{kind}-N{n}-d{d}-{fiber}-b{beta[0]}")
+
+
+@pytest.mark.parametrize("kind,n,d,fiber,beta", list(_certificate_cases()))
+def test_invertible_edges_are_the_full_rank_maps(kind, n, d, fiber, beta):
+    engine = probe_engine(ActionSpec.make(kind, n, fiber, beta), Window(n, d))
+    assert certificate_mismatches(engine) == []
+
+
+def test_a_planted_factor_table_fails_the_rank_test(monkeypatch):
+    """Dropping the factor (c + t) of W on Lambda(1) keeps edges whose map
+    is singular: the rank test sees them."""
+    monkeypatch.setattr(ProbeEngine, "_trace_factors", lambda self: (0,))
+    engine = ProbeEngine(ActionSpec.make("W", 2, Lambda(1), (0, 0)), Window(2, 2))
+    assert certificate_mismatches(engine)
 
 
 def reference_closure(spec, seeds, window) -> dict:

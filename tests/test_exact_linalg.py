@@ -313,15 +313,18 @@ def test_echelon_stack_shapes_duplicates_and_one_item():
 def test_trusted_wraps_of_mixed_zero_and_rank_deficient_items():
     """Items of one stack that are all zero, rank-deficient or of full rank,
     in int64 and on Python ints, tall and wide; kernel rows come interleaved
-    with zero rows."""
+    with zero rows.  The null rows of the stack times 2^70 are those of the
+    stack, small enough for int64 on either input."""
     rng = np.random.default_rng(5)
     for shape in ((4, 6, 3), (4, 3, 6)):
         stack = rng.integers(-3, 4, size=shape)
         stack[0] = 0
         stack[1, 1:] = 2 * stack[1, :1]  # rank one
         for typed in (stack, stack.astype(object) * 2**70):
-            for reduced in (echelon_stack(typed), kernel_stack(typed)):
-                assert reduced.dtype == typed.dtype
+            red, null = echelon_stack(typed), kernel_stack(typed)
+            assert red.dtype == typed.dtype and null.dtype == np.int64
+            assert (null == kernel_stack(stack)).all()
+            for reduced in (red, null):
                 _assert_wraps_are_the_checked_subspaces(reduced)
     assert subspaces(np.zeros((0, 2, 3), dtype=np.int64)) == []
     assert subspaces(np.zeros((2, 0, 3), dtype=np.int64)) == [Subspace.zero(3)] * 2
@@ -361,7 +364,8 @@ def test_kernel_stack_runs_one_elimination_of_the_input_shape(monkeypatch):
 def test_kernel_stack_read_off_leaves_int64_for_a_large_lcm(top):
     """Three coprime pivots near ``top``: their lcm L is near top^3, which
     int64 wraps at 2^31, and L max|row| passes 2^62 at 2^20 too, where the
-    elimination itself stays in int64.  Every item is the scalar kernel."""
+    elimination itself stays in int64.  Every item is the scalar kernel, in
+    int64 only at 2^20, where the null row's largest entry L is below 2^62."""
     pivots = (top - 1, top - 3, top - 5)
     flipped = np.array([[[pivots[0], 0, 0, 1], [0, pivots[1], 0, 1], [0, 0, pivots[2], 1]],
                         [[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 3, 1]]], dtype=np.int64)
@@ -369,10 +373,23 @@ def test_kernel_stack_read_off_leaves_int64_for_a_large_lcm(top):
     assert (echelon_stack(flipped)[0] == flipped[0]).all()
     assert (echelon_stack(flipped).dtype == np.int64) == (top == 2**20)
     null = kernel_stack(stack)
-    assert null.dtype == object
+    assert (null.dtype == np.int64) == (top == 2**20)
     for item, rows in zip(stack.tolist(), null.tolist()):
         assert [tuple(r) for r in rows if any(r)] == list(kernel(item).rows)
     _assert_wraps_are_the_checked_subspaces(null)
+
+
+def test_kernel_stack_returns_int64_when_the_null_rows_fit():
+    """Rows (a, b, -a-b) and (c, d, -c-d) with a, b, c, d primes near 2^31:
+    the elimination squares them past 2^62 and runs on Python ints, yet the
+    null row is (1, 1, 1), so the result comes back in int64."""
+    a, b, c, d = 2147483647, 2147483629, 2147483587, 2147483579
+    rows = [[a, b, -a - b], [c, d, -c - d]]
+    stack = np.array([rows], dtype=np.int64)
+    assert echelon_stack(stack).dtype == object
+    null = kernel_stack(stack)
+    assert null.dtype == np.int64
+    assert [tuple(r) for r in null[0].tolist() if any(r)] == list(kernel(rows).rows) == [(1, 1, 1)]
 
 
 def test_int_matmul_picks_int64_or_python_ints():
