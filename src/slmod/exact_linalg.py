@@ -132,14 +132,6 @@ def identity(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def from_triplets(nrows: int, ncols: int, triplets: Iterable[tuple]) -> tuple:
-    """Dense matrix from sparse (row, col, value) entries; duplicates add."""
-    rows = [[0] * ncols for _ in range(nrows)]
-    for i, j, v in triplets:
-        rows[i][j] += v
-    return matrix(rows)
-
-
 def transpose(m) -> tuple:
     if not m:
         return ()

@@ -4,6 +4,11 @@ Monomials e_{i_1} ^ ... ^ e_{i_p} are keyed by strictly increasing index
 tuples with entries in 1..N; the lexicographic order of these tuples fixes the
 ambient basis order used by every subspace of the fiber.  Lambda^0 is the
 one-dimensional space keyed by the empty tuple.
+
+The matrices of the maps between them are sums of products of three unit
+tables, each one stack over a = 1..N: e_a ^ (``unit_wedges``), the contraction
+against e_a (``unit_contractions``) and, on Sym^2, e_a . and d/de_a
+(``unit_products``).
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .exact_linalg import Subspace, frac, identity, kernel, matrix
-from .torus_lie import bar, require_even
+import numpy as np
+
+from .exact_linalg import Subspace, frac, kernel
+from .torus_lie import require_even
 
 ExtIndex = tuple  # strictly increasing tuple of indices in 1..N
 
@@ -150,31 +157,33 @@ def interior_product(w, x: ExtVector) -> ExtVector:
 
 
 # ---------------------------------------------------------------------------
-# matrices of the standard maps (columns indexed by source monomials)
+# unit tables: every map on Lambda^p and Sym^2 is a sum of their products
 
 
-def gl_action_matrix(n: int, p: int, a) -> tuple:
-    """Matrix of the derivation action of ``a`` on Lambda^p coordinates."""
-    a = matrix(a)
-    src = ext_basis(n, p)
-    pos = ext_position(n, p)
-    dim = len(src)
-    cols = []
-    for key in src:
-        col = [0] * dim
+def unit_wedges(n: int, p: int) -> np.ndarray:
+    """x -> e_a ^ x from Lambda^p to Lambda^{p+1} for every a, as one int64
+    (n, dim Lambda^{p+1}, dim Lambda^p) stack."""
+    tgt_pos = ext_position(n, p + 1)
+    out = np.zeros((n, len(tgt_pos), ext_dim(n, p)), dtype=np.int64)
+    for col, key in enumerate(ext_basis(n, p)):
+        for a in range(1, n + 1):
+            sign, new_key = insert_index(a, key)
+            if new_key is not None:
+                out[a - 1, tgt_pos[new_key], col] = sign
+    return out
+
+
+def unit_contractions(n: int, p: int) -> np.ndarray:
+    """v_1^...^v_p -> sum_i (-1)^i (e_a|v_i) v_1^..omit i..^v_p from Lambda^p
+    to Lambda^{p-1} for every a, as one int64 (n, dim Lambda^{p-1},
+    dim Lambda^p) stack; the contraction against w is sum_a w_a C_a."""
+    tgt_pos = ext_position(n, p - 1)
+    out = np.zeros((n, len(tgt_pos), ext_dim(n, p)), dtype=np.int64)
+    for col, key in enumerate(ext_basis(n, p)):
         for slot, idx in enumerate(key):
-            rest = key[:slot] + key[slot + 1 :]
-            slot_sign = -1 if slot % 2 else 1
-            for row in range(n):
-                c = a[row][idx - 1]
-                if not c:
-                    continue
-                sign, new_key = insert_index(row + 1, rest)
-                if new_key is None:
-                    continue
-                col[pos[new_key]] += slot_sign * sign * c
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+            # (-1)^i at the 1-based position i = slot + 1
+            out[idx - 1, tgt_pos[key[:slot] + key[slot + 1 :]], col] = 1 if slot % 2 else -1
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -182,56 +191,13 @@ def theta_matrix(n: int, p: int) -> tuple:
     """Integer matrix of the contraction Lambda^p -> Lambda^{p-2}.
 
     On v_1 ^ ... ^ v_p it sums (-1)^{i+j-1} (bar v_i | v_j) over i < j with the
-    two paired factors removed.
+    two paired factors removed: the sum over a < N/2 of C^{p-1}_a C^p_{a+N/2},
+    C^q the unit contractions out of Lambda^q.
     """
     require_even(n)
-    src = ext_basis(n, p)
-    tgt_pos = ext_position(n, p - 2)
-    bars = [bar(u) for u in identity(n)]
-    rows = [[0] * len(src) for _ in range(len(tgt_pos))]
-    for col, key in enumerate(src):
-        for i in range(len(key)):
-            bi = bars[key[i] - 1]
-            for j in range(i + 1, len(key)):
-                pairing = bi[key[j] - 1]
-                if not pairing:
-                    continue
-                sign = 1 if (i + j) % 2 else -1  # (-1)^{(i+1)+(j+1)-1}
-                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
-                rows[tgt_pos[rest]][col] += sign * pairing
-    return matrix(rows)
-
-
-def wedge_matrix(n: int, p: int, v: Sequence) -> tuple:
-    """Matrix of x -> v ^ x as a map Lambda^p -> Lambda^{p+1}."""
-    src = ext_basis(n, p)
-    tgt_pos = ext_position(n, p + 1)
-    rows = [[0] * len(src) for _ in range(len(tgt_pos))]
-    for col, key in enumerate(src):
-        for idx, c in enumerate(v, start=1):
-            if not c:
-                continue
-            sign, new_key = insert_index(idx, key)
-            if new_key is None:
-                continue
-            rows[tgt_pos[new_key]][col] += sign * c
-    return matrix(rows)
-
-
-def interior_matrix(n: int, p: int, w: Sequence) -> tuple:
-    """Matrix of v_1^...^v_p -> sum_i (-1)^i (w|v_i) v_1^..omit i..^v_p."""
-    src = ext_basis(n, p)
-    tgt_pos = ext_position(n, p - 1)
-    rows = [[0] * len(src) for _ in range(len(tgt_pos))]
-    for col, key in enumerate(src):
-        for slot, idx in enumerate(key):
-            c = w[idx - 1]
-            if not c:
-                continue
-            sign = -1 if (slot + 1) % 2 else 1  # (-1)^{slot+1}
-            rest = key[:slot] + key[slot + 1 :]
-            rows[tgt_pos[rest]][col] += sign * c
-    return matrix(rows)
+    half = n // 2
+    outer, inner = unit_contractions(n, p - 1), unit_contractions(n, p)
+    return tuple(map(tuple, (outer[:half] @ inner[half:]).sum(axis=0).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -267,24 +233,16 @@ def sym_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def sym_action_matrix(n: int, a) -> tuple:
-    """Matrix of the derivation action of ``a`` on Sym^2 coordinates.
-
-    Entries stay integers when ``a`` has integer entries.
-    """
-    a = matrix(a)
-    keys = sym_basis(n)
+def unit_products(n: int) -> tuple:
+    """(products, derivatives): x -> e_a . x from Q^n to Sym^2 and d/de_a from
+    Sym^2 to Q^n for every a, as int64 (n, dim Sym^2, n) and
+    (n, n, dim Sym^2) stacks.  e_a e_b^T acts on Sym^2 by
+    products[a] @ derivatives[b]."""
     pos = sym_position(n)
-    dim = len(keys)
-    rows = [[0] * dim for _ in range(dim)]
-    for col, (i, j) in enumerate(keys):
-        for row in range(1, n + 1):
-            ci = a[row - 1][i - 1]
-            if ci:
-                key = (row, j) if row <= j else (j, row)
-                rows[pos[key]][col] += ci
-            cj = a[row - 1][j - 1]
-            if cj:
-                key = (i, row) if i <= row else (row, i)
-                rows[pos[key]][col] += cj
-    return matrix(rows)
+    products = np.zeros((n, len(pos), n), dtype=np.int64)
+    derivatives = np.zeros((n, n, len(pos)), dtype=np.int64)
+    for (i, j), col in pos.items():
+        products[i - 1, col, j - 1] = products[j - 1, col, i - 1] = 1
+        derivatives[i - 1, j - 1, col] += 1
+        derivatives[j - 1, i - 1, col] += 1
+    return products, derivatives

@@ -32,7 +32,6 @@ from .exact_linalg import (
     echelon_stack,
     format_vector,
     frac,
-    from_triplets,
     identity,
     int_affine,
     int_blocks,
@@ -44,13 +43,14 @@ from .exact_linalg import (
 from .exterior_algebra import (
     ext_dim,
     fundamental_subspace,
-    gl_action_matrix,
-    sym_action_matrix,
     sym_dim,
     theta_matrix,
+    unit_contractions,
+    unit_products,
+    unit_wedges,
 )
 from .reports import CheckResult, Recorder
-from .torus_lie import AlgebraKind, bar, degree_box, rank_one, require_even
+from .torus_lie import AlgebraKind, bar, degree_box, require_even
 
 Degree = tuple
 
@@ -98,13 +98,14 @@ def ScalarFiber() -> FiberType:
 class FiberSpace:
     """Coordinate space of one fiber type, with the derivation action on it.
 
+    Every rank-one action is read off the tables of ``rank_one_actions``.
     Fundamental fibers use the pivot-1 basis of the contraction kernel, so a
     coordinate vector is read off the pivot entries of its ambient image
     (``from_lambda``).  ``embed`` maps Fund(p) coordinates into Lambda^p:
-    the restricted action and every Lambda^p map applied to a Fund(p)
-    fiber go through it.  ``embed`` and the integer action matrices
-    returned by ``action_matrix_int`` and ``rank_one_stack`` are ``scale``
-    times the exact ones, ``scale`` being the lcm of the pivot entries of
+    the Fund(p) rank-one table and every Lambda^p map applied to a Fund(p)
+    fiber go through it.  ``embed`` and the integer actions returned by
+    ``rank_one_actions`` and ``rank_one_stack`` are ``scale`` times the
+    exact ones, ``scale`` being the lcm of the pivot entries of
     the primitive kernel rows (1 off Fund); the multiple cancels everywhere
     an image or kernel is taken.
     """
@@ -138,17 +139,6 @@ class FiberSpace:
 
     # -- actions ----------------------------------------------------------
 
-    def action_matrix_int(self, a) -> tuple:
-        """Integer matrix equal to ``scale`` times the exact action."""
-        kind = self.fiber.kind
-        if kind == "scalar":
-            return ((0,),)
-        if kind == "lambda":
-            return gl_action_matrix(self.n, self.fiber.p, a)
-        if kind == "sym2":
-            return sym_action_matrix(self.n, a)
-        return self._restricted_action(a)
-
     def rank_one_actions(self, symplectic: bool) -> tuple:
         """Integer actions of the elementary rank-one matrices, built once per
         fiber space and kept on it.
@@ -159,30 +149,43 @@ class FiberSpace:
         x bar(x)^T = sum over pairs of x_a x_b P_ab.  Otherwise every (a, b)
         with the action of E_ab = e_a e_b^T, so that x y^T = sum x_a y_b E_ab.
         ``pairs`` is a (P, 2) index array and ``dense`` the int64
-        (P, dim, dim) array of the actions, times ``scale`` as in
-        ``action_matrix_int``.  Every P_ab lies in sp, so on Fund(p) the
-        kernel guard runs once per entry.
+        (P, dim, dim) array of the actions, ``scale`` times the exact ones.
+        E_ab is -(e_a ^)(contraction against e_b) on Lambda^p and
+        (e_a .)(d/de_b) on Sym^2, one product of unit tables, and the P_ab
+        are signed sums of the E_ab.  On Fund(p) the table is the Lambda^p
+        one on the columns of ``embed``, read at the pivot rows; every P_ab
+        lies in sp, so one contraction-kernel guard covers the whole table.
         """
         table = self._rank_one.get(symplectic)
         if table is None:
-            n = self.n
-            units = identity(n)
-            if symplectic:
-                pairs = [(a, b) for a in range(n) for b in range(a, n)]
+            n, kind, p = self.n, self.fiber.kind, self.fiber.p
+            if kind == "fund":
+                # scale times the images of the pivot-1 basis, whose Fund
+                # coordinates are their pivot entries
+                pairs, dense = fiber_space(n, Lambda(p)).rank_one_actions(symplectic)
+                images = int_matmul(dense, self.embed)
+                if int_matmul(self._theta, images).any():
+                    raise ValueError("matrix action does not preserve the contraction kernel")
+                table = pairs, np.take(images, self._fund.pivots, axis=1)
             else:
-                pairs = [(a, b) for a in range(n) for b in range(n)]
-            dense = []
-            for a, b in pairs:
+                if kind == "sym2":
+                    products, derivatives = unit_products(n)
+                    units = products[:, None] @ derivatives[None, :]
+                elif kind == "lambda" and p:
+                    units = -unit_wedges(n, p - 1)[:, None] @ unit_contractions(n, p)[None, :]
+                else:  # Lambda^0 and the scalar fiber
+                    units = np.zeros((n, n, 1, 1), dtype=np.int64)
+                units = units.reshape(n, n, self.dim**2)  # E_ab at [a, b]
                 if symplectic:
-                    # e_x bar(e_y)^T over {(a, b), (b, a)}: one term when a == b
-                    m = from_triplets(n, n, [(x, j, v) for x, y in {(a, b), (b, a)}
-                                             for j, v in enumerate(bar(units[y])) if v])
+                    a, b = np.triu_indices(n)
+                    bars = np.array([bar(e) for e in identity(n)], dtype=np.int64)
+                    sym = bars @ units  # e_x bar(e_y)^T at [x, y]
+                    dense = sym[a, b] + (a != b)[:, None] * sym[b, a]
                 else:
-                    m = rank_one(units[a], units[b])
-                dense.append(self.action_matrix_int(m))
-            table = self._rank_one[symplectic] = (
-                np.array(pairs, dtype=np.intp).reshape(len(pairs), 2),
-                np.array(dense, dtype=np.int64).reshape(len(pairs), self.dim, self.dim))
+                    a, b = np.indices((n, n)).reshape(2, -1)
+                    dense = units[a, b]
+                table = np.stack([a, b], axis=1), dense.reshape(len(a), self.dim, self.dim)
+            self._rank_one[symplectic] = table
         return table
 
     def rank_one_stack(self, xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
@@ -194,15 +197,6 @@ class FiberSpace:
         outer = int_matmul(xs[:, :, None], (xs if ys is None else ys)[:, None, :])
         coeffs = outer[:, pairs[:, 0], pairs[:, 1]]
         return int_matmul(coeffs, dense.reshape(len(pairs), -1)).reshape(len(xs), self.dim, self.dim)
-
-    def _restricted_action(self, a) -> tuple:
-        # the action on the columns of embed: scale times the images of the
-        # pivot-1 basis, whose Fund coordinates are their pivot entries
-        full = np.array(gl_action_matrix(self.n, self.fiber.p, a), dtype=object)
-        images = int_matmul(full, self.embed)
-        if int_matmul(self._theta, images).any():
-            raise ValueError("matrix action does not preserve the contraction kernel")
-        return tuple(map(tuple, images[list(self._fund.pivots)].tolist()))
 
     # -- exterior-power subspaces in this space's coordinates ---------------
 
@@ -617,7 +611,7 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
         tested = [0] * len(chunk)  # rows tested per degree: none, so all go as later rows
         hits, flags = [], []  # the edges with an escaping held row, and those rows' flags
         if turns >= UNTESTED_TURNS:
-            stale = np.unique(js[known[js] != dims[js]])
+            stale = np.flatnonzero(np.bincount(js[known[js] != dims[js]], minlength=len(dims)))
             anns[stale[dims[stale] == 0]] = np.eye(dim, dtype=np.int64)
             grew = stale[dims[stale] > 0]
             if grew.size:

@@ -54,10 +54,9 @@ from .exact_linalg import (
     vec,
 )
 from .exterior_algebra import (
-    ext_dim,
-    interior_matrix,
     theta_matrix,
-    wedge_matrix,
+    unit_contractions,
+    unit_wedges,
 )
 from .graded_modules import (
     ActionSpec,
@@ -219,19 +218,18 @@ def map_stack(map_id: MapId, n: int, kqs: np.ndarray) -> np.ndarray:
     unit vectors; theta_tilde is constant; f(p) = T(p+1) o pi(p) is the
     derivation action of K bar(K)^T, one ``rank_one_stack``.
     """
-    src, tgt = map_degrees(map_id, n)
+    src, _ = map_degrees(map_id, n)
     if map_id.name == "theta":
         theta = np.array(theta_matrix(n, src), dtype=np.int64)
         return np.broadcast_to(theta, (len(kqs), *theta.shape))
     if map_id.name == "f":
         return fiber_space(n, Lambda(src)).rank_one_stack(kqs)
     if map_id.name == "pi":
-        units = [wedge_matrix(n, src, e) for e in identity(n)]
+        units = unit_wedges(n, src)
     else:  # the contraction against bar(K) = sum_a K_a bar(e_a)
-        units = [interior_matrix(n, src, bar(e)) for e in identity(n)]
-    shape = (ext_dim(n, tgt), ext_dim(n, src))
-    units = np.array(units, dtype=np.int64).reshape(n, shape[0] * shape[1])
-    return int_matmul(kqs, units).reshape(len(kqs), *shape)
+        bars = np.array([bar(e) for e in identity(n)], dtype=np.int64)
+        units = np.tensordot(bars, unit_contractions(n, src), 1)
+    return int_matmul(kqs, units.reshape(n, -1)).reshape(len(kqs), *units.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +245,8 @@ def verify_module_map(
 
     Checks map(k+r) o act(k -> k+r) = act'(k -> k+r) o map(k) for all degrees
     k in the window and all generators with k + r still inside; pairs whose
-    target leaves the window are skipped.
+    target leaves the window are skipped, and a window where every pair
+    leaves is refused.
 
     The sweep is exact: the map comes from ``map_stack`` and the actions
     from the edge tables, all scaled to integers by the beta denominator,
@@ -271,6 +270,8 @@ def verify_module_map(
     phi = map_stack(map_id, n, spec.scaled_shifts(window))
     # the in-window (degree, generator) pairs, generator-major
     gis, srcs = np.nonzero(src_table.inbox.T)
+    if not len(gis):
+        raise ValueError(f"window d={window.d} has no in-window map: the check would compare nothing")
     failing: dict = {}  # generator index -> the degrees where its square fails
     for start in range(0, len(gis), STACK_ITEMS):
         g, i = gis[start : start + STACK_ITEMS], srcs[start : start + STACK_ITEMS]

@@ -228,10 +228,13 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     ("unique-W", 3, "empty interior"),
     ("composition", 4, "no generic degree"),
     ("JH-quotient", 4, "no generic degree"),
+    ("fiber-equalities", 4, "no generic degree"),
+    ("module-maps", 4, "no in-window map"),
 ])
 def test_checks_refuse_a_window_without_evidence(check_id, n, reason, capsys):
     # at beta = 0 the d=0 window is the degenerate degree alone: no interior
-    # degree for a probe and no generic degree for a family comparison
+    # degree for a probe, no generic degree for a family comparison and no
+    # map that stays in the window
     assert main(["check", "--id", check_id, "--N", str(n), "--window", "0"]) == 2
     assert reason in capsys.readouterr().err
 

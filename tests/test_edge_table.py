@@ -32,6 +32,26 @@ from slmod.graded_modules import (
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import ProbeEngine, probe_engine
 from slmod.torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
+from test_exterior_algebra import gl_action_matrix, monomial_theta_matrix, sym_action_matrix
+
+
+def action_matrix_int(space, a) -> tuple:
+    """``scale`` times the exact action of the matrix ``a`` on the space, one
+    matrix at a time from the monomial loops: the reference the unit and
+    rank-one tables are checked against.  On Fund(p) it is the Lambda^p
+    action on the columns of ``embed``, read at the pivot rows, and raises
+    when ``a`` leaves the contraction kernel."""
+    n, kind, p = space.n, space.fiber.kind, space.fiber.p
+    if kind == "scalar":
+        return ((0,),)
+    if kind == "sym2":
+        return sym_action_matrix(n, a)
+    if kind == "lambda":
+        return gl_action_matrix(n, p, a)
+    images = np.array(gl_action_matrix(n, p, a), dtype=object) @ space.embed.astype(object)
+    if p >= 2 and (np.array(monomial_theta_matrix(n, p), dtype=object) @ images).any():
+        raise ValueError("matrix action does not preserve the contraction kernel")
+    return tuple(map(tuple, images[list(space._fund.pivots)].tolist()))
 
 
 def edge_scalar(spec, gen, k) -> F:
@@ -47,7 +67,7 @@ def fiber_action(spec, gen, k) -> tuple:
     _check_generator(spec, gen)
     c = edge_scalar(spec, gen, k)
     space = spec.space()
-    rows = space.action_matrix_int(rank_one_sym(gen.r) if gen.u is None else rank_one(gen.r, gen.u))
+    rows = action_matrix_int(space, rank_one_sym(gen.r) if gen.u is None else rank_one(gen.r, gen.u))
     return tuple(
         tuple((c if i == j else 0) + F(rows[i][j], space.scale) for j in range(space.dim))
         for i in range(space.dim)
@@ -94,7 +114,7 @@ def reference_dominators(engine) -> set:
     edges = [(i, j, gi, cq) for i, es in enumerate(out_edges) for gi, j, cq in es
              if i not in special and j not in special]
     keys = sorted({(gi, cq) for _, _, gi, cq in edges})
-    dense = {gi: space.action_matrix_int(rank_one_sym(gens[gi].r) if gens[gi].u is None
+    dense = {gi: action_matrix_int(space, rank_one_sym(gens[gi].r) if gens[gi].u is None
                                          else rank_one(gens[gi].r, gens[gi].u))
              for gi in {gi for gi, _ in keys}}
     mats = [[[cq * space.scale * (a == b) + spec.q * x for b, x in enumerate(row)]

@@ -10,13 +10,18 @@ into a degree index, the only place that subtracts an ``offset``.
 scaled shifts, the only place that divides them by their gcd.  A sweep
 calls ``fiber_escapes`` once per slice of ``STACK_ITEMS`` items, never once
 per generator, degree or direction; ``saturate``, whose fixpoint loop tests
-one chunk of queued degrees at a time, is the one exception.  These lints
+one chunk of queued degrees at a time, is the one exception.  The unit
+tables of ``exterior_algebra`` are the only code that reads the monomial
+numbering, so every other fiber matrix is a product of them.  These lints
 keep the hand-written forms from coming back, and each is shown to flag a
 planted copy of one.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+from test_exterior_algebra import gl_action_matrix
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slmod"
 REGISTRY = (PACKAGE / "theorem_registry.py").read_text()
@@ -232,3 +237,25 @@ def test_the_batch_lint_flags_per_generator_and_per_degree_calls():
     assert _callers(planted, _loops_over_fiber_escapes, LOOPS) == ["invariance_report"]
     planted = _plant('len(pairs) * count, STACK_ITEMS)', 'len(pairs) * count, 1)', invariant)
     assert _callers(planted, _loops_over_fiber_escapes, LOOPS) == ["invariance_report"]
+
+
+# the monomial numbering and the sign of e_a ^ on a monomial
+MONOMIAL_HELPERS = {"ext_position", "sym_position", "insert_index"}
+
+
+def _reads_monomials(node) -> bool:
+    return (node.id if isinstance(node, ast.Name) else node.attr) in MONOMIAL_HELPERS
+
+
+def test_only_the_unit_tables_read_monomials():
+    for path in sorted(PACKAGE.glob("*.py")):
+        expected = {"unit_wedges", "unit_contractions", "unit_products"} \
+            if path.stem == "exterior_algebra" else set()
+        found = _callers(path.read_text(), _reads_monomials, (ast.Name, ast.Attribute))
+        assert set(found) == expected, path.name
+
+
+def test_the_monomial_lint_flags_a_per_matrix_loop():
+    graded = (PACKAGE / "graded_modules.py").read_text()
+    planted = graded + "\n\n" + inspect.getsource(gl_action_matrix)
+    assert set(_callers(planted, _reads_monomials, (ast.Name, ast.Attribute))) == {"gl_action_matrix"}

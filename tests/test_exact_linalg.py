@@ -15,7 +15,6 @@ from slmod.exact_linalg import (
     _primitive,
     echelon_stack,
     fits_int64,
-    from_triplets,
     identity,
     image,
     int_affine,
@@ -42,6 +41,14 @@ def mat_mul(a, b) -> tuple:
 
 def mat_sub(a, b) -> tuple:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def from_triplets(nrows: int, ncols: int, triplets) -> tuple:
+    """Dense matrix from sparse (row, col, value) entries; duplicates add."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    for i, j, v in triplets:
+        rows[i][j] += v
+    return matrix(rows)
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)

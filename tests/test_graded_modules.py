@@ -1,14 +1,17 @@
+import os
 import random
+import subprocess
 import sys
 from collections import deque
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slmod import graded_modules, theorem_registry
-from slmod.exact_linalg import IntSpan, Subspace, int_blocks
+from slmod.exact_linalg import IntSpan, Subspace, identity, int_blocks
 from slmod.graded_modules import (
     ActionSpec,
     EdgeTable,
@@ -30,9 +33,9 @@ from slmod.graded_modules import (
     saturate,
 )
 from slmod.sl_maps import FamilyKind, build_family
-from slmod.torus_lie import rank_one, rank_one_sym, sympl_form
-from test_edge_table import fiber_action
-from test_exact_linalg import mat_mul, mat_sub
+from slmod.torus_lie import bar, rank_one, rank_one_sym, sympl_form
+from test_edge_table import action_matrix_int, fiber_action
+from test_exact_linalg import from_triplets, mat_mul, mat_sub
 
 HALF = (F(1, 2), 0, 0, 0)
 
@@ -282,7 +285,7 @@ def test_rank_one_action_is_the_dense_action(n, fiber, form):
         ys = xs[::-1].copy()
         if form == "x-bar-x":
             stack = space.rank_one_stack(xs)
-            want = [space.action_matrix_int(rank_one_sym(x)) for x in rows]
+            want = [action_matrix_int(space, rank_one_sym(x)) for x in rows]
         elif fiber.kind == "fund" and fiber.p >= 2:
             # E_ab leaves sp, and with it the contraction kernel
             with pytest.raises(ValueError):
@@ -290,10 +293,39 @@ def test_rank_one_action_is_the_dense_action(n, fiber, form):
             continue
         else:
             stack = space.rank_one_stack(xs, ys)
-            want = [space.action_matrix_int(rank_one(x, y)) for x, y in zip(rows, ys.tolist())]
+            want = [action_matrix_int(space, rank_one(x, y)) for x, y in zip(rows, ys.tolist())]
         assert stack.shape == (len(rows), space.dim, space.dim)
         for got, mat in zip(stack.tolist(), want):
             assert tuple(map(tuple, got)) == mat
+
+
+TABLE_CASES = RANK_ONE_CASES + [(3, fiber) for fiber in (*map(Lambda, range(4)), Sym2(), ScalarFiber())]
+
+
+@pytest.mark.parametrize("n,fiber", TABLE_CASES, ids=[f"N{n}-{f}" for n, f in TABLE_CASES])
+def test_rank_one_tables_are_the_monomial_actions(n, fiber):
+    """Every item of ``rank_one_actions`` is ``action_matrix_int`` of its
+    elementary matrix, in the pair order ``rank_one_stack`` reads: E_ab off
+    Fund(p >= 2), where it leaves the contraction kernel, and P_ab at even
+    N; the tables are C-contiguous int64."""
+    space = fiber_space(n, fiber)
+    units = identity(n)
+    for symplectic in (False, True) if n % 2 == 0 else (False,):
+        if symplectic:
+            want = [((a, b), from_triplets(n, n, [(x, j, v) for x, y in {(a, b), (b, a)}
+                                                  for j, v in enumerate(bar(units[y])) if v]))
+                    for a in range(n) for b in range(a, n)]
+        elif fiber.kind == "fund" and fiber.p >= 2:
+            with pytest.raises(ValueError):  # E_ab leaves the contraction kernel
+                space.rank_one_actions(False)
+            continue
+        else:
+            want = [((a, b), from_triplets(n, n, [(a, b, 1)])) for a in range(n) for b in range(n)]
+        pairs, dense = space.rank_one_actions(symplectic)
+        assert dense.dtype == np.int64 and dense.flags.c_contiguous
+        assert [tuple(pair) for pair in pairs.tolist()] == [pair for pair, _ in want]
+        assert [tuple(map(tuple, m)) for m in dense.tolist()] == [action_matrix_int(space, m)
+                                                                  for _, m in want]
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +586,24 @@ def test_saturate_tests_spanless_targets_against_the_identity(monkeypatch):
     identities = [[(block == eye).all() for block in anns] for _, _, anns in calls]
     assert any(identities[0])
     assert any(any(ids) and not all(ids) for ids in identities[1:])
+
+
+def test_saturate_leaves_numpy_ma_unimported():
+    """``saturate`` gathers its stale targets without ``np.unique``, which
+    imports ``numpy.ma`` on first use: a fresh interpreter that runs a
+    closure through tested chunks, from outside INT to the whole N=4 d=2
+    window, has not loaded it."""
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from slmod.graded_modules import ActionSpec, Fund, Window, closure\n"
+        "spec = ActionSpec.make('H', 4, Fund(1), (Fraction(1, 2), 0, 0, 0))\n"
+        "family = closure(spec, {(0, 0, 0, 0): [[1, 0, 1, 0]]}, Window(4, 2))\n"
+        "print(len(family.fibers), 'numpy.ma' in sys.modules)\n")
+    src = Path(graded_modules.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.split() == ["625", "False"]
 
 
 @pytest.fixture

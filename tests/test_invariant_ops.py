@@ -27,6 +27,7 @@ from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family, symplectic_extend
 from slmod.torus_lie import degree_box, rank_one, rank_one_sym, sympl_form
 from test_complexes import _merged_directions
+from test_edge_table import action_matrix_int
 
 K1 = (1, 0, 0, 0)
 ZERO = (0, 0, 0, 0)
@@ -200,7 +201,7 @@ def _reference_invariance_report(family):
                     if sympl_form(shift, x) == 0]
         ok = True
         for op in ops:
-            rows = space.action_matrix_int(_int_matrix(op)[0])
+            rows = action_matrix_int(space, _int_matrix(op)[0])
             for row in sub.rows:
                 if not sub.contains_vector(mat_vec(rows, row)):
                     ok = False

@@ -9,7 +9,7 @@ import pytest
 import slmod.sl_maps as sl_maps
 from slmod.cli import main
 from slmod.exact_linalg import Subspace, image, intersect, kernel, mat_vec
-from slmod.exterior_algebra import fundamental_subspace, interior_matrix, theta_matrix, wedge_matrix
+from slmod.exterior_algebra import fundamental_subspace
 from slmod.graded_modules import ActionSpec, Fund, Lambda, ScalarFiber, Sym2, Window, fiber_space
 from slmod.sl_maps import (
     FamilyKind,
@@ -26,7 +26,9 @@ from slmod.sl_maps import (
     verify_module_map,
 )
 from slmod.torus_lie import bar, rank_one_sym
+from test_edge_table import action_matrix_int
 from test_exact_linalg import mat_mul
+from test_exterior_algebra import interior_matrix, monomial_theta_matrix, wedge_matrix
 
 HALF = (F(1, 2), 0, 0, 0)
 ZERO = (0, 0, 0, 0)
@@ -81,8 +83,8 @@ def reference_map(map_id, n, kq) -> tuple:
     if map_id.name == "T":
         return interior_matrix(n, p, bar(kq))
     if map_id.name == "theta":
-        return theta_matrix(n, p)
-    return fiber_space(n, Lambda(p)).action_matrix_int(rank_one_sym(kq))
+        return monomial_theta_matrix(n, p)
+    return action_matrix_int(fiber_space(n, Lambda(p)), rank_one_sym(kq))
 
 
 def _every_map(n) -> list:
@@ -312,9 +314,9 @@ def reference_fiber(kind, p, space, kq) -> Subspace:
     per-direction reference for the stacked ``build_family``."""
     n = space.n
     if kind is FamilyKind.MIN:
-        return image(space.action_matrix_int(rank_one_sym(kq)))
+        return image(action_matrix_int(space, rank_one_sym(kq)))
     if kind is FamilyKind.MAX:
-        return kernel(space.action_matrix_int(rank_one_sym(kq)))
+        return kernel(action_matrix_int(space, rank_one_sym(kq)))
     if kind is FamilyKind.FULLW:
         fiber = image(wedge_matrix(n, p - 1, kq))
     else:

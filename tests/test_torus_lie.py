@@ -5,9 +5,8 @@ import pytest
 
 import slmod.exact_linalg as exact_linalg
 from slmod.exact_linalg import (
-    _int_matrix, dot, fits_int64, from_triplets, identity, kernel, mat_vec, matrix,
+    _int_matrix, dot, fits_int64, identity, kernel, mat_vec, matrix,
 )
-from slmod.exterior_algebra import gl_action_matrix
 from slmod.graded_modules import Lambda, Sym2, fiber_space
 from slmod.theorem_registry import _j_samples
 from slmod.torus_lie import (
@@ -21,7 +20,9 @@ from slmod.torus_lie import (
     sp_dim,
     sympl_form,
 )
-from test_exact_linalg import mat_mul
+from test_edge_table import action_matrix_int
+from test_exact_linalg import from_triplets, mat_mul
+from test_exterior_algebra import gl_action_matrix
 
 
 def test_bar_examples():
@@ -124,7 +125,7 @@ def _dense_action(space, kind, r, u) -> tuple:
     """``(rows, scale)`` of the sample's rank-one matrix, from the dense
     ``action_matrix_int``: independent of the rank-one table."""
     a = rank_one_sym(r) if kind in ("H", AlgebraKind.H) else rank_one(r, u)
-    return space.action_matrix_int(a), space.scale
+    return action_matrix_int(space, a), space.scale
 
 
 def reference_j_membership(kind, space, vectors, samples) -> bool:
