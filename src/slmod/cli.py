@@ -296,7 +296,7 @@ def _dims_result(cfg: RunConfig) -> CheckResult:
     return _pass_table("dims", {"family": cfg.family, "N": cfg.n, "p": cfg.p,
                                 "beta": format_vector(cfg.beta), "fund": cfg.fund,
                                 "policy": cfg.policy, "d": cfg.d},
-                       [Detail(k, "dim", family.fiber(k).dim, PASS) for k in window.degrees()])
+                       [Detail(k, "dim", d, PASS) for k, d in zip(window.degrees(), family.dims.tolist())])
 
 
 def _closure_result(cfg: RunConfig) -> CheckResult:
@@ -314,7 +314,7 @@ def _closure_result(cfg: RunConfig) -> CheckResult:
                                    "seed-fiber": format_vector(cfg.seed_fiber),
                                    "seed-index": cfg.seed_index, "d": cfg.d,
                                    "rbound": cfg.rbound},
-                       [Detail(k, "dim", fam.fiber(k).dim, PASS) for k in window.degrees()])
+                       [Detail(k, "dim", d, PASS) for k, d in zip(window.degrees(), fam.dims.tolist())])
 
 
 def _homology_result(cfg: RunConfig) -> CheckResult:

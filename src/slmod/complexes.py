@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_linalg import format_vector, image, int_matmul, kernel
+from .exact_linalg import echelon_stack, format_vector, image, int_matmul, kernel
 from .exterior_algebra import ext_dim, fundamental_subspace
 from .graded_modules import ActionSpec, Fund, Lambda, Window, directions, fiber_space
 from .reports import CheckResult, Recorder
@@ -163,11 +163,9 @@ def predicted_homology(
             if pos >= 1
             else None
         )
-        for k in window.degrees():
-            if k == k0:
-                table[k] = ext_dim(n, pos)
-            else:
-                table[k] = above.fiber(k).dim + (below.fiber(k).dim if below else 0)
+        dims = above.dims + (below.dims if below else 0)
+        for k, dim in zip(window.degrees(), dims.tolist()):
+            table[k] = ext_dim(n, pos) if k == k0 else dim
         return table
     # fsq_fund
     space = fiber_space(n, Fund(pos))
@@ -175,21 +173,18 @@ def predicted_homology(
         # Lambda^0 is its own contraction kernel
         below = Fund(pos - 1) if pos >= 2 else Lambda(0)
         lower = build_family(FamilyKind.MIN, pos - 1, spec.with_fiber(below), window)
-        for k in window.degrees():
-            table[k] = space.dim if k == k0 else lower.fiber(k).dim
+        for k, dim in zip(window.degrees(), lower.dims.tolist()):
+            table[k] = space.dim if k == k0 else dim
         return table
     maxf = build_family(FamilyKind.MAX, pos, spec.with_fiber(Fund(pos)), window)
     degs = window.degrees()
     live, place, stack = directions(spec.scaled_shifts(window))
-    # pi(pos) on Fund(pos) coordinates along every direction, one product
-    wedges = int_matmul(map_stack(pi(pos), n, stack), space.embed).tolist()
+    # pi(pos) on Fund(pos) coordinates along every direction, one product, and
+    # MAX's rows at every degree through its direction's map, one elimination
+    wedges = int_matmul(map_stack(pi(pos), n, stack), space.embed)
+    images = echelon_stack(int_matmul(maxf.rows[maxf.place[live]], wedges[place].transpose(0, 2, 1)))
     table = dict.fromkeys(degs, space.dim)  # kept at the degenerate degree, K = 0
-    images: dict = {}  # (direction, MAX fiber) -> dim: MAX is read at every degree
-    for i, j in zip(live.tolist(), place):
-        key = (j, maxf.fiber(degs[i]))
-        if key not in images:
-            images[key] = image(wedges[j], key[1]).dim
-        table[degs[i]] = images[key]
+    table.update(zip([degs[i] for i in live.tolist()], (images != 0).any(axis=2).sum(axis=1).tolist()))
     return table
 
 

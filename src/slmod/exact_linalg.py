@@ -17,9 +17,9 @@ outside this module).
 at once; canonical form is unique, so each item's rows are ``_echelon``'s.
 
 Every null space is read off one elimination by the rule of
-``Subspace.annihilator``: ``kernel`` and ``kernel_stack`` eliminate the
-matrix with its columns reversed and turn the read-off rows back, and
-``intersect`` is the kernel of both annihilators' rows.
+``Subspace.annihilator``, stacked in ``annihilator_stack``: ``kernel`` and
+``kernel_stack`` eliminate the matrix with its columns reversed and turn the
+read-off rows back, and ``intersect`` is the kernel of both annihilators' rows.
 """
 
 from __future__ import annotations
@@ -92,14 +92,15 @@ def int_affine(cs: list, a: np.ndarray, b: np.ndarray, tops: tuple | None = None
 
 
 def int_blocks(row_sets: list, dim: int) -> np.ndarray:
-    """Integer row sets stacked into one array, each padded with zero rows;
-    in int64 when every entry is one, else in Python ints.  Every product
-    reads its operands' magnitudes itself, so none is bounded here."""
+    """Integer row sets (lists of rows or 2-D arrays) stacked into one array,
+    each padded with zero rows; in int64 when every entry is one, else in
+    Python ints.  Every product reads its operands' magnitudes itself, so
+    none is bounded here."""
     shape = (len(row_sets), max(map(len, row_sets), default=0), dim)
 
     def filled(out):
         for block, rows in zip(out, row_sets):
-            if rows:
+            if len(rows):
                 block[: len(rows)] = rows
         return out
 
@@ -267,21 +268,19 @@ def echelon_stack(stack: np.ndarray) -> np.ndarray:
     return work[:, : rank.max(initial=0)]
 
 
-def kernel_stack(stack: np.ndarray) -> np.ndarray:
-    """The null spaces { v : M v = 0 } of a (B, m, n) integer stack as one
-    (B, n, n) stack of canonical rows, row i the one leading at column i or
-    zero: ``kernel``'s read-off for every item at once.
+def annihilator_stack(red: np.ndarray) -> np.ndarray:
+    """The annihilators of a (B, h, n) stack of canonical rows (an
+    ``echelon_stack`` output, zero rows anywhere) as one (B, n, n) stack:
+    ``Subspace.annihilator``'s read-off for every item at once, row f the
+    one at free column f divided by its gcd, zero at a pivot column.
 
-    The stack is eliminated once with its columns reversed.  E holds each
-    item's rows scaled to L, the lcm of its pivots, at their pivot indices;
-    the free columns of L I - E, turned back and divided by their gcd, are
-    the null space.  L is taken on Python ints (int64 would wrap it), and the
-    read-off runs in int64 while ``fits_int64`` bounds L max|row|.  The
-    normalised rows come back in int64 whenever they fit, however large the
-    read-off ran.
+    E holds each item's rows scaled to L, the lcm of its pivots, at their
+    pivot indices; the free columns of L I - E, divided by their gcd, are the
+    annihilator rows.  L is taken on Python ints (int64 would wrap it), and
+    the read-off runs in int64 while ``fits_int64`` bounds L max|row|.  The
+    rows come back in int64 whenever they fit, however large the read-off ran.
     """
-    red = echelon_stack(stack[:, :, ::-1])
-    n = stack.shape[2]
+    n = red.shape[2]
     leads = (np.cumsum(red != 0, axis=2) == 0).sum(axis=2)  # n on a zero row
     items, rows = np.nonzero(leads < n)
     cols = leads[items, rows]
@@ -290,15 +289,31 @@ def kernel_stack(stack: np.ndarray) -> np.ndarray:
     scale = np.lcm.reduce(pivots, axis=1, initial=1)
     small = red.dtype != object and fits_int64(max(scale, default=1) * max_abs(red))
     dtype = np.int64 if small else object
-    out = np.zeros((len(stack), n, n), dtype=dtype)
+    out = np.zeros((len(red), n, n), dtype=dtype)
     out[:, np.arange(n), np.arange(n)] = scale.astype(dtype)[:, None]
     factor = (scale[items] // pivots[items, rows]).astype(dtype)
     out[items, cols] -= red[items, rows].astype(dtype) * factor[:, None]
-    null = out[:, ::-1, ::-1].transpose(0, 2, 1)
-    norm = np.gcd.reduce(null, axis=2, initial=0)
+    anns = out.transpose(0, 2, 1)
+    norm = np.gcd.reduce(anns, axis=2, initial=0)
     norm[norm == 0] = 1
-    null //= norm[:, :, None]
-    return null.astype(np.int64) if dtype is object and fits_int64(max_abs(null)) else null
+    anns //= norm[:, :, None]
+    return anns.astype(np.int64) if dtype is object and fits_int64(max_abs(anns)) else anns
+
+
+def kernel_stack(stack: np.ndarray) -> np.ndarray:
+    """The null spaces { v : M v = 0 } of a (B, m, n) integer stack as one
+    (B, n, n) stack of canonical rows, row i the one leading at column i or
+    zero: the ``annihilator_stack`` of the stack eliminated once with its
+    columns reversed, turned back, as ``kernel`` does for one matrix."""
+    return annihilator_stack(echelon_stack(stack[:, :, ::-1]))[:, ::-1, ::-1]
+
+
+def packed(stack: np.ndarray) -> np.ndarray:
+    """Each item's nonzero rows first, in their order, then its zero rows,
+    cut to the largest number of nonzero rows in the stack."""
+    live = (stack != 0).any(axis=2)
+    order = np.argsort(~live, axis=1, kind="stable")[:, : live.sum(axis=1).max(initial=0)]
+    return np.take_along_axis(stack, order[:, :, None], axis=1)
 
 
 def subspaces(stack: np.ndarray) -> list:
@@ -356,7 +371,7 @@ class Subspace:
     pivot-1 reduced echelon basis.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_annihilator", "_hash")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]] = ()):
         canon, piv = _echelon(rows)
@@ -366,13 +381,12 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.rows = tuple(canon)
         self.pivots = tuple(piv)
-        self._annihilator = self._hash = None
 
     @classmethod
     def _trusted(cls, ambient_dim: int, rows: list, leads: list) -> "Subspace":
         """Canonical rows as they are, zero rows (lead ``ambient_dim``) dropped."""
         self = cls.__new__(cls)
-        self.ambient_dim, self._annihilator, self._hash = ambient_dim, None, None
+        self.ambient_dim = ambient_dim
         self.rows = tuple(tuple(row) for row, lead in zip(rows, leads) if lead < ambient_dim)
         self.pivots = tuple(lead for lead in leads if lead < ambient_dim)
         return self
@@ -395,11 +409,9 @@ class Subspace:
         One row per free column, read off the canonical rows: v[free] = L and
         v[p] = -row[free] * L / row[p] at each pivot p, L the lcm of the
         pivots of the rows that meet column ``free``.  The zero space gives
-        the identity and the full space no rows.  Computed on the first call
-        and kept: a subspace never changes.
+        the identity and the full space no rows.  ``annihilator_stack`` reads
+        off a whole stack of row sets by the same rule.
         """
-        if self._annihilator is not None:
-            return self._annihilator
         pivot_set = set(self.pivots)
         out = []
         for free in range(self.ambient_dim):
@@ -412,8 +424,7 @@ class Subspace:
             for row, p in hits:
                 v[p] = -row[free] * (big // row[p])
             out.append(tuple(v))
-        self._annihilator = tuple(out)
-        return self._annihilator
+        return tuple(out)
 
     def contains_vector(self, vector: Sequence[int]) -> bool:
         if len(vector) != self.ambient_dim:
@@ -433,9 +444,7 @@ class Subspace:
         )
 
     def __hash__(self):
-        if self._hash is None:  # kept, as the annihilator is
-            self._hash = hash((self.ambient_dim, self.rows))
-        return self._hash
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, rows={self.rows})"
@@ -503,10 +512,16 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return kernel(rows) if rows else Subspace.full(a.ambient_dim)
 
 
-def contained(inners: Sequence[Subspace], outers: Sequence[Subspace], dim: int) -> np.ndarray:
-    """Whether ``inners[t]`` lies in ``outers[t]``, for every t at once: X is
-    in Y exactly when ann(Y) rows(X)^T = 0, one ``int_matmul`` over the pairs
-    padded with zero rows."""
-    anns = int_blocks([outer.annihilator() for outer in outers], dim)
-    rows = int_blocks([inner.rows for inner in inners], dim)
+def contained(rows: np.ndarray, anns: np.ndarray) -> np.ndarray:
+    """Whether the row space of ``rows[t]`` lies in the space that ``anns[t]``
+    annihilates, for every t at once: X is in Y exactly when
+    ann(Y) rows(X)^T = 0, one ``int_matmul`` over the stacked blocks."""
     return ~int_matmul(anns, rows.transpose(0, 2, 1)).any(axis=(1, 2))
+
+
+def same_spans(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether items t of two stacks of canonical rows, zero rows last, span
+    one space: canonical form is unique, so the rows agree entry for entry."""
+    h = min(a.shape[1], b.shape[1])
+    return ((a[:, :h] == b[:, :h]).all(axis=(1, 2)) & ~(a[:, h:] != 0).any(axis=(1, 2))
+            & ~(b[:, h:] != 0).any(axis=(1, 2)))

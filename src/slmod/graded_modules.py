@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -28,6 +29,7 @@ from .exact_linalg import (
     IntSpan,
     Subspace,
     _int_matrix,
+    annihilator_stack,
     dot,
     echelon_stack,
     format_vector,
@@ -38,6 +40,8 @@ from .exact_linalg import (
     int_matmul,
     kernel_stack,
     max_abs,
+    packed,
+    same_spans,
     subspaces,
 )
 from .exterior_algebra import (
@@ -200,9 +204,9 @@ class FiberSpace:
 
     # -- exterior-power subspaces in this space's coordinates ---------------
 
-    def from_lambda(self, stack: np.ndarray) -> list:
+    def from_lambda(self, stack: np.ndarray) -> np.ndarray:
         """The parts of a (B, r, dim Lambda^p) stack of row spaces inside this
-        space: one canonical ``Subspace`` per item, in this space's coordinates.
+        space: each item's canonical rows, in this space's coordinates.
 
         Off Fund that is each item's row space.  On Fund(p) it is the row
         space intersected with the contraction kernel: the vectors
@@ -211,9 +215,9 @@ class FiberSpace:
         basis' pivot columns only, which are the Fund coordinates.
         """
         if self.fiber.kind != "fund":
-            return subspaces(stack)
+            return stack
         us = kernel_stack(int_matmul(self._theta, stack.transpose(0, 2, 1)))
-        return subspaces(echelon_stack(int_matmul(us, stack[:, :, list(self._fund.pivots)])))
+        return echelon_stack(int_matmul(us, stack[:, :, list(self._fund.pivots)]))
 
 
 @lru_cache(maxsize=None)
@@ -365,6 +369,10 @@ class Window:
     def interior_degrees(self) -> tuple:
         return tuple(k for k in self.degrees() if self.is_interior(k))
 
+    def index(self, k: Degree) -> int:
+        """The position of degree k in ``degrees()``, read in radix 2d + 1."""
+        return sum((x + self.d) * (2 * self.d + 1) ** (self.n - 1 - a) for a, x in enumerate(k))
+
 
 @lru_cache(maxsize=None)
 def _window_degrees(n: int, d: int) -> tuple:
@@ -372,59 +380,83 @@ def _window_degrees(n: int, d: int) -> tuple:
 
 
 class GradedFamily:
-    """A finite window of fibers: degree -> canonical subspace of the fiber."""
+    """A finite window of fibers, stored as blocks of canonical rows.
+
+    ``place[i]`` numbers the block of the fiber at ``window.degrees()[i]``,
+    -1 where it is zero; ``rows`` is the blocks' canonical rows, zero rows
+    last, as one (B, h, D) array, and ``anns`` their ``annihilator_stack``
+    as one (B, a, D) array, read on first use and kept while ``rows`` is
+    the same array.  Where some fiber is zero the last block is the zero
+    fiber, so ``rows[place]`` and ``anns[place]`` read every degree.
+    ``fiber(k)`` and ``fibers`` wrap blocks as ``Subspace``s on demand.
+    """
 
     def __init__(self, spec: ActionSpec, window: Window, fibers: dict | None = None):
-        self.spec = spec
-        self.window = window
-        self.fibers: dict = {}
-        dim = spec.space().dim
-        self._zero = Subspace.zero(dim)
+        """Fibers from a degree -> ``Subspace`` dict, one block per distinct one."""
+        first: dict = {}
+        place = np.full(len(window.degrees()), -1, dtype=np.intp)
         for k, sub in (fibers or {}).items():
             if tuple(k) not in window:
                 raise ValueError(f"degree {k} outside the window")
-            if sub.ambient_dim != dim:
+            if sub.ambient_dim != spec.space().dim:
                 raise ValueError("fiber ambient dimension differs from the fiber type")
-            if sub.dim:
-                self.fibers[tuple(k)] = sub
+            place[window.index(k)] = first.setdefault(sub, len(first))
+        self._store(spec, window, place, [sub.rows for sub in first])
+
+    @classmethod
+    def from_blocks(cls, spec: ActionSpec, window: Window, place: np.ndarray,
+                    blocks: list) -> "GradedFamily":
+        """The family whose fiber at degree index i is spanned by the canonical
+        rows ``blocks[place[i]]``, zero rows last, or zero where it is -1."""
+        family = cls.__new__(cls)
+        family._store(spec, window, place, blocks)
+        return family
+
+    def _store(self, spec: ActionSpec, window: Window, place: np.ndarray, blocks: list):
+        rows = int_blocks([*blocks, ()], spec.space().dim)  # the zero fiber last
+        self.spec, self.window, self._anns = spec, window, (None, None)
+        self.place = np.where((rows != 0).any(axis=2).any(axis=1)[place], place, -1)
+        self.rows = rows if (self.place < 0).any() else rows[:-1]
+
+    @property
+    def anns(self) -> np.ndarray:
+        if self._anns[0] is not self.rows:
+            self._anns = self.rows, packed(annihilator_stack(self.rows))
+        return self._anns[1]
+
+    @property
+    def dims(self) -> np.ndarray:
+        """The fiber dimension at every degree, in ``window.degrees()`` order."""
+        return (self.rows != 0).any(axis=2).sum(axis=1)[self.place]
 
     def fiber(self, k: Degree) -> Subspace:
-        return self.fibers.get(tuple(k), self._zero)
+        b = self.place[self.window.index(k)] if tuple(k) in self.window else -1
+        return subspaces(self.rows[b : b + 1])[0] if b >= 0 else Subspace.zero(self.rows.shape[2])
 
-    def dims(self) -> dict:
-        return {k: self.fiber(k).dim for k in self.window.degrees()}
+    @property
+    def fibers(self) -> MappingProxyType:
+        subs = subspaces(self.rows)
+        return MappingProxyType({k: subs[b] for k, b in zip(self.window.degrees(), self.place.tolist())
+                                 if b >= 0})
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedFamily)
             and self.spec == other.spec
             and self.window == other.window
-            and all(self.fiber(k) == other.fiber(k) for k in self.window.degrees())
+            and bool(same_spans(self.rows[self.place], other.rows[other.place]).all())
         )
 
     def __repr__(self):
-        nonzero = sum(1 for s in self.fibers.values() if s.dim)
+        nonzero = int((self.place >= 0).sum())
         return f"GradedFamily({self.spec.kind}, {self.spec.fiber}, nonzero fibers={nonzero})"
 
 
-def per_fiber_tuple(families, degrees, verdict) -> list:
-    """``(k, verdict(*fibers at k))`` per degree, computed once per distinct tuple
-    of fibers: a built family shares one fiber along each direction of k + beta."""
-    once = cache(verdict)  # kept for this call alone
-    return [(k, once(*(family.fiber(k) for family in families))) for k in degrees]
-
-
-def fiber_blocks(family: GradedFamily, degrees) -> tuple:
-    """(place, dims, rows, anns): per degree the number of its fiber among the
-    family's distinct fibers and that fiber's dimension, then the distinct
-    fibers' rows and annihilators as ``int_blocks``.  A built family shares
-    one fiber along each direction, so each block is built once per direction."""
-    first: dict = {}
-    place = np.array([first.setdefault(family.fiber(k), len(first)) for k in degrees], dtype=np.intp)
-    dim = family.spec.space().dim
-    return (place, np.array([sub.dim for sub in first], dtype=np.intp)[place],
-            int_blocks([sub.rows for sub in first], dim),
-            int_blocks([sub.annihilator() for sub in first], dim))
+def place_tuples(families, at) -> tuple:
+    """(tuples, which): the distinct tuples of the families' ``place``
+    entries at the degree indices ``at``, and each degree's tuple number: a
+    comparison of fibers runs once per tuple, on the blocks."""
+    return np.unique(np.stack([f.place[at] for f in families], axis=1), axis=0, return_inverse=True)
 
 
 def directions(kq: np.ndarray) -> tuple:
@@ -658,7 +690,7 @@ def closure(
 ) -> GradedFamily:
     """Smallest window-truncated family containing the seeds and stable under
     every in-window fiber map: ``saturate`` with no stop hook, its nonzero
-    spans made canonical by one ``echelon_stack``.
+    spans made canonical by one ``echelon_stack``, one block per degree.
 
     ``seeds`` maps degrees to lists of fiber coordinate vectors.  Action
     targets outside the window are discarded.
@@ -673,8 +705,10 @@ def closure(
         rows.setdefault(table.index[k], []).extend(_int_matrix(vectors)[0])
     spans = saturate(table, rows)
     live = [i for i, span in spans.items() if span.rows]
-    stack = echelon_stack(int_blocks([spans[i].rows for i in live], table.dim))
-    return GradedFamily(spec, window, {table.degs[i]: sub for i, sub in zip(live, subspaces(stack))})
+    place = np.full(len(table.degs), -1, dtype=np.intp)
+    place[live] = np.arange(len(live))
+    blocks = echelon_stack(int_blocks([spans[i].rows for i in live], table.dim))
+    return GradedFamily.from_blocks(spec, window, place, list(blocks))
 
 
 def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
@@ -683,8 +717,8 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
     Every in-window edge out of a nonzero fiber into one that is not full is
     one item of ``fiber_escapes``: the source fiber's rows, the target
     fiber's annihilator, cq * scale and the generator's q * D.  The edges of
-    all generators go generator-major, ``STACK_ITEMS`` to a call, with the
-    blocks of ``fiber_blocks`` and every magnitude read once per sweep.
+    all generators go generator-major, ``STACK_ITEMS`` to a call, gathered
+    from the family's blocks, with every magnitude read once per sweep.
 
     Maps whose target degree leaves the window are reported as skipped, never
     as failures, at every degree whatever its verdict; a failing degree names
@@ -698,7 +732,7 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
          "beta": format_vector(spec.beta)},
     )
     degs = table.degs
-    place, dims, r_blocks, a_blocks = fiber_blocks(family, degs)
+    place, dims, r_blocks, a_blocks = family.place, family.dims, family.rows, family.anns
     src = np.flatnonzero(dims)
     tops = (max_abs(r_blocks), max_abs(table.qd), max_abs(a_blocks))
     # the in-window edges out of nonzero fibers, generator-major, each as

@@ -29,8 +29,7 @@ from .exact_linalg import (
     rank,
     vec,
 )
-from .graded_modules import (STACK_ITEMS, ActionSpec, GradedFamily, directions, fiber_blocks,
-                             fiber_escapes)
+from .graded_modules import STACK_ITEMS, ActionSpec, GradedFamily, directions, fiber_escapes
 from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
 from .sl_maps import SymplecticFrame
@@ -172,8 +171,8 @@ def invariance_report(family: GradedFamily) -> CheckResult:
     The operators depend on k only through the direction of k + beta, so the
     T-span factors and their integer actions, one ``rank_one_stack``, are
     built once per direction (``directions``).  A ``fiber_escapes`` item is
-    a distinct (direction, fiber) pair with one of its direction's
-    operators: c = 0 and the fiber's rows and annihilator, ``STACK_ITEMS``
+    a distinct (direction, block) pair with one of its direction's
+    operators: c = 0 and the block's rows and annihilator, ``STACK_ITEMS``
     items to a call.  At k + beta = 0 there is no operator.  For the H
     action, x bar(x)^T for every vector x pairing to zero against k + beta
     (those of a symplectic frame, say) lies in the span of the checked
@@ -191,8 +190,8 @@ def invariance_report(family: GradedFamily) -> CheckResult:
     xs = int_blocks([[x for x, _ in f] for f in factors], n)
     ys = None if spec.kind is AlgebraKind.H else int_blocks([[y for _, y in f] for f in factors], n)
     ops = spec.space().rank_one_stack(xs.reshape(-1, n), None if ys is None else ys.reshape(-1, n))
-    place, dims, r_blocks, a_blocks = fiber_blocks(family, degs)
-    pairs: dict = {}  # (direction, fiber) -> its number
+    place, dims, r_blocks, a_blocks = family.place, family.dims, family.rows, family.anns
+    pairs: dict = {}  # (direction, block) -> its number
     key = {i: pairs.setdefault((d, place[i]), len(pairs)) for i, d in zip(live.tolist(), dirs) if dims[i]}
     pair_dir, pair_fiber = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
     tops = (max_abs(r_blocks), max_abs(ops), max_abs(a_blocks))

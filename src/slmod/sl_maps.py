@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact_linalg import (
-    Subspace,
+    contained,
     dot,
     echelon_stack,
     format_vector,
@@ -49,8 +49,8 @@ from .exact_linalg import (
     int_affine,
     int_matmul,
     kernel_stack,
+    packed,
     rref,
-    subspaces,
     vec,
 )
 from .exterior_algebra import (
@@ -70,7 +70,7 @@ from .graded_modules import (
     directions,
     edge_table,
     fiber_space,
-    per_fiber_tuple,
+    place_tuples,
 )
 from .reports import CheckResult, Recorder
 from .torus_lie import AlgebraKind, bar, require_even, sympl_form
@@ -325,19 +325,20 @@ class SpecialFiberPolicy(enum.Enum):
         return self.value
 
 
-def _family_fibers(kind: FamilyKind, p: int, space: FiberSpace, directions: np.ndarray) -> list:
-    """The family's fibers at the shifts q(k + beta) != 0 in the rows of
-    ``directions``, in the space's coordinates: one stack of its defining
-    map's matrices, f(p) on the space itself for MIN and MAX, pi(p-1) for
-    FULLW and T(p+1) for INT, then one stacked elimination per stage."""
+def _family_fibers(kind: FamilyKind, p: int, space: FiberSpace, directions: np.ndarray) -> np.ndarray:
+    """The canonical rows of the family's fibers at the shifts
+    q(k + beta) != 0 in the rows of ``directions``, in the space's
+    coordinates: one stack of its defining map's matrices, f(p) on the space
+    itself for MIN and MAX, pi(p-1) for FULLW and T(p+1) for INT, then one
+    stacked elimination per stage."""
     if kind in (FamilyKind.MIN, FamilyKind.MAX):
         mats = space.rank_one_stack(directions)
     else:
         mats = map_stack(pi(p - 1) if kind is FamilyKind.FULLW else T(p + 1), space.n, directions)
     if kind is FamilyKind.MAX:
-        return subspaces(kernel_stack(mats))
+        return packed(kernel_stack(mats))
     images = echelon_stack(mats.transpose(0, 2, 1))
-    return subspaces(images) if kind is FamilyKind.MIN else space.from_lambda(images)
+    return images if kind is FamilyKind.MIN else space.from_lambda(images)
 
 
 @lru_cache(maxsize=256)
@@ -349,21 +350,21 @@ def _build_family_cached(
     policy: SpecialFiberPolicy,
 ) -> GradedFamily:
     """The family's fibers, built once per primitive direction of
-    q(k + beta): the fiber depends on K only up to a nonzero scalar, and its
-    canonical ``Subspace`` is shared by every degree along that direction."""
+    q(k + beta): the fiber depends on K only up to a nonzero scalar, so each
+    direction is one block, which every degree along it reads."""
     if spec.fiber not in (Lambda(p), Fund(p)):
         raise ValueError(f"a degree-{p} family lives on Lambda({p}) or Fund({p}), not {spec.fiber}")
     space = spec.space()
-    degs = window.degrees()
     live, place, stack = directions(spec.scaled_shifts(window))
-    built = [fiber for start in range(0, len(stack), STACK_ITEMS)
-             for fiber in _family_fibers(kind, p, space, stack[start : start + STACK_ITEMS])]
-    family = GradedFamily(spec, window)
-    family.fibers = {degs[i]: built[j] for i, j in zip(live.tolist(), place) if built[j].dim}
-    if policy is SpecialFiberPolicy.FULL and len(live) < len(degs):
+    blocks = [block for start in range(0, len(stack), STACK_ITEMS)
+              for block in _family_fibers(kind, p, space, stack[start : start + STACK_ITEMS])]
+    at = np.full(len(window.degrees()), -1, dtype=np.intp)
+    at[live] = place
+    if policy is SpecialFiberPolicy.FULL and (at < 0).any():
         # the hat variants carry the whole representation fiber where K = 0
-        family.fibers[spec.special_degree()] = Subspace.full(space.dim)
-    return family
+        at[at < 0] = len(blocks)
+        blocks.append(identity(space.dim))
+    return GradedFamily.from_blocks(spec, window, at, blocks)
 
 
 def build_family(
@@ -386,13 +387,13 @@ def build_family(
 
 
 def quotient_dims(outer: GradedFamily, inner: GradedFamily) -> dict:
-    """Per-degree dim(outer) - dim(inner); containment is checked first."""
+    """Per-degree dim(outer) - dim(inner); containment is checked first,
+    once per distinct pair of blocks."""
     if outer.window != inner.window:
         raise ValueError("families live on different windows")
-    out = {}
-    for k, gap in per_fiber_tuple((outer, inner), outer.window.degrees(),
-                                  lambda o, i: o.dim - i.dim if o.contains(i) else None):
-        if gap is None:
-            raise RuntimeError(f"containment violated at degree {k}")
-        out[k] = gap
-    return out
+    degs = outer.window.degrees()
+    pairs, which = place_tuples((outer, inner), slice(None))
+    bad = np.flatnonzero(~contained(inner.rows[pairs[:, 1]], outer.anns[pairs[:, 0]])[which])
+    if bad.size:
+        raise RuntimeError(f"containment violated at degree {degs[bad[0]]}")
+    return dict(zip(degs, (outer.dims - inner.dims).tolist()))

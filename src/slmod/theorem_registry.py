@@ -29,7 +29,6 @@ two-edge loops through it, until a round stores nothing.
 
 from __future__ import annotations
 
-import operator
 import random
 import traceback
 from dataclasses import dataclass
@@ -46,15 +45,17 @@ from .exact_linalg import (
     _int_matrix,
     contained,
     dot,
+    echelon_stack,
     format_vector,
     frac,
     identity,
     int_blocks,
     int_matmul,
-    intersect,
     kernel,
+    kernel_stack,
+    packed,
     rank,
-    subspace_sum,
+    same_spans,
     vec,
 )
 from .exterior_algebra import (
@@ -80,7 +81,7 @@ from .graded_modules import (
     fiber_escapes,
     fiber_space,
     is_invariant,
-    per_fiber_tuple,
+    place_tuples,
     saturate,
 )
 from .invariant_ops import (
@@ -217,13 +218,9 @@ class ProbeEngine:
     # -- probe runs ----------------------------------------------------------
 
     def min_target(self, family: GradedFamily) -> ProbeTarget:
-        dims = {}
-        rows = {}
-        for k, sub in family.fibers.items():
-            i = self.table.index[k]
-            dims[i] = sub.dim
-            rows[i] = [list(r) for r in sub.rows]
-        return self._target(dims, rows, self.special_interior)
+        blocks, dims = family.rows.tolist(), family.dims.tolist()
+        rows = {i: blocks[b][: dims[i]] for i, b in enumerate(family.place.tolist()) if b >= 0}
+        return self._target({i: len(r) for i, r in rows.items()}, rows, self.special_interior)
 
     def full_target(self) -> ProbeTarget:
         return self._target(dict.fromkeys(range(len(self.table.degs)), self.table.dim), None,
@@ -616,21 +613,21 @@ def _check_inclusion_chain(params) -> CheckResult:
             "max": comb(n, p) - comb(n - 2, p - 1),
         }
         degs = _generic_degrees(spec, window)
-        # the distinct tuples of fibers, numbered as first seen, each inclusion
-        # tested over all of them in one product
-        tuples: dict = {}
-        at = [tuples.setdefault(tuple(family.fiber(k) for family in fam.values()), len(tuples))
-              for k in degs]
-        mn, fw, it, mx = zip(*tuples)
-        dim = spec.space().dim
-        held = contained(mn, fw, dim) & contained(fw, mx, dim) & contained(mn, it, dim) \
-            & contained(it, mx, dim)
+        at = [window.index(k) for k in degs]
+        # the distinct tuples of blocks, each inclusion tested over all of
+        # them in one product
+        tuples, which = place_tuples(fam.values(), at)
+        (mn, fw, it, mx), (b_mn, b_fw, b_it, b_mx) = fam.values(), tuples.T
+        held = contained(mn.rows[b_mn], fw.anns[b_fw]) & contained(fw.rows[b_fw], mx.anns[b_mx]) \
+            & contained(mn.rows[b_mn], it.anns[b_it]) & contained(it.rows[b_it], mx.anns[b_mx])
+        dims = np.zeros(tuples.shape, dtype=np.intp)
+        dims[which] = np.stack([family.dims[at] for family in fam.values()], axis=1)
         verdicts = []
-        for fibers, ok in zip(tuples, held.tolist()):
-            dims_here = {name: fiber.dim for name, fiber in zip(fam, fibers)}
+        for ok, row in zip(held.tolist(), dims.tolist()):
+            dims_here = dict(zip(fam, row))
             verdicts.append(("chain inclusions", "violated") if not ok else
                             (str(expected), str(dims_here)) if dims_here != expected else None)
-        fails = [(k, verdicts[t]) for k, t in zip(degs, at) if verdicts[t]]
+        fails = [(k, verdicts[t]) for k, t in zip(degs, which.tolist()) if verdicts[t]]
         for k, (want, got) in fails:
             rec.record(False, degree=k, expected=want, actual=got)
         rec.tally(len(fails), "all fibers", note=f"p={p} dims {tuple(expected.values())}")
@@ -638,7 +635,7 @@ def _check_inclusion_chain(params) -> CheckResult:
         for _ in range(oracle_samples):
             k = _draw(rng, degs)
             got = oracle_fiber_dims(n, p, tuple(frac(a) + b for a, b in zip(k, beta)))
-            rec.expect(got, {name: family.fiber(k).dim for name, family in fam.items()},
+            rec.expect(got, {name: int(family.dims[window.index(k)]) for name, family in fam.items()},
                        degree=k, note=f"oracle cross-check p={p}")
     return rec.result()
 
@@ -659,15 +656,15 @@ def _check_fiber_equalities(params) -> CheckResult:
         (FamilyKind.MAX, FamilyKind.INT, 1, "restricted maximal = intermediate at p=1", ""),
         (FamilyKind.INT, FamilyKind.MIN, half, "restricted intermediate = minimal at p=n", ""),
     ]
-    generic = _generic_degrees(spec0, window)
+    at = [window.index(k) for k in _generic_degrees(spec0, window)]
     for kind_a, kind_b, p, expected, note in equalities:
         a = fam(kind_a, p)
         b = fam(kind_b, p)
-        bad = sum(ne for _, ne in per_fiber_tuple((a, b), generic, operator.ne))
-        rec.tally(bad, expected, note=note)
+        pairs, which = place_tuples((a, b), at)
+        rec.tally(int((~same_spans(a.rows[pairs[:, 0]], b.rows[pairs[:, 1]]))[which].sum()),
+                  expected, note=note)
     # intermediate = kernel of the composed contraction-after-wedge map on the
     # contraction kernel, entered through the Fund(p) space's embedding
-    degs = window.degrees()
     live, place, stack = directions(spec0.scaled_shifts(window))
     for p in range(2, half + 1):
         it = fam(FamilyKind.INT, p)
@@ -675,8 +672,8 @@ def _check_fiber_equalities(params) -> CheckResult:
         # product: its kernel is taken once per direction, INT read at every degree
         composite = int_matmul(map_stack(theta_tilde(p + 1), n, stack),
                                int_matmul(map_stack(pi(p), n, stack), fiber_space(n, Fund(p)).embed))
-        kernels = [kernel(mat) for mat in composite.tolist()]
-        bad = sum(kernels[j] != it.fiber(degs[i]) for i, j in zip(live.tolist(), place))
+        kernels = int_blocks([kernel(mat).rows for mat in composite.tolist()], it.rows.shape[2])
+        bad = int((~same_spans(kernels[place], it.rows[it.place[live]])).sum())
         rec.tally(bad, "intermediate = contraction-wedge kernel", note=f"p={p}")
     return rec.result()
 
@@ -687,6 +684,7 @@ def _check_jh_quotient(params) -> CheckResult:
     rec = _recorder("JH-quotient", params, "N", "beta", "d")
     spec0 = ActionSpec.make("H", n, Lambda(0), params["beta"])
     generic = _generic_degrees(spec0, window)
+    at = [window.index(k) for k in generic]
     k0 = spec0.special_degree()
     integral = k0 is not None
     policy = SpecialFiberPolicy.FULL if integral else SpecialFiberPolicy.OMIT
@@ -696,8 +694,8 @@ def _check_jh_quotient(params) -> CheckResult:
 
     def quotient_is(outer, inner, family, expected) -> dict:
         """outer/inner against the family's dims over the generic degrees."""
-        qd = quotient_dims(outer, inner)
-        rec.tally(sum(1 for k in generic if qd[k] != family.fiber(k).dim), expected, note=f"p={p}")
+        qd, dims = quotient_dims(outer, inner), family.dims.tolist()
+        rec.tally(sum(1 for k, i in zip(generic, at) if qd[k] != dims[i]), expected, note=f"p={p}")
         return qd
 
     for p in range(1, n):
@@ -723,11 +721,16 @@ def _check_jh_quotient(params) -> CheckResult:
         ):
             if family is not None:
                 quotient_is(outer, inner, family, expected)
-        # lattice identities: sum and intersection of Witt and intermediate
-        bad = sum(fails for _, fails in per_fiber_tuple(
-            (fw, it, mx, mn), generic,
-            lambda w_k, i_k, mx_k, mn_k: (subspace_sum(w_k, i_k) != mx_k) + (intersect(w_k, i_k) != mn_k)))
-        rec.tally(bad, "Witt + intermediate = maximal; meet = minimal", note=f"p={p}")
+        # lattice identities, once per distinct tuple of blocks: the sum of
+        # Witt and intermediate is one elimination of their rows, the meet the
+        # kernel of their annihilators
+        tuples, which = place_tuples((fw, it, mx, mn), at)
+        b_fw, b_it, b_mx, b_mn = tuples.T
+        joined = echelon_stack(np.concatenate([fw.rows[b_fw], it.rows[b_it]], axis=1))
+        meet = packed(kernel_stack(np.concatenate([fw.anns[b_fw], it.anns[b_it]], axis=1)))
+        bad = ((~same_spans(joined, mx.rows[b_mx]))[which].sum()
+               + (~same_spans(meet, mn.rows[b_mn]))[which].sum())
+        rec.tally(int(bad), "Witt + intermediate = maximal; meet = minimal", note=f"p={p}")
     return rec.result()
 
 
@@ -755,11 +758,13 @@ def _check_composition(params) -> CheckResult:
     fdim = fundamental_dim(n, p)
     chain_example = None
     bad = 0
+    zero = [0] * len(window.degrees())
+    mns, its, mxs, belows, aboves = (family.dims.tolist() if family else zero
+                                     for family in (mn, it, mx, below, above))
     for k in generic:
-        m_p = mn.fiber(k).dim
-        m_below = below.fiber(k).dim if below else 0
-        m_above = above.fiber(k).dim if above else 0
-        dims_chain = (m_p, it.fiber(k).dim, mx.fiber(k).dim, fdim)
+        i = window.index(k)
+        m_p, m_below, m_above = mns[i], belows[i], aboves[i]
+        dims_chain = (m_p, its[i], mxs[i], fdim)
         expected_chain = (m_p, m_p + m_above, m_p + m_above + m_below, fdim)
         if dims_chain != expected_chain:
             bad += 1
@@ -775,7 +780,7 @@ def _check_composition(params) -> CheckResult:
         # hat chain at the degenerate degree: the extra factor is the whole fiber
         hat_min = fam(FamilyKind.MIN, p, SpecialFiberPolicy.FULL)
         if k0 in window:
-            rec.expect(fdim, hat_min.fiber(k0).dim - mn.fiber(k0).dim,
+            rec.expect(fdim, int(hat_min.dims[window.index(k0)] - mns[window.index(k0)]),
                        degree=k0, note="hat minimal adds the full degenerate fiber")
     return rec.result()
 
@@ -789,8 +794,10 @@ def _check_irreducible_min(params) -> CheckResult:
     if not rec.verdict(is_invariant(spec, family), "minimal family invariant"):
         return rec.result()
     engine = probe_engine(spec, window)
-    seeds = [(k, row) for k in window.degrees() for row in family.fiber(k).rows]
-    _probe(rec, engine, seeds, "exact", engine.min_target(family),
+    target = engine.min_target(family)
+    degs = window.degrees()
+    seeds = [(degs[i], row) for i, rows in target.rows.items() for row in rows]
+    _probe(rec, engine, seeds, "exact", target,
            f"{len(seeds)} seed closures match", "closure = minimal on interior", "mismatched",
            "every basis vector of every fiber")
     return rec.result()
@@ -849,7 +856,8 @@ def _check_main_classification(params) -> CheckResult:
     # strata: a vector in one family but not the previous generates that family
     strata = [(mx, it, "maximal"), (it, mn, "intermediate")]
     for outer, inner, label in strata:
-        sample_k = [k for k in degs if outer.fiber(k).dim > inner.fiber(k).dim]
+        gaps = dict(zip(window.degrees(), (outer.dims - inner.dims).tolist()))
+        sample_k = [k for k in degs if gaps[k] > 0]
         if not sample_k:
             continue  # the two families coincide at this p
         rec.verdict(is_invariant(spec, outer), f"{label} family invariant")
@@ -880,23 +888,21 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
         rec.skip()  # the degenerate degree lies outside the window
         return
     table = edge_table(spec, window, default_generators(spec.kind, spec.n))
-    dim = table.dim
-    eye = int_blocks([identity(dim)], dim)[0]
+    eye = np.eye(table.dim, dtype=np.int64)
     # every edge into k0, once per family; every family is zero at k0, so
     # the annihilator there is the identity
     i0 = table.index[k0]
-    into = list(zip(*table.edges_into(i0)))
-    rows = [family.fiber(table.degs[i]).rows for _, i in into for family in families]
-    cs = [int(table.cq[i, gi]) * table.scale for gi, i in into for _ in families]
-    gis = [gi for gi, _ in into for _ in families]
-    bad_in = int(fiber_escapes(int_blocks(rows, dim), eye, cs, table.qd[gis]).any(-1).sum())
+    gis, srcs = table.edges_into(i0)
+    rows = int_blocks([row for family in families for row in family.rows[family.place[srcs]]], table.dim)
+    cs = [cq * table.scale for cq in table.cq[srcs, gis].tolist()] * len(families)
+    bad_in = int(fiber_escapes(rows, eye, cs, table.qd[gis * len(families)]).any(-1).sum())
     rec.tally(bad_in, "no image lands in the degenerate fiber", "nonzero images",
               "glue freedom, incoming")
-    # out of the full fiber at k0 into the minimal family
+    # out of the full fiber at k0 into the minimal family's blocks
     gis, js, cqs = table.edges(i0)
-    anns = int_blocks([families[0].fiber(table.degs[j]).annihilator() for j in js], dim)
+    mn = families[0]
     cs = [cq * table.scale for cq in cqs]
-    bad_out = int(fiber_escapes(eye, anns, cs, table.qd[gis]).any(-1).sum())
+    bad_out = int(fiber_escapes(eye, mn.anns[mn.place[js]], cs, table.qd[gis]).any(-1).sum())
     rec.tally(bad_out, "degenerate fiber maps into the minimal family", "escapes",
               "glue freedom, outgoing")
 
@@ -1043,12 +1049,13 @@ def _check_classify_w(params) -> CheckResult:
         spec = ActionSpec.make("W", n, Lambda(p), beta)
         k0 = spec.special_degree()
         fam = build_family(FamilyKind.FULLW, p, spec, window)
-        bad = sum(1 for k in window.degrees() if k != k0 and fam.fiber(k).dim != comb(n - 1, p - 1))
+        bad = sum(1 for k, dim in zip(window.degrees(), fam.dims.tolist())
+                  if k != k0 and dim != comb(n - 1, p - 1))
         rec.tally(bad, f"fiber dim {comb(n - 1, p - 1)}", note=f"p={p}")
         small = Window(n, 1)
-        rec.verdict(invariance_report(GradedFamily(
-            spec, small, {k: fam.fiber(k) for k in small.degrees() if fam.fiber(k).dim})),
-            f"rank-one operators preserve the fibers, p={p}")
+        inner = fam.place[[window.index(k) for k in small.degrees()]]
+        rec.verdict(invariance_report(GradedFamily.from_blocks(spec, small, inner, fam.rows)),
+                    f"rank-one operators preserve the fibers, p={p}")
         if p not in probe_ps:
             continue
         rec.verdict(is_invariant(spec, fam), f"Witt family invariant, p={p}")

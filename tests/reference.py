@@ -1,0 +1,278 @@
+"""The references the test modules share: dense matrices in plain Python
+arithmetic, the per-matrix monomial loops, the exact fiber action and edge
+list, the per-pair containment test, one planted ``directions`` mutant, and
+the golden catalogue points.
+
+None of it reads the unit tables, the rank-one tables or the edge tables
+that it checks; a test module takes what it shares from here, never from
+another test module.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+
+from slmod import exterior_algebra
+from slmod.exact_linalg import Subspace, dot, identity, kernel, matrix, transpose
+from slmod.exterior_algebra import ext_basis, ext_position, insert_index, sym_basis, sym_position
+from slmod.graded_modules import _check_generator, directions
+from slmod.theorem_registry import CATALOGUE
+from slmod.torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
+
+# ---------------------------------------------------------------------------
+# dense matrices in plain Python arithmetic
+
+
+def mat_mul(a, b) -> tuple:
+    """Dense product of matrices given as row tuples, in plain Python
+    arithmetic: the reference the integer products are checked against."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"mat_mul: inner dimensions {len(a[0])} != {len(b)}")
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def mat_sub(a, b) -> tuple:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def from_triplets(nrows: int, ncols: int, triplets) -> tuple:
+    """Dense matrix from sparse (row, col, value) entries; duplicates add."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    for i, j, v in triplets:
+        rows[i][j] += v
+    return matrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# the per-matrix monomial loops: the reference the unit tables, theta and
+# every rank-one table are checked against (columns indexed by source
+# monomials)
+
+
+def gl_action_matrix(n: int, p: int, a) -> tuple:
+    """Matrix of the derivation action of ``a`` on Lambda^p coordinates."""
+    a = matrix(a)
+    src = ext_basis(n, p)
+    pos = ext_position(n, p)
+    dim = len(src)
+    cols = []
+    for key in src:
+        col = [0] * dim
+        for slot, idx in enumerate(key):
+            rest = key[:slot] + key[slot + 1 :]
+            slot_sign = -1 if slot % 2 else 1
+            for row in range(n):
+                c = a[row][idx - 1]
+                if not c:
+                    continue
+                sign, new_key = insert_index(row + 1, rest)
+                if new_key is None:
+                    continue
+                col[pos[new_key]] += slot_sign * sign * c
+        cols.append(col)
+    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+
+
+def monomial_theta_matrix(n: int, p: int) -> tuple:
+    """The contraction Lambda^p -> Lambda^{p-2}: on v_1 ^ ... ^ v_p the sum
+    of (-1)^{i+j-1} (bar v_i | v_j) over i < j with the two paired factors
+    removed."""
+    src = ext_basis(n, p)
+    tgt_pos = ext_position(n, p - 2)
+    bars = [bar(u) for u in identity(n)]
+    rows = [[0] * len(src) for _ in range(len(tgt_pos))]
+    for col, key in enumerate(src):
+        for i in range(len(key)):
+            bi = bars[key[i] - 1]
+            for j in range(i + 1, len(key)):
+                pairing = bi[key[j] - 1]
+                if not pairing:
+                    continue
+                sign = 1 if (i + j) % 2 else -1  # (-1)^{(i+1)+(j+1)-1}
+                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
+                rows[tgt_pos[rest]][col] += sign * pairing
+    return matrix(rows)
+
+
+def wedge_matrix(n: int, p: int, v) -> tuple:
+    """Matrix of x -> v ^ x as a map Lambda^p -> Lambda^{p+1}."""
+    src = ext_basis(n, p)
+    tgt_pos = ext_position(n, p + 1)
+    rows = [[0] * len(src) for _ in range(len(tgt_pos))]
+    for col, key in enumerate(src):
+        for idx, c in enumerate(v, start=1):
+            if not c:
+                continue
+            sign, new_key = insert_index(idx, key)
+            if new_key is None:
+                continue
+            rows[tgt_pos[new_key]][col] += sign * c
+    return matrix(rows)
+
+
+def interior_matrix(n: int, p: int, w) -> tuple:
+    """Matrix of v_1^...^v_p -> sum_i (-1)^i (w|v_i) v_1^..omit i..^v_p."""
+    src = ext_basis(n, p)
+    tgt_pos = ext_position(n, p - 1)
+    rows = [[0] * len(src) for _ in range(len(tgt_pos))]
+    for col, key in enumerate(src):
+        for slot, idx in enumerate(key):
+            c = w[idx - 1]
+            if not c:
+                continue
+            sign = -1 if (slot + 1) % 2 else 1  # (-1)^{slot+1}
+            rest = key[:slot] + key[slot + 1 :]
+            rows[tgt_pos[rest]][col] += sign * c
+    return matrix(rows)
+
+
+def sym_action_matrix(n: int, a) -> tuple:
+    """Matrix of the derivation action of ``a`` on Sym^2 coordinates."""
+    a = matrix(a)
+    keys = sym_basis(n)
+    pos = sym_position(n)
+    dim = len(keys)
+    rows = [[0] * dim for _ in range(dim)]
+    for col, (i, j) in enumerate(keys):
+        for row in range(1, n + 1):
+            ci = a[row - 1][i - 1]
+            if ci:
+                key = (row, j) if row <= j else (j, row)
+                rows[pos[key]][col] += ci
+            cj = a[row - 1][j - 1]
+            if cj:
+                key = (i, row) if i <= row else (row, i)
+                rows[pos[key]][col] += cj
+    return matrix(rows)
+
+
+def check_unit_tables(n: int):
+    """Each unit table against the monomial loop at every unit vector: e_a ^
+    and the contraction against e_a at every degree, e_a e_b^T on Sym^2 as
+    products[a] @ derivatives[b], and theta at even n.  Read through the
+    module, so that a fault planted there shows."""
+    units = identity(n)
+    for p in range(n):
+        got = exterior_algebra.unit_wedges(n, p)
+        assert [tuple(map(tuple, m)) for m in got.tolist()] == [wedge_matrix(n, p, e) for e in units]
+    for p in range(1, n + 1):
+        got = exterior_algebra.unit_contractions(n, p)
+        assert [tuple(map(tuple, m)) for m in got.tolist()] == [interior_matrix(n, p, e) for e in units]
+    products, derivatives = exterior_algebra.unit_products(n)
+    for a in range(n):
+        for b in range(n):
+            e_ab = from_triplets(n, n, [(a, b, 1)])
+            assert tuple(map(tuple, (products[a] @ derivatives[b]).tolist())) == sym_action_matrix(n, e_ab)
+    if n % 2 == 0:
+        for p in range(2, n + 1):
+            assert exterior_algebra.theta_matrix(n, p) == monomial_theta_matrix(n, p), p
+
+
+# ---------------------------------------------------------------------------
+# the exact fiber action and the edge list, one matrix and one degree at a time
+
+
+def action_matrix_int(space, a) -> tuple:
+    """``scale`` times the exact action of the matrix ``a`` on the space, one
+    matrix at a time from the monomial loops: the reference the unit and
+    rank-one tables are checked against.  On Fund(p) it is the Lambda^p
+    action on the columns of ``embed``, read at the pivot rows, and raises
+    when ``a`` leaves the contraction kernel."""
+    n, kind, p = space.n, space.fiber.kind, space.fiber.p
+    if kind == "scalar":
+        return ((0,),)
+    if kind == "sym2":
+        return sym_action_matrix(n, a)
+    if kind == "lambda":
+        return gl_action_matrix(n, p, a)
+    images = np.array(gl_action_matrix(n, p, a), dtype=object) @ space.embed.astype(object)
+    if p >= 2 and (np.array(monomial_theta_matrix(n, p), dtype=object) @ images).any():
+        raise ValueError("matrix action does not preserve the contraction kernel")
+    return tuple(map(tuple, images[list(space._fund.pivots)].tolist()))
+
+
+def edge_scalar(spec, gen, k) -> F:
+    """The pairing coefficient c of the fiber map at degree k."""
+    shift = tuple(F(ki) + bi for ki, bi in zip(k, spec.beta))
+    return F(dot(bar(gen.r) if spec.kind is AlgebraKind.H else gen.u, shift))
+
+
+def fiber_action(spec, gen, k) -> tuple:
+    """Exact matrix c * Id + D of the fiber map fiber(k) -> fiber(k + r), in
+    ``Fraction``: D from the dense ``action_matrix_int`` of the rank-one
+    matrix divided by the space's scale, not from the rank-one table."""
+    _check_generator(spec, gen)
+    c = edge_scalar(spec, gen, k)
+    space = spec.space()
+    rows = action_matrix_int(space, rank_one_sym(gen.r) if gen.u is None else rank_one(gen.r, gen.u))
+    return tuple(
+        tuple((c if i == j else 0) + F(rows[i][j], space.scale) for j in range(space.dim))
+        for i in range(space.dim)
+    )
+
+
+def reference_edges(spec, window, gens) -> tuple:
+    """``(index, out_edges)``: the degree index of ``window.degrees()`` and,
+    per degree, the ``(gi, j, cq)`` of every map into the window, in
+    generator order, found one degree and one generator at a time."""
+    degs = window.degrees()
+    index = {k: i for i, k in enumerate(degs)}
+    pairing = [bar(g.r) if spec.kind is AlgebraKind.H else g.u for g in gens]
+    out_edges = []
+    for k in degs:
+        kq = spec.scaled_shift(k)
+        edges = []
+        for gi, (g, pv) in enumerate(zip(gens, pairing)):
+            j = index.get(tuple(a + b for a, b in zip(k, g.r)))
+            if j is not None:
+                edges.append((gi, j, sum(a * b for a, b in zip(pv, kq))))
+        out_edges.append(edges)
+    return index, out_edges
+
+
+# ---------------------------------------------------------------------------
+# planted faults and per-pair references
+
+
+def _merged_directions(kq):
+    """A mutant of ``directions`` that files the second direction under the first."""
+    live, place, stack = directions(kq)
+    return live, [0 if j == 1 else j for j in place], stack
+
+
+def reference_contained(rows, anns):
+    """The per-pair test that ``contained`` stacks: one ``Subspace.contains``
+    per pair, the outer space the scalar kernel of its annihilator rows."""
+    dim = rows.shape[2]
+    return np.array([(kernel(ann) if ann else Subspace.full(dim)).contains(Subspace(dim, inner))
+                     for inner, ann in zip(rows.tolist(), anns.tolist())], dtype=bool)
+
+
+# ---------------------------------------------------------------------------
+# the golden catalogue points: each check id on its default points with
+# N <= 3, or on its first point when it has none
+
+SEED = 20240801
+
+
+def _label(check_id, grid):
+    point = " ".join(
+        f"{k}={','.join(map(str, v)) if k == 'beta' else v}" for k, v in sorted(grid.items())
+    )
+    return f"{check_id} {point}".strip()
+
+
+def _points():
+    out = []
+    for check_id, spec in CATALOGUE.items():
+        small = [g for g in spec.grid if g.get("N") is not None and g["N"] <= 3]
+        for grid in small or spec.grid[:1]:
+            grid = dict(grid)
+            if "beta" in grid:
+                grid["beta"] = tuple(F(b) for b in grid["beta"])
+            out.append((_label(check_id, grid), check_id, grid))
+    return out
+
+
+POINTS = _points()

@@ -22,7 +22,7 @@ from slmod.exterior_algebra import fundamental_subspace
 from slmod.graded_modules import ActionSpec, Lambda, Window, directions
 from slmod.sl_maps import FamilyKind, T, build_family, f, map_stack, pi
 from slmod.theorem_registry import run_check
-from test_exact_linalg import mat_mul
+from reference import _merged_directions, mat_mul
 
 HALF = (F(1, 2), 0, 0, 0)
 ZERO = (0, 0, 0, 0)
@@ -158,12 +158,6 @@ def test_directions_number_each_primitive_direction_once(seed):
         lead = next(x for x in direction if x)
         factor = next(x for x in rows[i] if x) // lead
         assert factor != 0 and [factor * x for x in direction] == rows[i], (rows[i], direction)
-
-
-def _merged_directions(kq):
-    """A mutant of ``directions`` that files the second direction under the first."""
-    live, place, stack = directions(kq)
-    return live, [0 if j == 1 else j for j in place], stack
 
 
 def test_a_directions_mutant_that_merges_two_directions_is_caught(monkeypatch):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from slmod import graded_modules
-from slmod.exact_linalg import Subspace, dot, echelon_stack, int_blocks, mat_vec, subspace_sum
+from slmod.exact_linalg import Subspace, echelon_stack, int_blocks, mat_vec, subspace_sum
 from slmod.graded_modules import (
     ActionSpec,
     Fund,
@@ -24,73 +24,14 @@ from slmod.graded_modules import (
     ScalarFiber,
     Sym2,
     Window,
-    _check_generator,
     closure,
     default_generators,
     edge_table,
 )
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import ProbeEngine, probe_engine
-from slmod.torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
-from test_exterior_algebra import gl_action_matrix, monomial_theta_matrix, sym_action_matrix
-
-
-def action_matrix_int(space, a) -> tuple:
-    """``scale`` times the exact action of the matrix ``a`` on the space, one
-    matrix at a time from the monomial loops: the reference the unit and
-    rank-one tables are checked against.  On Fund(p) it is the Lambda^p
-    action on the columns of ``embed``, read at the pivot rows, and raises
-    when ``a`` leaves the contraction kernel."""
-    n, kind, p = space.n, space.fiber.kind, space.fiber.p
-    if kind == "scalar":
-        return ((0,),)
-    if kind == "sym2":
-        return sym_action_matrix(n, a)
-    if kind == "lambda":
-        return gl_action_matrix(n, p, a)
-    images = np.array(gl_action_matrix(n, p, a), dtype=object) @ space.embed.astype(object)
-    if p >= 2 and (np.array(monomial_theta_matrix(n, p), dtype=object) @ images).any():
-        raise ValueError("matrix action does not preserve the contraction kernel")
-    return tuple(map(tuple, images[list(space._fund.pivots)].tolist()))
-
-
-def edge_scalar(spec, gen, k) -> F:
-    """The pairing coefficient c of the fiber map at degree k."""
-    shift = tuple(F(ki) + bi for ki, bi in zip(k, spec.beta))
-    return F(dot(bar(gen.r) if spec.kind is AlgebraKind.H else gen.u, shift))
-
-
-def fiber_action(spec, gen, k) -> tuple:
-    """Exact matrix c * Id + D of the fiber map fiber(k) -> fiber(k + r), in
-    ``Fraction``: D from the dense ``action_matrix_int`` of the rank-one
-    matrix divided by the space's scale, not from the rank-one table."""
-    _check_generator(spec, gen)
-    c = edge_scalar(spec, gen, k)
-    space = spec.space()
-    rows = action_matrix_int(space, rank_one_sym(gen.r) if gen.u is None else rank_one(gen.r, gen.u))
-    return tuple(
-        tuple((c if i == j else 0) + F(rows[i][j], space.scale) for j in range(space.dim))
-        for i in range(space.dim)
-    )
-
-
-def reference_edges(spec, window, gens) -> tuple:
-    """``(index, out_edges)``: the degree index of ``window.degrees()`` and,
-    per degree, the ``(gi, j, cq)`` of every map into the window, in
-    generator order, found one degree and one generator at a time."""
-    degs = window.degrees()
-    index = {k: i for i, k in enumerate(degs)}
-    pairing = [bar(g.r) if spec.kind is AlgebraKind.H else g.u for g in gens]
-    out_edges = []
-    for k in degs:
-        kq = spec.scaled_shift(k)
-        edges = []
-        for gi, (g, pv) in enumerate(zip(gens, pairing)):
-            j = index.get(tuple(a + b for a, b in zip(k, g.r)))
-            if j is not None:
-                edges.append((gi, j, sum(a * b for a, b in zip(pv, kq))))
-        out_edges.append(edges)
-    return index, out_edges
+from slmod.torus_lie import rank_one, rank_one_sym
+from reference import action_matrix_int, fiber_action, reference_edges
 
 
 def full_rank(mats: list, dim: int) -> list:

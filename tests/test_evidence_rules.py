@@ -21,7 +21,7 @@ import ast
 import inspect
 from pathlib import Path
 
-from test_exterior_algebra import gl_action_matrix
+from reference import gl_action_matrix
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slmod"
 REGISTRY = (PACKAGE / "theorem_registry.py").read_text()
@@ -131,9 +131,10 @@ def test_only_edge_table_gathers_in_edges():
 
 def test_the_in_edge_lint_flags_a_hand_written_gather():
     planted = _plant(
-        '    into = list(zip(*table.edges_into(i0)))\n',
+        '    gis, srcs = table.edges_into(i0)\n',
         '    into = [(gi, i) for gi, i in enumerate((i0 - table.offset).tolist())\n'
-        '            if 0 <= i < len(table.degs) and table.inbox[i, gi]]\n')
+        '            if 0 <= i < len(table.degs) and table.inbox[i, gi]]\n'
+        '    gis, srcs = [gi for gi, _ in into], [i for _, i in into]\n')
     assert _callers(planted, _subtracts_an_offset, SUBTRACTIONS) == ["_glue_freedom"]
 
 

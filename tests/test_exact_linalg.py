@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from slmod.exact_linalg import (
     _int_matrix,
     _lead,
     _primitive,
+    annihilator_stack,
     echelon_stack,
     fits_int64,
     identity,
@@ -23,33 +25,13 @@ from slmod.exact_linalg import (
     kernel,
     kernel_stack,
     matrix,
+    packed,
     rank,
     rref,
     subspace_sum,
     subspaces,
-    transpose,
 )
-
-def mat_mul(a, b) -> tuple:
-    """Dense product of matrices given as row tuples, in plain Python
-    arithmetic: the reference the integer products are checked against."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"mat_mul: inner dimensions {len(a[0])} != {len(b)}")
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def mat_sub(a, b) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def from_triplets(nrows: int, ncols: int, triplets) -> tuple:
-    """Dense matrix from sparse (row, col, value) entries; duplicates add."""
-    rows = [[0] * ncols for _ in range(nrows)]
-    for i, j, v in triplets:
-        rows[i][j] += v
-    return matrix(rows)
-
+from reference import from_triplets, mat_mul
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 integers = st.integers(min_value=-6, max_value=6)
@@ -484,7 +466,6 @@ def test_annihilator_of_the_zero_and_the_full_space():
     assert Subspace.full(3).annihilator() == ()
     s = Subspace(3, [(2, 0, 1)])
     assert s.annihilator() == ((0, 1, 0), (-1, 0, 2))
-    assert s.annihilator() is s.annihilator()  # computed once, kept on the subspace
 
 
 @settings(max_examples=40, deadline=None)
@@ -496,3 +477,50 @@ def test_echelon_stack_agrees_with_sympy(sympy, stack):
         got = Subspace(len(item[0]), out)
         assert _pivot_one(got) == tuple(tuple(r) for r in _from_sympy(expected))
         assert Subspace(len(item[0]), null) == _span(len(item[0]), sympy.Matrix(item).nullspace())
+
+
+
+def _with_zero_and_full(stack):
+    """The stack with a zero item and an item of full column rank appended."""
+    b, m, n = stack.shape
+    out = np.zeros((b + 2, max(m, n), n), dtype=np.int64)
+    out[:b, :m] = stack
+    out[b + 1, :n] = 2 * np.eye(n, dtype=np.int64) + np.triu(np.ones((n, n), dtype=np.int64), 1)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(integer_stacks(), st.sampled_from([1, 2**70]))
+def test_annihilator_stack_is_the_scalar_read_off(stack, scale):
+    """Zero, full-rank and rank-deficient items, eliminated in int64 or on
+    Python ints (the stack times 2^70).  Row f of an item's stacked read-off
+    is the scalar ``Subspace.annihilator`` row of free column f divided by
+    its gcd, and zero at a pivot column; packed, the stack is as tall as the
+    largest scalar annihilator.  ``kernel_stack``, which reads its null
+    spaces off the same helper, still gives each item's ``kernel`` entry for
+    entry, row i leading at column i."""
+    items = _with_zero_and_full(stack)
+    red = echelon_stack(items.astype(object) * scale if scale > 1 else items)
+    assert red.dtype == (object if scale > 1 else np.int64)
+    n = items.shape[2]
+    anns = annihilator_stack(red)
+    assert anns.dtype == np.int64 and anns.shape == (len(red), n, n)
+    scalar = [Subspace(n, item) for item in red.tolist()]
+    for rows, sub in zip(anns.tolist(), scalar):
+        assert [i for i, row in enumerate(rows) if any(row)] == \
+            [c for c in range(n) if c not in sub.pivots]
+        assert [row for row in rows if any(row)] == \
+            [[x // gcd(*row) for x in row] for row in sub.annihilator()]
+    assert packed(anns).shape == (len(red), max(len(sub.annihilator()) for sub in scalar), n)
+    for item, rows in zip(items.tolist(), kernel_stack(items).tolist()):
+        assert [tuple(row) for row in rows if any(row)] == list(kernel(item).rows)
+        assert all(_lead(row) == i for i, row in enumerate(rows) if any(row))
+
+
+def test_annihilator_stack_divides_a_scalar_row_by_its_gcd():
+    """At free column 2 the scalar read-off of the rows (2, 0, 2, 1) and
+    (0, 1, 0, 0) is (-2, 0, 2, 0); the stacked one is its primitive form."""
+    rows = [[2, 0, 2, 1], [0, 1, 0, 0]]
+    assert Subspace(4, rows).annihilator() == ((-2, 0, 2, 0), (-1, 0, 0, 2))
+    assert annihilator_stack(np.array([rows], dtype=np.int64)).tolist() == \
+        [[[0] * 4, [0] * 4, [-1, 0, 1, 0], [-1, 0, 0, 2]]]

@@ -5,147 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmod import exterior_algebra
-from slmod.exact_linalg import Subspace, identity, mat_vec, matrix, rank
+from slmod.exact_linalg import Subspace, identity, mat_vec, rank
 from slmod.exterior_algebra import (
     ExtVector,
     ext_basis,
-    ext_position,
     fundamental_dim,
     fundamental_subspace,
-    insert_index,
     interior_product,
-    sym_basis,
-    sym_position,
     theta_matrix,
     wedge,
 )
-from slmod.torus_lie import bar, degree_box, rank_one_sym
-from test_exact_linalg import from_triplets, mat_mul, mat_sub
-
-# ---------------------------------------------------------------------------
-# the per-matrix monomial loops: the reference the unit tables, theta and
-# every rank-one table are checked against (columns indexed by source
-# monomials)
-
-
-def gl_action_matrix(n: int, p: int, a) -> tuple:
-    """Matrix of the derivation action of ``a`` on Lambda^p coordinates."""
-    a = matrix(a)
-    src = ext_basis(n, p)
-    pos = ext_position(n, p)
-    dim = len(src)
-    cols = []
-    for key in src:
-        col = [0] * dim
-        for slot, idx in enumerate(key):
-            rest = key[:slot] + key[slot + 1 :]
-            slot_sign = -1 if slot % 2 else 1
-            for row in range(n):
-                c = a[row][idx - 1]
-                if not c:
-                    continue
-                sign, new_key = insert_index(row + 1, rest)
-                if new_key is None:
-                    continue
-                col[pos[new_key]] += slot_sign * sign * c
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-
-
-def monomial_theta_matrix(n: int, p: int) -> tuple:
-    """The contraction Lambda^p -> Lambda^{p-2}: on v_1 ^ ... ^ v_p the sum
-    of (-1)^{i+j-1} (bar v_i | v_j) over i < j with the two paired factors
-    removed."""
-    src = ext_basis(n, p)
-    tgt_pos = ext_position(n, p - 2)
-    bars = [bar(u) for u in identity(n)]
-    rows = [[0] * len(src) for _ in range(len(tgt_pos))]
-    for col, key in enumerate(src):
-        for i in range(len(key)):
-            bi = bars[key[i] - 1]
-            for j in range(i + 1, len(key)):
-                pairing = bi[key[j] - 1]
-                if not pairing:
-                    continue
-                sign = 1 if (i + j) % 2 else -1  # (-1)^{(i+1)+(j+1)-1}
-                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
-                rows[tgt_pos[rest]][col] += sign * pairing
-    return matrix(rows)
-
-
-def wedge_matrix(n: int, p: int, v) -> tuple:
-    """Matrix of x -> v ^ x as a map Lambda^p -> Lambda^{p+1}."""
-    src = ext_basis(n, p)
-    tgt_pos = ext_position(n, p + 1)
-    rows = [[0] * len(src) for _ in range(len(tgt_pos))]
-    for col, key in enumerate(src):
-        for idx, c in enumerate(v, start=1):
-            if not c:
-                continue
-            sign, new_key = insert_index(idx, key)
-            if new_key is None:
-                continue
-            rows[tgt_pos[new_key]][col] += sign * c
-    return matrix(rows)
-
-
-def interior_matrix(n: int, p: int, w) -> tuple:
-    """Matrix of v_1^...^v_p -> sum_i (-1)^i (w|v_i) v_1^..omit i..^v_p."""
-    src = ext_basis(n, p)
-    tgt_pos = ext_position(n, p - 1)
-    rows = [[0] * len(src) for _ in range(len(tgt_pos))]
-    for col, key in enumerate(src):
-        for slot, idx in enumerate(key):
-            c = w[idx - 1]
-            if not c:
-                continue
-            sign = -1 if (slot + 1) % 2 else 1  # (-1)^{slot+1}
-            rest = key[:slot] + key[slot + 1 :]
-            rows[tgt_pos[rest]][col] += sign * c
-    return matrix(rows)
-
-
-def sym_action_matrix(n: int, a) -> tuple:
-    """Matrix of the derivation action of ``a`` on Sym^2 coordinates."""
-    a = matrix(a)
-    keys = sym_basis(n)
-    pos = sym_position(n)
-    dim = len(keys)
-    rows = [[0] * dim for _ in range(dim)]
-    for col, (i, j) in enumerate(keys):
-        for row in range(1, n + 1):
-            ci = a[row - 1][i - 1]
-            if ci:
-                key = (row, j) if row <= j else (j, row)
-                rows[pos[key]][col] += ci
-            cj = a[row - 1][j - 1]
-            if cj:
-                key = (i, row) if i <= row else (row, i)
-                rows[pos[key]][col] += cj
-    return matrix(rows)
-
-
-def check_unit_tables(n: int):
-    """Each unit table against the monomial loop at every unit vector: e_a ^
-    and the contraction against e_a at every degree, e_a e_b^T on Sym^2 as
-    products[a] @ derivatives[b], and theta at even n.  Read through the
-    module, so that a fault planted there shows."""
-    units = identity(n)
-    for p in range(n):
-        got = exterior_algebra.unit_wedges(n, p)
-        assert [tuple(map(tuple, m)) for m in got.tolist()] == [wedge_matrix(n, p, e) for e in units]
-    for p in range(1, n + 1):
-        got = exterior_algebra.unit_contractions(n, p)
-        assert [tuple(map(tuple, m)) for m in got.tolist()] == [interior_matrix(n, p, e) for e in units]
-    products, derivatives = exterior_algebra.unit_products(n)
-    for a in range(n):
-        for b in range(n):
-            e_ab = from_triplets(n, n, [(a, b, 1)])
-            assert tuple(map(tuple, (products[a] @ derivatives[b]).tolist())) == sym_action_matrix(n, e_ab)
-    if n % 2 == 0:
-        for p in range(2, n + 1):
-            assert exterior_algebra.theta_matrix(n, p) == monomial_theta_matrix(n, p), p
+from slmod.torus_lie import degree_box, rank_one_sym
+from reference import check_unit_tables, from_triplets, gl_action_matrix, interior_matrix, mat_mul, mat_sub, sym_action_matrix, wedge_matrix
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])

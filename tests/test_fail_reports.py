@@ -29,7 +29,7 @@ import pytest
 from slmod import theorem_registry
 from slmod.reports import FAIL
 from slmod.theorem_registry import ProbeEngine, run_check
-from test_golden_catalogue import POINTS, SEED
+from reference import POINTS, SEED
 
 GOLDEN = Path(__file__).resolve().parent / "golden_fail_reports.json"
 

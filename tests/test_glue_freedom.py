@@ -26,7 +26,7 @@ from slmod.graded_modules import (
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import _glue_freedom
-from test_edge_table import reference_edges
+from reference import reference_edges
 
 
 def reference_glue_freedom(rec, spec, families, window):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from slmod import graded_modules, theorem_registry
-from slmod.exact_linalg import IntSpan, Subspace, identity, int_blocks
+from slmod.exact_linalg import IntSpan, Subspace, identity, int_blocks, subspaces
 from slmod.graded_modules import (
     ActionSpec,
     EdgeTable,
@@ -34,8 +34,7 @@ from slmod.graded_modules import (
 )
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.torus_lie import bar, rank_one, rank_one_sym, sympl_form
-from test_edge_table import action_matrix_int, fiber_action
-from test_exact_linalg import from_triplets, mat_mul, mat_sub
+from reference import action_matrix_int, fiber_action, from_triplets, mat_mul, mat_sub
 
 HALF = (F(1, 2), 0, 0, 0)
 
@@ -130,7 +129,7 @@ def test_closure_stable_under_larger_generator_box():
     seed = {(0, 0): [[1, 0, 0]]}
     small = closure(spec, seed, win, default_generators(spec.kind, 2, 1))
     large = closure(spec, seed, win, default_generators(spec.kind, 2, 2))
-    assert small.dims() == large.dims()
+    assert (small.dims == large.dims).all()
 
 
 def test_closure_output_is_invariant():
@@ -193,9 +192,9 @@ def test_window_and_family_plumbing():
     assert (2, 2, 2, 2) in win and (3, 0, 0, 0) not in win
     spec = ActionSpec.make("H", 4, Lambda(2), HALF)
     fam = GradedFamily(spec, win, {(0, 0, 0, 0): Subspace.full(6)})
-    table = fam.dims()
-    assert table[(0, 0, 0, 0)] == 6
-    assert table[(1, 1, 1, 1)] == 0
+    dims = fam.dims
+    assert dims[win.index((0, 0, 0, 0))] == 6 and dims.sum() == 6
+    assert [win.index(k) for k in win.degrees()] == list(range(len(dims)))
     with pytest.raises(ValueError):
         GradedFamily(spec, win, {(9, 0, 0, 0): Subspace.full(6)})
     with pytest.raises(ValueError):
@@ -203,13 +202,14 @@ def test_window_and_family_plumbing():
 
 
 def _restrict(space, *subs):
-    """``space.from_lambda`` on the stack of the subspaces' rows, zero-padded."""
+    """``space.from_lambda`` on the stack of the subspaces' rows, zero-padded,
+    its items wrapped as ``Subspace``s."""
     height = max(s.dim for s in subs)
     stack = np.zeros((len(subs), height, subs[0].ambient_dim), dtype=object)
     for item, s in zip(stack, subs):
         for i, row in enumerate(s.rows):
             item[i] = row
-    return space.from_lambda(stack)
+    return subspaces(space.from_lambda(stack))
 
 
 def test_fund_fiber_space_restricts_the_whole_kernel():

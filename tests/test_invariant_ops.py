@@ -26,8 +26,7 @@ from slmod.invariant_ops import (
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family, symplectic_extend
 from slmod.torus_lie import degree_box, rank_one, rank_one_sym, sympl_form
-from test_complexes import _merged_directions
-from test_edge_table import action_matrix_int
+from reference import _merged_directions, action_matrix_int
 
 K1 = (1, 0, 0, 0)
 ZERO = (0, 0, 0, 0)

@@ -32,7 +32,7 @@ from slmod.graded_modules import (
 )
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family
-from test_edge_table import reference_edges
+from reference import reference_edges
 
 
 def reference_is_invariant(spec, family):

@@ -26,9 +26,7 @@ from slmod.sl_maps import (
     verify_module_map,
 )
 from slmod.torus_lie import bar, rank_one_sym
-from test_edge_table import action_matrix_int
-from test_exact_linalg import mat_mul
-from test_exterior_algebra import interior_matrix, monomial_theta_matrix, wedge_matrix
+from reference import action_matrix_int, interior_matrix, mat_mul, monomial_theta_matrix, wedge_matrix
 
 HALF = (F(1, 2), 0, 0, 0)
 ZERO = (0, 0, 0, 0)
@@ -411,5 +409,39 @@ def test_build_family_eliminates_once_per_direction(beta, directions, monkeypatc
     family = build_family(FamilyKind.MIN, 2, spec, Window(4, 2))
     assert len(calls) == len(set(calls)) == directions
     # q(k + beta) is (1, 0, 0, 0) and (-1, 0, 0, 0) at beta = 0, (3, 0, 0, 0)
-    # and (-1, 0, 0, 0) at beta = e_1 / 2: one direction, one fiber object
-    assert family.fiber((1, 0, 0, 0)) is family.fiber((-1, 0, 0, 0))
+    # and (-1, 0, 0, 0) at beta = e_1 / 2: one direction, one block
+    window = family.window
+    assert family.place[window.index((1, 0, 0, 0))] == family.place[window.index((-1, 0, 0, 0))]
+    assert len(family.rows) == directions + (beta == ZERO)  # the zero fiber at k0, last
+
+
+def test_build_family_creates_no_subspace(monkeypatch):
+    """N=4 d=2 builds of all four kinds under both policies, on Lambda(2)
+    and Fund(2), at integral beta (where the hat block enters) and at
+    beta = e_1 / 2, construct no ``Subspace``: neither the checking
+    constructor nor the trusted wrap of ``subspaces`` runs.  Afterwards
+    ``fiber(k)`` at every degree is the checking constructor's ``Subspace``
+    of its block's rows."""
+    window = Window(4, 2)
+    specs = [ActionSpec.make("H", 4, fiber, beta) for fiber in (Lambda(2), Fund(2)) for beta in (ZERO, HALF)]
+    for spec in specs:
+        spec.space()  # the fiber spaces, Fund(2)'s kernel among them, exist before the count
+    made = []
+    init, trusted = Subspace.__init__, Subspace._trusted.__func__
+    monkeypatch.setattr(Subspace, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    monkeypatch.setattr(Subspace, "_trusted",
+                        classmethod(lambda cls, *args: made.append(args) or trusted(cls, *args)))
+    sl_maps._build_family_cached.cache_clear()
+    families = [build_family(kind, 2, spec, window, policy)
+                for spec in specs for kind in FamilyKind for policy in SpecialFiberPolicy]
+    assert made == []
+    monkeypatch.undo()
+    sl_maps._build_family_cached.cache_clear()
+    for family in families:
+        dim = family.spec.space().dim
+        for i, k in enumerate(window.degrees()):
+            b = family.place[i]
+            checked = Subspace(dim, [row for row in family.rows[b].tolist() if any(row)] if b >= 0 else [])
+            fiber = family.fiber(k)
+            assert fiber.rows == checked.rows and fiber.pivots == checked.pivots
+            assert fiber.dim == family.dims[i]

@@ -13,7 +13,7 @@ import slmod.invariant_ops as invariant_ops
 import slmod.sl_maps as sl_maps
 import slmod.theorem_registry as theorem_registry
 from slmod.cli import main
-from slmod.exact_linalg import IntSpan, Subspace
+from slmod.exact_linalg import IntSpan, Subspace, int_blocks
 from slmod.graded_modules import (
     ActionSpec, Fund, GradedFamily, Lambda, ScalarFiber, Sym2, Window, closure, default_generators,
     edge_table,
@@ -27,7 +27,7 @@ from slmod.theorem_registry import (
     probe_engine,
     run_check,
 )
-from test_edge_table import fiber_action
+from reference import fiber_action, reference_contained
 
 HALF = (F(1, 2), 0, 0, 0)
 
@@ -574,40 +574,36 @@ def test_reports_echo_what_they_read():
                           "criterion-sym2", "TW", "TS", "classify-W", "irreducible-min"}
 
 
-def reference_per_degree(families, degrees, verdict):
-    """The per-degree loop that ``per_fiber_tuple`` replaces: every degree's
-    verdict computed from its own fibers."""
-    for k in degrees:
-        yield k, verdict(*(family.fiber(k) for family in families))
-
-
-def reference_contained(inners, outers, dim):
-    """The per-pair test that ``contained`` stacks: one ``Subspace.contains``
-    per pair."""
-    return np.array([outer.contains(inner) for inner, outer in zip(inners, outers)], dtype=bool)
+def reference_per_degree(families, at):
+    """The per-degree loop that ``place_tuples`` replaces: every degree is a
+    tuple of its own, so each comparison runs on that degree's fibers."""
+    tuples = np.stack([family.place[at] for family in families], axis=1)
+    return tuples, np.arange(len(tuples))
 
 
 def test_per_pair_comparisons_keep_every_failing_record(monkeypatch):
-    """INT's fiber along one direction of k + beta is replaced by MIN's: the
-    comparisons made once per tuple of fiber objects, and the containments
-    tested over all tuples in one product, FAIL at every degree of that
-    direction, with the records and counts of the per-degree loop."""
+    """INT's fiber along one direction of k + beta is replaced by MIN's: its
+    degrees are pointed at a block holding MIN's rows there.  The comparisons
+    made once per tuple of blocks, and the containments tested over all
+    tuples in one product, FAIL at every degree of that direction, with the
+    records and counts of the per-degree loop."""
     _build_family_cached.cache_clear()
     try:
         spec, win = ActionSpec.make("H", 4, Lambda(2), HALF), Window(4, 2)
         it = build_family(FamilyKind.INT, 2, spec, win)
         mn = build_family(FamilyKind.MIN, 2, spec, win)
-        # q(k + beta) = (2 k_1 + 1, 0, 0, 0): five degrees along e_1 share one fiber
-        shared = it.fiber((1, 0, 0, 0))
-        moved = [k for k, sub in it.fibers.items() if sub is shared]
+        # q(k + beta) = (2 k_1 + 1, 0, 0, 0): five degrees along e_1 share one block
+        shared, b_mn = it.place[win.index((1, 0, 0, 0))], mn.place[win.index((1, 0, 0, 0))]
+        moved = [k for k, b in zip(win.degrees(), it.place.tolist()) if b == shared]
         assert moved == [(k1, 0, 0, 0) for k1 in range(-2, 3)]
-        for k in moved:
-            it.fibers[k] = mn.fiber(k)
+        it.rows = int_blocks([*it.rows, mn.rows[b_mn]], it.rows.shape[2])
+        it.place[[win.index(k) for k in moved]] = len(it.rows) - 1
+        assert all(it.fiber(k) == mn.fiber(k) for k in moved)
         checks = ("inclusion-chain", "JH-quotient")
         got = {cid: run_check(cid, N=4, beta=HALF, d=2).to_dict() for cid in checks}
-        monkeypatch.setattr(theorem_registry, "per_fiber_tuple", reference_per_degree)
-        monkeypatch.setattr(sl_maps, "per_fiber_tuple", reference_per_degree)
-        monkeypatch.setattr(theorem_registry, "contained", reference_contained)
+        for module in (theorem_registry, sl_maps):
+            monkeypatch.setattr(module, "place_tuples", reference_per_degree)
+            monkeypatch.setattr(module, "contained", reference_contained)
         assert got == {cid: run_check(cid, N=4, beta=HALF, d=2).to_dict() for cid in checks}
         assert {cid: got[cid]["status"] for cid in checks} == dict.fromkeys(checks, "FAIL")
         failed = [d["degree"] for d in got["inclusion-chain"]["details"] if d["status"] == "FAIL"
@@ -621,8 +617,9 @@ def test_per_pair_comparisons_keep_every_failing_record(monkeypatch):
 
 def test_inclusion_chain_fails_at_the_one_faulty_degree():
     """INT's fiber at one degree, not a whole direction, is taken from another
-    direction: same dimension, but MIN no longer lies in it there.  The
-    fiber tuples are keyed by the fibers, so ``inclusion-chain`` FAILs at
+    direction: its ``place`` entry points at that direction's block, of the
+    same dimension, but MIN no longer lies in it there.  The tuples are keyed
+    by every family's block at each degree, so ``inclusion-chain`` FAILs at
     exactly that degree, as the per-pair reference does."""
     _build_family_cached.cache_clear()
     try:
@@ -630,7 +627,7 @@ def test_inclusion_chain_fails_at_the_one_faulty_degree():
         it = build_family(FamilyKind.INT, 2, spec, win)
         mn = build_family(FamilyKind.MIN, 2, spec, win)
         k = (1, 0, 0, 0)  # one of five degrees along e_1
-        it.fibers[k] = it.fiber((0, 1, 0, 0))
+        it.place[win.index(k)] = it.place[win.index((0, 1, 0, 0))]
         assert it.fiber(k).dim == it.fiber((2, 0, 0, 0)).dim
         assert not it.fiber(k).contains(mn.fiber(k))
         got = run_check("inclusion-chain", N=4, beta=HALF, d=2).to_dict()

@@ -20,9 +20,7 @@ from slmod.torus_lie import (
     sp_dim,
     sympl_form,
 )
-from test_edge_table import action_matrix_int
-from test_exact_linalg import from_triplets, mat_mul
-from test_exterior_algebra import gl_action_matrix
+from reference import action_matrix_int, from_triplets, gl_action_matrix, mat_mul
 
 
 def test_bar_examples():
