@@ -326,8 +326,9 @@ def subspaces(stack: np.ndarray) -> list:
 class IntSpan:
     """Incrementally grown span of integer vectors (forward echelon only).
 
-    Rows stay primitive and sorted by leading column; suitable for closure
-    loops where many membership tests and single-vector inserts happen.
+    Rows stay primitive and sorted by leading column; suitable for the
+    probes' fixpoint loop, where many membership tests and single-vector
+    inserts happen.
     """
 
     __slots__ = ("ambient", "rows", "pivots")

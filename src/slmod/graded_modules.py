@@ -60,10 +60,16 @@ Degree = tuple
 
 # items of one stacked call: directions eliminated at once by ``build_family``,
 # (degree, generator) pairs of one module-map product, items of one
-# ``fiber_escapes`` call of the invariance sweeps and edges of one ``saturate``
-# chunk; bounds the transient memory, about 13 kB per direction at N = 6, at
-# no cost in speed
+# ``fiber_escapes`` call of the invariance sweeps, of a ``closure`` round and
+# of a ``saturate`` chunk, and the escaping rows a closure merges at once;
+# bounds the transient memory, about 13 kB per direction at N = 6, at no
+# cost in speed
 STACK_ITEMS = 1024
+
+# out-edges a ``closure`` round gathers at once: the degrees that grew go in
+# groups of about this many edges, which bounds the round's index arrays
+# (tens of bytes an edge) where a round has millions, as at N = 6, d = 2
+ROUND_EDGES = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +502,8 @@ class EdgeTable:
     generator order; ``skipped[i]`` counts the maps that leave the window.
     The derivation rows ``scale * D`` of all generators are one
     ``rank_one_stack``, kept times q as one dense block per generator in
-    ``qd``: ``fiber_escapes`` takes the array, and ``apply`` the same blocks
-    read once as Python ints.
+    ``qd``: ``fiber_escapes`` takes the array, and ``apply``, the row-by-row
+    path of the probes, the same blocks read once as Python ints.
     """
 
     def __init__(self, spec: ActionSpec, window: Window, gens: tuple):
@@ -567,7 +573,8 @@ UNTESTED_TURNS = 3
 
 
 def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
-    """Grow spans from integer seed rows to the fixpoint of the table's maps.
+    """Grow spans from integer seed rows to the fixpoint of the table's maps:
+    the hooked fixpoint run of the probe engine.
 
     ``seeds`` maps degree indices to integer rows.  The worklist is FIFO and
     semi-naive: at its turn a degree sends along its out-edges only the rows
@@ -594,6 +601,10 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
     of the run that applies every edge.  The annihilators live in one
     (degrees, dim, dim) array, paged in only where a target is tested and
     dropped with the call.
+
+    A stop hook reads the spans as they grow, so the stored rows follow a
+    fixed order; ``closure``, which needs only the final spaces, grows
+    canonical blocks in stacked rounds instead.
     """
     dim = table.dim
     spans: dict = {}
@@ -682,6 +693,133 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
     return spans
 
 
+class _Spans:
+    """The spans of a closure run as canonical blocks, one per degree index.
+
+    ``rows[i]`` holds the canonical rows of the span at degree index i,
+    zero rows last, padded to ``dim`` rows; ``lead[i]`` their pivot
+    columns (``dim`` on a zero row) and ``dims[i]`` their number.  The
+    annihilators of the spans that are neither zero nor full are kept in
+    ``anns``, read through ``annihilators``, and ``top_a`` bounds their
+    entries.  Both blocks turn to Python ints when a row or annihilator
+    needs them; they are zero until written, so pages that no span reaches
+    are never touched.
+    """
+
+    def __init__(self, degrees: int, dim: int):
+        self.dim = dim
+        self.rows = np.zeros((degrees, dim, dim), dtype=np.int64)
+        self.lead = np.full((degrees, dim), dim, dtype=np.intp)
+        self.dims = np.zeros(degrees, dtype=np.intp)
+        self.anns = np.zeros((degrees, dim, dim), dtype=np.int64)
+        self.top_a = 1
+
+    def annihilators(self, js: np.ndarray) -> np.ndarray:
+        """The annihilators of the spans at degree indices ``js``, none of
+        them full: the identity where a span is zero."""
+        anns = self.anns[js]
+        anns[self.dims[js] == 0] = np.eye(self.dim, dtype=np.int64)
+        return anns
+
+    def merge(self, js: np.ndarray, rows: np.ndarray):
+        """Grow the span at each degree index ``js[t]`` by ``rows[t]``.
+
+        A pass stacks each target's rows with at most ``dim - dims`` of the
+        rows sent to it, in one ``echelon_stack`` over all the targets, and
+        refreshes their annihilators; the rows left over are tested again
+        against those, and the ones that still escape make the next pass.
+        """
+        dim = self.dim
+        while len(js):
+            order = np.argsort(js, kind="stable")
+            js, rows = js[order], rows[order]
+            starts = np.concatenate([[True], js[1:] != js[:-1]])
+            first = np.flatnonzero(starts)  # each target's first row
+            owner = np.cumsum(starts) - 1
+            slot = self.dims[js] + np.arange(len(js)) - first[owner]
+            take = slot < dim
+            targets = js[first]
+            work = _put(self.rows[targets], (owner[take], slot[take]), rows[take])
+            self._store(targets, echelon_stack(work))
+            js, rows = js[~take], rows[~take]
+            if len(js):
+                into = self.dims[js] < dim
+                js, rows = js[into], rows[into]
+                kills = int_matmul(self.annihilators(js), rows[:, :, None], (self.top_a, max_abs(rows)))
+                out = kills.any(axis=(1, 2))
+                js, rows = js[out], rows[out]
+
+    def _store(self, targets: np.ndarray, red: np.ndarray):
+        """Keep the canonical rows ``red[t]`` as the span at ``targets[t]``."""
+        pad = np.zeros((len(red), self.dim - red.shape[1], self.dim), dtype=np.int64)
+        blocks = np.concatenate([red, pad], axis=1)
+        self.rows = _put(self.rows, targets, blocks)
+        lead = (np.cumsum(blocks != 0, axis=2) == 0).sum(axis=2)
+        self.lead[targets] = lead
+        self.dims[targets] = dims = (lead < self.dim).sum(axis=1)
+        part = dims < self.dim  # a full span's annihilator is never read
+        if part.any():
+            anns = annihilator_stack(blocks[part])
+            self.anns = _put(self.anns, targets[part], anns)
+            self.top_a = max(self.top_a, max_abs(anns))
+
+    def gained(self, before: np.ndarray) -> tuple:
+        """(grown, fresh): the degree indices whose spans have pivots that
+        ``before``, an earlier ``lead``, lacks, and a stack of each one's
+        canonical rows at those pivots, zero rows last.  With the earlier
+        span they span the span now."""
+        grown = np.flatnonzero(self.dims != (before < self.dim).sum(axis=1))
+        if not grown.size:
+            return grown, self.rows[:0]
+        lead = self.lead[grown]
+        new = (lead < self.dim) & ~(lead[:, :, None] == before[grown][:, None, :]).any(axis=2)
+        return grown, packed(self.rows[grown] * new[:, :, None])
+
+
+def _put(array: np.ndarray, at, values: np.ndarray) -> np.ndarray:
+    """``array[at] = values``, in a copy on Python ints when a value is past
+    int64; returns the array written."""
+    try:
+        array[at] = values
+    except OverflowError:
+        array = array.astype(object)
+        array[at] = values
+    return array
+
+
+def _send(table: EdgeTable, spans: _Spans, grown: np.ndarray, fresh: np.ndarray):
+    """A group of a ``closure`` round: the images of ``fresh[b]``, the rows
+    that degree index ``grown[b]`` gained, along all of its in-window edges
+    into targets that are not full, source-major.  The edges go ``STACK_ITEMS``
+    to a ``fiber_escapes`` call, with the magnitudes of the rows and maps
+    read once for the group, and each call hands back its images.  The
+    escaping ones are merged into their targets once ``STACK_ITEMS`` of
+    them are held, and at the end of the group; the calls after a merge
+    test against the grown spans and drop the edges into targets that
+    filled."""
+    pos, gis = np.nonzero(table.inbox[grown])
+    srcs = grown[pos]
+    js = srcs + table.offset[gis]
+    live = spans.dims[js] < table.dim  # a full target holds every image
+    pos, gis, js = pos[live], gis[live], js[live]
+    scale = np.full((1, 1), table.scale, dtype=np.int64)
+    cs = int_matmul(table.cq[srcs[live], gis][:, None], scale)[:, 0]
+    top_r, top_m = max_abs(fresh), max_abs(table.qd)
+    held_js, held_rows = [], []  # escaping images not merged yet
+    for start in range(0, len(js), STACK_ITEMS):
+        e = slice(start, start + STACK_ITEMS)
+        into = spans.dims[js[e]] < table.dim
+        p, g, j = pos[e][into], gis[e][into], js[e][into]
+        flags, images = fiber_escapes(fresh[p], spans.annihilators(j), cs[e][into], table.qd[g],
+                                      (top_r, top_m, spans.top_a), with_images=True)
+        item, row = np.nonzero(flags)
+        held_js.append(j[item])
+        held_rows.append(images[item, row])
+        if sum(map(len, held_js)) >= STACK_ITEMS or start + STACK_ITEMS >= len(js):
+            spans.merge(np.concatenate(held_js), np.concatenate(held_rows))
+            held_js, held_rows = [], []
+
+
 def closure(
     spec: ActionSpec,
     seeds: dict,
@@ -689,26 +827,49 @@ def closure(
     generators: Iterable[Generator] | None = None,
 ) -> GradedFamily:
     """Smallest window-truncated family containing the seeds and stable under
-    every in-window fiber map: ``saturate`` with no stop hook, its nonzero
-    spans made canonical by one ``echelon_stack``, one block per degree.
+    every in-window fiber map.
 
     ``seeds`` maps degrees to lists of fiber coordinate vectors.  Action
     targets outside the window are discarded.
+
+    The fixpoint runs in semi-naive rounds over canonical blocks
+    (``_Spans``): the seed rows are merged first, and in each round every
+    degree whose span grew in the last one sends its new canonical rows,
+    those at pivot columns it did not have before, along all of its edges
+    (``_send``, in groups of degrees of about ``ROUND_EDGES`` edges).
+    Together with the span it had, whose images went out in earlier rounds,
+    they span its span, so a round that grows nothing ends the run.  The
+    family is built from the blocks as they stand, with no second
+    elimination.
     """
     gens = tuple(generators) if generators is not None else default_generators(spec.kind, spec.n)
     table = edge_table(spec, window, gens)
-    rows: dict = {}
+    js, rows = [], []
     for k, vectors in seeds.items():
         k = tuple(k)
         if k not in window:
             raise ValueError(f"seed degree {k} outside the window")
-        rows.setdefault(table.index[k], []).extend(_int_matrix(vectors)[0])
-    spans = saturate(table, rows)
-    live = [i for i, span in spans.items() if span.rows]
+        ints = _int_matrix(vectors)[0]
+        js += [table.index[k]] * len(ints)
+        rows += ints
+    rows = int_blocks([rows], table.dim)[0]
+    live = (rows != 0).any(axis=1)
+    spans = _Spans(len(table.degs), table.dim)
+    before = spans.lead.copy()
+    spans.merge(np.array(js, dtype=np.intp)[live], rows[live])
+    grown, fresh = spans.gained(before)
+    out = len(gens) - np.array(table.skipped, dtype=np.intp)  # out-edges per degree index
+    while grown.size:
+        before = spans.lead.copy()
+        # a new group where the running edge count passes a multiple of ROUND_EDGES
+        cuts = np.flatnonzero(np.diff((np.cumsum(out[grown]) - 1) // ROUND_EDGES)) + 1
+        for group in np.split(np.arange(grown.size), cuts):
+            _send(table, spans, grown[group], fresh[group])
+        grown, fresh = spans.gained(before)
+    live = np.flatnonzero(spans.dims)
     place = np.full(len(table.degs), -1, dtype=np.intp)
     place[live] = np.arange(len(live))
-    blocks = echelon_stack(int_blocks([spans[i].rows for i in live], table.dim))
-    return GradedFamily.from_blocks(spec, window, place, list(blocks))
+    return GradedFamily.from_blocks(spec, window, place, spans.rows[live, : spans.dims.max(initial=0)])
 
 
 def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
@@ -762,9 +923,10 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
     return rec.result()
 
 
-def fiber_escapes(rows, anns, cs: list, maps, tops: tuple | None = None) -> np.ndarray:
+def fiber_escapes(rows, anns, cs, maps, tops: tuple | None = None, with_images: bool = False):
     """Which rows of which items leave a fixed fiber: the one fiber
-    membership test of every sweep, one flag per (item, row).
+    membership test of every sweep, one flag per (item, row); with
+    ``with_images``, also the images it tested, as ``(flags, images)``.
 
     Item e maps the row block R_e through c_e * Id + M_e; an image lies in
     the target fiber exactly when the fiber's annihilator block A_e kills it,
@@ -772,14 +934,16 @@ def fiber_escapes(rows, anns, cs: list, maps, tops: tuple | None = None) -> np.n
     is nonzero.  ``rows``, ``anns`` and ``maps`` are integer arrays, each
     either one block that every item shares (h x D, a x D, D x D) or one
     block per item stacked along a first axis of length ``len(cs)``; zero
-    rows pad a block freely.  The images are one ``int_affine`` and their
-    test one ``int_matmul``, the images bounded a priori by
+    rows pad a block freely; ``cs`` is a list or an integer array.  The
+    images are one ``int_affine`` and their test one ``int_matmul``, the
+    images bounded a priori by
     max|c| max|R| + D max|R| max|M|.  ``tops`` is (max|R|, max|M|, max|A|),
     or bounds on them, as in ``int_matmul``: a sweep split over several
     calls reads them once; without it each call reads them.
     """
     top_r, top_m, top_a = tops or (max_abs(rows), max_abs(maps), max_abs(anns))
-    top_c = max(map(abs, cs), default=0)
+    top_c = max_abs(cs) if isinstance(cs, np.ndarray) else max(map(abs, cs), default=0)
     images = int_affine(cs, rows, maps.swapaxes(-1, -2), (top_c, top_r, top_m))
     top_i = top_c * top_r + rows.shape[-1] * top_r * top_m
-    return int_matmul(anns, images.swapaxes(-1, -2), (top_a, top_i)).any(axis=-2)
+    flags = int_matmul(anns, images.swapaxes(-1, -2), (top_a, top_i)).any(axis=-2)
+    return (flags, images) if with_images else flags

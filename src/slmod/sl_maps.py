@@ -49,6 +49,7 @@ from .exact_linalg import (
     int_affine,
     int_matmul,
     kernel_stack,
+    max_abs,
     packed,
     rref,
     vec,
@@ -273,18 +274,21 @@ def verify_module_map(
     if not len(gis):
         raise ValueError(f"window d={window.d} has no in-window map: the check would compare nothing")
     failing: dict = {}  # generator index -> the degrees where its square fails
+    # the magnitudes of the whole sweep, read once
+    top_c, top_phi = max_abs(src_table.cq), max_abs(phi)
+    src_tops = (top_c, top_phi, max_abs(src_table.qd))
+    tgt_tops = (top_c, top_phi, max_abs(tgt_table.qd))
     for start in range(0, len(gis), STACK_ITEMS):
         g, i = gis[start : start + STACK_ITEMS], srcs[start : start + STACK_ITEMS]
         cs = src_table.cq[i, g].tolist()
         # q^{h+1} times each side of the intertwining identity
-        lhs = int_affine(cs, phi[i + src_table.offset[g]], src_table.qd[g])
-        rhs = int_affine(cs, phi[i].transpose(0, 2, 1), tgt_table.qd[g].transpose(0, 2, 1))
+        lhs = int_affine(cs, phi[i + src_table.offset[g]], src_table.qd[g], src_tops)
+        rhs = int_affine(cs, phi[i].transpose(0, 2, 1), tgt_table.qd[g].transpose(0, 2, 1), tgt_tops)
         bad = (lhs != rhs.transpose(0, 2, 1)).any(axis=(1, 2))
         for gi, k in zip(g[bad].tolist(), i[bad].tolist()):
             failing.setdefault(gi, []).append(degs[k])
     rec.counts["skipped"] += len(degs) * len(gens) - len(gis)
-    for gi, g in enumerate(gens):
-        count = int(src_table.inbox[:, gi].sum())
+    for gi, (g, count) in enumerate(zip(gens, src_table.inbox.sum(axis=0).tolist(), strict=True)):
         bad = failing.get(gi, [])
         for k in bad[:8]:
             rec.record(False, degree=k, expected="intertwines", actual="defect",

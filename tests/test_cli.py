@@ -307,7 +307,7 @@ def test_check_all_reports_a_raising_check_as_error_and_exits_three(monkeypatch,
     assert error["params"] == {"N": 2, "beta": "0,0", "d": 2}
     assert error["details"] == [{
         "degree": None, "expected": "no exception", "status": "ERROR",
-        "actual": "IndexError: index 7 is out of bounds for axis 1 with size 7"}]
+        "actual": "ValueError: zip() argument 2 is shorter than argument 1"}]
     assert main(["check-all"]) == 3
     text = capsys.readouterr().out
     assert "[ERROR] module-maps" in text

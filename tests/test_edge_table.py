@@ -4,7 +4,10 @@
 ``closure``, ``is_invariant`` and the probe engine all read their edges and
 images from one EdgeTable, so comparing them with each other proves little.
 The reference here shares none of that code: it multiplies exact Fraction
-matrices and grows ``Subspace`` sums to the fixpoint.
+matrices and grows ``Subspace`` sums to the fixpoint.  Closures are also
+compared with a hookless ``saturate`` run, which reads the same table but
+grows its spans row by row: that checks the rounds of ``closure`` where the
+Fraction reference is too slow to run.
 """
 
 import random
@@ -15,9 +18,10 @@ import numpy as np
 import pytest
 
 from slmod import graded_modules
-from slmod.exact_linalg import Subspace, echelon_stack, int_blocks, mat_vec, subspace_sum
+from slmod.exact_linalg import IntSpan, Subspace, echelon_stack, int_blocks, mat_vec, subspace_sum
 from slmod.graded_modules import (
     ActionSpec,
+    EdgeTable,
     Fund,
     GradedFamily,
     Lambda,
@@ -27,6 +31,7 @@ from slmod.graded_modules import (
     closure,
     default_generators,
     edge_table,
+    saturate,
 )
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import ProbeEngine, probe_engine
@@ -368,17 +373,17 @@ def test_multi_seed_closure_matches_the_reference(n, d, fiber, beta, first):
 
 def test_closure_with_seed_entries_past_int64_matches_the_reference(monkeypatch):
     """A centre seed inside INT but outside MIN with entries past 2^62: the
-    settled-target test of ``saturate`` then runs on Python ints, and the
-    closure still equals the Fraction reference."""
+    round tests of ``closure`` then run on Python ints, and the closure
+    still equals the Fraction reference."""
     spec = ActionSpec.make("H", 4, Fund(1), (F(1, 2), 0, 0, 0))
     window = Window(4, 1)
     seeds = {(0, 0, 0, 0): [[2**63 + 1, 2**62 + 3, 0, 5]]}
     tops = []
     fiber_escapes = graded_modules.fiber_escapes
 
-    def logged(rows, anns, cs, maps):
+    def logged(rows, anns, cs, maps, *args, **kwargs):
         tops.append(max(abs(x) for x in rows.flat))
-        return fiber_escapes(rows, anns, cs, maps)
+        return fiber_escapes(rows, anns, cs, maps, *args, **kwargs)
 
     monkeypatch.setattr(graded_modules, "fiber_escapes", logged)
     fam = closure(spec, seeds, window)
@@ -388,35 +393,133 @@ def test_closure_with_seed_entries_past_int64_matches_the_reference(monkeypatch)
         assert fam.fiber(k) == ref.get(k, Subspace.zero(4)), k
 
 
+def _fifo_family(spec, window, seeds) -> dict:
+    """Degree -> the canonical span of a hookless FIFO ``saturate`` run, the
+    row-by-row loop of the probes, from the same seeds."""
+    table = edge_table(spec, window, default_generators(spec.kind, spec.n))
+    spans = saturate(table, {table.index[k]: list(map(list, rows)) for k, rows in seeds.items()})
+    return {table.degs[i]: Subspace(table.dim, span.rows) for i, span in spans.items()}
+
+
+def _assert_fifo_family(spec, window, seeds):
+    fam = closure(spec, seeds, window)
+    fifo = _fifo_family(spec, window, seeds)
+    zero = Subspace.zero(spec.space().dim)
+    for k in window.degrees():
+        assert fam.fiber(k) == fifo.get(k, zero), k
+    return fam
+
+
+@pytest.mark.parametrize("kind,n,d,fiber,beta", list(_cases(heavy=True)))
+def test_closure_equals_the_fifo_saturate_spans(kind, n, d, fiber, beta):
+    """The rounds of ``closure`` end on the spans of the FIFO loop, on every
+    spec the Fraction reference covers and on the W/S N=4 Lambda(2) and Sym2
+    ones it skips."""
+    spec = ActionSpec.make(kind, n, fiber, beta)
+    window = Window(n, d)
+    for seed in _seeds(spec, window):
+        _assert_fifo_family(spec, window, {(0,) * n: [seed]})
+
+
+def test_closure_equals_the_fifo_saturate_spans_past_int64():
+    """Seeds with entries past 2^62 at two degrees, on Python ints in both
+    loops; and seeds that are all zero vectors give the zero family."""
+    spec = ActionSpec.make("S", 4, Lambda(1), (F(1, 2), 0, 0, 0))
+    window = Window(4, 1)
+    fam = _assert_fifo_family(spec, window, {(0, 0, 0, 0): [[2**62 + 1, -3, 2**63, 7]],
+                                             (1, 0, 0, 0): [[0, 2**64, 0, 0]]})
+    assert fam.fibers
+    zero = _assert_fifo_family(spec, window, {(0, 0, 0, 0): [[0] * 4, [0] * 4], (0, 1, 0, 0): [[0] * 4]})
+    assert not zero.fibers and (zero.place < 0).all()
+    assert zero == GradedFamily(spec, window)
+
+
+@pytest.mark.parametrize("kind,fiber", [("H", Fund(1)), ("W", Lambda(2)), ("S", Sym2())])
+def test_closure_in_small_groups_equals_the_fifo_saturate_spans(monkeypatch, kind, fiber):
+    """With ``ROUND_EDGES`` = 100 a round's degrees go in many groups, and
+    with ``STACK_ITEMS`` = 7 every group makes many calls and merges, some
+    of them holding more rows than a target has room for: the spans are
+    still the FIFO loop's."""
+    monkeypatch.setattr(graded_modules, "ROUND_EDGES", 100)
+    monkeypatch.setattr(graded_modules, "STACK_ITEMS", 7)
+    groups = []
+    send = graded_modules._send
+
+    def counted(table, spans, grown, fresh):
+        groups.append(len(grown))
+        return send(table, spans, grown, fresh)
+
+    monkeypatch.setattr(graded_modules, "_send", counted)
+    spec = ActionSpec.make(kind, 4, fiber, (F(1, 2), 0, 0, 0))
+    window = Window(4, 1)
+    for seed in _seeds(spec, window):
+        _assert_fifo_family(spec, window, {(0, 0, 0, 0): [seed]})
+    assert len(groups) > 10 and min(groups) >= 1
+
+
+def _edges_int_closure():
+    """The INT closure of the benchmark's edges workload: H Fund(1), N=4,
+    d=2, beta = e1/2, from the centre vector (2, -1, 0, 3)."""
+    spec = ActionSpec.make("H", 4, Fund(1), (F(1, 2), 0, 0, 0))
+    return spec, Window(4, 2), {(0, 0, 0, 0): [[2, -1, 0, 3]]}
+
+
+def test_closure_stores_no_row_through_the_fifo_path(monkeypatch):
+    """The rounds grow canonical blocks by stacked products and eliminations:
+    the edges INT closure calls neither ``IntSpan.add`` nor
+    ``EdgeTable.apply``, and still ends on the FIFO loop's spans."""
+    spec, window, seeds = _edges_int_closure()
+    fifo = _fifo_family(spec, window, seeds)
+    calls = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"closure called {name}")
+        return call
+
+    monkeypatch.setattr(IntSpan, "add", refused("IntSpan.add"))
+    monkeypatch.setattr(EdgeTable, "apply", refused("EdgeTable.apply"))
+    fam = closure(spec, seeds, window)
+    assert calls == []
+    for k in window.degrees():
+        assert fam.fiber(k) == fifo.get(k, Subspace.zero(4)), k
+    assert any(sub.dim < 4 for sub in fam.fibers.values())  # a proper subfamily
+
+
 @pytest.mark.parametrize("d,seed,dtype", [
     (2, [2, -1, 0, 3], "int64"),
     # the seed of the past-int64 test above
     (1, [2**63 + 1, 2**62 + 3, 0, 5], "object"),
 ])
-def test_closure_converts_its_spans_in_one_stacked_elimination(monkeypatch, d, seed, dtype):
-    """``closure`` makes every span canonical with one ``echelon_stack``,
-    in int64 or on Python ints as its rows need, and each fiber equals the
-    checking constructor's ``Subspace(dim, span.rows)``."""
-    spec = ActionSpec.make("H", 4, Fund(1), (F(1, 2), 0, 0, 0))
+def test_closure_rounds_stay_in_int64_until_a_row_needs_python_ints(monkeypatch, d, seed, dtype):
+    """Every image and elimination of the rounds runs in int64 from the
+    int64 seed, and the past-int64 seed takes them to Python ints; each
+    fiber equals the FIFO loop's span, and the family is a proper one."""
+    spec, window, _ = _edges_int_closure()
     window = Window(4, d)
-    runs, stacks = [], []
-    saturate, echelon_stack = graded_modules.saturate, graded_modules.echelon_stack
+    seeds = {(0, 0, 0, 0): [seed]}
+    fifo = _fifo_family(spec, window, seeds)
+    images, stacks = [], []
+    fiber_escapes, echelon_stack = graded_modules.fiber_escapes, graded_modules.echelon_stack
 
-    def kept(*args):
-        runs.append(saturate(*args))
-        return runs[-1]
+    def imaged(*args, **kwargs):
+        out = fiber_escapes(*args, **kwargs)
+        images.append(out[1].dtype)
+        return out
 
     def logged(stack):
         stacks.append(stack.dtype)
         return echelon_stack(stack)
 
-    monkeypatch.setattr(graded_modules, "saturate", kept)
+    monkeypatch.setattr(graded_modules, "fiber_escapes", imaged)
     monkeypatch.setattr(graded_modules, "echelon_stack", logged)
-    fam = closure(spec, {(0, 0, 0, 0): [seed]}, window)
-    assert stacks == [dtype]
-    table = edge_table(spec, window, default_generators(spec.kind, 4))
-    (spans,) = runs
-    for i, k in enumerate(table.degs):
-        span = spans.get(i)
-        assert fam.fiber(k) == Subspace(4, span.rows if span else ()), k
+    fam = closure(spec, seeds, window)
+    for k in window.degrees():
+        assert fam.fiber(k) == fifo.get(k, Subspace.zero(4)), k
+    assert images and stacks
+    if dtype == "int64":
+        assert set(images) == set(stacks) == {np.dtype(np.int64)}
+    else:
+        assert object in images and object in stacks
     assert any(sub.dim < 4 for sub in fam.fibers.values())  # a proper subfamily

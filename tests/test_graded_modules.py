@@ -590,20 +590,23 @@ def test_saturate_tests_spanless_targets_against_the_identity(monkeypatch):
 
 def test_saturate_leaves_numpy_ma_unimported():
     """``saturate`` gathers its stale targets without ``np.unique``, which
-    imports ``numpy.ma`` on first use: a fresh interpreter that runs a
-    closure through tested chunks, from outside INT to the whole N=4 d=2
-    window, has not loaded it."""
+    imports ``numpy.ma`` on first use, and so do the rounds of ``closure``:
+    a fresh interpreter that runs both from outside INT to the whole N=4
+    d=2 window, ``saturate`` through tested chunks, has not loaded it."""
     code = (
         "import sys\n"
         "from fractions import Fraction\n"
-        "from slmod.graded_modules import ActionSpec, Fund, Window, closure\n"
+        "from slmod.graded_modules import (ActionSpec, Fund, Window, closure, default_generators,\n"
+        "                                  edge_table, saturate)\n"
         "spec = ActionSpec.make('H', 4, Fund(1), (Fraction(1, 2), 0, 0, 0))\n"
+        "table = edge_table(spec, Window(4, 2), default_generators(spec.kind, 4))\n"
+        "spans = saturate(table, {table.index[(0, 0, 0, 0)]: [[1, 0, 1, 0]]})\n"
         "family = closure(spec, {(0, 0, 0, 0): [[1, 0, 1, 0]]}, Window(4, 2))\n"
-        "print(len(family.fibers), 'numpy.ma' in sys.modules)\n")
+        "print(len(spans), len(family.fibers), 'numpy.ma' in sys.modules)\n")
     src = Path(graded_modules.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.split() == ["625", "False"]
+    assert run.stdout.split() == ["625", "625", "False"]
 
 
 @pytest.fixture
