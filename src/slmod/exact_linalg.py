@@ -96,18 +96,22 @@ def int_blocks(row_sets: list, dim: int) -> np.ndarray:
     each padded with zero rows; in int64 when every entry is one, else in
     Python ints.  Every product reads its operands' magnitudes itself, so
     none is bounded here."""
-    shape = (len(row_sets), max(map(len, row_sets), default=0), dim)
+    out = np.zeros((len(row_sets), max(map(len, row_sets), default=0), dim), dtype=np.int64)
+    for b, rows in enumerate(row_sets):
+        if len(rows):
+            out = put_ints(out, (b, slice(None, len(rows))), rows)
+    return out
 
-    def filled(out):
-        for block, rows in zip(out, row_sets):
-            if len(rows):
-                block[: len(rows)] = rows
-        return out
 
+def put_ints(array: np.ndarray, at, values) -> np.ndarray:
+    """``array[at] = values`` for an integer array, in a copy on Python ints
+    when a value is past int64; returns the array written."""
     try:
-        return filled(np.zeros(shape, dtype=np.int64))
+        array[at] = values
     except OverflowError:  # an entry past int64
-        return filled(np.zeros(shape, dtype=object))
+        array = array.astype(object)
+        array[at] = values
+    return array
 
 
 def dot(u: Sequence[Rational], v: Sequence[Rational]):
@@ -233,9 +237,12 @@ def echelon_stack(stack: np.ndarray) -> np.ndarray:
     Item b's rows are ``_echelon(stack[b])[0]``, then zero rows up to the
     largest rank in the stack.  Per column, each item pivots on its first
     nonzero row at or below its rank, made primitive with a positive lead,
-    and cross-multiplies its other rows against it, each then divided by its
-    gcd.  A step makes no entry past 2 M^2, M the largest entry it reads: it
-    runs in int64 while ``fits_int64`` holds for that, on Python ints after.
+    and cross-multiplies against it its other rows that are nonzero in the
+    column, each then divided by its gcd; a row zero there would come out
+    as it went in, up to that gcd, which its own pivot step or a later
+    update divides out.  A step makes no entry past 2 M^2, M the largest
+    entry of the rows it reads: it runs in int64 while ``fits_int64`` holds
+    for that, on Python ints after.
     """
     work = stack.copy()
     rank = np.zeros(len(work), dtype=np.intp)
@@ -245,25 +252,24 @@ def echelon_stack(stack: np.ndarray) -> np.ndarray:
         items = np.flatnonzero(cand.any(axis=1))
         if not items.size:
             continue
-        rows = work[items]
-        if rows.dtype != object and not fits_int64(2 * max_abs(rows) ** 2):
-            work, rows = work.astype(object), rows.astype(object)
-        at, top = np.arange(items.size), rank[items]
+        top = rank[items]
         sel = cand[items].argmax(axis=1)
-        pivot = rows[at, sel]
-        rows[at, sel] = rows[at, top]
-        rows[at, top] = 0
-        pivot //= (np.gcd.reduce(pivot, axis=1) * np.sign(pivot[:, col]))[:, None]
-        a = pivot[:, col, None]
-        g = np.gcd(a, rows[:, :, col])
-        b = rows[:, :, col] // g
-        rows *= (a // g)[:, :, None]
-        rows -= b[:, :, None] * pivot[:, None, :]
-        rows[at, top] = pivot
-        norm = np.gcd.reduce(rows, axis=2)
-        norm[norm == 0] = 1
-        rows //= norm[:, :, None]
-        work[items] = rows
+        pivot = work[items, sel]
+        work[items, sel] = work[items, top]
+        work[items, top] = 0
+        it, row = np.nonzero(work[items, :, col])  # the other rows the column reaches
+        at, rows = items[it], work[items[it], row]
+        if work.dtype != object and not fits_int64(2 * max(max_abs(pivot), max_abs(rows)) ** 2):
+            work, pivot, rows = work.astype(object), pivot.astype(object), rows.astype(object)
+        pivot //= (np.gcd.reduce(pivot, axis=1, initial=0) * np.sign(pivot[:, col]))[:, None]
+        if it.size:
+            a, b = pivot[it, col], rows[:, col]
+            g = np.gcd(a, b)
+            rows = rows * (a // g)[:, None] - (b // g)[:, None] * pivot[it]
+            norm = np.gcd.reduce(rows, axis=1, initial=0)
+            norm[norm == 0] = 1
+            work[at, row] = rows // norm[:, None]
+        work[items, top] = pivot
         rank[items] += 1
     return work[:, : rank.max(initial=0)]
 
@@ -281,9 +287,9 @@ def annihilator_stack(red: np.ndarray) -> np.ndarray:
     rows come back in int64 whenever they fit, however large the read-off ran.
     """
     n = red.shape[2]
-    leads = (np.cumsum(red != 0, axis=2) == 0).sum(axis=2)  # n on a zero row
-    items, rows = np.nonzero(leads < n)
-    cols = leads[items, rows]
+    lead = leads(red)
+    items, rows = np.nonzero(lead < n)
+    cols = lead[items, rows]
     pivots = np.ones(red.shape[:2], dtype=object)
     pivots[items, rows] = red[items, rows, cols]
     scale = np.lcm.reduce(pivots, axis=1, initial=1)
@@ -313,14 +319,19 @@ def packed(stack: np.ndarray) -> np.ndarray:
     cut to the largest number of nonzero rows in the stack."""
     live = (stack != 0).any(axis=2)
     order = np.argsort(~live, axis=1, kind="stable")[:, : live.sum(axis=1).max(initial=0)]
-    return np.take_along_axis(stack, order[:, :, None], axis=1)
+    return stack[np.arange(len(stack))[:, None], order]
+
+
+def leads(stack: np.ndarray) -> np.ndarray:
+    """The leading column of every row of a (B, h, n) stack, n on a zero row."""
+    return (np.cumsum(stack != 0, axis=2) == 0).sum(axis=2)
 
 
 def subspaces(stack: np.ndarray) -> list:
     """One ``Subspace`` per item of an ``echelon_stack`` or ``kernel_stack``
     output, its canonical rows wrapped as they are, with no second elimination."""
-    leads = (np.cumsum(stack != 0, axis=2) == 0).sum(axis=2).tolist()  # n on a zero row
-    return [Subspace._trusted(stack.shape[2], item, lead) for item, lead in zip(stack.tolist(), leads)]
+    return [Subspace._trusted(stack.shape[2], item, lead)
+            for item, lead in zip(stack.tolist(), leads(stack).tolist())]
 
 
 class IntSpan:

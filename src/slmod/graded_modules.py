@@ -39,8 +39,10 @@ from .exact_linalg import (
     int_blocks,
     int_matmul,
     kernel_stack,
+    leads,
     max_abs,
     packed,
+    put_ints,
     same_spans,
     subspaces,
 )
@@ -66,9 +68,10 @@ Degree = tuple
 # cost in speed
 STACK_ITEMS = 1024
 
-# out-edges a ``closure`` round gathers at once: the degrees that grew go in
-# groups of about this many edges, which bounds the round's index arrays
-# (tens of bytes an edge) where a round has millions, as at N = 6, d = 2
+# out-edges a ``closure`` round sends at once: the degrees that grew go in
+# groups with at most this many edges, which bounds the round's index
+# arrays, tens of bytes an edge, where a round has millions (4.8 M in one
+# N = 6, d = 2 round)
 ROUND_EDGES = 2**16
 
 
@@ -668,7 +671,7 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
             for start in range(0, len(js), STACK_ITEMS):
                 e = slice(start, start + STACK_ITEMS)
                 escapes = fiber_escapes(blocks[pos[e]], anns[js[e]],
-                                        [c * table.scale for c in cqs[e]], table.qd[gis[e]])
+                                        [c * table.scale for c in cqs[e]], table.qd[gis[e]])[0]
                 hit = np.flatnonzero(escapes.any(axis=1))
                 hits += (hit + start).tolist()
                 flags += escapes[hit].tolist()
@@ -698,12 +701,16 @@ class _Spans:
 
     ``rows[i]`` holds the canonical rows of the span at degree index i,
     zero rows last, padded to ``dim`` rows; ``lead[i]`` their pivot
-    columns (``dim`` on a zero row) and ``dims[i]`` their number.  The
-    annihilators of the spans that are neither zero nor full are kept in
-    ``anns``, read through ``annihilators``, and ``top_a`` bounds their
-    entries.  Both blocks turn to Python ints when a row or annihilator
-    needs them; they are zero until written, so pages that no span reaches
-    are never touched.
+    columns (``dim`` on a zero row) and ``dims[i]`` their number.
+    ``anns[i]`` is the annihilator of the span while it is not full (the
+    identity while it is zero), its ``dim - dims[i]`` nonzero rows first,
+    so ``anns[js, : dim - min dims]`` holds every one of them; ``top_a``
+    bounds their entries.  Both blocks turn to Python ints when a row or
+    annihilator needs them.  A span only grows, so its new canonical rows
+    are never fewer than its old ones and its pivot columns only gain:
+    ``sent[i, c]`` marks the pivot columns whose rows ``gained`` has handed
+    out (and the column ``dim`` of zero rows), ``dims_sent[i]`` their
+    number.
     """
 
     def __init__(self, degrees: int, dim: int):
@@ -711,15 +718,10 @@ class _Spans:
         self.rows = np.zeros((degrees, dim, dim), dtype=np.int64)
         self.lead = np.full((degrees, dim), dim, dtype=np.intp)
         self.dims = np.zeros(degrees, dtype=np.intp)
-        self.anns = np.zeros((degrees, dim, dim), dtype=np.int64)
+        self.anns = np.eye(dim, dtype=np.int64)[None].repeat(degrees, axis=0)
         self.top_a = 1
-
-    def annihilators(self, js: np.ndarray) -> np.ndarray:
-        """The annihilators of the spans at degree indices ``js``, none of
-        them full: the identity where a span is zero."""
-        anns = self.anns[js]
-        anns[self.dims[js] == 0] = np.eye(self.dim, dtype=np.int64)
-        return anns
+        self.sent = (np.arange(dim + 1) == dim)[None].repeat(degrees, axis=0)
+        self.dims_sent = np.zeros(degrees, dtype=np.intp)
 
     def merge(self, js: np.ndarray, rows: np.ndarray):
         """Grow the span at each degree index ``js[t]`` by ``rows[t]``.
@@ -739,52 +741,50 @@ class _Spans:
             slot = self.dims[js] + np.arange(len(js)) - first[owner]
             take = slot < dim
             targets = js[first]
-            work = _put(self.rows[targets], (owner[take], slot[take]), rows[take])
-            self._store(targets, echelon_stack(work))
+            work = put_ints(self.rows[targets], (owner[take], slot[take]), rows[take])
+            self.store(targets, echelon_stack(work))
             js, rows = js[~take], rows[~take]
             if len(js):
                 into = self.dims[js] < dim
                 js, rows = js[into], rows[into]
-                kills = int_matmul(self.annihilators(js), rows[:, :, None], (self.top_a, max_abs(rows)))
+                anns = self.anns[js, : dim - self.dims[js].min(initial=dim)]
+                kills = int_matmul(anns, rows[:, :, None], (self.top_a, max_abs(rows)))
                 out = kills.any(axis=(1, 2))
                 js, rows = js[out], rows[out]
 
-    def _store(self, targets: np.ndarray, red: np.ndarray):
-        """Keep the canonical rows ``red[t]`` as the span at ``targets[t]``."""
-        pad = np.zeros((len(red), self.dim - red.shape[1], self.dim), dtype=np.int64)
-        blocks = np.concatenate([red, pad], axis=1)
-        self.rows = _put(self.rows, targets, blocks)
-        lead = (np.cumsum(blocks != 0, axis=2) == 0).sum(axis=2)
-        self.lead[targets] = lead
+    def store(self, targets: np.ndarray, red: np.ndarray):
+        """Keep the canonical rows ``red[t]``, which span a space holding
+        the span at ``targets[t]``, as that span."""
+        h = red.shape[1]
+        self.rows = put_ints(self.rows, (targets, slice(None, h)), red)
+        self.lead[targets, :h] = lead = leads(red)
         self.dims[targets] = dims = (lead < self.dim).sum(axis=1)
         part = dims < self.dim  # a full span's annihilator is never read
         if part.any():
-            anns = annihilator_stack(blocks[part])
-            self.anns = _put(self.anns, targets[part], anns)
+            anns, at = packed(annihilator_stack(red[part])), targets[part]
+            self.anns[at, anns.shape[1] :] = 0  # rows of a smaller span's annihilator
+            self.anns = put_ints(self.anns, (at, slice(None, anns.shape[1])), anns)
             self.top_a = max(self.top_a, max_abs(anns))
 
-    def gained(self, before: np.ndarray) -> tuple:
-        """(grown, fresh): the degree indices whose spans have pivots that
-        ``before``, an earlier ``lead``, lacks, and a stack of each one's
-        canonical rows at those pivots, zero rows last.  With the earlier
-        span they span the span now."""
-        grown = np.flatnonzero(self.dims != (before < self.dim).sum(axis=1))
+    def gained(self) -> tuple:
+        """(grown, count, fresh): the degree indices whose spans have pivots
+        whose rows were not handed out yet, fewest such rows first, their
+        numbers, and a stack of each one's canonical rows at those pivots,
+        zero rows last, now marked as handed out.  With the rows handed out
+        before they span the span now."""
+        grown = np.flatnonzero(self.dims != self.dims_sent)
         if not grown.size:
-            return grown, self.rows[:0]
-        lead = self.lead[grown]
-        new = (lead < self.dim) & ~(lead[:, :, None] == before[grown][:, None, :]).any(axis=2)
-        return grown, packed(self.rows[grown] * new[:, :, None])
-
-
-def _put(array: np.ndarray, at, values: np.ndarray) -> np.ndarray:
-    """``array[at] = values``, in a copy on Python ints when a value is past
-    int64; returns the array written."""
-    try:
-        array[at] = values
-    except OverflowError:
-        array = array.astype(object)
-        array[at] = values
-    return array
+            return grown, None, None
+        at, lead = grown[:, None], self.lead[grown]
+        new = ~self.sent[at, lead]
+        self.sent[at, lead] = True
+        self.dims_sent[grown] = self.dims[grown]
+        count = new.sum(axis=1)
+        by = np.argsort(count, kind="stable")
+        grown, new, count = grown[by], new[by], count[by]
+        order = np.argsort(~new, axis=1, kind="stable")[:, : count[-1]]  # the new rows first
+        fresh = self.rows[grown[:, None], order] * (np.arange(count[-1]) < count[:, None])[:, :, None]
+        return grown, count, fresh
 
 
 def _send(table: EdgeTable, spans: _Spans, grown: np.ndarray, fresh: np.ndarray):
@@ -798,26 +798,28 @@ def _send(table: EdgeTable, spans: _Spans, grown: np.ndarray, fresh: np.ndarray)
     test against the grown spans and drop the edges into targets that
     filled."""
     pos, gis = np.nonzero(table.inbox[grown])
-    srcs = grown[pos]
-    js = srcs + table.offset[gis]
+    js = grown[pos] + table.offset[gis]
     live = spans.dims[js] < table.dim  # a full target holds every image
     pos, gis, js = pos[live], gis[live], js[live]
-    scale = np.full((1, 1), table.scale, dtype=np.int64)
-    cs = int_matmul(table.cq[srcs[live], gis][:, None], scale)[:, 0]
-    top_r, top_m = max_abs(fresh), max_abs(table.qd)
+    cqs = table.cq[grown[pos], gis]
+    tops = max_abs(fresh), max_abs(table.qd)
     held_js, held_rows = [], []  # escaping images not merged yet
+    merged = False
     for start in range(0, len(js), STACK_ITEMS):
-        e = slice(start, start + STACK_ITEMS)
-        into = spans.dims[js[e]] < table.dim
-        p, g, j = pos[e][into], gis[e][into], js[e][into]
-        flags, images = fiber_escapes(fresh[p], spans.annihilators(j), cs[e][into], table.qd[g],
-                                      (top_r, top_m, spans.top_a), with_images=True)
+        p, g, j, cq = (a[start : start + STACK_ITEMS] for a in (pos, gis, js, cqs))
+        if merged:  # a merge may have filled targets
+            into = spans.dims[j] < table.dim
+            p, g, j, cq = p[into], g[into], j[into], cq[into]
+        anns = spans.anns[j, : table.dim - spans.dims[j].min(initial=table.dim)]
+        flags, images = fiber_escapes(fresh[p], anns, [c * table.scale for c in cq.tolist()], table.qd[g],
+                                      (*tops, spans.top_a))
         item, row = np.nonzero(flags)
         held_js.append(j[item])
         held_rows.append(images[item, row])
-        if sum(map(len, held_js)) >= STACK_ITEMS or start + STACK_ITEMS >= len(js):
+        held = sum(map(len, held_js))
+        if held >= STACK_ITEMS or held and start + STACK_ITEMS >= len(js):
             spans.merge(np.concatenate(held_js), np.concatenate(held_rows))
-            held_js, held_rows = [], []
+            held_js, held_rows, merged = [], [], True
 
 
 def closure(
@@ -833,39 +835,34 @@ def closure(
     targets outside the window are discarded.
 
     The fixpoint runs in semi-naive rounds over canonical blocks
-    (``_Spans``): the seed rows are merged first, and in each round every
-    degree whose span grew in the last one sends its new canonical rows,
-    those at pivot columns it did not have before, along all of its edges
-    (``_send``, in groups of degrees of about ``ROUND_EDGES`` edges).
-    Together with the span it had, whose images went out in earlier rounds,
-    they span its span, so a round that grows nothing ends the run.  The
-    family is built from the blocks as they stand, with no second
-    elimination.
+    (``_Spans``): the seed rows of each degree are made canonical first, as
+    a ``Subspace``, and in each round every degree whose span grew in the
+    last one sends its new canonical rows, those at pivot columns it did
+    not have before, along all of its edges (``_send``, in groups of at
+    most ``ROUND_EDGES`` edges).  Together with the span it had, whose
+    images went out in earlier rounds, they span its span, so a round that
+    grows nothing ends the run.  The family is built from the blocks as
+    they stand, with no second elimination.
     """
     gens = tuple(generators) if generators is not None else default_generators(spec.kind, spec.n)
     table = edge_table(spec, window, gens)
-    js, rows = [], []
+    rows: dict = {}
     for k, vectors in seeds.items():
         k = tuple(k)
         if k not in window:
             raise ValueError(f"seed degree {k} outside the window")
-        ints = _int_matrix(vectors)[0]
-        js += [table.index[k]] * len(ints)
-        rows += ints
-    rows = int_blocks([rows], table.dim)[0]
-    live = (rows != 0).any(axis=1)
+        rows.setdefault(table.index[k], []).extend(_int_matrix(vectors)[0])
     spans = _Spans(len(table.degs), table.dim)
-    before = spans.lead.copy()
-    spans.merge(np.array(js, dtype=np.intp)[live], rows[live])
-    grown, fresh = spans.gained(before)
-    out = len(gens) - np.array(table.skipped, dtype=np.intp)  # out-edges per degree index
+    spans.store(np.array(list(rows), dtype=np.intp),
+                int_blocks([Subspace(table.dim, vectors).rows for vectors in rows.values()], table.dim))
+    grown, count, fresh = spans.gained()
+    step = max(1, ROUND_EDGES // len(gens))  # degrees of a group: each has at most len(gens) edges
     while grown.size:
-        before = spans.lead.copy()
-        # a new group where the running edge count passes a multiple of ROUND_EDGES
-        cuts = np.flatnonzero(np.diff((np.cumsum(out[grown]) - 1) // ROUND_EDGES)) + 1
-        for group in np.split(np.arange(grown.size), cuts):
-            _send(table, spans, grown[group], fresh[group])
-        grown, fresh = spans.gained(before)
+        for start in range(0, grown.size, step):
+            group = slice(start, min(start + step, grown.size))
+            # the group's degrees gained at most count[group.stop - 1] rows each
+            _send(table, spans, grown[group], fresh[group, : count[group.stop - 1]])
+        grown, count, fresh = spans.gained()
     live = np.flatnonzero(spans.dims)
     place = np.full(len(table.degs), -1, dtype=np.intp)
     place[live] = np.arange(len(live))
@@ -907,7 +904,7 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
         into = dims[j] < table.dim  # a full target holds every image
         gis, i, j = gis[into], i[into], j[into]
         cs = [c * table.scale for c in table.cq[i, gis].tolist()]
-        bad = fiber_escapes(r_blocks[place[i]], a_blocks[place[j]], cs, table.qd[gis], tops).any(-1)
+        bad = fiber_escapes(r_blocks[place[i]], a_blocks[place[j]], cs, table.qd[gis], tops)[0].any(-1)
         for e, gi in zip(i[bad].tolist(), gis[bad].tolist()):
             first.setdefault(e, gi)
     for i in src.tolist():
@@ -923,10 +920,10 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
     return rec.result()
 
 
-def fiber_escapes(rows, anns, cs, maps, tops: tuple | None = None, with_images: bool = False):
+def fiber_escapes(rows, anns, cs: list, maps, tops: tuple | None = None) -> tuple:
     """Which rows of which items leave a fixed fiber: the one fiber
-    membership test of every sweep, one flag per (item, row); with
-    ``with_images``, also the images it tested, as ``(flags, images)``.
+    membership test of every sweep, as ``(flags, images)``, one flag per
+    (item, row) and the images it tested.
 
     Item e maps the row block R_e through c_e * Id + M_e; an image lies in
     the target fiber exactly when the fiber's annihilator block A_e kills it,
@@ -934,16 +931,14 @@ def fiber_escapes(rows, anns, cs, maps, tops: tuple | None = None, with_images: 
     is nonzero.  ``rows``, ``anns`` and ``maps`` are integer arrays, each
     either one block that every item shares (h x D, a x D, D x D) or one
     block per item stacked along a first axis of length ``len(cs)``; zero
-    rows pad a block freely; ``cs`` is a list or an integer array.  The
-    images are one ``int_affine`` and their test one ``int_matmul``, the
-    images bounded a priori by
+    rows pad a block freely.  The images are one ``int_affine`` and their
+    test one ``int_matmul``, the images bounded a priori by
     max|c| max|R| + D max|R| max|M|.  ``tops`` is (max|R|, max|M|, max|A|),
     or bounds on them, as in ``int_matmul``: a sweep split over several
     calls reads them once; without it each call reads them.
     """
     top_r, top_m, top_a = tops or (max_abs(rows), max_abs(maps), max_abs(anns))
-    top_c = max_abs(cs) if isinstance(cs, np.ndarray) else max(map(abs, cs), default=0)
+    top_c = max(map(abs, cs), default=0)
     images = int_affine(cs, rows, maps.swapaxes(-1, -2), (top_c, top_r, top_m))
     top_i = top_c * top_r + rows.shape[-1] * top_r * top_m
-    flags = int_matmul(anns, images.swapaxes(-1, -2), (top_a, top_i)).any(axis=-2)
-    return (flags, images) if with_images else flags
+    return int_matmul(anns, images.swapaxes(-1, -2), (top_a, top_i)).any(axis=-2), images

@@ -895,14 +895,14 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     gis, srcs = table.edges_into(i0)
     rows = int_blocks([row for family in families for row in family.rows[family.place[srcs]]], table.dim)
     cs = [cq * table.scale for cq in table.cq[srcs, gis].tolist()] * len(families)
-    bad_in = int(fiber_escapes(rows, eye, cs, table.qd[gis * len(families)]).any(-1).sum())
+    bad_in = int(fiber_escapes(rows, eye, cs, table.qd[gis * len(families)])[0].any(-1).sum())
     rec.tally(bad_in, "no image lands in the degenerate fiber", "nonzero images",
               "glue freedom, incoming")
     # out of the full fiber at k0 into the minimal family's blocks
     gis, js, cqs = table.edges(i0)
     mn = families[0]
     cs = [cq * table.scale for cq in cqs]
-    bad_out = int(fiber_escapes(eye, mn.anns[mn.place[js]], cs, table.qd[gis]).any(-1).sum())
+    bad_out = int(fiber_escapes(eye, mn.anns[mn.place[js]], cs, table.qd[gis])[0].any(-1).sum())
     rec.tally(bad_out, "degenerate fiber maps into the minimal family", "escapes",
               "glue freedom, outgoing")
 

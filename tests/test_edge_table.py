@@ -381,9 +381,9 @@ def test_closure_with_seed_entries_past_int64_matches_the_reference(monkeypatch)
     tops = []
     fiber_escapes = graded_modules.fiber_escapes
 
-    def logged(rows, anns, cs, maps, *args, **kwargs):
+    def logged(rows, anns, cs, maps, tops_=None):
         tops.append(max(abs(x) for x in rows.flat))
-        return fiber_escapes(rows, anns, cs, maps, *args, **kwargs)
+        return fiber_escapes(rows, anns, cs, maps, tops_)
 
     monkeypatch.setattr(graded_modules, "fiber_escapes", logged)
     fam = closure(spec, seeds, window)
@@ -523,3 +523,43 @@ def test_closure_rounds_stay_in_int64_until_a_row_needs_python_ints(monkeypatch,
     else:
         assert object in images and object in stacks
     assert any(sub.dim < 4 for sub in fam.fibers.values())  # a proper subfamily
+
+
+@pytest.mark.parametrize("round_edges", [graded_modules.ROUND_EDGES, 100])
+def test_closure_hands_out_every_pivot_row_once(monkeypatch, round_edges):
+    """Every degree sends each canonical row it gains exactly once: over the
+    rounds, the nonzero rows handed to ``_send`` for a degree are
+    independent, as many as its final dimension, and span its fiber, in one
+    group a round or in groups of one degree.  A round that sent only some
+    of the rows a degree gained could still reach the same fixpoint through
+    other edges, so the rows are checked directly."""
+    monkeypatch.setattr(graded_modules, "ROUND_EDGES", round_edges)
+    spec, window, seeds = _edges_int_closure()
+    sent = {}
+    send = graded_modules._send
+
+    def logged(table, spans, grown, fresh):
+        for i, rows in zip(grown.tolist(), fresh.tolist()):
+            sent.setdefault(i, []).extend(row for row in rows if any(row))
+        return send(table, spans, grown, fresh)
+
+    monkeypatch.setattr(graded_modules, "_send", logged)
+    fam = closure(spec, seeds, window)
+    dims = fam.dims.tolist()
+    assert sorted(sent) == [i for i, dim in enumerate(dims) if dim]
+    for i, rows in sent.items():
+        assert Subspace(4, rows).dim == len(rows) == dims[i]
+        assert Subspace(4, rows) == fam.fiber(window.degrees()[i])
+
+
+def test_a_merge_tests_its_leftover_rows_against_every_annihilator_row():
+    """Five rows sent to an empty 4-dimensional span: the first four are
+    multiples of e1 and fill its four slots, so e4, left over, is tested
+    against the annihilator of span(e1), whose rows are e2, e3 and e4; only
+    the last one sees e4, which must still join the span."""
+    spans = graded_modules._Spans(3, 4)
+    e1, e4 = [1, 0, 0, 0], [0, 0, 0, 1]
+    rows = np.array([e1, [2, 0, 0, 0], e1, [-3, 0, 0, 0], e4], dtype=np.int64)
+    spans.merge(np.full(5, 1, dtype=np.intp), rows)
+    assert spans.dims.tolist() == [0, 2, 0]
+    assert spans.rows[1].tolist() == [e1, e4, [0] * 4, [0] * 4]

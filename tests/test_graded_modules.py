@@ -645,4 +645,4 @@ def test_fiber_escapes_leaves_int64_before_a_product_wraps():
     assert row.dtype == np.int64
     assert (row[:, :1] * row[:, :1]).tolist() == [[0]]  # the wrapped product
     maps = np.zeros((1, 4, 4), dtype=np.int64)
-    assert fiber_escapes(row, row, [1], maps).tolist() == [[True]]
+    assert fiber_escapes(row, row, [1], maps)[0].tolist() == [[True]]

@@ -140,10 +140,10 @@ def batches_of_seven(monkeypatch):
     monkeypatch.setattr(graded_modules, "STACK_ITEMS", 7)
     sizes = []
 
-    def counted(rows, anns, cs, maps, tops=None, **kwargs):
+    def counted(rows, anns, cs, maps, tops=None):
         if sys._getframe(1).f_code.co_name == "is_invariant":
             sizes.append(len(cs))
-        return graded_modules_fiber_escapes(rows, anns, cs, maps, tops, **kwargs)
+        return graded_modules_fiber_escapes(rows, anns, cs, maps, tops)
 
     graded_modules_fiber_escapes = graded_modules.fiber_escapes
     monkeypatch.setattr(graded_modules, "fiber_escapes", counted)
