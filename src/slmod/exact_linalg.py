@@ -338,7 +338,7 @@ class IntSpan:
     """Incrementally grown span of integer vectors (forward echelon only).
 
     Rows stay primitive and sorted by leading column; suitable for the
-    probes' fixpoint loop, where many membership tests and single-vector
+    probes' FIFO turns, where many membership tests and single-vector
     inserts happen.
     """
 

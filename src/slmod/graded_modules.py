@@ -62,8 +62,8 @@ Degree = tuple
 
 # items of one stacked call: directions eliminated at once by ``build_family``,
 # (degree, generator) pairs of one module-map product, items of one
-# ``fiber_escapes`` call of the invariance sweeps, of a ``closure`` round and
-# of a ``saturate`` chunk, and the escaping rows a closure merges at once;
+# ``fiber_escapes`` call of the invariance sweeps and of a ``closure`` round,
+# and the escaping rows a closure merges at once;
 # bounds the transient memory, about 13 kB per direction at N = 6, at no
 # cost in speed
 STACK_ITEMS = 1024
@@ -569,53 +569,31 @@ def edge_table(spec: ActionSpec, window: Window, gens: tuple) -> EdgeTable:
     return EdgeTable(spec, window, gens)
 
 
-# turns a fixpoint run takes before it tests its chunks: every probe that
-# reaches ``saturate`` in the benchmark's edges workload and in
-# main-classification N=6 d=2 stops within three, where tests only cost
-UNTESTED_TURNS = 3
+# turns of a probe's hooked FIFO start: the hooks that fire in check-all and
+# main-classification N=6 d=2 fire within three, those of the edges workload
+# at 120 seeds within four; ``closure`` finishes the others
+HOOK_TURNS = 4
 
 
-def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
-    """Grow spans from integer seed rows to the fixpoint of the table's maps:
-    the hooked fixpoint run of the probe engine.
+def saturate(table: EdgeTable, seeds: dict, stop) -> bool:
+    """The hooked start of a probe: grow spans from integer seed rows along
+    the table's maps for at most ``HOOK_TURNS`` turns, and say whether
+    ``stop`` fired.
 
     ``seeds`` maps degree indices to integer rows.  The worklist is FIFO and
     semi-naive: at its turn a degree sends along its out-edges only the rows
-    its span stored since its last turn.  ``stop(i, spans)`` is asked once
-    for each seed degree and again whenever the span at i grows; a true
-    answer ends the run with None.  Otherwise returns degree index ->
-    ``IntSpan``.
-
-    Queued degrees are taken a chunk at a time: the first chunk takes one
-    degree and each later one up to twice as many as the one before, while
-    their out-edges stay within ``STACK_ITEMS`` (a chunk always takes one).
-    A chunk gathers its edges into targets whose spans are not full from
-    the box mask at once.  Once the run has taken ``UNTESTED_TURNS``
-    turns, these edges are tested with the rows each source holds at chunk
-    start, in ``fiber_escapes`` calls of at most ``STACK_ITEMS`` items,
-    against the targets' annihilators: one ``kernel_stack`` refreshes
-    those of the targets that grew since their last refresh, and a target
-    with no span gets the identity.  The chunk is then replayed in FIFO
-    order.  Along each edge go, to ``apply`` and ``IntSpan.add``, the
-    tested rows that escaped and every row the source stored after chunk
-    start; an edge is skipped once its target is full.  Spans only grow,
-    so a row the annihilator of an older span kills is one ``add`` would
-    refuse: the stored rows, ``grow`` results and ``stop`` calls are those
-    of the run that applies every edge.  The annihilators live in one
-    (degrees, dim, dim) array, paged in only where a target is tested and
-    dropped with the call.
-
-    A stop hook reads the spans as they grow, so the stored rows follow a
-    fixed order; ``closure``, which needs only the final spaces, grows
-    canonical blocks in stacked rounds instead.
+    its span stored since its last turn, through ``apply`` and
+    ``IntSpan.add`` row by row; an edge is skipped once its target is full.  ``stop(i, spans)``,
+    with ``spans`` the degree index -> ``IntSpan`` map, is asked once for
+    each seed degree and again whenever the span at i grows; a true answer
+    ends the run.  The hook reads the spans as they grow, so the stored rows
+    follow a fixed order; ``closure``, which needs only the final spaces,
+    grows canonical blocks in stacked rounds instead.
     """
     dim = table.dim
     spans: dict = {}
     fresh: dict = {}  # degree index -> stored rows not yet sent along its edges
     queue: deque = deque()
-    dims = np.zeros(len(table.degs), dtype=np.intp)  # span dimension per degree index
-    known = np.full(len(table.degs), -1, dtype=np.intp)  # dims[j] when anns[j] was refreshed
-    anns = np.zeros((len(table.degs), dim, dim), dtype=np.int64)
 
     def grow(i: int, rows) -> bool:
         span = spans.get(i)
@@ -624,7 +602,6 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
         new = [row for row in map(span.add, rows) if row is not None]
         if not new:
             return False
-        dims[i] = span.dim
         if i in fresh:
             fresh[i] += new
         else:
@@ -634,66 +611,21 @@ def saturate(table: EdgeTable, seeds: dict, stop=None) -> dict | None:
 
     for i, rows in seeds.items():
         grow(i, rows)
-        if stop is not None and stop(i, spans):
-            return None
-    width, turns = 1, 0
-    while queue:
-        chunk, fanout = [], 0
-        while queue and len(chunk) < width:
-            out = len(table.gens) - table.skipped[queue[0]]
-            if chunk and fanout + out > STACK_ITEMS:
-                break
-            chunk.append(queue.popleft())
-            fanout += out
-        width = 2 * len(chunk)
-        at = np.array(chunk, dtype=np.intp)
-        pos, gis = np.nonzero(table.inbox[at])  # each chunk degree's edges in generator order
-        js = at[pos] + table.offset[gis]
-        live = np.flatnonzero(dims[js] < dim)  # a full target holds every image
-        pos, gis, js = pos[live], gis[live], js[live]
-        cqs = table.cq[at[pos], gis].tolist()
-        # chunk position b owns the edges ends[b]:ends[b + 1] and the hits marks[b]:marks[b + 1]
-        ends = np.searchsorted(pos, np.arange(len(chunk) + 1)).tolist()
-        tested = [0] * len(chunk)  # rows tested per degree: none, so all go as later rows
-        hits, flags = [], []  # the edges with an escaping held row, and those rows' flags
-        if turns >= UNTESTED_TURNS:
-            stale = np.flatnonzero(np.bincount(js[known[js] != dims[js]], minlength=len(dims)))
-            anns[stale[dims[stale] == 0]] = np.eye(dim, dtype=np.int64)
-            grew = stale[dims[stale] > 0]
-            if grew.size:
-                block = kernel_stack(int_blocks([spans[j].rows for j in grew.tolist()], dim))
-                if block.dtype == object:
-                    anns = anns.astype(object, copy=False)
-                anns[grew] = block
-            known[stale] = dims[stale]
-            tested = [len(fresh[i]) for i in chunk]
-            blocks = int_blocks([fresh[i] for i in chunk], dim)
-            for start in range(0, len(js), STACK_ITEMS):
-                e = slice(start, start + STACK_ITEMS)
-                escapes = fiber_escapes(blocks[pos[e]], anns[js[e]],
-                                        [c * table.scale for c in cqs[e]], table.qd[gis[e]])[0]
-                hit = np.flatnonzero(escapes.any(axis=1))
-                hits += (hit + start).tolist()
-                flags += escapes[hit].tolist()
-        turns += len(chunk)
-        marks = np.searchsorted(np.array(hits, dtype=np.intp), ends).tolist()
-        gis, js = gis.tolist(), js.tolist()
-        for b, i in enumerate(chunk):
-            rows = fresh.pop(i)
-            held, later = rows[: tested[b]], rows[tested[b] :]
-            hit = dict(zip(hits[marks[b] : marks[b + 1]], flags[marks[b] : marks[b + 1]]))
-            for e in range(ends[b], ends[b + 1]) if later else hit:
-                j = js[e]
-                span = spans.get(j)
-                if span is not None and span.dim == dim:
-                    continue
-                sent = later
-                if e in hit:
-                    sent = [row for row, escaped in zip(held, hit[e]) if escaped] + later
-                images = table.apply(gis[e], cqs[e], sent)
-                if images and grow(j, images) and stop is not None and stop(j, spans):
-                    return None
-    return spans
+        if stop(i, spans):
+            return True
+    for _ in range(HOOK_TURNS):
+        if not queue:
+            break
+        i = queue.popleft()
+        rows = fresh.pop(i)
+        for gi, j, cq in zip(*table.edges(i)):
+            span = spans.get(j)
+            if span is not None and span.dim == dim:
+                continue
+            images = table.apply(gi, cq, rows)
+            if images and grow(j, images) and stop(j, spans):
+                return True
+    return False
 
 
 class _Spans:

@@ -12,10 +12,11 @@ the derivation of a rank-one matrix (t its trace), so edge invertibility is a
 couple of dot products.  Invertible edges transfer a full predicted fiber
 onto the next one, hence a closure that fills one predicted fiber at a degree
 from which invertible edges reach the whole window interior already covers
-the predicted family there; a plain fixpoint run backs up every probe whose
-certificate never fires.  Before it, the seed's images along the edges and
+the predicted family there.  The seed's images along the edges and
 two-edge paths into one certified neighbour usually fill that neighbour's
-fiber at once, where the fixpoint run would take several whole visits.
+fiber at once, where a plain fixpoint run would take several whole visits;
+a few FIFO turns follow, and the seed's closure backs up every probe whose
+certificate has not fired by then.
 
 A probe against the full fiber needs two more steps.  At integral beta its
 certificate would also have to find the degenerate fiber full.  Each engine
@@ -75,6 +76,7 @@ from .graded_modules import (
     ScalarFiber,
     Sym2,
     Window,
+    closure,
     default_generators,
     directions,
     edge_table,
@@ -237,7 +239,10 @@ class ProbeEngine:
         must reach its dims on the interior (with ``full_target`` the whole
         fiber).  mode "contains": the closure must contain the target rows on
         the interior.  A certified target first tries ``_short_paths``, with
-        its loop rounds on for a full target."""
+        its loop rounds on for a full target, and then the hooked FIFO turns
+        of ``saturate``; a probe whose hook has not fired, and every probe
+        of an uncertified target, reads its answer off the seed's
+        ``closure``."""
         if not self.interior:
             raise ValueError(
                 f"window d={self.window.d} has an empty interior: a probe would check nothing")
@@ -246,10 +251,9 @@ class ProbeEngine:
             raise ValueError("probe seed is zero")
         if mode == "contains" and target.rows is None:
             raise ValueError("mode contains needs target rows")
-        shown: dict = {}  # span -> its leading target rows shown contained
-        seeds = {seed_i: [seed_vec]}
-        stop = None
         if target.certified:
+            shown: dict = {}  # span -> its leading target rows shown contained
+
             # interior degenerate degrees are outside every certificate's
             # reach: the target's are checked directly
             def stop(i, spans):
@@ -259,10 +263,14 @@ class ProbeEngine:
             # targets with rows keep round 0 alone: for the contains-mode
             # probes later rounds stored nothing and cost time
             seeds = self._short_paths(seed_i, seed_vec, stop, target.rows is None)
-            if seeds is None:
+            if seeds is None or saturate(self.table, seeds, stop):
                 return True
-        spans = saturate(self.table, seeds, stop)
-        return spans is None or self._holds(self.interior, mode, target, spans, shown)
+        family = closure(self.spec, {tuple(seed_k): [seed_vec]}, self.window, self.gens)
+        at = self.interior
+        if mode == "exact":
+            return family.dims[at].tolist() == [target.dims.get(i, 0) for i in at]
+        rows = int_blocks([target.rows.get(i, ()) for i in at], self.table.dim)
+        return bool(contained(rows, family.anns[family.place[at]]).all())
 
     def _short_paths(self, seed_i: int, seed_vec, stop, rounds: bool) -> dict | None:
         """Fill one dominator z, the seed's first out-neighbour among them in
@@ -271,8 +279,8 @@ class ProbeEngine:
         paths seed -> t -> z; with ``rounds``, each later round sends the
         rows the one before stored along the two-edge loops z -> u -> z,
         until a round stores nothing.  Images of closure rows stay in the
-        closure.  None once the hook fires, else the seeds of the fixpoint
-        run: the seed and the rows stored at z, all in the closure."""
+        closure.  None once the hook fires, else the seeds of the FIFO
+        turns: the seed and the rows stored at z, all in the closure."""
         table = self.table
         edges = table.edges(seed_i)
         z = next((j for j in edges[1] if j in self.dominators), None)
@@ -324,10 +332,11 @@ class ProbeEngine:
                     yield table.apply(gj, int(table.cq[t, gj]), first)
 
     def _holds(self, degrees, mode: str, target: ProbeTarget, spans, shown: dict) -> bool:
-        """The fiber test at each degree: "exact" compares dims, "contains"
-        asks for every target row, which a full span holds.  A span only
-        grows, so the ``shown[span]`` leading target rows found contained in
-        it stay contained and are not tested again."""
+        """The certificate hook's fiber test at each degree, on the spans of
+        the FIFO turns: "exact" compares dims, "contains" asks for every
+        target row, which a full span holds.  A span only grows, so the
+        ``shown[span]`` leading target rows found contained in it stay
+        contained and are not tested again."""
         for i in degrees:
             span = spans.get(i)
             if mode == "exact":
@@ -669,10 +678,10 @@ def _check_fiber_equalities(params) -> CheckResult:
     for p in range(2, half + 1):
         it = fam(FamilyKind.INT, p)
         # theta_tilde(p + 1) pi(p) embed along every direction of k + beta, one
-        # product: its kernel is taken once per direction, INT read at every degree
+        # product and one kernel_stack over the directions, INT read at every degree
         composite = int_matmul(map_stack(theta_tilde(p + 1), n, stack),
                                int_matmul(map_stack(pi(p), n, stack), fiber_space(n, Fund(p)).embed))
-        kernels = int_blocks([kernel(mat).rows for mat in composite.tolist()], it.rows.shape[2])
+        kernels = packed(kernel_stack(composite))
         bad = int((~same_spans(kernels[place], it.rows[it.place[live]])).sum())
         rec.tally(bad, "intermediate = contraction-wedge kernel", note=f"p={p}")
     return rec.result()

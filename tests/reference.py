@@ -1,19 +1,21 @@
 """The references the test modules share: dense matrices in plain Python
 arithmetic, the per-matrix monomial loops, the exact fiber action and edge
-list, the per-pair containment test, one planted ``directions`` mutant, and
-the golden catalogue points.
+list, the FIFO worklist of the probes and closures, the per-pair containment
+test, one planted ``directions`` mutant, and the golden catalogue points.
 
 None of it reads the unit tables, the rank-one tables or the edge tables
-that it checks; a test module takes what it shares from here, never from
-another test module.
+that it checks, save ``reference_saturate``, which checks how ``closure``
+and ``saturate`` walk an edge table and so walks the same one; a test
+module takes what it shares from here, never from another test module.
 """
 
+from collections import deque
 from fractions import Fraction as F
 
 import numpy as np
 
 from slmod import exterior_algebra
-from slmod.exact_linalg import Subspace, dot, identity, kernel, matrix, transpose
+from slmod.exact_linalg import IntSpan, Subspace, dot, identity, kernel, matrix, transpose
 from slmod.exterior_algebra import ext_basis, ext_position, insert_index, sym_basis, sym_position
 from slmod.graded_modules import _check_generator, directions
 from slmod.theorem_registry import CATALOGUE
@@ -233,6 +235,56 @@ def reference_edges(spec, window, gens) -> tuple:
 
 # ---------------------------------------------------------------------------
 # planted faults and per-pair references
+
+
+# ---------------------------------------------------------------------------
+# the FIFO worklist that applies every edge
+
+
+def reference_saturate(table, seeds: dict, stop=None, turns=None):
+    """The probes' FIFO loop with no filter and no budget unless given: at
+    its turn a degree sends the rows its span stored since its last turn
+    along every out-edge into a target that is not full, and each image goes
+    through ``IntSpan.add``.  ``stop(i, spans)`` is asked for each seed
+    degree and whenever the span at i grows; a true answer returns None.
+    Otherwise returns degree index -> ``IntSpan`` after the fixpoint, or
+    after ``turns`` turns when given."""
+    dim = table.dim
+    spans: dict = {}
+    fresh: dict = {}
+    queue: deque = deque()
+
+    def grow(i: int, rows) -> bool:
+        span = spans.get(i)
+        if span is None:
+            span = spans[i] = IntSpan(dim)
+        new = [row for row in map(span.add, rows) if row is not None]
+        if not new:
+            return False
+        if i in fresh:
+            fresh[i] += new
+        else:
+            fresh[i] = new
+            queue.append(i)
+        return True
+
+    for i, rows in seeds.items():
+        grow(i, rows)
+        if stop is not None and stop(i, spans):
+            return None
+    taken = 0
+    while queue and (turns is None or taken < turns):
+        taken += 1
+        i = queue.popleft()
+        rows = fresh.pop(i)
+        for gi, j, cq in zip(*table.edges(i)):
+            span = spans.get(j)
+            if span is not None and span.dim == dim:
+                continue
+            images = table.apply(gi, cq, rows)
+            if images and grow(j, images) and stop is not None and stop(j, spans):
+                return None
+    return spans
 
 
 def _merged_directions(kq):

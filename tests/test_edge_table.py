@@ -5,9 +5,10 @@
 images from one EdgeTable, so comparing them with each other proves little.
 The reference here shares none of that code: it multiplies exact Fraction
 matrices and grows ``Subspace`` sums to the fixpoint.  Closures are also
-compared with a hookless ``saturate`` run, which reads the same table but
-grows its spans row by row: that checks the rounds of ``closure`` where the
-Fraction reference is too slow to run.
+compared with ``reference_saturate``, the FIFO loop of the probes run to
+its fixpoint, which reads the same table but grows its spans row by row:
+that checks the rounds of ``closure`` where the Fraction reference is too
+slow to run.
 """
 
 import random
@@ -31,12 +32,11 @@ from slmod.graded_modules import (
     closure,
     default_generators,
     edge_table,
-    saturate,
 )
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import ProbeEngine, probe_engine
 from slmod.torus_lie import rank_one, rank_one_sym
-from reference import action_matrix_int, fiber_action, reference_edges
+from reference import action_matrix_int, fiber_action, reference_edges, reference_saturate
 
 
 def full_rank(mats: list, dim: int) -> list:
@@ -394,10 +394,10 @@ def test_closure_with_seed_entries_past_int64_matches_the_reference(monkeypatch)
 
 
 def _fifo_family(spec, window, seeds) -> dict:
-    """Degree -> the canonical span of a hookless FIFO ``saturate`` run, the
-    row-by-row loop of the probes, from the same seeds."""
+    """Degree -> the canonical span of a ``reference_saturate`` run, the
+    row-by-row loop of the probes to its fixpoint, from the same seeds."""
     table = edge_table(spec, window, default_generators(spec.kind, spec.n))
-    spans = saturate(table, {table.index[k]: list(map(list, rows)) for k, rows in seeds.items()})
+    spans = reference_saturate(table, {table.index[k]: list(map(list, rows)) for k, rows in seeds.items()})
     return {table.degs[i]: Subspace(table.dim, span.rows) for i, span in spans.items()}
 
 

@@ -9,8 +9,7 @@ into a degree index, the only place that subtracts an ``offset``.
 ``graded_modules.directions`` numbers the primitive directions of the
 scaled shifts, the only place that divides them by their gcd.  A sweep
 calls ``fiber_escapes`` once per slice of ``STACK_ITEMS`` items, never once
-per generator, degree or direction; ``saturate``, whose fixpoint loop tests
-one chunk of queued degrees at a time, is the one exception.  The unit
+per generator, degree or direction, with no exception.  The unit
 tables of ``exterior_algebra`` are the only code that reads the monomial
 numbering, so every other fiber matrix is a product of them.  These lints
 keep the hand-written forms from coming back, and each is shown to flag a
@@ -215,8 +214,7 @@ def _loops_over_fiber_escapes(loop) -> bool:
 
 def test_fiber_escapes_runs_once_per_stack_slice():
     for path in sorted(PACKAGE.glob("*.py")):
-        expected = ["saturate"] if path.stem == "graded_modules" else []
-        assert _callers(path.read_text(), _loops_over_fiber_escapes, LOOPS) == expected, path.name
+        assert _callers(path.read_text(), _loops_over_fiber_escapes, LOOPS) == [], path.name
 
 
 def test_the_batch_lint_flags_per_generator_and_per_degree_calls():
@@ -227,7 +225,7 @@ def test_the_batch_lint_flags_per_generator_and_per_degree_calls():
         '    for gi in range(len(gens)):\n'
         '        i = np.flatnonzero(table.inbox[src, gi])\n'
         '        gis = np.full(len(i), gi, dtype=np.intp)\n', graded)
-    assert _callers(planted, _loops_over_fiber_escapes, LOOPS) == ["saturate", "is_invariant"]
+    assert _callers(planted, _loops_over_fiber_escapes, LOOPS) == ["is_invariant"]
     invariant = (PACKAGE / "invariant_ops.py").read_text()
     planted = _plant(
         '    for start in range(0, len(pairs) * count, STACK_ITEMS):\n'

@@ -22,6 +22,7 @@ from slmod.sl_maps import FamilyKind, SpecialFiberPolicy, _build_family_cached, 
 from slmod.theorem_registry import (
     CATALOGUE,
     ProbeEngine,
+    ProbeTarget,
     default_grid,
     oracle_fiber_dims,
     probe_engine,
@@ -132,7 +133,7 @@ def test_probe_on_an_empty_interior_is_an_error(capsys):
 @pytest.mark.parametrize("beta", [(0, 0, 0, 0), HALF], ids=["b0", "bhalf"])
 def test_probe_answers_do_not_depend_on_the_certificate(p, beta):
     """Every probe gives the same answer with reachability certificates off
-    (no dominators: each run goes to the fixpoint) as with them on."""
+    (no dominators: each run ends on the seed's closure) as with them on."""
     spec = ActionSpec.make("H", 4, Fund(p), beta)
     win = Window(4, 2)
     with_cert = probe_engine(spec, win)
@@ -224,7 +225,7 @@ SYM2_POINTS = [(kind, Sym2(), beta, 3) for kind in "HWS" for beta in ((0, 0), (F
 def test_full_target_answers_do_not_depend_on_the_certificate(kind, fiber, beta, d):
     """Full-target probes where k0 stays open, and at the Sym2 points where
     the loop pass runs, give the same answer with no dominators (each run
-    goes to the fixpoint) as with the certificate."""
+    ends on the seed's closure) as with the certificate."""
     n = len(beta)
     spec = ActionSpec.make(kind, n, fiber, beta)
     window = Window(n, d)
@@ -243,7 +244,7 @@ def test_full_target_answers_do_not_depend_on_the_certificate(kind, fiber, beta,
 
 
 def _no_short_paths(engine, seed_i, seed_vec, stop, rounds):
-    """``ProbeEngine._short_paths`` bypassed: the fixpoint run gets the seed alone."""
+    """``ProbeEngine._short_paths`` bypassed: the FIFO turns get the seed alone."""
     return {seed_i: [seed_vec]}
 
 
@@ -400,8 +401,8 @@ def test_short_paths_end_most_probes(monkeypatch, check_id, least, probes):
     ("main-classification", {"N": 2, "p": 1, "beta": (0, 0), "d": 2}),
 ])
 def test_full_targets_end_in_the_short_path_and_loop_passes(monkeypatch, check_id, params):
-    """At these points and the default seed no probe reaches the fixpoint
-    run: the in-flow fills k0 and the loop pass fills z.  Without either,
+    """At these points and the default seed no probe reaches the FIFO
+    turns: the in-flow fills k0 and the loop pass fills z.  Without either,
     full-target probes here fall back, so a change that loses one fails."""
     runs, fixpoints = [], []
     run, saturate = ProbeEngine.run, theorem_registry.saturate
@@ -410,7 +411,7 @@ def test_full_targets_end_in_the_short_path_and_loop_passes(monkeypatch, check_i
         runs.append(target.rows is None)
         return run(engine, k, v, mode, target)
 
-    def counted_saturate(table, seeds, stop=None):
+    def counted_saturate(table, seeds, stop):
         fixpoints.append(seeds)
         return saturate(table, seeds, stop)
 
@@ -418,6 +419,137 @@ def test_full_targets_end_in_the_short_path_and_loop_passes(monkeypatch, check_i
     monkeypatch.setattr(theorem_registry, "saturate", counted_saturate)
     assert run_check(check_id, **params).status == "PASS"
     assert any(runs) and fixpoints == []
+
+
+def _hand_offs(monkeypatch) -> dict:
+    """Log what each ``saturate`` run of the probes returns and count their
+    ``closure`` calls, the hand-offs."""
+    log = {"saturate": [], "closure": 0}
+    saturate, closure_ = theorem_registry.saturate, theorem_registry.closure
+
+    def counted_saturate(table, seeds, stop):
+        log["saturate"].append(saturate(table, seeds, stop))
+        return log["saturate"][-1]
+
+    def counted_closure(*args):
+        log["closure"] += 1
+        return closure_(*args)
+
+    monkeypatch.setattr(theorem_registry, "saturate", counted_saturate)
+    monkeypatch.setattr(theorem_registry, "closure", counted_closure)
+    return log
+
+
+def test_a_failing_contains_probe_answers_through_one_closure(monkeypatch):
+    """A seed in MIN generates MIN, which does not contain MAX (H Fund(2),
+    N=4 d=2, beta = e1/2): against the MAX target the hook never fires, the
+    FIFO turns give up, and the seed's one closure answers False."""
+    spec = ActionSpec.make("H", 4, Fund(2), HALF)
+    window = Window(4, 2)
+    engine = probe_engine(spec, window)
+    target = engine.min_target(build_family(FamilyKind.MAX, 2, spec, window))
+    assert target.certified
+    seed = list(build_family(FamilyKind.MIN, 2, spec, window).fiber((0, 0, 0, 0)).rows[0])
+    log = _hand_offs(monkeypatch)
+    assert not engine.run((0, 0, 0, 0), seed, "contains", target)
+    assert log == {"saturate": [False], "closure": 1}
+
+
+def test_a_failing_exact_probe_answers_through_one_closure(monkeypatch):
+    """The same seed in MIN against the full target (H Fund(2), N=4 d=2,
+    beta = e1/2): its span never reaches the full dims, so the hook never
+    fires, and the seed's one closure, MIN, answers False."""
+    spec = ActionSpec.make("H", 4, Fund(2), HALF)
+    window = Window(4, 2)
+    engine = probe_engine(spec, window)
+    target = engine.full_target()
+    assert target.certified
+    seed = list(build_family(FamilyKind.MIN, 2, spec, window).fiber((0, 0, 0, 0)).rows[0])
+    log = _hand_offs(monkeypatch)
+    assert not engine.run((0, 0, 0, 0), seed, "exact", target)
+    assert log == {"saturate": [False], "closure": 1}
+
+
+@pytest.mark.parametrize("target_kind", ["full", "min", "max"])
+def test_forced_hand_offs_give_the_hooked_answers(monkeypatch, target_kind):
+    """H Fund(2), N=4 d=2, beta = e1/2, probes from random vectors and from
+    MIN rows: exact against the full target, contains against MIN and
+    against MAX.  With the short-path pass bypassed and ``saturate`` never
+    firing, every probe hands off to ``closure``, and each answers as it
+    does when its hook fires: a hook proves what the closure shows."""
+    spec = ActionSpec.make("H", 4, Fund(2), HALF)
+    window = Window(4, 2)
+    engine = probe_engine(spec, window)
+    if target_kind == "full":
+        mode, target = "exact", engine.full_target()
+    else:
+        kind = FamilyKind.MIN if target_kind == "min" else FamilyKind.MAX
+        mode, target = "contains", engine.min_target(build_family(kind, 2, spec, window))
+    mn = build_family(FamilyKind.MIN, 2, spec, window)
+    rng = random.Random(f"hand-off-{target_kind}")
+    degs = window.degrees()
+    probes = []
+    for _ in range(5):
+        vector = [rng.randint(-3, 3) for _ in range(spec.space().dim)]
+        vector[rng.randrange(len(vector))] = 1
+        probes.append((degs[rng.randrange(len(degs))], vector))
+    probes += [(k, list(mn.fiber(k).rows[0])) for k in degs[:: len(degs) // 4] if mn.fiber(k).rows]
+    answers = [engine.run(k, v, mode, target) for k, v in probes]
+    assert target_kind == "min" or set(answers) == {True, False}
+    log = _hand_offs(monkeypatch)
+    monkeypatch.setattr(theorem_registry, "saturate", lambda table, seeds, stop: False)
+    monkeypatch.setattr(ProbeEngine, "_short_paths", _no_short_paths)
+    assert [engine.run(k, v, mode, target) for k, v in probes] == answers
+    assert log["closure"] == len(probes)
+
+
+def test_an_uncertified_target_goes_straight_to_the_closure(monkeypatch):
+    """A target with no certificate has no hook: each probe skips the
+    short-path pass and the FIFO turns, and the seed's closure gives the
+    certified target's answer, True or False, in both modes and against
+    the full target."""
+    spec = ActionSpec.make("H", 4, Fund(1), HALF)
+    window = Window(4, 2)
+    engine = probe_engine(spec, window)
+    mn, mx = (build_family(kind, 1, spec, window) for kind in (FamilyKind.MIN, FamilyKind.MAX))
+    k = (0, 0, 0, 0)
+    seed = list(mn.fiber(k).rows[0])
+    runs = [(seed, mode, engine.min_target(family)) for mode in ("exact", "contains") for family in (mn, mx)]
+    runs += [(seed, "exact", engine.full_target()), ([1, 0, 1, 0], "exact", engine.full_target())]
+    answers = [engine.run(k, v, mode, target) for v, mode, target in runs]
+    assert set(answers) == {True, False} and all(target.certified for _, _, target in runs)
+    log = _hand_offs(monkeypatch)
+    bare = [engine.run(k, v, mode, ProbeTarget(target.dims, target.rows, False, target.special))
+            for v, mode, target in runs]
+    assert bare == answers
+    assert log == {"saturate": [], "closure": len(runs)}
+
+
+# every check that runs probes
+PROBE_CHECKS = ["irreducible-min", "uniqueness", "main-classification", "cor-p0", "criterion-sym2",
+                "TW", "TS", "classify-W", "unique-W"]
+
+
+def test_probes_at_the_first_default_points_make_no_hand_off(monkeypatch):
+    """At the first default grid point of every check that runs probes,
+    every probe ends in the short-path pass or in the FIFO turns of
+    ``saturate``, none in ``closure``: the probes of the benchmark stay on
+    the hooked start.  The checks that run no probe make none here."""
+    runs = []
+    run = ProbeEngine.run
+
+    def counted_run(engine, *args):
+        runs.append(args)
+        return run(engine, *args)
+
+    monkeypatch.setattr(ProbeEngine, "run", counted_run)
+    log = _hand_offs(monkeypatch)
+    for check_id, spec in CATALOGUE.items():
+        runs.clear()
+        assert run_check(check_id, **spec.grid[0]).status == "PASS", check_id
+        assert bool(runs) == (check_id in PROBE_CHECKS), check_id
+    assert log["saturate"] and all(log["saturate"])
+    assert log["closure"] == 0
 
 
 def test_a_contained_target_row_is_tested_once(monkeypatch):
