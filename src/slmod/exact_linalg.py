@@ -76,19 +76,19 @@ def int_matmul(a: np.ndarray, b: np.ndarray, tops: tuple | None = None) -> np.nd
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
-def int_affine(cs: list, a: np.ndarray, b: np.ndarray, tops: tuple | None = None) -> np.ndarray:
-    """``cs[e] * a_e + a_e @ b_e`` for a list of integers and integer stacks
+def int_affine(cs: np.ndarray, a: np.ndarray, b: np.ndarray, tops: tuple | None = None) -> np.ndarray:
+    """``cs[e] * a_e + a_e @ b_e`` for an integer array cs and integer stacks
     a and b, either of them possibly one block that every e shares: the
     images of the rows of a_e under c_e * Id + b_e^T.  The rule of
     ``int_matmul`` with the scaled term in the bound: int64 when
     max|c| max|a| + n max|a| max|b| and every entry fit, Python ints past it.
     ``tops`` is (max|c|, max|a|, max|b|), or bounds on them, as in
     ``int_matmul``."""
-    top_c, top_a, top_b = tops or (max(map(abs, cs), default=0), max_abs(a), max_abs(b))
+    top_c, top_a, top_b = tops or (max_abs(cs), max_abs(a), max_abs(b))
     bound = max(top_c * top_a + a.shape[-1] * top_a * top_b, top_c, top_a, top_b)
     dtype = np.int64 if fits_int64(bound) else object
     a = a.astype(dtype, copy=False)
-    return np.array(cs, dtype=dtype).reshape(len(cs), 1, 1) * a + a @ b.astype(dtype, copy=False)
+    return cs.astype(dtype, copy=False).reshape(len(cs), 1, 1) * a + a @ b.astype(dtype, copy=False)
 
 
 def int_blocks(row_sets: list, dim: int) -> np.ndarray:

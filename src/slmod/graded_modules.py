@@ -21,7 +21,7 @@ from itertools import product
 from math import lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -367,7 +367,7 @@ class Window:
     d: int
 
     def degrees(self) -> tuple:
-        return _window_degrees(self.n, self.d)
+        return _window_degrees(self.n, self.d).degrees
 
     def __contains__(self, k: Degree) -> bool:
         return len(k) == self.n and all(abs(x) <= self.d for x in k)
@@ -376,16 +376,24 @@ class Window:
         return all(abs(x) <= self.d - 1 for x in k)
 
     def interior_degrees(self) -> tuple:
-        return tuple(k for k in self.degrees() if self.is_interior(k))
+        return _window_degrees(self.n, self.d).interior
 
     def index(self, k: Degree) -> int:
-        """The position of degree k in ``degrees()``, read in radix 2d + 1."""
-        return sum((x + self.d) * (2 * self.d + 1) ** (self.n - 1 - a) for a, x in enumerate(k))
+        """The position of degree k in ``degrees()``."""
+        return _window_degrees(self.n, self.d).index[tuple(k)]
+
+
+class _WindowDegrees(NamedTuple):
+    degrees: tuple  # every degree, in the mixed-radix order of base 2d + 1
+    index: dict  # degree -> its position in ``degrees``
+    interior: tuple  # the degrees with every |k_a| <= d - 1, in that order
 
 
 @lru_cache(maxsize=None)
-def _window_degrees(n: int, d: int) -> tuple:
-    return tuple(product(range(-d, d + 1), repeat=n))
+def _window_degrees(n: int, d: int) -> _WindowDegrees:
+    degrees = tuple(product(range(-d, d + 1), repeat=n))
+    return _WindowDegrees(degrees, {k: i for i, k in enumerate(degrees)},
+                        tuple(k for k in degrees if all(abs(x) < d for x in k)))
 
 
 class GradedFamily:
@@ -500,13 +508,17 @@ class EdgeTable:
     shifts q(k + beta) with the pairing vectors (bar(r) for H, u otherwise).
     ``fits[v + d, a, g]``, from which the mask is gathered, holds when
     coordinate a of value v stays in [-d, d] under gens[g].  ``edges(i)``
-    gathers the maps leaving degree i from the mask and ``edges_into(j)``
+    gathers the maps leaving degree i from the mask, ``edges_into(j)``
     those entering degree j from ``fits`` read at -degs[j], both in
-    generator order; ``skipped[i]`` counts the maps that leave the window.
-    The derivation rows ``scale * D`` of all generators are one
+    generator order, and ``edges_between`` those joining stacked (source,
+    target) pairs; ``skipped[i]`` counts the maps that leave the window.
+    ``cq`` takes its dtype from a bound times ``scale``, so the
+    coefficients ``cq * scale`` of the sweeps are exact in it.  The
+    derivation rows ``scale * D`` of all generators are one
     ``rank_one_stack``, kept times q as one dense block per generator in
-    ``qd``: ``fiber_escapes`` takes the array, and ``apply``, the row-by-row
-    path of the probes, the same blocks read once as Python ints.
+    ``qd``: ``fiber_escapes`` and ``images`` take the array, and ``apply``,
+    the row-by-row path of the FIFO turns, the same blocks read once as
+    Python ints.
     """
 
     def __init__(self, spec: ActionSpec, window: Window, gens: tuple):
@@ -515,7 +527,7 @@ class EdgeTable:
         self.gens = gens
         self.q = q = spec.q
         self.degs = window.degrees()
-        self.index = {k: i for i, k in enumerate(self.degs)}
+        self.index = _window_degrees(window.n, window.d).index
         n, d = spec.n, window.d
         ks = np.array(self.degs, dtype=np.int64)
         r = np.array([g.r for g in gens], dtype=np.int64).reshape(len(gens), n)
@@ -527,16 +539,20 @@ class EdgeTable:
         for a in range(1, n):
             self.inbox &= self.fits[ks[:, a] + d, a]
         self.skipped = (len(gens) - self.inbox.sum(1)).tolist()
-        pairing = [bar(g.r) if spec.kind is AlgebraKind.H else g.u for g in gens]
-        self.cq = int_matmul(spec.scaled_shifts(window),
-                             np.array(pairing, dtype=np.int64).reshape(len(gens), n).T)
         space = spec.space()
         self.dim, self.scale = space.dim, space.scale
+        pairing = [bar(g.r) if spec.kind is AlgebraKind.H else g.u for g in gens]
+        shifts = spec.scaled_shifts(window)
+        pairing = np.array(pairing, dtype=np.int64).reshape(len(gens), n).T
+        # the shifts' bound taken times scale: cq * scale is exact in cq's dtype
+        self.cq = int_matmul(shifts, pairing, (max_abs(shifts) * self.scale, max_abs(pairing)))
         us = None if spec.kind is AlgebraKind.H else np.array([g.u for g in gens], dtype=np.int64)
         # q times each generator's derivation block: q * D + D * 0
-        self.qd = int_affine([q] * len(gens), space.rank_one_stack(r, us),
+        self.qd = int_affine(np.full(len(gens), q, dtype=object), space.rank_one_stack(r, us),
                              np.zeros((self.dim, self.dim), dtype=np.int64))
         self._qd_ints = self.qd.tolist()
+        # the generators sorted by offset, generator order kept within one offset
+        self._by_offset = np.argsort(self.offset, kind="stable")
 
     def edges(self, i: int) -> tuple:
         """``(gis, js, cqs)``: the generator, target index and cq of every
@@ -551,6 +567,38 @@ class EdgeTable:
         # |-k + r| <= d: k - r lies in the box, read at d - k
         gis = self.fits[len(self.fits) // 2 - k, np.arange(len(k))].all(axis=0).nonzero()[0]
         return gis.tolist(), (j - self.offset[gis]).tolist()
+
+    def edges_between(self, srcs: np.ndarray, tgts: np.ndarray) -> tuple:
+        """``(pair, gis)``: every in-window map from degree index ``srcs[e]``
+        to ``tgts[e]``, as the pair number e and the generator, pair-major and
+        in generator order within a pair.  A generator moves i to j when its
+        offset is j - i and the box mask holds at i: at d = 1 an offset can
+        match a step that leaves the box, since in base 3 a difference of two
+        steps has no unique digits."""
+        sorted_offset = self.offset[self._by_offset]
+        lo, hi = (np.searchsorted(sorted_offset, tgts - srcs, side) for side in ("left", "right"))
+        count = hi - lo
+        pair = np.repeat(np.arange(len(srcs)), count)
+        # the positions lo[e] .. hi[e] - 1 of every pair, in one index array
+        at = np.arange(len(pair)) + np.repeat(lo - np.cumsum(count) + count, count)
+        gis = self._by_offset[at]
+        keep = self.inbox[srcs[pair], gis]
+        return pair[keep], gis[keep]
+
+    def images(self, srcs: np.ndarray, gis: np.ndarray, rows: np.ndarray,
+               pick: np.ndarray | None = None) -> np.ndarray:
+        """The images of the row blocks at degree index ``srcs[e]`` under
+        q * scale * (c * Id + D) of generator ``gis[e]``, as one stack: the
+        block of item e is ``rows[pick[e]]``, or ``rows[e]`` without
+        ``pick``.  ``int_affine`` products of ``STACK_ITEMS`` items each,
+        each gathering its own blocks."""
+        out = []
+        for s in range(0, len(gis), STACK_ITEMS):
+            at = slice(s, s + STACK_ITEMS)
+            out.append(int_affine(self.cq[srcs[at], gis[at]] * self.scale,
+                                  rows[at] if pick is None else rows[pick[at]],
+                                  self.qd[gis[at]].swapaxes(1, 2)))
+        return np.concatenate(out) if out else rows[:0]
 
     def apply(self, gi: int, cq: int, rows) -> list:
         """Nonzero images of integer rows under q * scale * (c * Id + D)."""
@@ -580,7 +628,9 @@ def saturate(table: EdgeTable, seeds: dict, stop) -> bool:
     the table's maps for at most ``HOOK_TURNS`` turns, and say whether
     ``stop`` fired.
 
-    ``seeds`` maps degree indices to integer rows.  The worklist is FIFO and
+    ``seeds`` maps degree indices to integer rows: for a probe, the seed
+    vector at its degree and the canonical rows of its span at z from the
+    short-path pass, every one in the seed's closure.  The worklist is FIFO and
     semi-naive: at its turn a degree sends along its out-edges only the rows
     its span stored since its last turn, through ``apply`` and
     ``IntSpan.add`` row by row; an edge is skipped once its target is full.  ``stop(i, spans)``,
@@ -733,18 +783,17 @@ def _send(table: EdgeTable, spans: _Spans, grown: np.ndarray, fresh: np.ndarray)
     js = grown[pos] + table.offset[gis]
     live = spans.dims[js] < table.dim  # a full target holds every image
     pos, gis, js = pos[live], gis[live], js[live]
-    cqs = table.cq[grown[pos], gis]
+    cs = table.cq[grown[pos], gis] * table.scale
     tops = max_abs(fresh), max_abs(table.qd)
     held_js, held_rows = [], []  # escaping images not merged yet
     merged = False
     for start in range(0, len(js), STACK_ITEMS):
-        p, g, j, cq = (a[start : start + STACK_ITEMS] for a in (pos, gis, js, cqs))
+        p, g, j, c = (a[start : start + STACK_ITEMS] for a in (pos, gis, js, cs))
         if merged:  # a merge may have filled targets
             into = spans.dims[j] < table.dim
-            p, g, j, cq = p[into], g[into], j[into], cq[into]
+            p, g, j, c = p[into], g[into], j[into], c[into]
         anns = spans.anns[j, : table.dim - spans.dims[j].min(initial=table.dim)]
-        flags, images = fiber_escapes(fresh[p], anns, [c * table.scale for c in cq.tolist()], table.qd[g],
-                                      (*tops, spans.top_a))
+        flags, images = fiber_escapes(fresh[p], anns, c, table.qd[g], (*tops, spans.top_a))
         item, row = np.nonzero(flags)
         held_js.append(j[item])
         held_rows.append(images[item, row])
@@ -835,7 +884,7 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
         j = i + table.offset[gis]
         into = dims[j] < table.dim  # a full target holds every image
         gis, i, j = gis[into], i[into], j[into]
-        cs = [c * table.scale for c in table.cq[i, gis].tolist()]
+        cs = table.cq[i, gis] * table.scale
         bad = fiber_escapes(r_blocks[place[i]], a_blocks[place[j]], cs, table.qd[gis], tops)[0].any(-1)
         for e, gi in zip(i[bad].tolist(), gis[bad].tolist()):
             first.setdefault(e, gi)
@@ -852,7 +901,7 @@ def is_invariant(spec: ActionSpec, family: GradedFamily) -> CheckResult:
     return rec.result()
 
 
-def fiber_escapes(rows, anns, cs: list, maps, tops: tuple | None = None) -> tuple:
+def fiber_escapes(rows, anns, cs: np.ndarray, maps, tops: tuple | None = None) -> tuple:
     """Which rows of which items leave a fixed fiber: the one fiber
     membership test of every sweep, as ``(flags, images)``, one flag per
     (item, row) and the images it tested.
@@ -862,7 +911,8 @@ def fiber_escapes(rows, anns, cs: list, maps, tops: tuple | None = None) -> tupl
     so row t of item e escapes when column t of A_e (c_e R_e + R_e M_e^T)^T
     is nonzero.  ``rows``, ``anns`` and ``maps`` are integer arrays, each
     either one block that every item shares (h x D, a x D, D x D) or one
-    block per item stacked along a first axis of length ``len(cs)``; zero
+    block per item stacked along a first axis of length ``len(cs)``, and
+    ``cs`` an integer array of the c_e; zero
     rows pad a block freely.  The images are one ``int_affine`` and their
     test one ``int_matmul``, the images bounded a priori by
     max|c| max|R| + D max|R| max|M|.  ``tops`` is (max|R|, max|M|, max|A|),
@@ -870,7 +920,7 @@ def fiber_escapes(rows, anns, cs: list, maps, tops: tuple | None = None) -> tupl
     calls reads them once; without it each call reads them.
     """
     top_r, top_m, top_a = tops or (max_abs(rows), max_abs(maps), max_abs(anns))
-    top_c = max(map(abs, cs), default=0)
+    top_c = max_abs(cs)
     images = int_affine(cs, rows, maps.swapaxes(-1, -2), (top_c, top_r, top_m))
     top_i = top_c * top_r + rows.shape[-1] * top_r * top_m
     return int_matmul(anns, images.swapaxes(-1, -2), (top_a, top_i)).any(axis=-2), images

@@ -198,8 +198,8 @@ def invariance_report(family: GradedFamily) -> CheckResult:
     count, bad = xs.shape[1], set()  # operators per direction; pairs with an escaping row
     for start in range(0, len(pairs) * count, STACK_ITEMS):
         u, o = np.divmod(np.arange(start, min(start + STACK_ITEMS, len(pairs) * count)), count)
-        flags = fiber_escapes(r_blocks[pair_fiber[u]], a_blocks[pair_fiber[u]], [0] * len(u),
-                              ops[pair_dir[u] * count + o], tops)[0]
+        flags = fiber_escapes(r_blocks[pair_fiber[u]], a_blocks[pair_fiber[u]],
+                              np.zeros(len(u), dtype=np.int64), ops[pair_dir[u] * count + o], tops)[0]
         bad.update(u[flags.any(-1)].tolist())
     for i in np.flatnonzero(dims).tolist():
         ok = key.get(i) not in bad

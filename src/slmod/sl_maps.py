@@ -280,7 +280,7 @@ def verify_module_map(
     tgt_tops = (top_c, top_phi, max_abs(tgt_table.qd))
     for start in range(0, len(gis), STACK_ITEMS):
         g, i = gis[start : start + STACK_ITEMS], srcs[start : start + STACK_ITEMS]
-        cs = src_table.cq[i, g].tolist()
+        cs = src_table.cq[i, g]
         # q^{h+1} times each side of the intertwining identity
         lhs = int_affine(cs, phi[i + src_table.offset[g]], src_table.qd[g], src_tops)
         rhs = int_affine(cs, phi[i].transpose(0, 2, 1), tgt_table.qd[g].transpose(0, 2, 1), tgt_tops)

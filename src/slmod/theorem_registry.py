@@ -14,18 +14,20 @@ onto the next one, hence a closure that fills one predicted fiber at a degree
 from which invertible edges reach the whole window interior already covers
 the predicted family there.  The seed's images along the edges and
 two-edge paths into one certified neighbour usually fill that neighbour's
-fiber at once, where a plain fixpoint run would take several whole visits;
-a few FIFO turns follow, and the seed's closure backs up every probe whose
-certificate has not fired by then.
+fiber at once, where a plain fixpoint run would take several whole visits.
+A sweep's seeds take those paths together, in stacked products and one
+stacked elimination; a few FIFO turns follow for each seed whose
+certificate has not fired, and the seed's closure backs up every probe
+whose certificate has not fired by then.
 
 A probe against the full fiber needs two more steps.  At integral beta its
 certificate would also have to find the degenerate fiber full.  Each engine
 tests once whether the images of the full fibers at the interior degrees
 next to that fiber span it; where they do, the certificate's full interior
 fibers fill it too, and it is not tested again.  And the short-path pass
-goes on in rounds: when round 0, the seed's paths, leaves the neighbour
-partial, each later round sends the rows the round before stored along the
-two-edge loops through it, until a round stores nothing.
+goes on in rounds: where round 0, the seed's paths, leaves the neighbour
+partial, each later round sends the neighbour's span along the two-edge
+loops through it, until no span grows.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .exact_linalg import (
     IntSpan,
     Subspace,
     _int_matrix,
+    annihilator_stack,
     contained,
     dot,
     echelon_stack,
@@ -55,6 +58,7 @@ from .exact_linalg import (
     kernel,
     kernel_stack,
     packed,
+    put_ints,
     rank,
     same_spans,
     vec,
@@ -69,6 +73,8 @@ from .exterior_algebra import (
     wedge,
 )
 from .graded_modules import (
+    ROUND_EDGES,
+    STACK_ITEMS,
     ActionSpec,
     Fund,
     GradedFamily,
@@ -138,7 +144,7 @@ class ProbeTarget:
 
 
 class ProbeEngine:
-    """Single-seed closure probes over one action spec and window."""
+    """Closure probe sweeps over one action spec and window."""
 
     def __init__(self, spec: ActionSpec, window: Window):
         self.spec = spec
@@ -152,7 +158,6 @@ class ProbeEngine:
         self.special_interior = [i for i in self.special if window.is_interior(k0)]
         self.dominators = self._dominators(self._invertible_edges())
         self.open_special = [s for s in self.special_interior if not self._filled_from_interior(s)]
-        self.into: dict = {}  # z -> {source of an edge into z: its generators}, filled by probes
 
     # -- static structure ---------------------------------------------------
 
@@ -234,23 +239,43 @@ class ProbeEngine:
         generic = {dims.get(i, 0) for i in range(len(self.table.degs)) if i not in self.special}
         return ProbeTarget(dims, rows, len(generic) == 1 and generic != {0}, special)
 
-    def run(self, seed_k, seed_vec, mode: str, target: ProbeTarget) -> bool:
-        """mode "exact": seed and closure stay inside an invariant target and
-        must reach its dims on the interior (with ``full_target`` the whole
-        fiber).  mode "contains": the closure must contain the target rows on
-        the interior.  A certified target first tries ``_short_paths``, with
-        its loop rounds on for a full target, and then the hooked FIFO turns
-        of ``saturate``; a probe whose hook has not fired, and every probe
-        of an uncertified target, reads its answer off the seed's
+    def run(self, seeds, mode: str, target: ProbeTarget) -> list:
+        """One answer per (degree, vector) seed of a sweep.  mode "exact":
+        seed and closure stay inside an invariant target and must reach its
+        dims on the interior (with ``full_target`` the whole fiber).  mode
+        "contains": the closure must contain the target rows on the interior.
+
+        A certified target runs the seeds through ``_path_pass`` in groups
+        with at most ``ROUND_EDGES`` out-edges.  A seed whose hook has not
+        fired there goes on alone: to the hooked FIFO turns of ``saturate``
+        from the seed and its span at z, and then to the ``closure`` of
+        those rows, which is the seed's closure, since every row at z lies
+        in it.  Every seed of an uncertified target reads its answer off its
         ``closure``."""
         if not self.interior:
             raise ValueError(
                 f"window d={self.window.d} has an empty interior: a probe would check nothing")
-        seed_i = self.table.index[tuple(seed_k)]
-        if not any(seed_vec):
-            raise ValueError("probe seed is zero")
         if mode == "contains" and target.rows is None:
             raise ValueError("mode contains needs target rows")
+        at = [self.table.index[tuple(k)] for k, _ in seeds]
+        vectors = [v for _, v in seeds]
+        if not all(map(any, vectors)):
+            raise ValueError("probe seed is zero")
+        answers = []
+        step = max(1, ROUND_EDGES // len(self.gens))  # seeds of a group: each has at most len(gens) edges
+        for first in range(0, len(at), step):
+            group = slice(first, first + step)
+            if target.certified:
+                starts = self._path_pass(at[group], vectors[group], mode, target)
+            else:
+                starts = [{i: [v]} for i, v in zip(at[group], vectors[group])]
+            answers += [start is None or self._answer(start, mode, target) for start in starts]
+        return answers
+
+    def _answer(self, start: dict, mode: str, target: ProbeTarget) -> bool:
+        """The answer of one seed whose hook has not fired, from ``start``,
+        its degree index -> rows map: the hooked FIFO turns on a certified
+        target, then the closure of the rows."""
         if target.certified:
             shown: dict = {}  # span -> its leading target rows shown contained
 
@@ -260,83 +285,128 @@ class ProbeEngine:
                 return (i in self.dominators and self._holds((i,), mode, target, spans, shown)
                         and self._holds(target.special, mode, target, spans, shown))
 
-            # targets with rows keep round 0 alone: for the contains-mode
-            # probes later rounds stored nothing and cost time
-            seeds = self._short_paths(seed_i, seed_vec, stop, target.rows is None)
-            if seeds is None or saturate(self.table, seeds, stop):
+            if saturate(self.table, start, stop):
                 return True
-        family = closure(self.spec, {tuple(seed_k): [seed_vec]}, self.window, self.gens)
+        degs = self.table.degs
+        family = closure(self.spec, {degs[i]: rows for i, rows in start.items() if rows}, self.window,
+                         self.gens)
         at = self.interior
         if mode == "exact":
             return family.dims[at].tolist() == [target.dims.get(i, 0) for i in at]
         rows = int_blocks([target.rows.get(i, ()) for i in at], self.table.dim)
         return bool(contained(rows, family.anns[family.place[at]]).all())
 
-    def _short_paths(self, seed_i: int, seed_vec, stop, rounds: bool) -> dict | None:
-        """Fill one dominator z, the seed's first out-neighbour among them in
-        generator order, asking ``stop(z, spans)`` after each stored row.
-        Round 0 sends the seed along the edges seed -> z and the in-window
-        paths seed -> t -> z; with ``rounds``, each later round sends the
-        rows the one before stored along the two-edge loops z -> u -> z,
-        until a round stores nothing.  Images of closure rows stay in the
-        closure.  None once the hook fires, else the seeds of the FIFO
-        turns: the seed and the rows stored at z, all in the closure."""
-        table = self.table
-        edges = table.edges(seed_i)
-        z = next((j for j in edges[1] if j in self.dominators), None)
-        if z is None:
-            return {seed_i: [seed_vec]}
-        into = self.into.get(z)
-        if into is None:
-            into = self.into[z] = {}
-            for gj, t in zip(*table.edges_into(z)):
-                into[t] = into.get(t, ()) + (gj,)
-        span = IntSpan(table.dim)
-        spans = {z: span}
-        seeds = {seed_i: [seed_vec], z: span.rows}
-        i, new = seed_i, [seed_vec]
-        while new:
-            stored = []
-            for row in new:
-                for images in self._images_at(into, i, row, *edges):
-                    for image in images:
-                        image = span.add(image)
-                        if image is None:
-                            continue
-                        if stop(z, spans):
-                            return None
-                        if span.dim == table.dim:
-                            return seeds
-                        stored.append(image)
-            if not rounds:
-                break
-            if i == seed_i:  # later rounds leave z along its own edges
-                i, edges = z, table.edges(z)
-            new = stored
-        return seeds
+    def _path_pass(self, at: list, vectors: list, mode: str, target: ProbeTarget) -> list:
+        """The short-path certificate of a group of seeds, degree indices
+        ``at`` and integer ``vectors``, stacked: for each seed None once its
+        hook fires, else the start of its FIFO turns, the seed and its span
+        at z.
 
-    def _images_at(self, into: dict, i: int, vec, gis, js, cqs):
-        """The images at z of a row at degree i, one list per path: the
-        edges ``into[i]`` straight to z, then each two-edge path i -> t -> z
-        through i's edges (gis, js, cqs) and ``into[t]``, in generator order
-        on both steps.  ``into`` maps each source of an edge into z to its
-        generators; z has no edge into itself, so from z these are the loops
-        z -> t -> z alone."""
-        table = self.table
-        for gj in into.get(i, ()):
-            yield table.apply(gj, int(table.cq[i, gj]), [vec])
-        for gi, t, cq in zip(gis, js, cqs):
-            if t in into:
-                first = table.apply(gi, cq, [vec])
-                for gj in into[t]:
-                    yield table.apply(gj, int(table.cq[t, gj]), first)
+        z is the seed's first out-neighbour among the dominators, in
+        generator order.  ``EdgeTable.images`` products over the group send
+        the seeds along their edges, and then along the second steps of the
+        in-window paths seed -> t -> z gathered by ``edges_between``; the
+        images that land at z make the spans in ``echelon_stack``s, first
+        those of the direct edges and of each seed's first dim paths, then,
+        for the seeds whose hook (``_hook``) has not fired and whose span is
+        not full, those of the other paths.  For a full target
+        ``_loop_rounds`` then grows the spans along the loops z -> u -> z.
+        Images of closure rows stay in the closure, so each span lies in the
+        seed's closure at z.  A span only grows and the hook only gets truer
+        as it grows, so it fires here exactly when it fires at some row of
+        the sequential pass, and the span a seed hands on is the span of all
+        its round-0 images, whatever their order.
+        """
+        table, dim = self.table, self.table.dim
+        src = np.array(at, dtype=np.intp)
+        vecs = int_blocks([[v] for v in vectors], dim)
+        # the dominator mask, its last entry standing for the degrees off the window
+        dominator = np.bincount(np.array(sorted(self.dominators), dtype=np.intp),
+                                minlength=len(table.degs) + 1) > 0
+        out = table.inbox[src]
+        tgts = np.where(out, src[:, None] + table.offset, -1)
+        hit = dominator[tgts]
+        z = np.where(hit.any(axis=1), tgts[np.arange(len(src)), hit.argmax(axis=1)], -1)
+        # the edges out of every seed that has a z, seed-major, and the
+        # second steps from their targets t into z: none where t is z
+        b, g = np.nonzero(out & (z >= 0)[:, None])
+        t = tgts[b, g]
+        pair, g2 = table.edges_between(t, z[b])
+        direct = t == z[b]
+        sent = direct.copy()
+        sent[pair] = True  # the first steps that land at z or lead on to it
+        b, g, t, direct = b[sent], g[sent], t[sent], direct[sent]
+        pair = (np.cumsum(sent) - 1)[pair]
+        hops = table.images(src[b], g, vecs, b)
+        # round 0 in two stages: the direct edges and each seed's first dim
+        # paths, which can fill z, then the other paths of the seeds whose
+        # hook has not fired and whose span is not full
+        via = b[pair]  # the seed of each second step, ascending
+        early = np.arange(len(pair)) - np.searchsorted(via, via) < dim
+        ends = table.images(t[pair[early]], g2[early], hops, pair[early])
+        spans = _merge(np.zeros((len(src), dim, dim), dtype=np.int64),
+                       np.concatenate([b[direct], via[early]]), np.concatenate([hops[direct], ends])[:, 0])
+        hook = self._hook(z, mode, target)
+        late = ~early & ~(hook(spans) | (_dims(spans) == dim))[via]
+        spans = _merge(spans, via[late], table.images(t[pair[late]], g2[late], hops, pair[late])[:, 0])
+        # targets with rows keep round 0 alone: for the contains-mode
+        # probes later rounds stored nothing and cost time
+        if target.rows is None:
+            spans = self._loop_rounds(z, spans)
+        fired = hook(spans)
+        starts: list = [None] * len(src)
+        for e, zi, span in zip(np.flatnonzero(~fired).tolist(), z[~fired].tolist(), spans[~fired].tolist()):
+            starts[e] = {at[e]: [vectors[e]]}
+            if zi >= 0:
+                starts[e][zi] = [row for row in span if any(row)]
+        return starts
+
+    def _hook(self, z: np.ndarray, mode: str, target: ProbeTarget):
+        """The certificate hook of a group's spans at z, as a test of a
+        (B, D, D) span stack: the span reaches the target dims at z
+        ("exact") or holds the target rows there ("contains", against the
+        span's annihilator), and the target's degenerate degrees, where no
+        span stores a row, hold."""
+        if mode == "exact":
+            holds = all(target.dims.get(s, 0) == 0 for s in target.special)
+            need = np.array([target.dims.get(i, 0) for i in z.tolist()], dtype=np.intp)
+            return lambda spans: holds & (z >= 0) & (_dims(spans) >= need)
+        holds = not any(target.rows.get(s) for s in target.special)
+        rows = int_blocks([target.rows.get(i, ()) for i in z.tolist()], self.table.dim)
+        return lambda spans: holds & (z >= 0) & contained(rows, annihilator_stack(spans))
+
+    def _loop_rounds(self, z: np.ndarray, spans: np.ndarray) -> np.ndarray:
+        """Grow each seed's span at z by its images along the two-edge loops
+        z -> u -> z, in rounds over the seeds whose span is neither zero nor
+        full and grew in the round before, until none grows: the smallest
+        space closed under the loops that holds the span.  A round sends
+        each span as it stood at the round's start, ``STACK_ITEMS`` loops at
+        a time, and merges each slice's images at once."""
+        table, dim = self.table, self.table.dim
+        dims = _dims(spans)
+        grow = np.flatnonzero((z >= 0) & (dims > 0) & (dims < dim))
+        while grow.size:
+            before = dims[grow]
+            send = spans[grow, : before.max()]
+            e, g = np.nonzero(table.inbox[z[grow]])
+            u = z[grow][e] + table.offset[g]
+            pair, g2 = table.edges_between(u, z[grow][e])
+            for first in range(0, len(pair), STACK_ITEMS):
+                p, gb = pair[first : first + STACK_ITEMS], g2[first : first + STACK_ITEMS]
+                ends = table.images(u[p], gb, table.images(z[grow][e[p]], g[p], send, e[p]))
+                spans = _merge(spans, grow[e[p]].repeat(send.shape[1]), ends.reshape(-1, dim))
+            dims = _dims(spans)
+            grow = grow[(dims[grow] > before) & (dims[grow] < dim)]
+        return spans
 
     def _holds(self, degrees, mode: str, target: ProbeTarget, spans, shown: dict) -> bool:
-        """The certificate hook's fiber test at each degree, on the spans of
-        the FIFO turns: "exact" compares dims, "contains" asks for every
-        target row, which a full span holds.  A span only grows, so the
-        ``shown[span]`` leading target rows found contained in it stay
-        contained and are not tested again."""
+        """The certificate hook's fiber test at each degree, on the
+        ``IntSpan``s of the FIFO turns of ``saturate``: "exact" compares
+        dims, "contains" asks for every target row, which a full span holds.
+        A span only grows, so the ``shown[span]`` leading target rows found
+        contained in it stay contained and are not tested again.  The
+        short-path pass makes the same test once on each stacked span, with
+        "exact" read as dims at least the target's (``_path_pass``)."""
         for i in degrees:
             span = spans.get(i)
             if mode == "exact":
@@ -362,6 +432,29 @@ class ProbeEngine:
 @lru_cache(maxsize=16)
 def probe_engine(spec: ActionSpec, window: Window) -> ProbeEngine:
     return ProbeEngine(spec, window)
+
+
+def _dims(spans: np.ndarray) -> np.ndarray:
+    """The dimension of every span of a stack of canonical rows."""
+    return (spans != 0).any(axis=2).sum(axis=1)
+
+
+def _merge(spans: np.ndarray, owner: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (B, D, D) stack of canonical spans, zero rows last, with each
+    ``rows[r]`` added to the span ``owner[r]``: the rows of each owner
+    stacked under its span, in one ``echelon_stack``."""
+    if not len(owner):
+        return spans
+    dim = spans.shape[2]
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    slot = np.arange(len(owner)) - np.searchsorted(owner, owner)  # each row's place among its owner's
+    first = slot == 0
+    targets = owner[first]
+    work = np.zeros((len(targets), dim + int(slot.max()) + 1, dim), dtype=np.int64)
+    work = put_ints(work, (np.cumsum(first) - 1, dim + slot), rows[order])
+    red = echelon_stack(put_ints(work, (slice(None), slice(None, dim)), spans[targets]))
+    return put_ints(spans, (targets, slice(None, red.shape[1])), red)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +592,8 @@ def _probe(rec: Recorder, engine: ProbeEngine, seeds, mode: str, target: ProbeTa
     else:
         miss = "missing" if mode == "contains" else "mismatch"
     bad = 0
-    for k, v in seeds:
-        if not engine.run(k, v, mode, target):
+    for (k, _), ok in zip(seeds, engine.run(seeds, mode, target), strict=True):
+        if not ok:
             bad += 1
             if bad <= 8:
                 rec.record(False, degree=k, expected=claim, actual=miss)
@@ -903,14 +996,14 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     i0 = table.index[k0]
     gis, srcs = table.edges_into(i0)
     rows = int_blocks([row for family in families for row in family.rows[family.place[srcs]]], table.dim)
-    cs = [cq * table.scale for cq in table.cq[srcs, gis].tolist()] * len(families)
+    cs = np.tile(table.cq[srcs, gis] * table.scale, len(families))
     bad_in = int(fiber_escapes(rows, eye, cs, table.qd[gis * len(families)])[0].any(-1).sum())
     rec.tally(bad_in, "no image lands in the degenerate fiber", "nonzero images",
               "glue freedom, incoming")
     # out of the full fiber at k0 into the minimal family's blocks
-    gis, js, cqs = table.edges(i0)
+    gis, js, _ = table.edges(i0)
     mn = families[0]
-    cs = [cq * table.scale for cq in cqs]
+    cs = table.cq[i0, gis] * table.scale
     bad_out = int(fiber_escapes(eye, mn.anns[mn.place[js]], cs, table.qd[gis])[0].any(-1).sum())
     rec.tally(bad_out, "degenerate fiber maps into the minimal family", "escapes",
               "glue freedom, outgoing")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import _int_matrix, dot, int_affine, int_blocks, int_matmul, kernel, rank
+from .exact_linalg import _int_matrix, dot, int_affine, int_blocks, int_matmul, kernel, max_abs, rank
 
 Degree = tuple  # tuple[int, ...]
 
@@ -96,10 +96,11 @@ def j_membership(kind: AlgebraKind, space, vectors, samples) -> bool:
         raise ValueError(f"kind {kind} samples need (r, u) pairs")
     rs = int_blocks([[r for r, _ in samples]], space.n)[0]
     ys = None if kind is AlgebraKind.H else int_blocks([[u for _, u in samples]], space.n)[0]
-    # -c scale per sample
-    cs = [0] * len(samples) if ys is None \
-        else [-space.scale * c for c in int_matmul(ys[:, None, :], rs[:, :, None]).ravel().tolist()]
-    if kind is AlgebraKind.S and any(cs):
+    # -c scale per sample, the pairings' bound taken times scale so that
+    # their product with it is exact in their dtype
+    cs = np.zeros(len(samples), dtype=np.int64) if ys is None else -space.scale * int_matmul(
+        ys[:, None, :], rs[:, :, None], (max_abs(ys) * space.scale, max_abs(rs))).ravel()
+    if kind is AlgebraKind.S and cs.any():
         raise ValueError("divergence-free samples require (u|r) = 0")
     acts = space.rank_one_stack(rs, ys)
     av = int_matmul(acts, int_blocks([_int_matrix(vectors)[0]], space.dim)[0].T)

@@ -1,11 +1,14 @@
 """The references the test modules share: dense matrices in plain Python
 arithmetic, the per-matrix monomial loops, the exact fiber action and edge
-list, the FIFO worklist of the probes and closures, the per-pair containment
+list, the FIFO worklist of the probes and closures, the sequential
+short-path certificate of one probe, the per-pair containment
 test, one planted ``directions`` mutant, and the golden catalogue points.
 
 None of it reads the unit tables, the rank-one tables or the edge tables
 that it checks, save ``reference_saturate``, which checks how ``closure``
-and ``saturate`` walk an edge table and so walks the same one; a test
+and ``saturate`` walk an edge table, and the sequential short paths of a
+probe (``reference_probe``), which check the stacked pass of
+``ProbeEngine.run``; each walks the same table one row at a time.  A test
 module takes what it shares from here, never from another test module.
 """
 
@@ -15,9 +18,11 @@ from fractions import Fraction as F
 import numpy as np
 
 from slmod import exterior_algebra
-from slmod.exact_linalg import IntSpan, Subspace, dot, identity, kernel, matrix, transpose
+from slmod.exact_linalg import (
+    IntSpan, Subspace, contained, dot, identity, int_blocks, kernel, matrix, transpose,
+)
 from slmod.exterior_algebra import ext_basis, ext_position, insert_index, sym_basis, sym_position
-from slmod.graded_modules import _check_generator, directions
+from slmod.graded_modules import _check_generator, closure, directions, saturate
 from slmod.theorem_registry import CATALOGUE
 from slmod.torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
 
@@ -285,6 +290,93 @@ def reference_saturate(table, seeds: dict, stop=None, turns=None):
             if images and grow(j, images) and stop is not None and stop(j, spans):
                 return None
     return spans
+
+
+# ---------------------------------------------------------------------------
+# the short-path certificate of one probe, one row at a time
+
+
+def reference_images_at(table, into: dict, i: int, vec, gis, js, cqs):
+    """The images at z of a row at degree index i, one list per path: the
+    edges ``into[i]`` straight to z, then each two-edge path i -> t -> z
+    through i's edges (gis, js, cqs) and ``into[t]``, in generator order
+    on both steps.  ``into`` maps each source of an edge into z to its
+    generators; z has no edge into itself, so from z these are the loops
+    z -> t -> z alone."""
+    for gj in into.get(i, ()):
+        yield table.apply(gj, int(table.cq[i, gj]), [vec])
+    for gi, t, cq in zip(gis, js, cqs):
+        if t in into:
+            first = table.apply(gi, cq, [vec])
+            for gj in into[t]:
+                yield table.apply(gj, int(table.cq[t, gj]), first)
+
+
+def reference_short_paths(engine, seed_i: int, seed_vec, stop, rounds: bool) -> dict | None:
+    """Fill one dominator z, the seed's first out-neighbour among them in
+    generator order, through ``IntSpan.add`` one image at a time, asking
+    ``stop(z, spans)`` after each stored row.  Round 0 sends the seed along
+    the edges seed -> z and the in-window paths seed -> t -> z; with
+    ``rounds``, each later round sends the rows the one before stored along
+    the two-edge loops z -> u -> z, until a round stores nothing.  None once
+    the hook fires, else the start of the FIFO turns: the seed and the rows
+    stored at z."""
+    table = engine.table
+    edges = table.edges(seed_i)
+    z = next((j for j in edges[1] if j in engine.dominators), None)
+    if z is None:
+        return {seed_i: [seed_vec]}
+    into: dict = {}
+    for gj, t in zip(*table.edges_into(z)):
+        into[t] = into.get(t, ()) + (gj,)
+    span = IntSpan(table.dim)
+    spans = {z: span}
+    seeds = {seed_i: [seed_vec], z: span.rows}
+    i, new = seed_i, [seed_vec]
+    while new:
+        stored = []
+        for row in new:
+            for images in reference_images_at(table, into, i, row, *edges):
+                for image in images:
+                    image = span.add(image)
+                    if image is None:
+                        continue
+                    if stop(z, spans):
+                        return None
+                    if span.dim == table.dim:
+                        return seeds
+                    stored.append(image)
+        if not rounds:
+            break
+        if i == seed_i:  # later rounds leave z along its own edges
+            i, edges = z, table.edges(z)
+        new = stored
+    return seeds
+
+
+def reference_probe(engine, k, vector, mode: str, target) -> tuple:
+    """(answer, start): one probe as a sequential run makes it, the short
+    paths of ``reference_short_paths``, with loop rounds for a full target,
+    then the hooked FIFO turns of ``saturate`` from ``start`` and, if its
+    hook has not fired, the seed's ``closure``.  ``start`` is None where the
+    short paths fire the hook or the target is uncertified."""
+    start = None
+    if target.certified:
+        shown: dict = {}
+
+        def stop(i, spans):
+            return (i in engine.dominators and engine._holds((i,), mode, target, spans, shown)
+                    and engine._holds(target.special, mode, target, spans, shown))
+
+        start = reference_short_paths(engine, engine.table.index[k], vector, stop, target.rows is None)
+        if start is None or saturate(engine.table, start, stop):
+            return True, start
+    family = closure(engine.spec, {k: [vector]}, engine.window, engine.gens)
+    at = engine.interior
+    if mode == "exact":
+        return family.dims[at].tolist() == [target.dims.get(i, 0) for i in at], start
+    rows = int_blocks([target.rows.get(i, ()) for i in at], engine.table.dim)
+    return bool(contained(rows, family.anns[family.place[at]]).all()), start
 
 
 def _merged_directions(kq):

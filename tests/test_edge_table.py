@@ -114,6 +114,19 @@ def _assert_edges_match(spec, window, gens):
     for i, edges in enumerate(out_edges):
         assert list(zip(*table.edges(i))) == edges, table.degs[i]
         assert table.skipped[i] == len(gens) - len(edges)
+    # edges_between on every (degree, degree + offset) pair inside the
+    # numbering, the pairs whose step leaves the box among them
+    srcs = np.repeat(np.arange(len(table.degs)), len(gens))
+    tgts = srcs + np.tile(table.offset, len(table.degs))
+    inside = (tgts >= 0) & (tgts < len(table.degs))
+    srcs, tgts = np.unique(np.stack([srcs[inside], tgts[inside]], axis=1), axis=0).T
+    got, want = {}, {}
+    for p, gi in zip(*table.edges_between(srcs, tgts)):
+        got.setdefault((int(srcs[p]), int(tgts[p])), []).append(int(gi))
+    for i, edges in enumerate(out_edges):
+        for gi, j, _ in edges:
+            want.setdefault((i, j), []).append(gi)
+    assert got == want
 
 
 @pytest.mark.parametrize("kind,n,d,rbound,beta", list(_edge_cases()))
@@ -148,6 +161,19 @@ def test_gathered_edges_equal_the_reference_past_int64():
         spec = ActionSpec.make(kind, n, ScalarFiber(), (F(1, 2**62 + 1),) + (0,) * (n - 1))
         _assert_edges_match(spec, Window(n, 2), default_generators(spec.kind, n))
         assert edge_table(spec, Window(n, 2), default_generators(spec.kind, n)).cq.dtype == object
+
+
+@pytest.mark.parametrize("scale,dtype", [(1, np.int64), (2**40, object)])
+def test_edge_coefficients_times_scale_stay_exact(monkeypatch, scale, dtype):
+    """A beta denominator of 2^21 + 1 puts the shifts q(k + beta) near 2^22
+    at d = 2.  With the space's scale at 2^40, cq * scale passes 2^62, so
+    cq is built on Python ints and the coefficients ``cq * scale`` the
+    sweeps form are exact; with scale 1 cq stays int64."""
+    spec = ActionSpec.make("H", 2, ScalarFiber(), (F(1, 2**21 + 1), 0))
+    monkeypatch.setattr(spec.space(), "scale", scale)
+    table = EdgeTable(spec, Window(2, 2), default_generators(spec.kind, 2))
+    assert table.cq.dtype == dtype
+    assert (table.cq * table.scale).tolist() == [[c * scale for c in row] for row in table.cq.tolist()]
 
 
 def test_gathered_edges_equal_the_reference_at_n6():
@@ -311,10 +337,10 @@ def test_closure_and_probes_match_the_fiber_action_reference(kind, n, d, fiber, 
         # the closure is its own exact and contained target; the full target
         # is reached exactly when the reference fills the interior
         ref_family = GradedFamily(spec, window, ref)
-        assert engine.run(centre, seed, "exact", engine.min_target(ref_family))
-        assert engine.run(centre, seed, "contains", engine.min_target(ref_family))
+        assert engine.run([(centre, seed)], "exact", engine.min_target(ref_family)) == [True]
+        assert engine.run([(centre, seed)], "contains", engine.min_target(ref_family)) == [True]
         fills = all(ref.get(k, Subspace.zero(dim)).dim == dim for k in window.interior_degrees())
-        assert engine.run(centre, seed, "exact", engine.full_target()) == fills
+        assert engine.run([(centre, seed)], "exact", engine.full_target()) == [fills]
 
 
 @pytest.mark.parametrize("kind,n,d,fiber,beta", list(_cases(heavy=True)) + [

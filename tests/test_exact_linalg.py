@@ -406,12 +406,12 @@ def test_int_matmul_with_a_zero_or_empty_operand_keeps_the_other_exact(rows):
 def test_int_affine_is_the_scaled_rows_plus_the_product():
     a = np.array([[[1, -2]], [[3, 0]]], dtype=np.int64)
     b = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    got = int_affine([5, -7], a, b)
+    got = int_affine(np.array([5, -7], dtype=np.int64), a, b)
     assert got.dtype == np.int64 and got.tolist() == [[[3, -9]], [[-21, 3]]]
     # one block shared by every item, and a scalar past int64
-    shared = int_affine([2**70, 0], a[0], b)
+    shared = int_affine(np.array([2**70, 0], dtype=object), a[0], b)
     assert shared.dtype == object and shared.tolist() == [[[2**70 - 2, -(2**71) + 1]], [[-2, 1]]]
-    assert int_affine([], a[0], b).shape == (0, 1, 2)
+    assert int_affine(np.zeros(0, dtype=np.int64), a[0], b).shape == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

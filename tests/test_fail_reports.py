@@ -43,7 +43,7 @@ def _failing(real):
 
 # fault name -> (object, attribute, replacement) triples
 FAULTS = {
-    "probes": [(ProbeEngine, "run", lambda self, k, v, mode, target: False)],
+    "probes": [(ProbeEngine, "run", lambda self, seeds, mode, target: [False] * len(seeds))],
     "is_invariant": [(theorem_registry, "is_invariant", _failing(theorem_registry.is_invariant))],
     "sub_reports": [(theorem_registry, name, _failing(getattr(theorem_registry, name)))
                     for name in ("invariance_report", "verify_module_map",

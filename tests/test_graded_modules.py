@@ -457,8 +457,8 @@ def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mo
     monkeypatch.setattr(theorem_registry, "saturate", twin)
     # the short-path pass certifies every one of these seeds: bypassed, each
     # reaches the hooked FIFO turns
-    monkeypatch.setattr(theorem_registry.ProbeEngine, "_short_paths",
-                        lambda engine, seed_i, seed_vec, stop, rounds: {seed_i: [seed_vec]})
+    monkeypatch.setattr(theorem_registry.ProbeEngine, "_path_pass",
+                        lambda engine, at, vectors, mode, target: [{i: [v]} for i, v in zip(at, vectors)])
     if mode == "exact":
         target = engine.full_target()
     else:
@@ -469,7 +469,7 @@ def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mo
         vector = [rng.randint(-3, 3) for _ in range(spec.space().dim)]
         vector[rng.randrange(len(vector))] = 1
         k = degs[rng.randrange(len(degs))]
-        engine.run(k, vector, mode, target)
+        engine.run([(k, vector)], mode, target)
     assert len(fired) == 6
     for k, vector in starts:
         assert not _same_start(engine.table, {engine.table.index[k]: [vector]}, lambda i, spans: False)
@@ -503,4 +503,4 @@ def test_fiber_escapes_leaves_int64_before_a_product_wraps():
     assert row.dtype == np.int64
     assert (row[:, :1] * row[:, :1]).tolist() == [[0]]  # the wrapped product
     maps = np.zeros((1, 4, 4), dtype=np.int64)
-    assert fiber_escapes(row, row, [1], maps)[0].tolist() == [[True]]
+    assert fiber_escapes(row, row, np.ones(1, dtype=np.int64), maps)[0].tolist() == [[True]]

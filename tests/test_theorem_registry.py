@@ -28,7 +28,7 @@ from slmod.theorem_registry import (
     probe_engine,
     run_check,
 )
-from reference import fiber_action, reference_contained
+from reference import fiber_action, reference_contained, reference_probe
 
 HALF = (F(1, 2), 0, 0, 0)
 
@@ -75,7 +75,7 @@ def test_probe_engine_agrees_with_reference_closure():
         for row in fam.fiber(k).rows:
             reference = closure(spec, {k: [list(row)]}, win)
             expected = all(reference.fiber(kk) == fam.fiber(kk) for kk in win.interior_degrees())
-            assert engine.run(k, list(row), "exact", target) == expected
+            assert engine.run([(k, list(row))], "exact", target) == [expected]
 
 
 def test_a_full_span_holds_every_target_row_without_a_membership_test(monkeypatch):
@@ -95,7 +95,7 @@ def test_a_full_span_holds_every_target_row_without_a_membership_test(monkeypatc
         return contains(span, vector)
 
     monkeypatch.setattr(IntSpan, "contains", logged)
-    assert engine.run((0, 0, 0, 0), [1, 0, 1, 0], "contains", engine.min_target(full))
+    assert engine.run([((0, 0, 0, 0), [1, 0, 1, 0])], "contains", engine.min_target(full)) == [True]
     assert calls == []
 
 
@@ -107,12 +107,14 @@ def test_probe_engine_rejects_wrong_targets():
     engine = probe_engine(spec, win)
     k0 = (0, 0, 0, 0)
     seed = list(mn.fiber(k0).rows[0])
-    assert not engine.run(k0, seed, "exact", engine.min_target(mx))
-    assert not engine.run(k0, seed, "contains", engine.min_target(mx))
-    assert not engine.run(k0, list(mx.fiber(k0).rows[0]), "exact", engine.full_target())
+    assert engine.run([(k0, seed)], "exact", engine.min_target(mx)) == [False]
+    assert engine.run([(k0, seed)], "contains", engine.min_target(mx)) == [False]
+    assert engine.run([(k0, list(mx.fiber(k0).rows[0]))], "exact", engine.full_target()) == [False]
     # the full target has no rows to contain: no vacuous pass
     with pytest.raises(ValueError, match="target rows"):
-        engine.run(k0, seed, "contains", engine.full_target())
+        engine.run([(k0, seed)], "contains", engine.full_target())
+    with pytest.raises(ValueError, match="seed is zero"):
+        engine.run([(k0, seed), (k0, [0] * len(seed))], "exact", engine.min_target(mn))
 
 
 def test_probe_on_an_empty_interior_is_an_error(capsys):
@@ -124,7 +126,7 @@ def test_probe_on_an_empty_interior_is_an_error(capsys):
     seed = list(mn.fiber((0, 0, 0, 0)).rows[0])
     for mode, target in (("exact", engine.full_target()), ("contains", engine.min_target(mn))):
         with pytest.raises(ValueError, match="empty interior"):
-            engine.run((0, 0, 0, 0), seed, mode, target)
+            engine.run([((0, 0, 0, 0), seed)], mode, target)
     assert main(["check", "--id", "uniqueness", "--N", "4", "--p", "1", "--window", "0"]) == 2
     assert "empty interior" in capsys.readouterr().err
 
@@ -157,7 +159,8 @@ def test_probe_answers_do_not_depend_on_the_certificate(p, beta):
             runs += [(list(row), "exact", fam) for row in fam.fiber(k).rows[:1]]
             runs.append((free, "contains", fam))
         for v, mode, fam in runs:
-            got = [engine.run(k, v, mode, engine.full_target() if fam is None else engine.min_target(fam))
+            got = [engine.run([(k, v)], mode,
+                              engine.full_target() if fam is None else engine.min_target(fam))[0]
                    for engine in (with_cert, without)]
             assert got[0] == got[1], (k, v, mode, fam)
             answers.add(got[0])
@@ -209,10 +212,10 @@ def test_an_engine_that_counts_the_degenerate_fiber_filled_passes_a_split_probe(
     spec = ActionSpec.make("H", 2, ScalarFiber())
     window = Window(2, 2)
     engine = ProbeEngine(spec, window)
-    assert not engine.run((1, 0), [1], "exact", engine.full_target())
+    assert engine.run([((1, 0), [1])], "exact", engine.full_target()) == [False]
     monkeypatch.setattr(ProbeEngine, "_filled_from_interior", lambda engine, s: True)
     mutant = ProbeEngine(spec, window)
-    assert mutant.run((1, 0), [1], "exact", mutant.full_target())
+    assert mutant.run([((1, 0), [1])], "exact", mutant.full_target()) == [True]
 
 
 SYM2_POINTS = [(kind, Sym2(), beta, 3) for kind in "HWS" for beta in ((0, 0), (F(1, 2), 0))]
@@ -239,22 +242,30 @@ def test_full_target_answers_do_not_depend_on_the_certificate(kind, fiber, beta,
     for k in [(0,) * n, (1,) + (0,) * (n - 1)] + [degs[rng.randrange(len(degs))] for _ in range(6)]:
         v = [rng.randint(-2, 2) for _ in range(dim)]
         v[rng.randrange(dim)] = 1
-        got = [engine.run(k, v, "exact", engine.full_target()) for engine in (with_cert, without)]
+        got = [engine.run([(k, v)], "exact", engine.full_target())[0] for engine in (with_cert, without)]
         assert got[0] == got[1], (k, v)
 
 
-def _no_short_paths(engine, seed_i, seed_vec, stop, rounds):
-    """``ProbeEngine._short_paths`` bypassed: the FIFO turns get the seed alone."""
-    return {seed_i: [seed_vec]}
+def _no_short_paths(engine, at, vectors, mode, target):
+    """``ProbeEngine._path_pass`` bypassed: the FIFO turns get each seed alone."""
+    return [{i: [v]} for i, v in zip(at, vectors)]
+
+
+def _unfired(engine: ProbeEngine, target: ProbeTarget) -> ProbeTarget:
+    """``target`` as the path pass reads it, with a hook that never fires:
+    in mode "exact" no span reaches dims above the fiber's.  Rows or none
+    keep the pass's loop rounds off or on."""
+    dims = dict.fromkeys(range(len(engine.table.degs)), engine.table.dim + 1)
+    return ProbeTarget(dims, target.rows, True, [])
 
 
 def _misplaced_short_path_rows(kind, fiber, beta, d):
     """(seed degree, seed, z, row) for each row the short-path pass, its
     loop rounds on, stores at its dominator z outside the closure's fiber
-    at z, the hook never firing.  20 seeds: ten inside the family a
-    probe of this spec compares against (MIN for H, the Witt family for W;
-    none for Sym2, whose probes all target the full fiber), whose closures
-    are proper at z, and random vectors."""
+    at z, the hook never firing.  20 seeds in one stacked pass: ten inside
+    the family a probe of this spec compares against (MIN for H, the Witt
+    family for W; none for Sym2, whose probes all target the full fiber),
+    whose closures are proper at z, and random vectors."""
     n = len(beta)
     spec = ActionSpec.make(kind, n, fiber, beta)
     window = Window(n, d)
@@ -277,13 +288,10 @@ def _misplaced_short_path_rows(kind, fiber, beta, d):
         v = [rng.randint(-3, 3) for _ in range(dim)]
         v[rng.randrange(dim)] = 1
         seeds.append((degs[rng.randrange(len(degs))], v))
-    def never(j, spans):
-        return False
-
-    for k, v in seeds:
-        i = engine.table.index[k]
-        paths = engine._short_paths(i, v, never, True)
-        (z, rows), = [(j, rows) for j, rows in paths.items() if j != i]
+    at = [engine.table.index[k] for k, _ in seeds]
+    starts = engine._path_pass(at, [v for _, v in seeds], "exact", _unfired(engine, engine.full_target()))
+    for (k, v), i, start in zip(seeds, at, starts, strict=True):
+        (z, rows), = [(j, rows) for j, rows in start.items() if j != i]
         assert z in engine.dominators and z in engine.table.edges(i)[1]
         assert rows, (k, v)
         fiber_z = closure(spec, {k: [v]}, window).fiber(engine.table.degs[z])
@@ -306,70 +314,52 @@ SHORT_PATH_POINTS = [
 @pytest.mark.parametrize("kind,fiber,beta,d", SHORT_PATH_POINTS + SYM2_POINTS)
 def test_short_paths_store_only_closure_rows(kind, fiber, beta, d):
     """Every row the short-path and loop passes store at z lies in the
-    seed's closure there, so the stop hook they ask sees spans inside the
-    closure.  The checks' full-target probes run the loop pass at the Sym2
-    points, where closures are full; the family seeds elsewhere have proper
-    closures, where a misfiled row shows."""
+    seed's closure there, so the hook sees spans inside the closure.  The
+    checks' full-target probes run the loop pass at the Sym2 points, where
+    closures are full; the family seeds elsewhere have proper closures,
+    where a misfiled row shows."""
     assert list(_misplaced_short_path_rows(kind, fiber, beta, d)) == []
 
 
-def test_a_short_path_pass_that_misfiles_first_hops_is_caught(monkeypatch):
-    """A mutant pass that files each first-hop image at t as if it were at z
-    stores rows outside the closure."""
-    images_at = ProbeEngine._images_at
+def test_a_path_pass_without_the_box_mask_is_caught(monkeypatch):
+    """A mutant in-edge gather that takes every generator whose offset
+    matches, in the box or not, sends images along maps that leave the
+    window at d=1: the pass stores rows outside the closure."""
+    def unmasked(table, srcs, tgts):
+        return np.nonzero(table.offset == (tgts - srcs)[:, None])
 
-    def misfiled(engine, into, i, vec, gis, js, cqs):
-        for gi, cq in zip(gis, cqs):
-            yield engine.table.apply(gi, cq, [vec])
-        yield from images_at(engine, into, i, vec, gis, js, cqs)
-
-    monkeypatch.setattr(ProbeEngine, "_images_at", misfiled)
-    assert any(next(_misplaced_short_path_rows(*point), None) for point in SHORT_PATH_POINTS)
-
-
-def test_a_loop_pass_that_misfiles_first_steps_is_caught(monkeypatch):
-    """A mutant loop pass that files each first-step image at u as if it
-    were at z stores rows outside the closure."""
-    images_at = ProbeEngine._images_at
-
-    def misfiled(engine, into, i, vec, gis, js, cqs):
-        if i not in into:  # only later rounds send paths from z, which has no edge into z
-            for gi, cq in zip(gis, cqs):
-                yield engine.table.apply(gi, cq, [vec])
-        yield from images_at(engine, into, i, vec, gis, js, cqs)
-
-    monkeypatch.setattr(ProbeEngine, "_images_at", misfiled)
-    assert any(next(_misplaced_short_path_rows(*point), None) for point in SHORT_PATH_POINTS)
+    monkeypatch.setattr(graded_modules.EdgeTable, "edges_between", unmasked)
+    assert next(_misplaced_short_path_rows("H", Fund(2), HALF, 1), None)
 
 
 def test_short_paths_leave_every_probe_answer_unchanged(monkeypatch):
     """Every probe of every sweep at each probe check's first default grid
     point gives the same answer with the short-path pass bypassed."""
-    runs, ended = [], []
-    run, short_paths = ProbeEngine.run, ProbeEngine._short_paths
+    sweeps, ended = [], []
+    run, path_pass = ProbeEngine.run, ProbeEngine._path_pass
 
-    def recorded(engine, k, v, mode, target):
-        got = run(engine, k, v, mode, target)
-        runs.append((check_id, engine, k, v, mode, target, got))
+    def recorded(engine, seeds, mode, target):
+        got = run(engine, seeds, mode, target)
+        sweeps.append((check_id, engine, seeds, mode, target, got))
         return got
 
-    def counted(engine, seed_i, seed_vec, stop, rounds):
-        out = short_paths(engine, seed_i, seed_vec, stop, rounds)
-        ended.append(out is None)
-        return out
+    def counted(engine, *args):
+        starts = path_pass(engine, *args)
+        ended.extend(start is None for start in starts)
+        return starts
 
     monkeypatch.setattr(ProbeEngine, "run", recorded)
-    monkeypatch.setattr(ProbeEngine, "_short_paths", counted)
+    monkeypatch.setattr(ProbeEngine, "_path_pass", counted)
     for check_id in CATALOGUE:
         run_check(check_id, **default_grid(check_id)[0])
-    assert {r[0] for r in runs} == {
+    assert {r[0] for r in sweeps} == {
         "irreducible-min", "uniqueness", "main-classification", "cor-p0", "criterion-sym2",
         "TW", "TS", "classify-W", "unique-W"}
-    assert 0 < sum(ended) < len(runs)
+    assert 0 < sum(ended) < sum(len(r[2]) for r in sweeps)
     monkeypatch.setattr(ProbeEngine, "run", run)
-    monkeypatch.setattr(ProbeEngine, "_short_paths", _no_short_paths)
-    for check_id, engine, k, v, mode, target, got in runs:
-        assert engine.run(k, v, mode, target) == got, (check_id, k, v, mode)
+    monkeypatch.setattr(ProbeEngine, "_path_pass", _no_short_paths)
+    for check_id, engine, seeds, mode, target, got in sweeps:
+        assert engine.run(seeds, mode, target) == got, (check_id, mode)
 
 
 @pytest.mark.parametrize("check_id,least,probes", [
@@ -381,14 +371,14 @@ def test_short_paths_end_most_probes(monkeypatch, check_id, least, probes):
     certifies nearly every probe (90 of 100 and 1 247 of 1 250 when this
     test was written): a change that loses the pass's speedup fails here."""
     ended = []
-    short_paths = ProbeEngine._short_paths
+    path_pass = ProbeEngine._path_pass
 
-    def counted(engine, seed_i, seed_vec, stop, rounds):
-        out = short_paths(engine, seed_i, seed_vec, stop, rounds)
-        ended.append(out is None)
-        return out
+    def counted(engine, *args):
+        starts = path_pass(engine, *args)
+        ended.extend(start is None for start in starts)
+        return starts
 
-    monkeypatch.setattr(ProbeEngine, "_short_paths", counted)
+    monkeypatch.setattr(ProbeEngine, "_path_pass", counted)
     assert run_check(check_id, N=4, p=2, beta=HALF, d=2).status == "PASS"
     assert len(ended) == probes
     assert sum(ended) >= least, sum(ended)
@@ -407,9 +397,9 @@ def test_full_targets_end_in_the_short_path_and_loop_passes(monkeypatch, check_i
     runs, fixpoints = [], []
     run, saturate = ProbeEngine.run, theorem_registry.saturate
 
-    def counted_run(engine, k, v, mode, target):
+    def counted_run(engine, seeds, mode, target):
         runs.append(target.rows is None)
-        return run(engine, k, v, mode, target)
+        return run(engine, seeds, mode, target)
 
     def counted_saturate(table, seeds, stop):
         fixpoints.append(seeds)
@@ -451,7 +441,7 @@ def test_a_failing_contains_probe_answers_through_one_closure(monkeypatch):
     assert target.certified
     seed = list(build_family(FamilyKind.MIN, 2, spec, window).fiber((0, 0, 0, 0)).rows[0])
     log = _hand_offs(monkeypatch)
-    assert not engine.run((0, 0, 0, 0), seed, "contains", target)
+    assert engine.run([((0, 0, 0, 0), seed)], "contains", target) == [False]
     assert log == {"saturate": [False], "closure": 1}
 
 
@@ -466,7 +456,7 @@ def test_a_failing_exact_probe_answers_through_one_closure(monkeypatch):
     assert target.certified
     seed = list(build_family(FamilyKind.MIN, 2, spec, window).fiber((0, 0, 0, 0)).rows[0])
     log = _hand_offs(monkeypatch)
-    assert not engine.run((0, 0, 0, 0), seed, "exact", target)
+    assert engine.run([((0, 0, 0, 0), seed)], "exact", target) == [False]
     assert log == {"saturate": [False], "closure": 1}
 
 
@@ -476,7 +466,11 @@ def test_forced_hand_offs_give_the_hooked_answers(monkeypatch, target_kind):
     MIN rows: exact against the full target, contains against MIN and
     against MAX.  With the short-path pass bypassed and ``saturate`` never
     firing, every probe hands off to ``closure``, and each answers as it
-    does when its hook fires: a hook proves what the closure shows."""
+    does when its hook fires: a hook proves what the closure shows.  The
+    same holds with the pass's spans at z and a hook that never fires
+    there: the hand-off then starts from the seed and its span at z, and
+    that closure is the seed's own, since every row of the span lies in
+    it."""
     spec = ActionSpec.make("H", 4, Fund(2), HALF)
     window = Window(4, 2)
     engine = probe_engine(spec, window)
@@ -494,13 +488,30 @@ def test_forced_hand_offs_give_the_hooked_answers(monkeypatch, target_kind):
         vector[rng.randrange(len(vector))] = 1
         probes.append((degs[rng.randrange(len(degs))], vector))
     probes += [(k, list(mn.fiber(k).rows[0])) for k in degs[:: len(degs) // 4] if mn.fiber(k).rows]
-    answers = [engine.run(k, v, mode, target) for k, v in probes]
+    answers = engine.run(probes, mode, target)
     assert target_kind == "min" or set(answers) == {True, False}
     log = _hand_offs(monkeypatch)
     monkeypatch.setattr(theorem_registry, "saturate", lambda table, seeds, stop: False)
-    monkeypatch.setattr(ProbeEngine, "_short_paths", _no_short_paths)
-    assert [engine.run(k, v, mode, target) for k, v in probes] == answers
+    path_pass = ProbeEngine._path_pass
+    monkeypatch.setattr(ProbeEngine, "_path_pass", _no_short_paths)
+    assert engine.run(probes, mode, target) == answers
     assert log["closure"] == len(probes)
+    # the pass's spans, with a hook that never fires
+    monkeypatch.setattr(ProbeEngine, "_path_pass", lambda engine, at, vectors, mode, target: path_pass(
+        engine, at, vectors, "exact", _unfired(engine, target)))
+    started, counted = [], theorem_registry.closure
+
+    def logged(spec_, seeds, window_, gens):
+        started.append(seeds)
+        return counted(spec_, seeds, window_, gens)
+
+    monkeypatch.setattr(theorem_registry, "closure", logged)
+    assert engine.run(probes, mode, target) == answers
+    assert log["closure"] == 2 * len(probes) == 2 * len(started)
+    assert any(len(seeds) == 2 for seeds in started)
+    for (k, v), seeds in zip(probes, started):
+        assert seeds[k] == [v]
+        assert closure(spec, seeds, window) == closure(spec, {k: [v]}, window), (k, v)
 
 
 def test_an_uncertified_target_goes_straight_to_the_closure(monkeypatch):
@@ -516,10 +527,10 @@ def test_an_uncertified_target_goes_straight_to_the_closure(monkeypatch):
     seed = list(mn.fiber(k).rows[0])
     runs = [(seed, mode, engine.min_target(family)) for mode in ("exact", "contains") for family in (mn, mx)]
     runs += [(seed, "exact", engine.full_target()), ([1, 0, 1, 0], "exact", engine.full_target())]
-    answers = [engine.run(k, v, mode, target) for v, mode, target in runs]
+    answers = [engine.run([(k, v)], mode, target)[0] for v, mode, target in runs]
     assert set(answers) == {True, False} and all(target.certified for _, _, target in runs)
     log = _hand_offs(monkeypatch)
-    bare = [engine.run(k, v, mode, ProbeTarget(target.dims, target.rows, False, target.special))
+    bare = [engine.run([(k, v)], mode, ProbeTarget(target.dims, target.rows, False, target.special))[0]
             for v, mode, target in runs]
     assert bare == answers
     assert log == {"saturate": [], "closure": len(runs)}
@@ -550,6 +561,98 @@ def test_probes_at_the_first_default_points_make_no_hand_off(monkeypatch):
         assert bool(runs) == (check_id in PROBE_CHECKS), check_id
     assert log["saturate"] and all(log["saturate"])
     assert log["closure"] == 0
+
+
+def _sweeps(monkeypatch, runs) -> list:
+    """Every probe sweep of the checks ``runs``, (check id, params) pairs, as
+    (engine, seeds, mode, target, answers, starts): ``starts`` holds the
+    ``saturate`` start of each seed whose hook the path pass left unfired."""
+    sweeps = []
+    run, saturate = ProbeEngine.run, theorem_registry.saturate
+
+    def recorded(engine, seeds, mode, target):
+        starts = []
+
+        def started(table, start, stop):
+            starts.append(start)
+            return saturate(table, start, stop)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(theorem_registry, "saturate", started)
+            got = run(engine, seeds, mode, target)
+        sweeps.append((engine, seeds, mode, target, got, starts))
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProbeEngine, "run", recorded)
+        for check_id, params in runs:
+            run_check(check_id, **params)
+    return sweeps
+
+
+def _assert_sequential(sweeps):
+    """Each sweep's answers are the sequential reference's, and so are its
+    ``saturate`` starts, as spaces at each degree."""
+    for engine, seeds, mode, target, answers, starts in sweeps:
+        ref = [reference_probe(engine, tuple(k), v, mode, target) for k, v in seeds]
+        assert answers == [answer for answer, _ in ref]
+        ref_starts = [start for _, start in ref if start is not None]
+        assert len(starts) == len(ref_starts)
+        dim = engine.table.dim
+        for got, want in zip(starts, ref_starts):
+            assert {i: Subspace(dim, rows) for i, rows in got.items()} \
+                == {i: Subspace(dim, rows) for i, rows in want.items()}
+
+
+@pytest.mark.parametrize("check_id", PROBE_CHECKS)
+def test_the_path_pass_matches_the_sequential_reference(monkeypatch, check_id):
+    """Every probe at every default grid point: the stacked pass gives the
+    answers and the ``saturate`` starts of one probe at a time."""
+    sweeps = _sweeps(monkeypatch, [(check_id, params) for params in default_grid(check_id)])
+    assert sweeps
+    _assert_sequential(sweeps)
+
+
+def test_the_path_pass_matches_the_sequential_reference_in_the_edges_checks(monkeypatch):
+    """The probe checks of the edges benchmark, N=4 p=2 beta = e1/2 d=2, at
+    seeds 1 to 20."""
+    sweeps = _sweeps(monkeypatch, [(check_id, {"N": 4, "p": 2, "beta": HALF, "d": 2, "seed": seed})
+                                   for seed in range(1, 21)
+                                   for check_id in ("main-classification", "uniqueness")])
+    assert any(starts for *_, starts in sweeps)
+    _assert_sequential(sweeps)
+
+
+@pytest.mark.parametrize("check_id,params", [
+    ("uniqueness", {"N": 4, "p": 2, "beta": HALF, "d": 2}),
+    ("criterion-sym2", {"N": 2, "beta": (0, 0), "d": 3}),
+])
+def test_the_path_pass_sends_at_most_stack_items_a_product(monkeypatch, check_id, params):
+    """With ``STACK_ITEMS`` at 7, every product of the path pass and of its
+    loop rounds (at the Sym2 point) has at most 7 items, and the report
+    stays the same."""
+    want = run_check(check_id, **params).to_dict()
+    sizes, inside = [], []
+    int_affine, path_pass = graded_modules.int_affine, ProbeEngine._path_pass
+
+    def counted(cs, *args):
+        if inside:
+            sizes.append(len(cs))
+        return int_affine(cs, *args)
+
+    def flagged(engine, *args):
+        inside.append(True)
+        try:
+            return path_pass(engine, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(graded_modules, "int_affine", counted)
+    monkeypatch.setattr(ProbeEngine, "_path_pass", flagged)
+    monkeypatch.setattr(graded_modules, "STACK_ITEMS", 7)
+    monkeypatch.setattr(theorem_registry, "STACK_ITEMS", 7)
+    assert run_check(check_id, **params).to_dict() == want
+    assert sizes and max(sizes) == 7
 
 
 def test_a_contained_target_row_is_tested_once(monkeypatch):
@@ -618,7 +721,7 @@ def test_probe_engines_are_bounded_like_their_edge_tables():
 ])
 def test_failed_probes_fail_the_check_with_at_most_eight_details_a_sweep(
         check_id, n, beta, monkeypatch):
-    monkeypatch.setattr(ProbeEngine, "run", lambda self, k, v, mode, target: False)
+    monkeypatch.setattr(ProbeEngine, "run", lambda self, seeds, mode, target: [False] * len(seeds))
     result = run_check(check_id, N=n, beta=beta, d=2, samples=12)
     assert result.status == "FAIL"
     per_seed = [d for d in result.details if d.status == "FAIL" and d.degree is not None]
