@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_linalg import echelon_stack, format_vector, image, int_matmul, kernel
+from .exact_linalg import echelon_stack, format_vector, int_matmul, ranks
 from .exterior_algebra import ext_dim, fundamental_subspace
 from .graded_modules import ActionSpec, Fund, Lambda, Window, directions, fiber_space
 from .reports import CheckResult, Recorder
@@ -94,19 +94,22 @@ def complex_homology(
     window: Window,
     p: int | None = None,
 ) -> dict:
-    """Per-degree homology dimension dim ker(outgoing) - dim im(incoming).
+    """Per-degree homology dimension dim ker(outgoing) - dim im(incoming),
+    read off stacked ranks: dim - rank(outgoing) and rank(incoming).
 
     For FSQ the square-zero identity f o f = 0 is verified first and a
-    structural failure raises; for FSQ_FUND kernel and image are both
-    intersected with the contraction kernel.
+    structural failure raises; then the complex property out . inc = 0.
+    For FSQ_FUND the rows that cut out the contraction kernel are stacked
+    under the outgoing map and the incoming map is taken on its basis, so
+    kernel and image are both those of the restriction.
     """
     require_even(n)
     pos = _position(cid, p)
     spec = ActionSpec.make("H", n, Lambda(min(pos, n)), beta)
     inc, out = _in_out_maps(cid, pos, n)
-    fund = fundamental_subspace(n, pos) if cid.kind == "fsq_fund" else None
-    # every map is homogeneous in K: kernel and image once per direction, and
-    # once at K = 0, where every map vanishes, as the class after them
+    dim = ext_dim(n, pos)
+    # every map is homogeneous in K: one rank per map and direction, and
+    # one at K = 0, where every map vanishes, as the class after them
     kqs = spec.scaled_shifts(window)
     live, place, stack = directions(kqs)
     classes = np.full(len(kqs), len(stack), dtype=np.intp)
@@ -115,18 +118,22 @@ def complex_homology(
     outs = map_stack(out, n, stack) if out is not None else None
     incs = map_stack(inc, n, stack) if inc is not None else None
     squares = int_matmul(outs, outs).any(axis=(1, 2)) if cid.kind == "fsq" else None
-    # on FSQ_FUND one kernel of f(p) stacked over the rows that cut out Fund
-    kers = [kernel(mat + list(fund.annihilator()) if fund is not None else mat)
-            for mat in outs.tolist()] if out is not None else None
-    ims = [image(mat, fund) for mat in incs.tolist()] if inc is not None else None
+    if cid.kind == "fsq_fund":
+        # the rows that cut out Fund under f(p), and f(p) on Fund's basis
+        fund = fundamental_subspace(n, pos)
+        cut = np.array(fund.annihilator(), dtype=np.int64).reshape(-1, dim)
+        outs = np.concatenate([outs, np.broadcast_to(cut, (len(outs), *cut.shape))], axis=1)
+        incs = int_matmul(incs, np.array(fund.rows, dtype=np.int64).T)
+    broken = int_matmul(outs, incs).any(axis=(1, 2)) if outs is not None and incs is not None else None
+    kers = (dim - ranks(echelon_stack(outs))).tolist() if outs is not None else None
+    ims = ranks(echelon_stack(incs)).tolist() if incs is not None else None
     table: dict = {}
     for k, j in zip(window.degrees(), classes.tolist()):
         if squares is not None and squares[j]:
             raise RuntimeError(f"square-zero violated at degree {k}")
-        if kers is not None and ims is not None and not kers[j].contains(ims[j]):
+        if broken is not None and broken[j]:
             raise RuntimeError(f"complex property violated at degree {k}")
-        ker_dim = kers[j].dim if kers is not None else ext_dim(n, pos)
-        table[k] = ker_dim - (ims[j].dim if ims is not None else 0)
+        table[k] = (kers[j] if kers is not None else dim) - (ims[j] if ims is not None else 0)
     return table
 
 
@@ -184,7 +191,7 @@ def predicted_homology(
     wedges = int_matmul(map_stack(pi(pos), n, stack), space.embed)
     images = echelon_stack(int_matmul(maxf.rows[maxf.place[live]], wedges[place].transpose(0, 2, 1)))
     table = dict.fromkeys(degs, space.dim)  # kept at the degenerate degree, K = 0
-    table.update(zip([degs[i] for i in live.tolist()], (images != 0).any(axis=2).sum(axis=1).tolist()))
+    table.update(zip([degs[i] for i in live.tolist()], ranks(images).tolist()))
     return table
 
 

@@ -143,10 +143,6 @@ def transpose(m) -> tuple:
     return tuple(zip(*m))
 
 
-def mat_vec(m, v) -> tuple:
-    return tuple(dot(row, v) for row in m)
-
-
 # ---------------------------------------------------------------------------
 # primitive integer row helpers
 
@@ -322,6 +318,12 @@ def packed(stack: np.ndarray) -> np.ndarray:
     return stack[np.arange(len(stack))[:, None], order]
 
 
+def ranks(stack: np.ndarray) -> np.ndarray:
+    """The number of nonzero rows of every item of a (B, h, n) stack: each
+    item's rank when the stack is canonical, an ``echelon_stack`` output."""
+    return (stack != 0).any(axis=2).sum(axis=1)
+
+
 def leads(stack: np.ndarray) -> np.ndarray:
     """The leading column of every row of a (B, h, n) stack, n on a zero row."""
     return (np.cumsum(stack != 0, axis=2) == 0).sum(axis=2)
@@ -443,11 +445,6 @@ class Subspace:
             raise ValueError("vector length differs from ambient dimension")
         return not any(_reduce_row(vector, self.rows, self.pivots))
 
-    def contains(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return not any(any(_reduce_row(r, self.rows, self.pivots)) for r in other.rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -496,17 +493,12 @@ def kernel(m) -> Subspace:
     return Subspace(ncols, [row[::-1] for row in reversed(flipped)])
 
 
-def image(m, s: Subspace | None = None) -> Subspace:
-    """Canonical span of { m b : b basis vector of s } (s defaults to full)."""
+def image(m) -> Subspace:
+    """Canonical column space { m v : v in Q^ncols }."""
     m = matrix(m)
     if not m:
         raise ValueError("image of an empty matrix has no ambient dimension")
-    ncols = len(m[0])
-    if s is not None and s.ambient_dim != ncols:
-        raise ValueError(f"image: subspace ambient {s.ambient_dim} != matrix cols {ncols}")
-    if s is None:
-        return Subspace(len(m), transpose(m))
-    return Subspace(len(m), [mat_vec(m, row) for row in s.rows])
+    return Subspace(len(m), transpose(m))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from operator import mul
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
@@ -43,6 +42,7 @@ from .exact_linalg import (
     max_abs,
     packed,
     put_ints,
+    ranks,
     same_spans,
     subspaces,
 )
@@ -444,7 +444,7 @@ class GradedFamily:
     @property
     def dims(self) -> np.ndarray:
         """The fiber dimension at every degree, in ``window.degrees()`` order."""
-        return (self.rows != 0).any(axis=2).sum(axis=1)[self.place]
+        return ranks(self.rows)[self.place]
 
     def fiber(self, k: Degree) -> Subspace:
         b = self.place[self.window.index(k)] if tuple(k) in self.window else -1
@@ -516,9 +516,8 @@ class EdgeTable:
     coefficients ``cq * scale`` of the sweeps are exact in it.  The
     derivation rows ``scale * D`` of all generators are one
     ``rank_one_stack``, kept times q as one dense block per generator in
-    ``qd``: ``fiber_escapes`` and ``images`` take the array, and ``apply``,
-    the row-by-row path of the FIFO turns, the same blocks read once as
-    Python ints.
+    ``qd``, the one array from which ``fiber_escapes`` and ``images`` read
+    every fiber map.
     """
 
     def __init__(self, spec: ActionSpec, window: Window, gens: tuple):
@@ -550,7 +549,6 @@ class EdgeTable:
         # q times each generator's derivation block: q * D + D * 0
         self.qd = int_affine(np.full(len(gens), q, dtype=object), space.rank_one_stack(r, us),
                              np.zeros((self.dim, self.dim), dtype=np.int64))
-        self._qd_ints = self.qd.tolist()
         # the generators sorted by offset, generator order kept within one offset
         self._by_offset = np.argsort(self.offset, kind="stable")
 
@@ -600,17 +598,6 @@ class EdgeTable:
                                   self.qd[gis[at]].swapaxes(1, 2)))
         return np.concatenate(out) if out else rows[:0]
 
-    def apply(self, gi: int, cq: int, rows) -> list:
-        """Nonzero images of integer rows under q * scale * (c * Id + D)."""
-        a = cq * self.scale
-        block = self._qd_ints[gi]
-        out = []
-        for row in rows:
-            img = [a * x + sum(map(mul, qrow, row)) for x, qrow in zip(row, block)]
-            if any(img):
-                out.append(img)
-        return out
-
 
 @lru_cache(maxsize=16)
 def edge_table(spec: ActionSpec, window: Window, gens: tuple) -> EdgeTable:
@@ -630,15 +617,17 @@ def saturate(table: EdgeTable, seeds: dict, stop) -> bool:
 
     ``seeds`` maps degree indices to integer rows: for a probe, the seed
     vector at its degree and the canonical rows of its span at z from the
-    short-path pass, every one in the seed's closure.  The worklist is FIFO and
-    semi-naive: at its turn a degree sends along its out-edges only the rows
-    its span stored since its last turn, through ``apply`` and
-    ``IntSpan.add`` row by row; an edge is skipped once its target is full.  ``stop(i, spans)``,
-    with ``spans`` the degree index -> ``IntSpan`` map, is asked once for
-    each seed degree and again whenever the span at i grows; a true answer
-    ends the run.  The hook reads the spans as they grow, so the stored rows
-    follow a fixed order; ``closure``, which needs only the final spaces,
-    grows canonical blocks in stacked rounds instead.
+    short-path pass, every one in the seed's closure.  The worklist is FIFO
+    and semi-naive: at its turn a degree sends along its out-edges only the
+    rows its span stored since its last turn, their images along every
+    edge in one ``EdgeTable.images`` call; the nonzero ones go to
+    ``IntSpan.add`` row by row, edge by edge, and an edge is skipped once
+    its target is full.  ``stop(i, spans)``, with ``spans`` the degree
+    index -> ``IntSpan`` map, is asked once for each seed degree and again
+    whenever the span at i grows; a true answer ends the run.  The hook
+    reads the spans as they grow, so the stored rows follow a fixed order;
+    ``closure``, which needs only the final spaces, grows canonical blocks
+    in stacked rounds instead.
     """
     dim = table.dim
     spans: dict = {}
@@ -668,11 +657,15 @@ def saturate(table: EdgeTable, seeds: dict, stop) -> bool:
             break
         i = queue.popleft()
         rows = fresh.pop(i)
-        for gi, j, cq in zip(*table.edges(i)):
+        gis, js, _ = table.edges(i)
+        block = put_ints(np.zeros((1, len(rows), dim), dtype=np.int64), 0, rows)
+        out = table.images(np.full(len(gis), i, dtype=np.intp), np.array(gis, dtype=np.intp), block,
+                           np.zeros(len(gis), dtype=np.intp)).tolist()
+        for j, images in zip(js, out):
             span = spans.get(j)
             if span is not None and span.dim == dim:
                 continue
-            images = table.apply(gi, cq, rows)
+            images = [row for row in images if any(row)]
             if images and grow(j, images) and stop(j, spans):
                 return True
     return False

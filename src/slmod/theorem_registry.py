@@ -60,6 +60,7 @@ from .exact_linalg import (
     packed,
     put_ints,
     rank,
+    ranks,
     same_spans,
     vec,
 )
@@ -209,17 +210,19 @@ class ProbeEngine:
 
     def _filled_from_interior(self, s: int) -> bool:
         """Whether the images of full fibers at the interior degrees with an
-        in-window edge into the degenerate degree s span the fiber at s: one
-        ``IntSpan`` of each such map's images of the unit vectors."""
+        in-window edge into the degenerate degree s span the fiber at s: the
+        maps' images of the unit vectors in one ``EdgeTable.images`` call,
+        added to one ``IntSpan`` until it is full."""
         table = self.table
         sources = set(self.interior) - set(self.special)
+        gis, srcs = (np.array(e, dtype=np.intp) for e in table.edges_into(s))
+        keep = np.isin(srcs, list(sources))
+        units = np.eye(table.dim, dtype=np.int64)[None]
+        images = table.images(srcs[keep], gis[keep], units, np.zeros(keep.sum(), dtype=np.intp))
         span = IntSpan(table.dim)
-        units = identity(table.dim)
-        for gi, t in zip(*table.edges_into(s)):
-            if t in sources:
-                for row in table.apply(gi, int(table.cq[t, gi]), units):
-                    if span.add(row) is not None and span.dim == table.dim:
-                        return True
+        for row in images.reshape(-1, table.dim).tolist():
+            if span.add(row) is not None and span.dim == table.dim:
+                return True
         return False
 
     # -- probe runs ----------------------------------------------------------
@@ -347,7 +350,7 @@ class ProbeEngine:
         spans = _merge(np.zeros((len(src), dim, dim), dtype=np.int64),
                        np.concatenate([b[direct], via[early]]), np.concatenate([hops[direct], ends])[:, 0])
         hook = self._hook(z, mode, target)
-        late = ~early & ~(hook(spans) | (_dims(spans) == dim))[via]
+        late = ~early & ~(hook(spans) | (ranks(spans) == dim))[via]
         spans = _merge(spans, via[late], table.images(t[pair[late]], g2[late], hops, pair[late])[:, 0])
         # targets with rows keep round 0 alone: for the contains-mode
         # probes later rounds stored nothing and cost time
@@ -370,7 +373,7 @@ class ProbeEngine:
         if mode == "exact":
             holds = all(target.dims.get(s, 0) == 0 for s in target.special)
             need = np.array([target.dims.get(i, 0) for i in z.tolist()], dtype=np.intp)
-            return lambda spans: holds & (z >= 0) & (_dims(spans) >= need)
+            return lambda spans: holds & (z >= 0) & (ranks(spans) >= need)
         holds = not any(target.rows.get(s) for s in target.special)
         rows = int_blocks([target.rows.get(i, ()) for i in z.tolist()], self.table.dim)
         return lambda spans: holds & (z >= 0) & contained(rows, annihilator_stack(spans))
@@ -383,7 +386,7 @@ class ProbeEngine:
         each span as it stood at the round's start, ``STACK_ITEMS`` loops at
         a time, and merges each slice's images at once."""
         table, dim = self.table, self.table.dim
-        dims = _dims(spans)
+        dims = ranks(spans)
         grow = np.flatnonzero((z >= 0) & (dims > 0) & (dims < dim))
         while grow.size:
             before = dims[grow]
@@ -395,7 +398,7 @@ class ProbeEngine:
                 p, gb = pair[first : first + STACK_ITEMS], g2[first : first + STACK_ITEMS]
                 ends = table.images(u[p], gb, table.images(z[grow][e[p]], g[p], send, e[p]))
                 spans = _merge(spans, grow[e[p]].repeat(send.shape[1]), ends.reshape(-1, dim))
-            dims = _dims(spans)
+            dims = ranks(spans)
             grow = grow[(dims[grow] > before) & (dims[grow] < dim)]
         return spans
 
@@ -432,11 +435,6 @@ class ProbeEngine:
 @lru_cache(maxsize=16)
 def probe_engine(spec: ActionSpec, window: Window) -> ProbeEngine:
     return ProbeEngine(spec, window)
-
-
-def _dims(spans: np.ndarray) -> np.ndarray:
-    """The dimension of every span of a stack of canonical rows."""
-    return (spans != 0).any(axis=2).sum(axis=1)
 
 
 def _merge(spans: np.ndarray, owner: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ None of it reads the unit tables, the rank-one tables or the edge tables
 that it checks, save ``reference_saturate``, which checks how ``closure``
 and ``saturate`` walk an edge table, and the sequential short paths of a
 probe (``reference_probe``), which check the stacked pass of
-``ProbeEngine.run``; each walks the same table one row at a time.  A test
-module takes what it shares from here, never from another test module.
+``ProbeEngine.run``; each walks the same table one row at a time, through
+``reference_apply`` on the table's blocks.  A test module takes what it
+shares from here, never from another test module.
 """
 
 from collections import deque
@@ -37,6 +38,16 @@ def mat_mul(a, b) -> tuple:
         raise ValueError(f"mat_mul: inner dimensions {len(a[0])} != {len(b)}")
     bt = transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def mat_vec(m, v) -> tuple:
+    return tuple(dot(row, v) for row in m)
+
+
+def subspace_contains(outer, inner) -> bool:
+    """Whether the ``Subspace`` inner lies in outer: every row of inner is
+    a member of outer."""
+    return all(map(outer.contains_vector, inner.rows))
 
 
 def mat_sub(a, b) -> tuple:
@@ -246,6 +257,16 @@ def reference_edges(spec, window, gens) -> tuple:
 # the FIFO worklist that applies every edge
 
 
+def reference_apply(table, gi: int, cq: int, rows) -> list:
+    """The nonzero images of integer rows under q * scale * (c * Id + D) of
+    generator gi, cq = q * c, one row at a time in Python ints, from the
+    table's block ``qd[gi]`` = q * scale * D."""
+    a = cq * table.scale
+    block = table.qd[gi].tolist()
+    images = ([a * x + dot(qrow, row) for x, qrow in zip(row, block)] for row in rows)
+    return [img for img in images if any(img)]
+
+
 def reference_saturate(table, seeds: dict, stop=None, turns=None):
     """The probes' FIFO loop with no filter and no budget unless given: at
     its turn a degree sends the rows its span stored since its last turn
@@ -286,7 +307,7 @@ def reference_saturate(table, seeds: dict, stop=None, turns=None):
             span = spans.get(j)
             if span is not None and span.dim == dim:
                 continue
-            images = table.apply(gi, cq, rows)
+            images = reference_apply(table, gi, cq, rows)
             if images and grow(j, images) and stop is not None and stop(j, spans):
                 return None
     return spans
@@ -304,12 +325,12 @@ def reference_images_at(table, into: dict, i: int, vec, gis, js, cqs):
     generators; z has no edge into itself, so from z these are the loops
     z -> t -> z alone."""
     for gj in into.get(i, ()):
-        yield table.apply(gj, int(table.cq[i, gj]), [vec])
+        yield reference_apply(table, gj, int(table.cq[i, gj]), [vec])
     for gi, t, cq in zip(gis, js, cqs):
         if t in into:
-            first = table.apply(gi, cq, [vec])
+            first = reference_apply(table, gi, cq, [vec])
             for gj in into[t]:
-                yield table.apply(gj, int(table.cq[t, gj]), first)
+                yield reference_apply(table, gj, int(table.cq[t, gj]), first)
 
 
 def reference_short_paths(engine, seed_i: int, seed_vec, stop, rounds: bool) -> dict | None:
@@ -386,10 +407,10 @@ def _merged_directions(kq):
 
 
 def reference_contained(rows, anns):
-    """The per-pair test that ``contained`` stacks: one ``Subspace.contains``
-    per pair, the outer space the scalar kernel of its annihilator rows."""
+    """The per-pair test that ``contained`` stacks: per pair, every inner
+    row in the outer space, the scalar kernel of its annihilator rows."""
     dim = rows.shape[2]
-    return np.array([(kernel(ann) if ann else Subspace.full(dim)).contains(Subspace(dim, inner))
+    return np.array([all(map((kernel(ann) if ann else Subspace.full(dim)).contains_vector, inner))
                      for inner, ann in zip(rows.tolist(), anns.tolist())], dtype=bool)
 
 

@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from slmod.exterior_algebra import fundamental_subspace
 from slmod.graded_modules import ActionSpec, Lambda, Window, directions
 from slmod.sl_maps import FamilyKind, T, build_family, f, map_stack, pi
 from slmod.theorem_registry import run_check
-from reference import _merged_directions, mat_mul
+from reference import _merged_directions, mat_mul, mat_vec, subspace_contains
 
 HALF = (F(1, 2), 0, 0, 0)
 ZERO = (0, 0, 0, 0)
@@ -102,42 +104,106 @@ def test_position_validation():
         complex_homology(DERHAM, 4, HALF, WIN)
 
 
-def _per_degree_homology(cid, pos, beta, win) -> dict:
+def _per_degree_homology(cid, pos, n, beta, win) -> dict:
     """The homology table from the scalar ``kernel`` and ``image`` of each
-    map at every degree's own K, with no grouping by direction."""
-    spec = ActionSpec.make("H", 4, Lambda(pos), beta)
-    inc, out = _in_out_maps(cid, pos, 4)
-    fund = fundamental_subspace(4, pos) if cid.kind == "fsq_fund" else None
+    map at every degree's own K, with no grouping by direction; on FSQ_FUND
+    the kernel is intersected with Fund and the image is that of Fund's
+    basis vectors."""
+    spec = ActionSpec.make("H", n, Lambda(pos), beta)
+    inc, out = _in_out_maps(cid, pos, n)
+    fund = fundamental_subspace(n, pos) if cid.kind == "fsq_fund" else None
     kqs = spec.scaled_shifts(win)
-    outs = map_stack(out, 4, kqs).tolist() if out is not None else None
-    incs = map_stack(inc, 4, kqs).tolist() if inc is not None else None
+    outs = map_stack(out, n, kqs).tolist() if out is not None else None
+    incs = map_stack(inc, n, kqs).tolist() if inc is not None else None
     table = {}
     for i, k in enumerate(win.degrees()):
-        ker = kernel(outs[i]) if outs is not None else Subspace.full(comb(4, pos))
+        ker = kernel(outs[i]) if outs is not None else Subspace.full(comb(n, pos))
         ker = intersect(ker, fund) if fund is not None else ker
-        im = image(incs[i], fund) if incs is not None else Subspace.zero(comb(4, pos))
-        assert ker.contains(im), (cid, pos, k)
+        if incs is None:
+            im = Subspace.zero(comb(n, pos))
+        elif fund is None:
+            im = image(incs[i])
+        else:
+            im = Subspace(comb(n, pos), [mat_vec(incs[i], row) for row in fund.rows])
+        assert subspace_contains(ker, im), (cid, pos, k)
         table[k] = ker.dim - im.dim
     return table
 
 
-@pytest.mark.parametrize("beta", [ZERO, HALF])
-def test_homology_by_direction_matches_the_per_degree_reference(beta):
-    win = Window(4, 2)
-    cases = [(cid, pos) for cid in (DERHAM, TCHAIN) for pos in range(5)]
-    cases += [(kind(p), p) for kind in (FSQ, FSQ_FUND) for p in (1, 2)]
+@pytest.mark.parametrize("n,d", [(4, 2), (2, 2)])
+@pytest.mark.parametrize("half", [False, True])
+def test_homology_by_direction_matches_the_per_degree_reference(n, d, half):
+    win = Window(n, d)
+    beta = (F(1, 2) if half else 0,) + (0,) * (n - 1)
+    cases = [(cid, pos) for cid in (DERHAM, TCHAIN) for pos in range(n + 1)]
+    cases += [(kind(p), p) for kind in (FSQ, FSQ_FUND) for p in range(1, n // 2 + 1)]
     for cid, pos in cases:
-        assert complex_homology(cid, 4, beta, win, p=pos) == _per_degree_homology(cid, pos, beta, win), \
+        assert complex_homology(cid, n, beta, win, p=pos) == _per_degree_homology(cid, pos, n, beta, win), \
             (cid, pos)
     # the restricted prediction below the middle: the wedge image of MAX's
-    # part in Fund(1), per degree
-    spec = ActionSpec.make("H", 4, Lambda(1), beta)
-    maxf = build_family(FamilyKind.MAX, 1, spec, win)
-    fund = fundamental_subspace(4, 1)
-    k0 = spec.special_degree()
-    expected = {k: fund.dim if k == k0 else image(wedge, intersect(maxf.fiber(k), fund)).dim
-                for k, wedge in zip(win.degrees(), map_stack(pi(1), 4, spec.scaled_shifts(win)).tolist())}
-    assert predicted_homology(FSQ_FUND(1), 4, beta, win) == expected
+    # part in Fund(p), per degree
+    for p in range(1, n // 2):
+        spec = ActionSpec.make("H", n, Lambda(p), beta)
+        maxf = build_family(FamilyKind.MAX, p, spec, win)
+        fund = fundamental_subspace(n, p)
+        k0 = spec.special_degree()
+        wedges = map_stack(pi(p), n, spec.scaled_shifts(win)).tolist()
+        expected = {k: fund.dim if k == k0 else
+                    Subspace(comb(n, p + 1), [mat_vec(wedge, row) for row in intersect(maxf.fiber(k), fund).rows]).dim
+                    for k, wedge in zip(win.degrees(), wedges)}
+        assert predicted_homology(FSQ_FUND(p), n, beta, win) == expected
+
+
+def _break_one_direction(monkeypatch, spec, win, map_id, spoil):
+    """Make ``complexes.map_stack`` spoil item j of ``map_id``'s stack
+    through ``spoil(stack, j, n, kqs)``, j a direction in the middle of the
+    window's numbering.  Returns that direction's first degree in window
+    order, which is not the window's first degree."""
+    live, place, dirs = directions(spec.scaled_shifts(win))
+    j = len(dirs) // 2
+    first = win.degrees()[live[place.index(j)]]
+    assert first != win.degrees()[0]
+
+    def injection(mid, n, kqs):
+        stack = np.array(map_stack(mid, n, kqs))
+        if mid == map_id:
+            spoil(stack, j, n, kqs)
+        return stack
+
+    monkeypatch.setattr(complexes, "map_stack", injection)
+    return first
+
+
+def test_a_broken_in_map_names_its_direction_first_degree(monkeypatch):
+    """DERHAM at p = 1: the incoming map along one direction is replaced by
+    one that sends a unit vector outside the outgoing map's kernel, and the
+    error names that direction's first degree in window order."""
+    win = Window(4, 2)
+
+    def spoil(stack, j, n, kqs):
+        c = int(np.flatnonzero(map_stack(pi(1), n, kqs)[j].any(axis=0))[0])  # a column out(j) does not kill
+        stack[j] = 0
+        stack[j, c, 0] = 1
+
+    k = _break_one_direction(monkeypatch, ActionSpec.make("H", 4, Lambda(1), HALF), win, pi(0), spoil)
+    with pytest.raises(RuntimeError) as err:
+        complex_homology(DERHAM, 4, HALF, win, p=1)
+    assert str(err.value) == f"complex property violated at degree {k}"
+
+
+def test_a_broken_square_names_its_direction_first_degree(monkeypatch):
+    """FSQ(1): f(1) along one direction is replaced by the identity, whose
+    square is not zero, and the error names that direction's first degree
+    in window order."""
+    win = Window(4, 2)
+
+    def spoil(stack, j, n, kqs):
+        stack[j] = np.eye(stack.shape[1], dtype=stack.dtype)
+
+    k = _break_one_direction(monkeypatch, ActionSpec.make("H", 4, Lambda(1), HALF), win, f(1), spoil)
+    with pytest.raises(RuntimeError) as err:
+        complex_homology(FSQ(1), 4, HALF, win)
+    assert str(err.value) == f"square-zero violated at degree {k}"
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -165,3 +231,17 @@ def test_a_directions_mutant_that_merges_two_directions_is_caught(monkeypatch):
     monkeypatch.setattr(complexes, "directions", _merged_directions)
     assert run_check("fiber-equalities", N=4, beta=ZERO, d=2).status == "FAIL"
     assert run_check("homology", N=4, beta=HALF, d=1).status in ("FAIL", "ERROR")
+
+
+SCALAR = {"Subspace", "kernel", "image", "rank", "rref", "intersect", "subspace_sum"}
+
+
+def test_homology_stays_off_the_scalar_path():
+    """``complexes`` neither imports nor reaches as an attribute any of the
+    scalar ``Subspace`` operations: homology reads its tables off stacked
+    ranks alone."""
+    tree = ast.parse(Path(complexes.__file__).read_text())
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & SCALAR, sorted(names & SCALAR)

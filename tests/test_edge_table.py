@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from slmod import graded_modules
-from slmod.exact_linalg import IntSpan, Subspace, echelon_stack, int_blocks, mat_vec, subspace_sum
+from slmod.exact_linalg import IntSpan, Subspace, echelon_stack, int_blocks, put_ints, subspace_sum
 from slmod.graded_modules import (
     ActionSpec,
     EdgeTable,
@@ -36,7 +36,7 @@ from slmod.graded_modules import (
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import ProbeEngine, probe_engine
 from slmod.torus_lie import rank_one, rank_one_sym
-from reference import action_matrix_int, fiber_action, reference_edges, reference_saturate
+from reference import action_matrix_int, fiber_action, mat_vec, reference_apply, reference_edges, reference_saturate
 
 
 def full_rank(mats: list, dim: int) -> list:
@@ -346,9 +346,11 @@ def test_closure_and_probes_match_the_fiber_action_reference(kind, n, d, fiber, 
 @pytest.mark.parametrize("kind,n,d,fiber,beta", list(_cases(heavy=True)) + [
     pytest.param("H", 6, 1, Fund(2), (F(1, 2),) + (0,) * 5, id="H-N6-Fund(2)-b1/2")])
 def test_edge_table_apply_matches_fiber_action(kind, n, d, fiber, beta):
-    """apply is q * scale * (c Id + D) on every edge of three degrees (at
-    N = 6, where the dense product is widest, of the centre alone), on unit
-    rows and on unit rows times 2^70, whose products pass int64."""
+    """The table's maps are q * scale * (c Id + D) on every edge of three
+    degrees (at N = 6, where the dense product is widest, of the centre
+    alone), on unit rows and on unit rows times 2^70, whose products pass
+    int64: through ``reference_apply`` one row at a time, and through one
+    ``EdgeTable.images`` call per degree, on Python ints for the large rows."""
     spec = ActionSpec.make(kind, n, fiber, beta)
     window = Window(n, d)
     dim = spec.space().dim
@@ -357,19 +359,28 @@ def test_edge_table_apply_matches_fiber_action(kind, n, d, fiber, beta):
     centre = table.index[(0,) * n]
     for i in (centre,) if n == 6 else (0, centre, len(table.degs) - 1):
         k = table.degs[i]
-        for gi, j, cq in zip(*table.edges(i)):
+        gis, js, cqs = table.edges(i)
+        stacked = {}
+        for big in (1, 2**70):
+            block = put_ints(np.zeros((1, dim, dim), dtype=np.int64), 0, [[big * x for x in unit] for unit in units])
+            images = table.images(np.full(len(gis), i, dtype=np.intp), np.array(gis, dtype=np.intp), block,
+                                  np.zeros(len(gis), dtype=np.intp))
+            assert images.dtype == (np.int64 if big == 1 else object)
+            stacked[big] = images.tolist()
+        for e, (gi, j, cq) in enumerate(zip(gis, js, cqs)):
             g = table.gens[gi]
             assert table.degs[j] == tuple(a + b for a, b in zip(k, g.r))
             factor = spec.q * table.scale
             # the image of the c-th unit vector is column c of the exact matrix
             columns = zip(*fiber_action(spec, g, k))
-            for unit, column in zip(units, columns):
+            for c, (unit, column) in enumerate(zip(units, columns)):
                 exact = [factor * x for x in column]
                 assert all(x.denominator == 1 for x in exact)
                 for big in (1, 2**70):
-                    want = [[big * int(x) for x in exact]] if any(exact) else []
-                    assert table.apply(gi, cq, [[big * x for x in unit]]) == want
-        assert len(table.edges(i)[0]) + table.skipped[i] == len(table.gens)
+                    want = [big * int(x) for x in exact]
+                    assert reference_apply(table, gi, cq, [[big * x for x in unit]]) == ([want] if any(want) else [])
+                    assert stacked[big][e][c] == want
+        assert len(gis) + table.skipped[i] == len(table.gens)
 
 
 @pytest.mark.parametrize("n,d,fiber,beta,first", [
@@ -492,8 +503,8 @@ def _edges_int_closure():
 
 def test_closure_stores_no_row_through_the_fifo_path(monkeypatch):
     """The rounds grow canonical blocks by stacked products and eliminations:
-    the edges INT closure calls neither ``IntSpan.add`` nor
-    ``EdgeTable.apply``, and still ends on the FIFO loop's spans."""
+    the edges INT closure never calls ``IntSpan.add``, and still ends on the
+    FIFO loop's spans."""
     spec, window, seeds = _edges_int_closure()
     fifo = _fifo_family(spec, window, seeds)
     calls = []
@@ -505,7 +516,6 @@ def test_closure_stores_no_row_through_the_fifo_path(monkeypatch):
         return call
 
     monkeypatch.setattr(IntSpan, "add", refused("IntSpan.add"))
-    monkeypatch.setattr(EdgeTable, "apply", refused("EdgeTable.apply"))
     fam = closure(spec, seeds, window)
     assert calls == []
     for k in window.degrees():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmod.exact_linalg import Subspace, identity, mat_vec, rank
+from slmod.exact_linalg import Subspace, identity, rank
 from slmod.exterior_algebra import (
     ExtVector,
     ext_basis,
@@ -16,7 +16,7 @@ from slmod.exterior_algebra import (
     wedge,
 )
 from slmod.torus_lie import degree_box, rank_one_sym
-from reference import check_unit_tables, from_triplets, gl_action_matrix, interior_matrix, mat_mul, mat_sub, sym_action_matrix, wedge_matrix
+from reference import check_unit_tables, from_triplets, gl_action_matrix, interior_matrix, mat_mul, mat_sub, mat_vec, sym_action_matrix, wedge_matrix
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])

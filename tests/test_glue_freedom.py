@@ -3,7 +3,7 @@
 The program tests both directions at the degenerate degree k0 = -beta with
 ``fiber_escapes``, one item per edge.  The reference below walks the
 per-degree reference edge lists for the maps into k0 and applies each with
-``EdgeTable.apply``, then sends the full fiber at k0 through each of its
+``reference_apply``, then sends the full fiber at k0 through each of its
 out-edges and pairs the images with the minimal family's annihilator.  Both
 must produce the same records and counts, on the families the checks glue
 and on two mutations that must FAIL.
@@ -26,7 +26,7 @@ from slmod.graded_modules import (
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import _glue_freedom
-from reference import reference_edges
+from reference import reference_apply, reference_edges
 
 
 def reference_glue_freedom(rec, spec, families, window):
@@ -44,7 +44,7 @@ def reference_glue_freedom(rec, spec, families, window):
             if j != i0:
                 continue
             for family in families:
-                if table.apply(gi, cq, family.fiber(table.degs[i]).rows):
+                if reference_apply(table, gi, cq, family.fiber(table.degs[i]).rows):
                     bad_in += 1
     rec.record(bad_in == 0, expected="no image lands in the degenerate fiber",
                actual=f"{bad_in} nonzero images", note="glue freedom, incoming")
@@ -53,7 +53,7 @@ def reference_glue_freedom(rec, spec, families, window):
     bad_out = 0
     for gi, j, cq in out_edges[i0]:
         ann = families[0].fiber(table.degs[j]).annihilator()
-        images = table.apply(gi, cq, full_rows)
+        images = reference_apply(table, gi, cq, full_rows)
         if any(sum(map(mul, a, img)) for a in ann for img in images):
             bad_out += 1
     rec.record(bad_out == 0, expected="degenerate fiber maps into the minimal family",

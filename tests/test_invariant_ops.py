@@ -11,7 +11,6 @@ from slmod.exact_linalg import (
     _int_matrix,
     dot,
     format_vector,
-    mat_vec,
 )
 from slmod.exterior_algebra import sym_position
 from slmod.graded_modules import ActionSpec, Fund, GradedFamily, Lambda, Sym2, Window
@@ -26,7 +25,7 @@ from slmod.invariant_ops import (
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family, symplectic_extend
 from slmod.torus_lie import degree_box, rank_one, rank_one_sym, sympl_form
-from reference import _merged_directions, action_matrix_int
+from reference import _merged_directions, action_matrix_int, mat_vec
 
 K1 = (1, 0, 0, 0)
 ZERO = (0, 0, 0, 0)

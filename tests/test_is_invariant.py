@@ -32,7 +32,7 @@ from slmod.graded_modules import (
 )
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family
-from reference import reference_edges
+from reference import reference_apply, reference_edges
 
 
 def reference_is_invariant(spec, family):
@@ -53,7 +53,7 @@ def reference_is_invariant(spec, family):
         rec.counts["skipped"] += len(gens) - len(out_edges[i])
         for gi, j, cq in out_edges[i]:
             tgt = family.fiber(table.degs[j])
-            images = table.apply(gi, cq, sub.rows)
+            images = reference_apply(table, gi, cq, sub.rows)
             if any(any(_reduce_row(img, tgt.rows, tgt.pivots)) for img in images):
                 rec.record(
                     False,
@@ -168,7 +168,7 @@ def _escaping_generators(spec, family, k):
     escaping = []
     for gi, j, cq in out_edges[table.index[k]]:
         tgt = family.fiber(table.degs[j])
-        if any(any(_reduce_row(img, tgt.rows, tgt.pivots)) for img in table.apply(gi, cq, rows)):
+        if any(any(_reduce_row(img, tgt.rows, tgt.pivots)) for img in reference_apply(table, gi, cq, rows)):
             escaping.append(gi)
     return escaping
 

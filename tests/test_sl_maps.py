@@ -8,7 +8,7 @@ import pytest
 
 import slmod.sl_maps as sl_maps
 from slmod.cli import main
-from slmod.exact_linalg import Subspace, image, intersect, kernel, mat_vec
+from slmod.exact_linalg import Subspace, image, intersect, kernel
 from slmod.exterior_algebra import fundamental_subspace
 from slmod.graded_modules import ActionSpec, Fund, Lambda, ScalarFiber, Sym2, Window, fiber_space
 from slmod.sl_maps import (
@@ -26,7 +26,7 @@ from slmod.sl_maps import (
     verify_module_map,
 )
 from slmod.torus_lie import bar, rank_one_sym
-from reference import action_matrix_int, interior_matrix, mat_mul, monomial_theta_matrix, wedge_matrix
+from reference import action_matrix_int, interior_matrix, mat_mul, mat_vec, monomial_theta_matrix, wedge_matrix
 
 HALF = (F(1, 2), 0, 0, 0)
 ZERO = (0, 0, 0, 0)

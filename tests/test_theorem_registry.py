@@ -28,7 +28,7 @@ from slmod.theorem_registry import (
     probe_engine,
     run_check,
 )
-from reference import fiber_action, reference_contained, reference_probe
+from reference import fiber_action, reference_contained, reference_probe, subspace_contains
 
 HALF = (F(1, 2), 0, 0, 0)
 
@@ -864,7 +864,7 @@ def test_inclusion_chain_fails_at_the_one_faulty_degree():
         k = (1, 0, 0, 0)  # one of five degrees along e_1
         it.place[win.index(k)] = it.place[win.index((0, 1, 0, 0))]
         assert it.fiber(k).dim == it.fiber((2, 0, 0, 0)).dim
-        assert not it.fiber(k).contains(mn.fiber(k))
+        assert not subspace_contains(it.fiber(k), mn.fiber(k))
         got = run_check("inclusion-chain", N=4, beta=HALF, d=2).to_dict()
         assert got["status"] == "FAIL"
         failed = [(d["degree"], d["actual"]) for d in got["details"]

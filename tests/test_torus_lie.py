@@ -5,7 +5,7 @@ import pytest
 
 import slmod.exact_linalg as exact_linalg
 from slmod.exact_linalg import (
-    _int_matrix, dot, fits_int64, identity, kernel, mat_vec, matrix,
+    _int_matrix, dot, fits_int64, identity, kernel, matrix,
 )
 from slmod.graded_modules import Lambda, Sym2, fiber_space
 from slmod.theorem_registry import _j_samples
@@ -20,7 +20,7 @@ from slmod.torus_lie import (
     sp_dim,
     sympl_form,
 )
-from reference import action_matrix_int, from_triplets, gl_action_matrix, mat_mul
+from reference import action_matrix_int, from_triplets, gl_action_matrix, mat_mul, mat_vec
 
 
 def test_bar_examples():
