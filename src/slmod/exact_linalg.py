@@ -24,7 +24,6 @@ read-off rows back, and ``intersect`` is the kernel of both annihilators' rows.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -183,13 +182,6 @@ def _reduce_row(vec_: list[int], rows, pivots) -> list[int]:
     return vec_
 
 
-def _lead(row: Sequence[int]) -> int:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return -1
-
-
 def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Full Gauss-Jordan over Z; returns primitive canonical rows and pivots.
 
@@ -336,47 +328,6 @@ def subspaces(stack: np.ndarray) -> list:
             for item, lead in zip(stack.tolist(), leads(stack).tolist())]
 
 
-class IntSpan:
-    """Incrementally grown span of integer vectors (forward echelon only).
-
-    Rows stay primitive and sorted by leading column; suitable for the
-    probes' FIFO turns, where many membership tests and single-vector
-    inserts happen.
-    """
-
-    __slots__ = ("ambient", "rows", "pivots")
-
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def residual(self, vector: Sequence[int]) -> list[int]:
-        return _reduce_row(list(vector), self.rows, self.pivots)
-
-    def contains(self, vector: Sequence[int]) -> bool:
-        return not any(self.residual(vector))
-
-    def add(self, vector: Sequence[int]) -> list[int] | None:
-        """Insert a vector; returns the reduced row stored, or None when the
-        span did not grow.  The stored row is always a new list: ``vector``
-        is neither changed nor kept."""
-        res = _reduce_row(vector, self.rows, self.pivots)
-        lead = _lead(res)
-        if lead < 0:
-            return None
-        g = gcd(*res)
-        res = [x // (g if res[lead] > 0 else -g) for x in res]
-        pos = bisect_left(self.pivots, lead)
-        self.rows.insert(pos, res)
-        self.pivots.insert(pos, lead)
-        return res
-
-
 class Subspace:
     """A subspace of Q^n in canonical reduced-row-echelon form, spanned by
     the given Python-int rows.
@@ -472,12 +423,8 @@ def rref(m) -> Subspace:
 
 
 def rank(m) -> int:
-    """The number of rows a forward-only ``IntSpan`` of m's rows stores."""
-    m = matrix(m)
-    span = IntSpan(len(m[0]) if m else 0)
-    for row in m:
-        span.add(row)
-    return span.dim
+    """The number of canonical rows of m's row space, as ``Subspace(...).dim``."""
+    return len(_echelon(matrix(m))[0])
 
 
 def kernel(m) -> Subspace:

@@ -14,7 +14,6 @@ grade shift alpha changes no family, closure or verdict and is not modelled.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -25,7 +24,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .exact_linalg import (
-    IntSpan,
     Subspace,
     _int_matrix,
     annihilator_stack,
@@ -553,10 +551,10 @@ class EdgeTable:
         self._by_offset = np.argsort(self.offset, kind="stable")
 
     def edges(self, i: int) -> tuple:
-        """``(gis, js, cqs)``: the generator, target index and cq of every
-        map leaving degree index i for the window, in generator order."""
-        gis = self.inbox[i].nonzero()[0]  # a few numpy calls: probes call this per step
-        return gis.tolist(), (self.offset[gis] + i).tolist(), self.cq[i][gis].tolist()
+        """``(gis, js)``: the generator and target index of every map
+        leaving degree index i for the window, in generator order."""
+        gis = self.inbox[i].nonzero()[0]
+        return gis.tolist(), (self.offset[gis] + i).tolist()
 
     def edges_into(self, j: int) -> tuple:
         """``(gis, srcs)``: the generator and source index of every map from
@@ -602,73 +600,6 @@ class EdgeTable:
 @lru_cache(maxsize=16)
 def edge_table(spec: ActionSpec, window: Window, gens: tuple) -> EdgeTable:
     return EdgeTable(spec, window, gens)
-
-
-# turns of a probe's hooked FIFO start: the hooks that fire in check-all and
-# main-classification N=6 d=2 fire within three, those of the edges workload
-# at 120 seeds within four; ``closure`` finishes the others
-HOOK_TURNS = 4
-
-
-def saturate(table: EdgeTable, seeds: dict, stop) -> bool:
-    """The hooked start of a probe: grow spans from integer seed rows along
-    the table's maps for at most ``HOOK_TURNS`` turns, and say whether
-    ``stop`` fired.
-
-    ``seeds`` maps degree indices to integer rows: for a probe, the seed
-    vector at its degree and the canonical rows of its span at z from the
-    short-path pass, every one in the seed's closure.  The worklist is FIFO
-    and semi-naive: at its turn a degree sends along its out-edges only the
-    rows its span stored since its last turn, their images along every
-    edge in one ``EdgeTable.images`` call; the nonzero ones go to
-    ``IntSpan.add`` row by row, edge by edge, and an edge is skipped once
-    its target is full.  ``stop(i, spans)``, with ``spans`` the degree
-    index -> ``IntSpan`` map, is asked once for each seed degree and again
-    whenever the span at i grows; a true answer ends the run.  The hook
-    reads the spans as they grow, so the stored rows follow a fixed order;
-    ``closure``, which needs only the final spaces, grows canonical blocks
-    in stacked rounds instead.
-    """
-    dim = table.dim
-    spans: dict = {}
-    fresh: dict = {}  # degree index -> stored rows not yet sent along its edges
-    queue: deque = deque()
-
-    def grow(i: int, rows) -> bool:
-        span = spans.get(i)
-        if span is None:
-            span = spans[i] = IntSpan(dim)
-        new = [row for row in map(span.add, rows) if row is not None]
-        if not new:
-            return False
-        if i in fresh:
-            fresh[i] += new
-        else:
-            fresh[i] = new
-            queue.append(i)
-        return True
-
-    for i, rows in seeds.items():
-        grow(i, rows)
-        if stop(i, spans):
-            return True
-    for _ in range(HOOK_TURNS):
-        if not queue:
-            break
-        i = queue.popleft()
-        rows = fresh.pop(i)
-        gis, js, _ = table.edges(i)
-        block = put_ints(np.zeros((1, len(rows), dim), dtype=np.int64), 0, rows)
-        out = table.images(np.full(len(gis), i, dtype=np.intp), np.array(gis, dtype=np.intp), block,
-                           np.zeros(len(gis), dtype=np.intp)).tolist()
-        for j, images in zip(js, out):
-            span = spans.get(j)
-            if span is not None and span.dim == dim:
-                continue
-            images = [row for row in images if any(row)]
-            if images and grow(j, images) and stop(j, spans):
-                return True
-    return False
 
 
 class _Spans:

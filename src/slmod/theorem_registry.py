@@ -16,9 +16,9 @@ the predicted family there.  The seed's images along the edges and
 two-edge paths into one certified neighbour usually fill that neighbour's
 fiber at once, where a plain fixpoint run would take several whole visits.
 A sweep's seeds take those paths together, in stacked products and one
-stacked elimination; a few FIFO turns follow for each seed whose
-certificate has not fired, and the seed's closure backs up every probe
-whose certificate has not fired by then.
+stacked elimination; the seeds whose certificate has not fired take a
+few FIFO turns together, on stacked spans, and the seed's closure backs up
+every probe whose certificate has not fired by then.
 
 A probe against the full fiber needs two more steps.  At integral beta its
 certificate would also have to find the degenerate fiber full.  Each engine
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +44,6 @@ from math import comb
 import numpy as np
 
 from .exact_linalg import (
-    IntSpan,
     Subspace,
     _int_matrix,
     annihilator_stack,
@@ -91,7 +91,6 @@ from .graded_modules import (
     fiber_space,
     is_invariant,
     place_tuples,
-    saturate,
 )
 from .invariant_ops import (
     invariance_report,
@@ -126,6 +125,11 @@ from .torus_lie import (
 from .complexes import DERHAM, FSQ, FSQ_FUND, TCHAIN, compare_with_prediction
 
 DEFAULT_SEED = 20240801
+
+# turns of a probe's hooked FIFO start: the hooks that fire in check-all and
+# main-classification N=6 d=2 fire within three, those of the edges workload
+# at 120 seeds within four; ``closure`` finishes the others
+HOOK_TURNS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +216,20 @@ class ProbeEngine:
         """Whether the images of full fibers at the interior degrees with an
         in-window edge into the degenerate degree s span the fiber at s: the
         maps' images of the unit vectors in one ``EdgeTable.images`` call,
-        added to one ``IntSpan`` until it is full."""
+        eliminated in one ``echelon_stack``."""
         table = self.table
         sources = set(self.interior) - set(self.special)
         gis, srcs = (np.array(e, dtype=np.intp) for e in table.edges_into(s))
         keep = np.isin(srcs, list(sources))
         units = np.eye(table.dim, dtype=np.int64)[None]
         images = table.images(srcs[keep], gis[keep], units, np.zeros(keep.sum(), dtype=np.intp))
-        span = IntSpan(table.dim)
-        for row in images.reshape(-1, table.dim).tolist():
-            if span.add(row) is not None and span.dim == table.dim:
-                return True
-        return False
+        return ranks(echelon_stack(images.reshape(1, -1, table.dim)))[0] == table.dim
+
+    def _dominator_mask(self) -> np.ndarray:
+        """The dominators as a mask over degree indices, its last entry
+        standing for the degrees off the window."""
+        return np.bincount(np.array(sorted(self.dominators), dtype=np.intp),
+                           minlength=len(self.table.degs) + 1) > 0
 
     # -- probe runs ----------------------------------------------------------
 
@@ -249,12 +255,12 @@ class ProbeEngine:
         "contains": the closure must contain the target rows on the interior.
 
         A certified target runs the seeds through ``_path_pass`` in groups
-        with at most ``ROUND_EDGES`` out-edges.  A seed whose hook has not
-        fired there goes on alone: to the hooked FIFO turns of ``saturate``
-        from the seed and its span at z, and then to the ``closure`` of
-        those rows, which is the seed's closure, since every row at z lies
-        in it.  Every seed of an uncertified target reads its answer off its
-        ``closure``."""
+        with at most ``ROUND_EDGES`` out-edges, and the group's seeds whose
+        hook has not fired there through the hooked FIFO turns of
+        ``_turns``, from the seed and its span at z.  A seed whose hook has
+        not fired by then goes on to the ``closure`` of those rows, which is
+        the seed's closure, since every row at z lies in it.  Every seed of
+        an uncertified target reads its answer off its ``closure``."""
         if not self.interior:
             raise ValueError(
                 f"window d={self.window.d} has an empty interior: a probe would check nothing")
@@ -270,26 +276,18 @@ class ProbeEngine:
             group = slice(first, first + step)
             if target.certified:
                 starts = self._path_pass(at[group], vectors[group], mode, target)
+                left = [e for e, start in enumerate(starts) if start is not None]
+                for e, fired in zip(left, self._turns([starts[e] for e in left], mode, target).tolist()):
+                    if fired:
+                        starts[e] = None
             else:
                 starts = [{i: [v]} for i, v in zip(at[group], vectors[group])]
             answers += [start is None or self._answer(start, mode, target) for start in starts]
         return answers
 
     def _answer(self, start: dict, mode: str, target: ProbeTarget) -> bool:
-        """The answer of one seed whose hook has not fired, from ``start``,
-        its degree index -> rows map: the hooked FIFO turns on a certified
-        target, then the closure of the rows."""
-        if target.certified:
-            shown: dict = {}  # span -> its leading target rows shown contained
-
-            # interior degenerate degrees are outside every certificate's
-            # reach: the target's are checked directly
-            def stop(i, spans):
-                return (i in self.dominators and self._holds((i,), mode, target, spans, shown)
-                        and self._holds(target.special, mode, target, spans, shown))
-
-            if saturate(self.table, start, stop):
-                return True
+        """The answer of one seed whose hook has not fired, from the closure
+        of ``start``, its degree index -> rows map."""
         degs = self.table.degs
         family = closure(self.spec, {degs[i]: rows for i, rows in start.items() if rows}, self.window,
                          self.gens)
@@ -323,9 +321,7 @@ class ProbeEngine:
         table, dim = self.table, self.table.dim
         src = np.array(at, dtype=np.intp)
         vecs = int_blocks([[v] for v in vectors], dim)
-        # the dominator mask, its last entry standing for the degrees off the window
-        dominator = np.bincount(np.array(sorted(self.dominators), dtype=np.intp),
-                                minlength=len(table.degs) + 1) > 0
+        dominator = self._dominator_mask()
         out = table.inbox[src]
         tgts = np.where(out, src[:, None] + table.offset, -1)
         hit = dominator[tgts]
@@ -349,7 +345,14 @@ class ProbeEngine:
         ends = table.images(t[pair[early]], g2[early], hops, pair[early])
         spans = _merge(np.zeros((len(src), dim, dim), dtype=np.int64),
                        np.concatenate([b[direct], via[early]]), np.concatenate([hops[direct], ends])[:, 0])
-        hook = self._hook(z, mode, target)
+        # the pass stores no row at a degenerate degree: the target's must be empty there
+        holds = not any(target.dims.get(s, 0) if mode == "exact" else target.rows.get(s)
+                        for s in target.special)
+        test = self._hook(z, mode, target)
+
+        def hook(spans):
+            return holds & (z >= 0) & test(spans)
+
         late = ~early & ~(hook(spans) | (ranks(spans) == dim))[via]
         spans = _merge(spans, via[late], table.images(t[pair[late]], g2[late], hops, pair[late])[:, 0])
         # targets with rows keep round 0 alone: for the contains-mode
@@ -364,19 +367,19 @@ class ProbeEngine:
                 starts[e][zi] = [row for row in span if any(row)]
         return starts
 
-    def _hook(self, z: np.ndarray, mode: str, target: ProbeTarget):
-        """The certificate hook of a group's spans at z, as a test of a
-        (B, D, D) span stack: the span reaches the target dims at z
-        ("exact") or holds the target rows there ("contains", against the
-        span's annihilator), and the target's degenerate degrees, where no
-        span stores a row, hold."""
+    def _hook(self, at: np.ndarray, mode: str, target: ProbeTarget):
+        """The certificate hook's fiber test at degree indices ``at``, as a
+        test of a (B, D, D) stack of canonical spans, item b at ``at[b]``:
+        the span reaches the target dims there ("exact"; a span inside an
+        invariant target reaches them when its dims are at least the
+        target's) or holds the target rows ("contains", against the span's
+        annihilator, which is zero on a full span).  A degree with no target
+        entry, such as -1, asks for nothing."""
         if mode == "exact":
-            holds = all(target.dims.get(s, 0) == 0 for s in target.special)
-            need = np.array([target.dims.get(i, 0) for i in z.tolist()], dtype=np.intp)
-            return lambda spans: holds & (z >= 0) & (ranks(spans) >= need)
-        holds = not any(target.rows.get(s) for s in target.special)
-        rows = int_blocks([target.rows.get(i, ()) for i in z.tolist()], self.table.dim)
-        return lambda spans: holds & (z >= 0) & contained(rows, annihilator_stack(spans))
+            need = np.array([target.dims.get(i, 0) for i in at.tolist()], dtype=np.intp)
+            return lambda spans: ranks(spans) >= need
+        rows = int_blocks([target.rows.get(i, ()) for i in at.tolist()], self.table.dim)
+        return lambda spans: contained(rows, annihilator_stack(spans))
 
     def _loop_rounds(self, z: np.ndarray, spans: np.ndarray) -> np.ndarray:
         """Grow each seed's span at z by its images along the two-edge loops
@@ -402,34 +405,112 @@ class ProbeEngine:
             grow = grow[(dims[grow] > before) & (dims[grow] < dim)]
         return spans
 
-    def _holds(self, degrees, mode: str, target: ProbeTarget, spans, shown: dict) -> bool:
-        """The certificate hook's fiber test at each degree, on the
-        ``IntSpan``s of the FIFO turns of ``saturate``: "exact" compares
-        dims, "contains" asks for every target row, which a full span holds.
-        A span only grows, so the ``shown[span]`` leading target rows found
-        contained in it stay contained and are not tested again.  The
-        short-path pass makes the same test once on each stacked span, with
-        "exact" read as dims at least the target's (``_path_pass``)."""
-        for i in degrees:
-            span = spans.get(i)
-            if mode == "exact":
-                if (span.dim if span is not None else 0) != target.dims.get(i, 0):
-                    return False
-            else:
-                rows = target.rows.get(i, ())
-                if not rows:
-                    continue
-                # canonical target rows are independent: a smaller span misses one
-                if span is None or span.dim < len(rows):
-                    return False
-                if span.dim < span.ambient:
-                    done = shown.get(span, 0)
-                    while done < len(rows) and span.contains(rows[done]):
-                        done += 1
-                    shown[span] = done
-                    if done < len(rows):
-                        return False
-        return True
+    def _turns(self, starts: list, mode: str, target: ProbeTarget) -> np.ndarray:
+        """Whether the hook fires in the FIFO turns of each seed, from
+        ``starts[b]``, its degree index -> rows map: the seed and its span
+        at z.
+
+        Each seed queues the degrees whose span grew since their last turn,
+        in the order they grew, the start's first, and takes at most
+        ``HOOK_TURNS`` turns; the seeds take theirs together.  The spans are
+        canonical (seed, degree) items of one store, found through a dense
+        (seeds, degrees) slot index whose 0 is the zero span.  A turn sends
+        the span at each live seed's next queued degree along its in-window
+        edges into targets that are not full, in slices of ``STACK_ITEMS``
+        // (live seeds) edges of each seed: a slice's images come from one
+        ``EdgeTable.images`` call and go into the spans in one ``_merge``.
+        The targets that grew join their seed's queue in edge order, and the
+        hook (``_hook``) is tested at each of them that is a dominator,
+        together with the seed's items at the target's degenerate degrees,
+        as it is at the start items.  A span's images along an edge hold
+        those of the rows it had at an earlier turn, so after each slice a
+        seed's spans are those of a row-by-row run of the same turns after
+        the same edges; a span only grows and the hook only gets truer as it
+        grows, so the hook fires by the slice's end where that run fires
+        within the slice.
+        """
+        table, dim = self.table, self.table.dim
+        count = len(starts)
+        fired = np.zeros(count, dtype=np.intp) != 0
+        if not count:
+            return fired
+        dominator = self._dominator_mask()
+        special = np.array(target.special, dtype=np.intp)
+        slot = np.zeros((count, len(table.degs)), dtype=np.intp)
+        queued = np.zeros(slot.shape, dtype=np.intp)  # 1 where the degree waits in the seed's queue
+        spans = np.zeros((1 + sum(map(len, starts)), dim, dim), dtype=np.int64)
+        used = 1
+
+        def place(bs, js):
+            """Give each (seed, degree) pair with no item a new zero one."""
+            nonlocal spans, used
+            new = slot[bs, js] == 0
+            bs, js = bs[new], js[new]
+            slot[bs, js] = np.arange(len(bs))
+            taken = np.bincount(slot[bs, js], minlength=len(bs)) > 0  # one entry per pair
+            slot[bs, js] = used + (np.cumsum(taken) - 1)[slot[bs, js]]
+            used += int(taken.sum())
+            if used > len(spans):
+                spans = np.concatenate([spans, np.zeros((max(used, 2 * len(spans)) - len(spans), dim, dim),
+                                                        dtype=np.int64)])
+
+        def hook(bs, js):
+            """Mark fired the seeds bs[t] whose hook holds at a dominator
+            js[t] and at the target's degenerate degrees."""
+            on = dominator[js]
+            if not on.any():
+                return
+            bs, js = bs[on], js[on]
+            held = np.flatnonzero(np.bincount(bs[self._hook(js, mode, target)(spans[slot[bs, js]])],
+                                              minlength=count))
+            if len(special) and len(held):
+                ss, sb = np.tile(special, len(held)), held.repeat(len(special))
+                holds = self._hook(ss, mode, target)(spans[slot[sb, ss]]).reshape(len(held), len(special))
+                held = held[holds.all(axis=1)]
+            fired[held] = True
+
+        queues = [deque(i for i, rows in start.items() if rows) for start in starts]
+        bs = np.array([b for b, start in enumerate(starts) for rows in start.values() for _ in rows],
+                      dtype=np.intp)
+        js = np.array([i for start in starts for i, rows in start.items() for _ in rows], dtype=np.intp)
+        rows = [row for start in starts for block in start.values() for row in block]
+        place(bs, js)
+        queued[bs, js] = 1
+        spans = _merge(spans, slot[bs, js], put_ints(np.zeros((len(rows), dim), dtype=np.int64),
+                                                     slice(None), rows))
+        hook(bs, js)
+        for _ in range(HOOK_TURNS):
+            live = np.array([b for b, queue in enumerate(queues) if queue and not fired[b]], dtype=np.intp)
+            if not live.size:
+                break
+            src = np.array([queues[b].popleft() for b in live.tolist()], dtype=np.intp)
+            queued[live, src] = 0
+            send = spans[slot[live, src]]
+            send = send[:, : ranks(send).max()]
+            e, g = np.nonzero(table.inbox[src])  # each live seed's edges, in generator order
+            tb, tj = live[e], src[e] + table.offset[g]
+            pos = np.arange(len(e)) - np.searchsorted(e, e)  # each edge's place among its seed's
+            width = max(1, STACK_ITEMS // len(live))
+            for first in range(0, len(table.gens), width):
+                p = np.flatnonzero((pos >= first) & (pos < first + width) & ~fired[tb])
+                p = p[ranks(spans[slot[tb[p], tj[p]]]) < dim]  # a full target holds every image
+                images = table.images(src[e[p]], g[p], send, e[p])
+                item, row = np.nonzero(images.any(axis=2))
+                bs, js = tb[p[item]], tj[p[item]]
+                place(bs, js)
+                owner = slot[bs, js]
+                # each target once, at its first nonzero image, in edge order
+                order = np.argsort(owner, kind="stable")
+                firsts = np.sort(order[np.diff(owner[order], prepend=-1) != 0])
+                before = ranks(spans[owner[firsts]])
+                spans = _merge(spans, owner, images[item, row])
+                grew = firsts[ranks(spans[owner[firsts]]) > before]
+                for b, j in zip(bs[grew].tolist(), js[grew].tolist()):
+                    if not queued[b, j]:
+                        queued[b, j] = 1
+                        queues[b].append(j)
+                hook(bs[grew], js[grew])
+        return fired
 
 
 @lru_cache(maxsize=16)
@@ -440,18 +521,19 @@ def probe_engine(spec: ActionSpec, window: Window) -> ProbeEngine:
 def _merge(spans: np.ndarray, owner: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The (B, D, D) stack of canonical spans, zero rows last, with each
     ``rows[r]`` added to the span ``owner[r]``: the rows of each owner
-    stacked under its span, in one ``echelon_stack``."""
+    stacked under the nonzero rows of its span, in one ``echelon_stack``."""
     if not len(owner):
         return spans
-    dim = spans.shape[2]
     order = np.argsort(owner, kind="stable")
     owner = owner[order]
     slot = np.arange(len(owner)) - np.searchsorted(owner, owner)  # each row's place among its owner's
     first = slot == 0
     targets = owner[first]
-    work = np.zeros((len(targets), dim + int(slot.max()) + 1, dim), dtype=np.int64)
-    work = put_ints(work, (np.cumsum(first) - 1, dim + slot), rows[order])
-    red = echelon_stack(put_ints(work, (slice(None), slice(None, dim)), spans[targets]))
+    old = spans[targets]
+    h = int(ranks(old).max())
+    work = np.zeros((len(targets), h + int(slot.max()) + 1, spans.shape[2]), dtype=np.int64)
+    work = put_ints(work, (np.cumsum(first) - 1, h + slot), rows[order])
+    red = echelon_stack(put_ints(work, (slice(None), slice(None, h)), old[:, :h]))
     return put_ints(spans, (targets, slice(None, red.shape[1])), red)
 
 
@@ -999,7 +1081,7 @@ def _glue_freedom(rec: Recorder, spec: ActionSpec, families, window: Window):
     rec.tally(bad_in, "no image lands in the degenerate fiber", "nonzero images",
               "glue freedom, incoming")
     # out of the full fiber at k0 into the minimal family's blocks
-    gis, js, _ = table.edges(i0)
+    gis, js = table.edges(i0)
     mn = families[0]
     cs = table.cq[i0, gis] * table.scale
     bad_out = int(fiber_escapes(eye, mn.anns[mn.place[js]], cs, table.qd[gis])[0].any(-1).sum())

@@ -6,25 +6,27 @@ test, one planted ``directions`` mutant, and the golden catalogue points.
 
 None of it reads the unit tables, the rank-one tables or the edge tables
 that it checks, save ``reference_saturate``, which checks how ``closure``
-and ``saturate`` walk an edge table, and the sequential short paths of a
-probe (``reference_probe``), which check the stacked pass of
-``ProbeEngine.run``; each walks the same table one row at a time, through
-``reference_apply`` on the table's blocks.  A test module takes what it
-shares from here, never from another test module.
+and the FIFO turns of the probes walk an edge table, and the sequential
+short paths of a probe (``reference_probe``), which check the stacked
+passes of ``ProbeEngine.run``; each walks the same table one row at a
+time, through ``reference_apply`` on the table's blocks, into the
+row-by-row ``IntSpan``, with its own hook test ``reference_holds``.  A
+test module takes what it shares from here, never from another test
+module.
 """
 
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 
 from slmod import exterior_algebra
-from slmod.exact_linalg import (
-    IntSpan, Subspace, contained, dot, identity, int_blocks, kernel, matrix, transpose,
-)
+from slmod.exact_linalg import Subspace, contained, dot, identity, int_blocks, kernel, matrix, transpose
 from slmod.exterior_algebra import ext_basis, ext_position, insert_index, sym_basis, sym_position
-from slmod.graded_modules import _check_generator, closure, directions, saturate
-from slmod.theorem_registry import CATALOGUE
+from slmod.graded_modules import _check_generator, closure, directions
+from slmod.theorem_registry import CATALOGUE, HOOK_TURNS
 from slmod.torus_lie import AlgebraKind, bar, rank_one, rank_one_sym
 
 # ---------------------------------------------------------------------------
@@ -48,6 +50,59 @@ def subspace_contains(outer, inner) -> bool:
     """Whether the ``Subspace`` inner lies in outer: every row of inner is
     a member of outer."""
     return all(map(outer.contains_vector, inner.rows))
+
+
+def _lead(row) -> int:
+    """The column of a row's first nonzero entry, -1 on a zero row."""
+    for j, x in enumerate(row):
+        if x:
+            return j
+    return -1
+
+
+class IntSpan:
+    """A span of integer vectors grown one vector at a time, in forward
+    echelon form: its rows stay primitive, with a positive lead, and sorted
+    by leading column.  The row-by-row spans of the sequential references."""
+
+    __slots__ = ("ambient", "rows", "pivots")
+
+    def __init__(self, ambient: int):
+        self.ambient = ambient
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def residual(self, vector) -> list[int]:
+        """``vector`` reduced against the rows, cross-multiplied at each pivot."""
+        res = list(vector)
+        for row, p in zip(self.rows, self.pivots):
+            if res[p]:
+                g = gcd(row[p], res[p])
+                ma, mb = row[p] // g, res[p] // g
+                res = [ma * x - mb * y for x, y in zip(res, row)]
+        return res
+
+    def contains(self, vector) -> bool:
+        return not any(self.residual(vector))
+
+    def add(self, vector) -> list[int] | None:
+        """Insert a vector; returns the reduced row stored, or None when the
+        span did not grow.  The stored row is always a new list: ``vector``
+        is neither changed nor kept."""
+        res = self.residual(vector)
+        lead = _lead(res)
+        if lead < 0:
+            return None
+        g = gcd(*res)
+        res = [x // (g if res[lead] > 0 else -g) for x in res]
+        pos = bisect_left(self.pivots, lead)
+        self.rows.insert(pos, res)
+        self.pivots.insert(pos, lead)
+        return res
 
 
 def mat_sub(a, b) -> tuple:
@@ -303,32 +358,78 @@ def reference_saturate(table, seeds: dict, stop=None, turns=None):
         taken += 1
         i = queue.popleft()
         rows = fresh.pop(i)
-        for gi, j, cq in zip(*table.edges(i)):
+        for gi, j in zip(*table.edges(i)):
             span = spans.get(j)
             if span is not None and span.dim == dim:
                 continue
-            images = reference_apply(table, gi, cq, rows)
+            images = reference_apply(table, gi, int(table.cq[i, gi]), rows)
             if images and grow(j, images) and stop is not None and stop(j, spans):
                 return None
     return spans
+
+
+def reference_holds(degrees, mode: str, target, spans: dict, shown: dict) -> bool:
+    """The certificate hook's fiber test at each degree, on the ``IntSpan``s
+    of a row-by-row run: "exact" compares dims, "contains" asks for every
+    target row, which a full span holds.  A span only grows, so the
+    ``shown[span]`` leading target rows found contained in it stay
+    contained and are not tested again."""
+    for i in degrees:
+        span = spans.get(i)
+        if mode == "exact":
+            if (span.dim if span is not None else 0) != target.dims.get(i, 0):
+                return False
+        else:
+            rows = target.rows.get(i, ())
+            if not rows:
+                continue
+            # canonical target rows are independent: a smaller span misses one
+            if span is None or span.dim < len(rows):
+                return False
+            if span.dim < span.ambient:
+                done = shown.get(span, 0)
+                while done < len(rows) and span.contains(rows[done]):
+                    done += 1
+                shown[span] = done
+                if done < len(rows):
+                    return False
+    return True
+
+
+def reference_stop(engine, mode: str, target):
+    """The hook of a row-by-row run: at a dominator i, ``reference_holds``
+    at i and at the target's degenerate degrees."""
+    shown: dict = {}  # span -> its leading target rows shown contained
+
+    def stop(i, spans):
+        return (i in engine.dominators and reference_holds((i,), mode, target, spans, shown)
+                and reference_holds(target.special, mode, target, spans, shown))
+
+    return stop
+
+
+def reference_turns_fire(engine, start: dict, mode: str, target, turns: int = HOOK_TURNS) -> bool:
+    """Whether the hook fires in the row-by-row FIFO turns of a probe from
+    ``start``, cut at ``turns`` turns."""
+    return reference_saturate(engine.table, start, reference_stop(engine, mode, target), turns) is None
 
 
 # ---------------------------------------------------------------------------
 # the short-path certificate of one probe, one row at a time
 
 
-def reference_images_at(table, into: dict, i: int, vec, gis, js, cqs):
+def reference_images_at(table, into: dict, i: int, vec, gis, js):
     """The images at z of a row at degree index i, one list per path: the
     edges ``into[i]`` straight to z, then each two-edge path i -> t -> z
-    through i's edges (gis, js, cqs) and ``into[t]``, in generator order
-    on both steps.  ``into`` maps each source of an edge into z to its
-    generators; z has no edge into itself, so from z these are the loops
-    z -> t -> z alone."""
+    through i's edges (gis, js) and ``into[t]``, in generator order on both
+    steps.  ``into`` maps each source of an edge into z to its generators;
+    z has no edge into itself, so from z these are the loops z -> t -> z
+    alone."""
     for gj in into.get(i, ()):
         yield reference_apply(table, gj, int(table.cq[i, gj]), [vec])
-    for gi, t, cq in zip(gis, js, cqs):
+    for gi, t in zip(gis, js):
         if t in into:
-            first = reference_apply(table, gi, cq, [vec])
+            first = reference_apply(table, gi, int(table.cq[i, gi]), [vec])
             for gj in into[t]:
                 yield reference_apply(table, gj, int(table.cq[t, gj]), first)
 
@@ -376,28 +477,28 @@ def reference_short_paths(engine, seed_i: int, seed_vec, stop, rounds: bool) -> 
 
 
 def reference_probe(engine, k, vector, mode: str, target) -> tuple:
-    """(answer, start): one probe as a sequential run makes it, the short
-    paths of ``reference_short_paths``, with loop rounds for a full target,
-    then the hooked FIFO turns of ``saturate`` from ``start`` and, if its
-    hook has not fired, the seed's ``closure``.  ``start`` is None where the
-    short paths fire the hook or the target is uncertified."""
-    start = None
+    """(answer, start, fired): one probe as a sequential run makes it, the
+    short paths of ``reference_short_paths``, with loop rounds for a full
+    target, then the row-by-row FIFO turns of ``reference_saturate`` from
+    ``start``, cut at ``HOOK_TURNS``, and, if their hook has not fired
+    (``fired`` False), the seed's ``closure``.  ``start`` and ``fired`` are
+    None where the short paths fire the hook or the target is
+    uncertified."""
+    start = fired = None
     if target.certified:
-        shown: dict = {}
-
-        def stop(i, spans):
-            return (i in engine.dominators and engine._holds((i,), mode, target, spans, shown)
-                    and engine._holds(target.special, mode, target, spans, shown))
-
-        start = reference_short_paths(engine, engine.table.index[k], vector, stop, target.rows is None)
-        if start is None or saturate(engine.table, start, stop):
-            return True, start
+        start = reference_short_paths(engine, engine.table.index[k], vector, reference_stop(engine, mode, target),
+                                      target.rows is None)
+        if start is None:
+            return True, None, None
+        fired = reference_turns_fire(engine, start, mode, target)
+        if fired:
+            return True, start, fired
     family = closure(engine.spec, {k: [vector]}, engine.window, engine.gens)
     at = engine.interior
     if mode == "exact":
-        return family.dims[at].tolist() == [target.dims.get(i, 0) for i in at], start
+        return family.dims[at].tolist() == [target.dims.get(i, 0) for i in at], start, fired
     rows = int_blocks([target.rows.get(i, ()) for i in at], engine.table.dim)
-    return bool(contained(rows, family.anns[family.place[at]]).all()), start
+    return bool(contained(rows, family.anns[family.place[at]]).all()), start, fired
 
 
 def _merged_directions(kq):

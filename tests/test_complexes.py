@@ -245,3 +245,45 @@ def test_homology_stays_off_the_scalar_path():
              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not names & SCALAR, sorted(names & SCALAR)
+
+
+# the row-by-row span store of the probes' old FIFO turns, the turns and their hook
+ROW_BY_ROW = {"IntSpan", "saturate", "_holds"}
+
+
+def _row_by_row_names(sources: dict) -> dict:
+    """Module name -> the names of ``ROW_BY_ROW`` that its code binds,
+    defines, imports or reaches as an attribute, for the modules that name
+    any."""
+    found = {}
+    for module, source in sources.items():
+        names = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+        if names & ROW_BY_ROW:
+            found[module] = sorted(names & ROW_BY_ROW)
+    return found
+
+
+def test_the_package_names_no_row_by_row_span():
+    """No module of ``slmod`` names ``IntSpan``, ``saturate`` or ``_holds``:
+    the probes' FIFO turns grow stacked canonical spans, and the row-by-row
+    ones live in ``tests/reference.py`` alone."""
+    package = Path(complexes.__file__).parent
+    assert _row_by_row_names({path.name: path.read_text() for path in package.glob("*.py")}) == {}
+
+
+def test_a_planted_int_span_is_flagged():
+    """The lint reads code, not text: an ``IntSpan(`` call planted in
+    ``theorem_registry`` is flagged, and the same word in a docstring is not."""
+    path = Path(theorem_registry.__file__)
+    planted = '\n\ndef _planted(dim):\n    """An IntSpan in words."""\n    return IntSpan(dim)\n'
+    assert _row_by_row_names({path.name: path.read_text() + planted}) == {path.name: ["IntSpan"]}
+    assert _row_by_row_names({path.name: path.read_text() + planted.replace("IntSpan(dim)", "dim")}) == {}

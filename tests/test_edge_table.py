@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from slmod import graded_modules
-from slmod.exact_linalg import IntSpan, Subspace, echelon_stack, int_blocks, put_ints, subspace_sum
+from slmod.exact_linalg import Subspace, echelon_stack, int_blocks, put_ints, subspace_sum
 from slmod.graded_modules import (
     ActionSpec,
     EdgeTable,
@@ -36,7 +36,9 @@ from slmod.graded_modules import (
 from slmod.sl_maps import FamilyKind, build_family
 from slmod.theorem_registry import ProbeEngine, probe_engine
 from slmod.torus_lie import rank_one, rank_one_sym
-from reference import action_matrix_int, fiber_action, mat_vec, reference_apply, reference_edges, reference_saturate
+from reference import (
+    IntSpan, action_matrix_int, fiber_action, mat_vec, reference_apply, reference_edges, reference_saturate,
+)
 
 
 def full_rank(mats: list, dim: int) -> list:
@@ -112,7 +114,8 @@ def _assert_edges_match(spec, window, gens):
     index, out_edges = reference_edges(spec, window, gens)
     assert table.index == index
     for i, edges in enumerate(out_edges):
-        assert list(zip(*table.edges(i))) == edges, table.degs[i]
+        gis, js = table.edges(i)
+        assert list(zip(gis, js, table.cq[i, gis].tolist())) == edges, table.degs[i]
         assert table.skipped[i] == len(gens) - len(edges)
     # edges_between on every (degree, degree + offset) pair inside the
     # numbering, the pairs whose step leaves the box among them
@@ -359,7 +362,8 @@ def test_edge_table_apply_matches_fiber_action(kind, n, d, fiber, beta):
     centre = table.index[(0,) * n]
     for i in (centre,) if n == 6 else (0, centre, len(table.degs) - 1):
         k = table.degs[i]
-        gis, js, cqs = table.edges(i)
+        gis, js = table.edges(i)
+        cqs = table.cq[i, gis].tolist()
         stacked = {}
         for big in (1, 2**70):
             block = put_ints(np.zeros((1, dim, dim), dtype=np.int64), 0, [[big * x for x in unit] for unit in units])

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 import slmod.exact_linalg as exact_linalg
 from slmod.exact_linalg import (
-    IntSpan,
     Subspace,
     _echelon,
     _int_matrix,
-    _lead,
     _primitive,
     annihilator_stack,
     echelon_stack,
@@ -31,7 +29,7 @@ from slmod.exact_linalg import (
     subspace_sum,
     subspaces,
 )
-from reference import from_triplets, mat_mul, subspace_contains
+from reference import IntSpan, _lead, from_triplets, mat_mul, subspace_contains
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 integers = st.integers(min_value=-6, max_value=6)

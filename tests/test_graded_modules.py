@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import lru_cache
 from math import lcm
 from pathlib import Path
 
@@ -12,7 +13,6 @@ import pytest
 from slmod import graded_modules, theorem_registry
 from slmod.exact_linalg import Subspace, identity, int_blocks, subspaces
 from slmod.graded_modules import (
-    HOOK_TURNS,
     ActionSpec,
     FiberSpace,
     Fund,
@@ -29,12 +29,12 @@ from slmod.graded_modules import (
     gen_d,
     gen_h,
     is_invariant,
-    saturate,
 )
 from slmod.sl_maps import FamilyKind, build_family
-from slmod.torus_lie import bar, rank_one, rank_one_sym, sympl_form
+from slmod.theorem_registry import ProbeTarget
+from slmod.torus_lie import AlgebraKind, bar, rank_one, rank_one_sym, sympl_form
 from reference import (
-    action_matrix_int, fiber_action, from_triplets, mat_mul, mat_sub, reference_saturate, subspace_contains,
+    action_matrix_int, fiber_action, from_triplets, mat_mul, mat_sub, reference_turns_fire, subspace_contains,
 )
 
 HALF = (F(1, 2), 0, 0, 0)
@@ -330,135 +330,152 @@ def test_rank_one_tables_are_the_monomial_actions(n, fiber):
 
 
 # ---------------------------------------------------------------------------
-# saturate against the worklist that applies every edge
-
-
-def _recording(stop, calls: list):
-    """A stop hook that logs (degree index, dims of every span) and then
-    defers to ``stop``."""
-    def hook(i, spans):
-        calls.append((i, sorted((j, span.dim) for j, span in spans.items())))
-        return stop(i, spans)
-    return hook
-
-
-def _same_start(table, seeds, stop) -> bool:
-    """Run ``saturate`` and the reference: saturate's hook calls must be a
-    prefix of the reference's, the same as those of the reference cut at
-    ``HOOK_TURNS`` turns, and it must fire exactly when the cut reference
-    fires.  Returns whether it fired."""
-    calls, ref_calls, cut_calls = [], [], []
-    reference_saturate(table, seeds, _recording(stop, ref_calls))
-    cut = reference_saturate(table, seeds, _recording(stop, cut_calls), HOOK_TURNS)
-    fired = saturate(table, seeds, _recording(stop, calls))
-    assert calls == ref_calls[: len(calls)]
-    assert calls == cut_calls
-    assert fired is (cut is None)
-    return fired
+# the probes' FIFO turns against the worklist that applies every edge
 
 
 def _int_closure():
-    """H Fund(1), N=4, d=2, beta = e1/2: the table and a centre seed inside
-    INT but outside MIN, whose closure is INT."""
+    """H Fund(1), N=4, d=2, beta = e1/2: the probe engine and the start of a
+    centre seed inside INT but outside MIN, whose closure is INT."""
     spec = ActionSpec.make("H", 4, Fund(1), HALF)
-    table = edge_table(spec, Window(4, 2), default_generators(spec.kind, 4))
-    return table, {table.index[(0, 0, 0, 0)]: [[2, -1, 0, 3]]}
+    engine = theorem_registry.probe_engine(spec, Window(4, 2))
+    return engine, {engine.table.index[(0, 0, 0, 0)]: [[2, -1, 0, 3]]}
 
 
-def test_saturate_matches_the_reference_on_the_int_closure():
-    """Hooks that fire once the spans hold ``rows`` rows in all.  The seed
-    stores 1 row and the reference's first four turns end on 79, 157, 292
-    and 366: saturate fires with the reference up to 366 rows and stops
-    without firing past them, where the reference fires in a later turn.
-    A hook that never fires takes saturate through all its turns."""
-    table, seeds = _int_closure()
+def _never(engine) -> ProbeTarget:
+    """A certified target whose hook never fires: in mode "exact" no span
+    reaches dims above the fiber's."""
+    return ProbeTarget(dict.fromkeys(range(len(engine.table.degs)), engine.table.dim + 1), None, True, [])
 
-    def holding(rows):
-        return lambda i, spans: sum(s.dim for s in spans.values()) >= rows
 
-    fired = [_same_start(table, seeds, holding(rows)) for rows in (1, 2, 79, 80, 157, 292, 366, 367, 1000)]
-    assert fired == [True] * 7 + [False] * 2
-    assert reference_saturate(table, seeds, holding(1000)) is None
-    assert not _same_start(table, seeds, lambda i, spans: False)
+@lru_cache(maxsize=None)
+def _turn_cases() -> list:
+    """(engine, starts, mode, target, ends): the INT closure's centre seed
+    and six random seeds each of H Fund(1) and H Fund(2) at N=4 d=2 and of
+    W Lambda(1) at N=3 d=2, against the full target in mode "exact" and,
+    for H, MIN, INT and MAX in mode "contains"; ``ends[s][t]`` says whether
+    the row-by-row reference from ``starts[s]`` fires within t turns."""
+    engine, start = _int_closure()
+    cases = [(engine, [start])]
+    for kind, fiber, beta in [("H", Fund(1), HALF), ("H", Fund(2), HALF), ("W", Lambda(1), (F(1, 2), 0, 0))]:
+        spec = ActionSpec.make(kind, len(beta), fiber, beta)
+        window = Window(len(beta), 2)
+        engine = theorem_registry.probe_engine(spec, window)
+        rng = random.Random(1)
+        degs = window.degrees()
+        starts = []
+        for _ in range(6):
+            vector = [rng.randint(-3, 3) for _ in range(spec.space().dim)]
+            vector[rng.randrange(len(vector))] = 1
+            starts.append({engine.table.index[degs[rng.randrange(len(degs))]]: [vector]})
+        cases.append((engine, starts))
+    out = []
+    for engine, starts in cases:
+        spec = engine.spec
+        targets = [("exact", engine.full_target())]
+        if spec.kind is AlgebraKind.H:
+            targets += [("contains", engine.min_target(build_family(kind, spec.fiber.p, spec, engine.window)))
+                        for kind in (FamilyKind.MIN, FamilyKind.INT, FamilyKind.MAX)]
+        for mode, target in targets:
+            ends = [[reference_turns_fire(engine, start, mode, target, t) for t in range(6)] for start in starts]
+            out.append((engine, starts, mode, target, ends))
+    return out
 
 
 @pytest.mark.parametrize("turns", range(6))
-def test_saturate_takes_as_many_turns_as_its_budget(monkeypatch, turns):
-    """With ``HOOK_TURNS`` set to 0..5 on the INT closure, whose reference
-    run goes on past five turns: a hook that never fires sees the calls of
-    the reference cut at that many turns, and a hook that fires once the
-    spans hold the rows of the reference's turn t fires exactly when t is
-    within the budget (turn 0 is the seed)."""
-    table, seeds = _int_closure()
-    monkeypatch.setattr(graded_modules, "HOOK_TURNS", turns)
-    calls, cut_calls = [], []
-    never = lambda i, spans: False  # noqa: E731
-    assert not saturate(table, seeds, _recording(never, calls))
-    reference_saturate(table, seeds, _recording(never, cut_calls), turns)
-    assert calls == cut_calls
-    ends = [sum(s.dim for s in reference_saturate(table, seeds, None, t).values()) for t in range(7)]
-    assert ends[:5] == [1, 79, 157, 292, 366] and ends[6] > ends[5]
-    fired = [saturate(table, seeds, lambda i, spans, rows=rows: sum(s.dim for s in spans.values()) >= rows)
-             for rows in ends]
-    assert fired == [t <= turns for t in range(7)]
+def test_turns_fire_where_the_cut_reference_fires(monkeypatch, turns):
+    """With ``HOOK_TURNS`` set to 0..5, the stacked turns of each seed, all
+    of a case's seeds in one call, fire exactly when the row-by-row
+    reference cut at that many turns fires.  Among the cases the reference
+    first fires in each of turns 2 to 5 (turn 0 is the start), so every
+    budget splits them."""
+    monkeypatch.setattr(theorem_registry, "HOOK_TURNS", turns)
+    firsts = set()
+    for engine, starts, mode, target, ends in _turn_cases():
+        assert engine._turns(starts, mode, target).tolist() == [end[turns] for end in ends], (engine.spec, mode)
+        firsts |= {end.index(True) if True in end else None for end in ends}
+    assert {2, 3, 4, 5} <= firsts
 
 
-def test_saturate_builds_no_annihilator(monkeypatch):
-    """The hooked turns grow ``IntSpan`` rows from ``EdgeTable.images``
-    alone: with ``fiber_escapes``, ``kernel_stack``, ``int_blocks`` and
-    ``annihilator_stack`` made to fail, ``saturate`` still takes all its
-    turns, on the INT closure and on a W Lambda(1) N=3 d=2 seed."""
-    def banned(*args, **kwargs):
-        raise AssertionError("saturate built an annihilator")
-
-    cases = [_int_closure()]
+def test_a_target_that_fills_mid_turn_skips_its_later_edges(monkeypatch):
+    """From (1, 2, 1) on W Lambda(1) N=3 d=2 the generators of one degree
+    step fill a shared target partway through a turn.  With ``STACK_ITEMS``
+    at 1 every slice is one edge, so the turn skips the target's later
+    edges as the row-by-row reference does, and fires with it at every
+    budget of 0..5 turns against the full target."""
     spec = ActionSpec.make("W", 3, Lambda(1), (F(1, 2), 0, 0))
-    table = edge_table(spec, Window(3, 2), default_generators(spec.kind, 3))
-    cases.append((table, {table.index[(1, 2, 1)]: [[3, 3, 1]]}))
-    for name in ("fiber_escapes", "kernel_stack", "int_blocks", "annihilator_stack"):
-        monkeypatch.setattr(graded_modules, name, banned)
-    for table, seeds in cases:
-        calls = []
-        assert not saturate(table, seeds, _recording(lambda i, spans: False, calls))
-        assert len(calls) > len(seeds)
+    engine = theorem_registry.probe_engine(spec, Window(3, 2))
+    start = {engine.table.index[(1, 2, 1)]: [[3, 3, 1]]}
+    target = engine.full_target()
+    monkeypatch.setattr(theorem_registry, "STACK_ITEMS", 1)
+    ends = [reference_turns_fire(engine, start, "exact", target, t) for t in range(6)]
+    assert True in ends[1:] and not ends[0]
+    for turns in range(6):
+        monkeypatch.setattr(theorem_registry, "HOOK_TURNS", turns)
+        assert engine._turns([start], "exact", target).tolist() == [ends[turns]]
 
 
-def test_saturate_requires_a_hook():
+def test_exact_turns_build_no_annihilator(monkeypatch):
+    """The turns of an "exact" probe grow their spans from
+    ``EdgeTable.images`` and ``_merge`` alone: with ``fiber_escapes``,
+    ``kernel_stack``, ``int_blocks``, ``annihilator_stack`` and ``closure``
+    made to fail, a hook that never fires takes all ``HOOK_TURNS`` turns,
+    one ``images`` call each, on the INT closure and on a W Lambda(1) N=3
+    d=2 seed."""
+    def banned(*args, **kwargs):
+        raise AssertionError("the turns built an annihilator")
+
+    spec = ActionSpec.make("W", 3, Lambda(1), (F(1, 2), 0, 0))
+    engine = theorem_registry.probe_engine(spec, Window(3, 2))
+    cases = [_int_closure(), (engine, {engine.table.index[(1, 2, 1)]: [[3, 3, 1]]})]
+    calls = []
+    images = graded_modules.EdgeTable.images
+
+    def counted(table, *args):
+        calls.append(len(args[1]))
+        return images(table, *args)
+
+    for name in ("fiber_escapes", "kernel_stack", "int_blocks", "annihilator_stack", "closure"):
+        monkeypatch.setattr(theorem_registry, name, banned)
+    monkeypatch.setattr(graded_modules.EdgeTable, "images", counted)
+    for engine, start in cases:
+        calls.clear()
+        assert engine._turns([start], "exact", _never(engine)).tolist() == [False]
+        assert len(calls) == theorem_registry.HOOK_TURNS
+
+
+def test_turns_require_a_hook():
     """There is no hookless mode: the fixpoint of a seed is ``closure``'s."""
-    table, seeds = _int_closure()
+    engine, start = _int_closure()
     with pytest.raises(TypeError):
-        saturate(table, seeds)
+        engine._turns([start])
 
 
 PROBE_CASES = [
-    # from (1, 2, 1) the N generators of one degree step fill a shared
-    # target partway through a turn, its later edges then skipped
-    ("W", Lambda(1), (F(1, 2), 0, 0), "exact", [((1, 2, 1), [3, 3, 1])]),
-    ("H", Fund(2), HALF, "contains", []),
+    ("W", Lambda(1), (F(1, 2), 0, 0), "exact"),
+    ("H", Fund(2), HALF, "contains"),
 ]
 
 
-@pytest.mark.parametrize("kind,fiber,beta,mode,starts", PROBE_CASES)
-def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mode, starts):
-    """Probes with the certificate's stop hook: W N=3 d=2 probes against the
-    full target, and H Fund(2) N=4 d=2 probes that must contain MIN.  The
-    hook calls of every ``saturate`` run are the reference's, and it fires
-    exactly when the reference's hook fires within ``HOOK_TURNS`` turns.
-    The ``starts`` seeds run with a hook that never fires: from (1, 2, 1)
-    a shared target fills in the second turn."""
+@pytest.mark.parametrize("kind,fiber,beta,mode", PROBE_CASES)
+def test_probes_fire_where_the_reference_fires(monkeypatch, kind, fiber, beta, mode):
+    """Probes with the certificate's hook: W N=3 d=2 probes against the
+    full target, and H Fund(2) N=4 d=2 probes that must contain MIN, the
+    short-path pass bypassed so that each reaches the FIFO turns.  Each
+    seed's turns fire exactly when the reference's hook fires within
+    ``HOOK_TURNS`` turns."""
     n = len(beta)
     spec = ActionSpec.make(kind, n, fiber, beta)
     window = Window(n, 2)
     engine = theorem_registry.probe_engine(spec, window)
-    fired = []
+    fired, ref = [], []
+    turns = theorem_registry.ProbeEngine._turns
 
-    def twin(table, seeds, stop):
-        fired.append(_same_start(table, seeds, stop))
-        return fired[-1]
+    def twin(engine_, starts, mode_, target_):
+        fired.extend(turns(engine_, starts, mode_, target_).tolist())
+        ref.extend(reference_turns_fire(engine_, start, mode_, target_) for start in starts)
+        return np.array(fired[len(fired) - len(starts):], dtype=bool)
 
-    monkeypatch.setattr(theorem_registry, "saturate", twin)
-    # the short-path pass certifies every one of these seeds: bypassed, each
-    # reaches the hooked FIFO turns
+    monkeypatch.setattr(theorem_registry.ProbeEngine, "_turns", twin)
     monkeypatch.setattr(theorem_registry.ProbeEngine, "_path_pass",
                         lambda engine, at, vectors, mode, target: [{i: [v]} for i, v in zip(at, vectors)])
     if mode == "exact":
@@ -467,35 +484,35 @@ def test_probes_make_the_reference_stop_calls(monkeypatch, kind, fiber, beta, mo
         target = engine.min_target(build_family(FamilyKind.MIN, fiber.p, spec, window))
     rng = random.Random(f"saturate-{kind}-{fiber}")
     degs = window.degrees()
+    seeds = []
     for _ in range(6):
         vector = [rng.randint(-3, 3) for _ in range(spec.space().dim)]
         vector[rng.randrange(len(vector))] = 1
-        k = degs[rng.randrange(len(degs))]
-        engine.run([(k, vector)], mode, target)
-    assert len(fired) == 6
-    for k, vector in starts:
-        assert not _same_start(engine.table, {engine.table.index[k]: [vector]}, lambda i, spans: False)
+        seeds.append((degs[rng.randrange(len(degs))], vector))
+    engine.run(seeds, mode, target)
+    assert len(fired) == 6 and fired == ref
 
 
-def test_saturate_leaves_numpy_ma_unimported():
-    """Neither ``saturate`` nor the rounds of ``closure`` call ``np.unique``,
-    which imports ``numpy.ma`` on first use: a fresh interpreter that runs
-    the hooked FIFO turns and the closure from outside INT to the whole N=4
-    d=2 window has not loaded it."""
+def test_turns_leave_numpy_ma_unimported():
+    """Neither the FIFO turns of the probes nor the rounds of ``closure``
+    call ``np.unique``, which imports ``numpy.ma`` on first use: a fresh
+    interpreter that runs the hooked turns and the closure from outside INT
+    to the whole N=4 d=2 window has not loaded it."""
     code = (
         "import sys\n"
         "from fractions import Fraction\n"
-        "from slmod.graded_modules import (ActionSpec, Fund, Window, closure, default_generators,\n"
-        "                                  edge_table, saturate)\n"
+        "from slmod.graded_modules import ActionSpec, Fund, Window, closure\n"
+        "from slmod.theorem_registry import probe_engine\n"
         "spec = ActionSpec.make('H', 4, Fund(1), (Fraction(1, 2), 0, 0, 0))\n"
-        "table = edge_table(spec, Window(4, 2), default_generators(spec.kind, 4))\n"
-        "fired = saturate(table, {table.index[(0, 0, 0, 0)]: [[1, 0, 1, 0]]}, lambda i, spans: False)\n"
+        "engine = probe_engine(spec, Window(4, 2))\n"
+        "start = {engine.table.index[(0, 0, 0, 0)]: [[1, 0, 1, 0]]}\n"
+        "fired = engine._turns([start], 'exact', engine.full_target())\n"
         "family = closure(spec, {(0, 0, 0, 0): [[1, 0, 1, 0]]}, Window(4, 2))\n"
-        "print(fired, len(family.fibers), 'numpy.ma' in sys.modules)\n")
+        "print(fired.tolist(), len(family.fibers), 'numpy.ma' in sys.modules)\n")
     src = Path(graded_modules.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.split() == ["False", "625", "False"]
+    assert run.stdout.split() == ["[False]", "625", "False"]
 
 
 def test_fiber_escapes_leaves_int64_before_a_product_wraps():

@@ -6,7 +6,6 @@ import pytest
 
 from slmod import invariant_ops
 from slmod.exact_linalg import (
-    IntSpan,
     Subspace,
     _int_matrix,
     dot,
@@ -25,7 +24,7 @@ from slmod.invariant_ops import (
 from slmod.reports import Recorder
 from slmod.sl_maps import FamilyKind, build_family, symplectic_extend
 from slmod.torus_lie import degree_box, rank_one, rank_one_sym, sympl_form
-from reference import _merged_directions, action_matrix_int, mat_vec
+from reference import IntSpan, _merged_directions, action_matrix_int, mat_vec
 
 K1 = (1, 0, 0, 0)
 ZERO = (0, 0, 0, 0)

@@ -13,7 +13,7 @@ import slmod.invariant_ops as invariant_ops
 import slmod.sl_maps as sl_maps
 import slmod.theorem_registry as theorem_registry
 from slmod.cli import main
-from slmod.exact_linalg import IntSpan, Subspace, int_blocks
+from slmod.exact_linalg import Subspace, int_blocks
 from slmod.graded_modules import (
     ActionSpec, Fund, GradedFamily, Lambda, ScalarFiber, Sym2, Window, closure, default_generators,
     edge_table,
@@ -28,7 +28,10 @@ from slmod.theorem_registry import (
     probe_engine,
     run_check,
 )
-from reference import fiber_action, reference_contained, reference_probe, subspace_contains
+from reference import (
+    IntSpan, fiber_action, reference_contained, reference_holds, reference_probe, reference_turns_fire,
+    subspace_contains,
+)
 
 HALF = (F(1, 2), 0, 0, 0)
 
@@ -78,25 +81,41 @@ def test_probe_engine_agrees_with_reference_closure():
             assert engine.run([(k, list(row))], "exact", target) == [expected]
 
 
-def test_a_full_span_holds_every_target_row_without_a_membership_test(monkeypatch):
+def test_a_span_holds_full_target_rows_exactly_when_it_is_full(monkeypatch):
     """A "contains" probe against full target fibers at N=4 d=2 (H Fund(1),
     beta = e1/2) from a centre seed outside INT: the closure fills the
-    window, each degree's test passes only once its span is full, and a full
-    span holds without one ``IntSpan.contains`` call."""
+    window, and the hook's test passes at a span exactly when it is full:
+    in the short-path pass, which fires, and, with that pass bypassed, in
+    the FIFO turns, whose hook fires in the fifth turn with no hand-off to
+    ``closure``."""
     spec = ActionSpec.make("H", 4, Fund(1), HALF)
     window = Window(4, 2)
     engine = probe_engine(spec, window)
     full = GradedFamily(spec, window, {k: Subspace.full(4) for k in window.degrees()})
-    calls = []
-    contains = IntSpan.contains
+    tests = []
+    hook = ProbeEngine._hook
 
-    def logged(span, vector):
-        calls.append(span.dim)
-        return contains(span, vector)
+    def logged(engine_, at, mode, target):
+        test = hook(engine_, at, mode, target)
 
-    monkeypatch.setattr(IntSpan, "contains", logged)
-    assert engine.run([((0, 0, 0, 0), [1, 0, 1, 0])], "contains", engine.min_target(full)) == [True]
-    assert calls == []
+        def logged_test(spans):
+            tests.append((theorem_registry.ranks(spans).tolist(), test(spans).tolist()))
+            return np.array(tests[-1][1], dtype=bool)
+
+        return logged_test
+
+    monkeypatch.setattr(ProbeEngine, "_hook", logged)
+    log = _hand_offs(monkeypatch)
+    probe, target = [((0, 0, 0, 0), [1, 0, 1, 0])], engine.min_target(full)
+    assert engine.run(probe, "contains", target) == [True]
+    assert log == {"turns": [], "closure": 0} and tests
+    monkeypatch.setattr(ProbeEngine, "_path_pass", _no_short_paths)
+    monkeypatch.setattr(theorem_registry, "HOOK_TURNS", 5)
+    assert engine.run(probe, "contains", target) == [True]
+    assert log == {"turns": [True], "closure": 0}
+    assert any(True in held for _, held in tests)
+    for dims, held in tests:
+        assert held == [d == 4 for d in dims]
 
 
 def test_probe_engine_rejects_wrong_targets():
@@ -395,37 +414,38 @@ def test_full_targets_end_in_the_short_path_and_loop_passes(monkeypatch, check_i
     turns: the in-flow fills k0 and the loop pass fills z.  Without either,
     full-target probes here fall back, so a change that loses one fails."""
     runs, fixpoints = [], []
-    run, saturate = ProbeEngine.run, theorem_registry.saturate
+    run, turns = ProbeEngine.run, ProbeEngine._turns
 
     def counted_run(engine, seeds, mode, target):
         runs.append(target.rows is None)
         return run(engine, seeds, mode, target)
 
-    def counted_saturate(table, seeds, stop):
-        fixpoints.append(seeds)
-        return saturate(table, seeds, stop)
+    def counted_turns(engine, starts, mode, target):
+        fixpoints.extend(starts)
+        return turns(engine, starts, mode, target)
 
     monkeypatch.setattr(ProbeEngine, "run", counted_run)
-    monkeypatch.setattr(theorem_registry, "saturate", counted_saturate)
+    monkeypatch.setattr(ProbeEngine, "_turns", counted_turns)
     assert run_check(check_id, **params).status == "PASS"
     assert any(runs) and fixpoints == []
 
 
 def _hand_offs(monkeypatch) -> dict:
-    """Log what each ``saturate`` run of the probes returns and count their
-    ``closure`` calls, the hand-offs."""
-    log = {"saturate": [], "closure": 0}
-    saturate, closure_ = theorem_registry.saturate, theorem_registry.closure
+    """Log, per seed, whether the hook fired in the FIFO turns of the
+    probes, and count their ``closure`` calls, the hand-offs."""
+    log = {"turns": [], "closure": 0}
+    turns, closure_ = ProbeEngine._turns, theorem_registry.closure
 
-    def counted_saturate(table, seeds, stop):
-        log["saturate"].append(saturate(table, seeds, stop))
-        return log["saturate"][-1]
+    def counted_turns(engine, starts, mode, target):
+        fired = turns(engine, starts, mode, target)
+        log["turns"] += fired.tolist()
+        return fired
 
     def counted_closure(*args):
         log["closure"] += 1
         return closure_(*args)
 
-    monkeypatch.setattr(theorem_registry, "saturate", counted_saturate)
+    monkeypatch.setattr(ProbeEngine, "_turns", counted_turns)
     monkeypatch.setattr(theorem_registry, "closure", counted_closure)
     return log
 
@@ -442,7 +462,7 @@ def test_a_failing_contains_probe_answers_through_one_closure(monkeypatch):
     seed = list(build_family(FamilyKind.MIN, 2, spec, window).fiber((0, 0, 0, 0)).rows[0])
     log = _hand_offs(monkeypatch)
     assert engine.run([((0, 0, 0, 0), seed)], "contains", target) == [False]
-    assert log == {"saturate": [False], "closure": 1}
+    assert log == {"turns": [False], "closure": 1}
 
 
 def test_a_failing_exact_probe_answers_through_one_closure(monkeypatch):
@@ -457,14 +477,14 @@ def test_a_failing_exact_probe_answers_through_one_closure(monkeypatch):
     seed = list(build_family(FamilyKind.MIN, 2, spec, window).fiber((0, 0, 0, 0)).rows[0])
     log = _hand_offs(monkeypatch)
     assert engine.run([((0, 0, 0, 0), seed)], "exact", target) == [False]
-    assert log == {"saturate": [False], "closure": 1}
+    assert log == {"turns": [False], "closure": 1}
 
 
 @pytest.mark.parametrize("target_kind", ["full", "min", "max"])
 def test_forced_hand_offs_give_the_hooked_answers(monkeypatch, target_kind):
     """H Fund(2), N=4 d=2, beta = e1/2, probes from random vectors and from
     MIN rows: exact against the full target, contains against MIN and
-    against MAX.  With the short-path pass bypassed and ``saturate`` never
+    against MAX.  With the short-path pass bypassed and the FIFO turns never
     firing, every probe hands off to ``closure``, and each answers as it
     does when its hook fires: a hook proves what the closure shows.  The
     same holds with the pass's spans at z and a hook that never fires
@@ -491,7 +511,8 @@ def test_forced_hand_offs_give_the_hooked_answers(monkeypatch, target_kind):
     answers = engine.run(probes, mode, target)
     assert target_kind == "min" or set(answers) == {True, False}
     log = _hand_offs(monkeypatch)
-    monkeypatch.setattr(theorem_registry, "saturate", lambda table, seeds, stop: False)
+    monkeypatch.setattr(ProbeEngine, "_turns",
+                        lambda engine, starts, mode, target: np.zeros(len(starts), dtype=bool))
     path_pass = ProbeEngine._path_pass
     monkeypatch.setattr(ProbeEngine, "_path_pass", _no_short_paths)
     assert engine.run(probes, mode, target) == answers
@@ -533,7 +554,7 @@ def test_an_uncertified_target_goes_straight_to_the_closure(monkeypatch):
     bare = [engine.run([(k, v)], mode, ProbeTarget(target.dims, target.rows, False, target.special))[0]
             for v, mode, target in runs]
     assert bare == answers
-    assert log == {"saturate": [], "closure": len(runs)}
+    assert log == {"turns": [], "closure": len(runs)}
 
 
 # every check that runs probes
@@ -544,7 +565,7 @@ PROBE_CHECKS = ["irreducible-min", "uniqueness", "main-classification", "cor-p0"
 def test_probes_at_the_first_default_points_make_no_hand_off(monkeypatch):
     """At the first default grid point of every check that runs probes,
     every probe ends in the short-path pass or in the FIFO turns of
-    ``saturate``, none in ``closure``: the probes of the benchmark stay on
+    ``ProbeEngine._turns``, none in ``closure``: the probes of the benchmark stay on
     the hooked start.  The checks that run no probe make none here."""
     runs = []
     run = ProbeEngine.run
@@ -559,28 +580,30 @@ def test_probes_at_the_first_default_points_make_no_hand_off(monkeypatch):
         runs.clear()
         assert run_check(check_id, **spec.grid[0]).status == "PASS", check_id
         assert bool(runs) == (check_id in PROBE_CHECKS), check_id
-    assert log["saturate"] and all(log["saturate"])
+    assert log["turns"] and all(log["turns"])
     assert log["closure"] == 0
 
 
 def _sweeps(monkeypatch, runs) -> list:
     """Every probe sweep of the checks ``runs``, (check id, params) pairs, as
-    (engine, seeds, mode, target, answers, starts): ``starts`` holds the
-    ``saturate`` start of each seed whose hook the path pass left unfired."""
+    (engine, seeds, mode, target, answers, starts, fired): ``starts`` holds
+    the FIFO start of each seed whose hook the path pass left unfired, and
+    ``fired`` whether the hook fired in its turns."""
     sweeps = []
-    run, saturate = ProbeEngine.run, theorem_registry.saturate
+    run, turns = ProbeEngine.run, ProbeEngine._turns
 
     def recorded(engine, seeds, mode, target):
-        starts = []
+        starts, fired = [], []
 
-        def started(table, start, stop):
-            starts.append(start)
-            return saturate(table, start, stop)
+        def started(engine_, group, mode_, target_):
+            starts.extend(group)
+            fired.extend(turns(engine_, group, mode_, target_).tolist())
+            return np.array(fired[len(fired) - len(group):], dtype=bool)
 
         with monkeypatch.context() as patch:
-            patch.setattr(theorem_registry, "saturate", started)
+            patch.setattr(ProbeEngine, "_turns", started)
             got = run(engine, seeds, mode, target)
-        sweeps.append((engine, seeds, mode, target, got, starts))
+        sweeps.append((engine, seeds, mode, target, got, starts, fired))
         return got
 
     with monkeypatch.context() as patch:
@@ -592,34 +615,79 @@ def _sweeps(monkeypatch, runs) -> list:
 
 def _assert_sequential(sweeps):
     """Each sweep's answers are the sequential reference's, and so are its
-    ``saturate`` starts, as spaces at each degree."""
-    for engine, seeds, mode, target, answers, starts in sweeps:
+    FIFO starts, as spaces at each degree, and, per seed, whether the hook
+    fired in the turns from them."""
+    for engine, seeds, mode, target, answers, starts, fired in sweeps:
         ref = [reference_probe(engine, tuple(k), v, mode, target) for k, v in seeds]
-        assert answers == [answer for answer, _ in ref]
-        ref_starts = [start for _, start in ref if start is not None]
-        assert len(starts) == len(ref_starts)
+        assert answers == [answer for answer, _, _ in ref]
+        ref = [(start, ref_fired) for _, start, ref_fired in ref if start is not None]
+        assert len(starts) == len(ref)
+        assert fired == [ref_fired for _, ref_fired in ref]
         dim = engine.table.dim
-        for got, want in zip(starts, ref_starts):
+        for got, (want, _) in zip(starts, ref):
             assert {i: Subspace(dim, rows) for i, rows in got.items()} \
                 == {i: Subspace(dim, rows) for i, rows in want.items()}
 
 
 @pytest.mark.parametrize("check_id", PROBE_CHECKS)
 def test_the_path_pass_matches_the_sequential_reference(monkeypatch, check_id):
-    """Every probe at every default grid point: the stacked pass gives the
-    answers and the ``saturate`` starts of one probe at a time."""
+    """Every probe at every default grid point: the stacked passes give the
+    answers, the FIFO starts and the per-seed fires of the FIFO turns of
+    one probe at a time."""
     sweeps = _sweeps(monkeypatch, [(check_id, params) for params in default_grid(check_id)])
     assert sweeps
     _assert_sequential(sweeps)
 
 
+# the checks of the edges benchmark
+EDGES_CHECKS = [
+    ("main-classification", {"N": 4, "p": 2, "beta": HALF, "d": 2}),
+    ("module-maps", {"N": 4, "beta": HALF, "d": 1}),
+    ("invariant-ops", {"N": 4, "beta": (0, 0, 0, 0), "d": 2}),
+    ("uniqueness", {"N": 4, "p": 2, "beta": HALF, "d": 2}),
+]
+
+
 def test_the_path_pass_matches_the_sequential_reference_in_the_edges_checks(monkeypatch):
-    """The probe checks of the edges benchmark, N=4 p=2 beta = e1/2 d=2, at
-    seeds 1 to 20."""
-    sweeps = _sweeps(monkeypatch, [(check_id, {"N": 4, "p": 2, "beta": HALF, "d": 2, "seed": seed})
-                                   for seed in range(1, 21)
-                                   for check_id in ("main-classification", "uniqueness")])
-    assert any(starts for *_, starts in sweeps)
+    """The four checks of the edges benchmark at seeds 1 to 20; two of them
+    run probes, and some of their seeds fire in the FIFO turns."""
+    sweeps = _sweeps(monkeypatch, [(check_id, dict(params, seed=seed))
+                                   for seed in range(1, 21) for check_id, params in EDGES_CHECKS])
+    assert any(fired for *_, fired in sweeps)
+    _assert_sequential(sweeps)
+
+
+def test_turns_in_small_slices_match_the_sequential_reference(monkeypatch):
+    """With ``STACK_ITEMS`` at 16 each turn of the edges checks' probes goes
+    in many slices, a few edges of each seed at a time: the answers and the
+    per-seed fires are still the sequential reference's, and the reports
+    the same."""
+    points = [(check_id, dict(params, seed=seed)) for seed in (3, 7) for check_id, params in EDGES_CHECKS
+              if check_id in ("main-classification", "uniqueness")]
+    want = [run_check(check_id, **params).to_dict() for check_id, params in points]
+    calls = []
+    images, turns = graded_modules.EdgeTable.images, ProbeEngine._turns
+    inside = []
+
+    def counted(table, srcs, gis, *args):
+        if inside:
+            calls.append(len(gis))
+        return images(table, srcs, gis, *args)
+
+    def flagged(engine, *args):
+        inside.append(True)
+        try:
+            return turns(engine, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(graded_modules.EdgeTable, "images", counted)
+    monkeypatch.setattr(ProbeEngine, "_turns", flagged)
+    monkeypatch.setattr(theorem_registry, "STACK_ITEMS", 16)
+    sweeps = _sweeps(monkeypatch, points)
+    assert [run_check(check_id, **params).to_dict() for check_id, params in points] == want
+    assert any(fired for *_, fired in sweeps)
+    assert len(calls) > 10 * sum(len(fired) for *_, fired in sweeps) and max(calls) <= 16
     _assert_sequential(sweeps)
 
 
@@ -656,8 +724,9 @@ def test_the_path_pass_sends_at_most_stack_items_a_product(monkeypatch, check_id
 
 
 def test_a_contained_target_row_is_tested_once(monkeypatch):
-    """A span only grows: ``_holds`` remembers how many leading target rows
-    it found contained in the span and tests only the rest."""
+    """A span only grows: the reference hook test ``reference_holds``
+    remembers how many leading target rows it found contained in the span
+    and tests only the rest."""
     spec = ActionSpec.make("H", 4, Fund(2), HALF)
     window = Window(4, 2)
     engine = probe_engine(spec, window)
@@ -675,12 +744,12 @@ def test_a_contained_target_row_is_tested_once(monkeypatch):
     span, shown = IntSpan(engine.table.dim), {}
     for row in (first, [1, 2, 3, 4, 5]):  # the second row leaves ``second`` outside
         span.add(row)
-    assert not engine._holds((i,), "contains", target, {i: span}, shown)
+    assert not reference_holds((i,), "contains", target, {i: span}, shown)
     assert tested == [first, second] and shown == {span: 1}
     tested.clear()
     span.add(second)
-    assert engine._holds((i,), "contains", target, {i: span}, shown)
-    assert engine._holds((i,), "contains", target, {i: span}, shown)
+    assert reference_holds((i,), "contains", target, {i: span}, shown)
+    assert reference_holds((i,), "contains", target, {i: span}, shown)
     assert tested == [second] and shown == {span: 2}
 
 
